@@ -1,4 +1,4 @@
-(* Materialized checker fast path (DESIGN.md Section 5j): compiling the
+(* Compiled checker fast path (DESIGN.md Section 5j): compiling the
    impact model into solver-free decision tables moves the row-decision cost
    from query time to load time.  This experiment measures both sides of
    that trade and holds the exactness promise.
@@ -10,12 +10,12 @@
      samples.  Gates: the compiled p99 stays in microseconds
      ("mat_p99_us_ok": p99 < 1000 us) and is at least 100x faster than the
      solver path ("speedup_ok");
-   - identity: findings are byte-identical across Solver, Materialized and
-     Hybrid on every target case ("targets_identical");
-   - corpus: the mode-equivalence leg over a seeded vfuzz corpus
-     (--seed/--count, default 42/200) — every generated system's model is
-     compiled and checked under all three modes, which must agree
-     byte-for-byte ("corpus_identical").
+   - identity: findings are byte-identical between Solver and Hybrid
+     carrying the compiled artifact on every target case
+     ("targets_identical");
+   - corpus: the same equivalence over a seeded vfuzz corpus (--seed/--count,
+     default 42/200) — every generated system's model is compiled and
+     checked both ways, which must agree byte-for-byte ("corpus_identical").
 
    The compile wall (the load-time tax the registry pays) is reported per
    model and in total. *)
@@ -56,7 +56,7 @@ let time_check ~mode ?compiled ~model ~registry ~file iters =
   samples
 
 let run () =
-  Util.section "Materialized checker fast path (DESIGN.md Section 5j)";
+  Util.section "Compiled checker fast path (DESIGN.md Section 5j)";
 
   (* -- timing + identity on the four target systems ------------------- *)
   let solver_iters = 100 and mat_iters = 400 in
@@ -82,10 +82,11 @@ let run () =
           | Ok rep -> fingerprint rep
           | Error e -> "error: " ^ e
         in
-        let f_solver = fp Vchecker.Checker.Solver ()
-        and f_mat = fp Vchecker.Checker.Materialized ~c:compiled ()
-        and f_hybrid = fp Vchecker.Checker.Hybrid ~c:compiled () in
-        if not (String.equal f_solver f_mat && String.equal f_solver f_hybrid) then begin
+        if
+          not
+            (String.equal (fp Vchecker.Checker.Solver ())
+               (fp Vchecker.Checker.Hybrid ~c:compiled ()))
+        then begin
           targets_identical := false;
           Util.note "IDENTITY FAILURE %s/%s: modes disagree" system param
         end;
@@ -93,8 +94,8 @@ let run () =
           time_check ~mode:Vchecker.Checker.Solver ~model ~registry ~file solver_iters
         in
         let m =
-          time_check ~mode:Vchecker.Checker.Materialized ~compiled ~model ~registry
-            ~file mat_iters
+          time_check ~mode:Vchecker.Checker.Hybrid ~compiled ~model ~registry ~file
+            mat_iters
         in
         solver_samples := s :: !solver_samples;
         mat_samples := m :: !mat_samples;
@@ -133,7 +134,7 @@ let run () =
   Util.note "speedup p50 %.0fx, p99 %.0fx; compile tax %.1f ms total" speedup_p50
     speedup_p99 (!compile_total *. 1e3);
 
-  (* -- mode equivalence over the generated corpus --------------------- *)
+  (* -- solver vs compiled over the generated corpus -------------------- *)
   let seed = !Util.fuzz_seed and count = !Util.fuzz_count in
   Util.note "corpus: seed %d, %d systems" seed count;
   let specs = Vfuzz.Generate.corpus ~seed ~count () in
@@ -164,20 +165,15 @@ let run () =
               | Ok rep -> fingerprint rep
               | Error e -> "error: " ^ e
             in
-            let reference = fp Vchecker.Checker.Solver () in
-            List.iter
-              (fun (label, f) ->
-                incr corpus_checks;
-                if not (String.equal f reference) then begin
-                  incr corpus_mismatches;
-                  Util.note "CORPUS MISMATCH %s/%s (%s)" spec.Vfuzz.Genspec.g_name
-                    param label
-                end)
-              [
-                ("materialized", fp Vchecker.Checker.Materialized ~c:compiled ());
-                ("materialized-fresh", fp Vchecker.Checker.Materialized ());
-                ("hybrid", fp Vchecker.Checker.Hybrid ~c:compiled ());
-              ])
+            incr corpus_checks;
+            if
+              not
+                (String.equal (fp Vchecker.Checker.Solver ())
+                   (fp Vchecker.Checker.Hybrid ~c:compiled ()))
+            then begin
+              incr corpus_mismatches;
+              Util.note "CORPUS MISMATCH %s/%s" spec.Vfuzz.Genspec.g_name param
+            end)
         params)
     specs;
   let corpus_s = Unix.gettimeofday () -. t0 in

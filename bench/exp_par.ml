@@ -1,16 +1,11 @@
 (* Domain-parallel exploration (DESIGN.md Section 5e): end-to-end speedup of
-   the MySQL autocommit analysis at --jobs 1/2/4/8 in both modes —
-
-   - default: the deterministic reduction runs, so the impact model must be
-     byte-identical at every job count (modulo the real-wall-clock field,
-     which no scheduling can pin);
-   - fast-nondet: the deferred renumbering is skipped, model bytes may vary,
-     and the checker's verdicts must still match the sequential reference.
-
-   The gap between the two modes at each job count is the measured
-   determinism tax.  Emits BENCH_par.json next to the console table; the
-   speedup gate (>= 1.5x at 4 jobs, per mode) only applies on machines with
-   at least 4 cores — raw numbers are recorded either way. *)
+   the MySQL autocommit analysis at --jobs 1/2/4/8.  The deterministic
+   reduction runs at every job count, so the impact model must be
+   byte-identical throughout (modulo the real-wall-clock field, which no
+   scheduling can pin).  Emits BENCH_par.json, stamped with the machine's
+   cores, OCaml version and commit, next to the console table; the speedup
+   gate (>= 1.5x at 4 jobs) only applies on machines with at least 4 cores —
+   raw numbers are recorded either way. *)
 
 let target = Targets.Mysql_model.target
 let param = "autocommit"
@@ -18,62 +13,21 @@ let job_counts = [ 1; 2; 4; 8 ]
 let runs_per_point = 3
 let speedup_gate = 1.5
 
-(* the one legitimately run-dependent model field *)
-let scrub_wall_s text =
-  let marker = "(analysis-wall-s " in
-  match String.index_opt text '(' with
-  | None -> text
-  | Some _ -> begin
-    let b = Buffer.create (String.length text) in
-    let rec copy i =
-      if i >= String.length text then Buffer.contents b
-      else begin
-        let is_marker =
-          i + String.length marker <= String.length text
-          && String.sub text i (String.length marker) = marker
-        in
-        if is_marker then begin
-          Buffer.add_string b "(analysis-wall-s 0)";
-          let j = ref (i + String.length marker) in
-          while !j < String.length text && text.[!j] <> ')' do
-            incr j
-          done;
-          copy (!j + 1)
-        end
-        else begin
-          Buffer.add_char b text.[i];
-          copy (i + 1)
-        end
-      end
-    in
-    copy 0
-  end
-
 type point = {
   p_jobs : int;
   p_wall_s : float;  (** median over [runs_per_point] *)
-  p_speedup : float;  (** vs the same mode's jobs=1 point *)
+  p_speedup : float;  (** vs the jobs=1 point *)
   p_cache_hit_rate : float;
   p_coalesced : int;
   p_steals : int;
   p_batches : int;
   p_queries_per_batch : float;
   p_batch_saved : int;
-  p_model : string;  (** scrubbed serialized model *)
-  p_verdict : string;  (** order-insensitive checker-findings fingerprint *)
+  p_model : string;  (** serialized model, wall clock scrubbed *)
 }
 
-let verdict_of (a : Violet.Pipeline.analysis) =
-  match
-    Vchecker.Checker.check_current ~model:a.Violet.Pipeline.model
-      ~registry:target.Violet.Pipeline.registry
-      ~file:(Vchecker.Config_file.parse "") ()
-  with
-  | Error e -> "error: " ^ e
-  | Ok rep -> Vfuzz.Oracle.verdict_fingerprint rep.Vchecker.Checker.findings
-
-let run_point ~fast_nondet ~jobs =
-  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.jobs; fast_nondet } in
+let run_point ~jobs =
+  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.jobs } in
   let results =
     List.init runs_per_point (fun _ ->
         let t0 = Unix.gettimeofday () in
@@ -118,95 +72,60 @@ let run_point ~fast_nondet ~jobs =
     p_batches = batches;
     p_queries_per_batch = queries_per_batch;
     p_batch_saved = batch_saved;
-    p_model = scrub_wall_s (Vmodel.Impact_model.to_string a.Violet.Pipeline.model);
-    p_verdict = verdict_of a;
+    p_model = Vfuzz.Oracle.model_fingerprint a.Violet.Pipeline.model;
   }
 
-let run_mode ~fast_nondet =
-  let points = List.map (fun jobs -> run_point ~fast_nondet ~jobs) job_counts in
-  let base = (List.hd points).p_wall_s in
-  List.map (fun p -> { p with p_speedup = base /. Float.max p.p_wall_s 1e-9 }) points
-
-let point_at points jobs = List.find (fun p -> p.p_jobs = jobs) points
-
-let json_of ~cores ~default_points ~fast_points ~byte_identical ~verdict_identical
-    ~tax_pct ~gate_applicable ~gate_ok =
-  let row mode p =
+let json_of ~points ~byte_identical ~gate_applicable ~gate_ok =
+  let row p =
     Printf.sprintf
-      "{\"mode\":%S,\"jobs\":%d,\"wall_s\":%.4f,\"speedup\":%.3f,\"cache_hit_rate\":%.4f,\"coalesced\":%d,\"steals\":%d,\"feas_batches\":%d,\"queries_per_batch\":%.2f,\"batch_saved_roundtrips\":%d}"
-      mode p.p_jobs p.p_wall_s p.p_speedup p.p_cache_hit_rate p.p_coalesced p.p_steals
+      "{\"jobs\":%d,\"wall_s\":%.4f,\"speedup\":%.3f,\"cache_hit_rate\":%.4f,\"coalesced\":%d,\"steals\":%d,\"feas_batches\":%d,\"queries_per_batch\":%.2f,\"batch_saved_roundtrips\":%d}"
+      p.p_jobs p.p_wall_s p.p_speedup p.p_cache_hit_rate p.p_coalesced p.p_steals
       p.p_batches p.p_queries_per_batch p.p_batch_saved
   in
   Printf.sprintf
-    "{\"experiment\":\"par\",\"system\":\"mysql\",\"param\":%S,\"cores\":%d,\"byte_identical_default\":%b,\"verdict_identical_fast\":%b,\"determinism_tax_pct_4j\":%.1f,\"speedup_gate\":%.1f,\"speedup_gate_applicable\":%b,\"speedup_gate_ok\":%b,\"points\":[%s]}"
-    param cores byte_identical verdict_identical tax_pct speedup_gate gate_applicable
-    gate_ok
-    (String.concat ","
-       (List.map (row "default") default_points @ List.map (row "fast-nondet") fast_points))
+    "{\"experiment\":\"par\",\"system\":\"mysql\",\"param\":%S,%s,\"byte_identical_default\":%b,\"speedup_gate\":%.1f,\"speedup_gate_applicable\":%b,\"speedup_gate_ok\":%b,\"points\":[%s]}"
+    param (Util.env_json_fields ()) byte_identical speedup_gate gate_applicable gate_ok
+    (String.concat "," (List.map row points))
 
 let run () =
-  Util.section "Parallel exploration: two modes, speedup, and the determinism tax";
-  let default_points = run_mode ~fast_nondet:false in
-  let fast_points = run_mode ~fast_nondet:true in
-  let reference = (List.hd default_points).p_model in
-  let byte_identical =
-    List.for_all (fun p -> String.equal p.p_model reference) default_points
+  Util.section "Parallel exploration: speedup and byte-identity";
+  let points = List.map (fun jobs -> run_point ~jobs) job_counts in
+  let base = (List.hd points).p_wall_s in
+  let points =
+    List.map (fun p -> { p with p_speedup = base /. Float.max p.p_wall_s 1e-9 }) points
   in
-  let ref_verdict = (List.hd default_points).p_verdict in
-  let verdict_identical =
-    List.for_all
-      (fun p -> String.equal p.p_verdict ref_verdict)
-      (default_points @ fast_points)
-  in
-  (* determinism tax at 4 jobs: how much slower the byte-identical mode is
-     than fast-nondet on the same machine *)
-  let d4 = point_at default_points 4 and f4 = point_at fast_points 4 in
-  let tax_pct = 100. *. ((d4.p_wall_s -. f4.p_wall_s) /. Float.max f4.p_wall_s 1e-9) in
+  let reference = (List.hd points).p_model in
+  let byte_identical = List.for_all (fun p -> String.equal p.p_model reference) points in
+  let p4 = List.find (fun p -> p.p_jobs = 4) points in
   let cores = Domain.recommended_domain_count () in
   let gate_applicable = cores >= 4 in
-  let gate_ok =
-    (not gate_applicable)
-    || (d4.p_speedup >= speedup_gate && f4.p_speedup >= speedup_gate)
-  in
-  let table mode points =
-    Util.print_table
-      ~header:
-        [
-          "mode"; "jobs"; "wall (median of 3)"; "speedup"; "hit rate"; "steals";
-          "batches"; "q/batch"; "saved"; "identity";
-        ]
-      (List.map
-         (fun p ->
-           [
-             mode;
-             Util.i0 p.p_jobs;
-             Printf.sprintf "%.3f s" p.p_wall_s;
-             Util.fx p.p_speedup;
-             Printf.sprintf "%.1f%%" (100. *. p.p_cache_hit_rate);
-             Util.i0 p.p_steals;
-             Util.i0 p.p_batches;
-             Util.f2 p.p_queries_per_batch;
-             Util.i0 p.p_batch_saved;
-             (if String.equal p.p_model reference then "bytes"
-              else if String.equal p.p_verdict ref_verdict then "verdicts"
-              else "DIVERGED");
-           ])
-         points)
-  in
-  table "default" default_points;
-  table "fast-nondet" fast_points;
+  let gate_ok = (not gate_applicable) || p4.p_speedup >= speedup_gate in
+  Util.print_table
+    ~header:
+      [
+        "jobs"; "wall (median of 3)"; "speedup"; "hit rate"; "steals"; "batches";
+        "q/batch"; "saved"; "identity";
+      ]
+    (List.map
+       (fun p ->
+         [
+           Util.i0 p.p_jobs;
+           Printf.sprintf "%.3f s" p.p_wall_s;
+           Util.fx p.p_speedup;
+           Printf.sprintf "%.1f%%" (100. *. p.p_cache_hit_rate);
+           Util.i0 p.p_steals;
+           Util.i0 p.p_batches;
+           Util.f2 p.p_queries_per_batch;
+           Util.i0 p.p_batch_saved;
+           (if String.equal p.p_model reference then "bytes" else "DIVERGED");
+         ])
+       points);
   Util.note "machine has %d core(s); speedup past 1.0x needs real cores" cores;
-  Util.note "determinism tax at 4 jobs: %.1f%% (default vs fast-nondet wall)" tax_pct;
   if not byte_identical then
-    Util.note "WARNING: default-mode impact model diverged across job counts";
-  if not verdict_identical then
-    Util.note "WARNING: verdicts diverged — fast-nondet broke its contract";
+    Util.note "WARNING: impact model diverged across job counts";
   if gate_applicable && not gate_ok then
     Util.note "WARNING: speedup gate (%.1fx at 4 jobs) missed" speedup_gate;
-  let json =
-    json_of ~cores ~default_points ~fast_points ~byte_identical ~verdict_identical
-      ~tax_pct ~gate_applicable ~gate_ok
-  in
+  let json = json_of ~points ~byte_identical ~gate_applicable ~gate_ok in
   let oc = open_out "BENCH_par.json" in
   output_string oc json;
   output_char oc '\n';

@@ -32,7 +32,7 @@ let experiments =
     "par", ("Parallel exploration: two-mode speedup + determinism tax", Exp_par.run);
     "slice", ("Independence slicing: solver work + model identity", Exp_slice.run);
     "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
-    "matcheck", ("Materialized checker: decision-table fast path", Exp_matcheck.run);
+    "matcheck", ("Compiled checker: decision-table fast path", Exp_matcheck.run);
     "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
     "inc", ("vinc: incremental re-analysis + persistent solver cache", Exp_inc.run);
   ]

@@ -40,6 +40,22 @@ let i0 = string_of_int
 let yes_no b = if b then "yes" else "no"
 let check b = if b then "v" else "x"
 
+(* Where a BENCH_*.json was measured, as JSON object fields: core count,
+   OCaml version, and the git commit of the working tree ("-dirty" when it
+   has uncommitted changes, "unknown" outside a checkout). *)
+let env_json_fields () =
+  let commit =
+    match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic ->
+      let line = try String.trim (input_line ic) with End_of_file -> "" in
+      ignore (Unix.close_process_in ic);
+      if line = "" then "unknown" else line
+  in
+  Printf.sprintf "\"cores\":%d,\"ocaml\":%S,\"commit\":%S"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version commit
+
 (* quartiles over a non-empty float list *)
 let quartiles values =
   let a = Array.of_list values in

@@ -139,8 +139,7 @@ let analyze_incremental ~opts ~dir ~no_incremental (target : Violet.Pipeline.tar
     else 2
 
 let analyze system param save export max_states threshold no_related searcher solver_cache
-    no_slice deadline checkpoint resume chaos jobs fast_nondet baseline cache_dir
-    no_incremental =
+    no_slice deadline checkpoint resume chaos jobs baseline cache_dir no_incremental =
   let target = or_die (target_of_system system) in
   let chaos =
     match chaos with
@@ -168,7 +167,6 @@ let analyze system param save export max_states threshold no_related searcher so
       resume;
       chaos;
       jobs = (match jobs with Some j -> j | None -> Vpar.Pool.default_jobs ());
-      fast_nondet = fast_nondet || Vpar.Pool.default_fast_nondet ();
       cache_dir =
         (match cache_dir with
         | Some _ -> cache_dir
@@ -234,60 +232,27 @@ let load_config_file path =
     (Vchecker.Config_file.issues file);
   file
 
-(* Row-decision backend selection, shared by check, check-update, serve and
-   fleet start (DESIGN.md Section 5j). *)
-let check_mode_conv =
-  let parse s =
-    match Vchecker.Checker.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error (`Msg (Printf.sprintf "invalid check mode %s (solver|materialized|hybrid)" s))
-  in
-  Arg.conv (parse, fun ppf m -> Fmt.string ppf (Vchecker.Checker.mode_to_string m))
-
-let check_mode_opt =
-  Arg.(
-    value
-    & opt check_mode_conv Vchecker.Checker.Hybrid
-    & info [ "check-mode" ] ~docv:"MODE"
-        ~doc:
-          "Row-decision backend: $(b,solver) (substitute-simplify-solve), \
-           $(b,materialized) (compiled decision tables, built on the fly when no \
-           registry artifact exists) or $(b,hybrid) (compiled tables when the \
-           registry built them at load time, solver otherwise).  All three produce \
-           byte-identical findings.")
-
-let joint_max_nodes_opt =
-  Arg.(
-    value
-    & opt int Vchecker.Checker.default_joint_input_max_nodes
-    & info [ "joint-max-nodes" ] ~docv:"N"
-        ~doc:
-          "Node budget of the checker's joint-input feasibility gate.  The \
-           registry's compiled feasibility tables are keyed to it: a mismatched \
-           budget falls back to a live solver call per pair.")
-
-let check system param file model_path mode joint_input_max_nodes =
+let check system param file model_path =
   let target = or_die (target_of_system system) in
   let model = or_die (load_model_or_analyze target param model_path) in
   let file = load_config_file file in
   let report =
     or_die
-      (Vchecker.Checker.check_current ~mode ~joint_input_max_nodes ~model
-         ~registry:target.Violet.Pipeline.registry ~file ())
+      (Vchecker.Checker.check_current ~model ~registry:target.Violet.Pipeline.registry
+         ~file ())
   in
   Fmt.pr "%a" Vchecker.Checker.pp_report report;
   if report.Vchecker.Checker.findings = [] then 0 else 2
 
-let check_update system param old_file new_file model_path mode joint_input_max_nodes =
+let check_update system param old_file new_file model_path =
   let target = or_die (target_of_system system) in
   let model = or_die (load_model_or_analyze target param model_path) in
   let old_file = load_config_file old_file in
   let new_file = load_config_file new_file in
   let report =
     or_die
-      (Vchecker.Checker.check_update ~mode ~joint_input_max_nodes ~model
-         ~registry:target.Violet.Pipeline.registry ~old_file ~new_file ())
+      (Vchecker.Checker.check_update ~model ~registry:target.Violet.Pipeline.registry
+         ~old_file ~new_file ())
   in
   Fmt.pr "%a" Vchecker.Checker.pp_report report;
   if report.Vchecker.Checker.findings = [] then 0 else 2
@@ -355,7 +320,7 @@ let analyze_trace path threshold =
    and a thin client speaking the newline-delimited JSON protocol. *)
 
 let serve addr models max_queue max_batch no_batch request_deadline shed_pressure jobs
-    refresh no_shutdown check_mode joint_input_max_nodes =
+    refresh no_shutdown =
   let addr = or_die (Vserve.Client.addr_of_string addr) in
   let resolve_registry (m : Vmodel.Impact_model.t) =
     Option.map
@@ -374,8 +339,6 @@ let serve addr models max_queue max_batch no_batch request_deadline shed_pressur
       jobs = (match jobs with Some j -> j | None -> Vpar.Pool.default_jobs ());
       refresh_every_s = refresh;
       allow_shutdown = not no_shutdown;
-      check_mode;
-      joint_input_max_nodes;
     }
   in
   Fmt.pr "violet serve: listening on %s, models from %s@."
@@ -606,18 +569,6 @@ let analyze_cmd =
              short.  Defaults to $(b,VIOLET_JOBS) or 1.  Checkpointing and \
              $(b,--resume) force sequential exploration.")
   in
-  let fast_nondet =
-    Arg.(
-      value
-      & flag
-      & info [ "fast-nondet" ]
-          ~doc:
-            "Skip the deferred renumbering that makes parallel results \
-             byte-identical to sequential ones.  State ids and row order in a \
-             saved model may then vary run to run under $(b,--jobs) > 1, but \
-             verdicts (check results, findings, scores) are unchanged.  \
-             Defaults to $(b,VIOLET_FAST_NONDET) or off.")
-  in
   let baseline =
     Arg.(
       value
@@ -660,7 +611,7 @@ let analyze_cmd =
     Term.(
       const analyze $ system_arg $ param_opt $ save $ export $ max_states $ threshold
       $ no_related $ searcher $ solver_cache $ no_slice $ deadline $ checkpoint $ resume
-      $ chaos $ jobs $ fast_nondet $ baseline $ cache_dir $ no_incremental)
+      $ chaos $ jobs $ baseline $ cache_dir $ no_incremental)
 
 let model_opt =
   Arg.(
@@ -675,8 +626,7 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check" ~doc:"Check a configuration file against the impact model (mode 2)")
     Term.(
-      const check $ system_arg $ param_arg 1 $ file $ model_opt $ check_mode_opt
-      $ joint_max_nodes_opt)
+      const check $ system_arg $ param_arg 1 $ file $ model_opt)
 
 let check_update_cmd =
   let old_file =
@@ -689,8 +639,7 @@ let check_update_cmd =
     (Cmd.info "check-update"
        ~doc:"Check a configuration update for performance regressions (mode 1)")
     Term.(
-      const check_update $ system_arg $ param_arg 1 $ old_file $ new_file $ model_opt
-      $ check_mode_opt $ joint_max_nodes_opt)
+      const check_update $ system_arg $ param_arg 1 $ old_file $ new_file $ model_opt)
 
 let coverage_cmd =
   Cmd.v
@@ -801,8 +750,7 @@ let serve_cmd =
           batching, admission control)")
     Term.(
       const serve $ addr_opt $ models $ max_queue $ max_batch $ no_batch
-      $ request_deadline $ shed_pressure $ jobs $ refresh $ no_shutdown
-      $ check_mode_opt $ joint_max_nodes_opt)
+      $ request_deadline $ shed_pressure $ jobs $ refresh $ no_shutdown)
 
 let client_cmd =
   let key_arg =
@@ -884,7 +832,7 @@ let fleet_router_addr run_dir =
     (Vfleet.Topology.router_addr { Vfleet.Topology.run_dir; shards = 1 })
 
 let fleet_start run_dir models shards replication no_retries attempt_timeout
-    probe_every seed check_mode joint_input_max_nodes =
+    probe_every seed =
   let topology = Vfleet.Topology.make ~run_dir ~shards in
   let resolve_registry (m : Vmodel.Impact_model.t) =
     Option.map
@@ -897,12 +845,7 @@ let fleet_start run_dir models shards replication no_retries attempt_timeout
       base with
       Vfleet.Supervisor.worker_opts =
         (fun i ->
-          {
-            (base.Vfleet.Supervisor.worker_opts i) with
-            Vserve.Server.resolve_registry;
-            check_mode;
-            joint_input_max_nodes;
-          });
+          { (base.Vfleet.Supervisor.worker_opts i) with Vserve.Server.resolve_registry });
       router_opts =
         {
           base.Vfleet.Supervisor.router_opts with
@@ -1003,7 +946,7 @@ let fleet_cmd =
             SIGTERM or $(b,violet fleet drain)")
       Term.(
         const fleet_start $ run_dir_arg $ models $ shards $ replication $ no_retries
-        $ attempt_timeout $ probe_every $ seed $ check_mode_opt $ joint_max_nodes_opt)
+        $ attempt_timeout $ probe_every $ seed)
   in
   let stats_cmd =
     Cmd.v
@@ -1111,11 +1054,9 @@ let fuzz_diff seed count no_daemon out =
       let r = Vfuzz.Oracle.check ~daemon spec in
       if Vfuzz.Oracle.agreed r then
         Fmt.pr
-          "%-14s ok (%d combos, %d daemon checks, %d fleet checks, %d mode checks, %d \
-           fast-nondet checks)@."
+          "%-14s ok (%d combos, %d daemon checks, %d fleet checks, %d mode checks)@."
           r.Vfuzz.Oracle.r_system r.Vfuzz.Oracle.r_combos r.Vfuzz.Oracle.r_daemon_checks
           r.Vfuzz.Oracle.r_fleet_checks r.Vfuzz.Oracle.r_mode_checks
-          r.Vfuzz.Oracle.r_fast_checks
       else begin
         incr failures;
         Fmt.pr "%-14s DISAGREES@." r.Vfuzz.Oracle.r_system;

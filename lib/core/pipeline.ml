@@ -67,7 +67,6 @@ type options = {
   chaos : Vresilience.Chaos.t option;
   degradation : D.policy;
   jobs : int;
-  fast_nondet : bool;
   cache_dir : string option;
   cache_dirty : string list;
 }
@@ -97,7 +96,6 @@ let default_options =
     chaos = None;
     degradation = D.default_policy;
     jobs = Vpar.Pool.default_jobs ();
-    fast_nondet = Vpar.Pool.default_fast_nondet ();
     cache_dir = Sys.getenv_opt "VIOLET_CACHE_DIR";
     cache_dirty = [];
   }
@@ -307,7 +305,6 @@ let analyze ?(opts = default_options) target param =
             (match opts.checkpoint with Some c -> c.every_picks | None -> 0);
           on_checkpoint = checkpoint_hook opts;
           jobs = opts.jobs;
-          fast_nondet = opts.fast_nondet;
           prime_cache;
           on_cache_dump;
         }

@@ -109,12 +109,6 @@ type options = {
           {!Vmodel.Diff_analysis.analyze}.  The default reads the
           [VIOLET_JOBS] environment variable (falling back to 1), clamped to
           the machine's recommended domain count. *)
-  fast_nondet : bool;
-      (** skip the executor's deferred renumbering under [jobs > 1]: model
-          bytes (state ids, row order) may differ run to run, verdicts do
-          not — see {!Vsymexec.Executor.options.fast_nondet}.  The default
-          reads the [VIOLET_FAST_NONDET] environment variable (falling back
-          to false). *)
   cache_dir : string option;
       (** directory for the persistent cross-run solver cache
           ({!Vsched.Cache_store}): before exploration the

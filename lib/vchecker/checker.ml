@@ -16,18 +16,7 @@ type finding = {
 
 type report = { findings : finding list; checked_in_s : float }
 
-type mode = Solver | Materialized | Hybrid
-
-let mode_to_string = function
-  | Solver -> "solver"
-  | Materialized -> "materialized"
-  | Hybrid -> "hybrid"
-
-let mode_of_string = function
-  | "solver" -> Some Solver
-  | "materialized" -> Some Materialized
-  | "hybrid" -> Some Hybrid
-  | _ -> None
+type mode = Solver | Hybrid
 
 let ( let* ) = Result.bind
 
@@ -43,10 +32,6 @@ let mentions row params =
         (fun (v : Vsmt.Expr.var) -> List.mem v.Vsmt.Expr.name params)
         (Vsmt.Expr.vars c))
     row.Row.config_constraints
-
-(* same budget the analyzer's joint-input screen uses; serve/CLI callers can
-   tune it per request, the default stays the analyzer's *)
-let default_joint_input_max_nodes = 1_000
 
 (* ------------------------------------------------------------------ *)
 (* Engines: one set of checker semantics over two row-decision backends.
@@ -78,12 +63,13 @@ type engine = {
    exactly this ordering. *)
 let max_candidates = 48
 
-(* Candidate pools are sorted by row content before any engine sees them:
-   both engines break similarity ties by pool position, so pool order must
-   not inherit model row order — that is scheduling-dependent under
-   --fast-nondet, and check verdicts have to be identical across modes.
-   stable, id-blind: rows with equal content keep pool order, and either is
-   an equally valid witness (they differ only in [state_id]). *)
+(* Candidate pools are sorted by row content before any engine sees them.
+   Both engines break similarity ties by pool position, so among equally
+   similar candidates the witness is the first in content order, whatever
+   the rows' places in the model.  The sort is stable and id-blind: rows
+   with equal content keep pool order, and either is an equally valid
+   witness (they differ only in [state_id]).  The order is part of the
+   output — findings follow the sorted slow rows. *)
 let by_content rows =
   List.map snd
     (List.stable_sort
@@ -109,12 +95,12 @@ let order_by_similarity slow rows =
    already found it; otherwise compare the rows directly.  Modes 1 and 2
    require a single input class to trigger both states (Section 4.6);
    the workload-change mode deliberately compares across input classes. *)
-let solver_engine (model : M.t) ~joint_input_max_nodes =
+let solver_engine (model : M.t) =
   let judge ~require_joint_input slow fast =
     if
       require_joint_input
       && not
-           (Vsmt.Solver.is_feasible ~max_nodes:joint_input_max_nodes
+           (Vsmt.Solver.is_feasible ~max_nodes:CM.joint_input_budget
               (slow.Row.workload_pred @ fast.Row.workload_pred))
     then None
     else
@@ -143,7 +129,7 @@ let solver_engine (model : M.t) ~joint_input_max_nodes =
           (order_by_similarity slow rows));
   }
 
-let compiled_engine (cm : CM.t) ~joint_input_max_nodes =
+let compiled_engine (cm : CM.t) =
   {
     e_rows_matching = (fun assignment -> CM.rows_matching cm assignment);
     e_rows_matching_workload = (fun w -> CM.rows_matching_workload cm w);
@@ -151,26 +137,18 @@ let compiled_engine (cm : CM.t) ~joint_input_max_nodes =
     e_is_poor = (fun r -> CM.is_poor_row cm r);
     e_witness =
       (fun ~require_joint_input slow rows ->
-        CM.first_witness cm ~cap:max_candidates ~max_nodes:joint_input_max_nodes
-          ~require_joint_input ~slow rows);
+        CM.first_witness cm ~cap:max_candidates ~require_joint_input ~slow rows);
   }
 
-(* Hybrid trusts a supplied artifact (the registry compiles at load time)
-   and otherwise stays on the solver path; Materialized compiles on the
-   fly when the caller has no artifact.  A compiled artifact for a
-   different model (physical identity) is stale and never used. *)
-let engine_of ~mode ~compiled ~joint_input_max_nodes model =
-  let artifact =
-    match compiled with Some c when CM.model c == model -> Some c | _ -> None
-  in
-  match (mode, artifact) with
-  | Solver, _ -> solver_engine model ~joint_input_max_nodes
-  | (Materialized | Hybrid), Some cm -> compiled_engine cm ~joint_input_max_nodes
-  | Materialized, None ->
-    compiled_engine
-      (CM.compile ~joint_max_nodes:joint_input_max_nodes model)
-      ~joint_input_max_nodes
-  | Hybrid, None -> solver_engine model ~joint_input_max_nodes
+(* Hybrid answers from a supplied artifact compiled from this very model
+   (physical identity; the registry compiles at load time) and from the
+   solver path otherwise.  An artifact for any other model is stale and
+   never used, and nothing is compiled here: a one-shot check is cheaper on
+   the solver path than compiling first (DESIGN.md Section 5j). *)
+let engine_of ~mode ~compiled model =
+  match (mode, compiled) with
+  | Hybrid, Some cm when CM.model cm == model -> compiled_engine cm
+  | _ -> solver_engine model
 
 (* When the caller knows the slow/fast configurations, the test case is
    built to distinguish the pair (Test_case.of_pair); otherwise it solves
@@ -235,12 +213,10 @@ let degraded_findings (model : M.t) =
         })
       d.M.dropped_paths
 
-let check_update ?(mode = Hybrid) ?compiled
-    ?(joint_input_max_nodes = default_joint_input_max_nodes) ~model ~registry ~old_file
-    ~new_file () =
+let check_update ?(mode = Hybrid) ?compiled ~model ~registry ~old_file ~new_file () =
   let* old_assignment, _ = Config_file.to_assignment registry old_file in
   let* new_assignment, _ = Config_file.to_assignment registry new_file in
-  let eng = engine_of ~mode ~compiled ~joint_input_max_nodes model in
+  let eng = engine_of ~mode ~compiled model in
   Ok
     (timed (fun () ->
          let old_rows = eng.e_rows_matching old_assignment in
@@ -286,10 +262,9 @@ let alternative_values (p : Vruntime.Config_registry.param) current =
   in
   List.sort_uniq Int.compare (List.filter (fun v -> v <> current) candidates)
 
-let check_current ?(mode = Hybrid) ?compiled
-    ?(joint_input_max_nodes = default_joint_input_max_nodes) ~model ~registry ~file () =
+let check_current ?(mode = Hybrid) ?compiled ~model ~registry ~file () =
   let* assignment, _ = Config_file.to_assignment registry file in
-  let eng = engine_of ~mode ~compiled ~joint_input_max_nodes model in
+  let eng = engine_of ~mode ~compiled model in
   Ok
     (timed (fun () ->
          let current_rows =
@@ -377,10 +352,9 @@ let check_upgrade ?old_digest ?new_digest ~old_model ~new_model () =
           end)
         new_model.M.rows)
 
-let check_workload_change ?(mode = Hybrid) ?compiled
-    ?(joint_input_max_nodes = default_joint_input_max_nodes) ~model ~old_workload
-    ~new_workload () =
-  let eng = engine_of ~mode ~compiled ~joint_input_max_nodes model in
+let check_workload_change ?(mode = Hybrid) ?compiled ~model ~old_workload ~new_workload
+    () =
+  let eng = engine_of ~mode ~compiled model in
   timed (fun () ->
       let old_rows = eng.e_rows_matching_workload old_workload in
       let new_rows = eng.e_rows_matching_workload new_workload in

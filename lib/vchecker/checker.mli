@@ -32,24 +32,18 @@ type report = { findings : finding list; checked_in_s : float }
 
 (** How row decisions are made (DESIGN.md Section 5j):
 
-    - [Solver]: the original substitute-simplify-solve path;
-    - [Materialized]: answer from {!Vmodel.Compiled_model} decision tables,
-      compiling on the fly when the caller supplies no artifact;
-    - [Hybrid] (the default): use a supplied compiled artifact (the serving
-      registry compiles at load time), otherwise stay on the solver path.
+    - [Solver]: the original substitute-simplify-solve path — the reference
+      the equivalence tests and benches compare against;
+    - [Hybrid] (the default): answer from the supplied
+      {!Vmodel.Compiled_model} when it was compiled from this exact model
+      (the serving registry compiles at load time), otherwise stay on the
+      solver path.  Nothing is compiled per call.
 
-    All three modes produce byte-identical findings — the compiled tables
-    are exact, with per-row fallback to the solver path for decisions the
-    compiler could not close. *)
-type mode = Solver | Materialized | Hybrid
-
-val mode_to_string : mode -> string
-val mode_of_string : string -> mode option
-
-val default_joint_input_max_nodes : int
-(** Node budget of the joint-input feasibility gate (1_000 — the same
-    budget the analyzer's screen uses); serve/CLI callers can tune it per
-    request via [?joint_input_max_nodes]. *)
+    Both produce byte-identical findings — the compiled tables are exact,
+    with per-row fallback to the solver path for decisions the compiler
+    could not close.  The joint-input gate's node budget is
+    {!Vmodel.Compiled_model.joint_input_budget} on both paths. *)
+type mode = Solver | Hybrid
 
 val degraded_findings : Vmodel.Impact_model.t -> finding list
 (** Conservative findings for a model built under budget degradation: one
@@ -62,7 +56,6 @@ val degraded_findings : Vmodel.Impact_model.t -> finding list
 val check_update :
   ?mode:mode ->
   ?compiled:Vmodel.Compiled_model.t ->
-  ?joint_input_max_nodes:int ->
   model:Vmodel.Impact_model.t ->
   registry:Vruntime.Config_registry.t ->
   old_file:Config_file.t ->
@@ -71,12 +64,11 @@ val check_update :
   (report, string) result
 (** Mode 1.  [Error] when a file fails to validate against the registry.
     [compiled] is used only when it was compiled from this exact [model]
-    (physical identity) and [mode] is not [Solver]. *)
+    (physical identity) and [mode] is [Hybrid]. *)
 
 val check_current :
   ?mode:mode ->
   ?compiled:Vmodel.Compiled_model.t ->
-  ?joint_input_max_nodes:int ->
   model:Vmodel.Impact_model.t ->
   registry:Vruntime.Config_registry.t ->
   file:Config_file.t ->
@@ -103,7 +95,6 @@ val check_upgrade :
 val check_workload_change :
   ?mode:mode ->
   ?compiled:Vmodel.Compiled_model.t ->
-  ?joint_input_max_nodes:int ->
   model:Vmodel.Impact_model.t ->
   old_workload:(string * int) list ->
   new_workload:(string * int) list ->

@@ -25,7 +25,6 @@ type report = {
   r_daemon_checks : int;
   r_fleet_checks : int;
   r_mode_checks : int;
-  r_fast_checks : int;
   r_inc_checks : int;
   r_disagreements : disagreement list;
 }
@@ -38,9 +37,6 @@ let default_opts =
     Violet.Pipeline.budget =
       Vresilience.Budget.with_max_states Vresilience.Budget.default 4096;
     jobs = 1;
-    (* the byte-identity legs are meaningless in fast-nondet mode; pin it
-       off even if VIOLET_FAST_NONDET leaks into the environment *)
-    fast_nondet = false;
   }
 
 (* the one legitimately run-dependent model field *)
@@ -75,27 +71,6 @@ let model_fingerprint m = scrub_wall_s (Vmodel.Impact_model.to_string m)
 let findings_fingerprint fs =
   Vserve.Wire.to_string (Vserve.Protocol.findings_to_wire fs)
 
-(* order-insensitive and id-insensitive variant for the fast-nondet leg:
-   row order and canonical state ids are exactly what the mode gives up, so
-   each finding is encoded alone with its rows' state ids zeroed and the
-   encodings sorted.  Everything semantic — constraints, costs, ratios,
-   chains, test cases — still participates. *)
-let verdict_fingerprint fs =
-  let scrub_row (r : Vmodel.Cost_row.t) = { r with Vmodel.Cost_row.state_id = 0 } in
-  let scrub (f : Vchecker.Checker.finding) =
-    {
-      f with
-      Vchecker.Checker.slow_row = scrub_row f.Vchecker.Checker.slow_row;
-      fast_row = Option.map scrub_row f.Vchecker.Checker.fast_row;
-    }
-  in
-  String.concat "\n"
-    (List.sort String.compare
-       (List.map
-          (fun f ->
-            Vserve.Wire.to_string (Vserve.Protocol.findings_to_wire [ scrub f ]))
-          fs))
-
 (* first point of divergence, with a little context either side *)
 let first_diff a b =
   let n = min (String.length a) (String.length b) in
@@ -109,9 +84,7 @@ let first_diff a b =
   Printf.sprintf "byte %d: %S vs %S" i (snip a) (snip b)
 
 let analysis_fingerprint opts target param c =
-  let opts =
-    { opts with Violet.Pipeline.jobs = c.jobs; slice = c.slice; fast_nondet = false }
-  in
+  let opts = { opts with Violet.Pipeline.jobs = c.jobs; slice = c.slice } in
   match Violet.Pipeline.analyze ~opts target param with
   | Ok a -> (model_fingerprint a.Violet.Pipeline.model, Some a)
   | Error e -> ("error: " ^ Violet.Pipeline.error_to_string e, None)
@@ -279,12 +252,11 @@ let fleet_leg ~system ~registry ~dir exports =
     (List.rev !ds, !checks)
   end
 
-(* Modes leg: the re-imported model checked in-process under every
-   row-decision mode.  [Solver] is the reference; [Materialized] (once with a
-   pre-compiled artifact, once compiling on the fly) and [Hybrid] carrying the
-   artifact must produce byte-identical findings — the compiled decision
-   tables are required to be exact, falling back to the solver per row rather
-   than approximating (DESIGN.md Section 5j). *)
+(* Modes leg: the re-imported model checked in-process by both row-decision
+   engines.  [Solver] is the reference; [Hybrid] carrying an artifact
+   compiled from the model must produce byte-identical findings — the
+   compiled decision tables are required to be exact, falling back to the
+   solver per row rather than approximating (DESIGN.md Section 5j). *)
 let modes_leg ~system ~registry exports =
   let bad param detail =
     { d_system = system; d_param = param; d_leg = "modes"; d_detail = detail }
@@ -303,19 +275,11 @@ let modes_leg ~system ~registry exports =
           | Ok rep -> Ok (findings_fingerprint rep.Vchecker.Checker.findings)
         in
         let compiled = Vmodel.Compiled_model.compile model in
-        let reference = run Vchecker.Checker.Solver in
-        List.iter
-          (fun (label, result) ->
-            incr checks;
-            match (reference, result) with
-            | Ok a, Ok b when String.equal a b -> ()
-            | Ok a, Ok b -> ds := bad param (label ^ ": " ^ first_diff b a) :: !ds
-            | Error e, _ | _, Error e -> ds := bad param (label ^ ": " ^ e) :: !ds)
-          [
-            ("materialized", run ~compiled Vchecker.Checker.Materialized);
-            ("materialized-fresh", run Vchecker.Checker.Materialized);
-            ("hybrid", run ~compiled Vchecker.Checker.Hybrid);
-          ])
+        incr checks;
+        match (run Vchecker.Checker.Solver, run ~compiled Vchecker.Checker.Hybrid) with
+        | Ok a, Ok b when String.equal a b -> ()
+        | Ok a, Ok b -> ds := bad param ("hybrid: " ^ first_diff b a) :: !ds
+        | Error e, _ | _, Error e -> ds := bad param ("hybrid: " ^ e) :: !ds)
     exports;
   (List.rev !ds, !checks)
 
@@ -385,21 +349,8 @@ let inc_leg ~opts (spec : Genspec.t) =
   cleanup ();
   (List.rev !ds, !checks)
 
-(* Fast-nondet leg: [--fast-nondet] gives up model byte-identity under
-   [jobs > 1] but keeps verdict-identity — path constraints and symbol names
-   derive from each state's own fork history, never from scheduling.  The
-   leg re-analyzes under jobs=4 fast-nondet and requires the checker's
-   findings (order-insensitively) to match the reference run's. *)
-let verdict_of ~registry (a : Violet.Pipeline.analysis) =
-  match
-    Vchecker.Checker.check_current ~model:a.Violet.Pipeline.model ~registry
-      ~file:(Vchecker.Config_file.parse "") ()
-  with
-  | Error e -> Error ("check: " ^ e)
-  | Ok rep -> Ok (verdict_fingerprint rep.Vchecker.Checker.findings)
-
 let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = true)
-    ?(fast = true) ?(inc = true) (spec : Genspec.t) =
+    ?(inc = true) (spec : Genspec.t) =
   let target = Genspec.to_target spec in
   let registry = target.Violet.Pipeline.registry in
   let params =
@@ -409,7 +360,6 @@ let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = tr
   let reference = List.hd combos in
   let ds = ref [] in
   let n_combos = ref 0 in
-  let n_fast = ref 0 in
   let exports = ref [] in
   let dir = if daemon || fleet || modes then Some (fresh_dir ()) else None in
   List.iter
@@ -430,36 +380,6 @@ let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = tr
               }
               :: !ds)
         (List.tl combos);
-      (if fast then begin
-         incr n_fast;
-         let fopts =
-           { opts with Violet.Pipeline.jobs = 4; slice = true; fast_nondet = true }
-         in
-         let fast_v =
-           match Violet.Pipeline.analyze ~opts:fopts target param with
-           | Error e -> Error ("error: " ^ Violet.Pipeline.error_to_string e)
-           | Ok a -> verdict_of ~registry a
-         in
-         let ref_v =
-           match ref_analysis with Some a -> verdict_of ~registry a | None -> Error ref_fp
-         in
-         let same =
-           match (ref_v, fast_v) with
-           | Ok a, Ok b | Error a, Error b -> String.equal a b
-           | _ -> false
-         in
-         if not same then begin
-           let s = function Ok s -> s | Error e -> e in
-           ds :=
-             {
-               d_system = spec.Genspec.g_name;
-               d_param = param;
-               d_leg = "fast-nondet vs " ^ combo_to_string reference;
-               d_detail = first_diff (s fast_v) (s ref_v);
-             }
-             :: !ds
-         end
-       end);
       match (dir, ref_analysis) with
       | Some d, Some a ->
         let key = spec.Genspec.g_name ^ "--" ^ param in
@@ -502,7 +422,6 @@ let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = tr
     r_daemon_checks = daemon_checks;
     r_fleet_checks = fleet_checks;
     r_mode_checks = mode_checks;
-    r_fast_checks = !n_fast;
     r_inc_checks = inc_checks;
     r_disagreements = List.rev !ds @ daemon_ds @ fleet_ds @ mode_ds @ inc_ds;
   }

@@ -14,11 +14,7 @@
     - checking through a 2-shard {!Vfleet.Router} fronting two such daemons
       must also be byte-identical — routing, re-encoding with the client's
       request id, and failover machinery must all be invisible to the
-      answer bytes;
-    - re-analyzing under [jobs=4 --fast-nondet] must produce the same
-      {e verdicts} (order-insensitive findings) as the reference run —
-      byte-identity of the model is exactly what that mode trades for
-      throughput, verdict-identity is the contract it keeps.
+      answer bytes.
 
     Any disagreement is a bug in the pipeline, not in the generated system —
     the harness shrinks the system to a minimal reproducer and writes it to
@@ -44,8 +40,7 @@ type report = {
   r_combos : int;  (** model fingerprints compared *)
   r_daemon_checks : int;  (** daemon-vs-in-process findings compared *)
   r_fleet_checks : int;  (** fleet-vs-in-process findings compared *)
-  r_mode_checks : int;  (** mode-vs-solver findings compared (Section 5j) *)
-  r_fast_checks : int;  (** fast-nondet-vs-reference verdicts compared *)
+  r_mode_checks : int;  (** compiled-vs-solver findings compared (Section 5j) *)
   r_inc_checks : int;
       (** spliced-vs-scratch upgrade analyses compared (Section 5k): jobs
           1/4 {m \times} persistent solver cache cold/warm *)
@@ -65,17 +60,11 @@ val model_fingerprint : Vmodel.Impact_model.t -> string
 val findings_fingerprint : Vchecker.Checker.finding list -> string
 (** Canonical wire encoding of a findings list ({!Vserve.Protocol}). *)
 
-val verdict_fingerprint : Vchecker.Checker.finding list -> string
-(** Order-insensitive findings fingerprint (each finding encoded alone, the
-    encodings sorted) — the equality the fast-nondet leg compares: row order
-    is exactly what [--fast-nondet] gives up. *)
-
 val check :
   ?opts:Violet.Pipeline.options ->
   ?daemon:bool ->
   ?fleet:bool ->
   ?modes:bool ->
-  ?fast:bool ->
   ?inc:bool ->
   Genspec.t ->
   report
@@ -87,14 +76,10 @@ val check :
     {!Vfleet.Router} over two such daemons — the fleet leg runs in-process
     (domains, not forked processes: the jobs=4 combos have already spawned
     domains by then).  [modes] (default [true]) re-checks each exported model
-    in process under [Materialized] (with and without a pre-compiled
-    artifact) and [Hybrid], which must match the [Solver] reference
-    byte-for-byte.  [fast] (default [true]) re-analyzes each parameter under
-    [jobs=4 --fast-nondet] and requires verdict-identity
-    ({!verdict_fingerprint}) against the reference — byte-identity is
-    exactly what that mode trades away.  [inc] (default [true]) mutates the
-    system with {!Mutate.apply}, derives the upgraded models by splicing
-    against a baseline of the original ({!Vinc.Splice.run}) under jobs 1/4
-    {m \times} persistent-solver-cache cold/warm, and requires each spliced
-    baseline to match a from-scratch rebuild byte-for-byte — per-slice
-    model digests and upgrade findings alike. *)
+    in process under [Hybrid] with an artifact compiled from it, which must
+    match the [Solver] reference byte-for-byte.  [inc] (default [true])
+    mutates the system with {!Mutate.apply}, derives the upgraded models by
+    splicing against a baseline of the original ({!Vinc.Splice.run}) under
+    jobs 1/4 {m \times} persistent-solver-cache cold/warm, and requires each
+    spliced baseline to match a from-scratch rebuild byte-for-byte —
+    per-slice model digests and upgrade findings alike. *)

@@ -33,8 +33,7 @@ let manifest_version = 1
 (* Every option that can change analysis output, rendered by hand —
    [P.options] holds closures (the budget clock, chaos streams), so
    [Marshal] is not available.  [jobs] is excluded (the deterministic
-   reduction makes models jobs-independent); [fast_nondet] is included
-   because it trades that guarantee away; [solver_cache]/[slice]/
+   reduction makes models jobs-independent); [solver_cache]/[slice]/
    [cache_dir] are excluded (documented byte-transparent); checkpointing
    fields are excluded (resume reproduces the uninterrupted model). *)
 let options_fingerprint (o : P.options) =
@@ -71,7 +70,6 @@ let options_fingerprint (o : P.options) =
       Printf.sprintf "fault_injection=%b" o.P.fault_injection;
       Printf.sprintf "startup=%g" o.P.startup_virtual_s;
       Printf.sprintf "chaos=%b" (o.P.chaos <> None);
-      Printf.sprintf "fast_nondet=%b" o.P.fast_nondet;
     ]
   in
   Digest.to_hex (Digest.string (String.concat ";" fields))

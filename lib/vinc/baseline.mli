@@ -56,8 +56,7 @@ val options_fingerprint : Violet.Pipeline.options -> string
 (** Digest of every option that can change analysis output (threshold,
     symbolic-set policy, budget caps, searcher, overrides, ...).  [jobs]
     is excluded — the deterministic reduction makes models
-    jobs-independent — but [fast_nondet] is included, since it trades
-    that guarantee away. *)
+    jobs-independent. *)
 
 val digest : t -> string
 (** Checksum of the baseline's content (program keys + slice digests +

@@ -56,9 +56,8 @@ type occ_view = {
   oc_cand : Row.t array;
   oc_occ : int list array;  (** per row idx, occurrence positions in order *)
   oc_results : (int, Row.t list) Hashtbl.t;  (** slow idx -> ordered, capped *)
-  oc_witness :
-    (int * bool * int, (Row.t * (float * string * string list)) option) Hashtbl.t;
-      (** (slow idx, joint gate, joint budget) -> first surviving candidate *)
+  oc_witness : (int * bool, (Row.t * (float * string * string list)) option) Hashtbl.t;
+      (** (slow idx, joint gate) -> first surviving candidate *)
 }
 
 type t = {
@@ -86,17 +85,13 @@ type t = {
           small models, computed on first use (deterministic, so concurrent
           duplicate computation is only wasted work) beyond [pair_cap] *)
   occ_view : occ_view option Atomic.t;
-  cm_joint_max_nodes : int;
   cm_stats : stats;
-  fast_hits : int Atomic.t;
-  fallbacks : int Atomic.t;
 }
 
 let model t = t.cm_model
 let stats t = t.cm_stats
-let joint_max_nodes t = t.cm_joint_max_nodes
-let fast_count t = Atomic.get t.fast_hits
-let fallback_count t = Atomic.get t.fallbacks
+
+let joint_input_budget = 1_000
 
 (* precompute caps: pairwise tables are quadratic, so they are only built
    for models small enough that the load-time tax stays bounded *)
@@ -199,7 +194,21 @@ let order_of (plans : row_plan array) si =
   flush ();
   Array.of_list (List.rev !groups)
 
-let compile ?(joint_max_nodes = 1_000) (m : M.t) =
+(* The post-gate judgement for an ordered pair: the first recorded poor
+   pair if any, else the differential comparison. *)
+let judge (m : M.t) first_pair ~(slow : Row.t) ~(fast : Row.t) =
+  match Hashtbl.find_opt first_pair (slow.Row.state_id, fast.Row.state_id) with
+  | Some p -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
+  | None -> begin
+    match Diff_analysis.compare_pair ~threshold:m.M.threshold ~slow ~fast with
+    | Some (worst, triggers) ->
+      let diff = Critical_path.differential ~slow ~fast in
+      Some
+        (1. +. worst, Diff_analysis.trigger_label triggers, diff.Critical_path.critical_path)
+    | None -> None
+  end
+
+let compile (m : M.t) =
   let t0 = Unix.gettimeofday () in
   let rows = Array.of_list m.M.rows in
   let n = Array.length rows in
@@ -256,7 +265,7 @@ let compile ?(joint_max_nodes = 1_000) (m : M.t) =
         for j = 0 to w - 1 do
           incr joint_solver_calls;
           Hashtbl.replace tbl (i, j)
-            (Vsmt.Solver.is_feasible ~max_nodes:joint_max_nodes
+            (Vsmt.Solver.is_feasible ~max_nodes:joint_input_budget
                (wpreds.(i) @ wpreds.(j)))
         done
       done;
@@ -272,26 +281,10 @@ let compile ?(joint_max_nodes = 1_000) (m : M.t) =
         (fun (slow : Row.t) ->
           Array.iter
             (fun (fast : Row.t) ->
-              if slow.Row.state_id <> fast.Row.state_id then begin
-                let key = (slow.Row.state_id, fast.Row.state_id) in
-                let v =
-                  match Hashtbl.find_opt first_pair key with
-                  | Some p -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
-                  | None -> begin
-                    match
-                      Diff_analysis.compare_pair ~threshold:m.M.threshold ~slow ~fast
-                    with
-                    | Some (worst, triggers) ->
-                      let diff = Critical_path.differential ~slow ~fast in
-                      Some
-                        ( 1. +. worst,
-                          Diff_analysis.trigger_label triggers,
-                          diff.Critical_path.critical_path )
-                    | None -> None
-                  end
-                in
-                Hashtbl.replace vd key v
-              end)
+              if slow.Row.state_id <> fast.Row.state_id then
+                Hashtbl.replace vd
+                  (slow.Row.state_id, fast.Row.state_id)
+                  (judge m first_pair ~slow ~fast))
             rows)
         rows;
       Some vd
@@ -328,7 +321,6 @@ let compile ?(joint_max_nodes = 1_000) (m : M.t) =
     cm_lock = Mutex.create ();
     orders;
     occ_view = Atomic.make None;
-    cm_joint_max_nodes = joint_max_nodes;
     cm_stats =
       {
         rows_total = n;
@@ -343,8 +335,6 @@ let compile ?(joint_max_nodes = 1_000) (m : M.t) =
         order_rows = (if n <= pair_cap then n else 0);
         compile_s = Unix.gettimeofday () -. t0;
       };
-    fast_hits = Atomic.make 0;
-    fallbacks = Atomic.make 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -380,22 +370,15 @@ let decide lookup = function
    not approximate.  A decided-false answer short-circuits soundly: the
    reference also fails on any false decided residual regardless of the open
    ones. *)
-let matches_with t ~fallback lookup plan row assignment =
+let matches_with ~fallback lookup plan row assignment =
   let n = Array.length plan in
   let rec go i =
-    if i >= n then begin
-      Atomic.incr t.fast_hits;
-      true
-    end
+    if i >= n then true
     else
       match decide lookup plan.(i) with
       | Some true -> go (i + 1)
-      | Some false ->
-        Atomic.incr t.fast_hits;
-        false
-      | None ->
-        Atomic.incr t.fallbacks;
-        fallback row assignment
+      | Some false -> false
+      | None -> fallback row assignment
   in
   go 0
 
@@ -430,7 +413,7 @@ let rows_matching t assignment =
       Array.to_list t.plans
       |> List.filter_map (fun p ->
              if
-               matches_with t ~fallback:(fun r a -> Row.satisfied_by r a) lookup
+               matches_with ~fallback:(fun r a -> Row.satisfied_by r a) lookup
                  p.config_plan p.row assignment
              then Some p.row
              else None))
@@ -441,7 +424,7 @@ let rows_matching_workload t assignment =
       Array.to_list t.plans
       |> List.filter_map (fun p ->
              if
-               matches_with t
+               matches_with
                  ~fallback:(fun r a -> Row.workload_satisfied_by r a)
                  lookup p.workload_plan p.row assignment
              then Some p.row
@@ -584,80 +567,61 @@ let comparison_order t ~cap ~(slow : Row.t) rows =
   end
   | _ -> generic_order ~cap ~slow rows
 
-let joint_feasible t ~max_nodes ~(slow : Row.t) ~(fast : Row.t) =
+(* The joint-input gate: feasibility of [slow.workload_pred @
+   fast.workload_pred], a table lookup when both rows are model rows. *)
+let joint_feasible t ~(slow : Row.t) ~(fast : Row.t) =
   let live () =
-    Vsmt.Solver.is_feasible ~max_nodes (slow.Row.workload_pred @ fast.Row.workload_pred)
+    Vsmt.Solver.is_feasible ~max_nodes:joint_input_budget
+      (slow.Row.workload_pred @ fast.Row.workload_pred)
   in
-  if max_nodes <> t.cm_joint_max_nodes then live ()
-  else begin
-    let cls (r : Row.t) =
-      match Hashtbl.find_opt t.by_id r.Row.state_id with
-      | Some p when p.row == r -> Some p.wclass
-      | _ -> None
-    in
-    match (cls slow, cls fast) with
-    | Some i, Some j -> begin
-      match t.joint with
-      | Some tbl -> (
-        match Hashtbl.find_opt tbl (i, j) with Some v -> v | None -> live ())
-      | None ->
-        (* over the eager cap: memoize per class pair on first query *)
-        memoized t t.joint_memo ~cap:65_536 (i, j) live
-    end
-    | _ -> live ()
+  let cls (r : Row.t) =
+    match Hashtbl.find_opt t.by_id r.Row.state_id with
+    | Some p when p.row == r -> Some p.wclass
+    | _ -> None
+  in
+  match (cls slow, cls fast) with
+  | Some i, Some j -> begin
+    match t.joint with
+    | Some tbl -> (
+      match Hashtbl.find_opt tbl (i, j) with Some v -> v | None -> live ())
+    | None ->
+      (* over the eager cap: memoize per class pair on first query *)
+      memoized t t.joint_memo ~cap:65_536 (i, j) live
   end
+  | _ -> live ()
 
+(* [judge], answered from the eager table or the lazy memo *)
 let verdict t ~(slow : Row.t) ~(fast : Row.t) =
   let key = (slow.Row.state_id, fast.Row.state_id) in
-  let live () =
-    match Hashtbl.find_opt t.first_pair key with
-    | Some p -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
-    | None -> begin
-      match
-        Diff_analysis.compare_pair ~threshold:t.cm_model.M.threshold ~slow ~fast
-      with
-      | Some (worst, triggers) ->
-        let diff = Critical_path.differential ~slow ~fast in
-        Some
-          ( 1. +. worst,
-            Diff_analysis.trigger_label triggers,
-            diff.Critical_path.critical_path )
-      | None -> None
-    end
-  in
+  let live () = judge t.cm_model t.first_pair ~slow ~fast in
   match t.verdicts with
   | Some tbl -> (
     match Hashtbl.find_opt tbl key with Some v -> v | None -> live ())
   | None -> memoized t t.verdict_memo ~cap:8_192 key live
 
-
 (* The checker's witness scan — first candidate in comparison order that
    passes the joint-input gate (when required) and yields a verdict — as a
    single memoized lookup.  Every deciding input is pinned by the key: the
    slow row (physically a model row), the candidate view (element-wise
-   physical identity), the gate flag and the joint budget; the gate and the
-   verdict are deterministic in those, so the first computed answer is the
-   answer. *)
-let judge_pair t ~max_nodes ~require_joint_input ~slow ~fast =
-  if require_joint_input && not (joint_feasible t ~max_nodes ~slow ~fast) then None
+   physical identity) and the gate flag; the gate and the verdict are
+   deterministic in those, so the first computed answer is the answer. *)
+let judge_pair t ~require_joint_input ~slow ~fast =
+  if require_joint_input && not (joint_feasible t ~slow ~fast) then None
   else verdict t ~slow ~fast
 
-let witness_walk t ~cap ~max_nodes ~require_joint_input ~slow rows =
+let witness_walk t ~cap ~require_joint_input ~slow rows =
   List.find_map
     (fun fast ->
-      Option.map
-        (fun v -> (fast, v))
-        (judge_pair t ~max_nodes ~require_joint_input ~slow ~fast))
+      Option.map (fun v -> (fast, v)) (judge_pair t ~require_joint_input ~slow ~fast))
     (comparison_order t ~cap ~slow rows)
 
-let first_witness t ~cap ~max_nodes ~require_joint_input ~(slow : Row.t) rows =
+let first_witness t ~cap ~require_joint_input ~(slow : Row.t) rows =
   match Hashtbl.find_opt t.by_id slow.Row.state_id with
   | Some sp when sp.row == slow -> begin
     match occ_view_of t ~cap rows with
-    | None -> witness_walk t ~cap ~max_nodes ~require_joint_input ~slow rows
+    | None -> witness_walk t ~cap ~require_joint_input ~slow rows
     | Some v ->
-      memoized t v.oc_witness ~cap:1_024
-        (sp.idx, require_joint_input, max_nodes)
-        (fun () -> witness_walk t ~cap ~max_nodes ~require_joint_input ~slow rows)
+      memoized t v.oc_witness ~cap:1_024 (sp.idx, require_joint_input) (fun () ->
+          witness_walk t ~cap ~require_joint_input ~slow rows)
   end
-  | _ -> witness_walk t ~cap ~max_nodes ~require_joint_input ~slow rows
+  | _ -> witness_walk t ~cap ~require_joint_input ~slow rows

@@ -23,10 +23,10 @@
     Every structure is {e exact}, not approximate: a row whose constraints
     the compiler cannot close (mixed-origin symbols, unbound variables at
     query time, out-of-domain values) falls back to the
-    {!Cost_row.satisfied_by} solver path — the hybrid mode.  Compiled
-    artifacts are safe to share across serving domains: post-compile
-    mutation is limited to atomic telemetry counters, atomically published
-    deterministic caches and one mutex-guarded memo table. *)
+    {!Cost_row.satisfied_by} solver path.  Compiled artifacts are safe to
+    share across serving domains: post-compile mutation is limited to
+    atomically published deterministic caches and mutex-guarded memo
+    tables. *)
 
 type t
 
@@ -46,24 +46,19 @@ type stats = {
   compile_s : float;
 }
 
-val compile : ?joint_max_nodes:int -> Impact_model.t -> t
-(** [joint_max_nodes] must equal the checker's joint-input budget for the
-    feasibility table to be used (defaults to 1_000 on both sides); a
-    mismatched query budget falls back to a live solver call. *)
+val joint_input_budget : int
+(** Node budget of the checker's joint-input feasibility gate (1_000), used
+    by the compiled table and the checker's solver path alike.  It is not
+    the analyzer's: [Violet.Pipeline] screens pairs at the run's
+    [Budget.solver_max_nodes] (4_000 by default). *)
+
+val compile : Impact_model.t -> t
 
 val model : t -> Impact_model.t
 (** The exact model [compile] was given (physical identity — the checker
     uses this to reject a stale artifact). *)
 
 val stats : t -> stats
-val joint_max_nodes : t -> int
-
-val fast_count : t -> int
-(** Row-match decisions answered by the compiled tables (atomic counter). *)
-
-val fallback_count : t -> int
-(** Row-match decisions that fell back to the solver path (atomic
-    counter). *)
 
 val rows_matching : t -> (string * int) list -> Cost_row.t list
 (** Byte-identical to {!Impact_model.rows_matching} (model row order). *)
@@ -89,25 +84,15 @@ val comparison_order : t -> cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cos
 val first_witness :
   t ->
   cap:int ->
-  max_nodes:int ->
   require_joint_input:bool ->
   slow:Cost_row.t ->
   Cost_row.t list ->
   (Cost_row.t * (float * string * string list)) option
 (** The checker's witness scan as one memoized lookup: the first candidate
-    in {!comparison_order} that passes the joint-input gate (when
-    [require_joint_input]) and yields a {!verdict}, together with that
-    verdict.  Memoized per candidate view, slow row, gate flag and joint
-    budget — every input deciding the scan — so steady-state checks answer
-    from the table; foreign rows take the live walk. *)
-
-val joint_feasible : t -> max_nodes:int -> slow:Cost_row.t -> fast:Cost_row.t -> bool
-(** The checker's joint-input gate: feasibility of
-    [slow.workload_pred @ fast.workload_pred].  A table lookup when
-    [max_nodes] matches {!joint_max_nodes} and the class pair was
-    precomputed; a live solver call otherwise. *)
-
-val verdict : t -> slow:Cost_row.t -> fast:Cost_row.t -> (float * string * string list) option
-(** The checker's post-gate judgement for the ordered pair: the first
-    recorded poor pair if any, else the differential comparison — [(ratio,
-    trigger, critical_path)]. *)
+    in {!comparison_order} that passes the joint-input gate
+    (feasibility of both rows' workload predicates together, when
+    [require_joint_input]) and yields a verdict — the first recorded poor
+    pair if any, else the differential comparison — together with that
+    [(ratio, trigger, critical_path)].  Memoized per candidate view, slow
+    row and gate flag — every input deciding the scan — so steady-state
+    checks answer from the table; foreign rows take the live walk. *)

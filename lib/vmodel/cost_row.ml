@@ -89,8 +89,8 @@ let constraint_string row =
   | cs -> String.concat " && " (List.map (Fmt.str "%a" pp_constraint) cs)
 
 (* Everything but [state_id] and the call tree: two rows with equal keys are
-   interchangeable as checker witnesses.  Ids are exactly what --fast-nondet
-   stops canonicalizing, so candidate ordering must never look at them. *)
+   interchangeable as checker witnesses, so the key orders candidates by
+   what they say, never by which id the analyzer gave them. *)
 let content_key row =
   let b = Buffer.create 128 in
   List.iter

@@ -37,5 +37,6 @@ val constraint_string : t -> string
 val content_key : t -> string
 (** Deterministic rendering of everything but [state_id] and the call tree:
     two rows with equal keys are interchangeable as checker witnesses.  The
-    checker sorts candidate pools by this key so row selection never depends
-    on model row order (which [--fast-nondet] stops canonicalizing). *)
+    checker sorts candidate pools by this key, so which of two equally
+    similar rows it reports depends on their content, not on their place in
+    the model. *)

@@ -12,11 +12,6 @@ let default_jobs () =
     | Some n when n > 0 -> clamp_jobs n
     | Some _ | None -> 1)
 
-let default_fast_nondet () =
-  match Sys.getenv_opt "VIOLET_FAST_NONDET" with
-  | None -> false
-  | Some s -> ( match String.trim s with "" | "0" | "false" -> false | _ -> true)
-
 (* sticky: OCaml 5 puts the runtime in multicore mode on the first
    Domain.spawn and [Unix.fork] is forbidden from then on; fork-based code
    (the kill -9 checkpoint test) consults this to bail out cleanly *)

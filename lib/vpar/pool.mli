@@ -15,11 +15,6 @@ val default_jobs : unit -> int
 (** Worker count when the caller does not specify one: [VIOLET_JOBS] if set
     to a positive integer, else 1 (parallelism is opt-in). *)
 
-val default_fast_nondet : unit -> bool
-(** Default for the executor's fast-nondet mode when the caller does not
-    specify one: true iff [VIOLET_FAST_NONDET] is set to anything other
-    than [""], ["0"] or ["false"]. *)
-
 val clamp_jobs : int -> int
 (** Clamp a requested job count to [1 .. 64].  Oversubscription past the
     machine's core count is deliberately allowed: results are

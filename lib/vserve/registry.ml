@@ -34,7 +34,6 @@ type staged = {
 type t = {
   dir : string;
   compile : bool;
-  joint_max_nodes : int;
   entries : (string, entry) Hashtbl.t;
   mutable staged : staged list option;  (* [Some] after a successful stage *)
   mutable reloads : int;
@@ -45,11 +44,10 @@ type t = {
 
 let extension = ".vmodel"
 
-let create ?(compile = true) ?(joint_max_nodes = 1_000) ~dir () =
+let create ?(compile = true) ~dir () =
   {
     dir;
     compile;
-    joint_max_nodes;
     entries = Hashtbl.create 8;
     staged = None;
     reloads = 0;
@@ -82,7 +80,7 @@ let read_payload path =
 let compile_model t model =
   if not t.compile then None
   else begin
-    let cm = Vmodel.Compiled_model.compile ~joint_max_nodes:t.joint_max_nodes model in
+    let cm = Vmodel.Compiled_model.compile model in
     t.compiles <- t.compiles + 1;
     t.compile_wall_s <-
       t.compile_wall_s +. (Vmodel.Compiled_model.stats cm).Vmodel.Compiled_model.compile_s;

@@ -44,12 +44,10 @@ val event_to_string : event -> string
 
 type t
 
-val create : ?compile:bool -> ?joint_max_nodes:int -> dir:string -> unit -> t
+val create : ?compile:bool -> dir:string -> unit -> t
 (** No I/O happens until {!refresh}.  [compile] (default [true]) builds a
     {!Vmodel.Compiled_model} for every freshly parsed model at load/stage
-    time; [joint_max_nodes] (default 1_000) is the joint-input budget its
-    feasibility table is keyed to — pass the checker budget the server will
-    query with. *)
+    time. *)
 
 val dir : t -> string
 

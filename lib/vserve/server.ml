@@ -18,8 +18,6 @@ type options = {
   refresh_every_s : float;
   manual_reload : bool;
   allow_shutdown : bool;
-  check_mode : Vchecker.Checker.mode;
-  joint_input_max_nodes : int;
   now : unit -> float;
 }
 
@@ -37,8 +35,6 @@ let default_options ~addr ~models_dir =
     refresh_every_s = 0.5;
     manual_reload = false;
     allow_shutdown = true;
-    check_mode = Checker.Hybrid;
-    joint_input_max_nodes = Checker.default_joint_input_max_nodes;
     now = Unix.gettimeofday;
   }
 
@@ -161,9 +157,7 @@ let exec_check opts (p, entry) =
     }
   | Some (e : Registry.entry) -> begin
     let model = e.Registry.model in
-    let mode = opts.check_mode
-    and compiled = e.Registry.compiled
-    and joint_input_max_nodes = opts.joint_input_max_nodes in
+    let compiled = e.Registry.compiled in
     let generation = e.Registry.generation in
     if B.pressure p.p_armed >= opts.shed_pressure then begin
       (* queue wait ate the request's deadline budget: shed to the
@@ -196,10 +190,7 @@ let exec_check opts (p, entry) =
                 ("no configuration registry for system " ^ model.Vmodel.Impact_model.system)
             | Some reg -> begin
               let file = Vchecker.Config_file.parse config in
-              match
-                Checker.check_current ~mode ?compiled ~joint_input_max_nodes ~model
-                  ~registry:reg ~file ()
-              with
+              match Checker.check_current ?compiled ~model ~registry:reg ~file () with
               | Ok report -> outcome_of_report generation report
               | Error msg -> check_failed msg
             end
@@ -213,8 +204,7 @@ let exec_check opts (p, entry) =
               let old_file = Vchecker.Config_file.parse old_config in
               let new_file = Vchecker.Config_file.parse new_config in
               match
-                Checker.check_update ~mode ?compiled ~joint_input_max_nodes ~model
-                  ~registry:reg ~old_file ~new_file ()
+                Checker.check_update ?compiled ~model ~registry:reg ~old_file ~new_file ()
               with
               | Ok report -> outcome_of_report generation report
               | Error msg -> check_failed msg
@@ -222,8 +212,8 @@ let exec_check opts (p, entry) =
           end
           | P.Check_upgrade { workloads = Some (old_workload, new_workload); _ } ->
             outcome_of_report generation
-              (Checker.check_workload_change ~mode ?compiled ~joint_input_max_nodes
-                 ~model ~old_workload ~new_workload ())
+              (Checker.check_workload_change ?compiled ~model ~old_workload
+                 ~new_workload ())
           | P.Check_upgrade { workloads = None; _ } -> begin
             match e.Registry.previous with
             | Some old_model ->
@@ -430,11 +420,7 @@ let run opts =
   | exception Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot bind: %s" (Unix.error_message err))
   | listen_fd ->
-    let registry =
-      Registry.create
-        ~compile:(opts.check_mode <> Vchecker.Checker.Solver)
-        ~joint_max_nodes:opts.joint_input_max_nodes ~dir:opts.models_dir ()
-    in
+    let registry = Registry.create ~dir:opts.models_dir () in
     ignore (Registry.refresh registry);
     let st =
       {

@@ -53,14 +53,6 @@ type options = {
           verbs.  Fleet workers run this way so every shard flips generation
           at the router's command, never on its own clock (default false) *)
   allow_shutdown : bool;  (** honour the [shutdown] verb (default true) *)
-  check_mode : Vchecker.Checker.mode;
-      (** row-decision backend for check requests (default [Hybrid]: use the
-          decision tables the registry compiled at load time, solver path
-          for anything they cannot close).  [Solver] also disables
-          registry-load-time compilation *)
-  joint_input_max_nodes : int;
-      (** node budget of the checker's joint-input gate (default 1_000);
-          the registry's compiled feasibility tables are keyed to it *)
   now : unit -> float;  (** injectable clock (latency metrics, budgets) *)
 }
 

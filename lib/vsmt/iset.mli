@@ -1,4 +1,4 @@
-(** Sorted disjoint interval sets — the leaves of the materialized checker's
+(** Sorted disjoint interval sets — the leaves of the compiled checker's
     per-parameter decision tables (DESIGN.md Section 5j).
 
     An {!t} is a normalized array of disjoint, non-adjacent {!Interval.t}

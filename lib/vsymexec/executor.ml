@@ -71,7 +71,6 @@ type options = {
   checkpoint_every : int;
   on_checkpoint : (snapshot -> unit) option;
   jobs : int;
-  fast_nondet : bool;
   prime_cache : Vsched.Solver_cache.dump option;
   on_cache_dump : (Vsched.Solver_cache.dump -> unit) option;
 }
@@ -99,7 +98,6 @@ let default_options ?(env = Vruntime.Hw_env.hdd_server) ~config ~workload () =
     checkpoint_every = 0;
     on_checkpoint = None;
     jobs = 1;
-    fast_nondet = false;
     prime_cache = None;
     on_cache_dump = None;
   }
@@ -1362,15 +1360,8 @@ let run ?resume opts program =
     Hashtbl.iter (fun f () -> Hashtbl.replace eng.visited f ()) weng.visited;
     Vsched.Exploration_stats.merge ~into:eng.recorder weng.recorder
   done;
-  (* the deterministic reduction: path-sorted, renumbered states.
-     --fast-nondet trades it away: states keep their worker-local ids and
-     arrival order, so model bytes may differ run to run, but verdicts
-     (which depend on constraints and symbol names, both still
-     deterministic) do not. *)
-  let states =
-    if opts.fast_nondet then List.rev eng.finished
-    else canonicalize_states eng (List.rev eng.finished)
-  in
+  (* the deterministic reduction: path-sorted, renumbered states *)
+  let states = canonicalize_states eng (List.rev eng.finished) in
   let wall_time_s = opts.budget.B.now () -. t0 in
   let cache_stats = Option.map Vsched.Solver_cache.Striped.stats eng.cache in
   let solver_solves =

@@ -121,15 +121,6 @@ type options = {
           sequential run's as long as neither the state cap nor the deadline
           binds.  Checkpointing and resume force the sequential driver
           regardless of this field. *)
-  fast_nondet : bool;
-      (** skip the deferred renumbering of the deterministic reduction:
-          finished states keep their worker-local ids and arrival order.
-          State ids and row order in the serialized impact model may then
-          differ run to run under [jobs > 1] — but verdicts (checks,
-          findings, scores) do not, because path constraints and symbol
-          names are derived from each state's own fork history, never from
-          scheduling.  Default [false]; the [--fast-nondet] escape hatch for
-          throughput-first sweeps where model bytes are not diffed. *)
   prime_cache : Vsched.Solver_cache.dump option;
       (** prime the run's solver cache with a persisted dump before
           exploration starts (cross-run warm start).  The caller is
@@ -150,9 +141,8 @@ val default_options :
   unit ->
   options
 (** No symbolic variables, DFS, no switching, no noise, no chaos, default
-    degradation policy, checkpointing off, [jobs = 1],
-    [fast_nondet = false]; the default budget caps states at 512 with no
-    deadline. *)
+    degradation policy, checkpointing off, [jobs = 1]; the default budget
+    caps states at 512 with no deadline. *)
 
 type stats = {
   states_created : int;

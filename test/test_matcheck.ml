@@ -1,8 +1,8 @@
-(* Tests for the materialized checker fast path (DESIGN.md Section 5j):
+(* Tests for the compiled checker fast path (DESIGN.md Section 5j):
    interval-set compilation, compiled-vs-solver equivalence (fixture,
    degraded models, QCheck over vfuzz-generated systems), the witness
-   ordering, registry recompilation skipping, and the threaded joint-input
-   budget. *)
+   ordering, the rule that picks the engine, and registry recompilation
+   skipping. *)
 
 module Checker = Vchecker.Checker
 module CM = Vmodel.Compiled_model
@@ -220,18 +220,20 @@ let test_comparison_order_equivalence () =
         (CM.comparison_order cm ~cap:48 ~slow foreign))
     model.M.rows
 
-let all_modes = [ Checker.Solver; Checker.Materialized; Checker.Hybrid ]
+let all_modes = [ Checker.Solver; Checker.Hybrid ]
 
-let fingerprints_of ?compiled ?joint_input_max_nodes model file =
+let fingerprints_of ?compiled model file =
   List.map
     (fun mode ->
       match
-        Checker.check_current ~mode ?compiled ?joint_input_max_nodes ~model
-          ~registry:Fixtures.registry ~file ()
+        Checker.check_current ~mode ?compiled ~model ~registry:Fixtures.registry ~file ()
       with
       | Ok rep -> fingerprint rep
       | Error e -> Alcotest.fail e)
     all_modes
+
+let fixture_configs =
+  [ ""; "autocommit = OFF\n"; "autocommit = ON\nflush_at_trx_commit = 2\n" ]
 
 let test_modes_identical_on_fixture () =
   let model = fixture_model () in
@@ -240,11 +242,43 @@ let test_modes_identical_on_fixture () =
     (fun text ->
       let file = Vchecker.Config_file.parse text in
       match fingerprints_of ~compiled model file with
-      | [ s; m; h ] ->
-        check Alcotest.string "materialized = solver" s m;
-        check Alcotest.string "hybrid = solver" s h
+      | [ s; h ] -> check Alcotest.string "hybrid = solver" s h
       | _ -> assert false)
-    [ ""; "autocommit = OFF\n"; "autocommit = ON\nflush_at_trx_commit = 2\n" ]
+    fixture_configs
+
+(* The one engine rule: Hybrid answers from an artifact only when it was
+   compiled from the very model being checked (physical identity).  An
+   artifact compiled from a content-equal re-import belongs to another
+   model, so the check must take the solver path: the same bytes as
+   [Solver], and every reported row one of the checked model's own rows,
+   never the artifact's copies. *)
+let test_reimported_artifact_not_used () =
+  let model = fixture_model () in
+  let copy = or_fail (M.of_string (M.to_string model)) in
+  check Alcotest.string "re-import is content-equal" (M.to_string model) (M.to_string copy);
+  let stale = CM.compile copy in
+  let own (r : Row.t) = List.memq r model.M.rows in
+  let findings = ref 0 in
+  List.iter
+    (fun text ->
+      let file = Vchecker.Config_file.parse text in
+      let run ?compiled mode =
+        or_fail
+          (Checker.check_current ~mode ?compiled ~model ~registry:Fixtures.registry ~file ())
+      in
+      let hybrid = run ~compiled:stale Checker.Hybrid in
+      check Alcotest.string "hybrid with a re-imported artifact = solver"
+        (fingerprint (run Checker.Solver))
+        (fingerprint hybrid);
+      List.iter
+        (fun (f : Checker.finding) ->
+          incr findings;
+          check Alcotest.bool "slow row is the checked model's" true (own f.Checker.slow_row);
+          check Alcotest.bool "fast row is the checked model's" true
+            (Option.fold ~none:true ~some:own f.Checker.fast_row))
+        hybrid.Checker.findings)
+    fixture_configs;
+  check Alcotest.bool "some configuration produced a finding" true (!findings > 0)
 
 let with_degradation model =
   let autocommit = E.{ name = "autocommit"; dom = Vsmt.Dom.bool; origin = Config } in
@@ -271,9 +305,7 @@ let test_degraded_widening_identical () =
   let compiled = CM.compile model in
   let file = Vchecker.Config_file.parse "" in
   (match fingerprints_of ~compiled model file with
-  | [ s; m; h ] ->
-    check Alcotest.string "materialized = solver" s m;
-    check Alcotest.string "hybrid = solver" s h
+  | [ s; h ] -> check Alcotest.string "hybrid = solver" s h
   | _ -> assert false);
   (* and the conservative widening is actually present in every mode *)
   List.iter
@@ -286,21 +318,6 @@ let test_degraded_widening_identical () =
       check Alcotest.bool "degraded finding surfaced" true
         (List.exists (fun f -> f.Checker.trigger = "degraded") rep.Checker.findings))
     all_modes
-
-let test_joint_budget_threading () =
-  let model = fixture_model () in
-  let compiled = CM.compile model in
-  let file = Vchecker.Config_file.parse "" in
-  (* a budget different from the compiled table's key forces the live gate;
-     all modes must still agree at that budget *)
-  List.iter
-    (fun budget ->
-      match fingerprints_of ~compiled ~joint_input_max_nodes:budget model file with
-      | [ s; m; h ] ->
-        check Alcotest.string "materialized = solver" s m;
-        check Alcotest.string "hybrid = solver" s h
-      | _ -> assert false)
-    [ 5; Checker.default_joint_input_max_nodes; 50_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Mode equivalence over generated systems (QCheck)                    *)
@@ -331,15 +348,7 @@ let prop_modes_identical_generated =
               | Ok rep -> fingerprint rep
               | Error e -> "error: " ^ e
             in
-            let reference = fp Checker.Solver () in
-            let legs =
-              [
-                fp Checker.Materialized ~c:compiled ();
-                fp Checker.Materialized ();
-                fp Checker.Hybrid ~c:compiled ();
-              ]
-            in
-            if List.for_all (String.equal reference) legs then true
+            if String.equal (fp Checker.Solver ()) (fp Checker.Hybrid ~c:compiled ()) then true
             else
               QCheck2.Test.fail_reportf "modes disagree on %s/%s"
                 spec.Vfuzz.Genspec.g_name param)
@@ -435,8 +444,8 @@ let tests =
     tc "compiled: unclosable row falls back" test_unclosable_row_fallback;
     tc "compiled: comparison order equivalence" test_comparison_order_equivalence;
     tc "modes identical on fixture" test_modes_identical_on_fixture;
+    tc "hybrid ignores an artifact of a re-imported model" test_reimported_artifact_not_used;
     tc "degraded widening identical in all modes" test_degraded_widening_identical;
-    tc "joint budget threads through all modes" test_joint_budget_threading;
     QCheck_alcotest.to_alcotest prop_modes_identical_generated;
     tc "check_upgrade: duplicate constraint strings" test_upgrade_duplicate_constraints;
     tc "registry: unchanged digest skips recompile" test_registry_skips_recompile;

@@ -240,7 +240,7 @@ let test_oracle_inc_leg () =
   (* spliced-vs-scratch upgrade analysis: jobs 1/4 x solver cache cold/warm,
      each compared byte-for-byte against a from-scratch rebuild *)
   let spec = Vfuzz.Generate.spec ~seed:21 ~index:1 () in
-  let r = Vfuzz.Oracle.check ~daemon:false ~modes:false ~fast:false spec in
+  let r = Vfuzz.Oracle.check ~daemon:false ~modes:false spec in
   check Alcotest.int "inc leg compared all four variants" 4
     r.Vfuzz.Oracle.r_inc_checks;
   check Alcotest.bool "spliced baselines agree with scratch" true

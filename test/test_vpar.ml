@@ -155,9 +155,6 @@ let model_for ~jobs ~deadline (program, policy, fault_injection) =
       policy;
       fault_injection;
       budget;
-      (* byte-identity is this property's whole point: pin fast-nondet off
-         even when VIOLET_FAST_NONDET is exported (the CI smoke does) *)
-      fast_nondet = false;
     }
   in
   match Violet.Pipeline.analyze ~opts target "a" with
@@ -185,10 +182,10 @@ let prop_jobs_deterministic_under_deadline =
            (model_for ~jobs:4 ~deadline:(Some 1e9) scenario))
 
 (* ------------------------------------------------------------------ *)
-(* Deferred renumbering, fast-nondet, and the batch quantum            *)
+(* Deferred renumbering and the batch quantum                          *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_for ~jobs ~fast_nondet (program, policy, fault_injection) =
+let analysis_for ~jobs (program, policy, fault_injection) =
   let clock () = 0. in
   let budget = B.with_clock B.default clock in
   let target = { Violet.Pipeline.name = "par"; program; registry; workloads = [ workload ] } in
@@ -199,7 +196,6 @@ let analysis_for ~jobs ~fast_nondet (program, policy, fault_injection) =
       policy;
       fault_injection;
       budget;
-      fast_nondet;
     }
   in
   Violet.Pipeline.analyze ~opts target "a"
@@ -220,13 +216,13 @@ let fixed_scenario =
     Vsymexec.Executor.Bfs,
     false )
 
-(* The deferred renumbering contract: after a default-mode parallel run the
-   finished states are numbered 0..n-1 in fork-path order with lineage
-   collapsed, no matter how workers interleaved. *)
+(* The deferred renumbering contract: after a parallel run the finished
+   states are numbered 0..n-1 in fork-path order with lineage collapsed, no
+   matter how workers interleaved. *)
 let test_deferred_renumbering () =
   List.iter
     (fun jobs ->
-      match analysis_for ~jobs ~fast_nondet:false fixed_scenario with
+      match analysis_for ~jobs fixed_scenario with
       | Error e -> Alcotest.fail (Violet.Pipeline.error_to_string e)
       | Ok a ->
         let states = a.Violet.Pipeline.result.Vsymexec.Executor.states in
@@ -251,30 +247,6 @@ let test_deferred_renumbering () =
           (Printf.sprintf "jobs=%d: states sorted by fork path" jobs)
           (List.sort String.compare paths) paths)
     [ 1; 4 ]
-
-(* --fast-nondet keeps verdict-identity with the sequential run across
-   generated vfuzz systems even though it gives up model byte-identity. *)
-let prop_fast_nondet_verdict_identity =
-  QCheck2.Test.make ~name:"--fast-nondet verdicts match sequential on vfuzz systems"
-    ~count:3
-    QCheck2.Gen.(int_range 0 10_000)
-    (fun seed ->
-      let specs = Vfuzz.Generate.corpus ~seed ~count:1 () in
-      List.for_all
-        (fun spec ->
-          let seq = Vfuzz.Harness.score_spec spec in
-          let fast =
-            Vfuzz.Harness.score_spec
-              ~opts:
-                {
-                  Vfuzz.Oracle.default_opts with
-                  Violet.Pipeline.jobs = 4;
-                  fast_nondet = true;
-                }
-              spec
-          in
-          seq = fast)
-        specs)
 
 (* Work stealing under the batch quantum: a tiny time slice forces constant
    preemption and cross-worker stealing while both sides of every fork still
@@ -422,7 +394,6 @@ let tests =
     qt prop_jobs_deterministic;
     qt prop_jobs_deterministic_under_deadline;
     tc "deferred renumbering yields canonical ids" test_deferred_renumbering;
-    qt prop_fast_nondet_verdict_identity;
     tc "work stealing under time_slice=1 stays deterministic" test_work_stealing_tiny_slice;
     tc "striped cache agrees under concurrent domains" test_striped_concurrent_verdicts;
     tc "parallel run reports worker telemetry" test_parallel_telemetry;

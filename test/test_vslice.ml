@@ -272,11 +272,7 @@ let model_for ~slice ~jobs program =
   let target =
     { Violet.Pipeline.name = "slice"; program; registry; workloads = [ workload ] }
   in
-  let opts =
-    (* byte-identity is the property under test: pin fast-nondet off even
-       when VIOLET_FAST_NONDET is exported (the CI smoke does) *)
-    { Violet.Pipeline.default_options with Violet.Pipeline.slice; jobs; fast_nondet = false }
-  in
+  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.slice; jobs } in
   match Violet.Pipeline.analyze ~opts target "a" with
   | Ok a ->
     Vmodel.Impact_model.to_string
