@@ -29,7 +29,7 @@ let experiments =
     "ablation", ("Design-choice ablations", Exp_ablation.run);
     "sched", ("Searcher comparison + solver-cache ablation", Exp_sched.run);
     "resilience", ("Checkpoint overhead + degradation fidelity", Exp_resilience.run);
-    "par", ("Parallel exploration: two-mode speedup + determinism tax", Exp_par.run);
+    "par", ("The --jobs sweep: wall time + byte-identity", Exp_par.run);
     "slice", ("Independence slicing: solver work + model identity", Exp_slice.run);
     "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
     "matcheck", ("Compiled checker: decision-table fast path", Exp_matcheck.run);

@@ -81,27 +81,71 @@ let related system param =
    run (or --no-incremental) builds the baseline directory from scratch;
    later runs diff the current program against the manifest's content
    keys, re-explore only invalidated slices, splice the rest in verbatim
-   and report upgrade findings against the previous baseline's models. *)
+   and report upgrade findings against the previous baseline's models.  A
+   manifest that exists but does not load (corrupt, or written by another
+   manifest version) forces a rebuild from scratch, still checked against
+   the previous models. *)
 let analyze_incremental ~opts ~dir ~no_incremental (target : Violet.Pipeline.target) =
+  (* pre-load the previous version's models: the rebuild or splice
+     rewrites the directory in place, and upgrade checking needs both
+     sides *)
+  let load_models params =
+    List.filter_map
+      (fun param ->
+        match Vinc.Baseline.load_model ~dir ~param with
+        | Ok md -> Some (param, md)
+        | Error _ -> None)
+      params
+  in
   let scratch () =
-    let t, _ = or_die (Vinc.Baseline.build ~opts ~dir target) in
+    let t, analyses = or_die (Vinc.Baseline.build ~opts ~dir target) in
     Fmt.pr "baseline %s: built from scratch, %d slices@." dir
       (List.length t.Vinc.Baseline.mf_slices);
-    0
+    List.map (fun (param, a) -> param, a.Violet.Pipeline.model) analyses
+  in
+  let upgrade_check old_models new_models =
+    let findings = ref 0 in
+    List.iter
+      (fun (param, new_model) ->
+        match List.assoc_opt param old_models with
+        | None -> () (* parameter new in this version: nothing to compare *)
+        | Some (old_model, old_digest) ->
+          let report =
+            Vchecker.Checker.check_upgrade ~old_digest
+              ~new_digest:(Vinc.Baseline.model_digest new_model) ~old_model ~new_model ()
+          in
+          if report.Vchecker.Checker.findings <> [] then begin
+            findings := !findings + List.length report.Vchecker.Checker.findings;
+            Fmt.pr "%s: %a" param Vchecker.Checker.pp_report report
+          end)
+      new_models;
+    if !findings = 0 then begin
+      Fmt.pr "upgrade check: no specious configuration findings@.";
+      0
+    end
+    else 2
   in
   match Vinc.Baseline.load ~dir with
-  | Error _ -> scratch ()
-  | Ok _ when no_incremental -> scratch ()
+  | _ when no_incremental ->
+    ignore (scratch ());
+    0
+  | Error e when Sys.file_exists (Vinc.Baseline.manifest_file ~dir) ->
+    Fmt.pr "baseline %s: manifest unreadable (%s)@." dir e;
+    let old_models = load_models (Violet.Pipeline.analyzable_params target) in
+    let new_models = scratch () in
+    if old_models = [] then begin
+      Fmt.pr "upgrade check: skipped, no model of the previous baseline loads@.";
+      0
+    end
+    else upgrade_check old_models new_models
+  | Error _ ->
+    ignore (scratch ());
+    0
   | Ok old_manifest ->
-    (* pre-load the previous version's models: Splice.run rewrites the
-       directory in place, and upgrade checking needs both sides *)
     let old_models =
-      List.filter_map
-        (fun (s : Vinc.Baseline.slice) ->
-          match Vinc.Baseline.load_model ~dir ~param:s.Vinc.Baseline.sl_param with
-          | Ok (m, d) -> Some (s.Vinc.Baseline.sl_param, (m, d))
-          | Error _ -> None)
-        old_manifest.Vinc.Baseline.mf_slices
+      load_models
+        (List.map (fun (s : Vinc.Baseline.slice) -> s.Vinc.Baseline.sl_param)
+           old_manifest.Vinc.Baseline.mf_slices)
     in
     let r = or_die (Vinc.Splice.run ~opts ~baseline:dir ~out:dir target) in
     let d = r.Vinc.Splice.sp_diff in
@@ -117,26 +161,7 @@ let analyze_incremental ~opts ~dir ~no_incremental (target : Violet.Pipeline.tar
       (List.length r.Vinc.Splice.sp_reused)
       (List.length r.Vinc.Splice.sp_reexplored)
       (100. *. Vinc.Splice.reuse_fraction r);
-    let findings = ref 0 in
-    List.iter
-      (fun (param, new_model) ->
-        match List.assoc_opt param old_models with
-        | None -> () (* parameter new in this version: nothing to compare *)
-        | Some (old_model, old_digest) ->
-          let report =
-            Vchecker.Checker.check_upgrade ~old_digest
-              ~new_digest:(Vinc.Baseline.model_digest new_model) ~old_model ~new_model ()
-          in
-          if report.Vchecker.Checker.findings <> [] then begin
-            findings := !findings + List.length report.Vchecker.Checker.findings;
-            Fmt.pr "%s: %a" param Vchecker.Checker.pp_report report
-          end)
-      r.Vinc.Splice.sp_models;
-    if !findings = 0 then begin
-      Fmt.pr "upgrade check: no specious configuration findings@.";
-      0
-    end
-    else 2
+    upgrade_check old_models r.Vinc.Splice.sp_models
 
 let analyze system param save export max_states threshold no_related searcher solver_cache
     no_slice deadline checkpoint resume chaos jobs baseline cache_dir no_incremental =
@@ -563,11 +588,9 @@ let analyze_cmd =
       & opt (some int) None
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains exploring paths in parallel.  The impact model is \
-             byte-identical for any $(docv) as \
-             long as neither the state cap nor the deadline cuts exploration \
-             short.  Defaults to $(b,VIOLET_JOBS) or 1.  Checkpointing and \
-             $(b,--resume) force sequential exploration.")
+            "Worker domains for the trace analyzer's pairwise diff screen; path \
+             exploration is sequential at any $(docv).  The impact model is \
+             byte-identical for any $(docv).  Defaults to $(b,VIOLET_JOBS) or 1.")
   in
   let baseline =
     Arg.(

@@ -126,6 +126,28 @@ let analyzable_params target =
       else None)
     (Reg.params target.registry)
 
+(* One content key per configuration or workload parameter name: its
+   registry entry (kind and domain, default, hook) and its definition in
+   every workload template that declares it. *)
+let registry_keys target =
+  let defs =
+    List.map
+      (fun (p : Reg.param) -> p.Reg.name, `Config (p.Reg.kind, p.Reg.default, p.Reg.hook))
+      (Reg.params target.registry)
+    @ List.concat_map
+        (fun (t : Wl.template) ->
+          List.map
+            (fun (wp : Wl.param) ->
+              ( wp.Wl.name,
+                `Workload (t.Wl.tname, wp.Wl.dom, List.assoc_opt wp.Wl.name t.Wl.defaults) ))
+            t.Wl.params)
+        target.workloads
+  in
+  List.sort_uniq String.compare (List.map fst defs)
+  |> List.map (fun name ->
+         let mine = List.filter_map (fun (n, d) -> if n = name then Some d else None) defs in
+         name, Digest.to_hex (Digest.string (Marshal.to_string mine [ Marshal.No_sharing ])))
+
 let pick_template target opts =
   match opts.workload_template with
   | Some name -> List.find_opt (fun t -> String.equal t.Wl.tname name) target.workloads
@@ -251,18 +273,26 @@ let analyze ?(opts = default_options) target param =
       (* cross-run persistent solver cache: load → footprint-filter → prime
          before the run, persist the merged contents after.  A missing,
          corrupt or version-skewed cache file is a cold start, never an
-         error. *)
+         error.  Files are stamped with the registry keys: a cache key
+         names a variable, not its domain, so a file written under other
+         domains is a cold start too. *)
       let cache_path =
         match opts.cache_dir with
         | Some dir when opts.solver_cache ->
           Some (Vsched.Cache_store.file ~dir ~system:target.name ~param)
         | _ -> None
       in
+      let stamp =
+        lazy (String.concat ";" (List.map (fun (n, k) -> n ^ "=" ^ k) (registry_keys target)))
+      in
       let prime_cache =
         match cache_path with
         | None -> None
         | Some path -> (
-          match Vsched.Cache_store.load_filtered ~path ~dirty:opts.cache_dirty with
+          match
+            Vsched.Cache_store.load_filtered ~path ~stamp:(Lazy.force stamp)
+              ~dirty:opts.cache_dirty
+          with
           | Ok d -> Some d
           | Error _ -> None)
       in
@@ -279,7 +309,8 @@ let analyze ?(opts = default_options) target param =
                  before the dump crosses the run boundary; a failed save
                  (read-only dir) must not fail the analysis *)
               ignore
-                (Vsched.Cache_store.save ~path (Vsched.Solver_cache.filter_dump d ~dirty:[])))
+                (Vsched.Cache_store.save ~path ~stamp:(Lazy.force stamp)
+                   (Vsched.Solver_cache.filter_dump d ~dirty:[])))
       in
       let exec_opts =
         {
@@ -304,7 +335,6 @@ let analyze ?(opts = default_options) target param =
           checkpoint_every =
             (match opts.checkpoint with Some c -> c.every_picks | None -> 0);
           on_checkpoint = checkpoint_hook opts;
-          jobs = opts.jobs;
           prime_cache;
           on_cache_dump;
         }

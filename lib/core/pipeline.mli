@@ -104,21 +104,21 @@ type options = {
           truncated checkpoints) — the chaos harness's hook *)
   degradation : Vresilience.Degradation.policy;
   jobs : int;
-      (** worker domains for exploration and the pairwise diff screen;
-          threaded to {!Vsymexec.Executor.options.jobs} and
-          {!Vmodel.Diff_analysis.analyze}.  The default reads the
-          [VIOLET_JOBS] environment variable (falling back to 1), clamped to
-          the machine's recommended domain count. *)
+      (** worker domains for the pairwise diff screen
+          ({!Vmodel.Diff_analysis.analyze}, order-preserving, so models are
+          jobs-independent); exploration is sequential.  The default reads
+          the [VIOLET_JOBS] environment variable (falling back to 1). *)
   cache_dir : string option;
       (** directory for the persistent cross-run solver cache
           ({!Vsched.Cache_store}): before exploration the
           [<system>.<param>.vcache] file is loaded, footprint-filtered
           against [cache_dirty] and primed into the run's solver cache, and
           after the run the merged cache contents are written back
-          (atomically, checksummed).  Missing/corrupt/stale files mean a
-          cold start, never an error.  The default reads the
-          [VIOLET_CACHE_DIR] environment variable; [None] disables
-          persistence. *)
+          (atomically, checksummed, stamped with {!registry_keys}).
+          Missing/corrupt/stale files, and files stamped under other
+          registry keys, mean a cold start, never an error.  The default
+          reads the [VIOLET_CACHE_DIR] environment variable; [None]
+          disables persistence. *)
   cache_dirty : string list;
       (** symbol names from changed code: persisted cache entries whose
           footprints mention any of them are dropped at load time (vinc
@@ -146,6 +146,14 @@ val hookable : target -> string -> bool
 val analyzable_params : target -> string list
 (** Parameters eligible for the coverage experiment: performance-related,
     hookable, and actually read by the program (Section 7.6). *)
+
+val registry_keys : target -> (string * string) list
+(** [(name, content key)] for every configuration and workload parameter
+    name, sorted: the registry entry (kind and domain, default, hook) and
+    the parameter's definition in every workload template that declares
+    it.  A domain or default change shapes exploration without touching
+    any function body, so a vinc baseline records these keys and the
+    persistent solver cache is stamped with them. *)
 
 val analyze : ?opts:options -> target -> string -> (analysis, error) result
 (** Analyze one target parameter.  Never raises: bad parameters, unloadable

@@ -18,13 +18,14 @@ type t = {
   mf_system : string;
   mf_entry : string;
   mf_program_keys : (string * string) list;
+  mf_registry_keys : (string * string) list;
   mf_options_fp : string;
   mf_provenance : provenance;
   mf_slices : slice list;
 }
 
 let manifest_kind = "vinc-manifest"
-let manifest_version = 1
+let manifest_version = 2
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)
@@ -32,8 +33,8 @@ let manifest_version = 1
 
 (* Every option that can change analysis output, rendered by hand —
    [P.options] holds closures (the budget clock, chaos streams), so
-   [Marshal] is not available.  [jobs] is excluded (the deterministic
-   reduction makes models jobs-independent); [solver_cache]/[slice]/
+   [Marshal] is not available.  [jobs] is excluded (it only spreads the
+   order-preserving diff screen over domains); [solver_cache]/[slice]/
    [cache_dir] are excluded (documented byte-transparent); checkpointing
    fields are excluded (resume reproduces the uninterrupted model). *)
 let options_fingerprint (o : P.options) =
@@ -75,7 +76,7 @@ let options_fingerprint (o : P.options) =
   Digest.to_hex (Digest.string (String.concat ";" fields))
 
 let digest t =
-  let keys = List.map (fun (n, k) -> n ^ ":" ^ k) t.mf_program_keys in
+  let keys = List.map (fun (n, k) -> n ^ ":" ^ k) (t.mf_program_keys @ t.mf_registry_keys) in
   let slices = List.map (fun s -> s.sl_param ^ ":" ^ s.sl_digest) t.mf_slices in
   Digest.to_hex
     (Digest.string
@@ -176,6 +177,7 @@ let build ?(opts = P.default_options) ?params ~dir (target : P.target) =
         mf_system = target.P.name;
         mf_entry = target.P.program.Vir.Ast.entry;
         mf_program_keys = Irdiff.program_keys target.P.program;
+        mf_registry_keys = P.registry_keys target;
         mf_options_fp = options_fingerprint opts;
         mf_provenance = Scratch;
         mf_slices = slices;

@@ -9,7 +9,8 @@
 
     - the {e content keys} of every function of the analyzed program
       version ({!Irdiff.program_keys}), so a new version can be diffed
-      without the old program;
+      without the old program, and of every configuration and workload
+      parameter ({!Violet.Pipeline.registry_keys});
     - per slice: the related-parameter set actually made symbolic, the
       digest of the serialized model, the {e dynamic function coverage}
       ({!Vsymexec.Executor.result.visited_functions} — serialized models
@@ -44,6 +45,8 @@ type t = {
   mf_system : string;
   mf_entry : string;  (** entry function name; a changed entry invalidates all *)
   mf_program_keys : (string * string) list;  (** (fname, content key), sorted *)
+  mf_registry_keys : (string * string) list;
+      (** (parameter, content key), sorted; a changed key invalidates all *)
   mf_options_fp : string;
   mf_provenance : provenance;
   mf_slices : slice list;  (** sorted by [sl_param] *)
@@ -55,13 +58,14 @@ val manifest_version : int
 val options_fingerprint : Violet.Pipeline.options -> string
 (** Digest of every option that can change analysis output (threshold,
     symbolic-set policy, budget caps, searcher, overrides, ...).  [jobs]
-    is excluded — the deterministic reduction makes models
-    jobs-independent. *)
+    is excluded — it only spreads the order-preserving diff screen over
+    domains, so models are jobs-independent. *)
 
 val digest : t -> string
-(** Checksum of the baseline's content (program keys + slice digests +
-    options fingerprint): the provenance link a spliced child records,
-    and the identity under which two baselines are interchangeable. *)
+(** Checksum of the baseline's content (program and registry keys + slice
+    digests + options fingerprint): the provenance link a spliced child
+    records, and the identity under which two baselines are
+    interchangeable. *)
 
 val manifest_file : dir:string -> string
 val model_file : dir:string -> param:string -> string

@@ -62,12 +62,15 @@ let run ?(opts = P.default_options) ~baseline ~out (target : P.target) =
     let diff = Irdiff.diff ~old_keys:manifest.Baseline.mf_program_keys target.P.program in
     let dirty_functions = Irdiff.dirty_functions diff in
     let dirty_symbols = Irdiff.dirty_symbols diff target.P.program in
+    let registry_keys = P.registry_keys target in
     let conservative =
       if manifest.Baseline.mf_system <> target.P.name then Some "different system"
       else if manifest.Baseline.mf_entry <> target.P.program.Vir.Ast.entry then
         Some "entry function changed"
       else if manifest.Baseline.mf_options_fp <> Baseline.options_fingerprint opts then
         Some "analysis options changed"
+      else if manifest.Baseline.mf_registry_keys <> registry_keys then
+        Some "registry entry changed"
       else None
     in
     let params = P.analyzable_params target in
@@ -140,6 +143,7 @@ let run ?(opts = P.default_options) ~baseline ~out (target : P.target) =
             Baseline.mf_system = target.P.name;
             mf_entry = target.P.program.Vir.Ast.entry;
             mf_program_keys = Irdiff.program_keys target.P.program;
+            mf_registry_keys = registry_keys;
             mf_options_fp = Baseline.options_fingerprint opts;
             mf_provenance =
               Baseline.Spliced

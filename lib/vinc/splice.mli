@@ -14,8 +14,12 @@
     identically, so its model (and every verdict derived from it) cannot
     change.  When that argument does not apply — missing coverage, a
     changed entry function, an options-fingerprint mismatch, a changed
-    related-parameter set, a model file failing its digest — the slice
-    (or the whole baseline) conservatively re-explores. *)
+    registry key ({!Violet.Pipeline.registry_keys}: a domain, default or
+    hook change touches no function), a changed related-parameter set, a
+    model file failing its digest — the slice (or the whole baseline)
+    conservatively re-explores.  A registry change also starts the
+    persistent solver cache cold, since its files are stamped with the
+    registry keys. *)
 
 type report = {
   sp_diff : Irdiff.t;
@@ -25,7 +29,8 @@ type report = {
           persistent solver cache as its invalidation set *)
   sp_conservative : string option;
       (** [Some reason] when the whole baseline was invalidated (system,
-          entry or options mismatch) and every slice re-explored *)
+          entry, options or registry mismatch) and every slice
+          re-explored *)
   sp_reused : string list;  (** parameters carried over verbatim *)
   sp_reexplored : (string * string) list;
       (** parameters re-analyzed, with the reason ("coverage touches

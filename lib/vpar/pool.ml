@@ -18,6 +18,9 @@ let default_jobs () =
 let spawned = Atomic.make false
 let spawned_domains () = Atomic.get spawned
 
+(* [body w] for each worker index [w], worker 0 on the calling domain; the
+   first exception (by worker index) is re-raised once every domain has
+   been joined *)
 let run ~jobs body =
   let jobs = clamp_jobs jobs in
   if jobs = 1 then body 0

@@ -1,15 +1,13 @@
 (** Domain-based worker pool.
 
     A pool is a fixed team of [jobs] workers: worker 0 is the calling domain,
-    workers 1..jobs-1 are spawned domains.  The pool makes no scheduling
-    decisions of its own — callers provide a [worker] body (for free-form
-    work-stealing loops, as in the parallel executor) or use {!map_array}
-    (self-dispatching data parallelism, as in the pairwise diff stage).
+    workers 1..jobs-1 are spawned domains.  Work is handed out through
+    {!map_array} (self-dispatching data parallelism, as in the pairwise
+    diff stage and the serve batcher).
 
     Determinism contract: the pool never reorders results.  [map_array] writes
-    each result at its input's index, and [run] hands every worker its own
-    stable index, so any run-order nondeterminism is confined to what the
-    worker bodies do with shared state. *)
+    each result at its input's index, so any run-order nondeterminism is
+    confined to what [f] does with shared state. *)
 
 val default_jobs : unit -> int
 (** Worker count when the caller does not specify one: [VIOLET_JOBS] if set
@@ -27,16 +25,11 @@ val spawned_domains : unit -> bool
     forbids [Unix.fork] after the first [Domain.spawn] (the runtime goes
     multicore and stays there), so fork-based code checks this first. *)
 
-val run : jobs:int -> (int -> unit) -> unit
-(** [run ~jobs body] executes [body w] for each worker index [w] in
-    [0..jobs-1], worker 0 on the calling domain and the rest on spawned
-    domains, then joins them all.  If any body raises, the first exception
-    (by worker index) is re-raised after every domain has been joined — no
-    domain is leaked. *)
-
 val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array ~jobs f xs] is [Array.map f xs] computed by [jobs] workers
     pulling indices from a shared counter.  Output order matches input
     order regardless of which worker computed which element.  [f] must be
     safe to call concurrently.  With [jobs = 1] (or on arrays of fewer than
-    2 elements) no domain is spawned. *)
+    2 elements) no domain is spawned.  If [f] raises, the first exception
+    (by worker) is re-raised after every domain has been joined — no
+    domain is leaked. *)

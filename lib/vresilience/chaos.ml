@@ -48,12 +48,6 @@ let to_string t =
     t.solver_unknown_p t.signal_drop_p t.signal_delay_p t.checkpoint_truncate_p
     t.model_corrupt_p
 
-(* An independent stream for a parallel worker: same fault probabilities,
-   its own rng (Random.State is not domain-safe to share), seeded from the
-   base seed and the worker index so each worker's fault schedule is
-   reproducible. *)
-let fork ~salt t = { t with rng = Random.State.make [| t.seed; salt; 0xc4a05 |] }
-
 let flip t p = p > 0. && Random.State.float t.rng 1.0 < p
 
 let truncate_file t path =

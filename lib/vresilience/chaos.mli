@@ -48,11 +48,6 @@ val to_string : t -> string
 val flip : t -> float -> bool
 (** One biased coin toss from the chaos rng. *)
 
-val fork : salt:int -> t -> t
-(** A chaos instance with the same fault probabilities but an independent
-    rng stream derived from the base seed and [salt] — one per parallel
-    worker, since a [Random.State] must not be shared across domains. *)
-
 val truncate_file : t -> string -> bool
 (** With probability [checkpoint_truncate_p], truncate the file to a random
     prefix (possibly zero bytes).  Returns whether it fired.  Errors while

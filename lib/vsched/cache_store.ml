@@ -36,13 +36,18 @@ let rec mkdir_p dir =
    anywhere.  The envelope's digest check runs before unmarshalling, so a
    damaged file can't crash the process inside [Marshal.from_string]. *)
 
-let save ~path dump =
+(* The stamp rides in the envelope's kind, digested so any stamp text fits
+   the header line: a file saved under another stamp fails the kind check
+   before its payload is read. *)
+let stamped_kind stamp = kind ^ ":" ^ Digest.to_hex (Digest.string stamp)
+
+let save ~path ~stamp dump =
   mkdir_p (Filename.dirname path);
   let payload = Marshal.to_string (dump : Solver_cache.dump) [] in
-  Checkpoint.write ~path ~kind ~version payload
+  Checkpoint.write ~path ~kind:(stamped_kind stamp) ~version payload
 
-let load ~path =
-  match Checkpoint.read ~path ~kind ~version with
+let load ~path ~stamp =
+  match Checkpoint.read ~path ~kind:(stamped_kind stamp) ~version with
   | Error _ as e -> e
   | Ok payload -> (
     (* digest already verified, but stay defensive: a format change without
@@ -51,7 +56,7 @@ let load ~path =
     | d -> Ok d
     | exception _ -> Error Checkpoint.Corrupt)
 
-let load_filtered ~path ~dirty =
-  match load ~path with
+let load_filtered ~path ~stamp ~dirty =
+  match load ~path ~stamp with
   | Error _ as e -> e
   | Ok d -> Ok (Solver_cache.filter_dump d ~dirty)

@@ -24,16 +24,6 @@ type query_sizes = {
   hist_sent : int array;  (* same, after slicing *)
 }
 
-type worker = {
-  w_id : int;
-  w_steps : int;
-  w_forks : int;
-  w_steals : int;
-  w_solver_queries : int;
-  w_cache_hits : int;
-  w_solver_time_s : float;
-}
-
 (* Batched-feasibility accounting: one batch per executor aggregation event
    (a fork's true/false pair, a loop-exit probe), [saved] counts the queries
    in those batches answered without a solver round-trip. *)
@@ -57,8 +47,6 @@ type t = {
   degradation : Vresilience.Degradation.event list;
   deadline_hit : bool;
   resumed : bool;
-  jobs : int;
-  workers : worker list;
   query_sizes : query_sizes;
   memo_sizes : (string * int) list;
   batch : batch option;
@@ -110,7 +98,6 @@ let recorder ~searcher ~solver_cache_enabled () =
 let on_step r = r.r_steps <- r.r_steps + 1
 let on_fork r = r.r_forks <- r.r_forks + 1
 let on_degrade r ev = r.r_degradation <- ev :: r.r_degradation
-let mark_resumed r = r.r_resumed <- true
 let steps r = r.r_steps
 
 let copy r =
@@ -135,28 +122,20 @@ let on_pick r ~queue_depth =
 let on_complete r ~state_id ~dropped =
   r.r_completions <- { state_id; at_step = r.r_steps; dropped } :: r.r_completions
 
-(* Fold a worker's recorder into the main one when a parallel run quiesces.
-   Counters sum; event logs concatenate (the executor re-sorts completions
-   into canonical order afterwards via {!set_completions}). *)
-let merge ~into r =
-  into.r_steps <- into.r_steps + r.r_steps;
-  into.r_forks <- into.r_forks + r.r_forks;
-  into.r_completions <- r.r_completions @ into.r_completions;
-  into.r_samples <- r.r_samples @ into.r_samples;
-  into.r_degradation <- r.r_degradation @ into.r_degradation;
-  into.r_q_pre_constraints <- into.r_q_pre_constraints + r.r_q_pre_constraints;
-  into.r_q_pre_nodes <- into.r_q_pre_nodes + r.r_q_pre_nodes;
-  into.r_q_sent_constraints <- into.r_q_sent_constraints + r.r_q_sent_constraints;
-  into.r_q_sent_nodes <- into.r_q_sent_nodes + r.r_q_sent_nodes;
-  into.r_q_sliced <- into.r_q_sliced + r.r_q_sliced;
-  Array.iteri (fun i v -> into.r_hist_pre.(i) <- into.r_hist_pre.(i) + v) r.r_hist_pre;
-  Array.iteri (fun i v -> into.r_hist_sent.(i) <- into.r_hist_sent.(i) + v) r.r_hist_sent;
-  if r.r_resumed then into.r_resumed <- true
+(* A resumed run carries the checkpointed counters and logs on; like a
+   fresh recorder, its first pick takes a queue sample. *)
+let resume r ~solver_cache_enabled =
+  {
+    (copy r) with
+    r_cache_enabled = solver_cache_enabled;
+    r_resumed = true;
+    r_last_sample_step = -sample_every;
+  }
 
 let completions r = List.rev r.r_completions
 let set_completions r cs = r.r_completions <- List.rev cs
 
-let finish ?(deadline_hit = false) ?(jobs = 1) ?(workers = []) ?(memo_sizes = []) ?batch r
+let finish ?(deadline_hit = false) ?(memo_sizes = []) ?batch r
     ~states_created ~solver_queries ~solver_solves ~cache ~wall_time_s =
   let completions = List.rev r.r_completions in
   let dropped = List.length (List.filter (fun c -> c.dropped) completions) in
@@ -178,8 +157,6 @@ let finish ?(deadline_hit = false) ?(jobs = 1) ?(workers = []) ?(memo_sizes = []
     degradation = List.rev r.r_degradation;
     deadline_hit;
     resumed = r.r_resumed;
-    jobs;
-    workers;
     query_sizes =
       {
         pre_constraints = r.r_q_pre_constraints;
@@ -219,13 +196,12 @@ let json_float f =
 
 let cache_to_json (c : Solver_cache.stats) =
   Printf.sprintf
-    "{\"lookups\":%d,\"exact_hits\":%d,\"cex_hits\":%d,\"subsumption_hits\":%d,\"misses\":%d,\"stored_models\":%d,\"stored_cores\":%d,\"hit_rate\":%s,\"solver_constraints\":%d,\"solver_nodes\":%d,\"unknown_purged\":%d,\"coalesced\":%d}"
+    "{\"lookups\":%d,\"exact_hits\":%d,\"cex_hits\":%d,\"subsumption_hits\":%d,\"misses\":%d,\"stored_models\":%d,\"stored_cores\":%d,\"hit_rate\":%s,\"solver_constraints\":%d,\"solver_nodes\":%d,\"unknown_purged\":%d}"
     c.Solver_cache.lookups c.Solver_cache.exact_hits c.Solver_cache.cex_hits
     c.Solver_cache.subsumption_hits c.Solver_cache.misses c.Solver_cache.stored_models
     c.Solver_cache.stored_cores
     (json_float (Solver_cache.hit_rate c))
     c.Solver_cache.solver_constraints c.Solver_cache.solver_nodes c.Solver_cache.unknown_purged
-    c.Solver_cache.coalesced
 
 let batch_to_json b =
   Printf.sprintf
@@ -259,12 +235,6 @@ let degradation_to_json evs =
            (json_float e.Vresilience.Degradation.pressure))
   |> String.concat ","
 
-let worker_to_json w =
-  Printf.sprintf
-    "{\"id\":%d,\"steps\":%d,\"forks\":%d,\"steals\":%d,\"solver_queries\":%d,\"cache_hits\":%d,\"solver_time_s\":%s}"
-    w.w_id w.w_steps w.w_forks w.w_steals w.w_solver_queries w.w_cache_hits
-    (json_float w.w_solver_time_s)
-
 let to_json t =
   let completions =
     t.completions
@@ -279,14 +249,13 @@ let to_json t =
     |> String.concat ","
   in
   Printf.sprintf
-    "{\"searcher\":\"%s\",\"solver_cache_enabled\":%b,\"states_created\":%d,\"states_completed\":%d,\"states_dropped\":%d,\"forks\":%d,\"steps\":%d,\"fork_rate\":%s,\"solver_queries\":%d,\"solver_solves\":%d,\"cache\":%s,\"completions\":[%s],\"queue_samples\":[%s],\"wall_time_s\":%s,\"degradation\":[%s],\"deadline_hit\":%b,\"resumed\":%b,\"jobs\":%d,\"workers\":[%s],\"query_sizes\":%s,\"memo_sizes\":%s,\"feas_batches\":%s}"
+    "{\"searcher\":\"%s\",\"solver_cache_enabled\":%b,\"states_created\":%d,\"states_completed\":%d,\"states_dropped\":%d,\"forks\":%d,\"steps\":%d,\"fork_rate\":%s,\"solver_queries\":%d,\"solver_solves\":%d,\"cache\":%s,\"completions\":[%s],\"queue_samples\":[%s],\"wall_time_s\":%s,\"degradation\":[%s],\"deadline_hit\":%b,\"resumed\":%b,\"query_sizes\":%s,\"memo_sizes\":%s,\"feas_batches\":%s}"
     (json_escape t.searcher) t.solver_cache_enabled t.states_created t.states_completed
     t.states_dropped t.forks t.steps (json_float t.fork_rate) t.solver_queries t.solver_solves
     (match t.cache with None -> "null" | Some c -> cache_to_json c)
     completions samples (json_float t.wall_time_s)
     (degradation_to_json t.degradation)
-    t.deadline_hit t.resumed t.jobs
-    (String.concat "," (List.map worker_to_json t.workers))
+    t.deadline_hit t.resumed
     (query_sizes_to_json t.query_sizes)
     (memo_sizes_to_json t.memo_sizes)
     (match t.batch with None -> "null" | Some b -> batch_to_json b)
@@ -488,12 +457,4 @@ let pp ppf t =
     Fmt.pf ppf " batch[batches=%d queries/batch=%.2f saved=%d]" b.b_batches
       (float_of_int b.b_queries /. float_of_int b.b_batches)
       b.b_saved
-  | _ -> ());
-  if t.jobs > 1 then begin
-    Fmt.pf ppf " jobs=%d" t.jobs;
-    List.iter
-      (fun w ->
-        Fmt.pf ppf " w%d[steps=%d steals=%d cache_hits=%d solver=%.3fs]" w.w_id w.w_steps
-          w.w_steals w.w_cache_hits w.w_solver_time_s)
-      t.workers
-  end
+  | _ -> ())

@@ -16,22 +16,11 @@ type completion = {
   dropped : bool;  (** killed rather than terminated *)
 }
 
-type worker = {
-  w_id : int;  (** worker index, 0 = the driving domain *)
-  w_steps : int;
-  w_forks : int;
-  w_steals : int;  (** states this worker stole from other frontiers *)
-  w_solver_queries : int;
-  w_cache_hits : int;  (** solver-cache hits in this worker's segment *)
-  w_solver_time_s : float;  (** wall time inside solver/cache queries *)
-}
-(** Per-worker counters of a parallel ([--jobs N]) run. *)
-
 type batch = { b_batches : int; b_queries : int; b_saved : int }
 (** Batched-feasibility accounting: [b_batches] counts executor aggregation
     events (a fork's true/false pair, a loop-exit probe), [b_queries] the
     feasibility queries inside them, [b_saved] the queries answered without
-    a solver round-trip (cache probes plus coalesced duplicate solves). *)
+    a solver round-trip (served by a cache probe). *)
 
 type query_sizes = {
   pre_constraints : int;  (** conjuncts across all queries, before slicing *)
@@ -72,14 +61,12 @@ type t = {
           [degradation] section of the JSON dump.  Empty = complete run. *)
   deadline_hit : bool;  (** exploration was cut short by the deadline *)
   resumed : bool;  (** this run continued from a checkpoint *)
-  jobs : int;  (** worker count of the run (1 = sequential) *)
-  workers : worker list;  (** per-worker counters; empty for sequential runs *)
   query_sizes : query_sizes;
   memo_sizes : (string * int) list;
       (** sizes of the process's shared expression-level tables at finish
           time (lock-striped simplify/footprint memos summed across
           stripes, rendered strings, the shared hash-cons table, and — for
-          cached runs — the striped solver cache's entry counts) — the
+          cached runs — the run's solver-cache entry counts) — the
           observability hook for the bounded-memo policy *)
   batch : batch option;
       (** batched-feasibility counters; [None] when the run predates the
@@ -112,7 +99,6 @@ val on_query :
     the executor reports [sent = pre]. *)
 
 val on_degrade : recorder -> Vresilience.Degradation.event -> unit
-val mark_resumed : recorder -> unit
 val steps : recorder -> int
 (** Current step count — the timestamp currency for degradation events. *)
 
@@ -120,24 +106,21 @@ val copy : recorder -> recorder
 (** A snapshot of the recorder, decoupled from further mutation — what the
     executor puts in a checkpoint. *)
 
-val merge : into:recorder -> recorder -> unit
-(** Fold one worker's recorder into [into] when a parallel run quiesces:
-    counters sum, event logs concatenate.  [into] typically belongs to
-    worker 0; completion order across workers is arbitrary, so callers that
-    need a canonical order rewrite it with {!set_completions}. *)
+val resume : recorder -> solver_cache_enabled:bool -> recorder
+(** The recorder for a run that continues a checkpoint: a copy of the
+    checkpointed one, marked resumed, whose next pick takes a queue sample
+    as a fresh recorder's first pick does. *)
 
 val completions : recorder -> completion list
 (** Completion log so far, oldest first. *)
 
 val set_completions : recorder -> completion list -> unit
-(** Replace the completion log (oldest first) — parallel runs renumber state
-    ids and re-sort completions into a deterministic order before
+(** Replace the completion log (oldest first) — the executor renumbers
+    state ids by fork path and rewrites the log to match before
     {!finish}. *)
 
 val finish :
   ?deadline_hit:bool ->
-  ?jobs:int ->
-  ?workers:worker list ->
   ?memo_sizes:(string * int) list ->
   ?batch:batch ->
   recorder ->

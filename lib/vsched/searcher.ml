@@ -316,16 +316,3 @@ let frontier_name f = name f.policy
 let dump f = f.impl.i_dump ()
 let restore f d = f.impl.i_restore d
 let drop_weakest f ~keep = f.impl.i_drop ~keep
-
-(* Work-stealing entry point: remove the single lowest-priority state — the
-   one the owner would pick last — so a thief disturbs the owner's search
-   order as little as possible. *)
-let steal f =
-  match f.impl.i_length () with
-  | 0 -> None
-  | n -> begin
-    match f.impl.i_drop ~keep:(n - 1) with
-    | [ st ] -> Some st
-    | [] -> None
-    | st :: _ -> Some st (* i_drop over-dropped; only ever 1 by construction *)
-  end

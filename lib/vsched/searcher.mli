@@ -104,10 +104,3 @@ val drop_weakest : 'a frontier -> keep:int -> 'a list
     selection order: the back of the Dfs stack, the front of the Bfs queue,
     the oldest states for Random_path, the lowest-scored entries for the
     scored policies. *)
-
-val steal : 'a frontier -> 'a option
-(** Remove and return the single lowest-priority state (the one
-    {!drop_weakest} would shed first), or [None] when empty.  Work-stealing
-    takes from the victim's cold end so the owner's selection order is
-    disturbed as little as possible.  The frontier itself is not
-    thread-safe; parallel callers serialize access per frontier. *)

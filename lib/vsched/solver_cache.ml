@@ -39,9 +39,6 @@ type stats = {
   solver_constraints : int;  (** conjuncts sent to the solver across all misses *)
   solver_nodes : int;  (** expression tree nodes sent to the solver across all misses *)
   unknown_purged : int;  (** stale Unknown entries reclaimed by decided re-solves *)
-  coalesced : int;
-      (** queries that blocked on a shard already solving the same key
-          (striped caches only; always 0 for a plain cache) *)
 }
 
 let create ?(max_models = 64) ?(max_cores = 256) () =
@@ -180,11 +177,10 @@ let expired = function
   | None -> false
   | Some b -> Vresilience.Budget.expired b
 
-(* The query entry points split into a pure preparation step (simplify,
-   canonicalize, render the key — all safe outside any lock) and keyed
-   probe/solve steps over the prepared query, so the striped concurrent
-   layer below can consult the cache for a whole batch first and hold a
-   shard lock only around the table accesses and the solve. *)
+(* The query entry points split into a preparation step (simplify,
+   canonicalize, render the key) and keyed probe/solve steps over the
+   prepared query, so {!feasible_batch} can consult the cache for a whole
+   batch before any of it reaches the solver. *)
 
 type prepared = { p_canon : E.t list; p_conjunct_keys : string list; p_key : string }
 
@@ -200,8 +196,7 @@ let feasible = function Solver.Sat _ | Solver.Unknown -> true | Solver.Unsat -> 
 
 (* Cache-only consult of a prepared feasibility query: exact entry, stored-
    model probe, unsat-core subsumption — everything short of a solver call.
-   [count_lookup] is false on the re-probe a batch does just before solving
-   (another worker may have populated the key since the pre-batch consult),
+   [count_lookup] is false on the re-probe a batch does just before solving,
    so each logical query still counts exactly one lookup. *)
 let probe_feasible t ~count_lookup ~max_nodes p =
   if count_lookup then t.n_lookups <- t.n_lookups + 1;
@@ -237,28 +232,39 @@ let solve_feasible t ?budget ~max_nodes p =
   end;
   feasible result
 
-let check_model_prepared t ?budget ~max_nodes p =
+let check_model t ?budget ~max_nodes cs =
+  let p = prepare cs in
   t.n_lookups <- t.n_lookups + 1;
   match Hashtbl.find_opt t.model_memo p.p_key with
   | Some e when identical_replay e ~max_nodes ->
     t.n_exact_hits <- t.n_exact_hits + 1;
-    e.result, true
+    e.result
   | _ ->
     t.n_misses <- t.n_misses + 1;
     count_solver_work t p.p_canon;
     let result = Solver.check ?budget ~max_nodes p.p_canon in
     if not (expired budget) then
       record t t.model_memo p.p_key ~max_nodes ~foot:(query_foot p.p_canon) result;
-    result, false
+    result
 
-let check_model t ?budget ~max_nodes cs =
-  fst (check_model_prepared t ?budget ~max_nodes (prepare cs))
-
-let is_feasible t ?budget ~max_nodes cs =
-  let p = prepare cs in
-  match probe_feasible t ~count_lookup:true ~max_nodes p with
-  | Some v -> v
-  | None -> solve_feasible t ?budget ~max_nodes p
+(* One aggregated feasibility round: every query consults the cache first
+   (counted), then each remaining miss is re-probed (uncounted) just before
+   its solve, because an earlier solve in the same round may have recorded
+   its twin or a model that satisfies it.  Each answer carries [true] when
+   no solver round-trip was needed. *)
+let feasible_batch t ?budget ~max_nodes queries =
+  let prepped = List.map prepare queries in
+  let consulted = List.map (probe_feasible t ~count_lookup:true ~max_nodes) prepped in
+  List.map2
+    (fun p consult ->
+      match consult with
+      | Some v -> v, true
+      | None -> begin
+        match probe_feasible t ~count_lookup:false ~max_nodes p with
+        | Some v -> v, true
+        | None -> solve_feasible t ?budget ~max_nodes p, false
+      end)
+    prepped consulted
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)
@@ -269,9 +275,6 @@ type dump = t
 let dump t =
   { t with model_memo = Hashtbl.copy t.model_memo; feas_memo = Hashtbl.copy t.feas_memo }
 
-let restore d =
-  { d with model_memo = Hashtbl.copy d.model_memo; feas_memo = Hashtbl.copy d.feas_memo }
-
 let dump_entries (d : dump) = Hashtbl.length d.model_memo + Hashtbl.length d.feas_memo
 
 (* Footprint-scoped invalidation for cross-run reuse.  A cached Sat/Unsat
@@ -279,8 +282,8 @@ let dump_entries (d : dump) = Hashtbl.length d.model_memo + Hashtbl.length d.fea
    code versions, but entries touching symbols from changed code are
    dropped anyway: their queries won't recur verbatim under the new
    version, and keeping them would let a warm run's verdict provenance
-   differ from a cold run's.  Counters are zeroed because [Striped.prime]
-   folds the dump's counters into shard 0 — a cross-run dump must not
+   differ from a cold run's.  Counters are zeroed because {!prime} folds
+   the dump's counters into the receiving cache — a cross-run dump must not
    pollute the next run's hit statistics with last run's totals. *)
 let filter_dump (d : dump) ~(dirty : string list) =
   let dirty_set = Sset.of_list dirty in
@@ -308,14 +311,9 @@ let filter_dump (d : dump) ~(dirty : string list) =
     n_unknown_purged = 0;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Shard merging                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold one worker's cache segment into another.  Entries are sound
-   regardless of which worker computed them, so a conflict keeps whichever
-   entry is stronger: a decided verdict beats Unknown, and among Unknowns
-   the larger budget subsumes the smaller. *)
+(* Fold a dump into a live cache.  A conflict keeps whichever entry is
+   stronger: a decided verdict beats Unknown, and among Unknowns the larger
+   budget subsumes the smaller. *)
 let merge_entry memo key (e : entry) =
   match Hashtbl.find_opt memo key with
   | None -> Hashtbl.replace memo key e
@@ -327,20 +325,22 @@ let merge_entry memo key (e : entry) =
     | _ -> ()
   end
 
-let merge_into ~src ~dst =
-  Hashtbl.iter (merge_entry dst.model_memo) src.model_memo;
-  Hashtbl.iter (merge_entry dst.feas_memo) src.feas_memo;
-  (* oldest first so dst's recency order roughly matches discovery order *)
-  List.iter (store_model dst) (List.rev src.models);
-  List.iter (store_core dst) (List.rev src.cores);
-  dst.n_lookups <- dst.n_lookups + src.n_lookups;
-  dst.n_exact_hits <- dst.n_exact_hits + src.n_exact_hits;
-  dst.n_cex_hits <- dst.n_cex_hits + src.n_cex_hits;
-  dst.n_subsumption_hits <- dst.n_subsumption_hits + src.n_subsumption_hits;
-  dst.n_misses <- dst.n_misses + src.n_misses;
-  dst.n_solver_constraints <- dst.n_solver_constraints + src.n_solver_constraints;
-  dst.n_solver_nodes <- dst.n_solver_nodes + src.n_solver_nodes;
-  dst.n_unknown_purged <- dst.n_unknown_purged + src.n_unknown_purged
+let prime t (d : dump) =
+  Hashtbl.iter (merge_entry t.model_memo) d.model_memo;
+  Hashtbl.iter (merge_entry t.feas_memo) d.feas_memo;
+  (* oldest first so the recency order matches discovery order *)
+  List.iter (store_model t) (List.rev d.models);
+  List.iter (store_core t) (List.rev d.cores);
+  t.n_lookups <- t.n_lookups + d.n_lookups;
+  t.n_exact_hits <- t.n_exact_hits + d.n_exact_hits;
+  t.n_cex_hits <- t.n_cex_hits + d.n_cex_hits;
+  t.n_subsumption_hits <- t.n_subsumption_hits + d.n_subsumption_hits;
+  t.n_misses <- t.n_misses + d.n_misses;
+  t.n_solver_constraints <- t.n_solver_constraints + d.n_solver_constraints;
+  t.n_solver_nodes <- t.n_solver_nodes + d.n_solver_nodes;
+  t.n_unknown_purged <- t.n_unknown_purged + d.n_unknown_purged
+
+let table_sizes t = Hashtbl.length t.feas_memo, Hashtbl.length t.model_memo
 
 let stats t =
   {
@@ -354,7 +354,6 @@ let stats t =
     solver_constraints = t.n_solver_constraints;
     solver_nodes = t.n_solver_nodes;
     unknown_purged = t.n_unknown_purged;
-    coalesced = 0;
   }
 
 let hits s = s.exact_hits + s.cex_hits + s.subsumption_hits
@@ -364,165 +363,6 @@ let hit_rate s = if s.lookups = 0 then 0. else float_of_int (hits s) /. float_of
 let pp_stats ppf s =
   Fmt.pf ppf
     "%d lookups, %d hits (%.0f%%: %d exact, %d cex, %d subsumption), %d misses \
-     (%d constraints / %d nodes solved, %d stale unknowns purged%s)"
+     (%d constraints / %d nodes solved, %d stale unknowns purged)"
     s.lookups (hits s) (100. *. hit_rate s) s.exact_hits s.cex_hits s.subsumption_hits
     s.misses s.solver_constraints s.solver_nodes s.unknown_purged
-    (if s.coalesced > 0 then Printf.sprintf ", %d coalesced" s.coalesced else "")
-
-(* ------------------------------------------------------------------ *)
-(* The striped concurrent cache                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* One cache shared by every worker domain, lock-striped by query key so
-   concurrent queries for different keys proceed in parallel.  The expensive
-   pure work (simplification, canonicalization, key rendering) happens
-   outside any lock; a shard's lock is held across its table accesses and —
-   deliberately — across the solve of a miss, so a duplicate query arriving
-   from another worker queues behind the first and is answered from the
-   entry it records instead of re-solving (natural query coalescing; such
-   waits are counted in [stats.coalesced]). *)
-module Striped = struct
-  type shard = { s_lock : Mutex.t; s_cache : t; mutable s_busy : string }
-
-  type nonrec t = { shards : shard array; n_coalesced : int Atomic.t }
-
-  let create_plain = create
-
-  let create ?max_models ?max_cores ?(shards = 64) () =
-    let requested = max 1 shards in
-    let rec pow2 p = if p >= requested then p else pow2 (p * 2) in
-    {
-      shards =
-        Array.init (pow2 1) (fun _ ->
-            { s_lock = Mutex.create (); s_cache = create ?max_models ?max_cores (); s_busy = "" });
-      n_coalesced = Atomic.make 0;
-    }
-
-  let shard_ix t key = Hashtbl.hash key land (Array.length t.shards - 1)
-
-  let with_shard t key f =
-    let s = t.shards.(shard_ix t key) in
-    if not (Mutex.try_lock s.s_lock) then begin
-      (* benign racy read of [s_busy]: when the lock holder is answering
-         this very key, we are a duplicate in-flight query about to be
-         served by the entry it records *)
-      if String.equal s.s_busy key then Atomic.incr t.n_coalesced;
-      Mutex.lock s.s_lock
-    end;
-    s.s_busy <- key;
-    Fun.protect
-      ~finally:(fun () ->
-        s.s_busy <- "";
-        Mutex.unlock s.s_lock)
-      (fun () -> f s.s_cache)
-
-  (* Each call returns the answer paired with [true] when it was served
-     without a solver round-trip (any cache probe, or an entry recorded by
-     a concurrent worker while we queued). *)
-  let is_feasible t ?budget ~max_nodes cs =
-    let p = prepare cs in
-    with_shard t p.p_key (fun c ->
-        match probe_feasible c ~count_lookup:true ~max_nodes p with
-        | Some v -> v, true
-        | None -> solve_feasible c ?budget ~max_nodes p, false)
-
-  (* One aggregated feasibility round: the cache is consulted for every
-     pending query first (pre-batch), then only the remaining misses pay a
-     solver round-trip each, populating their shard under its lock
-     (post-batch).  The re-probe before a solve is uncounted — another
-     worker may have recorded the key between the two phases, and each
-     logical query must count exactly one lookup. *)
-  let feasible_batch t ?budget ~max_nodes queries =
-    let prepped = List.map prepare queries in
-    let consulted =
-      List.map
-        (fun p -> with_shard t p.p_key (fun c -> probe_feasible c ~count_lookup:true ~max_nodes p))
-        prepped
-    in
-    List.map2
-      (fun p consult ->
-        match consult with
-        | Some v -> v, true
-        | None ->
-          with_shard t p.p_key (fun c ->
-              match probe_feasible c ~count_lookup:false ~max_nodes p with
-              | Some v -> v, true
-              | None -> solve_feasible c ?budget ~max_nodes p, false))
-      prepped consulted
-
-  let check_model t ?budget ~max_nodes cs =
-    let p = prepare cs in
-    with_shard t p.p_key (fun c -> check_model_prepared c ?budget ~max_nodes p)
-
-  let stats t =
-    let zero =
-      {
-        lookups = 0;
-        exact_hits = 0;
-        cex_hits = 0;
-        subsumption_hits = 0;
-        misses = 0;
-        stored_models = 0;
-        stored_cores = 0;
-        solver_constraints = 0;
-        solver_nodes = 0;
-        unknown_purged = 0;
-        coalesced = Atomic.get t.n_coalesced;
-      }
-    in
-    Array.fold_left
-      (fun acc sh ->
-        let s = stats sh.s_cache in
-        {
-          lookups = acc.lookups + s.lookups;
-          exact_hits = acc.exact_hits + s.exact_hits;
-          cex_hits = acc.cex_hits + s.cex_hits;
-          subsumption_hits = acc.subsumption_hits + s.subsumption_hits;
-          misses = acc.misses + s.misses;
-          stored_models = acc.stored_models + s.stored_models;
-          stored_cores = acc.stored_cores + s.stored_cores;
-          solver_constraints = acc.solver_constraints + s.solver_constraints;
-          solver_nodes = acc.solver_nodes + s.solver_nodes;
-          unknown_purged = acc.unknown_purged + s.unknown_purged;
-          coalesced = acc.coalesced;
-        })
-      zero t.shards
-
-  let table_sizes t =
-    Array.fold_left
-      (fun (f, m) sh ->
-        (f + Hashtbl.length sh.s_cache.feas_memo, m + Hashtbl.length sh.s_cache.model_memo))
-      (0, 0) t.shards
-
-  let dump t =
-    let acc = create_plain () in
-    Array.iter (fun sh -> merge_into ~src:sh.s_cache ~dst:acc) t.shards;
-    acc
-
-  let prime t d =
-    Array.iteri
-      (fun i sh ->
-        Mutex.lock sh.s_lock;
-        Hashtbl.iter
-          (fun key e -> if shard_ix t key = i then merge_entry sh.s_cache.model_memo key e)
-          d.model_memo;
-        Hashtbl.iter
-          (fun key e -> if shard_ix t key = i then merge_entry sh.s_cache.feas_memo key e)
-          d.feas_memo;
-        (* stored models and unsat cores are probed against arbitrary
-           queries, so they replicate into every shard *)
-        List.iter (store_model sh.s_cache) (List.rev d.models);
-        List.iter (store_core sh.s_cache) (List.rev d.cores);
-        if i = 0 then begin
-          sh.s_cache.n_lookups <- sh.s_cache.n_lookups + d.n_lookups;
-          sh.s_cache.n_exact_hits <- sh.s_cache.n_exact_hits + d.n_exact_hits;
-          sh.s_cache.n_cex_hits <- sh.s_cache.n_cex_hits + d.n_cex_hits;
-          sh.s_cache.n_subsumption_hits <- sh.s_cache.n_subsumption_hits + d.n_subsumption_hits;
-          sh.s_cache.n_misses <- sh.s_cache.n_misses + d.n_misses;
-          sh.s_cache.n_solver_constraints <- sh.s_cache.n_solver_constraints + d.n_solver_constraints;
-          sh.s_cache.n_solver_nodes <- sh.s_cache.n_solver_nodes + d.n_solver_nodes;
-          sh.s_cache.n_unknown_purged <- sh.s_cache.n_unknown_purged + d.n_unknown_purged
-        end;
-        Mutex.unlock sh.s_lock)
-      t.shards
-end

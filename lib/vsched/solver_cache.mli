@@ -11,7 +11,7 @@
       a hit returns byte-for-byte the model a fresh solve would, and
       concretization values — and therefore the derived impact model — are
       identical with the cache on or off.
-    - {!is_feasible} serves the executor's branch-feasibility queries, where
+    - {!feasible_batch} serves the executor's branch-feasibility queries, where
       only the Sat/Unsat verdict matters.  On top of (order-insensitive)
       exact memoization it runs the two KLEE counterexample-cache probes:
       a stored satisfying assignment is evaluated against the new query
@@ -61,11 +61,22 @@ val check_model :
     computed after the deadline expired are returned but {e not} recorded
     (a deadline [Unknown] describes this run's clock, not the query). *)
 
-val is_feasible :
-  t -> ?budget:Vresilience.Budget.armed -> max_nodes:int -> Vsmt.Expr.t list -> bool
-(** True when the constraint set is satisfiable or undecided, like
-    {!Vsmt.Solver.is_feasible}, with all cache probes enabled.  Same
-    [budget] semantics as {!check_model}. *)
+val feasible_batch :
+  t ->
+  ?budget:Vresilience.Budget.armed ->
+  max_nodes:int ->
+  Vsmt.Expr.t list list ->
+  (bool * bool) list
+(** One aggregated feasibility round over several pending queries (the
+    executor's per-fork pair, a loop-exit probe, or a single query): each
+    answer is true when its constraint set is satisfiable or undecided,
+    like {!Vsmt.Solver.is_feasible}, with all cache probes enabled.  The
+    cache is consulted for the whole batch first, one counted lookup per
+    query; each remaining miss is re-probed, uncounted, just before its
+    solve, so an earlier solve in the round (an in-batch duplicate, or a
+    stored model that satisfies it) can still answer it.  Answers come back in query order, each paired with [true]
+    when it was served without a solver round-trip.  Same [budget]
+    semantics as {!check_model}. *)
 
 (** {1 Checkpointing} *)
 
@@ -75,9 +86,6 @@ type dump
     checkpoint: it shares no mutable structure with the live cache. *)
 
 val dump : t -> dump
-val restore : dump -> t
-(** A fresh cache primed with the dumped contents; replaying the same query
-    sequence against it answers exactly as the original would have. *)
 
 val dump_entries : dump -> int
 (** Total memo entries (feasibility + model) held by a dump. *)
@@ -92,12 +100,12 @@ val filter_dump : dump -> dirty:string list -> dump
     versions; the footprint scoping keeps a warm run's solver provenance
     identical to a cold run's for the changed slices. *)
 
-val merge_into : src:t -> dst:t -> unit
-(** Fold one worker's cache segment into another (parallel exploration
-    merges per-domain segments on quiesce).  Every entry is sound in any
-    cache, so merging keeps the stronger of two conflicting entries (a
-    decided verdict over [Unknown]; the larger-budget [Unknown] otherwise).
-    Counters are summed; [src] is left unchanged. *)
+val prime : t -> dump -> unit
+(** Fold a dump into a live cache (checkpoint resume, cross-run warm
+    start).  Primed into a fresh cache, a dump answers a replay of the
+    same query sequence exactly as the dumped cache would have.  A conflicting entry keeps the stronger of the two (a decided
+    verdict over [Unknown]; the larger-budget [Unknown] otherwise); stored
+    models and unsat cores are added and counters summed. *)
 
 type stats = {
   lookups : int;
@@ -110,10 +118,6 @@ type stats = {
   solver_constraints : int;  (** conjuncts sent to the solver across all misses *)
   solver_nodes : int;  (** expression tree nodes sent to the solver across all misses *)
   unknown_purged : int;  (** stale [Unknown] entries reclaimed by decided re-solves *)
-  coalesced : int;
-      (** queries that blocked on a {!Striped} shard already solving the
-          same key and were then answered by the entry it recorded; always
-          [0] for a plain cache *)
 }
 
 val stats : t -> stats
@@ -123,67 +127,6 @@ val hit_rate : stats -> float
 
 val pp_stats : stats Fmt.t
 
-(** {1 The striped concurrent cache}
-
-    One cache shared by every worker domain, lock-striped by query key:
-    concurrent queries for different keys proceed in parallel, and the
-    expensive pure work (simplification, canonicalization, key rendering)
-    happens outside any lock.  A shard's lock is deliberately held across
-    the solve of a miss, so a duplicate query arriving from another worker
-    queues behind the first and is answered from the entry it records
-    instead of re-solving (natural coalescing, counted in
-    [stats.coalesced]).  Sharing one cache across workers removes the
-    per-worker shard duplication of the pre-striped design, where every
-    worker re-solved queries its siblings had already answered. *)
-module Striped : sig
-  type t
-
-  val create : ?max_models:int -> ?max_cores:int -> ?shards:int -> unit -> t
-  (** [shards] is rounded up to a power of two (default 64); [max_models]
-      and [max_cores] bound each shard as in {!create}. *)
-
-  val is_feasible :
-    t -> ?budget:Vresilience.Budget.armed -> max_nodes:int -> Vsmt.Expr.t list -> bool * bool
-  (** The verdict, paired with [true] when it was served without a solver
-      round-trip (any cache probe, or an entry a concurrent worker recorded
-      while this query queued on the shard). *)
-
-  val feasible_batch :
-    t ->
-    ?budget:Vresilience.Budget.armed ->
-    max_nodes:int ->
-    Vsmt.Expr.t list list ->
-    (bool * bool) list
-  (** One aggregated feasibility round over several pending queries (the
-      executor's per-fork pair, or any larger quantum): the cache is
-      consulted for the whole batch first, then only the remaining misses
-      pay a solver round-trip each, populating their shard under its
-      striped lock.  Answers are returned in query order with the same
-      served-from-cache flag as {!is_feasible}. *)
-
-  val check_model :
-    t ->
-    ?budget:Vresilience.Budget.armed ->
-    max_nodes:int ->
-    Vsmt.Expr.t list ->
-    Vsmt.Solver.result * bool
-  (** {!check_model} against the query's shard, with the served-from-cache
-      flag. *)
-
-  val stats : t -> stats
-  (** Counters summed across shards; [coalesced] counts duplicate in-flight
-      queries that queued behind an identical solve. *)
-
-  val table_sizes : t -> int * int
-  (** [(feasibility entries, model entries)] summed across shards —
-      telemetry for [memo_sizes]. *)
-
-  val dump : t -> dump
-  (** Merge every shard into one plain, [Marshal]-safe dump (the
-      checkpoint format is shared with the plain cache). *)
-
-  val prime : t -> dump -> unit
-  (** Distribute a dump's entries back over the shards (stored models and
-      unsat cores replicate into every shard, since they are probed against
-      arbitrary queries). *)
-end
+val table_sizes : t -> int * int
+(** [(feasibility entries, model entries)] — telemetry for the executor's
+    [memo_sizes]. *)

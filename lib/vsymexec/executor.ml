@@ -70,7 +70,6 @@ type options = {
   degradation : D.policy;
   checkpoint_every : int;
   on_checkpoint : (snapshot -> unit) option;
-  jobs : int;
   prime_cache : Vsched.Solver_cache.dump option;
   on_cache_dump : (Vsched.Solver_cache.dump -> unit) option;
 }
@@ -97,7 +96,6 @@ let default_options ?(env = Vruntime.Hw_env.hdd_server) ~config ~workload () =
     degradation = D.default_policy;
     checkpoint_every = 0;
     on_checkpoint = None;
-    jobs = 1;
     prime_cache = None;
     on_cache_dump = None;
   }
@@ -130,20 +128,12 @@ let sym_workload_var tmpl name =
 
 (* ------------------------------------------------------------------ *)
 
-(* State-id allocation.  Sequential runs use a plain counter (and snapshot
-   it); parallel runs share one atomic counter across workers, so raw ids
-   are allocation-order dependent — the deterministic reduction at the end
-   of the run renumbers every finished state by its fork path, which is
-   scheduling-independent. *)
-type id_source = Seq_ids of { mutable next : int } | Par_ids of int Atomic.t
-
 type engine = {
   opts : options;
-  worker : int;  (* worker index; 0 for sequential runs *)
   program : Ast.program;
   armed : B.armed;
   ladder : D.controller;
-  ids : id_source;
+  mutable next_id : int;
   mutable n_forks : int;
   mutable n_solver_calls : int;
   mutable n_concretizations : int;
@@ -152,9 +142,6 @@ type engine = {
   mutable finished : Sym_state.t list;  (* newest first *)
   mutable last_run_id : int;
   mutable picks_to_ckpt : int;
-  mutable n_steals : int;
-  mutable solver_time_s : float;
-  mutable n_cache_hits : int;  (* queries this worker got without a solver round-trip *)
   (* batched-feasibility accounting: one batch per aggregation event (a
      fork's true/false pair, a loop-exit probe) *)
   mutable n_batches : int;
@@ -164,32 +151,21 @@ type engine = {
   mutable eff_max_unroll : int;
   mutable eff_concretize_all : bool;
   rng : Random.State.t option;
-  chaos : Chaos.t option;
-  cache : Vsched.Solver_cache.Striped.t option;
-      (* ONE striped cache shared by every worker of the run: a slice
-         verdict any worker computes is immediately visible to all, where
-         the pre-striped per-worker segments re-solved each other's
-         queries *)
+  cache : Vsched.Solver_cache.t option;
   visited : (string, unit) Hashtbl.t;
-      (* every function this worker *entered* on any path, live or dead —
-         the dynamic coverage that scopes incremental invalidation.
-         Completed-row call chains are not enough: a path can enter a
-         function and then die infeasible, yet its exploration already
-         depended on that function's body. *)
+      (* every function *entered* on any path, live or dead — the dynamic
+         coverage that scopes incremental invalidation.  Completed-row call
+         chains are not enough: a path can enter a function and then die
+         infeasible, yet its exploration already depended on that
+         function's body. *)
   frontier : Sym_state.t Vsched.Searcher.frontier;
   recorder : Vsched.Exploration_stats.recorder;
 }
 
 let fresh_id eng =
-  match eng.ids with
-  | Seq_ids r ->
-    let id = r.next in
-    r.next <- id + 1;
-    id
-  | Par_ids a -> Atomic.fetch_and_add a 1
-
-let ids_created eng =
-  match eng.ids with Seq_ids r -> r.next | Par_ids a -> Atomic.get a
+  let id = eng.next_id in
+  eng.next_id <- id + 1;
+  id
 
 (* The searcher's window into a state: how deep it is and which branch
    conditions are still syntactically ahead of it.  Only the scored searchers
@@ -236,7 +212,7 @@ let make_state_view program =
 
 (* Fresh symbols are named after the creating state's fork path and its own
    symbol counter, so the name depends only on the path's execution history —
-   identical under any worker interleaving — and never collides across
+   not on the order states were explored in — and never collides across
    states. *)
 let fresh_symbol (st : S.t) prefix =
   let n = st.S.next_symbol in
@@ -270,7 +246,7 @@ let charge eng (st : S.t) ?(serial = false) (c : Vruntime.Cost.t) =
 let emit eng (st : S.t) kind fname =
   if (not st.S.tracing) || not eng.opts.enable_tracer then st
   else begin
-    match eng.chaos with
+    match eng.opts.chaos with
     | Some c when Chaos.flip c c.Chaos.signal_drop_p ->
       (* chaos: the signal is emitted (the guest pays for it) but never
          reaches the tracer *)
@@ -302,17 +278,9 @@ let emit eng (st : S.t) kind fname =
   end
 
 let chaos_unknown eng =
-  match eng.chaos with
+  match eng.opts.chaos with
   | Some c -> Chaos.flip c c.Chaos.solver_unknown_p
   | None -> false
-
-(* solver time is telemetry, so it reads the real clock even when the
-   budget runs on an injected one *)
-let timed eng f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  eng.solver_time_s <- eng.solver_time_s +. (Unix.gettimeofday () -. t0);
-  r
 
 let count_constraints cs =
   (List.length cs, List.fold_left (fun a c -> a + E.tree_size c) 0 cs)
@@ -335,9 +303,8 @@ let record_query eng ~pre ~sent =
    wrongly Unsat.
 
    A call is one aggregation event (a fork's true/false pair, a loop-exit
-   probe): the pending relevant-slice queries go to the striped cache as
-   one round — consulted pre-batch, with only the remaining misses each
-   paying a solver round-trip that populates the shard under its lock. *)
+   probe): the pending relevant-slice queries go to the solver cache as one
+   round, consulted for the whole batch before any miss is solved. *)
 let feasible_batch eng queries =
   let sents =
     List.map
@@ -354,33 +321,25 @@ let feasible_batch eng queries =
   in
   eng.n_batches <- eng.n_batches + 1;
   eng.n_batch_queries <- eng.n_batch_queries + List.length sents;
+  let max_nodes = eng.opts.budget.B.solver_max_nodes in
+  let solve sents =
+    match eng.cache with
+    | Some cache -> Vsched.Solver_cache.feasible_batch cache ~budget:eng.armed ~max_nodes sents
+    | None ->
+      List.map (fun sent -> Vsmt.Solver.is_feasible ~budget:eng.armed ~max_nodes sent, false) sents
+  in
   let answers =
-    timed eng (fun () ->
-        let max_nodes = eng.opts.budget.B.solver_max_nodes in
-        match eng.cache with
-        | Some cache when eng.chaos = None ->
-          Vsched.Solver_cache.Striped.feasible_batch cache ~budget:eng.armed ~max_nodes sents
-        | _ ->
-          (* chaos runs keep their per-query Unknown flip (a forced Unknown
-             over-approximates to feasible); uncached runs have no batch to
-             aggregate *)
-          List.map
-            (fun sent ->
-              if chaos_unknown eng then true, false
-              else begin
-                match eng.cache with
-                | Some cache ->
-                  Vsched.Solver_cache.Striped.is_feasible cache ~budget:eng.armed ~max_nodes sent
-                | None -> Vsmt.Solver.is_feasible ~budget:eng.armed ~max_nodes sent, false
-              end)
-            sents)
+    if eng.opts.chaos = None then solve sents
+    else
+      (* chaos runs keep their per-query Unknown flip (a forced Unknown
+         over-approximates to feasible), so each query is its own round *)
+      List.concat_map
+        (fun sent -> if chaos_unknown eng then [ true, false ] else solve [ sent ])
+        sents
   in
   List.iter
     (fun (_, served_from_cache) ->
-      if served_from_cache then begin
-        eng.n_cache_hits <- eng.n_cache_hits + 1;
-        eng.n_batch_saved <- eng.n_batch_saved + 1
-      end)
+      if served_from_cache then eng.n_batch_saved <- eng.n_batch_saved + 1)
     answers;
   List.map fst answers
 
@@ -401,35 +360,30 @@ let model_of ?sliced eng pc =
   (* every slice is solved, so the whole condition counts as sent *)
   record_query eng ~pre:pc ~sent:pc;
   if chaos_unknown eng then None
-  else
-    timed eng (fun () ->
-        let max_nodes = eng.opts.budget.B.solver_max_nodes in
-        let check cs =
-          match eng.cache with
-          | Some cache ->
-            let r, served =
-              Vsched.Solver_cache.Striped.check_model cache ~budget:eng.armed ~max_nodes cs
-            in
-            if served then eng.n_cache_hits <- eng.n_cache_hits + 1;
-            r
-          | None -> Vsmt.Solver.check ~budget:eng.armed ~max_nodes cs
-        in
-        match sliced with
-        | Some part when eng.opts.slice && Vsmt.Partition.clean part ->
-          let rec compose acc = function
-            | [] -> Some (List.sort (fun (a, _) (b, _) -> String.compare a b) acc)
-            | (cs, _) :: rest -> begin
-              match check cs with
-              | Vsmt.Solver.Sat m -> compose (m @ acc) rest
-              | Vsmt.Solver.Unsat | Vsmt.Solver.Unknown -> None
-            end
-          in
-          compose [] (Vsmt.Partition.slices part)
-        | _ -> begin
-          match check pc with
-          | Vsmt.Solver.Sat m -> Some m
+  else begin
+    let max_nodes = eng.opts.budget.B.solver_max_nodes in
+    let check cs =
+      match eng.cache with
+      | Some cache -> Vsched.Solver_cache.check_model cache ~budget:eng.armed ~max_nodes cs
+      | None -> Vsmt.Solver.check ~budget:eng.armed ~max_nodes cs
+    in
+    match sliced with
+    | Some part when eng.opts.slice && Vsmt.Partition.clean part ->
+      let rec compose acc = function
+        | [] -> Some (List.sort (fun (a, _) (b, _) -> String.compare a b) acc)
+        | (cs, _) :: rest -> begin
+          match check cs with
+          | Vsmt.Solver.Sat m -> compose (m @ acc) rest
           | Vsmt.Solver.Unsat | Vsmt.Solver.Unknown -> None
-        end)
+        end
+      in
+      compose [] (Vsmt.Partition.slices part)
+    | _ -> begin
+      match check pc with
+      | Vsmt.Solver.Sat m -> Some m
+      | Vsmt.Solver.Unsat | Vsmt.Solver.Unknown -> None
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Symbolic evaluation of IR expressions.                              *)
@@ -630,7 +584,7 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
     let fp = Vsmt.Footprint.of_expr c in
     let part_true = Vsmt.Partition.extend st.S.pc_part pc_true in
     let part_false = Vsmt.Partition.extend st.S.pc_part pc_false in
-    let can_fork = ids_created eng < eng.opts.budget.B.max_states in
+    let can_fork = eng.next_id < eng.opts.budget.B.max_states in
     (* both sides of the fork go out as one batched feasibility round *)
     let t_ok, f_ok =
       match
@@ -749,7 +703,7 @@ let step eng (st : S.t) : step_result =
              needs faults to surface; fault injection forks a state where
              the library call fails with -1 *)
           if eng.opts.fault_injection && dest <> None
-             && ids_created eng < eng.opts.budget.B.max_states
+             && eng.next_id < eng.opts.budget.B.max_states
           then begin
             eng.n_forks <- eng.n_forks + 1;
             Vsched.Exploration_stats.on_fork eng.recorder;
@@ -849,7 +803,7 @@ let snapshot_of eng =
   {
     snap_program = eng.program.Ast.pname;
     snap_policy = Vsched.Searcher.to_string eng.opts.policy;
-    snap_next_state_id = ids_created eng;
+    snap_next_state_id = eng.next_id;
     snap_n_forks = eng.n_forks;
     snap_n_solver_calls = eng.n_solver_calls;
     snap_n_concretizations = eng.n_concretizations;
@@ -859,7 +813,7 @@ let snapshot_of eng =
     snap_finished = eng.finished;
     snap_frontier = Vsched.Searcher.dump eng.frontier;
     snap_noise_rng = Option.map Random.State.copy eng.rng;
-    snap_cache = Option.map Vsched.Solver_cache.Striped.dump eng.cache;
+    snap_cache = Option.map Vsched.Solver_cache.dump eng.cache;
     snap_recorder = Vsched.Exploration_stats.copy eng.recorder;
     snap_degradation = D.events eng.ladder;
     snap_visited = visited_list eng;
@@ -923,18 +877,16 @@ let tighten_knobs eng (rung : D.rung) =
 (* Engine construction and the deterministic reduction                 *)
 (* ------------------------------------------------------------------ *)
 
-let make_engine ~worker ~ids ~armed ~cache opts program =
+let make_engine ~armed ~cache ~recorder opts program =
   {
     opts;
-    worker;
     program;
     armed;
     ladder = D.controller opts.degradation;
-    ids;
+    next_id = 1 (* the root state is 0 *);
     n_forks = 0;
     n_solver_calls = 0;
     n_concretizations = 0;
-    n_cache_hits = 0;
     n_batches = 0;
     n_batch_queries = 0;
     n_batch_saved = 0;
@@ -943,24 +895,13 @@ let make_engine ~worker ~ids ~armed ~cache opts program =
     finished = [];
     last_run_id = -1;
     picks_to_ckpt = 0;
-    n_steals = 0;
-    solver_time_s = 0.;
     eff_max_unroll = opts.max_loop_unroll;
     eff_concretize_all = false;
-    rng =
-      (match opts.noise with
-      | Some n when worker = 0 -> Some (Random.State.make [| n.seed |])
-      | Some n -> Some (Random.State.make [| n.seed; worker |])
-      | None -> None);
-    chaos =
-      (if worker = 0 then opts.chaos else Option.map (Chaos.fork ~salt:worker) opts.chaos);
+    rng = Option.map (fun n -> Random.State.make [| n.seed |]) opts.noise;
     cache;
     visited = Hashtbl.create 64;
     frontier = Vsched.Searcher.frontier ~view:(make_state_view program) opts.policy;
-    recorder =
-      Vsched.Exploration_stats.recorder
-        ~searcher:(Vsched.Searcher.name opts.policy)
-        ~solver_cache_enabled:opts.solver_cache ();
+    recorder;
   }
 
 let root_state eng program opts =
@@ -993,10 +934,10 @@ let root_state eng program opts =
 (* The deterministic reduction: finished states are sorted by fork path
    (unique, scheduling-independent) and renumbered 0..n-1 in that order, so
    the state ids that appear in the serialized impact model — rows, pairs,
-   dropped paths — do not depend on worker interleaving or searcher policy
-   timing.  The recorder's completion log is rewritten to the same ids.
-   Parent pointers refer to pre-fork states that never reach the finished
-   list, so lineage collapses to [None] uniformly in every mode. *)
+   dropped paths — do not depend on the order the searcher explored them
+   in.  The recorder's completion log is rewritten to the same ids.  Parent
+   pointers refer to pre-fork states that never reach the finished list, so
+   lineage collapses to [None] uniformly. *)
 let canonicalize_states eng finished =
   let sorted =
     List.stable_sort (fun (a : S.t) b -> Fork_path.compare a.S.path b.S.path) finished
@@ -1024,33 +965,35 @@ let canonicalize_states eng finished =
 (* Sequential driver                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_sequential ?resume opts program eng =
-  let deadline_hit = ref false in
+(* Install a checkpoint's engine state; the recorder and solver cache are
+   installed at construction. *)
+let restore_snapshot eng s =
+  eng.next_id <- s.snap_next_state_id;
+  eng.n_forks <- s.snap_n_forks;
+  eng.n_solver_calls <- s.snap_n_solver_calls;
+  eng.n_concretizations <- s.snap_n_concretizations;
+  eng.terminated <- s.snap_terminated;
+  eng.killed <- s.snap_killed;
+  eng.finished <- s.snap_finished;
+  eng.last_run_id <- s.snap_last_run_id;
+  List.iter (fun f -> Hashtbl.replace eng.visited f ()) s.snap_visited;
+  Vsched.Searcher.restore eng.frontier s.snap_frontier;
+  D.restore eng.ladder s.snap_degradation;
+  (* re-derive the effective knobs from the restored ladder position
+     (frontier drops already happened before the snapshot) *)
+  List.iter
+    (fun (ev : D.event) ->
+      match ev.D.rung with
+      | D.Drop_states -> ()
+      | rung -> tighten_knobs eng rung)
+    s.snap_degradation
+
+(* Pick a state, run it for up to a time slice, repeat until the frontier
+   drains; returns whether the deadline cut exploration short. *)
+let explore eng =
+  let opts = eng.opts in
   let frontier = eng.frontier in
-  begin
-    match resume with
-    | Some s ->
-      (match eng.ids with Seq_ids r -> r.next <- s.snap_next_state_id | Par_ids _ -> ());
-      eng.n_forks <- s.snap_n_forks;
-      eng.n_solver_calls <- s.snap_n_solver_calls;
-      eng.n_concretizations <- s.snap_n_concretizations;
-      eng.terminated <- s.snap_terminated;
-      eng.killed <- s.snap_killed;
-      eng.finished <- s.snap_finished;
-      eng.last_run_id <- s.snap_last_run_id;
-      Vsched.Searcher.restore eng.frontier s.snap_frontier;
-      D.restore eng.ladder s.snap_degradation;
-      (* re-derive the effective knobs from the restored ladder position
-         (frontier drops already happened before the snapshot) *)
-      List.iter
-        (fun (ev : D.event) ->
-          match ev.D.rung with
-          | D.Drop_states -> ()
-          | rung -> tighten_knobs eng rung)
-        s.snap_degradation;
-      Vsched.Exploration_stats.mark_resumed eng.recorder
-    | None -> Vsched.Searcher.add frontier ~preempted:false (root_state eng program opts)
-  end;
+  let deadline_hit = ref false in
   let switch_cost (st : S.t) =
     if opts.state_switching && eng.last_run_id <> st.S.id && eng.last_run_id >= 0 then
       { st with S.clock = st.S.clock +. opts.env.Vruntime.Hw_env.state_switch_us }
@@ -1115,149 +1058,6 @@ let run_sequential ?resume opts program eng =
   drive ();
   !deadline_hit
 
-(* ------------------------------------------------------------------ *)
-(* Parallel driver                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Each worker owns a frontier (guarded by its mutex), a solver-cache
-   segment, a recorder, and its own noise/chaos streams; the state-id
-   counter is the only hot shared cell.  An idle worker steals from the
-   cold end of a victim's frontier.  Termination: [in_flight] counts states
-   that exist but have not reached a terminal status; when it hits zero no
-   worker can ever receive work again.
-
-   On quiesce, worker segments merge into worker 0's engine and the
-   deterministic reduction renumbers the union of finished states, so the
-   result is byte-identical to the sequential run's (as long as neither the
-   state cap nor the wall-clock deadline binds — both are inherently
-   timing-dependent cut-offs, and noise/chaos streams are per-worker). *)
-let run_parallel opts program engines =
-  let jobs = Array.length engines in
-  let locks = Array.init jobs (fun _ -> Mutex.create ()) in
-  let in_flight = Atomic.make 1 in
-  let deadline_hit = Atomic.make false in
-  let with_lock w f =
-    Mutex.lock locks.(w);
-    Fun.protect ~finally:(fun () -> Mutex.unlock locks.(w)) f
-  in
-  Vsched.Searcher.add engines.(0).frontier ~preempted:false
-    (root_state engines.(0) program opts);
-  let slice =
-    if Vsched.Searcher.run_to_completion opts.policy then max_int else opts.time_slice
-  in
-  let worker w =
-    let eng = engines.(w) in
-    (* Idle backoff: a worker that finds no runnable state spins briefly
-       (cheap, keeps steal latency low while victims are still forking),
-       then parks in short sleeps so it stops burning a core — and stops
-       hammering the frontier locks of the workers still doing real work. *)
-    let idle_misses = ref 0 in
-    let idle_backoff () =
-      incr idle_misses;
-      if !idle_misses <= 32 then Domain.cpu_relax () else Unix.sleepf 0.00005
-    in
-    let idle_reset () = idle_misses := 0 in
-    let switch_cost (st : S.t) =
-      if opts.state_switching && eng.last_run_id <> st.S.id && eng.last_run_id >= 0 then
-        { st with S.clock = st.S.clock +. opts.env.Vruntime.Hw_env.state_switch_us }
-      else st
-    in
-    let rec run_state st steps =
-      if B.expired eng.armed then begin
-        Atomic.set deadline_hit true;
-        drop_state eng st deadline_reason;
-        Atomic.decr in_flight
-      end
-      else if steps = 0 then with_lock w (fun () -> Vsched.Searcher.add eng.frontier ~preempted:true st)
-      else begin
-        match
-          try step eng st
-          with Stuck reason -> Done { st with S.status = S.Killed ("stuck: " ^ reason) }
-        with
-        | One st -> run_state st (steps - 1)
-        | Two (a, b) ->
-          (* run the first child now; queue the second on our own frontier *)
-          Atomic.incr in_flight;
-          with_lock w (fun () -> Vsched.Searcher.add eng.frontier ~preempted:false b);
-          run_state a (steps - 1)
-        | Done st ->
-          finish_state eng st;
-          Atomic.decr in_flight
-      end
-    in
-    let try_steal () =
-      let rec go i =
-        if i >= jobs then None
-        else begin
-          let v = (w + i) mod jobs in
-          match with_lock v (fun () -> Vsched.Searcher.steal engines.(v).frontier) with
-          | Some st ->
-            eng.n_steals <- eng.n_steals + 1;
-            Some st
-          | None -> go (i + 1)
-        end
-      in
-      go 1
-    in
-    let rec loop () =
-      if Atomic.get in_flight <= 0 then ()
-      else if B.expired eng.armed then begin
-        Atomic.set deadline_hit true;
-        (* drain our own frontier; every other worker drains its own *)
-        let rec drain () =
-          match with_lock w (fun () -> Vsched.Searcher.select eng.frontier) with
-          | None -> ()
-          | Some st ->
-            drop_state eng st deadline_reason;
-            Atomic.decr in_flight;
-            drain ()
-        in
-        drain ();
-        if Atomic.get in_flight > 0 then begin
-          idle_backoff ();
-          loop ()
-        end
-      end
-      else begin
-        List.iter
-          (fun (ev : D.event) ->
-            Vsched.Exploration_stats.on_degrade eng.recorder ev;
-            tighten_knobs eng ev.D.rung)
-          (D.observe eng.ladder ~pressure:(B.pressure eng.armed)
-             ~step:(Vsched.Exploration_stats.steps eng.recorder));
-        match with_lock w (fun () -> Vsched.Searcher.select eng.frontier) with
-        | Some st ->
-          idle_reset ();
-          Vsched.Exploration_stats.on_pick eng.recorder
-            ~queue_depth:(Vsched.Searcher.length eng.frontier);
-          let st = switch_cost st in
-          eng.last_run_id <- st.S.id;
-          run_state st slice;
-          loop ()
-        | None -> begin
-          match try_steal () with
-          | Some st ->
-            idle_reset ();
-            Vsched.Exploration_stats.on_pick eng.recorder ~queue_depth:0;
-            let st = switch_cost st in
-            eng.last_run_id <- st.S.id;
-            run_state st slice;
-            loop ()
-          | None ->
-            idle_backoff ();
-            loop ()
-        end
-      end
-    in
-    loop ()
-  in
-  Vpar.Pool.run ~jobs worker;
-  Atomic.get deadline_hit
-
-(* ------------------------------------------------------------------ *)
-(* Entry point                                                         *)
-(* ------------------------------------------------------------------ *)
-
 let run ?resume opts program =
   begin
     match resume with
@@ -1273,97 +1073,34 @@ let run ?resume opts program =
     | _ -> ()
   end;
   let t0 = opts.budget.B.now () in
-  (* checkpointing and resume walk a single engine's frontier, so they force
-     the sequential driver regardless of [jobs] *)
-  let jobs =
-    if resume <> None || opts.on_checkpoint <> None then 1
-    else Vpar.Pool.clamp_jobs opts.jobs
-  in
   let armed = B.arm opts.budget in
-  let parallel = jobs > 1 in
-  let ids = if parallel then Par_ids (Atomic.make 1) else Seq_ids { next = 1 } in
-  (* one solver cache shared by every worker: duplicated queries across
-     domains hit instead of re-solving.  Sequential runs use a single shard
-     (no contention to stripe against). *)
-  let cache =
-    if opts.solver_cache then
-      Some (Vsched.Solver_cache.Striped.create ~shards:(if parallel then 64 else 1) ())
-    else None
+  let cache = if opts.solver_cache then Some (Vsched.Solver_cache.create ()) else None in
+  let recorder =
+    match resume with
+    | Some s -> ES.resume s.snap_recorder ~solver_cache_enabled:opts.solver_cache
+    | None ->
+      ES.recorder ~searcher:(Vsched.Searcher.name opts.policy)
+        ~solver_cache_enabled:opts.solver_cache ()
   in
-  let engines =
-    Array.init jobs (fun w -> make_engine ~worker:w ~ids ~armed ~cache opts program)
-  in
-  let eng = engines.(0) in
+  let eng = make_engine ~armed ~cache ~recorder opts program in
   (* the entry function is entered by construction, not via a Call *)
   Hashtbl.replace eng.visited program.Ast.entry ();
+  (* a checkpoint's cache, then the cross-run warm start (already
+     footprint-filtered and counter-zeroed by the caller) *)
+  Option.iter
+    (fun cache ->
+      Option.iter (fun s -> Option.iter (Vsched.Solver_cache.prime cache) s.snap_cache) resume;
+      Option.iter (Vsched.Solver_cache.prime cache) opts.prime_cache)
+    cache;
   begin
     match resume with
-    | Some { snap_cache = Some d; _ } -> begin
-      match cache with
-      | Some cache -> Vsched.Solver_cache.Striped.prime cache d
-      | None -> ()
-    end
-    | _ -> ()
+    | Some s -> restore_snapshot eng s
+    | None -> Vsched.Searcher.add eng.frontier ~preempted:false (root_state eng program opts)
   end;
-  (* cross-run warm start: prime the shared cache with a persisted dump
-     (already footprint-filtered and counter-zeroed by the caller) *)
-  begin
-    match opts.prime_cache, cache with
-    | Some d, Some cache -> Vsched.Solver_cache.Striped.prime cache d
-    | _ -> ()
-  end;
-  begin
-    match resume with
-    | Some s -> List.iter (fun f -> Hashtbl.replace eng.visited f ()) s.snap_visited
-    | None -> ()
-  end;
-  begin
-    match resume with
-    | Some s ->
-      (* replace worker 0's fresh recorder with the snapshot's *)
-      Vsched.Exploration_stats.merge ~into:eng.recorder
-        (Vsched.Exploration_stats.copy s.snap_recorder)
-    | None -> ()
-  end;
-  let deadline_hit =
-    if parallel then run_parallel opts program engines
-    else run_sequential ?resume opts program eng
-  in
-  (* quiesce: merge worker segments into worker 0 *)
-  let per_worker =
-    Array.to_list
-      (Array.map
-         (fun (weng : engine) ->
-           {
-             ES.w_id = weng.worker;
-             w_steps = Vsched.Exploration_stats.steps weng.recorder;
-             w_forks = weng.n_forks;
-             w_steals = weng.n_steals;
-             w_solver_queries = weng.n_solver_calls;
-             w_cache_hits = weng.n_cache_hits;
-             w_solver_time_s = weng.solver_time_s;
-           })
-         engines)
-  in
-  for w = 1 to jobs - 1 do
-    let weng = engines.(w) in
-    eng.n_forks <- eng.n_forks + weng.n_forks;
-    eng.n_solver_calls <- eng.n_solver_calls + weng.n_solver_calls;
-    eng.n_concretizations <- eng.n_concretizations + weng.n_concretizations;
-    eng.terminated <- eng.terminated + weng.terminated;
-    eng.killed <- eng.killed + weng.killed;
-    eng.n_cache_hits <- eng.n_cache_hits + weng.n_cache_hits;
-    eng.n_batches <- eng.n_batches + weng.n_batches;
-    eng.n_batch_queries <- eng.n_batch_queries + weng.n_batch_queries;
-    eng.n_batch_saved <- eng.n_batch_saved + weng.n_batch_saved;
-    eng.finished <- weng.finished @ eng.finished;
-    Hashtbl.iter (fun f () -> Hashtbl.replace eng.visited f ()) weng.visited;
-    Vsched.Exploration_stats.merge ~into:eng.recorder weng.recorder
-  done;
-  (* the deterministic reduction: path-sorted, renumbered states *)
+  let deadline_hit = explore eng in
   let states = canonicalize_states eng (List.rev eng.finished) in
   let wall_time_s = opts.budget.B.now () -. t0 in
-  let cache_stats = Option.map Vsched.Solver_cache.Striped.stats eng.cache in
+  let cache_stats = Option.map Vsched.Solver_cache.stats eng.cache in
   let solver_solves =
     match cache_stats with
     | Some c -> c.Vsched.Solver_cache.misses
@@ -1371,15 +1108,15 @@ let run ?resume opts program =
   in
   let feas_entries, model_entries =
     match eng.cache with
-    | Some c -> Vsched.Solver_cache.Striped.table_sizes c
+    | Some c -> Vsched.Solver_cache.table_sizes c
     | None -> 0, 0
   in
-  (* hand the merged cache contents to the caller for persistence (the
-     callback gets this run's counters too; [Solver_cache.filter_dump]
-     zeroes them before the dump crosses a run boundary) *)
+  (* hand the cache contents to the caller for persistence (the callback
+     gets this run's counters too; [Solver_cache.filter_dump] zeroes them
+     before the dump crosses a run boundary) *)
   begin
     match opts.on_cache_dump, eng.cache with
-    | Some f, Some c -> f (Vsched.Solver_cache.Striped.dump c)
+    | Some f, Some c -> f (Vsched.Solver_cache.dump c)
     | _ -> ()
   end;
   {
@@ -1387,7 +1124,7 @@ let run ?resume opts program =
     visited_functions = visited_list eng;
     stats =
       {
-        states_created = ids_created eng;
+        states_created = eng.next_id;
         states_terminated = eng.terminated;
         states_killed = eng.killed;
         forks = eng.n_forks;
@@ -1397,8 +1134,7 @@ let run ?resume opts program =
         deadline_hit;
       };
     sched =
-      Vsched.Exploration_stats.finish ~deadline_hit ~jobs
-        ~workers:(if parallel then per_worker else [])
+      Vsched.Exploration_stats.finish ~deadline_hit
         ~memo_sizes:
           [
             "simplify_memo", Vsmt.Simplify.memo_size ();
@@ -1414,6 +1150,6 @@ let run ?resume opts program =
             b_queries = eng.n_batch_queries;
             b_saved = eng.n_batch_saved;
           }
-        eng.recorder ~states_created:(ids_created eng) ~solver_queries:eng.n_solver_calls
+        eng.recorder ~states_created:eng.next_id ~solver_queries:eng.n_solver_calls
         ~solver_solves ~cache:cache_stats ~wall_time_s;
   }

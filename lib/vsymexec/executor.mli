@@ -74,8 +74,8 @@ type options = {
   time_slice : int;  (** steps before a preemptive switch (non-Dfs) *)
   solver_cache : bool;
       (** route every feasibility/model query through a per-run
-          {!Vsched.Solver_cache.Striped} shared by all workers; cache
-          statistics surface in {!result.sched} *)
+          {!Vsched.Solver_cache}, both sides of a fork going out as one
+          feasibility batch; cache statistics surface in {!result.sched} *)
   slice : bool;
       (** independence slicing (KLEE lineage): feasibility queries send only
           the symbol-disjoint slices of the path condition that overlap the
@@ -107,20 +107,6 @@ type options = {
   checkpoint_every : int;
       (** invoke [on_checkpoint] every N state picks; [0] disables *)
   on_checkpoint : (snapshot -> unit) option;
-  jobs : int;
-      (** number of worker domains exploring the frontier in parallel
-          (clamped to [Vpar.Pool.clamp_jobs]).  [1] — the default — runs the
-          historical sequential driver.  With [jobs > 1] each worker owns a
-          frontier and its own noise/chaos streams; all workers share one
-          lock-striped solver cache, feasibility queries go out in batches
-          (both sides of a fork in one round), and idle workers steal from
-          the cold end of a victim's frontier, backing off to short sleeps
-          when the whole fleet is starved.  On quiesce, worker segments
-          merge and finished states are renumbered by fork path, so the
-          result (and therefore the impact model) is byte-identical to the
-          sequential run's as long as neither the state cap nor the deadline
-          binds.  Checkpointing and resume force the sequential driver
-          regardless of this field. *)
   prime_cache : Vsched.Solver_cache.dump option;
       (** prime the run's solver cache with a persisted dump before
           exploration starts (cross-run warm start).  The caller is
@@ -129,9 +115,9 @@ type options = {
           changed code and zeroes the dump's counters so this run's hit
           statistics stay clean. *)
   on_cache_dump : (Vsched.Solver_cache.dump -> unit) option;
-      (** called once at the end of the run with the merged contents of the
-          shared solver cache (never called when [solver_cache = false]) —
-          the persistence hook for cross-run caching. *)
+      (** called once at the end of the run with the contents of the run's
+          solver cache (never called when [solver_cache = false]) — the
+          persistence hook for cross-run caching. *)
 }
 
 val default_options :
@@ -141,8 +127,8 @@ val default_options :
   unit ->
   options
 (** No symbolic variables, DFS, no switching, no noise, no chaos, default
-    degradation policy, checkpointing off, [jobs = 1]; the default budget
-    caps states at 512 with no deadline. *)
+    degradation policy, checkpointing off; the default budget caps states
+    at 512 with no deadline. *)
 
 type stats = {
   states_created : int;
@@ -162,13 +148,12 @@ type result = {
   visited_functions : string list;
 }
 (** [states] holds every state that reached a terminal status, renumbered
-    0..n-1 in fork-path order — a canonical, scheduling-independent order
-    shared by the sequential and parallel drivers.  [stats] keeps the
-    historical headline counters ([solver_calls] counts {e queries}, cached
-    or not, so virtual-time accounting is cache-independent); [sched] is the
-    full exploration telemetry including solver-cache hit rates, degradation
-    events, per-state completion steps and — for parallel runs — per-worker
-    counters.  [visited_functions] is the sorted set of functions any path
+    0..n-1 in fork-path order — a canonical order independent of the
+    searcher's exploration order.  [stats] keeps the historical headline
+    counters ([solver_calls] counts {e queries}, cached or not, so
+    virtual-time accounting is cache-independent); [sched] is the full
+    exploration telemetry including solver-cache hit rates, degradation
+    events and per-state completion steps.  [visited_functions] is the sorted set of functions any path
     {e entered} during exploration (including paths that later died
     infeasible) — the dynamic coverage incremental re-analysis uses to
     decide whether a code change can affect this analysis. *)

@@ -8,12 +8,10 @@
    is produced on demand (symbol naming, the final deterministic sort) and
    memoized per node.
 
-   The memo field uses the same benign-race idiom as [Vsmt.Expr]'s
-   rendered-string cache: [""] means "not yet rendered" (a rendered step is
-   never empty — it carries at least its own tag), and two domains racing
-   on the same node write the identical string, where an OCaml word-sized
-   field write is atomic.  [Lazy] would be the obvious spelling but raises
-   [Lazy.Undefined] on a concurrent force. *)
+   The memo field uses [""] for "not yet rendered" (a rendered step is
+   never empty — it carries at least its own tag).  Paths are only
+   rendered by the sequential explorer, so the memo sees no concurrent
+   writers. *)
 
 type t = Root | Step of { parent : t; tag : char; mutable str : string }
 

@@ -22,8 +22,7 @@ val extend : t -> char -> t
 
 val to_string : t -> string
 (** The rendered path, identical to the eager concatenation of tags from
-    the root ([""] for {!root}).  Memoized per node; safe to call from any
-    domain. *)
+    the root ([""] for {!root}).  Memoized per node. *)
 
 val length : t -> int
 

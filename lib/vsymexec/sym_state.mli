@@ -25,7 +25,7 @@ type t = {
       (** fork history from the root, one step per fork survived (['t']/['f']
           for a branch, ['s']/['x'] for fault injection).  Unique per state
           and independent of exploration order — the sort key of the
-          executor's deterministic parallel reduction.  O(1) to extend;
+          executor's canonical renumbering.  O(1) to extend;
           rendered (and memoized) only where the string is needed. *)
   next_symbol : int;
       (** per-state fresh-symbol counter: symbol names derive from the

@@ -17,6 +17,16 @@ let var name lo hi = E.{ name; dom = Vsmt.Dom.int_range lo hi; origin = Config }
 let qa = var "qa" 0 7
 let qb = var "qb" 0 7
 
+let stamp = "qa=0..7;qb=0..7"
+
+(* a one-query feasibility round, as the executor sends a single query *)
+let feasible cache cs = ignore (Cache.feasible_batch cache ~max_nodes:4_000 [ cs ])
+
+let primed d =
+  let c = Cache.create () in
+  Cache.prime c d;
+  c
+
 let temp_path () =
   let p = Filename.temp_file "vinc_cache" ".vcache" in
   Sys.remove p;
@@ -55,20 +65,20 @@ let prop_store_roundtrip =
     queries_gen (fun queries ->
       let c1 = Cache.create () in
       let before = List.map (Cache.check_model c1 ~max_nodes:4_000) queries in
-      List.iter (fun q -> ignore (Cache.is_feasible c1 ~max_nodes:4_000 q)) queries;
+      List.iter (feasible c1) queries;
       let path = temp_path () in
       let ok =
-        match Store.save ~path (Cache.dump c1) with
+        match Store.save ~path ~stamp (Cache.dump c1) with
         | Error e -> failwith (Vresilience.Checkpoint.error_to_string e)
         | Ok () -> (
-          match Store.load ~path with
+          match Store.load ~path ~stamp with
           | Error e -> failwith (Vresilience.Checkpoint.error_to_string e)
           | Ok d ->
-            (* the restored cache must answer every query exactly as the
+            (* the primed cache must answer every query exactly as the
                original did, from memo entries alone (no new solves; the
-               restored counters start at the dump's totals, so compare
+               primed counters start at the dump's totals, so compare
                the miss delta) *)
-            let c2 = Cache.restore d in
+            let c2 = primed d in
             let misses0 = (Cache.stats c2).Cache.misses in
             let after = List.map (Cache.check_model c2 ~max_nodes:4_000) queries in
             let s = Cache.stats c2 in
@@ -94,7 +104,7 @@ let populated_dump () =
   List.iter
     (fun cs ->
       ignore (Cache.check_model c ~max_nodes:4_000 cs);
-      ignore (Cache.is_feasible c ~max_nodes:4_000 cs))
+      feasible c cs)
     sets;
   Cache.dump c
 
@@ -102,7 +112,7 @@ let populated_dump () =
    error, never a crash or a silently half-primed cache *)
 let test_truncated_rejected () =
   let path = temp_path () in
-  (match Store.save ~path (populated_dump ()) with
+  (match Store.save ~path ~stamp (populated_dump ()) with
   | Ok () -> ()
   | Error e -> failwith (Vresilience.Checkpoint.error_to_string e));
   let full = In_channel.with_open_bin path In_channel.input_all in
@@ -110,7 +120,7 @@ let test_truncated_rejected () =
     (fun keep ->
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub full 0 keep));
-      match Store.load ~path with
+      match Store.load ~path ~stamp with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "load accepted a file truncated to %d bytes" keep)
     [ 0; 4; String.length full / 2; String.length full - 1 ];
@@ -119,20 +129,36 @@ let test_truncated_rejected () =
 (* regression: a flipped payload byte must fail the envelope checksum *)
 let test_bitflip_rejected () =
   let path = temp_path () in
-  (match Store.save ~path (populated_dump ()) with
+  (match Store.save ~path ~stamp (populated_dump ()) with
   | Ok () -> ()
   | Error e -> failwith (Vresilience.Checkpoint.error_to_string e));
   let full = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
   let i = Bytes.length full - 7 in
   Bytes.set full i (Char.chr (Char.code (Bytes.get full i) lxor 0x40));
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc full);
-  (match Store.load ~path with
+  (match Store.load ~path ~stamp with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "load accepted a bit-flipped file");
   (* the pipeline-facing wrapper degrades to a cold start the same way *)
-  (match Store.load_filtered ~path ~dirty:[] with
+  (match Store.load_filtered ~path ~stamp ~dirty:[] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "load_filtered accepted a bit-flipped file");
+  Sys.remove path
+
+(* a verdict holds only under the domains it was proved over: a file
+   saved under one stamp must not load under another *)
+let test_stamp_mismatch_rejected () =
+  let path = temp_path () in
+  (match Store.save ~path ~stamp (populated_dump ()) with
+  | Ok () -> ()
+  | Error e -> failwith (Vresilience.Checkpoint.error_to_string e));
+  (match Store.load ~path ~stamp:"qa=0..3;qb=0..7" with
+  | Error (Vresilience.Checkpoint.Kind_mismatch _) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Vresilience.Checkpoint.error_to_string e)
+  | Ok _ -> Alcotest.fail "load accepted a file saved under another stamp");
+  (match Store.load ~path ~stamp with
+  | Ok _ -> ()
+  | Error e -> failwith (Vresilience.Checkpoint.error_to_string e));
   Sys.remove path
 
 let test_filter_dump () =
@@ -143,7 +169,7 @@ let test_filter_dump () =
      last run's totals into the next run's stats *)
   let clean = Cache.filter_dump d ~dirty:[] in
   check Alcotest.int "no entries dropped when nothing is dirty" all (Cache.dump_entries clean);
-  let s = Cache.stats (Cache.restore clean) in
+  let s = Cache.stats (primed clean) in
   check Alcotest.int "counters zeroed" 0 (s.Cache.lookups + s.Cache.misses + Cache.hits s);
   (* footprint scoping: entries mentioning the dirty symbol are dropped,
      entries on the untouched symbol survive *)
@@ -151,7 +177,7 @@ let test_filter_dump () =
   let kept = Cache.dump_entries filtered in
   check Alcotest.bool "dirty entries dropped" true (kept < all);
   check Alcotest.bool "clean entries kept" true (kept > 0);
-  let c = Cache.restore filtered in
+  let c = primed filtered in
   ignore (Cache.check_model c ~max_nodes:4_000 E.[ of_var qb ==. const 3 ]);
   ignore (Cache.check_model c ~max_nodes:4_000 E.[ of_var qa ==. const 1 ]);
   let s = Cache.stats c in
@@ -325,6 +351,67 @@ let test_splice_reuse_and_identity () =
   check Alcotest.bool "upgrade verdicts identical" true (findings out = findings scratch);
   List.iter rm_rf [ base; out; scratch ]
 
+(* A registry-only change: opt1 becomes an int gated on [opt1 >= 1 &&
+   opt1 <> 1], so the helper1 path is infeasible over 0..1 and feasible
+   over 0..3.  Widening the range moves exploration while every function
+   key stays put.  The old baseline leaves a persistent solver cache
+   behind, whose key for that guard is the same under both ranges; the
+   splice must still land on the scratch rebuild's models. *)
+let with_opt1_range hi =
+  let gate =
+    G.S_if
+      ( [ G.A_cfg ("opt1", E.Ge, 1); G.A_cfg ("opt1", E.Ne, 1) ],
+        [ G.S_call "helper1" ],
+        [ G.S_op (G.O_compute 4) ] )
+  in
+  let t =
+    {
+      v1 with
+      G.g_cparams =
+        List.map
+          (fun (c : G.cparam) ->
+            if c.G.c_name = "opt1" then { c with G.c_kind = G.C_int { lo = 0; hi } } else c)
+          v1.G.g_cparams;
+      g_funcs =
+        List.map
+          (fun (f : G.fspec) ->
+            if f.G.f_name = "root" then
+              { f with G.f_body = List.mapi (fun i st -> if i = 1 then gate else st) f.G.f_body }
+            else f)
+          v1.G.g_funcs;
+    }
+  in
+  match G.validate t with Ok () -> t | Error e -> failwith e
+
+let test_splice_registry_only_change () =
+  let old_t = G.to_target (with_opt1_range 1) and new_t = G.to_target (with_opt1_range 3) in
+  let base = temp_dir "reg_base" and out = temp_dir "reg_out" in
+  let scratch = temp_dir "reg_scratch" and cache = temp_dir "reg_cache" in
+  let copts = { opts with P.cache_dir = Some cache } in
+  let mf_old, _ = match B.build ~opts:copts ~dir:base old_t with Ok r -> r | Error e -> failwith e in
+  let scratch_mf, _ =
+    match B.build ~opts ~dir:scratch new_t with Ok r -> r | Error e -> failwith e
+  in
+  let r =
+    match Vinc.Splice.run ~opts:copts ~baseline:base ~out new_t with
+    | Ok r -> r
+    | Error e -> failwith e
+  in
+  let digests (mf : B.t) =
+    List.map (fun (s : B.slice) -> (s.B.sl_param, s.B.sl_digest)) mf.B.mf_slices
+  in
+  check Alcotest.(list string) "no function changed" [] r.Vinc.Splice.sp_dirty_functions;
+  check Alcotest.bool "the widened range changes opt1's model" true
+    (List.assoc "opt1" (digests mf_old) <> List.assoc "opt1" (digests scratch_mf));
+  check
+    Alcotest.(option string)
+    "whole baseline re-explored" (Some "registry entry changed") r.Vinc.Splice.sp_conservative;
+  check
+    Alcotest.(list (pair string string))
+    "spliced models byte-identical to scratch" (digests scratch_mf)
+    (digests r.Vinc.Splice.sp_baseline);
+  List.iter rm_rf [ base; out; scratch; cache ]
+
 let test_splice_conservative_on_options_change () =
   let old_t = G.to_target v1 in
   let base = temp_dir "copts_base" and out = temp_dir "copts_out" in
@@ -387,11 +474,13 @@ let tests =
     QCheck_alcotest.to_alcotest prop_store_roundtrip;
     tc "truncated cache file rejected" test_truncated_rejected;
     tc "bit-flipped cache file rejected" test_bitflip_rejected;
+    tc "cache file under another stamp rejected" test_stamp_mismatch_rejected;
     tc "filter_dump scopes by footprint and zeroes counters" test_filter_dump;
     tc "irdiff classifies a one-function change" test_irdiff_classification;
     tc "irdiff keys ignore synthetic addresses" test_irdiff_addr_insensitive;
     tc "dirty symbols exclude untouched parameters" test_dirty_symbols;
     tc "splice reuses clean slices, matches scratch" test_splice_reuse_and_identity;
+    tc "splice re-explores a registry-only change" test_splice_registry_only_change;
     tc "splice is conservative on an options change" test_splice_conservative_on_options_change;
     tc "upgrade check short-circuits on equal digests" test_upgrade_digest_short_circuit;
     tc "pipeline warm cache cuts solves, keeps bytes" test_pipeline_cache_warm_run;

@@ -134,6 +134,12 @@ let qa = var "qa" 0 1
 let qb = var "qb" 0 7
 let qc = var "qc" 0 7
 
+(* a one-query feasibility round, as the executor sends a single query *)
+let feasible cache cs =
+  match Cache.feasible_batch cache ~max_nodes:4_000 [ cs ] with
+  | [ (v, _) ] -> v
+  | _ -> Alcotest.fail "wrong batch arity"
+
 let atom_gen =
   QCheck2.Gen.(
     let open E in
@@ -158,7 +164,7 @@ let prop_cache_matches_solver =
   QCheck2.Test.make ~name:"cached verdicts match the direct solver" ~count:300
     query_gen (fun cs ->
       let direct = Solver.check ~max_nodes:4_000 cs in
-      let feas = Cache.is_feasible cache ~max_nodes:4_000 cs in
+      let feas = feasible cache cs in
       let model = Cache.check_model cache ~max_nodes:4_000 cs in
       let same_verdict =
         match direct with
@@ -172,20 +178,20 @@ let prop_cache_matches_solver =
 let test_cache_hits_accumulate () =
   let cache = Cache.create () in
   let cs = E.[ of_var qb >. const 3; of_var qb <. const 6 ] in
-  ignore (Cache.is_feasible cache ~max_nodes:4_000 cs);
-  ignore (Cache.is_feasible cache ~max_nodes:4_000 cs);
+  ignore (feasible cache cs);
+  ignore (feasible cache cs);
   (* a superset of a satisfiable set: served by the counterexample probe
      without a new solve whenever the stored model satisfies it *)
-  ignore (Cache.is_feasible cache ~max_nodes:4_000 (E.(of_var qa >=. const 0) :: cs));
+  ignore (feasible cache (E.(of_var qa >=. const 0) :: cs));
   let s = Cache.stats cache in
   check Alcotest.int "lookups" 3 s.Cache.lookups;
   check Alcotest.bool "hits" true (Cache.hits s >= 1);
   check Alcotest.bool "rate" true (Cache.hit_rate s > 0.);
   (* an unsat set, then a superset of it: subsumption *)
   let unsat = E.[ of_var qb >. const 5; of_var qb <. const 3 ] in
-  check Alcotest.bool "unsat" false (Cache.is_feasible cache ~max_nodes:4_000 unsat);
+  check Alcotest.bool "unsat" false (feasible cache unsat);
   check Alcotest.bool "superset unsat" false
-    (Cache.is_feasible cache ~max_nodes:4_000 (E.(of_var qa ==. const 1) :: unsat));
+    (feasible cache (E.(of_var qa ==. const 1) :: unsat));
   let s = Cache.stats cache in
   check Alcotest.bool "subsumption used" true (s.Cache.subsumption_hits >= 1)
 
@@ -205,16 +211,17 @@ let test_cache_key_order_insensitive () =
   check Alcotest.int "permuted query does not re-solve" s0.Cache.misses s1.Cache.misses;
   check Alcotest.bool "it is an exact hit" true (s1.Cache.exact_hits > s0.Cache.exact_hits);
   (* same contract on the feasibility path *)
-  let feas = Cache.is_feasible cache ~max_nodes:4_000 cs in
+  let feas = feasible cache cs in
   let s2 = Cache.stats cache in
   check Alcotest.bool "reversed feasibility query agrees" feas
-    (Cache.is_feasible cache ~max_nodes:4_000 (List.rev cs));
+    (feasible cache (List.rev cs));
   let s3 = Cache.stats cache in
   check Alcotest.int "reversed feasibility query does not re-solve" s2.Cache.misses
     s3.Cache.misses
 
-(* merging a worker shard must make its entries serve future queries on the
-   destination — the mechanism behind the parallel executor's quiesce *)
+(* priming a live cache with another cache's dump must make the dumped
+   entries serve future queries next to the cache's own — the mechanism
+   behind checkpoint resume and the cross-run warm start *)
 let test_cache_merge_serves_shard_entries () =
   let dst = Cache.create () in
   let src = Cache.create () in
@@ -222,7 +229,7 @@ let test_cache_merge_serves_shard_entries () =
   let cs_src = E.[ of_var qc <. const 2; of_var qa ==. const 0 ] in
   ignore (Cache.check_model dst ~max_nodes:4_000 cs_dst);
   let expected = Cache.check_model src ~max_nodes:4_000 cs_src in
-  Cache.merge_into ~src ~dst;
+  Cache.prime dst (Cache.dump src);
   let s0 = Cache.stats dst in
   let got = Cache.check_model dst ~max_nodes:4_000 (List.rev cs_src) in
   let s1 = Cache.stats dst in
@@ -231,16 +238,14 @@ let test_cache_merge_serves_shard_entries () =
   check Alcotest.int "without a new solve" s0.Cache.misses s1.Cache.misses
 
 (* ------------------------------------------------------------------ *)
-(* The shared lock-striped cache behind the parallel executor          *)
+(* Batched feasibility: one round per fork                             *)
 (* ------------------------------------------------------------------ *)
 
-module SC = Vsched.Solver_cache.Striped
-
-let test_striped_batch_counts () =
-  let c = SC.create ~shards:4 () in
+let test_cache_batch_counts () =
+  let c = Cache.create () in
   let q_sat = E.[ of_var qb >. const 3; of_var qb <. const 6 ] in
   let q_unsat = E.[ of_var qb >. const 5; of_var qb <. const 3 ] in
-  (match SC.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat; List.rev q_sat ] with
+  (match Cache.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat; List.rev q_sat ] with
   | [ (a1, _); (a2, _); (a3, dup_cached) ] ->
     check Alcotest.bool "sat verdict" true a1;
     check Alcotest.bool "unsat verdict" false a2;
@@ -251,28 +256,24 @@ let test_striped_batch_counts () =
   | _ -> Alcotest.fail "wrong batch arity");
   List.iter
     (fun (_, cached) -> check Alcotest.bool "repeat batch fully cached" true cached)
-    (SC.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat ]);
-  let s = SC.stats c in
+    (Cache.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat ]);
+  let s = Cache.stats c in
   check Alcotest.int "each logical query counts one lookup" 5 s.Cache.lookups;
   check Alcotest.bool "only distinct queries solved" true (s.Cache.misses <= 2)
 
-let test_striped_dump_prime_roundtrip () =
-  let c = SC.create ~shards:4 () in
+let test_cache_dump_prime_roundtrip () =
+  let c = Cache.create () in
   let q1 = E.[ of_var qb >. const 3 ] in
   let q2 = E.[ of_var qc <. const 2; of_var qa ==. const 0 ] in
-  ignore (SC.feasible_batch c ~max_nodes:4_000 [ q1; q2 ]);
-  let d = SC.dump c in
-  (* different shard count on restore: distribution must follow the new
-     geometry, not the old one *)
-  let c2 = SC.create ~shards:8 () in
-  SC.prime c2 d;
-  let s0 = SC.stats c2 in
+  ignore (Cache.feasible_batch c ~max_nodes:4_000 [ q1; q2 ]);
+  let c2 = Cache.create () in
+  Cache.prime c2 (Cache.dump c);
+  let s0 = Cache.stats c2 in
   List.iter
     (fun (_, cached) -> check Alcotest.bool "primed entries serve" true cached)
-    (SC.feasible_batch c2 ~max_nodes:4_000 [ List.rev q2; q1 ]);
-  let s1 = SC.stats c2 in
+    (Cache.feasible_batch c2 ~max_nodes:4_000 [ List.rev q2; q1 ]);
+  let s1 = Cache.stats c2 in
   check Alcotest.int "primed queries re-solve nothing" s0.Cache.misses s1.Cache.misses
-
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: guided searchers beat Bfs to the specious path, and the *)
@@ -281,10 +282,7 @@ let test_striped_dump_prime_roundtrip () =
 
 let mysql_analysis =
   let run (policy, solver_cache) =
-    (* jobs pinned to 1: the guided-vs-bfs comparison below measures
-       *completion step* ordering, which parallel workers legitimately
-       scramble (a VIOLET_JOBS=4 environment would make it flaky) *)
-    let opts = { Violet.Pipeline.default_options with policy; solver_cache; jobs = 1 } in
+    let opts = { Violet.Pipeline.default_options with policy; solver_cache } in
     Violet.Pipeline.analyze_exn ~opts Targets.Mysql_model.target "autocommit"
   in
   let memo = Hashtbl.create 4 in
@@ -342,7 +340,15 @@ let test_cache_transparent_end_to_end () =
     sched_off.Stats.solver_solves;
   (* query counts are cache-independent, so virtual-time accounting is too *)
   check Alcotest.int "query count unchanged" sched_off.Stats.solver_queries
-    sched.Stats.solver_queries
+    sched.Stats.solver_queries;
+  (match sched.Stats.batch with
+  | None -> Alcotest.fail "batch-feasibility counters missing"
+  | Some b ->
+    check Alcotest.bool "feasibility went out in batches" true (b.Stats.b_batches > 0);
+    check Alcotest.bool "batches carry at least one query each" true
+      (b.Stats.b_queries >= b.Stats.b_batches));
+  check Alcotest.bool "solver-cache size surfaces in memo_sizes" true
+    (List.mem_assoc "solver_cache_feas_entries" sched.Stats.memo_sizes)
 
 let tests =
   [
@@ -354,8 +360,8 @@ let tests =
     tc "cache hit counters" test_cache_hits_accumulate;
     tc "cache keys ignore constraint order" test_cache_key_order_insensitive;
     tc "merged shard entries serve queries" test_cache_merge_serves_shard_entries;
-    tc "striped cache batches and counts once per query" test_striped_batch_counts;
-    tc "striped cache dump/prime round-trip" test_striped_dump_prime_roundtrip;
+    tc "cache batches count once per query" test_cache_batch_counts;
+    tc "cache dump/prime round-trip" test_cache_dump_prime_roundtrip;
     tc "guided searchers beat bfs to the specious path" test_guided_beats_bfs;
     tc "solver cache transparent end to end" test_cache_transparent_end_to_end;
   ]
