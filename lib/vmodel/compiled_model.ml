@@ -214,17 +214,17 @@ let compile (m : M.t) =
   let n = Array.length rows in
   (* workload-predicate classes: rows sharing the identical ordered
      predicate list produce identical joint-input queries *)
-  let wclass_tbl : (int list, int) Hashtbl.t = Hashtbl.create 8 in
+  let wclass_tbl = Diff_analysis.Key_tbl.create 8 in
   let wclass_preds = ref [] in
   let wclass_count = ref 0 in
   let class_of preds =
     let key = List.map Expr.id preds in
-    match Hashtbl.find_opt wclass_tbl key with
+    match Diff_analysis.Key_tbl.find_opt wclass_tbl key with
     | Some i -> i
     | None ->
       let i = !wclass_count in
       incr wclass_count;
-      Hashtbl.replace wclass_tbl key i;
+      Diff_analysis.Key_tbl.replace wclass_tbl key i;
       wclass_preds := preds :: !wclass_preds;
       i
   in

@@ -30,9 +30,11 @@ let latency_floor_us = 1.0
    1-vs-0 syscall difference still reads as 200% *)
 let logical_floor = function "io_bytes" -> 512. | _ -> 0.5
 
-(* Compare one directed pair: is [slow] suspicious relative to [fast]?
-   Returns the worst finite relative difference and the triggering metrics. *)
-let compare_pair ~threshold ~(slow : Cost_row.t) ~(fast : Cost_row.t) =
+(* Compare [slow] against [fast]: the worst finite relative difference and
+   the metrics over the threshold.  [undirected] measures each logical
+   metric from its larger side (the screen's rule: Section 4.6 marks the
+   state even when only a logical metric exceeds, in either direction). *)
+let metrics ~undirected ~threshold ~(slow : Cost_row.t) ~(fast : Cost_row.t) =
   let worst = ref 0. in
   let lat_diff =
     rel_diff ~floor:latency_floor_us slow.Cost_row.traced_latency_us
@@ -42,9 +44,11 @@ let compare_pair ~threshold ~(slow : Cost_row.t) ~(fast : Cost_row.t) =
   let logical_triggers =
     List.filter_map
       (fun (name, get) ->
+        let va = get slow.Cost_row.cost and vb = get fast.Cost_row.cost in
+        let floor = logical_floor name in
         let d =
-          rel_diff ~floor:(logical_floor name) (get slow.Cost_row.cost)
-            (get fast.Cost_row.cost)
+          if undirected then rel_diff ~floor (Float.max va vb) (Float.min va vb)
+          else rel_diff ~floor va vb
         in
         if Float.is_finite d && d > !worst then worst := d;
         if d > threshold then Some (Logical name) else None)
@@ -52,6 +56,8 @@ let compare_pair ~threshold ~(slow : Cost_row.t) ~(fast : Cost_row.t) =
   in
   let triggers = (if lat_diff > threshold then [ Latency ] else []) @ logical_triggers in
   if triggers = [] then None else Some (!worst, triggers)
+
+let compare_pair = metrics ~undirected:false
 
 (* A pair is only meaningful for specious-config detection when (1) the two
    states differ in their configuration constraints — otherwise the
@@ -69,38 +75,52 @@ let joint_sat_max_nodes = 1_000
 
 let constraint_key cs = List.map Vsmt.Expr.id (List.sort_uniq Vsmt.Expr.compare cs)
 
-let make_comparable ~max_nodes ~slice rows =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace tbl r.Cost_row.state_id
-        ( constraint_key r.Cost_row.config_constraints,
-          constraint_key r.Cost_row.workload_pred,
-          Vsmt.Footprint.of_list r.Cost_row.workload_pred ))
-    rows;
-  let sat_cache : (int list, bool) Hashtbl.t = Hashtbl.create 256 in
+(* [Hashtbl.hash] reads only the first ten elements of a list, and sorted id
+   keys share their low ids, so the generic table chain-walks on them *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash k = Hashtbl.hash (List.fold_left (fun h id -> (h * 65_599) + id) 0 k)
+end)
+
+(* [comparable i j] over row indices, [i < j]; row [reps.(i)]'s keys and
+   footprint [wfoot.(i)] stand for row [i]'s state *)
+let make_comparable ~max_nodes ~slice ~wfoot (arr : Cost_row.t array) reps =
+  let key_of f = Array.map (fun r -> constraint_key (f arr.(r))) reps in
+  let wkey = key_of (fun r -> r.Cost_row.workload_pred) in
+  (* dense config-class ints, in first-seen order *)
+  let cls =
+    let tbl = Key_tbl.create 64 in
+    Array.map
+      (fun k ->
+        if not (Key_tbl.mem tbl k) then Key_tbl.add tbl k (Key_tbl.length tbl);
+        Key_tbl.find tbl k)
+      (key_of (fun r -> r.Cost_row.config_constraints))
+  in
+  let sat_cache = Key_tbl.create 256 in
   (* per-side verdicts for the disjoint-footprint fast path, keyed on one
      row's predicate identity *)
-  let side_cache : (int list, bool) Hashtbl.t = Hashtbl.create 64 in
+  let side_cache = Key_tbl.create 64 in
   let side_sat wkey pred =
-    match Hashtbl.find_opt side_cache wkey with
+    match Key_tbl.find_opt side_cache wkey with
     | Some v -> v
     | None ->
       let v = Vsmt.Solver.is_feasible ~max_nodes pred in
-      Hashtbl.add side_cache wkey v;
+      Key_tbl.add side_cache wkey v;
       v
   in
-  fun a b ->
-    let ca, wa, fa = Hashtbl.find tbl a.Cost_row.state_id in
-    let cb, wb, fb = Hashtbl.find tbl b.Cost_row.state_id in
-    ca <> cb
+  fun i j ->
+    let a = arr.(i) and b = arr.(j) and wa = wkey.(i) and wb = wkey.(j) in
+    let fa = wfoot.(i) and fb = wfoot.(j) in
+    cls.(i) <> cls.(j)
     && begin
          (* one predicate subsuming the other is trivially jointly sat *)
-         let subset x y = List.for_all (fun c -> List.mem c y) x in
+         let subset x y = List.for_all (fun c -> List.exists (Int.equal c) y) x in
          subset wa wb || subset wb wa
          ||
          let key = List.sort_uniq Int.compare (wa @ wb) in
-         match Hashtbl.find_opt sat_cache key with
+         match Key_tbl.find_opt sat_cache key with
          | Some v -> v
          | None ->
            let v =
@@ -114,133 +134,128 @@ let make_comparable ~max_nodes ~slice rows =
                Vsmt.Solver.is_feasible ~max_nodes
                  (a.Cost_row.workload_pred @ b.Cost_row.workload_pred)
            in
-           Hashtbl.add sat_cache key v;
+           Key_tbl.add sat_cache key v;
            v
        end
 
 (* The full metric comparison for an (a, b) pair: latency decides the slow
-   side; logical metrics count in either direction (Section 4.6 marks the
-   state even when only a logical metric exceeds).  Shared by the screening
-   pass and the final pair construction. *)
+   side; logical metrics count in either direction.  Shared by the screen
+   and the final pair construction. *)
 let pair_triggers ~threshold a b =
   let slow, fast =
     if a.Cost_row.traced_latency_us >= b.Cost_row.traced_latency_us then a, b else b, a
   in
-  let lat_diff =
-    rel_diff ~floor:latency_floor_us slow.Cost_row.traced_latency_us
-      fast.Cost_row.traced_latency_us
-  in
-  let worst = ref lat_diff in
-  let logical_triggers =
-    List.filter_map
-      (fun (name, get) ->
-        let va = get slow.Cost_row.cost and vb = get fast.Cost_row.cost in
-        let d = rel_diff ~floor:(logical_floor name) (Float.max va vb) (Float.min va vb) in
-        if d > !worst then worst := d;
-        if d > threshold then Some (Logical name) else None)
-      Vruntime.Cost.logical_metrics
-  in
-  let triggers = (if lat_diff > threshold then [ Latency ] else []) @ logical_triggers in
-  if triggers = [] then None else Some (slow, fast, !worst, triggers)
+  Option.map
+    (fun (worst, triggers) -> (slow, fast, worst, triggers))
+    (metrics ~undirected:true ~threshold ~slow ~fast)
 
-let analyze ?(threshold = 1.0) ?(min_similarity = 0) ?(max_nodes = joint_sat_max_nodes)
-    ?(jobs = 1) ?(slice = true) rows =
-  let comparable = make_comparable ~max_nodes ~slice rows in
-  (* pass 1: cheap metric screen over all pairs — the O(n²) stage.  Rows are
-     fanned out over the worker pool by slow-side index; each worker emits
-     its row's hits in ascending-j order and the rows are concatenated in
-     ascending-i order, so the triggered list is in ascending (i, j)
-     lexicographic order for any job count. *)
+let rec bits x = if x <= 0 then 0 else 1 + bits (x lsr 1)
+
+let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(slice = true)
+    rows =
   let arr = Array.of_list rows in
   let n = Array.length arr in
-  let jobs = Vpar.Pool.clamp_jobs jobs in
-  let per_row =
-    Vpar.Pool.map_array ~jobs
-      (fun i ->
-        let hits = ref [] in
-        for j = n - 1 downto i + 1 do
-          match pair_triggers ~threshold arr.(i) arr.(j) with
-          | Some hit -> hits := (arr.(i), arr.(j), hit) :: !hits
-          | None -> ()
-        done;
-        !hits)
-      (Array.init n (fun i -> i))
+  (* the cap and every per-state key go by state id: a repeated id shares
+     one count and takes its last row's keys *)
+  let last = Hashtbl.create n in
+  Array.iteri (fun i (r : Cost_row.t) -> Hashtbl.replace last r.state_id i) arr;
+  let reps = Array.map (fun (r : Cost_row.t) -> Hashtbl.find last r.state_id) arr in
+  let foot f = Array.map (fun r -> Vsmt.Footprint.of_list (f arr.(r))) reps in
+  let cfoot = foot (fun r -> r.Cost_row.config_constraints) in
+  let wfoot = foot (fun r -> r.Cost_row.workload_pred) in
+  let comparable = make_comparable ~max_nodes ~slice ~wfoot arr reps in
+  (* a candidate (i, j), i < j, is one int ordered like (similarity desc,
+     i asc, j asc): the order the analyzer reads pairs in *)
+  let ib = bits (n - 1) in
+  let max_sim =
+    Array.fold_left
+      (fun m (r : Cost_row.t) ->
+        max m (List.length r.config_constraints + List.length r.workload_pred))
+      0 arr
   in
-  let triggered = List.concat (Array.to_list per_row) in
-  (* pass 2: rank the surviving pairs most-similar first.  Hash-consing
-     makes constraint equality physical equality, so similarity counts
-     shared nodes directly — no per-row text rendering. *)
-  let appearance x y = List.fold_left (fun acc c -> if List.memq c y then acc + 1 else acc) 0 x in
-  (* footprint screen: config/workload constraints always mention a variable,
-     so rows with symbol-disjoint footprints cannot share a constraint node —
-     their appearance count is 0 without any memq walk *)
-  let foots = Hashtbl.create 64 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace foots r.Cost_row.state_id
-        ( Vsmt.Footprint.of_list r.Cost_row.config_constraints,
-          Vsmt.Footprint.of_list r.Cost_row.workload_pred ))
-    rows;
-  let scored =
-    List.map
-      (fun (a, b, hit) ->
-        let cfa, wfa = Hashtbl.find foots a.Cost_row.state_id in
-        let cfb, wfb = Hashtbl.find foots b.Cost_row.state_id in
-        let count fa fb x y =
-          if slice && not (Vsmt.Footprint.overlaps fa fb) then 0 else appearance x y
+  if (2 * ib) + bits max_sim > 61 then invalid_arg "Diff_analysis.analyze: too many rows";
+  let unpack k = ((k lsr ib) land ((1 lsl ib) - 1), k land ((1 lsl ib) - 1)) in
+  (* row [r]'s candidates as the slow side ([pair_triggers]' rule), ranked;
+     pure, so rows fan out over the worker pool *)
+  let rank r =
+    let hits = ref [] in
+    for q = 0 to n - 1 do
+      let i = min q r and j = max q r in
+      let a = arr.(i) and b = arr.(j) in
+      if
+        q <> r
+        && (if a.traced_latency_us >= b.traced_latency_us then i else j) = r
+        && Option.is_some (pair_triggers ~threshold a b)
+      then begin
+        let sim =
+          Similarity.shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
+          + Similarity.shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
         in
-        let s =
-          count cfa cfb a.Cost_row.config_constraints b.Cost_row.config_constraints
-          + count wfa wfb a.Cost_row.workload_pred b.Cost_row.workload_pred
-        in
-        a, b, hit, s)
-      triggered
+        hits := ((max_sim - sim) lsl (2 * ib)) lor (i lsl ib) lor j :: !hits
+      end
+    done;
+    let ranked = Array.of_list !hits in
+    Array.sort Int.compare ranked;
+    ranked
   in
-  let scored =
-    List.stable_sort (fun (_, _, _, s1) (_, _, _, s2) -> Int.compare s2 s1) scored
+  let ranked = Vpar.Pool.map_array ~jobs:(Vpar.Pool.clamp_jobs jobs) rank (Array.init n Fun.id) in
+  (* walk the rows' lists merged in key order (a binary heap over their
+     heads), skipping states that already hold their 8 most similar
+     witnesses: [comparable] fills memos whose first query decides later
+     verdicts, so it must see the pairs in this one global order *)
+  let pos = Array.make n 0 and kept = Array.make n 0 in
+  let head s = if pos.(s) < Array.length ranked.(s) then ranked.(s).(pos.(s)) else max_int in
+  let heap = Array.init n Fun.id in
+  let rec sift p =
+    let c = (2 * p) + 1 in
+    let c = if c + 1 < n && head heap.(c + 1) < head heap.(c) then c + 1 else c in
+    if c < n && head heap.(c) < head heap.(p) then begin
+      let s = heap.(p) in
+      heap.(p) <- heap.(c);
+      heap.(c) <- s;
+      sift c
+    end
   in
+  for p = (n / 2) - 1 downto 0 do
+    sift p
+  done;
+  let chosen = ref [] in
+  while n > 0 && head heap.(0) < max_int do
+    let s = heap.(0) in
+    let k = head s and st = reps.(s) in
+    let i, j = unpack k in
+    if kept.(st) < 8 && comparable i j then begin
+      chosen := k :: !chosen;
+      kept.(st) <- kept.(st) + 1
+    end;
+    pos.(s) <- (if kept.(st) = 8 then Array.length ranked.(s) else pos.(s) + 1);
+    sift 0
+  done;
   let max_ratio = ref 0. in
-  (* keep the most similar pairs per slow state: every poor state keeps its
-     best witnesses while unbounded pair construction (and its LCS work) is
-     avoided on large traces *)
-  let per_state = Hashtbl.create 64 in
-  let max_pairs_per_state = 8 in
   let pairs =
-    List.filter_map
-      (fun (a, b, (slow, fast, worst, triggers), similarity) ->
-        let seen =
-          match Hashtbl.find_opt per_state slow.Cost_row.state_id with
-          | Some n -> n
-          | None -> 0
+    List.rev_map
+      (fun k ->
+        let i, j = unpack k in
+        let slow, fast, worst, triggers = Option.get (pair_triggers ~threshold arr.(i) arr.(j)) in
+        let latency_ratio =
+          if fast.Cost_row.traced_latency_us <= 0. then infinity
+          else slow.Cost_row.traced_latency_us /. fast.Cost_row.traced_latency_us
         in
-        if
-          similarity < min_similarity
-          || seen >= max_pairs_per_state
-          || not (comparable a b)
-        then None
-        else begin
-          Hashtbl.replace per_state slow.Cost_row.state_id (seen + 1);
-          let latency_ratio =
-            if fast.Cost_row.traced_latency_us <= 0. then infinity
-            else slow.Cost_row.traced_latency_us /. fast.Cost_row.traced_latency_us
-          in
-          Some
-            {
-              slow;
-              fast;
-              similarity;
-              latency_ratio;
-              (* the headline ratio is the latency ratio when latency is what
-                 triggered; logical metrics otherwise *)
-              worst_ratio =
-                (if List.mem Latency triggers && Float.is_finite latency_ratio then
-                   latency_ratio
-                 else 1. +. worst);
-              triggers;
-              diff = Critical_path.differential ~slow ~fast;
-            }
-        end)
-      scored
+        {
+          slow;
+          fast;
+          similarity = max_sim - (k lsr (2 * ib));
+          latency_ratio;
+          (* the headline ratio is the latency ratio when latency is what
+             triggered; logical metrics otherwise *)
+          worst_ratio =
+            (if List.mem Latency triggers && Float.is_finite latency_ratio then
+               latency_ratio
+             else 1. +. worst);
+          triggers;
+          diff = Critical_path.differential ~slow ~fast;
+        })
+      !chosen
   in
   let poor_state_ids =
     List.sort_uniq Int.compare (List.map (fun p -> p.slow.Cost_row.state_id) pairs)

@@ -33,28 +33,26 @@ val compare_pair :
     pairs (old vs new value, old vs new version). *)
 
 val analyze :
-  ?threshold:float ->
-  ?min_similarity:int ->
-  ?max_nodes:int ->
-  ?jobs:int ->
-  ?slice:bool ->
-  Cost_row.t list ->
-  t
+  ?threshold:float -> ?max_nodes:int -> ?jobs:int -> ?slice:bool -> Cost_row.t list -> t
 (** [threshold] is the relative difference that makes a pair suspicious:
-    1.0 means the slow state is worse by ≥100%.  [min_similarity] skips
-    pairs less similar than the bound (default 0: compare all pairs and let
-    ranking order them, as the fallback mode of Section 4.6).  [max_nodes]
-    bounds the joint-input satisfiability queries (default 1_000); the
-    pipeline threads its configured solver budget here.  [jobs] fans the
-    O(n²) pairwise metric screen out over a {!Vpar.Pool} (default 1); the
-    result is identical for any job count — hits are re-assembled in
-    ascending pair order before ranking.  [slice] (default [true]) enables
-    the footprint fast paths: joint-input satisfiability of symbol-disjoint
-    workload predicates decomposes into per-side queries (memoized per
-    input class), and similarity scoring skips the shared-constraint walk
-    for rows whose footprints cannot intersect — both provably identical to
-    the unsliced verdicts, since every config/workload constraint mentions
-    a variable. *)
+    1.0 means the slow state is worse by ≥100%.  [pairs] come by descending
+    similarity (row [i]'s config and workload constraints found in row
+    [j]'s, {!Similarity.shared}), ties by ascending [(i, j)], the rows'
+    input positions with [i < j]; row [i] is the slow side unless row [j]'s
+    traced latency is higher.  A pair is kept when it triggers, its states
+    are comparable (different config sets, jointly satisfiable workloads)
+    and its slow state keeps fewer than 8 earlier pairs: each state's 8
+    most similar witnesses.  The cap and the per-state keys go by
+    [state_id].  [max_nodes] bounds the joint-input satisfiability queries
+    (default 1_000).  [jobs] (default 1) spreads the ranking of each
+    row's slow-side pairs (triggers, similarity, sort) over a {!Vpar.Pool};
+    the comparability walk stays sequential and in the order above, so the
+    result is the same for any job count.  [slice] (default [true]) splits
+    joint satisfiability of symbol-disjoint workload predicates into
+    per-side queries memoized per input class. *)
+
+module Key_tbl : Hashtbl.S with type key = int list
+(** Tables keyed on lists of expression ids; the hash reads every id. *)
 
 val trigger_label : trigger list -> string
 (** Table 4 style: ["Latency"], ["I/O"], ["Lat.&Sync."], ... *)

@@ -11,27 +11,12 @@ let appearance_count a b =
    footprints cannot share a node — the count is 0 without any memq walk.
    Footprints are memoized per hash-consed node, so the screen costs a
    couple of sorted-array merges per pair. *)
-let screened_count a b =
-  let fa = Vsmt.Footprint.of_list a and fb = Vsmt.Footprint.of_list b in
-  if not (Vsmt.Footprint.overlaps fa fb) then 0 else appearance_count a b
+let shared fa fb a b = if not (Vsmt.Footprint.overlaps fa fb) then 0 else appearance_count a b
+
+let screened_count a b = shared (Vsmt.Footprint.of_list a) (Vsmt.Footprint.of_list b) a b
 
 let score (a : Cost_row.t) (b : Cost_row.t) =
   screened_count a.Cost_row.config_constraints b.Cost_row.config_constraints
 
 let workload_score (a : Cost_row.t) (b : Cost_row.t) =
   screened_count a.Cost_row.workload_pred b.Cost_row.workload_pred
-
-(* Ranking is quadratic in the number of states; per-pair work is now a few
-   pointer comparisons per constraint (none at all for footprint-disjoint
-   pairs). *)
-let rank_pairs rows =
-  let arr = Array.of_list rows in
-  let n = Array.length arr in
-  let pairs = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let s = score arr.(i) arr.(j) + workload_score arr.(i) arr.(j) in
-      pairs := (arr.(i), arr.(j), s) :: !pairs
-    done
-  done;
-  List.stable_sort (fun (_, _, s1) (_, _, s2) -> Int.compare s2 s1) (List.rev !pairs)

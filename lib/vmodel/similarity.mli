@@ -19,5 +19,6 @@ val workload_score : Cost_row.t -> Cost_row.t -> int
 (** Same counting over the input predicates; used to prefer comparing states
     triggered by the same input class. *)
 
-val rank_pairs : Cost_row.t list -> (Cost_row.t * Cost_row.t * int) list
-(** All unordered pairs ranked by descending combined similarity. *)
+val shared : Vsmt.Footprint.t -> Vsmt.Footprint.t -> Vsmt.Expr.t list -> Vsmt.Expr.t list -> int
+(** [shared fa fb a b]: the appearance count of [a]'s constraints in [b],
+    given their footprints (for callers that score many pairs). *)

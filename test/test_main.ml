@@ -26,6 +26,8 @@ let () =
          domain-spawning suite *)
       ("vfleet", Test_vfleet.tests);
       ("vpar", Test_vpar.tests);
+      (* compares the diff at jobs 4, which spawns domains *)
+      ("vmodel-ref", Test_vmodel.after_fork_tests);
       ("vslice", Test_vslice.tests);
       (* vserve spawns the daemon on a domain, so it also stays after the
          fork-based vresilience tests *)

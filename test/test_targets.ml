@@ -121,6 +121,26 @@ let run_unknown (u : Cases.unknown_case) () =
     true
     (Violet.Detect.detected target.P.registry a ~poor:u.Cases.u_poor)
 
+(* Model bytes pinned across commits: [Vinc.Baseline.model_digest] (md5 of
+   the serialized model, wall time zeroed) of default-option analyses.  The
+   other identity checks compare a build with itself; these catch a change
+   that moves what the analyzer writes. *)
+let golden_digests =
+  [
+    ("mysql", "autocommit", "0304ca8ecc1cffda7836be85830dbf68");
+    ("mysql", "query_cache_type", "f812d343e01c0948baee47566e9dbcb2");
+    ("postgres", "wal_sync_method", "4cec57831c79beade53eae8264508938");
+    ("apache", "HostnameLookups", "f4600719bca61225f232c020a0857678");
+    ("squid", "cache", "8e70ef19caffd052456bb3ba1c5f51c1");
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun (system, param, digest) ->
+      let a = P.analyze_exn (Cases.target_of system) param in
+      check Alcotest.string (system ^ "/" ^ param) digest (Vinc.Baseline.model_digest a.P.model))
+    golden_digests
+
 (* quick subset: one representative per system *)
 let quick_cases = [ "c1"; "c7"; "c12"; "c14"; "c16" ]
 
@@ -130,6 +150,7 @@ let tests =
     tc "programs run concretely" test_programs_run_concretely;
     tc "case registry consistent" test_case_registry_consistent;
     tc "figure 2 shape" test_fig2_shape;
+    tc "golden model digests" test_golden_digests;
   ]
   @ List.map
       (fun id -> tc ("known case " ^ id) (run_known (Cases.find_known id)))

@@ -69,15 +69,23 @@ let test_similarity_counts () =
   check Alcotest.int "two shared" 2 (Vmodel.Similarity.score a c)
 
 let test_rank_pairs_order () =
-  let a = row ~id:1 ~configs:E.[ of_var flag ==. const 1 ] () in
-  let b = row ~id:2 ~configs:E.[ of_var flag ==. const 1 ] () in
-  let c = row ~id:3 ~configs:E.[ of_var size >. const 5 ] () in
-  match Vmodel.Similarity.rank_pairs [ a; b; c ] with
-  | (x, y, s) :: _ ->
-    check Alcotest.int "most similar first" 1 s;
-    check Alcotest.bool "it is the a-b pair" true
-      (x.Row.state_id + y.Row.state_id = 3)
-  | [] -> Alcotest.fail "no pairs"
+  (* most similar first, then ascending (i, j) input positions among equal
+     similarities *)
+  let a = row ~id:1 ~configs:E.[ of_var flag ==. const 1; of_var size >. const 5 ] () in
+  let b =
+    row ~id:2 ~configs:E.[ of_var flag ==. const 1; of_var size >. const 7 ] ~latency:1000. ()
+  in
+  let c = row ~id:3 ~configs:E.[ of_var size >. const 9 ] ~latency:1000. () in
+  let d = row ~id:4 ~configs:E.[ of_var size >. const 11 ] ~latency:1000. () in
+  let got =
+    List.map
+      (fun (p : Diff.poor_pair) ->
+        (p.Diff.slow.Row.state_id, p.Diff.fast.Row.state_id, p.Diff.similarity))
+      (Diff.analyze [ a; b; c; d ]).Diff.pairs
+  in
+  check
+    Alcotest.(list (triple int int int))
+    "(slow, fast, similarity)" [ (2, 1, 1); (3, 1, 0); (4, 1, 0) ] got
 
 (* ------------------------------------------------------------------ *)
 (* LCS                                                                 *)
@@ -203,6 +211,277 @@ let test_compare_pair_direct () =
   check Alcotest.bool "below threshold" true
     (Diff.compare_pair ~threshold:5.0 ~slow ~fast = None)
 
+(* memo keys are sorted id lists that share their low ids; a hash of the
+   first ten elements only would put these all in one bucket *)
+let test_key_tbl_hashes_every_id () =
+  let t = Diff.Key_tbl.create 64 in
+  for k = 0 to 999 do
+    Diff.Key_tbl.replace t (List.init 10 Fun.id @ [ 10 + k ]) k
+  done;
+  check Alcotest.int "all keys kept" 1000 (Diff.Key_tbl.length t);
+  check Alcotest.bool "no long chains" true
+    ((Diff.Key_tbl.stats t).Hashtbl.max_bucket_length < 10)
+
+(* ------------------------------------------------------------------ *)
+(* Diff_analysis against the materialising reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The analyzer as it was before per-state ranking, kept verbatim as a
+   test-only reference (its order-preserving parallel screen runs
+   sequentially here): screen every pair, materialise the triggered ones,
+   score them, stable-sort by similarity, then walk the whole list with
+   the per-state cap. *)
+module Reference = struct
+  let rel_diff ~floor slow fast =
+    if slow <= floor && fast <= floor then 0. else (slow -. fast) /. Float.max fast floor
+
+  let latency_floor_us = 1.0
+  let logical_floor = function "io_bytes" -> 512. | _ -> 0.5
+  let joint_sat_max_nodes = 1_000
+  let constraint_key cs = List.map Vsmt.Expr.id (List.sort_uniq Vsmt.Expr.compare cs)
+
+  let make_comparable ~max_nodes ~slice rows =
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        Hashtbl.replace tbl r.Row.state_id
+          ( constraint_key r.Row.config_constraints,
+            constraint_key r.Row.workload_pred,
+            Vsmt.Footprint.of_list r.Row.workload_pred ))
+      rows;
+    let sat_cache : (int list, bool) Hashtbl.t = Hashtbl.create 256 in
+    let side_cache : (int list, bool) Hashtbl.t = Hashtbl.create 64 in
+    let side_sat wkey pred =
+      match Hashtbl.find_opt side_cache wkey with
+      | Some v -> v
+      | None ->
+        let v = Vsmt.Solver.is_feasible ~max_nodes pred in
+        Hashtbl.add side_cache wkey v;
+        v
+    in
+    fun a b ->
+      let ca, wa, fa = Hashtbl.find tbl a.Row.state_id in
+      let cb, wb, fb = Hashtbl.find tbl b.Row.state_id in
+      ca <> cb
+      && begin
+           let subset x y = List.for_all (fun c -> List.mem c y) x in
+           subset wa wb || subset wb wa
+           ||
+           let key = List.sort_uniq Int.compare (wa @ wb) in
+           match Hashtbl.find_opt sat_cache key with
+           | Some v -> v
+           | None ->
+             let v =
+               if slice && not (Vsmt.Footprint.overlaps fa fb) then
+                 side_sat wa a.Row.workload_pred && side_sat wb b.Row.workload_pred
+               else Vsmt.Solver.is_feasible ~max_nodes (a.Row.workload_pred @ b.Row.workload_pred)
+             in
+             Hashtbl.add sat_cache key v;
+             v
+         end
+
+  let pair_triggers ~threshold a b =
+    let slow, fast =
+      if a.Row.traced_latency_us >= b.Row.traced_latency_us then a, b else b, a
+    in
+    let lat_diff =
+      rel_diff ~floor:latency_floor_us slow.Row.traced_latency_us fast.Row.traced_latency_us
+    in
+    let worst = ref lat_diff in
+    let logical_triggers =
+      List.filter_map
+        (fun (name, get) ->
+          let va = get slow.Row.cost and vb = get fast.Row.cost in
+          let d = rel_diff ~floor:(logical_floor name) (Float.max va vb) (Float.min va vb) in
+          if d > !worst then worst := d;
+          if d > threshold then Some (Diff.Logical name) else None)
+        Cost.logical_metrics
+    in
+    let triggers = (if lat_diff > threshold then [ Diff.Latency ] else []) @ logical_triggers in
+    if triggers = [] then None else Some (slow, fast, !worst, triggers)
+
+  let analyze ?(threshold = 1.0) ?(min_similarity = 0) ?(max_nodes = joint_sat_max_nodes)
+      ?(slice = true) rows =
+    let comparable = make_comparable ~max_nodes ~slice rows in
+    let arr = Array.of_list rows in
+    let n = Array.length arr in
+    let per_row =
+      Array.map
+        (fun i ->
+          let hits = ref [] in
+          for j = n - 1 downto i + 1 do
+            match pair_triggers ~threshold arr.(i) arr.(j) with
+            | Some hit -> hits := (arr.(i), arr.(j), hit) :: !hits
+            | None -> ()
+          done;
+          !hits)
+        (Array.init n (fun i -> i))
+    in
+    let triggered = List.concat (Array.to_list per_row) in
+    let appearance x y =
+      List.fold_left (fun acc c -> if List.memq c y then acc + 1 else acc) 0 x
+    in
+    let foots = Hashtbl.create 64 in
+    List.iter
+      (fun r ->
+        Hashtbl.replace foots r.Row.state_id
+          ( Vsmt.Footprint.of_list r.Row.config_constraints,
+            Vsmt.Footprint.of_list r.Row.workload_pred ))
+      rows;
+    let scored =
+      List.map
+        (fun (a, b, hit) ->
+          let cfa, wfa = Hashtbl.find foots a.Row.state_id in
+          let cfb, wfb = Hashtbl.find foots b.Row.state_id in
+          let count fa fb x y =
+            if slice && not (Vsmt.Footprint.overlaps fa fb) then 0 else appearance x y
+          in
+          let s =
+            count cfa cfb a.Row.config_constraints b.Row.config_constraints
+            + count wfa wfb a.Row.workload_pred b.Row.workload_pred
+          in
+          a, b, hit, s)
+        triggered
+    in
+    let scored =
+      List.stable_sort (fun (_, _, _, s1) (_, _, _, s2) -> Int.compare s2 s1) scored
+    in
+    let max_ratio = ref 0. in
+    let per_state = Hashtbl.create 64 in
+    let max_pairs_per_state = 8 in
+    let pairs =
+      List.filter_map
+        (fun (a, b, (slow, fast, worst, triggers), similarity) ->
+          let seen =
+            match Hashtbl.find_opt per_state slow.Row.state_id with
+            | Some n -> n
+            | None -> 0
+          in
+          if similarity < min_similarity || seen >= max_pairs_per_state || not (comparable a b)
+          then None
+          else begin
+            Hashtbl.replace per_state slow.Row.state_id (seen + 1);
+            let latency_ratio =
+              if fast.Row.traced_latency_us <= 0. then infinity
+              else slow.Row.traced_latency_us /. fast.Row.traced_latency_us
+            in
+            Some
+              {
+                Diff.slow;
+                fast;
+                similarity;
+                latency_ratio;
+                worst_ratio =
+                  (if List.mem Diff.Latency triggers && Float.is_finite latency_ratio then
+                     latency_ratio
+                   else 1. +. worst);
+                triggers;
+                diff = CPth.differential ~slow ~fast;
+              }
+          end)
+        scored
+    in
+    let poor_state_ids =
+      List.sort_uniq Int.compare (List.map (fun p -> p.Diff.slow.Row.state_id) pairs)
+    in
+    List.iter
+      (fun id ->
+        match List.find_opt (fun p -> p.Diff.slow.Row.state_id = id) pairs with
+        | Some p -> if p.Diff.worst_ratio > !max_ratio then max_ratio := p.Diff.worst_ratio
+        | None -> ())
+      poor_state_ids;
+    { Diff.threshold; pairs; poor_state_ids; max_ratio = !max_ratio }
+end
+
+let mode = cvar "mode" (Vsmt.Dom.int_range 0 3)
+let len = wvar "len" (Vsmt.Dom.int_range 0 10)
+
+(* Small constraint pools, so rows share constraints, whole config sets
+   (also listed in other orders) and similarities; [kind] and [len] bounds
+   contradict each other, so some workload pairs are jointly unsat. *)
+let config_pool =
+  E.
+    [
+      of_var flag ==. const 0;
+      of_var flag ==. const 1;
+      of_var size >. const 5;
+      of_var size <=. const 5;
+      of_var mode ==. const 0;
+      of_var mode <>. const 2;
+    ]
+
+let workload_pool =
+  E.
+    [
+      of_var kind ==. const 0;
+      of_var kind ==. const 1;
+      of_var len >. const 7;
+      of_var len <=. const 3;
+      of_var len ==. const 0;
+    ]
+
+(* Rows with equal latencies (few values), duplicated constraints within a
+   row (drawn with replacement), repeated state ids (ids drawn from 0..n/2
+   in half the cases) and a hub: a row far slower than the rest, with an
+   empty workload and a config set no other row has, so it has more than 8
+   comparable partners and the per-state cap binds. *)
+let gen_rows =
+  let open QCheck2.Gen in
+  let gen_row id =
+    let* configs = list_size (int_range 0 3) (oneofl config_pool) in
+    let* workload = list_size (int_range 0 3) (oneofl workload_pool) in
+    let* latency = oneofl [ 100.; 100.; 120.; 300.; 900.; 5000. ] in
+    let* io_calls = oneofl [ 0; 1; 5 ] in
+    let+ sync_ops = oneofl [ 0; 2 ] in
+    row ~id ~configs ~workload ~latency ~cost:{ Cost.zero with Cost.io_calls; sync_ops } ()
+  in
+  let* n = int_range 12 30 in
+  let* repeat_ids = bool in
+  let* ids = list_repeat n (if repeat_ids then int_range 0 (n / 2) else return 0) in
+  let* rows =
+    flatten_l (List.mapi (fun i id -> gen_row (if repeat_ids then id else i)) ids)
+  in
+  let+ hub_at = int_range 0 n in
+  let hub = row ~id:(n + 1) ~configs:E.[ of_var mode ==. const 3 ] ~latency:50_000. () in
+  List.filteri (fun i _ -> i < hub_at) rows
+  @ (hub :: List.filteri (fun i _ -> i >= hub_at) rows)
+
+let diff_summary (d : Diff.t) =
+  ( List.map
+      (fun (p : Diff.poor_pair) ->
+        ( p.Diff.slow.Row.state_id,
+          p.Diff.fast.Row.state_id,
+          p.Diff.similarity,
+          p.Diff.triggers,
+          p.Diff.latency_ratio,
+          p.Diff.worst_ratio ))
+      d.Diff.pairs,
+    d.Diff.poor_state_ids,
+    d.Diff.max_ratio )
+
+let same_rows (a : Diff.t) (b : Diff.t) =
+  List.length a.Diff.pairs = List.length b.Diff.pairs
+  && List.for_all2
+       (fun (p : Diff.poor_pair) (q : Diff.poor_pair) ->
+         p.Diff.slow == q.Diff.slow && p.Diff.fast == q.Diff.fast)
+       a.Diff.pairs b.Diff.pairs
+
+(* Spawns domains at jobs 4, so it runs after the fork-based suites. *)
+let prop_analyze_matches_reference =
+  QCheck2.Test.make ~name:"analyze matches the materialising reference at jobs 1 and 4"
+    ~count:200
+    ~print:(fun rows ->
+      let show r = Printf.sprintf "%d %s" r.Row.state_id (Fmt.to_to_string Row.pp r) in
+      String.concat "\n" (List.map show rows))
+    gen_rows
+    (fun rows ->
+      let want = Reference.analyze rows in
+      List.for_all
+        (fun jobs ->
+          let got = Diff.analyze ~jobs rows in
+          diff_summary got = diff_summary want && same_rows got want)
+        [ 1; 4 ])
+
 (* ------------------------------------------------------------------ *)
 (* Critical path                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -293,8 +572,11 @@ let tests =
     tc "logical metric triggers" test_logical_metric_triggers;
     tc "trigger labels" test_trigger_labels;
     tc "compare_pair" test_compare_pair_direct;
+    tc "memo keys hash every id" test_key_tbl_hashes_every_id;
     tc "differential critical path" test_differential_critical_path;
     tc "model queries" test_model_queries;
     tc "model roundtrip" test_model_roundtrip_full;
     tc "model save/load" test_model_save_load;
   ]
+
+let after_fork_tests = [ qt prop_analyze_matches_reference ]
