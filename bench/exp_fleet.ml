@@ -130,8 +130,9 @@ let await_fleet (topology : Topology.t) =
       Client.close c)
     (List.init topology.Topology.shards Fun.id)
 
-(* restart and failover counters out of the router's aggregated stats —
-   the bench doubles as a live test of the fleet stats verb *)
+(* failover, overload re-dispatch and restart counters out of the router's
+   aggregated stats — the bench doubles as a live test of the fleet stats
+   verb *)
 let fleet_counters client =
   match Client.call ~timeout_s:10.0 client P.Stats with
   | Ok (P.Stats_info w) ->
@@ -148,7 +149,7 @@ let fleet_counters client =
             + Option.value ~default:0 (Option.bind (Wire.member "restarts" it) Wire.to_int))
           0 items
     in
-    (top "failovers", restarts, top "fallback_degraded")
+    (top "failovers", top "overload_redispatches", restarts)
   | Ok _ | Error _ -> (0, 0, 0)
 
 (* ------------------------------------------------------------------ *)
@@ -216,6 +217,7 @@ type phase = {
   ph_degraded : int;
   ph_errors : int;
   ph_failovers : int;
+  ph_overload_redispatches : int;
   ph_restarts : int;
   ph_wall_s : float;
   ph_req_per_s : float;
@@ -235,7 +237,7 @@ let finish_phase ~label ~shards ~topology ~pid (t, wall) =
   let control =
     or_die (Client.connect_retry ~deadline_s:10.0 (Topology.router_addr topology))
   in
-  let failovers, restarts, _ = fleet_counters control in
+  let failovers, overload_redispatches, restarts = fleet_counters control in
   Client.close control;
   stop_fleet pid;
   let requests = t.reports + t.shed + t.errors in
@@ -248,6 +250,7 @@ let finish_phase ~label ~shards ~topology ~pid (t, wall) =
     ph_degraded = t.degraded;
     ph_errors = t.errors;
     ph_failovers = failovers;
+    ph_overload_redispatches = overload_redispatches;
     ph_restarts = restarts;
     ph_wall_s = wall;
     ph_req_per_s = (if wall > 0. then float_of_int requests /. wall else 0.);
@@ -295,24 +298,9 @@ let chaos_phase ~models_dir ~keys ~retries ~seed =
     or_die (Client.connect_retry ~deadline_s:10.0 (Topology.router_addr topology))
   in
   let pid_of_shard i =
-    match Topology.read_state topology with
-    | None -> None
-    | Some contents -> begin
-      match Wire.of_string contents with
-      | Error _ -> None
-      | Ok v ->
-        Option.bind (Wire.member "shards" v) Wire.to_list
-        |> Option.map
-             (List.filter_map (fun it ->
-                  match
-                    ( Option.bind (Wire.member "id" it) Wire.to_int,
-                      Option.bind (Wire.member "pid" it) Wire.to_int )
-                  with
-                  | Some id, Some pid when id = i && pid > 0 -> Some pid
-                  | _ -> None))
-        |> Option.map (function p :: _ -> Some p | [] -> None)
-        |> Option.join
-    end
+    match (Topology.read_shards topology).(i) with
+    | Some s when s.Topology.pid > 0 -> Some s.Topology.pid
+    | _ -> None
   in
   let on_round round =
     if round > 0 && round mod 3 = 0 then
@@ -338,11 +326,25 @@ let chaos_phase ~models_dir ~keys ~retries ~seed =
 (* ------------------------------------------------------------------ *)
 
 let phase_json p =
-  Printf.sprintf
-    "{\"label\":%S,\"shards\":%d,\"requests\":%d,\"reports\":%d,\"shed\":%d,\"degraded\":%d,\"errors\":%d,\"failovers\":%d,\"restarts\":%d,\"wall_s\":%.4f,\"req_per_s\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,\"shed_rate\":%.4f,\"error_rate\":%.4f}"
-    p.ph_label p.ph_shards p.ph_requests p.ph_reports p.ph_shed p.ph_degraded
-    p.ph_errors p.ph_failovers p.ph_restarts p.ph_wall_s p.ph_req_per_s p.ph_p50_us
-    p.ph_p99_us (shed_rate p) (error_rate p)
+  Wire.Obj
+    [
+      ("label", Wire.String p.ph_label);
+      ("shards", Wire.Int p.ph_shards);
+      ("requests", Wire.Int p.ph_requests);
+      ("reports", Wire.Int p.ph_reports);
+      ("shed", Wire.Int p.ph_shed);
+      ("degraded", Wire.Int p.ph_degraded);
+      ("errors", Wire.Int p.ph_errors);
+      ("failovers", Wire.Int p.ph_failovers);
+      ("overload_redispatches", Wire.Int p.ph_overload_redispatches);
+      ("restarts", Wire.Int p.ph_restarts);
+      ("wall_s", Wire.Float (Util.round 4 p.ph_wall_s));
+      ("req_per_s", Wire.Float (Util.round 1 p.ph_req_per_s));
+      ("p50_us", Wire.Float (Util.round 1 p.ph_p50_us));
+      ("p99_us", Wire.Float (Util.round 1 p.ph_p99_us));
+      ("shed_rate", Wire.Float (Util.round 4 (shed_rate p)));
+      ("error_rate", Wire.Float (Util.round 4 (error_rate p)));
+    ]
 
 let run_phases () =
   let models_dir = mk_tmpdir () in
@@ -384,7 +386,7 @@ let run_phases () =
     ~header:
       [
         "phase"; "shards"; "requests"; "req/s"; "p99 us"; "shed"; "errors"; "degraded";
-        "failovers"; "restarts";
+        "failovers"; "overload re-dispatches"; "restarts";
       ]
     (List.map
        (fun p ->
@@ -398,6 +400,7 @@ let run_phases () =
            Util.i0 p.ph_errors;
            Util.i0 p.ph_degraded;
            Util.i0 p.ph_failovers;
+           Util.i0 p.ph_overload_redispatches;
            Util.i0 p.ph_restarts;
          ])
        phases);
@@ -427,24 +430,27 @@ let run_phases () =
     (Util.yes_no errors_without_retries) (Util.yes_no fleet_oracle_ok);
 
   let outcome_json o =
-    Printf.sprintf
-      "{\"killed\":%d,\"stalled\":%d,\"corrupted\":%d,\"stage_rejections\":%d}"
-      o.Chaos.killed o.Chaos.stalled o.Chaos.corrupted o.Chaos.stage_rejections
+    Wire.Obj
+      [
+        ("killed", Wire.Int o.Chaos.killed);
+        ("stalled", Wire.Int o.Chaos.stalled);
+        ("corrupted", Wire.Int o.Chaos.corrupted);
+        ("stage_rejections", Wire.Int o.Chaos.stage_rejections);
+      ]
   in
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"fleet\",\"seed\":%d,\"shed_decreasing\":%b,\"chaos_error_free\":%b,\"errors_without_retries\":%b,\"fleet_oracle_ok\":%b,\"fleet_checks\":%d,\"phases\":[%s],\"chaos_outcome_retries\":%s,\"chaos_outcome_no_retries\":%s}"
-      seed shed_decreasing chaos_error_free errors_without_retries fleet_oracle_ok
-      fleet_checks
-      (String.concat "," (List.map phase_json phases))
-      (outcome_json outcome_on) (outcome_json outcome_off)
-  in
-  let oc = open_out "BENCH_fleet.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  rm_rf models_dir;
-  Util.note "wrote BENCH_fleet.json"
+  Util.write_bench "fleet"
+    [
+      ("seed", Wire.Int seed);
+      ("shed_decreasing", Wire.Bool shed_decreasing);
+      ("chaos_error_free", Wire.Bool chaos_error_free);
+      ("errors_without_retries", Wire.Bool errors_without_retries);
+      ("fleet_oracle_ok", Wire.Bool fleet_oracle_ok);
+      ("fleet_checks", Wire.Int fleet_checks);
+      ("phases", Wire.List (List.map phase_json phases));
+      ("chaos_outcome_retries", outcome_json outcome_on);
+      ("chaos_outcome_no_retries", outcome_json outcome_off);
+    ];
+  rm_rf models_dir
 
 let run () =
   Util.section "Fleet: shard scaling, chaos A/B, differential oracle";

@@ -17,6 +17,8 @@
 
    Emits BENCH_fuzz.json with the gate booleans CI greps. *)
 
+module Wire = Vserve.Wire
+
 let rec node_has_expensive = function
   | Vfuzz.Genspec.S_op
       (Vfuzz.Genspec.O_fsync | Vfuzz.Genspec.O_dns_lookup | Vfuzz.Genspec.O_pwrite _) ->
@@ -33,9 +35,14 @@ let has_expensive (s : Vfuzz.Genspec.t) =
     s.Vfuzz.Genspec.g_funcs
 
 let shrink_json name (o : Vfuzz.Shrink.outcome) =
-  Printf.sprintf "{\"system\":%S,\"from_size\":%d,\"to_size\":%d,\"steps\":%d,\"checks\":%d}"
-    name o.Vfuzz.Shrink.sh_from_size o.Vfuzz.Shrink.sh_to_size o.Vfuzz.Shrink.sh_steps
-    o.Vfuzz.Shrink.sh_checks
+  Wire.Obj
+    [
+      ("system", Wire.String name);
+      ("from_size", Wire.Int o.Vfuzz.Shrink.sh_from_size);
+      ("to_size", Wire.Int o.Vfuzz.Shrink.sh_to_size);
+      ("steps", Wire.Int o.Vfuzz.Shrink.sh_steps);
+      ("checks", Wire.Int o.Vfuzz.Shrink.sh_checks);
+    ]
 
 let run () =
   Util.section "vfuzz: plants, decoys and the differential oracle";
@@ -118,20 +125,29 @@ let run () =
   Util.note "recall >= 0.9: %s; precision >= 0.9: %s; differential agreement: %s"
     (Util.yes_no recall_ok) (Util.yes_no precision_ok) (Util.yes_no differential_ok);
 
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"fuzz\",\"seed\":%d,\"count\":%d,\"corpus_size\":%d,\"mutated\":%d,\"plants\":%d,\"detected\":%d,\"decoys\":%d,\"flagged\":%d,\"recall\":%.4f,\"precision\":%.4f,\"combos_compared\":%d,\"daemon_checks\":%d,\"inc_checks\":%d,\"disagreements\":%d,\"agreement_rate\":%.4f,\"harness_wall_s\":%.2f,\"oracle_wall_s\":%.2f,\"recall_ok\":%b,\"precision_ok\":%b,\"differential_ok\":%b,\"shrink_calibration\":%s,\"shrunk_failures\":[%s]}"
-      seed count (List.length specs) mutated score.Vfuzz.Harness.s_plants
-      score.Vfuzz.Harness.s_detected score.Vfuzz.Harness.s_decoys
-      score.Vfuzz.Harness.s_flagged score.Vfuzz.Harness.s_recall
-      score.Vfuzz.Harness.s_precision combos daemon_checks inc_checks
-      (List.length failures)
-      agreement_rate harness_s oracle_s recall_ok precision_ok differential_ok
-      (shrink_json (List.hd specs).Vfuzz.Genspec.g_name calibration)
-      (String.concat "," (List.map (fun (n, o) -> shrink_json n o) shrunk))
-  in
-  let oc = open_out "BENCH_fuzz.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_fuzz.json"
+  let r4 = Util.round 4 and r2 = Util.round 2 in
+  Util.write_bench "fuzz"
+    [
+      ("seed", Wire.Int seed);
+      ("count", Wire.Int count);
+      ("corpus_size", Wire.Int (List.length specs));
+      ("mutated", Wire.Int mutated);
+      ("plants", Wire.Int score.Vfuzz.Harness.s_plants);
+      ("detected", Wire.Int score.Vfuzz.Harness.s_detected);
+      ("decoys", Wire.Int score.Vfuzz.Harness.s_decoys);
+      ("flagged", Wire.Int score.Vfuzz.Harness.s_flagged);
+      ("recall", Wire.Float (r4 score.Vfuzz.Harness.s_recall));
+      ("precision", Wire.Float (r4 score.Vfuzz.Harness.s_precision));
+      ("combos_compared", Wire.Int combos);
+      ("daemon_checks", Wire.Int daemon_checks);
+      ("inc_checks", Wire.Int inc_checks);
+      ("disagreements", Wire.Int (List.length failures));
+      ("agreement_rate", Wire.Float (r4 agreement_rate));
+      ("harness_wall_s", Wire.Float (r2 harness_s));
+      ("oracle_wall_s", Wire.Float (r2 oracle_s));
+      ("recall_ok", Wire.Bool recall_ok);
+      ("precision_ok", Wire.Bool precision_ok);
+      ("differential_ok", Wire.Bool differential_ok);
+      ("shrink_calibration", shrink_json (List.hd specs).Vfuzz.Genspec.g_name calibration);
+      ("shrunk_failures", Wire.List (List.map (fun (n, o) -> shrink_json n o) shrunk));
+    ]

@@ -11,6 +11,7 @@
 
 module P = Violet.Pipeline
 module G = Vfuzz.Genspec
+module Wire = Vserve.Wire
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -236,19 +237,25 @@ let run () =
   Util.note "re-explored < 30%%: %s; verdicts byte-identical: %s; warm cache cuts solves: %s"
     (Util.yes_no reuse_lt_30pct) (Util.yes_no verdict_identical)
     (Util.yes_no warm_cache_solver_reduction);
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"inc\",\"seed\":%d,\"functions\":%d,\"modified\":%d,\"added\":%d,\"removed\":%d,\"reused\":%d,\"reexplored\":%d,\"base_wall_s\":%.2f,\"splice_wall_s\":%.2f,\"scratch_wall_s\":%.2f,\"speedup\":%.2f,\"findings\":%d,\"cold_solves\":%d,\"warm_solves\":%d,\"warm_primed\":%d,\"reuse_lt_30pct\":%b,\"verdict_identical\":%b,\"warm_cache_solver_reduction\":%b}"
-      seed n_funcs
-      (List.length diff.Vinc.Irdiff.modified)
-      (List.length diff.Vinc.Irdiff.added)
-      (List.length diff.Vinc.Irdiff.removed)
-      reused reexplored t_base t_inc t_scratch speedup n_findings (solves cold)
-      (solves warm) warm.P.cache_primed reuse_lt_30pct verdict_identical
-      warm_cache_solver_reduction
-  in
-  let oc = open_out "BENCH_inc.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_inc.json"
+  let r2 = Util.round 2 in
+  Util.write_bench "inc"
+    [
+      ("seed", Wire.Int seed);
+      ("functions", Wire.Int n_funcs);
+      ("modified", Wire.Int (List.length diff.Vinc.Irdiff.modified));
+      ("added", Wire.Int (List.length diff.Vinc.Irdiff.added));
+      ("removed", Wire.Int (List.length diff.Vinc.Irdiff.removed));
+      ("reused", Wire.Int reused);
+      ("reexplored", Wire.Int reexplored);
+      ("base_wall_s", Wire.Float (r2 t_base));
+      ("splice_wall_s", Wire.Float (r2 t_inc));
+      ("scratch_wall_s", Wire.Float (r2 t_scratch));
+      ("speedup", Wire.Float (r2 speedup));
+      ("findings", Wire.Int n_findings);
+      ("cold_solves", Wire.Int (solves cold));
+      ("warm_solves", Wire.Int (solves warm));
+      ("warm_primed", Wire.Int warm.P.cache_primed);
+      ("reuse_lt_30pct", Wire.Bool reuse_lt_30pct);
+      ("verdict_identical", Wire.Bool verdict_identical);
+      ("warm_cache_solver_reduction", Wire.Bool warm_cache_solver_reduction);
+    ]

@@ -20,6 +20,8 @@
    The compile wall (the load-time tax the registry pays) is reported per
    model and in total. *)
 
+module Wire = Vserve.Wire
+
 let cases =
   [
     "mysql", "autocommit";
@@ -184,15 +186,24 @@ let run () =
     (Util.yes_no mat_p99_us_ok) (Util.yes_no speedup_ok)
     (Util.yes_no !targets_identical) (Util.yes_no corpus_identical);
 
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"matcheck\",\"solver_p50_us\":%.1f,\"solver_p99_us\":%.1f,\"mat_p50_us\":%.2f,\"mat_p99_us\":%.2f,\"speedup_p50\":%.1f,\"speedup_p99\":%.1f,\"compile_total_s\":%.4f,\"seed\":%d,\"count\":%d,\"corpus_size\":%d,\"corpus_checks\":%d,\"corpus_mismatches\":%d,\"corpus_wall_s\":%.1f,\"mat_p99_us_ok\":%b,\"speedup_ok\":%b,\"targets_identical\":%b,\"corpus_identical\":%b}"
-      s_p50 s_p99 m_p50 m_p99 speedup_p50 speedup_p99 !compile_total seed count
-      (List.length specs) !corpus_checks !corpus_mismatches corpus_s mat_p99_us_ok
-      speedup_ok !targets_identical corpus_identical
-  in
-  let oc = open_out "BENCH_matcheck.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_matcheck.json"
+  let r1 = Util.round 1 and r2 = Util.round 2 in
+  Util.write_bench "matcheck"
+    [
+      ("solver_p50_us", Wire.Float (r1 s_p50));
+      ("solver_p99_us", Wire.Float (r1 s_p99));
+      ("mat_p50_us", Wire.Float (r2 m_p50));
+      ("mat_p99_us", Wire.Float (r2 m_p99));
+      ("speedup_p50", Wire.Float (r1 speedup_p50));
+      ("speedup_p99", Wire.Float (r1 speedup_p99));
+      ("compile_total_s", Wire.Float (Util.round 4 !compile_total));
+      ("seed", Wire.Int seed);
+      ("count", Wire.Int count);
+      ("corpus_size", Wire.Int (List.length specs));
+      ("corpus_checks", Wire.Int !corpus_checks);
+      ("corpus_mismatches", Wire.Int !corpus_mismatches);
+      ("corpus_wall_s", Wire.Float (r1 corpus_s));
+      ("mat_p99_us_ok", Wire.Bool mat_p99_us_ok);
+      ("speedup_ok", Wire.Bool speedup_ok);
+      ("targets_identical", Wire.Bool !targets_identical);
+      ("corpus_identical", Wire.Bool corpus_identical);
+    ]

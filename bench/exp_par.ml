@@ -5,6 +5,8 @@
    the real-wall-clock field).  Emits BENCH_par.json, stamped with the
    machine's cores, OCaml version and commit, next to the console table. *)
 
+module Wire = Vserve.Wire
+
 let target = Targets.Mysql_model.target
 let param = "autocommit"
 let job_counts = [ 1; 2; 4; 8 ]
@@ -15,9 +17,6 @@ type point = {
   p_wall_s : float;  (** median over [runs_per_point] *)
   p_speedup : float;  (** vs the jobs=1 point *)
   p_cache_hit_rate : float;
-  p_batches : int;
-  p_queries_per_batch : float;
-  p_batch_saved : int;
   p_model : string;  (** serialized model, wall clock scrubbed *)
 }
 
@@ -40,39 +39,13 @@ let run_point ~jobs =
     | Some c -> Vsched.Solver_cache.hit_rate c
     | None -> 0.
   in
-  let batches, queries_per_batch, batch_saved =
-    match sched.Vsched.Exploration_stats.batch with
-    | Some b ->
-      ( b.Vsched.Exploration_stats.b_batches,
-        (if b.Vsched.Exploration_stats.b_batches = 0 then 0.
-         else
-           float_of_int b.Vsched.Exploration_stats.b_queries
-           /. float_of_int b.Vsched.Exploration_stats.b_batches),
-        b.Vsched.Exploration_stats.b_saved )
-    | None -> 0, 0., 0
-  in
   {
     p_jobs = jobs;
     p_wall_s = median;
     p_speedup = 1.0;
     p_cache_hit_rate = hit_rate;
-    p_batches = batches;
-    p_queries_per_batch = queries_per_batch;
-    p_batch_saved = batch_saved;
     p_model = Vfuzz.Oracle.model_fingerprint a.Violet.Pipeline.model;
   }
-
-let json_of ~points ~byte_identical =
-  let row p =
-    Printf.sprintf
-      "{\"jobs\":%d,\"wall_s\":%.4f,\"speedup\":%.3f,\"cache_hit_rate\":%.4f,\"feas_batches\":%d,\"queries_per_batch\":%.2f,\"batch_saved_roundtrips\":%d}"
-      p.p_jobs p.p_wall_s p.p_speedup p.p_cache_hit_rate p.p_batches p.p_queries_per_batch
-      p.p_batch_saved
-  in
-  Printf.sprintf
-    "{\"experiment\":\"par\",\"system\":\"mysql\",\"param\":%S,%s,\"byte_identical_default\":%b,\"points\":[%s]}"
-    param (Util.env_json_fields ()) byte_identical
-    (String.concat "," (List.map row points))
 
 let run () =
   Util.section "The --jobs sweep: wall time and byte-identity";
@@ -85,11 +58,7 @@ let run () =
   let byte_identical = List.for_all (fun p -> String.equal p.p_model reference) points in
   let cores = Domain.recommended_domain_count () in
   Util.print_table
-    ~header:
-      [
-        "jobs"; "wall (median of 3)"; "speedup"; "hit rate"; "batches"; "q/batch"; "saved";
-        "identity";
-      ]
+    ~header:[ "jobs"; "wall (median of 3)"; "speedup"; "hit rate"; "identity" ]
     (List.map
        (fun p ->
          [
@@ -97,18 +66,25 @@ let run () =
            Printf.sprintf "%.3f s" p.p_wall_s;
            Util.fx p.p_speedup;
            Printf.sprintf "%.1f%%" (100. *. p.p_cache_hit_rate);
-           Util.i0 p.p_batches;
-           Util.f2 p.p_queries_per_batch;
-           Util.i0 p.p_batch_saved;
            (if String.equal p.p_model reference then "bytes" else "DIVERGED");
          ])
        points);
   Util.note "machine has %d core(s); speedup past 1.0x needs real cores" cores;
   if not byte_identical then
     Util.note "WARNING: impact model diverged across job counts";
-  let json = json_of ~points ~byte_identical in
-  let oc = open_out "BENCH_par.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_par.json"
+  let point p =
+    Wire.Obj
+      [
+        ("jobs", Wire.Int p.p_jobs);
+        ("wall_s", Wire.Float (Util.round 4 p.p_wall_s));
+        ("speedup", Wire.Float (Util.round 3 p.p_speedup));
+        ("cache_hit_rate", Wire.Float (Util.round 4 p.p_cache_hit_rate));
+      ]
+  in
+  Util.write_bench "par"
+    [
+      ("system", Wire.String "mysql");
+      ("param", Wire.String param);
+      ("byte_identical_default", Wire.Bool byte_identical);
+      ("points", Wire.List (List.map point points));
+    ]

@@ -18,6 +18,7 @@ module P = Vserve.Protocol
 module Server = Vserve.Server
 module Client = Vserve.Client
 module Reg = Vserve.Registry
+module Wire = Vserve.Wire
 
 let or_die = function
   | Ok v -> v
@@ -68,7 +69,7 @@ let rec await_model c =
     await_model c
 
 let stat_int w name =
-  match Option.bind (Vserve.Wire.member name w) Vserve.Wire.to_int with
+  match Option.bind (Wire.member name w) Wire.to_int with
   | Some n -> n
   | None -> 0
 
@@ -142,12 +143,24 @@ let drive ~label ~models_dir ~batching ~max_queue ~deadline ~clients ~per_client
   }
 
 let phase_json p =
-  Printf.sprintf
-    "{\"requests\":%d,\"reports\":%d,\"shed\":%d,\"degraded\":%d,\"wall_s\":%.4f,\"req_per_s\":%.1f,\"p50_us\":%.1f,\"p99_us\":%.1f,\"batches\":%d,\"coalesced\":%d,\"shed_rate\":%.4f}"
-    p.ph_requests p.ph_reports p.ph_shed p.ph_degraded p.ph_wall_s p.ph_req_per_s
-    p.ph_p50_us p.ph_p99_us p.ph_batches p.ph_coalesced
-    (if p.ph_requests = 0 then 0.
-     else float_of_int p.ph_shed /. float_of_int p.ph_requests)
+  Wire.Obj
+    [
+      ("requests", Wire.Int p.ph_requests);
+      ("reports", Wire.Int p.ph_reports);
+      ("shed", Wire.Int p.ph_shed);
+      ("degraded", Wire.Int p.ph_degraded);
+      ("wall_s", Wire.Float (Util.round 4 p.ph_wall_s));
+      ("req_per_s", Wire.Float (Util.round 1 p.ph_req_per_s));
+      ("p50_us", Wire.Float (Util.round 1 p.ph_p50_us));
+      ("p99_us", Wire.Float (Util.round 1 p.ph_p99_us));
+      ("batches", Wire.Int p.ph_batches);
+      ("coalesced", Wire.Int p.ph_coalesced);
+      ( "shed_rate",
+        Wire.Float
+          (Util.round 4
+             (if p.ph_requests = 0 then 0.
+              else float_of_int p.ph_shed /. float_of_int p.ph_requests)) );
+    ]
 
 let run () =
   Util.section "Serving: batching A/B, admission control, overload degradation";
@@ -199,14 +212,13 @@ let run () =
     Util.note "WARNING: saturation shed no load — admission control untested";
   if not degraded_served then
     Util.note "WARNING: deadline pressure produced no degraded answers";
-  let json =
-    Printf.sprintf
-      "{\"experiment\":\"serve\",\"batch_p99_ok\":%b,\"shed_nonzero\":%b,\"degraded_served\":%b,\"batched\":%s,\"unbatched\":%s,\"saturated\":%s,\"deadline\":%s}"
-      batch_p99_ok shed_nonzero degraded_served (phase_json batched)
-      (phase_json unbatched) (phase_json saturated) (phase_json degraded)
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_serve.json"
+  Util.write_bench "serve"
+    [
+      ("batch_p99_ok", Wire.Bool batch_p99_ok);
+      ("shed_nonzero", Wire.Bool shed_nonzero);
+      ("degraded_served", Wire.Bool degraded_served);
+      ("batched", phase_json batched);
+      ("unbatched", phase_json unbatched);
+      ("saturated", phase_json saturated);
+      ("deadline", phase_json degraded);
+    ]

@@ -9,6 +9,8 @@
    - deterministic: the impact model is byte-identical with slicing on or
      off (modulo the real-wall-clock field). *)
 
+module Wire = Vserve.Wire
+
 let cases =
   [
     "mysql", "autocommit";
@@ -76,22 +78,36 @@ let run_case (system, param) =
     p_identical = String.equal on.r_model off.r_model;
   }
 
-let json_of points ~node_guard_ok ~deterministic =
+let json_fields points ~node_guard_ok ~deterministic =
   let side r =
-    Printf.sprintf
-      "{\"wall_s\":%.4f,\"solver_calls\":%d,\"pre_constraints\":%d,\"pre_nodes\":%d,\"sent_constraints\":%d,\"sent_nodes\":%d,\"sliced_queries\":%d,\"cache_hit_rate\":%.4f}"
-      r.r_wall_s r.r_solver_calls r.r_pre_constraints r.r_pre_nodes r.r_sent_constraints
-      r.r_sent_nodes r.r_sliced_queries r.r_cache_hit_rate
+    Wire.Obj
+      [
+        ("wall_s", Wire.Float (Util.round 4 r.r_wall_s));
+        ("solver_calls", Wire.Int r.r_solver_calls);
+        ("pre_constraints", Wire.Int r.r_pre_constraints);
+        ("pre_nodes", Wire.Int r.r_pre_nodes);
+        ("sent_constraints", Wire.Int r.r_sent_constraints);
+        ("sent_nodes", Wire.Int r.r_sent_nodes);
+        ("sliced_queries", Wire.Int r.r_sliced_queries);
+        ("cache_hit_rate", Wire.Float (Util.round 4 r.r_cache_hit_rate));
+      ]
   in
   let row p =
-    Printf.sprintf
-      "{\"system\":%S,\"param\":%S,\"slice_on\":%s,\"slice_off\":%s,\"guard_ok\":%b,\"model_identical\":%b}"
-      p.p_system p.p_param (side p.p_on) (side p.p_off) p.p_guard_ok p.p_identical
+    Wire.Obj
+      [
+        ("system", Wire.String p.p_system);
+        ("param", Wire.String p.p_param);
+        ("slice_on", side p.p_on);
+        ("slice_off", side p.p_off);
+        ("guard_ok", Wire.Bool p.p_guard_ok);
+        ("model_identical", Wire.Bool p.p_identical);
+      ]
   in
-  Printf.sprintf
-    "{\"experiment\":\"slice\",\"node_guard_ok\":%b,\"deterministic\":%b,\"points\":[%s]}"
-    node_guard_ok deterministic
-    (String.concat "," (List.map row points))
+  [
+    ("node_guard_ok", Wire.Bool node_guard_ok);
+    ("deterministic", Wire.Bool deterministic);
+    ("points", Wire.List (List.map row points));
+  ]
 
 let run () =
   Util.section "Independence slicing: solver work on vs off, model identity";
@@ -127,9 +143,4 @@ let run () =
     Util.note "WARNING: slicing increased total solver nodes on some case — guard violated";
   if not deterministic then
     Util.note "WARNING: impact model diverged between slicing on and off";
-  let json = json_of points ~node_guard_ok ~deterministic in
-  let oc = open_out "BENCH_slice.json" in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Util.note "wrote BENCH_slice.json"
+  Util.write_bench "slice" (json_fields points ~node_guard_ok ~deterministic)

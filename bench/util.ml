@@ -1,5 +1,7 @@
 (* Table rendering and shared helpers for the experiment harness. *)
 
+module Wire = Vserve.Wire
+
 let section title =
   let bar = String.make (String.length title + 8) '=' in
   Fmt.pr "@.%s@.=== %s ===@.%s@." bar title bar
@@ -40,10 +42,21 @@ let i0 = string_of_int
 let yes_no b = if b then "yes" else "no"
 let check b = if b then "v" else "x"
 
-(* Where a BENCH_*.json was measured, as JSON object fields: core count,
-   OCaml version, and the git commit of the working tree ("-dirty" when it
-   has uncommitted changes, "unknown" outside a checkout). *)
-let env_json_fields () =
+(* [f] rounded to [digits] decimals, for JSON figures read by people *)
+let round digits f =
+  let scale = 10. ** float_of_int digits in
+  Float.round (f *. scale) /. scale
+
+let write_json path doc =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Wire.to_string doc);
+      output_char oc '\n')
+
+(* Write BENCH_<experiment>.json: the experiment's name, where it was
+   measured (core count, OCaml version, and the git commit of the working
+   tree, "-dirty" when it has uncommitted changes, "unknown" outside a
+   checkout), then its own fields. *)
+let write_bench experiment fields =
   let commit =
     match Unix.open_process_in "git describe --always --dirty --abbrev=12 2>/dev/null" with
     | exception Unix.Unix_error _ -> "unknown"
@@ -52,9 +65,17 @@ let env_json_fields () =
       ignore (Unix.close_process_in ic);
       if line = "" then "unknown" else line
   in
-  Printf.sprintf "\"cores\":%d,\"ocaml\":%S,\"commit\":%S"
-    (Domain.recommended_domain_count ())
-    Sys.ocaml_version commit
+  let path = Printf.sprintf "BENCH_%s.json" experiment in
+  write_json path
+    (Wire.Obj
+       ([
+          ("experiment", Wire.String experiment);
+          ("cores", Wire.Int (Domain.recommended_domain_count ()));
+          ("ocaml", Wire.String Sys.ocaml_version);
+          ("commit", Wire.String commit);
+        ]
+       @ fields));
+  note "wrote %s" path
 
 (* quartiles over a non-empty float list *)
 let quartiles values =
@@ -86,12 +107,92 @@ let stats_out : string option ref = ref None
 let collected_sched : Vsched.Exploration_stats.t list ref = ref []
 let record_sched s = collected_sched := s :: !collected_sched
 
+let sched_to_wire (t : Vsched.Exploration_stats.t) =
+  let module S = Vsched.Exploration_stats in
+  let ints a = Wire.List (List.map (fun n -> Wire.Int n) (Array.to_list a)) in
+  let cache (c : Vsched.Solver_cache.stats) =
+    Wire.Obj
+      [
+        ("lookups", Wire.Int c.lookups);
+        ("exact_hits", Wire.Int c.exact_hits);
+        ("cex_hits", Wire.Int c.cex_hits);
+        ("subsumption_hits", Wire.Int c.subsumption_hits);
+        ("misses", Wire.Int c.misses);
+        ("stored_models", Wire.Int c.stored_models);
+        ("stored_cores", Wire.Int c.stored_cores);
+        ("hit_rate", Wire.Float (Vsched.Solver_cache.hit_rate c));
+        ("solver_constraints", Wire.Int c.solver_constraints);
+        ("solver_nodes", Wire.Int c.solver_nodes);
+        ("unknown_purged", Wire.Int c.unknown_purged);
+      ]
+  in
+  let q = t.S.query_sizes in
+  Wire.Obj
+    [
+      ("searcher", Wire.String t.S.searcher);
+      ("solver_cache_enabled", Wire.Bool t.S.solver_cache_enabled);
+      ("states_created", Wire.Int t.S.states_created);
+      ("states_completed", Wire.Int t.S.states_completed);
+      ("states_dropped", Wire.Int t.S.states_dropped);
+      ("forks", Wire.Int t.S.forks);
+      ("steps", Wire.Int t.S.steps);
+      ("fork_rate", Wire.Float t.S.fork_rate);
+      ("solver_queries", Wire.Int t.S.solver_queries);
+      ("solver_solves", Wire.Int t.S.solver_solves);
+      ("cache", Option.fold ~none:Wire.Null ~some:cache t.S.cache);
+      ( "completions",
+        Wire.List
+          (List.map
+             (fun (c : S.completion) ->
+               Wire.Obj
+                 [
+                   ("state_id", Wire.Int c.state_id);
+                   ("at_step", Wire.Int c.at_step);
+                   ("dropped", Wire.Bool c.dropped);
+                 ])
+             t.S.completions) );
+      ( "queue_samples",
+        Wire.List
+          (List.map
+             (fun (s : S.sample) ->
+               Wire.Obj [ ("step", Wire.Int s.step); ("queue_depth", Wire.Int s.queue_depth) ])
+             t.S.queue_samples) );
+      ("wall_time_s", Wire.Float t.S.wall_time_s);
+      ( "degradation",
+        Wire.List
+          (List.map
+             (fun (e : Vresilience.Degradation.event) ->
+               Wire.Obj
+                 [
+                   ("rung", Wire.String (Vresilience.Degradation.rung_to_string e.rung));
+                   ("at_step", Wire.Int e.at_step);
+                   ("pressure", Wire.Float e.pressure);
+                 ])
+             t.S.degradation) );
+      ("deadline_hit", Wire.Bool t.S.deadline_hit);
+      ("resumed", Wire.Bool t.S.resumed);
+      ( "query_sizes",
+        Wire.Obj
+          [
+            ("pre_constraints", Wire.Int q.pre_constraints);
+            ("pre_nodes", Wire.Int q.pre_nodes);
+            ("sent_constraints", Wire.Int q.sent_constraints);
+            ("sent_nodes", Wire.Int q.sent_nodes);
+            ("sliced_queries", Wire.Int q.sliced);
+            ("hist_thresholds", ints S.hist_thresholds);
+            ("hist_pre", ints q.hist_pre);
+            ("hist_sent", ints q.hist_sent);
+          ] );
+      ("memo_sizes", Wire.Obj (List.map (fun (name, n) -> (name, Wire.Int n)) t.S.memo_sizes));
+    ]
+
 let flush_sched () =
   match !stats_out with
   | None -> ()
   | Some path ->
-    Vsched.Exploration_stats.save ~path (List.rev !collected_sched);
-    note "wrote %d exploration-stats record(s) to %s" (List.length !collected_sched) path
+    let records = List.rev !collected_sched in
+    write_json path (Wire.List (List.map sched_to_wire records));
+    note "wrote %d exploration-stats record(s) to %s" (List.length records) path
 
 let analyze_case (c : Targets.Cases.known_case) =
   let target = Targets.Cases.target_of c.Targets.Cases.system in

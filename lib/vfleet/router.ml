@@ -3,9 +3,8 @@ module Conn = Vserve.Conn
 module Wire = Vserve.Wire
 module Client = Vserve.Client
 module Registry = Vserve.Registry
-module Stats = Vsched.Exploration_stats
+module Latency = Vserve.Latency
 module Checker = Vchecker.Checker
-module Degradation = Vresilience.Degradation
 
 type options = {
   topology : Topology.t;
@@ -55,7 +54,6 @@ type shard = {
   mutable s_trips : int;
   mutable s_open_until : float;  (* breaker: 0. = closed *)
   mutable s_down_since : float option;
-  s_degrade : Degradation.controller;
 }
 
 type pending = {
@@ -77,11 +75,12 @@ type state = {
   registry : Registry.t;  (* the router's own copy, for fallback answers *)
   shards : shard array;
   pendings : (int, pending) Hashtbl.t;
-  latency : Stats.latency_hist;
+  latency : Latency.t;
   mutable next_rid : int;
   mutable routed : int;
   mutable retries : int;
   mutable failovers : int;
+  mutable overload_redispatches : int;
   mutable timeouts : int;
   mutable stale : int;
   mutable fallback_degraded : int;
@@ -127,14 +126,7 @@ let mark_failure st sh =
 let downtime st sh =
   match sh.s_down_since with None -> 0. | Some t -> st.opts.now () -. t
 
-let observe_pressure st sh =
-  let pressure =
-    if st.opts.down_budget_s <= 0. then 1.
-    else Float.min 1. (downtime st sh /. st.opts.down_budget_s)
-  in
-  ignore (Degradation.observe sh.s_degrade ~pressure ~step:st.routed)
-
-let shard_conn _st sh =
+let shard_conn sh =
   match sh.s_conn with
   | Some c when not (Conn.closed c) -> Some c
   | _ -> begin
@@ -185,7 +177,7 @@ let candidates st key =
 let answer st p resp =
   Hashtbl.remove st.pendings p.pn_rid;
   Conn.write_line p.pn_client (P.encode_response ?id:p.pn_cid resp);
-  Stats.observe_latency st.latency ~us:((st.opts.now () -. p.pn_t0) *. 1e6)
+  Latency.observe st.latency ~us:((st.opts.now () -. p.pn_t0) *. 1e6)
 
 (* every candidate failed: answer the conservative widening from the
    router's own registry rather than losing the request.  With [retries]
@@ -193,9 +185,6 @@ let answer st p resp =
    {e and} no degraded stand-in — so failures surface as errors (the
    honest baseline the chaos bench A/Bs against). *)
 let fallback st p =
-  (match key_of_request p.pn_req with
-  | Some key -> observe_pressure st st.shards.(Hash_ring.owner st.ring key)
-  | None -> ());
   match (if st.opts.retries then Registry.find st.registry p.pn_key else None) with
   | Some (e : Registry.entry) ->
     st.fallback_degraded <- st.fallback_degraded + 1;
@@ -227,7 +216,7 @@ let rec dispatch st p =
     | id :: rest -> begin
       p.pn_remaining <- rest;
       let sh = st.shards.(id) in
-      match shard_conn st sh with
+      match shard_conn sh with
       | None ->
         mark_failure st sh;
         mark_down st sh;
@@ -310,9 +299,9 @@ let handle_worker_line st sh line =
         | P.Error_resp { code = P.Overloaded; _ } when st.opts.retries && p.pn_remaining <> []
           ->
           (* the worker shed the request: retryable, but overload is not a
-             shard fault — the breaker is not charged *)
+             shard fault — neither the breaker nor [failovers] is charged *)
           st.retries <- st.retries + 1;
-          st.failovers <- st.failovers + 1;
+          st.overload_redispatches <- st.overload_redispatches + 1;
           dispatch st p
         | resp ->
           mark_success sh;
@@ -325,7 +314,7 @@ let handle_worker_line st sh line =
 (* Synchronous worker calls (service verbs only)                       *)
 (* ------------------------------------------------------------------ *)
 
-let sync_call _st sh req ~timeout_s =
+let sync_call sh req ~timeout_s =
   match Client.connect sh.s_addr with
   | Error e -> Error e
   | Ok c ->
@@ -386,92 +375,58 @@ let health_resp st =
   in
   P.Health_info { status = (if st.stopping then "stopping" else "ok"); models }
 
-(* the supervisor's published view: pid and restart counts per shard *)
-let supervisor_shards st =
-  match Topology.read_state st.opts.topology with
-  | None -> [||]
-  | Some contents -> begin
-    match Wire.of_string contents with
-    | Error _ -> [||]
-    | Ok v -> begin
-      match Option.bind (Wire.member "shards" v) Wire.to_list with
-      | None -> [||]
-      | Some items ->
-        let arr = Array.make (Array.length st.shards) None in
-        List.iter
-          (fun item ->
-            match Option.bind (Wire.member "id" item) Wire.to_int with
-            | Some id when id >= 0 && id < Array.length arr -> arr.(id) <- Some item
-            | _ -> ())
-          items;
-        arr
-    end
-  end
-
-let fleet_snapshot st =
-  let sup = supervisor_shards st in
-  let merged_latency = Stats.latency_hist () in
-  Stats.merge_latency ~into:merged_latency st.latency;
-  let shards =
-    Array.to_list st.shards
-    |> List.map (fun sh ->
-           let stats_json =
-             if downtime st sh > 0. then None
-             else
-               match sync_call st sh P.Stats ~timeout_s:1.0 with
-               | Ok (P.Stats_info v) ->
-                 (* fold the worker's latency histogram into the fleet view *)
-                 (match Wire.member "latency" v with
-                 | Some lat -> begin
-                   match
-                     ( Option.bind (Wire.member "bucket_counts" lat) Wire.to_list,
-                       Option.bind (Wire.member "mean_us" lat) Wire.to_float,
-                       Option.bind (Wire.member "max_us" lat) Wire.to_float )
-                   with
-                   | Some counts, Some mean_us, Some max_us ->
-                     Stats.absorb_latency merged_latency
-                       ~counts:(List.filter_map Wire.to_int counts)
-                       ~mean_us ~max_us
-                   | _ -> ()
-                 end
-                 | None -> ());
-                 Some (Wire.to_string v)
-               | _ -> None
-           in
-           let sup_field name conv =
-             match sup with
-             | [||] -> None
-             | arr -> Option.bind arr.(sh.s_id) (fun v -> Option.bind (Wire.member name v) conv)
-           in
-           let sup_int name = sup_field name Wire.to_int in
-           let sup_str name = sup_field name Wire.to_str in
-           {
-             Stats.fs_id = sh.s_id;
-             fs_pid = Option.value ~default:0 (sup_int "pid");
-             fs_state =
-               (match sup_str "state" with
-               | Some ("tripped" as s) | Some ("restarting" as s) -> s
-               | _ -> if downtime st sh > 0. then "down" else "up");
-             fs_restarts = Option.value ~default:0 (sup_int "restarts");
-             fs_breaker_trips = sh.s_trips + Option.value ~default:0 (sup_int "breaker_trips");
-             fs_failures = sh.s_failures + Option.value ~default:0 (sup_int "failures");
-             fs_stats = stats_json;
-           })
+(* The fleet stats answer: the supervisor's published view of each shard
+   (pid, restarts) plus the router's own charges, each live worker's stats
+   answer as it sent it, the router counters, and one latency histogram
+   folding the router's with every worker's. *)
+let stats_to_wire st =
+  let sup = Topology.read_shards st.opts.topology in
+  let latency = Latency.create () in
+  Latency.merge ~into:latency st.latency;
+  let shard sh =
+    let stats =
+      if downtime st sh > 0. then Wire.Null
+      else
+        match sync_call sh P.Stats ~timeout_s:1.0 with
+        | Ok (P.Stats_info v) ->
+          Option.iter (Latency.merge ~into:latency)
+            (Option.bind (Wire.member "latency" v) Latency.of_wire);
+          v
+        | _ -> Wire.Null
+    in
+    let s : Topology.shard_status =
+      match sup.(sh.s_id) with
+      | Some s -> s
+      | None -> { id = sh.s_id; pid = 0; state = ""; restarts = 0; breaker_trips = 0; failures = 0 }
+    in
+    Topology.shard_to_wire ~stats
+      {
+        s with
+        state =
+          (match s.state with
+          | ("tripped" | "restarting") as state -> state
+          | _ -> if downtime st sh > 0. then "down" else "up");
+        breaker_trips = sh.s_trips + s.breaker_trips;
+        failures = sh.s_failures + s.failures;
+      }
   in
-  {
-    Stats.f_shards = shards;
-    f_routed = st.routed;
-    f_retries = st.retries;
-    f_failovers = st.failovers;
-    f_timeouts = st.timeouts;
-    f_stale_responses = st.stale;
-    f_fallback_degraded = st.fallback_degraded;
-    f_shed = st.shed;
-    f_write_failed = st.write_failed;
-    f_reloads_staged = st.reloads_staged;
-    f_reloads_committed = st.reloads_committed;
-    f_latency = merged_latency;
-  }
+  let shards = Array.to_list (Array.map shard st.shards) in
+  Wire.Obj
+    [
+      ("shards", Wire.List shards);
+      ("routed", Wire.Int st.routed);
+      ("retries", Wire.Int st.retries);
+      ("failovers", Wire.Int st.failovers);
+      ("overload_redispatches", Wire.Int st.overload_redispatches);
+      ("timeouts", Wire.Int st.timeouts);
+      ("stale_responses", Wire.Int st.stale);
+      ("fallback_degraded", Wire.Int st.fallback_degraded);
+      ("shed", Wire.Int st.shed);
+      ("write_failed", Wire.Int st.write_failed);
+      ("reloads_staged", Wire.Int st.reloads_staged);
+      ("reloads_committed", Wire.Int st.reloads_committed);
+      ("latency", Latency.to_wire latency);
+    ]
 
 let reload_stage st =
   drain st;
@@ -479,7 +434,7 @@ let reload_stage st =
     Array.to_list st.shards
     |> List.map (fun sh ->
            let name = Printf.sprintf "shard-%d" sh.s_id in
-           match sync_call st sh P.Reload_stage ~timeout_s:5.0 with
+           match sync_call sh P.Reload_stage ~timeout_s:5.0 with
            | Ok (P.Reload_info { ok = true; _ }) -> (name, Ok ())
            | Ok (P.Reload_info { entries; _ }) ->
              let why =
@@ -521,7 +476,7 @@ let reload_commit st =
     let commit_one sh =
       let name = Printf.sprintf "shard-%d" sh.s_id in
       let attempt () =
-        match sync_call st sh P.Reload_commit ~timeout_s:5.0 with
+        match sync_call sh P.Reload_commit ~timeout_s:5.0 with
         | Ok (P.Reload_info { ok = true; _ }) -> Ok ()
         | Ok (P.Reload_info { entries; _ }) ->
           Error
@@ -535,7 +490,7 @@ let reload_commit st =
         (* the worker may have restarted since the stage (losing its staged
            set, but loading the new files at startup anyway): re-stage and
            commit once so a recovered shard rejoins the new generation *)
-        match sync_call st sh P.Reload_stage ~timeout_s:5.0 with
+        match sync_call sh P.Reload_stage ~timeout_s:5.0 with
         | Ok (P.Reload_info { ok = true; _ }) -> (name, attempt ())
         | Ok _ | Error _ -> (name, attempt ())
       end
@@ -566,15 +521,7 @@ let handle_client_line st conn line =
   | Ok (id, req) -> begin
     match req with
     | P.Health -> Conn.write_line conn (P.encode_response ?id (health_resp st))
-    | P.Stats ->
-      let json = Stats.fleet_to_json (fleet_snapshot st) in
-      let resp =
-        match Wire.of_string json with
-        | Ok v -> P.Stats_info v
-        | Error msg ->
-          P.Error_resp { code = P.Check_failed; message = "stats rendering failed: " ^ msg }
-      in
-      Conn.write_line conn (P.encode_response ?id resp)
+    | P.Stats -> Conn.write_line conn (P.encode_response ?id (P.Stats_info (stats_to_wire st)))
     | P.Reload_stage -> Conn.write_line conn (P.encode_response ?id (reload_stage st))
     | P.Reload_commit -> Conn.write_line conn (P.encode_response ?id (reload_commit st))
     | P.Shutdown ->
@@ -667,7 +614,6 @@ let run opts =
             s_trips = 0;
             s_open_until = 0.;
             s_down_since = None;
-            s_degrade = Degradation.controller Degradation.default_policy;
           })
     in
     let st =
@@ -677,11 +623,12 @@ let run opts =
         registry;
         shards;
         pendings = Hashtbl.create 64;
-        latency = Stats.latency_hist ();
+        latency = Latency.create ();
         next_rid = 1;
         routed = 0;
         retries = 0;
         failovers = 0;
+        overload_redispatches = 0;
         timeouts = 0;
         stale = 0;
         fallback_degraded = 0;
@@ -704,7 +651,7 @@ let run opts =
            restarts them; this is how the router notices) *)
         if opts.now () -. !last_reconnect >= opts.reconnect_every_s then begin
           Array.iter
-            (fun sh -> if sh.s_down_since <> None then ignore (shard_conn st sh))
+            (fun sh -> if sh.s_down_since <> None then ignore (shard_conn sh))
             shards;
           last_reconnect := opts.now ()
         end;

@@ -15,7 +15,9 @@
       A timeout, a dead worker connection, or a worker [overloaded] answer
       re-dispatches the (pure, idempotent) check to the next untried shard
       on the preference list.  Worker overload is retried but {e not}
-      charged to the shard's breaker; timeouts and connection failures are;
+      charged to the shard's breaker, and is counted in
+      [overload_redispatches]; timeouts and connection failures are charged,
+      and counted in [failovers];
     - {e breaker}: consecutive charged failures open a per-shard breaker
       for a cooldown; an open shard is skipped at dispatch.  After the
       cooldown one probe dispatch is allowed through (half-open);
@@ -23,8 +25,7 @@
       past the down budget — the router answers from its own model registry
       with the conservative widening ({!Vchecker.Checker.degraded_findings},
       [degraded = true]), so overloaded or dying fleets degrade instead of
-      erroring.  A per-shard {!Vresilience.Degradation} controller, fed
-      [downtime / down_budget_s] as pressure, records the escalation;
+      erroring;
     - {e stale answers}: a late response whose request was already answered
       (by failover or fallback) is dropped and counted, never forwarded;
     - {e two-phase reload}: [reload-stage] drains in-flight requests, then
@@ -34,9 +35,15 @@
       the round completing, so clients never observe answers from two model
       generations;
     - {e service verbs}: [health] answers from the router's registry;
-      [stats] pulls each live worker's stats over the wire and merges them
-      (with the supervisor's published state file, when present) into one
-      {!Vsched.Exploration_stats.fleet} JSON object. *)
+      [stats] pulls each live worker's stats over the wire and answers one
+      object: [shards] (each {!Topology.shard_to_wire}, merged with the
+      supervisor's state file when present, carrying the worker's own stats
+      answer under [stats]), then [routed], [retries], [failovers],
+      [overload_redispatches], [timeouts], [stale_responses],
+      [fallback_degraded], [shed], [write_failed], [reloads_staged],
+      [reloads_committed], and a [latency] histogram folding the router's
+      dispatch-to-answer times with every worker's
+      ({!Vserve.Latency.of_wire}). *)
 
 type options = {
   topology : Topology.t;
@@ -54,8 +61,7 @@ type options = {
   max_attempts : int;  (** dispatches per request, across shards (default 3) *)
   max_pending : int;  (** router admission bound (default 256) *)
   down_budget_s : float;
-      (** downtime after which a shard is skipped at dispatch and the
-          degradation controller saturates (default 1.0) *)
+      (** downtime after which a shard is skipped at dispatch (default 1.0) *)
   breaker_threshold : int;  (** consecutive failures that open (default 3) *)
   breaker_cooldown_s : float;  (** open duration before half-open (default 1.0) *)
   reconnect_every_s : float;  (** down-shard reconnect probe period (default 0.25) *)

@@ -1,6 +1,5 @@
 module Client = Vserve.Client
 module P = Vserve.Protocol
-module Stats = Vsched.Exploration_stats
 
 type options = {
   topology : Topology.t;
@@ -99,25 +98,15 @@ let spawn_router opts =
       | Ok () -> Unix._exit 0
       | Error _ -> Unix._exit 1)
 
-let publish opts ~router_pid shards =
-  let json =
-    Printf.sprintf "{\"pid\":%d,\"router_pid\":%d,\"shards\":[%s]}" (Unix.getpid ())
-      router_pid
-      (String.concat ","
-         (Array.to_list shards
-         |> List.map (fun sh ->
-                Stats.fleet_shard_to_json
-                  {
-                    Stats.fs_id = sh.sh_id;
-                    fs_pid = sh.sh_pid;
-                    fs_state = state_to_string sh.sh_state;
-                    fs_restarts = sh.sh_restarts;
-                    fs_breaker_trips = sh.sh_trips;
-                    fs_failures = sh.sh_failures;
-                    fs_stats = None;
-                  })))
-  in
-  Topology.write_state opts.topology json
+let status sh =
+  {
+    Topology.id = sh.sh_id;
+    pid = sh.sh_pid;
+    state = state_to_string sh.sh_state;
+    restarts = sh.sh_restarts;
+    breaker_trips = sh.sh_trips;
+    failures = sh.sh_failures;
+  }
 
 let run opts =
   if Vpar.Pool.spawned_domains () then
@@ -151,22 +140,19 @@ let run opts =
       shards;
     let router_pid = ref (spawn_router opts) in
     let router_exited = ref false in
-    publish opts ~router_pid:!router_pid shards;
-    let last_published = ref "" in
-    let maybe_publish () =
-      (* cheap change detection: republish only when the rendering moved *)
-      let now_render =
-        String.concat ";"
-          (Array.to_list shards
-          |> List.map (fun sh ->
-                 Printf.sprintf "%d:%d:%s:%d:%d:%d" sh.sh_id sh.sh_pid
-                   (state_to_string sh.sh_state) sh.sh_restarts sh.sh_trips sh.sh_failures))
+    (* rewrite the state file only when its document changed *)
+    let published = ref Vserve.Wire.Null in
+    let publish () =
+      let doc =
+        Topology.state_to_wire ~pid:(Unix.getpid ()) ~router_pid:!router_pid
+          (Array.to_list (Array.map status shards))
       in
-      if now_render <> !last_published then begin
-        last_published := now_render;
-        publish opts ~router_pid:!router_pid shards
+      if doc <> !published then begin
+        published := doc;
+        Topology.write_state opts.topology doc
       end
     in
+    publish ();
     let shard_of_pid pid = Array.find_opt (fun sh -> sh.sh_pid = pid) shards in
     let on_worker_exit now sh =
       sh.sh_pid <- 0;
@@ -259,7 +245,7 @@ let run opts =
               end)
             shards
         end;
-        maybe_publish ();
+        publish ();
         Unix.sleepf 0.05
       end
     done;
@@ -292,7 +278,8 @@ let run opts =
     in
     reap_all ();
     Array.iter (fun sh -> sh.sh_pid <- 0; sh.sh_state <- Down) shards;
-    publish opts ~router_pid:0 shards;
+    router_pid := 0;
+    publish ();
     Sys.set_signal Sys.sigterm old_term;
     Ok ()
   end

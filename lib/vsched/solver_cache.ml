@@ -177,11 +177,6 @@ let expired = function
   | None -> false
   | Some b -> Vresilience.Budget.expired b
 
-(* The query entry points split into a preparation step (simplify,
-   canonicalize, render the key) and keyed probe/solve steps over the
-   prepared query, so {!feasible_batch} can consult the cache for a whole
-   batch before any of it reaches the solver. *)
-
 type prepared = { p_canon : E.t list; p_conjunct_keys : string list; p_key : string }
 
 (* canonicalize: solve the sorted set, not just key on it — permuted queries
@@ -194,43 +189,41 @@ let prepare cs =
 
 let feasible = function Solver.Sat _ | Solver.Unknown -> true | Solver.Unsat -> false
 
-(* Cache-only consult of a prepared feasibility query: exact entry, stored-
-   model probe, unsat-core subsumption — everything short of a solver call.
-   [count_lookup] is false on the re-probe a batch does just before solving,
-   so each logical query still counts exactly one lookup. *)
-let probe_feasible t ~count_lookup ~max_nodes p =
-  if count_lookup then t.n_lookups <- t.n_lookups + 1;
+(* Exact entry, stored-model probe, unsat-core subsumption; the solver only
+   when all three miss.  One lookup per call. *)
+let is_feasible t ?budget ~max_nodes cs =
+  let p = prepare cs in
+  t.n_lookups <- t.n_lookups + 1;
   match Hashtbl.find_opt t.feas_memo p.p_key with
   | Some e when sound_verdict e ~max_nodes ->
-    if count_lookup then t.n_exact_hits <- t.n_exact_hits + 1;
-    Some (feasible e.result)
+    t.n_exact_hits <- t.n_exact_hits + 1;
+    feasible e.result
   | _ -> begin
     match probe_models t p.p_canon with
     | Some m ->
-      if count_lookup then t.n_cex_hits <- t.n_cex_hits + 1;
+      t.n_cex_hits <- t.n_cex_hits + 1;
       Hashtbl.replace t.feas_memo p.p_key
         { result = Solver.Sat m; budget = max_nodes; foot = query_foot p.p_canon };
-      Some true
+      true
     | None ->
       let qset = Sset.of_list p.p_conjunct_keys in
       if List.exists (fun core -> Sset.subset core qset) t.cores then begin
-        if count_lookup then t.n_subsumption_hits <- t.n_subsumption_hits + 1;
+        t.n_subsumption_hits <- t.n_subsumption_hits + 1;
         Hashtbl.replace t.feas_memo p.p_key
           { result = Solver.Unsat; budget = max_nodes; foot = query_foot p.p_canon };
-        Some false
+        false
       end
-      else None
+      else begin
+        t.n_misses <- t.n_misses + 1;
+        count_solver_work t p.p_canon;
+        let result = Solver.check ?budget ~max_nodes p.p_canon in
+        if not (expired budget) then begin
+          record t t.feas_memo p.p_key ~max_nodes ~foot:(query_foot p.p_canon) result;
+          if result = Solver.Unsat then store_core t qset
+        end;
+        feasible result
+      end
   end
-
-let solve_feasible t ?budget ~max_nodes p =
-  t.n_misses <- t.n_misses + 1;
-  count_solver_work t p.p_canon;
-  let result = Solver.check ?budget ~max_nodes p.p_canon in
-  if not (expired budget) then begin
-    record t t.feas_memo p.p_key ~max_nodes ~foot:(query_foot p.p_canon) result;
-    if result = Solver.Unsat then store_core t (Sset.of_list p.p_conjunct_keys)
-  end;
-  feasible result
 
 let check_model t ?budget ~max_nodes cs =
   let p = prepare cs in
@@ -246,25 +239,6 @@ let check_model t ?budget ~max_nodes cs =
     if not (expired budget) then
       record t t.model_memo p.p_key ~max_nodes ~foot:(query_foot p.p_canon) result;
     result
-
-(* One aggregated feasibility round: every query consults the cache first
-   (counted), then each remaining miss is re-probed (uncounted) just before
-   its solve, because an earlier solve in the same round may have recorded
-   its twin or a model that satisfies it.  Each answer carries [true] when
-   no solver round-trip was needed. *)
-let feasible_batch t ?budget ~max_nodes queries =
-  let prepped = List.map prepare queries in
-  let consulted = List.map (probe_feasible t ~count_lookup:true ~max_nodes) prepped in
-  List.map2
-    (fun p consult ->
-      match consult with
-      | Some v -> v, true
-      | None -> begin
-        match probe_feasible t ~count_lookup:false ~max_nodes p with
-        | Some v -> v, true
-        | None -> solve_feasible t ?budget ~max_nodes p, false
-      end)
-    prepped consulted
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing                                                       *)

@@ -11,7 +11,7 @@
       a hit returns byte-for-byte the model a fresh solve would, and
       concretization values — and therefore the derived impact model — are
       identical with the cache on or off.
-    - {!feasible_batch} serves the executor's branch-feasibility queries, where
+    - {!is_feasible} serves the executor's branch-feasibility queries, where
       only the Sat/Unsat verdict matters.  On top of (order-insensitive)
       exact memoization it runs the two KLEE counterexample-cache probes:
       a stored satisfying assignment is evaluated against the new query
@@ -61,21 +61,11 @@ val check_model :
     computed after the deadline expired are returned but {e not} recorded
     (a deadline [Unknown] describes this run's clock, not the query). *)
 
-val feasible_batch :
-  t ->
-  ?budget:Vresilience.Budget.armed ->
-  max_nodes:int ->
-  Vsmt.Expr.t list list ->
-  (bool * bool) list
-(** One aggregated feasibility round over several pending queries (the
-    executor's per-fork pair, a loop-exit probe, or a single query): each
-    answer is true when its constraint set is satisfiable or undecided,
-    like {!Vsmt.Solver.is_feasible}, with all cache probes enabled.  The
-    cache is consulted for the whole batch first, one counted lookup per
-    query; each remaining miss is re-probed, uncounted, just before its
-    solve, so an earlier solve in the round (an in-batch duplicate, or a
-    stored model that satisfies it) can still answer it.  Answers come back in query order, each paired with [true]
-    when it was served without a solver round-trip.  Same [budget]
+val is_feasible :
+  t -> ?budget:Vresilience.Budget.armed -> max_nodes:int -> Vsmt.Expr.t list -> bool
+(** True when the conjunction is satisfiable or undecided, like
+    {!Vsmt.Solver.is_feasible}, with all cache probes enabled: one counted
+    lookup, and a solver call only when every probe misses.  Same [budget]
     semantics as {!check_model}. *)
 
 (** {1 Checkpointing} *)

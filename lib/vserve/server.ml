@@ -1,6 +1,5 @@
 module P = Protocol
 module B = Vresilience.Budget
-module Stats = Vsched.Exploration_stats
 module Checker = Vchecker.Checker
 
 type addr = [ `Unix of string | `Tcp of string * int ]
@@ -57,7 +56,7 @@ type state = {
   base_budget : B.armed;  (** one spec for every request, re-armed at admission *)
   queue : pending Queue.t;
   by_verb : (string, int) Hashtbl.t;
-  latency : Stats.latency_hist;
+  latency : Latency.t;  (** enqueue-to-response, check requests only *)
   mutable requests : int;
   mutable shed_queue_full : int;
   mutable shed_deadline : int;
@@ -72,28 +71,32 @@ let bump_verb st verb =
   Hashtbl.replace st.by_verb verb
     (1 + Option.value ~default:0 (Hashtbl.find_opt st.by_verb verb))
 
-let serve_snapshot st =
-  {
-    Stats.requests = st.requests;
-    by_verb =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.by_verb []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
-    shed_queue_full = st.shed_queue_full;
-    shed_deadline = st.shed_deadline;
-    batches = st.batches;
-    batched_requests = st.batched_requests;
-    coalesced = st.coalesced;
-    write_failed = st.write_failed;
-    model_reloads = Registry.reloads st.registry;
-    model_load_failures = Registry.load_failures st.registry;
-    model_compiles = Registry.compiles st.registry;
-    compile_wall_s = Registry.compile_wall_s st.registry;
-    models =
-      List.map
-        (fun (e : Registry.entry) -> (e.Registry.key, e.Registry.generation))
-        (Registry.entries st.registry);
-    latency = st.latency;
-  }
+let stats_to_wire st =
+  let counts kvs = Wire.Obj (List.map (fun (k, n) -> (k, Wire.Int n)) kvs) in
+  Wire.Obj
+    [
+      ("requests", Wire.Int st.requests);
+      ( "by_verb",
+        counts
+          (Hashtbl.fold (fun k v acc -> (k, v) :: acc) st.by_verb []
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)) );
+      ("shed_queue_full", Wire.Int st.shed_queue_full);
+      ("shed_deadline", Wire.Int st.shed_deadline);
+      ("batches", Wire.Int st.batches);
+      ("batched_requests", Wire.Int st.batched_requests);
+      ("coalesced", Wire.Int st.coalesced);
+      ("write_failed", Wire.Int st.write_failed);
+      ("model_reloads", Wire.Int (Registry.reloads st.registry));
+      ("model_load_failures", Wire.Int (Registry.load_failures st.registry));
+      ("model_compiles", Wire.Int (Registry.compiles st.registry));
+      ("compile_wall_s", Wire.Float (Registry.compile_wall_s st.registry));
+      ( "models",
+        counts
+          (List.map
+             (fun (e : Registry.entry) -> (e.Registry.key, e.Registry.generation))
+             (Registry.entries st.registry)) );
+      ("latency", Latency.to_wire st.latency);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Check execution (runs on pool workers — must not raise)             *)
@@ -272,13 +275,7 @@ let handle_line st conn line =
     | P.Stats ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
-      let stats_json = Stats.serve_to_json (serve_snapshot st) in
-      let resp =
-        match Wire.of_string stats_json with
-        | Ok v -> P.Stats_info v
-        | Error msg -> check_failed ("stats rendering failed: " ^ msg)
-      in
-      Conn.write_line conn (P.encode_response ?id resp)
+      Conn.write_line conn (P.encode_response ?id (P.Stats_info (stats_to_wire st)))
     | P.Reload_stage ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -391,7 +388,7 @@ let run_batch st =
         st.requests <- st.requests + 1;
         bump_verb st (P.verb_of_request p.p_req);
         Conn.write_line p.p_conn (P.encode_response ?id:p.p_id resp);
-        Stats.observe_latency st.latency ~us:((opts.now () -. p.p_t_enq) *. 1e6))
+        Latency.observe st.latency ~us:((opts.now () -. p.p_t_enq) *. 1e6))
       results
   end
 
@@ -430,7 +427,7 @@ let run opts =
           B.arm (B.with_clock (B.with_deadline B.default opts.request_deadline_s) opts.now);
         queue = Queue.create ();
         by_verb = Hashtbl.create 8;
-        latency = Stats.latency_hist ();
+        latency = Latency.create ();
         requests = 0;
         shed_queue_full = 0;
         shed_deadline = 0;

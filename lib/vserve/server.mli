@@ -24,7 +24,16 @@
       replacement is rejected and the old generation keeps serving).
 
     Responses to service verbs may overtake queued check responses on the
-    same connection; clients correlate by request [id]. *)
+    same connection; clients correlate by request [id].
+
+    [stats] answers one object, in this field order: [requests] (answered,
+    service verbs included), [by_verb], [shed_queue_full] (refused at
+    admission), [shed_deadline] (served degraded because queue wait used up
+    the deadline), [batches], [batched_requests], [coalesced],
+    [write_failed] (responses lost to a dead client connection),
+    [model_reloads], [model_load_failures], [model_compiles],
+    [compile_wall_s], [models] (key to generation) and [latency]
+    ({!Latency.to_wire}, enqueue to response, check verbs only). *)
 
 type addr = [ `Unix of string | `Tcp of string * int ]
 

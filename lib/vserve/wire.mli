@@ -1,9 +1,10 @@
 (** Minimal JSON for the newline-delimited wire protocol.
 
     The serving layer speaks one JSON value per line.  No external JSON
-    dependency exists in this repo (telemetry only ever {e wrote} JSON), so
-    the codec lives here: a full value type, a recursive-descent parser and a
-    canonical printer.
+    dependency exists in this repo, so the codec lives here: a full value
+    type, a recursive-descent parser and a canonical printer.  It is the
+    repo's one JSON writer: telemetry, the fleet state file and the bench
+    reports are [t] values too.
 
     Canonical output is what makes the protocol testable byte-for-byte:
     objects print their fields in construction order, strings escape exactly

@@ -142,11 +142,6 @@ type engine = {
   mutable finished : Sym_state.t list;  (* newest first *)
   mutable last_run_id : int;
   mutable picks_to_ckpt : int;
-  (* batched-feasibility accounting: one batch per aggregation event (a
-     fork's true/false pair, a loop-exit probe) *)
-  mutable n_batches : int;
-  mutable n_batch_queries : int;
-  mutable n_batch_saved : int;
   (* effective knobs, tightened by the degradation ladder *)
   mutable eff_max_unroll : int;
   mutable eff_concretize_all : bool;
@@ -294,57 +289,27 @@ let record_query eng ~pre ~sent =
   Vsched.Exploration_stats.on_query eng.recorder ~pre_constraints ~pre_nodes ~sent_constraints
     ~sent_nodes
 
-(* Branch-feasibility queries, batched.  Each query's [sliced] carries the
-   candidate path condition's partition and the branch condition's
-   footprint: only the slices overlapping that footprint are sent.  Sound
-   because every untouched slice is inherited from the (feasible) parent
-   path condition, so it cannot flip the verdict; on an undecided
-   (budget-bound) solver the sliced query can only be *more* decided, never
-   wrongly Unsat.
-
-   A call is one aggregation event (a fork's true/false pair, a loop-exit
-   probe): the pending relevant-slice queries go to the solver cache as one
-   round, consulted for the whole batch before any miss is solved. *)
-let feasible_batch eng queries =
-  let sents =
-    List.map
-      (fun (pc, sliced) ->
-        eng.n_solver_calls <- eng.n_solver_calls + 1;
-        let sent =
-          match sliced with
-          | Some (part, fp) when eng.opts.slice -> Vsmt.Partition.relevant part fp
-          | _ -> pc
-        in
-        record_query eng ~pre:pc ~sent;
-        sent)
-      queries
-  in
-  eng.n_batches <- eng.n_batches + 1;
-  eng.n_batch_queries <- eng.n_batch_queries + List.length sents;
-  let max_nodes = eng.opts.budget.B.solver_max_nodes in
-  let solve sents =
-    match eng.cache with
-    | Some cache -> Vsched.Solver_cache.feasible_batch cache ~budget:eng.armed ~max_nodes sents
-    | None ->
-      List.map (fun sent -> Vsmt.Solver.is_feasible ~budget:eng.armed ~max_nodes sent, false) sents
-  in
-  let answers =
-    if eng.opts.chaos = None then solve sents
-    else
-      (* chaos runs keep their per-query Unknown flip (a forced Unknown
-         over-approximates to feasible), so each query is its own round *)
-      List.concat_map
-        (fun sent -> if chaos_unknown eng then [ true, false ] else solve [ sent ])
-        sents
-  in
-  List.iter
-    (fun (_, served_from_cache) ->
-      if served_from_cache then eng.n_batch_saved <- eng.n_batch_saved + 1)
-    answers;
-  List.map fst answers
-
+(* Branch-feasibility query.  [sliced] carries the candidate path
+   condition's partition and the branch condition's footprint: only the
+   slices overlapping that footprint are sent.  Sound because every
+   untouched slice is inherited from the (feasible) parent path condition,
+   so it cannot flip the verdict; on an undecided (budget-bound) solver the
+   sliced query can only be *more* decided, never wrongly Unsat. *)
 let is_feasible ?sliced eng pc =
-  match feasible_batch eng [ pc, sliced ] with [ ok ] -> ok | _ -> assert false
+  eng.n_solver_calls <- eng.n_solver_calls + 1;
+  let sent =
+    match sliced with
+    | Some (part, fp) when eng.opts.slice -> Vsmt.Partition.relevant part fp
+    | _ -> pc
+  in
+  record_query eng ~pre:pc ~sent;
+  (* a chaos-forced Unknown over-approximates to feasible *)
+  if chaos_unknown eng then true
+  else
+    let max_nodes = eng.opts.budget.B.solver_max_nodes in
+    match eng.cache with
+    | Some cache -> Vsched.Solver_cache.is_feasible cache ~budget:eng.armed ~max_nodes sent
+    | None -> Vsmt.Solver.is_feasible ~budget:eng.armed ~max_nodes sent
 
 (* Model-generation query.  With [sliced] (the path condition's partition),
    each symbol-disjoint slice is solved independently and the per-slice
@@ -585,15 +550,8 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
     let part_true = Vsmt.Partition.extend st.S.pc_part pc_true in
     let part_false = Vsmt.Partition.extend st.S.pc_part pc_false in
     let can_fork = eng.next_id < eng.opts.budget.B.max_states in
-    (* both sides of the fork go out as one batched feasibility round *)
-    let t_ok, f_ok =
-      match
-        feasible_batch eng
-          [ pc_true, Some (part_true, fp); pc_false, Some (part_false, fp) ]
-      with
-      | [ t_ok; f_ok ] -> t_ok, f_ok
-      | _ -> assert false
-    in
+    let t_ok = is_feasible ~sliced:(part_true, fp) eng pc_true in
+    let f_ok = is_feasible ~sliced:(part_false, fp) eng pc_false in
     match t_ok, f_ok with
     | true, false ->
       One
@@ -887,9 +845,6 @@ let make_engine ~armed ~cache ~recorder opts program =
     n_forks = 0;
     n_solver_calls = 0;
     n_concretizations = 0;
-    n_batches = 0;
-    n_batch_queries = 0;
-    n_batch_saved = 0;
     terminated = 0;
     killed = 0;
     finished = [];
@@ -1144,12 +1099,6 @@ let run ?resume opts program =
             "solver_cache_feas_entries", feas_entries;
             "solver_cache_model_entries", model_entries;
           ]
-        ~batch:
-          {
-            ES.b_batches = eng.n_batches;
-            b_queries = eng.n_batch_queries;
-            b_saved = eng.n_batch_saved;
-          }
         eng.recorder ~states_created:eng.next_id ~solver_queries:eng.n_solver_calls
         ~solver_solves ~cache:cache_stats ~wall_time_s;
   }

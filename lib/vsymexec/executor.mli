@@ -74,8 +74,8 @@ type options = {
   time_slice : int;  (** steps before a preemptive switch (non-Dfs) *)
   solver_cache : bool;
       (** route every feasibility/model query through a per-run
-          {!Vsched.Solver_cache}, both sides of a fork going out as one
-          feasibility batch; cache statistics surface in {!result.sched} *)
+          {!Vsched.Solver_cache}; cache statistics surface in
+          {!result.sched} *)
   slice : bool;
       (** independence slicing (KLEE lineage): feasibility queries send only
           the symbol-disjoint slices of the path condition that overlap the

@@ -101,7 +101,8 @@ if [ "$rc" -ne 2 ]; then
   echo "fleet smoke: expected exit 2 after kill -9 (failover), got $rc"
   exit 1
 fi
-dune exec bin/violet_cli.exe -- fleet stats --run-dir "$FLEET_DIR" >/dev/null
+# the stats answer must parse as JSON
+dune exec bin/violet_cli.exe -- fleet stats --run-dir "$FLEET_DIR" | python3 -m json.tool >/dev/null
 dune exec bin/violet_cli.exe -- fleet drain --run-dir "$FLEET_DIR" >/dev/null
 wait "$FLEET_PID"
 

@@ -101,13 +101,19 @@ let test_topology_state_file () =
   Fun.protect ~finally:(fun () -> rm_rf run_dir) @@ fun () ->
   let t = Topology.make ~run_dir ~shards:3 in
   check Alcotest.bool "no state before first publish" true (Topology.read_state t = None);
-  Topology.write_state t "{\"shards\":[]}";
+  Topology.write_state t (Wire.Obj [ ("shards", Wire.List []) ]);
   check (Alcotest.option Alcotest.string) "state round-trips" (Some "{\"shards\":[]}")
     (Topology.read_state t);
-  Topology.write_state t "{\"shards\":[{\"id\":0}]}";
+  let shard1 =
+    { Topology.id = 1; pid = 42; state = "up"; restarts = 2; breaker_trips = 0; failures = 1 }
+  in
+  Topology.write_state t (Topology.state_to_wire ~pid:7 ~router_pid:8 [ shard1 ]);
   check (Alcotest.option Alcotest.string) "replacement is complete"
-    (Some "{\"shards\":[{\"id\":0}]}")
+    (Some
+       "{\"pid\":7,\"router_pid\":8,\"shards\":[{\"id\":1,\"pid\":42,\"state\":\"up\",\"restarts\":2,\"breaker_trips\":0,\"failures\":1,\"stats\":null}]}")
     (Topology.read_state t);
+  check Alcotest.bool "the decoder reads what the encoder wrote" true
+    (Topology.read_shards t = [| None; Some shard1; None |]);
   (* no temp debris left behind by the atomic replace *)
   let files = Sys.readdir run_dir in
   check Alcotest.int "only the state file remains" 1 (Array.length files);
@@ -218,7 +224,8 @@ let skip_if_domains () =
   if Vpar.Pool.spawned_domains () then
     Alcotest.skip ()
 
-let start_fleet ?spawn_worker ?(crashloop_limit = 5) ~run_dir ~models_dir ~shards () =
+let start_fleet ?spawn_worker ?(crashloop_limit = 5) ?max_queue ~run_dir ~models_dir ~shards ()
+    =
   let topology = Topology.make ~run_dir ~shards in
   match Unix.fork () with
   | 0 ->
@@ -228,10 +235,12 @@ let start_fleet ?spawn_worker ?(crashloop_limit = 5) ~run_dir ~models_dir ~shard
         base with
         Supervisor.worker_opts =
           (fun i ->
+            let w = base.Supervisor.worker_opts i in
             {
-              (base.Supervisor.worker_opts i) with
+              w with
               Server.resolve_registry = (fun _ -> Some Fixtures.registry);
               jobs = 1;
+              max_queue = Option.value ~default:w.Server.max_queue max_queue;
             });
         router_opts =
           { base.Supervisor.router_opts with Router.attempt_timeout_s = 1.0 };
@@ -309,6 +318,21 @@ let expect_report = function
 
 let findings_bytes fs = Wire.to_string (P.findings_to_wire fs)
 
+(* every ["pid":N] in the text, in order, as scripts/check.sh greps them *)
+let pids_in_order text =
+  let key = "\"pid\":" in
+  let n = String.length text and k = String.length key in
+  let rec go i acc =
+    if i + k > n then List.rev acc
+    else if String.sub text i k = key then begin
+      let j = ref (i + k) in
+      while !j < n && text.[!j] >= '0' && text.[!j] <= '9' do incr j done;
+      go !j (int_of_string (String.sub text (i + k) (!j - i - k)) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
 (* The headline robustness test: byte identity through the router, then a
    kill -9 with requests genuinely in flight (the victim is SIGSTOPped
    first, so its requests cannot have been answered), then two-phase
@@ -363,6 +387,12 @@ let test_fleet_end_to_end () =
     | Some p when p > 0 -> p
     | _ -> Alcotest.fail "no pid for shard 0 in the state file"
   in
+  (* scripts/check.sh and CI kill the state file's second "pid" *)
+  (match pids_in_order (Option.value ~default:"" (Topology.read_state topology)) with
+  | first :: second :: _ ->
+    check Alcotest.int "first pid is the supervisor's" sup_pid first;
+    check Alcotest.int "second pid is shard 0's" victim_pid second
+  | _ -> Alcotest.fail "state file lists fewer than two pids");
   Unix.kill victim_pid Sys.sigstop;
   let extra =
     List.init 3 (fun _ -> or_fail (Client.connect_retry (Topology.router_addr topology)))
@@ -471,6 +501,35 @@ let test_crash_loop_trips () =
   in
   check Alcotest.bool "degraded answer from the router fallback" true served.P.degraded
 
+(* Workers that shed every check at admission, with no fault injected: the
+   router re-dispatches the shed check to the sibling replica, and that is
+   overload, not a failover. *)
+let test_overload_is_not_failover () =
+  skip_if_domains ();
+  let dir = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let models_dir = Filename.concat dir "models" in
+  Unix.mkdir models_dir 0o700;
+  let _ = export_fixture models_dir "mini" in
+  let run_dir = Filename.concat dir "run" in
+  let topology, sup_pid = start_fleet ~max_queue:0 ~run_dir ~models_dir ~shards:2 () in
+  Fun.protect ~finally:(fun () -> stop_fleet sup_pid) @@ fun () ->
+  await_worker topology 0;
+  await_worker topology 1;
+  let c = or_fail (Client.connect_retry ~deadline_s:20.0 (Topology.router_addr topology)) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match or_fail (Client.call ~timeout_s:20.0 c (P.Check_current { key = "mini"; config = "" })) with
+  | P.Error_resp { code = P.Overloaded; _ } -> ()
+  | _ -> Alcotest.fail "expected the overloaded answer once both replicas shed");
+  match or_fail (Client.call ~timeout_s:10.0 c P.Stats) with
+  | P.Stats_info w ->
+    let top name = Option.bind (Wire.member name w) Wire.to_int in
+    check (Alcotest.option Alcotest.int) "no failover without a fault" (Some 0)
+      (top "failovers");
+    check Alcotest.bool "overload re-dispatch counted" true
+      (Option.value ~default:0 (top "overload_redispatches") >= 1)
+  | _ -> Alcotest.fail "expected fleet stats"
+
 let tests =
   [
     tc "hash ring is deterministic" test_ring_deterministic;
@@ -484,4 +543,5 @@ let tests =
     tc "fleet end-to-end: identity, kill -9 in flight, two-phase reload"
       test_fleet_end_to_end;
     tc "crash loop trips the shard breaker" test_crash_loop_trips;
+    tc "worker overload is not a failover" test_overload_is_not_failover;
   ]

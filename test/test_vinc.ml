@@ -19,8 +19,7 @@ let qb = var "qb" 0 7
 
 let stamp = "qa=0..7;qb=0..7"
 
-(* a one-query feasibility round, as the executor sends a single query *)
-let feasible cache cs = ignore (Cache.feasible_batch cache ~max_nodes:4_000 [ cs ])
+let feasible cache cs = ignore (Cache.is_feasible cache ~max_nodes:4_000 cs)
 
 let primed d =
   let c = Cache.create () in

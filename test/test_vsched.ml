@@ -116,14 +116,7 @@ let test_telemetry_consistent () =
   check Alcotest.int "solver query count matches headline stats"
     r.Ex.stats.Ex.solver_calls sched.Stats.solver_queries;
   check Alcotest.bool "queue was sampled" true (sched.Stats.queue_samples <> []);
-  (* the JSON dump is parseable enough to contain the headline numbers *)
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  let json = Stats.to_json sched in
-  check Alcotest.bool "json mentions searcher" true (contains json "\"searcher\":\"bfs\"")
+  check Alcotest.string "searcher recorded" "bfs" sched.Stats.searcher
 
 (* ------------------------------------------------------------------ *)
 (* Solver cache vs direct solver on randomized constraint sets         *)
@@ -134,11 +127,7 @@ let qa = var "qa" 0 1
 let qb = var "qb" 0 7
 let qc = var "qc" 0 7
 
-(* a one-query feasibility round, as the executor sends a single query *)
-let feasible cache cs =
-  match Cache.feasible_batch cache ~max_nodes:4_000 [ cs ] with
-  | [ (v, _) ] -> v
-  | _ -> Alcotest.fail "wrong batch arity"
+let feasible cache cs = Cache.is_feasible cache ~max_nodes:4_000 cs
 
 let atom_gen =
   QCheck2.Gen.(
@@ -238,40 +227,34 @@ let test_cache_merge_serves_shard_entries () =
   check Alcotest.int "without a new solve" s0.Cache.misses s1.Cache.misses
 
 (* ------------------------------------------------------------------ *)
-(* Batched feasibility: one round per fork                             *)
+(* Lookup accounting                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_cache_batch_counts () =
+let test_cache_counts_each_query () =
   let c = Cache.create () in
   let q_sat = E.[ of_var qb >. const 3; of_var qb <. const 6 ] in
   let q_unsat = E.[ of_var qb >. const 5; of_var qb <. const 3 ] in
-  (match Cache.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat; List.rev q_sat ] with
-  | [ (a1, _); (a2, _); (a3, dup_cached) ] ->
-    check Alcotest.bool "sat verdict" true a1;
-    check Alcotest.bool "unsat verdict" false a2;
-    check Alcotest.bool "duplicate agrees" true a3;
-    (* the duplicate missed pre-batch but was recorded by its twin's solve
-       before its own turn came: served without a round-trip *)
-    check Alcotest.bool "in-batch duplicate served from cache" true dup_cached
-  | _ -> Alcotest.fail "wrong batch arity");
-  List.iter
-    (fun (_, cached) -> check Alcotest.bool "repeat batch fully cached" true cached)
-    (Cache.feasible_batch c ~max_nodes:4_000 [ q_sat; q_unsat ]);
+  check Alcotest.bool "sat verdict" true (feasible c q_sat);
+  check Alcotest.bool "unsat verdict" false (feasible c q_unsat);
+  check Alcotest.bool "permuted duplicate agrees" true (feasible c (List.rev q_sat));
+  check Alcotest.bool "repeat sat" true (feasible c q_sat);
+  check Alcotest.bool "repeat unsat" false (feasible c q_unsat);
   let s = Cache.stats c in
-  check Alcotest.int "each logical query counts one lookup" 5 s.Cache.lookups;
-  check Alcotest.bool "only distinct queries solved" true (s.Cache.misses <= 2)
+  check Alcotest.int "each query counts one lookup" 5 s.Cache.lookups;
+  check Alcotest.bool "only distinct queries solved" true (s.Cache.misses <= 2);
+  check Alcotest.int "every lookup is a hit or a miss" s.Cache.lookups
+    (Stdlib.( + ) (Cache.hits s) s.Cache.misses)
 
 let test_cache_dump_prime_roundtrip () =
   let c = Cache.create () in
   let q1 = E.[ of_var qb >. const 3 ] in
   let q2 = E.[ of_var qc <. const 2; of_var qa ==. const 0 ] in
-  ignore (Cache.feasible_batch c ~max_nodes:4_000 [ q1; q2 ]);
+  let v1 = feasible c q1 and v2 = feasible c q2 in
   let c2 = Cache.create () in
   Cache.prime c2 (Cache.dump c);
   let s0 = Cache.stats c2 in
-  List.iter
-    (fun (_, cached) -> check Alcotest.bool "primed entries serve" true cached)
-    (Cache.feasible_batch c2 ~max_nodes:4_000 [ List.rev q2; q1 ]);
+  check Alcotest.bool "primed entry answers" v2 (feasible c2 (List.rev q2));
+  check Alcotest.bool "primed entry answers" v1 (feasible c2 q1);
   let s1 = Cache.stats c2 in
   check Alcotest.int "primed queries re-solve nothing" s0.Cache.misses s1.Cache.misses
 
@@ -341,12 +324,6 @@ let test_cache_transparent_end_to_end () =
   (* query counts are cache-independent, so virtual-time accounting is too *)
   check Alcotest.int "query count unchanged" sched_off.Stats.solver_queries
     sched.Stats.solver_queries;
-  (match sched.Stats.batch with
-  | None -> Alcotest.fail "batch-feasibility counters missing"
-  | Some b ->
-    check Alcotest.bool "feasibility went out in batches" true (b.Stats.b_batches > 0);
-    check Alcotest.bool "batches carry at least one query each" true
-      (b.Stats.b_queries >= b.Stats.b_batches));
   check Alcotest.bool "solver-cache size surfaces in memo_sizes" true
     (List.mem_assoc "solver_cache_feas_entries" sched.Stats.memo_sizes)
 
@@ -360,7 +337,7 @@ let tests =
     tc "cache hit counters" test_cache_hits_accumulate;
     tc "cache keys ignore constraint order" test_cache_key_order_insensitive;
     tc "merged shard entries serve queries" test_cache_merge_serves_shard_entries;
-    tc "cache batches count once per query" test_cache_batch_counts;
+    tc "cache counts each query once" test_cache_counts_each_query;
     tc "cache dump/prime round-trip" test_cache_dump_prime_roundtrip;
     tc "guided searchers beat bfs to the specious path" test_guided_beats_bfs;
     tc "solver cache transparent end to end" test_cache_transparent_end_to_end;

@@ -235,6 +235,50 @@ let prop_response_roundtrip =
       | Ok (id', resp') ->
         id' = Some id && String.equal (P.encode_response ~id resp') line)
 
+(* ------------------------------------------------------------------ *)
+(* Latency histogram                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Lat = Vserve.Latency
+
+let histogram us =
+  let h = Lat.create () in
+  List.iter (fun us -> Lat.observe h ~us) us;
+  h
+
+let lat_field h name = W.member name (Lat.to_wire h)
+
+(* how the fleet router folds a worker's histogram into its own: the
+   worker prints it, the router parses it back *)
+let prop_latency_merge_through_wire =
+  QCheck2.Test.make ~name:"latency histogram merges the same through the wire" ~count:300
+    QCheck2.Gen.(
+      pair (small_list (float_range (-10.) 1e8)) (small_list (float_range (-10.) 1e8)))
+    (fun (base, shipped) ->
+      let h = histogram shipped in
+      let direct = histogram base and via_wire = histogram base in
+      Lat.merge ~into:direct h;
+      (match W.of_string (W.to_string (Lat.to_wire h)) with
+      | Ok v -> (
+        match Lat.of_wire v with
+        | Some h' -> Lat.merge ~into:via_wire h'
+        | None -> QCheck2.Test.fail_report "of_wire rejected what to_wire printed")
+      | Error e -> QCheck2.Test.fail_report e);
+      let exact h = List.map (lat_field h) [ "observations"; "max_us"; "bucket_counts" ] in
+      let mean h = Option.get (Option.bind (lat_field h "mean_us") W.to_float) in
+      exact direct = exact via_wire
+      && Float.abs (mean direct -. mean via_wire) <= 1e-9 *. Float.max 1. (mean direct))
+
+let test_latency_percentiles () =
+  let p h name = Option.get (Option.bind (lat_field h name) W.to_float) in
+  let exactly = Alcotest.float 0. in
+  check exactly "an empty histogram reads 0" 0. (p (Lat.create ()) "p99_us");
+  let h = histogram [ 3.; 3.; 5.; 700. ] in
+  check exactly "p50 is its bucket's upper bound" 4. (p h "p50_us");
+  check exactly "p99 is its bucket's upper bound" 1024. (p h "p99_us");
+  check exactly "the max is exact" 700. (p h "max_us");
+  check exactly "the overflow bucket reads the max" 1e9 (p (histogram [ 1.; 1e9 ]) "p99_us")
+
 let test_nonascii_and_no_fast_row () =
   (* the satellite cases pinned explicitly: a finding for an unknown-cost
      region (fast_row = None) whose strings carry non-ASCII bytes *)
@@ -581,6 +625,8 @@ let tests =
     qt prop_wire_roundtrip;
     qt prop_request_roundtrip;
     qt prop_response_roundtrip;
+    qt prop_latency_merge_through_wire;
+    tc "latency percentiles read bucket bounds" test_latency_percentiles;
     tc "non-ASCII finding without fast row" test_nonascii_and_no_fast_row;
     tc "registry loads, rejects corruption, keeps serving" test_registry_load_and_reject;
     tc "registry two-phase stage and commit" test_registry_two_phase;
