@@ -404,19 +404,22 @@ let analyze ?(opts = default_options) target param =
    registry gets the same version/kind/digest verification — and the same
    atomic-rename crash safety — checkpoints have. *)
 let model_kind = "impact-model"
-let model_version = 1
+let model_version = 2
 
 let export_model model path =
   Result.map_error Vresilience.Checkpoint.error_to_string
     (Vresilience.Checkpoint.write ~path ~kind:model_kind ~version:model_version
        (Vmodel.Impact_model.to_string model))
 
-let import_model path =
-  match
-    Vresilience.Checkpoint.read ~path ~kind:model_kind ~version:model_version
-  with
-  | Ok payload -> Vmodel.Impact_model.of_string payload
+(* a version-1 envelope holds a format-1 payload *)
+let read_model_payload path =
+  match Vresilience.Checkpoint.read ~path ~kind:model_kind ~version:model_version with
+  | Ok payload -> Ok payload
+  | Error (Vresilience.Checkpoint.Version_mismatch { found = 1; _ }) ->
+    Error Vmodel.Impact_model.format1_error
   | Error e -> Error (Vresilience.Checkpoint.error_to_string e)
+
+let import_model path = Result.bind (read_model_payload path) Vmodel.Impact_model.of_string
 
 let analyze_exn ?opts target param =
   match analyze ?opts target param with

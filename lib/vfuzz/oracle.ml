@@ -39,34 +39,9 @@ let default_opts =
     jobs = 1;
   }
 
-(* the one legitimately run-dependent model field *)
-let scrub_wall_s text =
-  let marker = "(analysis-wall-s " in
-  let b = Buffer.create (String.length text) in
-  let rec copy i =
-    if i >= String.length text then Buffer.contents b
-    else begin
-      let is_marker =
-        i + String.length marker <= String.length text
-        && String.sub text i (String.length marker) = marker
-      in
-      if is_marker then begin
-        Buffer.add_string b "(analysis-wall-s 0)";
-        let j = ref (i + String.length marker) in
-        while !j < String.length text && text.[!j] <> ')' do
-          incr j
-        done;
-        copy (!j + 1)
-      end
-      else begin
-        Buffer.add_char b text.[i];
-        copy (i + 1)
-      end
-    end
-  in
-  copy 0
-
-let model_fingerprint m = scrub_wall_s (Vmodel.Impact_model.to_string m)
+(* wall time is the one legitimately run-dependent model field *)
+let model_fingerprint m =
+  Vmodel.Impact_model.to_string { m with Vmodel.Impact_model.analysis_wall_s = 0. }
 
 let findings_fingerprint fs =
   Vserve.Wire.to_string (Vserve.Protocol.findings_to_wire fs)

@@ -54,7 +54,7 @@ val default_opts : Violet.Pipeline.options
     fuzz-scale systems, so a corpus run stays fast. *)
 
 val model_fingerprint : Vmodel.Impact_model.t -> string
-(** Canonical model text with [(analysis-wall-s ...)] scrubbed — the
+(** Canonical model text with [analysis_wall_s] zeroed — the
     byte-identity the oracle compares. *)
 
 val findings_fingerprint : Vchecker.Checker.finding list -> string

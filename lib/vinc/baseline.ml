@@ -25,7 +25,7 @@ type t = {
 }
 
 let manifest_kind = "vinc-manifest"
-let manifest_version = 2
+let manifest_version = 3
 
 (* ------------------------------------------------------------------ *)
 (* Fingerprints                                                        *)

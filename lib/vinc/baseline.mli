@@ -54,6 +54,7 @@ type t = {
 
 val manifest_kind : string
 val manifest_version : int
+(** 3: slice digests are {!model_digest}s of format-2 model bytes. *)
 
 val options_fingerprint : Violet.Pipeline.options -> string
 (** Digest of every option that can change analysis output (threshold,

@@ -83,8 +83,13 @@ val pairs_between : t -> slow:Cost_row.t -> fast:Cost_row.t -> poor_pair_summary
 
 val to_string : t -> string
 val of_string : string -> (t, string) result
-(** Round-trips everything except the in-memory call trees ([nodes] and
-    [chain] of each row come back empty). *)
+(** Format 2 (DESIGN.md §5g): each distinct variable and expression node
+    once, rows naming constraints by node index.  Round-trips everything
+    except the in-memory call trees ([nodes] and [chain] of each row come
+    back empty).  A format-1 payload is refused with {!format1_error}. *)
+
+val format1_error : string
+(** Names format 1 and says how to regenerate the file. *)
 
 val save : t -> string -> unit
 val load : string -> (t, string) result

@@ -70,12 +70,9 @@ let key_of_file name =
    parsed, so an unchanged digest skips the parse and recompile
    entirely. *)
 let read_payload path =
-  match
-    Vresilience.Checkpoint.read ~path ~kind:Violet.Pipeline.model_kind
-      ~version:Violet.Pipeline.model_version
-  with
-  | Error e -> Error (Vresilience.Checkpoint.error_to_string e)
-  | Ok payload -> Ok (payload, Digest.to_hex (Digest.string payload))
+  Result.map
+    (fun payload -> (payload, Digest.to_hex (Digest.string payload)))
+    (Violet.Pipeline.read_model_payload path)
 
 let compile_model t model =
   if not t.compile then None

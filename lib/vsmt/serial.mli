@@ -13,3 +13,7 @@ val var_of_sexp : Sexp.t -> (Expr.var, string) result
 
 val expr_to_sexp : Expr.t -> Sexp.t
 val expr_of_sexp : Sexp.t -> (Expr.t, string) result
+
+val binop_atom : Expr.binop -> string
+val binop_of_atom : string -> (Expr.binop, string) result
+(** The operator atoms of {!expr_to_sexp}, e.g. ["<="] for [Le]. *)

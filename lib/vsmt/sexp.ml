@@ -5,14 +5,15 @@ let list l = List l
 let int n = Atom (string_of_int n)
 let float f = Atom (Printf.sprintf "%h" f)
 
+(* an atom the reader would split, drop or take as a comment is quoted *)
 let needs_quoting s =
   s = ""
+  || s.[0] = ';'
   || String.exists
-       (fun c -> c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\t')
+       (fun c -> c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\t' || c = '\r')
        s
 
-let quote s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_quoted buf s =
   Buffer.add_char buf '"';
   String.iter
     (fun c ->
@@ -22,48 +23,55 @@ let quote s =
       | '\n' -> Buffer.add_string buf "\\n"
       | c -> Buffer.add_char buf c)
     s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+  Buffer.add_char buf '"'
 
-let rec to_string = function
-  | Atom s -> if needs_quoting s then quote s else s
-  | List l -> "(" ^ String.concat " " (List.map to_string l) ^ ")"
+(* one buffer for the whole tree: each byte is copied once, not once per
+   nesting level *)
+let rec add buf = function
+  | Atom s -> if needs_quoting s then add_quoted buf s else Buffer.add_string buf s
+  | List l ->
+    Buffer.add_char buf '(';
+    List.iteri (fun i x -> if i > 0 then Buffer.add_char buf ' '; add buf x) l;
+    Buffer.add_char buf ')'
+
+let to_string s =
+  let buf = Buffer.create 256 in
+  add buf s;
+  Buffer.contents buf
 
 exception Parse_error of string
 
 let of_string input =
   let n = String.length input in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some input.[!pos] else None in
-  let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\n' | '\t' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some ';' ->
-      (* comment to end of line *)
-      while peek () <> None && peek () <> Some '\n' do advance () done;
-      skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match input.[!pos] with
+      | ' ' | '\n' | '\t' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | ';' ->
+        (* comment to end of line *)
+        while !pos < n && input.[!pos] <> '\n' do incr pos done;
+        skip_ws ()
+      | _ -> ()
   in
   let parse_quoted () =
-    advance ();
+    incr pos;
     let buf = Buffer.create 16 in
     let rec go () =
-      match peek () with
-      | None -> raise (Parse_error "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' -> begin
-        advance ();
-        match peek () with
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
-        | Some c -> Buffer.add_char buf c; advance (); go ()
-        | None -> raise (Parse_error "dangling escape")
-      end
-      | Some c ->
+      if !pos >= n then raise (Parse_error "unterminated string");
+      match input.[!pos] with
+      | '"' -> incr pos
+      | '\\' ->
+        incr pos;
+        if !pos >= n then raise (Parse_error "dangling escape");
+        Buffer.add_char buf (match input.[!pos] with 'n' -> '\n' | c -> c);
+        incr pos;
+        go ()
+      | c ->
         Buffer.add_char buf c;
-        advance ();
+        incr pos;
         go ()
     in
     go ();
@@ -71,38 +79,32 @@ let of_string input =
   in
   let parse_atom () =
     let start = !pos in
-    let rec go () =
-      match peek () with
-      | Some (' ' | '\n' | '\t' | '\r' | '(' | ')' | '"') | None -> ()
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ();
+    let ends = function ' ' | '\n' | '\t' | '\r' | '(' | ')' | '"' -> true | _ -> false in
+    while !pos < n && not (ends input.[!pos]) do incr pos done;
     if !pos = start then raise (Parse_error "empty atom");
     Atom (String.sub input start (!pos - start))
   in
   let rec parse_one () =
     skip_ws ();
-    match peek () with
-    | None -> raise (Parse_error "unexpected end of input")
-    | Some '(' ->
-      advance ();
+    if !pos >= n then raise (Parse_error "unexpected end of input");
+    match input.[!pos] with
+    | '(' ->
+      incr pos;
       let items = ref [] in
       let rec go () =
         skip_ws ();
-        match peek () with
-        | Some ')' -> advance ()
-        | None -> raise (Parse_error "unterminated list")
-        | Some _ ->
+        if !pos >= n then raise (Parse_error "unterminated list");
+        if input.[!pos] = ')' then incr pos
+        else begin
           items := parse_one () :: !items;
           go ()
+        end
       in
       go ();
       List (List.rev !items)
-    | Some '"' -> parse_quoted ()
-    | Some ')' -> raise (Parse_error "unexpected )")
-    | Some _ -> parse_atom ()
+    | '"' -> parse_quoted ()
+    | ')' -> raise (Parse_error "unexpected )")
+    | _ -> parse_atom ()
   in
   try
     let s = parse_one () in

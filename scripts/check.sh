@@ -42,6 +42,13 @@ trap 'kill "${SERVE_PID:-}" "${FLEET_PID:-}" 2>/dev/null || true; rm -rf "$SMOKE
 mkdir -p "$SMOKE_DIR/models.d"
 dune exec bin/violet_cli.exe -- analyze mysql autocommit \
   --export "$SMOKE_DIR/models.d/mysql-autocommit.vmodel" >/dev/null
+# model format 2 writes each constraint once; keep it from growing back
+# (the same model was 793 KB in format 1)
+MODEL_BYTES=$(wc -c < "$SMOKE_DIR/models.d/mysql-autocommit.vmodel")
+if [ "$MODEL_BYTES" -gt 200000 ]; then
+  echo "serve smoke: mysql autocommit model is $MODEL_BYTES bytes, over 200 KB"
+  exit 1
+fi
 dune exec bin/violet_cli.exe -- serve \
   --addr "unix:$SMOKE_DIR/violet.sock" --models "$SMOKE_DIR/models.d" >/dev/null &
 SERVE_PID=$!

@@ -147,6 +147,18 @@ let test_virtual_time_accounted () =
   check Alcotest.bool "startup + exploration" true
     (a.P.model.M.virtual_analysis_s > 40.)
 
+let test_import_rejects_format1 () =
+  let path = Filename.temp_file "violet_v1" ".vmodel" in
+  let model = (P.analyze_exn Fixtures.target "autocommit").P.model in
+  let imported =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () -> Result.bind (Model_v1.export model path) (fun () -> P.import_model path))
+  in
+  match imported with
+  | Error e -> check Alcotest.string "format-1 error" M.format1_error e
+  | Ok _ -> Alcotest.fail "a format-1 file imported"
+
 let tests =
   [
     tc "analyze errors" test_errors;
@@ -161,4 +173,5 @@ let tests =
     tc "validate confirms real pair" test_validate_confirms_real_pair;
     tc "validate ratio direction" test_validate_ratio_direction;
     tc "virtual time" test_virtual_time_accounted;
+    tc "import rejects format 1" test_import_rejects_format1;
   ]

@@ -121,10 +121,14 @@ let run_unknown (u : Cases.unknown_case) () =
     true
     (Violet.Detect.detected target.P.registry a ~poor:u.Cases.u_poor)
 
-(* Model bytes pinned across commits: [Vinc.Baseline.model_digest] (md5 of
-   the serialized model, wall time zeroed) of default-option analyses.  The
-   other identity checks compare a build with itself; these catch a change
-   that moves what the analyzer writes. *)
+(* Analysis results pinned across commits: default-option analyses of
+   five models.  The other identity checks compare a build with itself;
+   these catch a change that moves what the analyzer writes.
+   [golden_digests] are md5s of the format-1 reference rendering
+   ([Model_v1.digest], wall time zeroed) of each model after a trip
+   through its registry file, so they keep meaning "the same analysis
+   result" across format changes.  [golden_format2_digests] pin
+   [Vinc.Baseline.model_digest], the md5 of the format-2 bytes. *)
 let golden_digests =
   [
     ("mysql", "autocommit", "0304ca8ecc1cffda7836be85830dbf68");
@@ -134,12 +138,45 @@ let golden_digests =
     ("squid", "cache", "8e70ef19caffd052456bb3ba1c5f51c1");
   ]
 
-let test_golden_digests () =
+let golden_format2_digests =
+  [
+    ("mysql", "autocommit", "750150033e3992d42834b843c99fa783");
+    ("mysql", "query_cache_type", "5d00dfa890e6e9c9bd1db4bcd6620fce");
+    ("postgres", "wal_sync_method", "6231bc34f2bf0b55eebb03d961d57d4c");
+    ("apache", "HostnameLookups", "b6c4f6566c155d51f01787587bdd3666");
+    ("squid", "cache", "9e7424a2ba2f427bbf0ca4a4c160bf39");
+  ]
+
+(* each golden model analyzed once: the model, and the model read back
+   from the registry file it exports to *)
+let golden_models =
+  lazy
+    (List.map
+       (fun (system, param, _) ->
+         let a = P.analyze_exn (Cases.target_of system) param in
+         let path = Filename.temp_file "golden" ".vmodel" in
+         let imported =
+           Fun.protect
+             ~finally:(fun () -> Sys.remove path)
+             (fun () -> Result.bind (P.export_model a.P.model path) (fun () -> P.import_model path))
+         in
+         match imported with
+         | Ok m -> ((system, param), (a.P.model, m))
+         | Error e -> Alcotest.failf "%s/%s: %s" system param e)
+       golden_digests)
+
+let check_golden table digest =
   List.iter
-    (fun (system, param, digest) ->
-      let a = P.analyze_exn (Cases.target_of system) param in
-      check Alcotest.string (system ^ "/" ^ param) digest (Vinc.Baseline.model_digest a.P.model))
-    golden_digests
+    (fun (system, param, want) ->
+      let model = List.assoc (system, param) (Lazy.force golden_models) in
+      check Alcotest.string (system ^ "/" ^ param) want (digest model))
+    table
+
+let test_golden_digests () =
+  check_golden golden_digests (fun (_, imported) -> Model_v1.digest imported)
+
+let test_golden_format2_digests () =
+  check_golden golden_format2_digests (fun (model, _) -> Vinc.Baseline.model_digest model)
 
 (* quick subset: one representative per system *)
 let quick_cases = [ "c1"; "c7"; "c12"; "c14"; "c16" ]
@@ -151,6 +188,7 @@ let tests =
     tc "case registry consistent" test_case_registry_consistent;
     tc "figure 2 shape" test_fig2_shape;
     tc "golden model digests" test_golden_digests;
+    tc "golden format-2 digests" test_golden_format2_digests;
   ]
   @ List.map
       (fun id -> tc ("known case " ^ id) (run_known (Cases.find_known id)))

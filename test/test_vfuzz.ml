@@ -289,25 +289,50 @@ let test_shrink_minimizes () =
 (* ------------------------------------------------------------------ *)
 
 module E = Vsmt.Expr
+module Dom = Vsmt.Dom
 module Cost = Vruntime.Cost
+module M = Vmodel.Impact_model
 
-let row_gen =
+(* bool, enum and int domains; "p0" is one name under two domains, and
+   names and enum members need quoting or are not ASCII *)
+let gen_vars =
+  [
+    E.{ name = "sync_mode"; dom = Dom.bool; origin = Config };
+    E.{ name = "caché_größe"; dom = Dom.int_range 0 100; origin = Config };
+    E.{ name = "p0"; dom = Dom.enum "p0 mode" [ "on"; "off"; "自动" ]; origin = Config };
+    E.{ name = "p0"; dom = Dom.int_range (-5) 5; origin = Config };
+    E.{ name = "n rows"; dom = Dom.int_range 1 8; origin = Workload };
+  ]
+
+let expr_gen =
   QCheck2.Gen.(
-    let var name = E.var ~origin:E.Config name (Vsmt.Dom.int_range 0 100) in
-    let constraint_gen =
-      oneof
-        [
-          return [];  (* the empty-constraint row models persist *)
-          (let* name = oneofl [ "sync_mode"; "caché_größe"; "p0" ] in
-           let* v = int_range 0 100 in
-           return [ E.( ==. ) (var name) (E.const v) ]);
-          (let* v = int_range 0 100 in
-           return [ E.( <=. ) (var "innodb_io_capacity") (E.const v) ]);
-        ]
+    let leaf =
+      oneof [ map E.of_var (oneofl gen_vars); map E.const (int_range (-5) 100) ]
     in
+    let op = oneofl E.[ Add; Sub; Mul; Div; Mod; Eq; Ne; Lt; Le; Gt; Ge; And; Or ] in
+    sized_size (int_range 0 6)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (1, map E.not_ (self (n - 1)));
+                 (1, map E.neg (self (n - 1)));
+                 (3, map3 E.binop op (self (n / 2)) (self (n / 2)));
+                 (1, map3 E.ite (self (n / 3)) (self (n / 3)) (self (n / 3)));
+               ]))
+
+(* constraints drawn from a per-model pool, so rows share them *)
+let constraints_gen pool =
+  QCheck2.Gen.(
+    list_size (int_range 0 3) (frequency [ (3, oneofl pool); (1, expr_gen) ]))
+
+let row_gen pool =
+  QCheck2.Gen.(
     let* sid = int_range 0 500 in
-    let* cfg = constraint_gen in
-    let* wl = constraint_gen in
+    let* cfg = constraints_gen pool in
+    let* wl = constraints_gen pool in
     let* latency = float_range 0.0 1.0e6 in
     let* sys = int_range 0 1000 in
     let* ops =
@@ -327,31 +352,62 @@ let row_gen =
         critical_ops = ops;
       })
 
+let pair_gen =
+  QCheck2.Gen.(
+    let* slow_id = int_range 0 500 in
+    let* fast_id = int_range 0 500 in
+    let* similarity = int_range 0 40 in
+    let* latency_ratio = float_range 1.0 50.0 in
+    let* trigger = oneofl [ "Lat.&I/O"; "Sync"; "häßlich trigger" ] in
+    let* critical_path = oneofl [ []; [ "fil_flush" ]; [ "a b"; "fsync" ] ] in
+    let* max_differential_us = float_range 0.0 1.0e5 in
+    return
+      { M.slow_id; fast_id; similarity; latency_ratio; trigger; critical_path; max_differential_us })
+
+let degradation_gen pool =
+  QCheck2.Gen.(
+    let dropped =
+      let* dp_state_id = int_range 0 500 in
+      let* dp_config_constraints = constraints_gen pool in
+      let* dp_latency_so_far_us = float_range 0.0 1.0e6 in
+      return { M.dp_state_id; dp_config_constraints; dp_latency_so_far_us }
+    in
+    let* rungs = oneofl [ []; [ "reduced-unroll" ]; [ "reduced-unroll"; "drop-states" ] ] in
+    let* deadline_hit = bool in
+    let* dropped_paths = list_size (int_range 1 3) dropped in
+    return { M.rungs; deadline_hit; dropped_paths })
+
 let model_gen =
   QCheck2.Gen.(
     let* system = oneofl [ "gen"; "systéme"; "fz-π" ] in
     let* target = oneofl [ "sync_binlog"; "caché_größe" ] in
-    let* rows = list_size (int_range 0 6) row_gen in
+    let* pool = list_size (int_range 1 5) expr_gen in
+    let* rows = list_size (int_range 0 6) (row_gen pool) in
+    let* poor_pairs = list_size (int_range 0 3) pair_gen in
+    let* degradation = opt (degradation_gen pool) in
     let* threshold = float_range 0.5 2.0 in
     let* max_ratio = float_range 0.0 100.0 in
     return
       {
-        Vmodel.Impact_model.system;
+        M.system;
         target;
         related = [ "a"; "ü" ];
         threshold;
         rows;
-        poor_pairs = [];
+        poor_pairs;
         poor_state_ids = List.map (fun (r : Vmodel.Cost_row.t) -> r.Vmodel.Cost_row.state_id) rows;
         max_ratio;
         explored_states = List.length rows;
         analysis_wall_s = 0.25;
         virtual_analysis_s = 1.5;
-        degradation = None;
+        degradation;
       })
 
+(* identity is judged on the format-1 reference rendering, which writes
+   every constraint out in full *)
 let prop_export_import_roundtrip =
-  QCheck2.Test.make ~name:"export_model/import_model round-trip" ~count:80 model_gen
+  QCheck2.Test.make ~name:"export_model/import_model round-trip" ~count:80
+    ~print:Model_v1.to_string model_gen
     (fun model ->
       let path =
         Filename.temp_file "vfuzz-model" ".vmodel"
@@ -364,10 +420,7 @@ let prop_export_import_roundtrip =
           | Ok () -> (
             match Violet.Pipeline.import_model path with
             | Error m -> QCheck2.Test.fail_reportf "import failed: %s" m
-            | Ok model' ->
-              String.equal
-                (Vmodel.Impact_model.to_string model)
-                (Vmodel.Impact_model.to_string model'))))
+            | Ok model' -> String.equal (Model_v1.to_string model) (Model_v1.to_string model'))))
 
 let test_export_import_pipeline_model () =
   (* the same property over a model the real pipeline produced *)
@@ -387,9 +440,9 @@ let test_export_import_pipeline_model () =
         match Violet.Pipeline.import_model path with
         | Error m -> Alcotest.failf "import failed: %s" m
         | Ok model' ->
-          check Alcotest.string "canonical text identical"
-            (Vmodel.Impact_model.to_string a.Violet.Pipeline.model)
-            (Vmodel.Impact_model.to_string model'))
+          check Alcotest.string "reference rendering identical"
+            (Model_v1.to_string a.Violet.Pipeline.model)
+            (Model_v1.to_string model'))
 
 let tests =
   [

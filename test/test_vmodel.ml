@@ -553,6 +553,69 @@ let test_model_save_load () =
   Sys.remove path;
   check Alcotest.bool "missing file is an error" true (Result.is_error (M.load path))
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let error_of = function Ok _ -> "Ok" | Error e -> e
+
+let test_model_format1_rejected () =
+  let text = Model_v1.to_string (sample_model ()) in
+  check Alcotest.string "of_string" M.format1_error (error_of (M.of_string text));
+  let path = Filename.temp_file "violet_v1" ".sexp" in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  let loaded = M.load path in
+  Sys.remove path;
+  check Alcotest.string "load" M.format1_error (error_of loaded);
+  check Alcotest.bool "names format 1" true (contains M.format1_error "format 1");
+  check Alcotest.bool "says how to regenerate" true
+    (contains M.format1_error "violet analyze" && contains M.format1_error "--save/--export")
+
+(* a hand-written format-2 payload; the defaults decode to one row whose
+   configuration constraint is [x == 1] *)
+let v2_text ?(vars = "(var x bool config)") ?(nodes = "(var 0) (const 1) (== 0 1)")
+    ?(rows = "(7 (2) () (0x1p+0 0 0 0 0 0 0 0 0) 0x1p+0 (op))") () =
+  Printf.sprintf
+    "(impact-model-v2 (system s) (target x) (related) (threshold 0x1p+0) (vars %s) (nodes      %s) (rows %s) (pairs) (poor-states 7) (max-ratio 0x1p+0) (explored-states 1)      (analysis-wall-s 0x0p+0) (virtual-analysis-s 0x0p+0))"
+    vars nodes rows
+
+let test_model_v2_malformed () =
+  (match M.of_string (v2_text ()) with
+  | Ok m ->
+    check Alcotest.int "one row" 1 (List.length m.M.rows);
+    check Alcotest.int "matches x=1" 1 (List.length (M.rows_matching m [ "x", 1 ]))
+  | Error e -> Alcotest.fail e);
+  let full = v2_text () in
+  List.iter
+    (fun (what, text) ->
+      match M.of_string text with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: accepted" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e))
+    [
+      ("forward node index", v2_text ~nodes:"(var 0) (const 1) (== 0 3) (const 2)" ());
+      ("self node index", v2_text ~nodes:"(var 0) (const 1) (not 2)" ());
+      ("negative node index", v2_text ~nodes:"(var 0) (const 1) (neg -1)" ());
+      ("out-of-range node index in a row", v2_text ~rows:"(7 (3) () (0x1p+0 0 0 0 0 0 0 0 0) 0x1p+0 ())" ());
+      ("out-of-range var index", v2_text ~nodes:"(var 1) (const 1) (== 0 1)" ());
+      ("unknown binary node tag", v2_text ~nodes:"(var 0) (const 1) (frob 0 1)" ());
+      ("unknown unary node tag", v2_text ~nodes:"(var 0) (frob 0) (== 0 1)" ());
+      ("malformed var", v2_text ~vars:"(var x (int 3 1) config)" ());
+      ("row missing fields", v2_text ~rows:"(7 (2) ())" ());
+      ("truncated list", String.sub full 0 (String.length full / 2));
+      ("missing nodes", "(impact-model-v2 (system s))");
+    ]
+
+(* whatever a damaged file holds, decoding answers and never raises *)
+let prop_model_v2_damage_never_raises =
+  let text = M.to_string (sample_model ()) in
+  QCheck2.Test.make ~name:"damaged format-2 text never raises" ~count:300
+    QCheck2.Gen.(pair (int_bound (String.length text - 1)) (oneofl [ ' '; '('; ')'; '9'; '-'; 'x' ]))
+    (fun (i, c) ->
+      let damaged = String.mapi (fun j d -> if i = j then c else d) text in
+      match M.of_string damaged with Ok _ | Error _ -> true)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -577,6 +640,9 @@ let tests =
     tc "model queries" test_model_queries;
     tc "model roundtrip" test_model_roundtrip_full;
     tc "model save/load" test_model_save_load;
+    tc "model format 1 rejected" test_model_format1_rejected;
+    tc "model format 2 malformed input" test_model_v2_malformed;
+    qt prop_model_v2_damage_never_raises;
   ]
 
 let after_fork_tests = [ qt prop_analyze_matches_reference ]

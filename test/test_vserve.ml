@@ -440,6 +440,22 @@ let test_registry_removal () =
   | _ -> Alcotest.fail "expected removal");
   check Alcotest.bool "entry gone" true (Reg.find reg "mini" = None)
 
+let test_registry_rejects_format1 () =
+  let dir = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  or_fail (Model_v1.export (fixture_model ()) (Reg.model_file ~dir ~key:"old"));
+  let reg = Reg.create ~dir () in
+  (match Reg.refresh reg with
+  | [ Reg.Rejected { key = "old"; reason } ] ->
+    check Alcotest.string "refresh reason" M.format1_error reason
+  | evs ->
+    Alcotest.fail
+      ("expected a rejection: " ^ String.concat "; " (List.map Reg.event_to_string evs)));
+  check Alcotest.bool "nothing served" true (Reg.find reg "old" = None);
+  match Reg.stage reg with
+  | [ ("old", Error reason) ] -> check Alcotest.string "stage reason" M.format1_error reason
+  | _ -> Alcotest.fail "stage must refuse a format-1 file"
+
 (* ------------------------------------------------------------------ *)
 (* Batcher                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -631,6 +647,7 @@ let tests =
     tc "registry loads, rejects corruption, keeps serving" test_registry_load_and_reject;
     tc "registry two-phase stage and commit" test_registry_two_phase;
     tc "registry drops removed files" test_registry_removal;
+    tc "registry rejects format 1" test_registry_rejects_format1;
     tc "batcher groups and coalesces" test_batcher_groups_and_coalesces;
     tc "end-to-end daemon matches in-process checker" test_end_to_end;
   ]

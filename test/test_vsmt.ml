@@ -332,6 +332,169 @@ let test_sexp_errors () =
   check Alcotest.bool "trailing" true (Result.is_error (S.of_string "(a) b"));
   check Alcotest.bool "comments ok" true (Result.is_ok (S.of_string "; hi\n(a)"))
 
+(* The printer and reader as they were before the printer rendered
+   through one buffer and the reader stopped boxing each character: the
+   reference the current ones must match byte for byte and error for
+   error. *)
+module Old_sexp = struct
+  open Vsmt.Sexp
+
+  let needs_quoting s =
+    s = ""
+    || String.exists
+         (fun c -> c = ' ' || c = '(' || c = ')' || c = '"' || c = '\n' || c = '\t')
+         s
+
+  let quote s =
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+
+  let rec to_string = function
+    | Atom s -> if needs_quoting s then quote s else s
+    | List l -> "(" ^ String.concat " " (List.map to_string l) ^ ")"
+
+  exception Parse_error of string
+
+  let of_string input =
+    let n = String.length input in
+    let pos = ref 0 in
+    let peek () = if !pos < n then Some input.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\n' | '\t' | '\r') ->
+        advance ();
+        skip_ws ()
+      | Some ';' ->
+        while peek () <> None && peek () <> Some '\n' do advance () done;
+        skip_ws ()
+      | _ -> ()
+    in
+    let parse_quoted () =
+      advance ();
+      let buf = Buffer.create 16 in
+      let rec go () =
+        match peek () with
+        | None -> raise (Parse_error "unterminated string")
+        | Some '"' -> advance ()
+        | Some '\\' -> begin
+          advance ();
+          match peek () with
+          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
+          | Some c -> Buffer.add_char buf c; advance (); go ()
+          | None -> raise (Parse_error "dangling escape")
+        end
+        | Some c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+      in
+      go ();
+      Atom (Buffer.contents buf)
+    in
+    let parse_atom () =
+      let start = !pos in
+      let rec go () =
+        match peek () with
+        | Some (' ' | '\n' | '\t' | '\r' | '(' | ')' | '"') | None -> ()
+        | Some _ ->
+          advance ();
+          go ()
+      in
+      go ();
+      if !pos = start then raise (Parse_error "empty atom");
+      Atom (String.sub input start (!pos - start))
+    in
+    let rec parse_one () =
+      skip_ws ();
+      match peek () with
+      | None -> raise (Parse_error "unexpected end of input")
+      | Some '(' ->
+        advance ();
+        let items = ref [] in
+        let rec go () =
+          skip_ws ();
+          match peek () with
+          | Some ')' -> advance ()
+          | None -> raise (Parse_error "unterminated list")
+          | Some _ ->
+            items := parse_one () :: !items;
+            go ()
+        in
+        go ();
+        List (List.rev !items)
+      | Some '"' -> parse_quoted ()
+      | Some ')' -> raise (Parse_error "unexpected )")
+      | Some _ -> parse_atom ()
+    in
+    try
+      let s = parse_one () in
+      skip_ws ();
+      if !pos <> n then Error (Printf.sprintf "trailing input at %d" !pos) else Ok s
+    with Parse_error msg -> Error msg
+end
+
+(* every byte the printer or reader treats specially, plus plain ones and
+   a two-byte UTF-8 character *)
+let sexp_char_gen =
+  QCheck2.Gen.oneofl
+    [ 'a'; 'n'; '0'; '-'; ' '; '('; ')'; '"'; '\\'; '\n'; '\t'; '\r'; ';'; '\xc3'; '\xa9' ]
+
+let sexp_gen =
+  let open QCheck2.Gen in
+  let atom = string_size ~gen:sexp_char_gen (int_range 0 5) >|= Vsmt.Sexp.atom in
+  sized @@ fix (fun self n ->
+      if n <= 1 then atom
+      else
+        frequency
+          [ (1, atom); (2, list_size (int_range 0 4) (self (n / 3)) >|= Vsmt.Sexp.list) ])
+
+let sexp_print = Vsmt.Sexp.to_string
+
+(* Where the bytes differ, the old printer wrote text that did not read
+   back as the tree: an atom holding a carriage return or starting with a
+   comment character, which the printer now quotes. *)
+let prop_sexp_printer_matches_old =
+  QCheck2.Test.make ~name:"sexp printer writes the old bytes" ~count:1000 ~print:sexp_print
+    sexp_gen (fun s ->
+      let old = Old_sexp.to_string s in
+      String.equal (Vsmt.Sexp.to_string s) old || Vsmt.Sexp.of_string old <> Ok s)
+
+let prop_sexp_text_roundtrip =
+  QCheck2.Test.make ~name:"sexp survives text" ~count:1000 ~print:sexp_print sexp_gen
+    (fun s -> Vsmt.Sexp.of_string (Vsmt.Sexp.to_string s) = Ok s)
+
+let prop_sexp_reader_matches_old =
+  QCheck2.Test.make ~name:"sexp reader accepts and rejects as before" ~count:2000
+    ~print:(Printf.sprintf "%S")
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size ~gen:sexp_char_gen (int_range 0 24);
+          (sexp_gen >|= fun s -> Old_sexp.to_string s);
+        ])
+    (fun text -> Vsmt.Sexp.of_string text = Old_sexp.of_string text)
+
+let test_sexp_quotes_reader_specials () =
+  let module S = Vsmt.Sexp in
+  List.iter
+    (fun a ->
+      check Alcotest.bool (Printf.sprintf "%S round-trips" a) true
+        (S.of_string (S.to_string (S.list [ S.atom "x"; S.atom a ])) = Ok (S.list [ S.atom "x"; S.atom a ])))
+    [ "a\rb"; ";c"; "\r" ];
+  check Alcotest.string "plain atoms stay bare" "(x a;b \\n)"
+    (S.to_string (S.list [ S.atom "x"; S.atom "a;b"; S.atom "\\n" ]))
+
 let prop_serial_roundtrip =
   QCheck2.Test.make ~name:"expr serialization roundtrips" ~count:400 expr_gen (fun e ->
       match Vsmt.Serial.expr_of_sexp (Vsmt.Serial.expr_to_sexp e) with
@@ -412,6 +575,10 @@ let tests =
     tc "complete defaults" test_complete_defaults;
     tc "sexp roundtrip" test_sexp_roundtrip;
     tc "sexp errors" test_sexp_errors;
+    qt prop_sexp_printer_matches_old;
+    qt prop_sexp_text_roundtrip;
+    qt prop_sexp_reader_matches_old;
+    tc "sexp quotes reader specials" test_sexp_quotes_reader_specials;
     qt prop_serial_roundtrip;
     qt prop_serial_via_text;
     tc "hashcons physical equality" test_hashcons_physical_equality;
