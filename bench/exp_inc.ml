@@ -1,12 +1,10 @@
 (* Incremental re-analysis (DESIGN.md Section 5k): a one-function diff on
    a generated system of >= 20 functions must re-explore under 30% of the
-   slices yet produce byte-identical models and upgrade verdicts, and the
-   persistent cross-run solver cache must cut warm-run solver work.
+   slices yet produce byte-identical models and upgrade verdicts.
 
    Phases and their BENCH_inc.json gates:
    - slice invalidation selectivity              -> "reuse_lt_30pct"
    - spliced-vs-scratch model + verdict identity -> "verdict_identical"
-   - cold/warm persistent solver cache           -> "warm_cache_solver_reduction"
    - scratch-vs-splice wall time                 -> "speedup" (reported) *)
 
 module P = Violet.Pipeline
@@ -89,7 +87,6 @@ let opts =
   {
     P.default_options with
     P.budget = Vresilience.Budget.with_max_states Vresilience.Budget.default 512;
-    cache_dir = None;
   }
 
 let run () =
@@ -102,8 +99,7 @@ let run () =
   let dir_old = Filename.concat tmp "violet_bench_inc_old" in
   let dir_inc = Filename.concat tmp "violet_bench_inc_spliced" in
   let dir_scratch = Filename.concat tmp "violet_bench_inc_scratch" in
-  let cache = Filename.concat tmp "violet_bench_inc_cache" in
-  List.iter rm_rf [ dir_old; dir_inc; dir_scratch; cache ];
+  List.iter rm_rf [ dir_old; dir_inc; dir_scratch ];
   let (mf_old, _), t_base = timed (fun () -> ok (Vinc.Baseline.build ~opts ~dir:dir_old old_t)) in
   (* Flip_const perturbs one constant inside one function body: the
      smallest structure-preserving diff the mutator can make.  The draw is
@@ -178,32 +174,6 @@ let run () =
   let upgrade_inc = findings dir_inc in
   let verdict_identical = models_identical && upgrade_inc = findings dir_scratch in
   let n_findings = List.fold_left (fun n (_, fs) -> n + List.length fs) 0 upgrade_inc in
-  (* persistent solver cache: same analysis cold then warm; the warm run must
-     answer from the primed cache and produce the byte-identical model *)
-  let param =
-    match P.analyzable_params old_t with p :: _ -> p | [] -> failwith "no analyzable params"
-  in
-  let cache_opts = { opts with P.cache_dir = Some cache } in
-  let solves (a : P.analysis) =
-    a.P.result.Vsymexec.Executor.sched.Vsched.Exploration_stats.solver_solves
-  in
-  let cold =
-    match P.analyze ~opts:cache_opts old_t param with
-    | Ok a -> a
-    | Error e -> failwith (P.error_to_string e)
-  in
-  let warm =
-    match P.analyze ~opts:cache_opts old_t param with
-    | Ok a -> a
-    | Error e -> failwith (P.error_to_string e)
-  in
-  let warm_identical =
-    Vinc.Baseline.model_digest cold.P.model = Vinc.Baseline.model_digest warm.P.model
-  in
-  let warm_cache_solver_reduction =
-    solves cold > 0 && solves warm < solves cold && warm.P.cache_primed > 0
-    && warm_identical
-  in
   let speedup = if t_inc > 0. then t_scratch /. t_inc else 0. in
   Util.print_table
     ~header:[ "phase"; "value" ]
@@ -228,15 +198,9 @@ let run () =
       [ "scratch wall"; Util.f1 t_scratch ^ " s" ];
       [ "splice speedup"; Util.fx speedup ];
       [ "upgrade findings"; Util.i0 n_findings ];
-      [
-        "solver solves cold -> warm";
-        Printf.sprintf "%d -> %d (%d primed)" (solves cold) (solves warm)
-          warm.P.cache_primed;
-      ];
     ];
-  Util.note "re-explored < 30%%: %s; verdicts byte-identical: %s; warm cache cuts solves: %s"
-    (Util.yes_no reuse_lt_30pct) (Util.yes_no verdict_identical)
-    (Util.yes_no warm_cache_solver_reduction);
+  Util.note "re-explored < 30%%: %s; verdicts byte-identical: %s" (Util.yes_no reuse_lt_30pct)
+    (Util.yes_no verdict_identical);
   let r2 = Util.round 2 in
   Util.write_bench "inc"
     [
@@ -252,10 +216,6 @@ let run () =
       ("scratch_wall_s", Wire.Float (r2 t_scratch));
       ("speedup", Wire.Float (r2 speedup));
       ("findings", Wire.Int n_findings);
-      ("cold_solves", Wire.Int (solves cold));
-      ("warm_solves", Wire.Int (solves warm));
-      ("warm_primed", Wire.Int warm.P.cache_primed);
       ("reuse_lt_30pct", Wire.Bool reuse_lt_30pct);
       ("verdict_identical", Wire.Bool verdict_identical);
-      ("warm_cache_solver_reduction", Wire.Bool warm_cache_solver_reduction);
     ]

@@ -4,7 +4,7 @@
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- table4  # one experiment
-     dune exec bench/main.exe -- sched --stats-out sched.json
+     dune exec bench/main.exe -- slice --stats-out slice.json
                                          # dump exploration telemetry *)
 
 let experiments =
@@ -27,14 +27,13 @@ let experiments =
     "upgrade", ("Checker mode 3: code upgrade", Exp_upgrade.run);
     "perf", ("Section 7.9: toolchain performance", Exp_perf.run);
     "ablation", ("Design-choice ablations", Exp_ablation.run);
-    "sched", ("Searcher comparison + solver-cache ablation", Exp_sched.run);
     "resilience", ("Checkpoint overhead + degradation fidelity", Exp_resilience.run);
     "par", ("The --jobs sweep: wall time + byte-identity", Exp_par.run);
     "slice", ("Independence slicing: solver work + model identity", Exp_slice.run);
     "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
     "matcheck", ("Compiled checker: decision-table fast path", Exp_matcheck.run);
     "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
-    "inc", ("vinc: incremental re-analysis + persistent solver cache", Exp_inc.run);
+    "inc", ("vinc: incremental re-analysis", Exp_inc.run);
   ]
 
 (* strip [--stats-out FILE] / [--seed N] / [--count N] before dispatching on

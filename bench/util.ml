@@ -116,21 +116,16 @@ let sched_to_wire (t : Vsched.Exploration_stats.t) =
         ("lookups", Wire.Int c.lookups);
         ("exact_hits", Wire.Int c.exact_hits);
         ("cex_hits", Wire.Int c.cex_hits);
-        ("subsumption_hits", Wire.Int c.subsumption_hits);
         ("misses", Wire.Int c.misses);
         ("stored_models", Wire.Int c.stored_models);
-        ("stored_cores", Wire.Int c.stored_cores);
         ("hit_rate", Wire.Float (Vsched.Solver_cache.hit_rate c));
         ("solver_constraints", Wire.Int c.solver_constraints);
         ("solver_nodes", Wire.Int c.solver_nodes);
-        ("unknown_purged", Wire.Int c.unknown_purged);
       ]
   in
   let q = t.S.query_sizes in
   Wire.Obj
     [
-      ("searcher", Wire.String t.S.searcher);
-      ("solver_cache_enabled", Wire.Bool t.S.solver_cache_enabled);
       ("states_created", Wire.Int t.S.states_created);
       ("states_completed", Wire.Int t.S.states_completed);
       ("states_dropped", Wire.Int t.S.states_dropped);
@@ -140,23 +135,6 @@ let sched_to_wire (t : Vsched.Exploration_stats.t) =
       ("solver_queries", Wire.Int t.S.solver_queries);
       ("solver_solves", Wire.Int t.S.solver_solves);
       ("cache", Option.fold ~none:Wire.Null ~some:cache t.S.cache);
-      ( "completions",
-        Wire.List
-          (List.map
-             (fun (c : S.completion) ->
-               Wire.Obj
-                 [
-                   ("state_id", Wire.Int c.state_id);
-                   ("at_step", Wire.Int c.at_step);
-                   ("dropped", Wire.Bool c.dropped);
-                 ])
-             t.S.completions) );
-      ( "queue_samples",
-        Wire.List
-          (List.map
-             (fun (s : S.sample) ->
-               Wire.Obj [ ("step", Wire.Int s.step); ("queue_depth", Wire.Int s.queue_depth) ])
-             t.S.queue_samples) );
       ("wall_time_s", Wire.Float t.S.wall_time_s);
       ( "degradation",
         Wire.List

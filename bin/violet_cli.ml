@@ -163,8 +163,8 @@ let analyze_incremental ~opts ~dir ~no_incremental (target : Violet.Pipeline.tar
       (100. *. Vinc.Splice.reuse_fraction r);
     upgrade_check old_models r.Vinc.Splice.sp_models
 
-let analyze system param save export max_states threshold no_related searcher solver_cache
-    no_slice deadline checkpoint resume chaos jobs baseline cache_dir no_incremental =
+let analyze system param save export max_states threshold no_related no_slice deadline
+    checkpoint resume chaos jobs baseline no_incremental =
   let target = or_die (target_of_system system) in
   let chaos =
     match chaos with
@@ -182,8 +182,6 @@ let analyze system param save export max_states threshold no_related searcher so
       Violet.Pipeline.budget;
       threshold;
       include_related = not no_related;
-      policy = searcher;
-      solver_cache;
       slice = not no_slice;
       checkpoint =
         Option.map
@@ -192,10 +190,6 @@ let analyze system param save export max_states threshold no_related searcher so
       resume;
       chaos;
       jobs = (match jobs with Some j -> j | None -> Vpar.Pool.default_jobs ());
-      cache_dir =
-        (match cache_dir with
-        | Some _ -> cache_dir
-        | None -> Violet.Pipeline.default_options.Violet.Pipeline.cache_dir);
     }
   in
   match baseline with
@@ -214,17 +208,8 @@ let analyze system param save export max_states threshold no_related searcher so
     1
   | Ok a ->
     Fmt.pr "%a" Violet.Report.pp_analysis a;
-    let sched = a.Violet.Pipeline.result.Vsymexec.Executor.sched in
-    Fmt.pr "exploration: %a@." Vsched.Exploration_stats.pp sched;
-    (if opts.Violet.Pipeline.cache_dir <> None then
-       let hits =
-         match sched.Vsched.Exploration_stats.cache with
-         | Some stats -> Vsched.Solver_cache.hits stats
-         | None -> 0
-       in
-       Fmt.pr "cross-run solver cache: primed %d entries, %d cache hits, %d solver solves@."
-         a.Violet.Pipeline.cache_primed hits
-         sched.Vsched.Exploration_stats.solver_solves);
+    Fmt.pr "exploration: %a@." Vsched.Exploration_stats.pp
+      a.Violet.Pipeline.result.Vsymexec.Executor.sched;
     (if Vmodel.Impact_model.is_degraded a.Violet.Pipeline.model then
        Fmt.pr
          "WARNING: analysis was degraded under budget pressure; the model is \
@@ -510,30 +495,6 @@ let analyze_cmd =
       value & flag
       & info [ "no-related" ] ~doc:"Make only the target parameter symbolic.")
   in
-  let searcher =
-    let searcher_conv =
-      Arg.conv
-        ( (fun s ->
-            match Vsched.Searcher.of_string s with
-            | Ok p -> Ok p
-            | Error msg -> Error (`Msg msg)),
-          fun ppf p -> Fmt.string ppf (Vsched.Searcher.to_string p) )
-    in
-    Arg.(
-      value
-      & opt searcher_conv Vsched.Searcher.Dfs
-      & info [ "searcher" ] ~docv:"POLICY"
-          ~doc:
-            "Path-exploration searcher: $(b,dfs), $(b,bfs), $(b,random)[:SEED], \
-             $(b,coverage) (prioritize uncovered config-dependent branches) or \
-             $(b,config-impact) (weight states by pending related-parameter branches).")
-  in
-  let solver_cache =
-    Arg.(
-      value & opt bool true
-      & info [ "solver-cache" ] ~docv:"BOOL"
-          ~doc:"Cache constraint-solver queries (branch + counterexample caches).")
-  in
   let no_slice =
     Arg.(
       value & flag
@@ -605,18 +566,6 @@ let analyze_cmd =
              splice the rest in verbatim and report upgrade findings against the \
              previous baseline.  PARAM is ignored and may be omitted.")
   in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Persist the solver cache across runs: prime this run's cache from \
-             $(docv) and write the merged cache back after exploration \
-             (checksummed; a corrupt or truncated file means a cold start, never \
-             an error).  Models are byte-identical with or without it.  Defaults \
-             to $(b,VIOLET_CACHE_DIR).")
-  in
   let no_incremental =
     Arg.(
       value & flag
@@ -633,8 +582,8 @@ let analyze_cmd =
     (Cmd.info "analyze" ~doc:"Symbolically analyze a parameter's performance impact")
     Term.(
       const analyze $ system_arg $ param_opt $ save $ export $ max_states $ threshold
-      $ no_related $ searcher $ solver_cache $ no_slice $ deadline $ checkpoint $ resume
-      $ chaos $ jobs $ baseline $ cache_dir $ no_incremental)
+      $ no_related $ no_slice $ deadline $ checkpoint $ resume $ chaos $ jobs $ baseline
+      $ no_incremental)
 
 let model_opt =
   Arg.(

@@ -54,8 +54,6 @@ type options = {
   include_related : bool;
   all_symbolic : bool;
   max_related : int;
-  policy : Ex.policy;
-  solver_cache : bool;
   slice : bool;
   state_switching : bool;
   noise : Ex.noise option;
@@ -67,8 +65,6 @@ type options = {
   chaos : Vresilience.Chaos.t option;
   degradation : D.policy;
   jobs : int;
-  cache_dir : string option;
-  cache_dirty : string list;
 }
 
 let default_options =
@@ -83,8 +79,6 @@ let default_options =
     include_related = true;
     all_symbolic = false;
     max_related = 8;
-    policy = Ex.Dfs;
-    solver_cache = true;
     slice = true;
     state_switching = false;
     noise = None;
@@ -96,8 +90,6 @@ let default_options =
     chaos = None;
     degradation = D.default_policy;
     jobs = Vpar.Pool.default_jobs ();
-    cache_dir = Sys.getenv_opt "VIOLET_CACHE_DIR";
-    cache_dirty = [];
   }
 
 type analysis = {
@@ -106,7 +98,6 @@ type analysis = {
   result : Ex.result;
   rows : Vmodel.Cost_row.t list;
   diff : Vmodel.Diff_analysis.t;
-  cache_primed : int;
 }
 
 let related_params target param = Vanalysis.Related_config.analyze target.program param
@@ -262,56 +253,7 @@ let analyze ?(opts = default_options) target param =
           | None -> 0
         end
       in
-      (* stage 3: symbolic execution with tracing.  A config-impact searcher
-         declared without a related set inherits the one static analysis just
-         computed — the vanalysis output steering exploration. *)
-      let policy =
-        match opts.policy with
-        | Ex.Config_impact { related = [] } -> Ex.Config_impact { related = sym_param_names }
-        | p -> p
-      in
-      (* cross-run persistent solver cache: load → footprint-filter → prime
-         before the run, persist the merged contents after.  A missing,
-         corrupt or version-skewed cache file is a cold start, never an
-         error.  Files are stamped with the registry keys: a cache key
-         names a variable, not its domain, so a file written under other
-         domains is a cold start too. *)
-      let cache_path =
-        match opts.cache_dir with
-        | Some dir when opts.solver_cache ->
-          Some (Vsched.Cache_store.file ~dir ~system:target.name ~param)
-        | _ -> None
-      in
-      let stamp =
-        lazy (String.concat ";" (List.map (fun (n, k) -> n ^ "=" ^ k) (registry_keys target)))
-      in
-      let prime_cache =
-        match cache_path with
-        | None -> None
-        | Some path -> (
-          match
-            Vsched.Cache_store.load_filtered ~path ~stamp:(Lazy.force stamp)
-              ~dirty:opts.cache_dirty
-          with
-          | Ok d -> Some d
-          | Error _ -> None)
-      in
-      let cache_primed =
-        match prime_cache with Some d -> Vsched.Solver_cache.dump_entries d | None -> 0
-      in
-      let on_cache_dump =
-        match cache_path with
-        | None -> None
-        | Some path ->
-          Some
-            (fun d ->
-              (* filter with an empty dirty set to zero the run's counters
-                 before the dump crosses the run boundary; a failed save
-                 (read-only dir) must not fail the analysis *)
-              ignore
-                (Vsched.Cache_store.save ~path ~stamp:(Lazy.force stamp)
-                   (Vsched.Solver_cache.filter_dump d ~dirty:[])))
-      in
+      (* stage 3: symbolic execution with tracing *)
       let exec_opts =
         {
           Ex.env = opts.env;
@@ -321,10 +263,7 @@ let analyze ?(opts = default_options) target param =
           concrete_workload;
           budget = opts.budget;
           max_loop_unroll = 48;
-          policy;
           state_switching = opts.state_switching;
-          time_slice = 64;
-          solver_cache = opts.solver_cache;
           slice = opts.slice;
           noise = opts.noise;
           enable_tracer = true;
@@ -335,8 +274,6 @@ let analyze ?(opts = default_options) target param =
           checkpoint_every =
             (match opts.checkpoint with Some c -> c.every_picks | None -> 0);
           on_checkpoint = checkpoint_hook opts;
-          prime_cache;
-          on_cache_dump;
         }
       in
       match load_resume_snapshot opts with
@@ -394,7 +331,7 @@ let analyze ?(opts = default_options) target param =
               ~analysis_wall_s:(opts.budget.B.now () -. wall0)
               ~virtual_analysis_s ()
           in
-          Ok { model; related; result; rows; diff; cache_primed }
+          Ok { model; related; result; rows; diff }
       end
     end
   end

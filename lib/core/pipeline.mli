@@ -73,13 +73,6 @@ type options = {
       (** true = ablation of Section 4.2/Figure 9: make {e every} hookable
           parameter symbolic instead of the related set *)
   max_related : int;
-  policy : Vsymexec.Executor.policy;
-      (** the {!Vsched.Searcher} plugged into the executor; a
-          [Config_impact] policy with an empty related set is completed with
-          the symbolic set the static analysis selects *)
-  solver_cache : bool;
-      (** enable the {!Vsched.Solver_cache} layer (default true); hit rates
-          surface in [analysis.result.sched] *)
   slice : bool;
       (** independence slicing across the stack (default true): the executor
           sends only the relevant symbol-disjoint slices of each path
@@ -108,21 +101,6 @@ type options = {
           ({!Vmodel.Diff_analysis.analyze}, order-preserving, so models are
           jobs-independent); exploration is sequential.  The default reads
           the [VIOLET_JOBS] environment variable (falling back to 1). *)
-  cache_dir : string option;
-      (** directory for the persistent cross-run solver cache
-          ({!Vsched.Cache_store}): before exploration the
-          [<system>.<param>.vcache] file is loaded, footprint-filtered
-          against [cache_dirty] and primed into the run's solver cache, and
-          after the run the merged cache contents are written back
-          (atomically, checksummed, stamped with {!registry_keys}).
-          Missing/corrupt/stale files, and files stamped under other
-          registry keys, mean a cold start, never an error.  The default
-          reads the [VIOLET_CACHE_DIR] environment variable; [None]
-          disables persistence. *)
-  cache_dirty : string list;
-      (** symbol names from changed code: persisted cache entries whose
-          footprints mention any of them are dropped at load time (vinc
-          passes the config/workload symbols of re-explored slices). *)
 }
 
 val default_options : options
@@ -133,9 +111,6 @@ type analysis = {
   result : Vsymexec.Executor.result;
   rows : Vmodel.Cost_row.t list;
   diff : Vmodel.Diff_analysis.t;
-  cache_primed : int;
-      (** entries primed into the solver cache from the persistent
-          cross-run store (0 on a cold start or with caching disabled) *)
 }
 
 val related_params : target -> string -> Vanalysis.Related_config.result
@@ -152,8 +127,7 @@ val registry_keys : target -> (string * string) list
     name, sorted: the registry entry (kind and domain, default, hook) and
     the parameter's definition in every workload template that declares
     it.  A domain or default change shapes exploration without touching
-    any function body, so a vinc baseline records these keys and the
-    persistent solver cache is stamped with them. *)
+    any function body, so a vinc baseline records these keys. *)
 
 val analyze : ?opts:options -> target -> string -> (analysis, error) result
 (** Analyze one target parameter.  Never raises: bad parameters, unloadable

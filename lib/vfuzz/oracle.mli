@@ -43,7 +43,7 @@ type report = {
   r_mode_checks : int;  (** compiled-vs-solver findings compared (Section 5j) *)
   r_inc_checks : int;
       (** spliced-vs-scratch upgrade analyses compared (Section 5k): jobs
-          1/4 {m \times} persistent solver cache cold/warm *)
+          1 and 4 *)
   r_disagreements : disagreement list;
 }
 
@@ -80,6 +80,6 @@ val check :
     match the [Solver] reference byte-for-byte.  [inc] (default [true])
     mutates the system with {!Mutate.apply}, derives the upgraded models by
     splicing against a baseline of the original ({!Vinc.Splice.run}) under
-    jobs 1/4 {m \times} persistent-solver-cache cold/warm, and requires each
-    spliced baseline to match a from-scratch rebuild byte-for-byte —
-    per-slice model digests and upgrade findings alike. *)
+    jobs 1 and 4, and requires each spliced baseline to match a from-scratch
+    rebuild byte-for-byte — per-slice model digests and upgrade findings
+    alike. *)

@@ -12,8 +12,8 @@
     system get their own stream keyed by purpose and index.
 
     (Audit note: the rest of the repo already routes randomness through
-    seeded [Random.State] values — chaos, noise, the random searcher, the
-    user-study bench — and nothing calls [Random.self_init] or touches the
+    seeded [Random.State] values — chaos, noise, the user-study bench —
+    and nothing calls [Random.self_init] or touches the
     global [Random] state; vfuzz adds no exception.) *)
 
 type t

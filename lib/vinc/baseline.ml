@@ -34,9 +34,9 @@ let manifest_version = 3
 (* Every option that can change analysis output, rendered by hand —
    [P.options] holds closures (the budget clock, chaos streams), so
    [Marshal] is not available.  [jobs] is excluded (it only spreads the
-   order-preserving diff screen over domains); [solver_cache]/[slice]/
-   [cache_dir] are excluded (documented byte-transparent); checkpointing
-   fields are excluded (resume reproduces the uninterrupted model). *)
+   order-preserving diff screen over domains); [slice] is excluded
+   (documented byte-transparent); checkpointing fields are excluded (resume
+   reproduces the uninterrupted model). *)
 let options_fingerprint (o : P.options) =
   let pair (n, v) = Printf.sprintf "%s=%d" n v in
   let fields =
@@ -58,7 +58,6 @@ let options_fingerprint (o : P.options) =
       Printf.sprintf "include_related=%b" o.P.include_related;
       Printf.sprintf "all_symbolic=%b" o.P.all_symbolic;
       Printf.sprintf "max_related=%d" o.P.max_related;
-      Printf.sprintf "policy=%s" (Vsched.Searcher.to_string o.P.policy);
       Printf.sprintf "state_switching=%b" o.P.state_switching;
       Printf.sprintf "noise=%s"
         (match o.P.noise with

@@ -58,7 +58,7 @@ val manifest_version : int
 
 val options_fingerprint : Violet.Pipeline.options -> string
 (** Digest of every option that can change analysis output (threshold,
-    symbolic-set policy, budget caps, searcher, overrides, ...).  [jobs]
+    symbolic-set policy, budget caps, overrides, ...).  [jobs]
     is excluded — it only spreads the order-preserving diff screen over
     domains, so models are jobs-independent. *)
 

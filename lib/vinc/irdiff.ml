@@ -188,24 +188,3 @@ let diff_programs ~old_program new_program =
   diff ~old_keys:(program_keys old_program) new_program
 
 let dirty_functions t = List.sort String.compare (t.modified @ t.added)
-
-let dirty_symbols t (p : Ast.program) =
-  let dirty = dirty_functions t in
-  let acc = Hashtbl.create 16 in
-  let add_reads e =
-    List.iter (fun n -> Hashtbl.replace acc n ()) (Ast.config_reads e);
-    List.iter (fun n -> Hashtbl.replace acc n ()) (Ast.workload_reads e)
-  in
-  List.iter
-    (fun (f : Ast.func) ->
-      if List.mem f.Ast.fname dirty then
-        Ast.iter_stmts
-          (fun (s : Ast.stmt) ->
-            match s with
-            | Ast.Assign (_, e) | Ast.While (e, _) | Ast.If (e, _, _) -> add_reads e
-            | Ast.Return (Some e) -> add_reads e
-            | Ast.Call { args; _ } | Ast.Prim (_, args) -> List.iter add_reads args
-            | Ast.Return None | Ast.Thread _ | Ast.Trace_on | Ast.Trace_off -> ())
-          (Ast.func_body f))
-    p.Ast.funcs;
-  Hashtbl.fold (fun n () l -> n :: l) acc [] |> List.sort String.compare

@@ -47,9 +47,3 @@ val dirty_functions : t -> string list
     code is decided by call sites in unchanged callers, so an analysis
     that never entered a dirty function explores identically under the
     new version). *)
-
-val dirty_symbols : t -> Vir.Ast.program -> string list
-(** Configuration and workload parameter names read anywhere inside the
-    new program's dirty functions, sorted — the symbol set used to
-    invalidate persisted solver-cache entries whose footprints touch
-    changed code ({!Vsched.Solver_cache.filter_dump}). *)

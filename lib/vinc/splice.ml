@@ -4,7 +4,6 @@ module M = Vmodel.Impact_model
 type report = {
   sp_diff : Irdiff.t;
   sp_dirty_functions : string list;
-  sp_dirty_symbols : string list;
   sp_conservative : string option;
   sp_reused : string list;
   sp_reexplored : (string * string) list;
@@ -61,7 +60,6 @@ let run ?(opts = P.default_options) ~baseline ~out (target : P.target) =
   | Ok manifest ->
     let diff = Irdiff.diff ~old_keys:manifest.Baseline.mf_program_keys target.P.program in
     let dirty_functions = Irdiff.dirty_functions diff in
-    let dirty_symbols = Irdiff.dirty_symbols diff target.P.program in
     let registry_keys = P.registry_keys target in
     let conservative =
       if manifest.Baseline.mf_system <> target.P.name then Some "different system"
@@ -84,14 +82,11 @@ let run ?(opts = P.default_options) ~baseline ~out (target : P.target) =
               classify ~baseline_dir:baseline manifest target opts ~dirty_functions param ))
         params
     in
-    (* re-explored slices load their persistent cache minus the entries the
-       diff invalidates *)
-    let reexplore_opts = { opts with P.cache_dirty = dirty_symbols @ opts.P.cache_dirty } in
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (param, Reuse (slice, model)) :: rest -> go ((param, `Reused (slice, model)) :: acc) rest
       | (param, Reexplore reason) :: rest -> begin
-        match P.analyze ~opts:reexplore_opts target param with
+        match P.analyze ~opts target param with
         | Error e -> Error (Printf.sprintf "%s: %s" param (P.error_to_string e))
         | Ok a -> go ((param, `Fresh (reason, a)) :: acc) rest
       end
@@ -162,7 +157,6 @@ let run ?(opts = P.default_options) ~baseline ~out (target : P.target) =
             {
               sp_diff = diff;
               sp_dirty_functions = dirty_functions;
-              sp_dirty_symbols = dirty_symbols;
               sp_conservative = conservative;
               sp_reused = reused;
               sp_reexplored = reexplored;

@@ -17,16 +17,11 @@
     registry key ({!Violet.Pipeline.registry_keys}: a domain, default or
     hook change touches no function), a changed related-parameter set, a
     model file failing its digest — the slice (or the whole baseline)
-    conservatively re-explores.  A registry change also starts the
-    persistent solver cache cold, since its files are stamped with the
-    registry keys. *)
+    conservatively re-explores. *)
 
 type report = {
   sp_diff : Irdiff.t;
   sp_dirty_functions : string list;
-  sp_dirty_symbols : string list;
-      (** config/workload names read by dirty functions — passed to the
-          persistent solver cache as its invalidation set *)
   sp_conservative : string option;
       (** [Some reason] when the whole baseline was invalidated (system,
           entry, options or registry mismatch) and every slice
@@ -54,9 +49,7 @@ val run :
     directory [baseline], writing the resulting models and manifest into
     [out] (which may equal [baseline]; every write is atomic).  The
     analysis options must match the baseline's fingerprint for any slice
-    to be reused.  Re-explored slices pass the dirty symbol set to
-    {!Violet.Pipeline.options.cache_dirty}, so a persistent solver cache
-    primes only entries untouched by the diff. *)
+    to be reused. *)
 
 val check_upgrade :
   old_dir:string -> new_dir:string -> ((string * Vchecker.Checker.report) list, string) result

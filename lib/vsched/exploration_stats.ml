@@ -1,6 +1,3 @@
-type sample = { step : int; queue_depth : int }
-type completion = { state_id : int; at_step : int; dropped : bool }
-
 (* Query-size histogram buckets: a query with [n] constraints lands in the
    first bucket whose threshold is >= n; the final bucket catches the rest. *)
 let hist_thresholds = [| 1; 2; 4; 8; 16; 32; 64 |]
@@ -25,8 +22,6 @@ type query_sizes = {
 }
 
 type t = {
-  searcher : string;
-  solver_cache_enabled : bool;
   states_created : int;
   states_completed : int;
   states_dropped : int;
@@ -36,8 +31,6 @@ type t = {
   solver_queries : int;
   solver_solves : int;
   cache : Solver_cache.stats option;
-  completions : completion list;
-  queue_samples : sample list;
   wall_time_s : float;
   degradation : Vresilience.Degradation.event list;
   deadline_hit : bool;
@@ -49,14 +42,11 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 type recorder = {
-  r_searcher : string;
-  r_cache_enabled : bool;
   mutable r_resumed : bool;
   mutable r_steps : int;
   mutable r_forks : int;
-  mutable r_completions : completion list;  (* newest first *)
-  mutable r_samples : sample list;  (* newest first *)
-  mutable r_last_sample_step : int;
+  mutable r_completed : int;
+  mutable r_dropped : int;
   mutable r_degradation : Vresilience.Degradation.event list;  (* newest first *)
   mutable r_q_pre_constraints : int;
   mutable r_q_pre_nodes : int;
@@ -67,18 +57,13 @@ type recorder = {
   r_hist_sent : int array;
 }
 
-let sample_every = 64
-
-let recorder ~searcher ~solver_cache_enabled () =
+let recorder () =
   {
-    r_searcher = searcher;
-    r_cache_enabled = solver_cache_enabled;
     r_resumed = false;
     r_steps = 0;
     r_forks = 0;
-    r_completions = [];
-    r_samples = [];
-    r_last_sample_step = -sample_every;  (* so the very first pick samples *)
+    r_completed = 0;
+    r_dropped = 0;
     r_degradation = [];
     r_q_pre_constraints = 0;
     r_q_pre_nodes = 0;
@@ -94,8 +79,13 @@ let on_fork r = r.r_forks <- r.r_forks + 1
 let on_degrade r ev = r.r_degradation <- ev :: r.r_degradation
 let steps r = r.r_steps
 
+let on_complete r ~dropped =
+  if dropped then r.r_dropped <- r.r_dropped + 1 else r.r_completed <- r.r_completed + 1
+
 let copy r =
   { r with r_hist_pre = Array.copy r.r_hist_pre; r_hist_sent = Array.copy r.r_hist_sent }
+
+let resume r = { (copy r) with r_resumed = true }
 
 let on_query r ~pre_constraints ~pre_nodes ~sent_constraints ~sent_nodes =
   r.r_q_pre_constraints <- r.r_q_pre_constraints + pre_constraints;
@@ -107,46 +97,18 @@ let on_query r ~pre_constraints ~pre_nodes ~sent_constraints ~sent_nodes =
   r.r_hist_pre.(bp) <- r.r_hist_pre.(bp) + 1;
   r.r_hist_sent.(bs) <- r.r_hist_sent.(bs) + 1
 
-let on_pick r ~queue_depth =
-  if r.r_steps - r.r_last_sample_step >= sample_every then begin
-    r.r_samples <- { step = r.r_steps; queue_depth } :: r.r_samples;
-    r.r_last_sample_step <- r.r_steps
-  end
-
-let on_complete r ~state_id ~dropped =
-  r.r_completions <- { state_id; at_step = r.r_steps; dropped } :: r.r_completions
-
-(* A resumed run carries the checkpointed counters and logs on; like a
-   fresh recorder, its first pick takes a queue sample. *)
-let resume r ~solver_cache_enabled =
+let finish ?(deadline_hit = false) ?(memo_sizes = []) r ~states_created ~solver_queries ~cache
+    ~wall_time_s =
   {
-    (copy r) with
-    r_cache_enabled = solver_cache_enabled;
-    r_resumed = true;
-    r_last_sample_step = -sample_every;
-  }
-
-let completions r = List.rev r.r_completions
-let set_completions r cs = r.r_completions <- List.rev cs
-
-let finish ?(deadline_hit = false) ?(memo_sizes = []) r
-    ~states_created ~solver_queries ~solver_solves ~cache ~wall_time_s =
-  let completions = List.rev r.r_completions in
-  let dropped = List.length (List.filter (fun c -> c.dropped) completions) in
-  {
-    searcher = r.r_searcher;
-    solver_cache_enabled = r.r_cache_enabled;
     states_created;
-    states_completed = List.length completions - dropped;
-    states_dropped = dropped;
+    states_completed = r.r_completed;
+    states_dropped = r.r_dropped;
     forks = r.r_forks;
     steps = r.r_steps;
     fork_rate = (if r.r_steps = 0 then 0. else float_of_int r.r_forks /. float_of_int r.r_steps);
     solver_queries;
-    solver_solves;
-    cache;
-    completions;
-    queue_samples = List.rev r.r_samples;
+    solver_solves = cache.Solver_cache.misses;
+    cache = Some cache;
     wall_time_s;
     degradation = List.rev r.r_degradation;
     deadline_hit;
@@ -164,13 +126,10 @@ let finish ?(deadline_hit = false) ?(memo_sizes = []) r
     memo_sizes;
   }
 
-let first_completion t ~satisfying =
-  List.find_opt (fun c -> satisfying c.state_id) t.completions
-
 let pp ppf t =
   Fmt.pf ppf
-    "searcher=%s states=%d (%d completed, %d dropped) forks=%d steps=%d fork_rate=%.4f solver=%d/%d%a%a%s%s"
-    t.searcher t.states_created t.states_completed t.states_dropped t.forks t.steps t.fork_rate
+    "states=%d (%d completed, %d dropped) forks=%d steps=%d fork_rate=%.4f solver=%d/%d%a%a%s%s"
+    t.states_created t.states_completed t.states_dropped t.forks t.steps t.fork_rate
     t.solver_solves t.solver_queries
     (fun ppf -> function
       | None -> ()

@@ -1,18 +1,8 @@
 (** Per-run exploration telemetry.
 
-    The executor drives a {!recorder} while it runs (one bump per event, a
-    throttled queue-depth sample per state pick) and {!finish}es it into an
-    immutable {!t} that rides on the executor result. *)
-
-type sample = { step : int; queue_depth : int }
-
-type completion = {
-  state_id : int;
-  at_step : int;  (** global step counter when the state reached a terminal
-                      status — the "state steps" currency searcher
-                      comparisons are measured in *)
-  dropped : bool;  (** killed rather than terminated *)
-}
+    The executor drives a {!recorder} while it runs (one bump per event) and
+    {!finish}es it into an immutable {!t} that rides on the executor
+    result. *)
 
 type query_sizes = {
   pre_constraints : int;  (** conjuncts across all queries, before slicing *)
@@ -23,7 +13,7 @@ type query_sizes = {
   hist_pre : int array;  (** constraints-per-query histogram, before slicing *)
   hist_sent : int array;  (** constraints-per-query histogram, after slicing *)
 }
-(** Query-size accounting, measured at the executor (cache-independent):
+(** Query-size accounting, measured at the executor (memo-independent):
     "pre" is the full simplified path condition a query would classically
     send, "sent" is what the independence slicer actually sent.  Histogram
     buckets are bounded by {!hist_thresholds} (last bucket = overflow). *)
@@ -33,8 +23,6 @@ val hist_thresholds : int array
     with [n] constraints lands in the first bucket with threshold >= [n]. *)
 
 type t = {
-  searcher : string;
-  solver_cache_enabled : bool;
   states_created : int;
   states_completed : int;  (** reached [Terminated] *)
   states_dropped : int;  (** killed (infeasible, out of fuel, stuck) *)
@@ -42,11 +30,8 @@ type t = {
   steps : int;
   fork_rate : float;  (** forks per executed statement step *)
   solver_queries : int;  (** feasibility + model queries issued *)
-  solver_solves : int;  (** queries that reached {!Vsmt.Solver} (= queries
-                            when the cache is off) *)
-  cache : Solver_cache.stats option;
-  completions : completion list;  (** in completion order *)
-  queue_samples : sample list;  (** (step, frontier depth) over time *)
+  solver_solves : int;  (** lookups that reached {!Vsmt.Solver} *)
+  cache : Solver_cache.stats option;  (** the run's solver memo; always [Some] *)
   wall_time_s : float;
   degradation : Vresilience.Degradation.event list;
       (** every degradation-ladder rung entered, oldest first.  Empty =
@@ -56,25 +41,19 @@ type t = {
   query_sizes : query_sizes;
   memo_sizes : (string * int) list;
       (** sizes of the process's shared expression-level tables at finish
-          time (lock-striped simplify/footprint memos summed across
-          stripes, rendered strings, the shared hash-cons table, and — for
-          cached runs — the run's solver-cache entry counts) — the
-          observability hook for the bounded-memo policy *)
+          time (simplify/footprint memos, rendered strings, the hash-cons
+          table) and of the run's solver memo — the observability hook for
+          the bounded-memo policy *)
 }
 
 (** {1 Recording} *)
 
 type recorder
 
-val recorder : searcher:string -> solver_cache_enabled:bool -> unit -> recorder
+val recorder : unit -> recorder
 val on_step : recorder -> unit
 val on_fork : recorder -> unit
-
-val on_pick : recorder -> queue_depth:int -> unit
-(** Called on every state selection; samples are kept at most once every 64
-    steps (plus the first), so long runs stay small. *)
-
-val on_complete : recorder -> state_id:int -> dropped:bool -> unit
+val on_complete : recorder -> dropped:bool -> unit
 
 val on_query :
   recorder ->
@@ -95,18 +74,11 @@ val copy : recorder -> recorder
 (** A snapshot of the recorder, decoupled from further mutation — what the
     executor puts in a checkpoint. *)
 
-val resume : recorder -> solver_cache_enabled:bool -> recorder
+val resume : recorder -> recorder
 (** The recorder for a run that continues a checkpoint: a copy of the
-    checkpointed one, marked resumed, whose next pick takes a queue sample
-    as a fresh recorder's first pick does. *)
-
-val completions : recorder -> completion list
-(** Completion log so far, oldest first. *)
-
-val set_completions : recorder -> completion list -> unit
-(** Replace the completion log (oldest first) — the executor renumbers
-    state ids by fork path and rewrites the log to match before
-    {!finish}. *)
+    checkpointed one, marked resumed.  The resumed run's memo starts empty,
+    so its [cache] counters and [solver_solves] cover only the resumed
+    part, while the other counters cover the whole run. *)
 
 val finish :
   ?deadline_hit:bool ->
@@ -114,15 +86,11 @@ val finish :
   recorder ->
   states_created:int ->
   solver_queries:int ->
-  solver_solves:int ->
-  cache:Solver_cache.stats option ->
+  cache:Solver_cache.stats ->
   wall_time_s:float ->
   t
+(** [solver_solves] is the memo's miss count. *)
 
 (** {1 Reporting} *)
-
-val first_completion : t -> satisfying:(int -> bool) -> completion option
-(** Earliest completion whose state id satisfies the predicate — e.g. "when
-    did the first specious path finish". *)
 
 val pp : t Fmt.t

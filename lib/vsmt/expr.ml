@@ -316,7 +316,7 @@ let pp ppf e = pp_gen ~friendly:false ppf e
 let pp_friendly ppf e = pp_gen ~friendly:true ppf e
 
 (* Rendered once per unique node, then read off the memo field.  Used as
-   the portable (cross-process) cache key by [Vsched.Solver_cache]. *)
+   the memo key by [Vsched.Solver_cache]. *)
 let to_string e =
   if e.str <> "" then e.str
   else begin

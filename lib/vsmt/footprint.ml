@@ -180,23 +180,4 @@ let rec of_expr (e : Expr.t) : t =
 
 let of_list cs = List.fold_left (fun acc c -> union acc (of_expr c)) empty cs
 
-(* Name-keyed overlap test for data that crossed a process boundary:
-   cross-run caches tag entries with [names], so invalidation queries
-   arrive as names, not ids.  Names that were never interned in this
-   process cannot appear in any footprint and are skipped. *)
-let mentions_any cs (dirty : string list) =
-  match dirty with
-  | [] -> false
-  | _ ->
-    let f = of_list cs in
-    if is_empty f then false
-    else
-      List.exists
-        (fun name ->
-          Mutex.lock sym_lock;
-          let id = Hashtbl.find_opt sym_ids name in
-          Mutex.unlock sym_lock;
-          match id with Some id -> mem id f | None -> false)
-        dirty
-
 let pp ppf (f : t) = Fmt.pf ppf "{%s}" (String.concat "," (names f))

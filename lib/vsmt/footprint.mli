@@ -14,8 +14,7 @@
     mutex-protected table shared by all domains.
 
     Symbol ids, like expression ids, are process-local: never persist
-    them.  Cache entries and other [Marshal]-crossing data use {!names}
-    (sorted symbol names) instead. *)
+    them; {!names} gives the sorted symbol names instead. *)
 
 type t = private int array
 (** A footprint: strictly increasing array of symbol ids. *)
@@ -34,12 +33,6 @@ val of_expr : Expr.t -> t
 val of_list : Expr.t list -> t
 (** Union of the footprints of a constraint list. *)
 
-val mentions_any : Expr.t list -> string list -> bool
-(** [mentions_any cs names] iff the footprint of [cs] contains a symbol
-    with one of the given names.  The name-keyed counterpart of
-    {!overlaps} for queries arriving from persisted (name-tagged) data;
-    names never interned in this process match nothing. *)
-
 val union : t -> t -> t
 val overlaps : t -> t -> bool
 (** [overlaps a b] iff [a] and [b] share at least one symbol. *)
@@ -50,8 +43,7 @@ val subset : t -> t -> bool
 val mem : int -> t -> bool
 
 val names : t -> string list
-(** Symbol names of the footprint, sorted — the process-portable form
-    used to tag marshalled cache entries. *)
+(** Symbol names of the footprint, sorted — the process-portable form. *)
 
 val exists_origin : Expr.origin -> t -> bool
 (** True iff some symbol in the footprint has the given origin. *)

@@ -6,16 +6,6 @@ module D = Vresilience.Degradation
 module Chaos = Vresilience.Chaos
 module ES = Vsched.Exploration_stats
 
-(* The policy type *is* the vsched searcher: the old [Dfs]/[Bfs]/
-   [Random_path] spellings stay valid as constructors of the re-exported
-   variant. *)
-type policy = Vsched.Searcher.t =
-  | Dfs
-  | Bfs
-  | Random_path of int
-  | Coverage_guided
-  | Config_impact of { related : string list }
-
 type noise = {
   jitter : float;
   signal_delay_prob : float;
@@ -24,15 +14,16 @@ type noise = {
 }
 
 (* Everything the scheduling loop needs to pick up where a previous run
-   stopped: the frontier (with the searcher's rng/covered set), the finished
-   states, every engine counter that feeds the impact model, the solver-cache
-   contents and the telemetry recorder.  All fields are closure-free data, so
-   the whole record round-trips through [Marshal] with flags [].  Expressions
-   inside the states carry hashcons ids from the process that wrote them, so
-   loading re-interns every expression ({!rehash_snapshot}). *)
+   stopped: the DFS stack, the finished states, every engine counter that
+   feeds the impact model and the telemetry recorder.  The solver memo is
+   not saved: a resumed run starts with an empty one, which cannot change a
+   model because every memo answer equals a fresh solve.  All fields are
+   closure-free data, so the whole record round-trips through [Marshal] with
+   flags [].  Expressions inside the states carry hashcons ids from the
+   process that wrote them, so loading re-interns every expression
+   ({!rehash_snapshot}). *)
 type snapshot = {
   snap_program : string;
-  snap_policy : string;
   snap_next_state_id : int;
   snap_n_forks : int;
   snap_n_solver_calls : int;
@@ -41,9 +32,8 @@ type snapshot = {
   snap_killed : int;
   snap_last_run_id : int;
   snap_finished : Sym_state.t list;  (* newest first *)
-  snap_frontier : Sym_state.t Vsched.Searcher.dump;
+  snap_frontier : Sym_state.t list;  (* the DFS stack, top first *)
   snap_noise_rng : Random.State.t option;
-  snap_cache : Vsched.Solver_cache.dump option;
   snap_recorder : Vsched.Exploration_stats.recorder;
   snap_degradation : D.event list;  (* ladder history, oldest first *)
   snap_visited : string list;  (* functions entered so far, sorted *)
@@ -57,10 +47,7 @@ type options = {
   concrete_workload : string -> int;
   budget : B.t;
   max_loop_unroll : int;
-  policy : policy;
   state_switching : bool;
-  time_slice : int;
-  solver_cache : bool;
   slice : bool;
   noise : noise option;
   enable_tracer : bool;
@@ -70,8 +57,6 @@ type options = {
   degradation : D.policy;
   checkpoint_every : int;
   on_checkpoint : (snapshot -> unit) option;
-  prime_cache : Vsched.Solver_cache.dump option;
-  on_cache_dump : (Vsched.Solver_cache.dump -> unit) option;
 }
 
 let default_options ?(env = Vruntime.Hw_env.hdd_server) ~config ~workload () =
@@ -83,10 +68,7 @@ let default_options ?(env = Vruntime.Hw_env.hdd_server) ~config ~workload () =
     concrete_workload = workload;
     budget = B.with_max_states B.default 512;
     max_loop_unroll = 48;
-    policy = Dfs;
     state_switching = false;
-    time_slice = 64;
-    solver_cache = true;
     slice = true;
     noise = None;
     enable_tracer = true;
@@ -96,8 +78,6 @@ let default_options ?(env = Vruntime.Hw_env.hdd_server) ~config ~workload () =
     degradation = D.default_policy;
     checkpoint_every = 0;
     on_checkpoint = None;
-    prime_cache = None;
-    on_cache_dump = None;
   }
 
 type stats = {
@@ -146,14 +126,17 @@ type engine = {
   mutable eff_max_unroll : int;
   mutable eff_concretize_all : bool;
   rng : Random.State.t option;
-  cache : Vsched.Solver_cache.t option;
+  cache : Vsched.Solver_cache.t;
   visited : (string, unit) Hashtbl.t;
       (* every function *entered* on any path, live or dead — the dynamic
          coverage that scopes incremental invalidation.  Completed-row call
          chains are not enough: a path can enter a function and then die
          infeasible, yet its exploration already depended on that
          function's body. *)
-  frontier : Sym_state.t Vsched.Searcher.frontier;
+  mutable stack : Sym_state.t list;
+      (* the DFS frontier, top first: a fork runs its first child at once and
+         pushes the second, so each state runs to completion before its
+         sibling *)
   recorder : Vsched.Exploration_stats.recorder;
 }
 
@@ -161,49 +144,6 @@ let fresh_id eng =
   let id = eng.next_id in
   eng.next_id <- id + 1;
   id
-
-(* The searcher's window into a state: how deep it is and which branch
-   conditions are still syntactically ahead of it.  Only the scored searchers
-   ever call this. *)
-(* Branch conditions still ahead of a state, in statement order, descending
-   through call sites into defined callee bodies — the scored searchers need
-   to see the autocommit-style branches of a [trans_commit] that the
-   continuation only reaches through a [Call].  Fully-expanded per-function
-   lists are memoized for the run; recursion is truncated (and the truncated
-   list not memoized, since it depends on the call stack). *)
-let make_state_view program =
-  let memo : (string, Ast.expr list) Hashtbl.t = Hashtbl.create 64 in
-  let rec func_conds visiting fname =
-    match Hashtbl.find_opt memo fname with
-    | Some cs -> cs
-    | None ->
-      if List.mem fname visiting then []
-      else begin
-        let cs =
-          match Ast.find_func_opt program fname with
-          | Some { Ast.kind = Ast.Defined body; _ } -> block_conds (fname :: visiting) body
-          | _ -> []
-        in
-        if visiting = [] then Hashtbl.replace memo fname cs;
-        cs
-      end
-  and block_conds visiting b = List.concat_map (stmt_conds visiting) b
-  and stmt_conds visiting = function
-    | Ast.If (c, t, e) -> (c :: block_conds visiting t) @ block_conds visiting e
-    | Ast.While (c, body) -> c :: block_conds visiting body
-    | Ast.Call { fn; _ } -> func_conds visiting fn
-    | _ -> []
-  in
-  fun (st : S.t) ->
-    let pending =
-      List.concat_map
-        (function
-          | S.Kstmts b -> block_conds [] b
-          | S.Kloop { cond; body; _ } -> cond :: block_conds [] body
-          | S.Kret _ -> [])
-        st.S.work
-    in
-    { Vsched.Searcher.depth = List.length st.S.branch_trail; pending }
 
 (* Fresh symbols are named after the creating state's fork path and its own
    symbol counter, so the name depends only on the path's execution history —
@@ -304,12 +244,7 @@ let is_feasible ?sliced eng pc =
   in
   record_query eng ~pre:pc ~sent;
   (* a chaos-forced Unknown over-approximates to feasible *)
-  if chaos_unknown eng then true
-  else
-    let max_nodes = eng.opts.budget.B.solver_max_nodes in
-    match eng.cache with
-    | Some cache -> Vsched.Solver_cache.is_feasible cache ~budget:eng.armed ~max_nodes sent
-    | None -> Vsmt.Solver.is_feasible ~budget:eng.armed ~max_nodes sent
+  chaos_unknown eng || Vsched.Solver_cache.is_feasible eng.cache ~budget:eng.armed sent
 
 (* Model-generation query.  With [sliced] (the path condition's partition),
    each symbol-disjoint slice is solved independently and the per-slice
@@ -326,12 +261,7 @@ let model_of ?sliced eng pc =
   record_query eng ~pre:pc ~sent:pc;
   if chaos_unknown eng then None
   else begin
-    let max_nodes = eng.opts.budget.B.solver_max_nodes in
-    let check cs =
-      match eng.cache with
-      | Some cache -> Vsched.Solver_cache.check_model cache ~budget:eng.armed ~max_nodes cs
-      | None -> Vsmt.Solver.check ~budget:eng.armed ~max_nodes cs
-    in
+    let check = Vsched.Solver_cache.check_model eng.cache ~budget:eng.armed in
     match sliced with
     | Some part when eng.opts.slice && Vsmt.Partition.clean part ->
       let rec compose acc = function
@@ -534,9 +464,6 @@ let call_library eng (st : S.t) ~dest ~ret_addr (f : Ast.func) lib args =
   | None -> st
 
 let exec_branch eng (st : S.t) cond ~on_true ~on_false =
-  (* coverage feedback for the coverage-guided searcher: this branch site has
-     now been executed by some state *)
-  Vsched.Searcher.mark_covered eng.frontier cond;
   let c = sym_eval_simpl eng st cond in
   match E.is_const c with
   | Some v -> One (if v <> 0 then on_true st else on_false st)
@@ -553,19 +480,8 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
     let t_ok = is_feasible ~sliced:(part_true, fp) eng pc_true in
     let f_ok = is_feasible ~sliced:(part_false, fp) eng pc_false in
     match t_ok, f_ok with
-    | true, false ->
-      One
-        (on_true
-           { st with S.pc = pc_true; pc_part = part_true; branch_trail = c :: st.S.branch_trail })
-    | false, true ->
-      One
-        (on_false
-           {
-             st with
-             S.pc = pc_false;
-             pc_part = part_false;
-             branch_trail = E.not_ c :: st.S.branch_trail;
-           })
+    | true, false -> One (on_true { st with S.pc = pc_true; pc_part = part_true })
+    | false, true -> One (on_false { st with S.pc = pc_false; pc_part = part_false })
     | false, false -> kill st "infeasible path condition"
     | true, true ->
       if can_fork then begin
@@ -579,7 +495,6 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
             path = Fork_path.extend st.S.path 't';
             pc = pc_true;
             pc_part = part_true;
-            branch_trail = c :: st.S.branch_trail;
           }
         in
         let st_f =
@@ -590,7 +505,6 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
             path = Fork_path.extend st.S.path 'f';
             pc = pc_false;
             pc_part = part_false;
-            branch_trail = E.not_ c :: st.S.branch_trail;
           }
         in
         Two (on_true st_t, on_false st_f)
@@ -598,9 +512,7 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
       else
         (* state cap reached: concretize the branch like a silent
            concretization and continue down one side *)
-        One
-          (on_true
-             { st with S.pc = pc_true; pc_part = part_true; branch_trail = c :: st.S.branch_trail })
+        One (on_true { st with S.pc = pc_true; pc_part = part_true })
   end
 
 let step eng (st : S.t) : step_result =
@@ -737,7 +649,7 @@ let finish_state eng (st : S.t) =
     | S.Killed _ -> eng.killed <- eng.killed + 1
     | S.Running -> assert false
   end;
-  Vsched.Exploration_stats.on_complete eng.recorder ~state_id:st.S.id
+  ES.on_complete eng.recorder
     ~dropped:(match st.S.status with S.Killed _ -> true | _ -> false);
   eng.finished <- st :: eng.finished
 
@@ -745,14 +657,9 @@ let drop_state eng (st : S.t) reason =
   finish_state eng { st with S.status = S.Killed reason }
 
 let drain_frontier eng reason =
-  let rec go () =
-    match Vsched.Searcher.select eng.frontier with
-    | None -> ()
-    | Some st ->
-      drop_state eng st reason;
-      go ()
-  in
-  go ()
+  let states = eng.stack in
+  eng.stack <- [];
+  List.iter (fun st -> drop_state eng st reason) states
 
 let visited_list eng =
   Hashtbl.fold (fun f () acc -> f :: acc) eng.visited [] |> List.sort String.compare
@@ -760,7 +667,6 @@ let visited_list eng =
 let snapshot_of eng =
   {
     snap_program = eng.program.Ast.pname;
-    snap_policy = Vsched.Searcher.to_string eng.opts.policy;
     snap_next_state_id = eng.next_id;
     snap_n_forks = eng.n_forks;
     snap_n_solver_calls = eng.n_solver_calls;
@@ -769,19 +675,19 @@ let snapshot_of eng =
     snap_killed = eng.killed;
     snap_last_run_id = eng.last_run_id;
     snap_finished = eng.finished;
-    snap_frontier = Vsched.Searcher.dump eng.frontier;
+    snap_frontier = eng.stack;
     snap_noise_rng = Option.map Random.State.copy eng.rng;
-    snap_cache = Option.map Vsched.Solver_cache.dump eng.cache;
-    snap_recorder = Vsched.Exploration_stats.copy eng.recorder;
+    snap_recorder = ES.copy eng.recorder;
     snap_degradation = D.events eng.ladder;
     snap_visited = visited_list eng;
   }
 
-(* version 4: added [snap_visited] (dynamic function coverage for
-   incremental invalidation); version 3: Sym_state.path became the
-   structured [Fork_path.t] (version 2 introduced [path]/[next_symbol] as
-   a flat string) *)
-let snapshot_version = 4
+(* version 5: the frontier is the plain DFS stack, and the searcher name and
+   solver-cache contents are gone; version 4: added [snap_visited] (dynamic
+   function coverage for incremental invalidation); version 3:
+   Sym_state.path became the structured [Fork_path.t] (version 2 introduced
+   [path]/[next_symbol] as a flat string) *)
+let snapshot_version = 5
 let snapshot_kind = "executor-frontier"
 
 let save_snapshot ~path snap =
@@ -796,11 +702,7 @@ let rehash_snapshot snap =
   {
     snap with
     snap_finished = List.map rs snap.snap_finished;
-    snap_frontier =
-      {
-        snap.snap_frontier with
-        Vsched.Searcher.d_states = List.map rs snap.snap_frontier.Vsched.Searcher.d_states;
-      };
+    snap_frontier = List.map rs snap.snap_frontier;
   }
 
 let load_snapshot ~path =
@@ -820,22 +722,26 @@ let tighten_knobs eng (rung : D.rung) =
     eng.eff_max_unroll <- min eng.eff_max_unroll (max 2 (eng.opts.max_loop_unroll / 8))
   | D.Concretize_all -> eng.eff_concretize_all <- true
   | D.Drop_states ->
-    let len = Vsched.Searcher.length eng.frontier in
+    (* picks come from the top of the stack, so the bottom is the
+       lowest-priority end: keep the top [keep] states *)
+    let len = List.length eng.stack in
     let keep =
       max 1
         (int_of_float
            (ceil (float_of_int len *. eng.opts.degradation.D.drop_keep_fraction)))
     in
-    if len > keep then
-      List.iter
-        (fun st -> drop_state eng st degraded_drop_reason)
-        (Vsched.Searcher.drop_weakest eng.frontier ~keep)
+    if len > keep then begin
+      let kept = List.filteri (fun i _ -> i < keep) eng.stack in
+      let dropped = List.filteri (fun i _ -> i >= keep) eng.stack in
+      eng.stack <- kept;
+      List.iter (fun st -> drop_state eng st degraded_drop_reason) dropped
+    end
 
 (* ------------------------------------------------------------------ *)
 (* Engine construction and the deterministic reduction                 *)
 (* ------------------------------------------------------------------ *)
 
-let make_engine ~armed ~cache ~recorder opts program =
+let make_engine ~armed ~recorder opts program =
   {
     opts;
     program;
@@ -853,9 +759,9 @@ let make_engine ~armed ~cache ~recorder opts program =
     eff_max_unroll = opts.max_loop_unroll;
     eff_concretize_all = false;
     rng = Option.map (fun n -> Random.State.make [| n.seed |]) opts.noise;
-    cache;
+    cache = Vsched.Solver_cache.create ~max_nodes:opts.budget.B.solver_max_nodes ();
     visited = Hashtbl.create 64;
-    frontier = Vsched.Searcher.frontier ~view:(make_state_view program) opts.policy;
+    stack = [];
     recorder;
   }
 
@@ -889,39 +795,26 @@ let root_state eng program opts =
 (* The deterministic reduction: finished states are sorted by fork path
    (unique, scheduling-independent) and renumbered 0..n-1 in that order, so
    the state ids that appear in the serialized impact model — rows, pairs,
-   dropped paths — do not depend on the order the searcher explored them
-   in.  The recorder's completion log is rewritten to the same ids.  Parent
-   pointers refer to pre-fork states that never reach the finished list, so
-   lineage collapses to [None] uniformly. *)
-let canonicalize_states eng finished =
+   dropped paths — do not depend on the order they were explored in.
+   Parent pointers refer to pre-fork states that never reach the finished
+   list, so lineage collapses to [None] uniformly. *)
+let canonicalize_states finished =
   let sorted =
     List.stable_sort (fun (a : S.t) b -> Fork_path.compare a.S.path b.S.path) finished
   in
   let remap = Hashtbl.create (List.length sorted * 2) in
   List.iteri (fun i (st : S.t) -> Hashtbl.replace remap st.S.id i) sorted;
-  let states =
-    List.mapi
-      (fun i (st : S.t) ->
-        { st with S.id = i; parent = Option.bind st.S.parent (Hashtbl.find_opt remap) })
-      sorted
-  in
-  let completions =
-    List.filter_map
-      (fun (c : ES.completion) ->
-        match Hashtbl.find_opt remap c.ES.state_id with
-        | Some id -> Some { c with ES.state_id = id }
-        | None -> None)
-      (ES.completions eng.recorder)
-  in
-  ES.set_completions eng.recorder completions;
-  states
+  List.mapi
+    (fun i (st : S.t) ->
+      { st with S.id = i; parent = Option.bind st.S.parent (Hashtbl.find_opt remap) })
+    sorted
 
 (* ------------------------------------------------------------------ *)
 (* Sequential driver                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Install a checkpoint's engine state; the recorder and solver cache are
-   installed at construction. *)
+(* Install a checkpoint's engine state; the recorder is installed at
+   construction. *)
 let restore_snapshot eng s =
   eng.next_id <- s.snap_next_state_id;
   eng.n_forks <- s.snap_n_forks;
@@ -932,7 +825,7 @@ let restore_snapshot eng s =
   eng.finished <- s.snap_finished;
   eng.last_run_id <- s.snap_last_run_id;
   List.iter (fun f -> Hashtbl.replace eng.visited f ()) s.snap_visited;
-  Vsched.Searcher.restore eng.frontier s.snap_frontier;
+  eng.stack <- s.snap_frontier;
   D.restore eng.ladder s.snap_degradation;
   (* re-derive the effective knobs from the restored ladder position
      (frontier drops already happened before the snapshot) *)
@@ -943,19 +836,16 @@ let restore_snapshot eng s =
       | rung -> tighten_knobs eng rung)
     s.snap_degradation
 
-(* Pick a state, run it for up to a time slice, repeat until the frontier
-   drains; returns whether the deadline cut exploration short. *)
+(* Pop the top state, run it until it terminates (pushing the second child
+   of every fork), repeat until the stack drains; returns whether the
+   deadline cut exploration short. *)
 let explore eng =
   let opts = eng.opts in
-  let frontier = eng.frontier in
   let deadline_hit = ref false in
   let switch_cost (st : S.t) =
     if opts.state_switching && eng.last_run_id <> st.S.id && eng.last_run_id >= 0 then
       { st with S.clock = st.S.clock +. opts.env.Vruntime.Hw_env.state_switch_us }
     else st
-  in
-  let slice =
-    if Vsched.Searcher.run_to_completion opts.policy then max_int else opts.time_slice
   in
   let maybe_checkpoint () =
     match opts.on_checkpoint with
@@ -967,6 +857,24 @@ let explore eng =
       end
     | _ -> ()
   in
+  let rec run_state st =
+    if B.expired eng.armed then begin
+      deadline_hit := true;
+      drop_state eng st deadline_reason
+    end
+    else begin
+      match
+        try step eng st
+        with Stuck reason -> Done { st with S.status = S.Killed ("stuck: " ^ reason) }
+      with
+      | One st -> run_state st
+      | Two (a, b) ->
+        (* run the first child now; push the second *)
+        eng.stack <- b :: eng.stack;
+        run_state a
+      | Done st -> finish_state eng st
+    end
+  in
   let rec drive () =
     if B.expired eng.armed then begin
       deadline_hit := true;
@@ -975,38 +883,17 @@ let explore eng =
     else begin
       List.iter
         (fun (ev : D.event) ->
-          Vsched.Exploration_stats.on_degrade eng.recorder ev;
+          ES.on_degrade eng.recorder ev;
           tighten_knobs eng ev.D.rung)
-        (D.observe eng.ladder ~pressure:(B.pressure eng.armed)
-           ~step:(Vsched.Exploration_stats.steps eng.recorder));
+        (D.observe eng.ladder ~pressure:(B.pressure eng.armed) ~step:(ES.steps eng.recorder));
       maybe_checkpoint ();
-      match Vsched.Searcher.select frontier with
-      | None -> ()
-      | Some st ->
-        Vsched.Exploration_stats.on_pick eng.recorder
-          ~queue_depth:(Vsched.Searcher.length frontier);
+      match eng.stack with
+      | [] -> ()
+      | st :: rest ->
+        eng.stack <- rest;
         let st = switch_cost st in
         eng.last_run_id <- st.S.id;
-        let rec run_state st steps =
-          if B.expired eng.armed then begin
-            deadline_hit := true;
-            drop_state eng st deadline_reason
-          end
-          else if steps = 0 then Vsched.Searcher.add frontier ~preempted:true st
-          else begin
-            match
-              try step eng st
-              with Stuck reason -> Done { st with S.status = S.Killed ("stuck: " ^ reason) }
-            with
-            | One st -> run_state st (steps - 1)
-            | Two (a, b) ->
-              (* run the first child now; queue the second *)
-              Vsched.Searcher.add frontier ~preempted:false b;
-              run_state a (steps - 1)
-            | Done st -> finish_state eng st
-          end
-        in
-        run_state st slice;
+        run_state st;
         drive ()
     end
   in
@@ -1020,60 +907,24 @@ let run ?resume opts program =
       invalid_arg
         (Printf.sprintf "Executor.run: snapshot is for program %S, not %S" s.snap_program
            program.Ast.pname)
-    | Some s when not (String.equal s.snap_policy (Vsched.Searcher.to_string opts.policy)) ->
-      invalid_arg
-        (Printf.sprintf "Executor.run: snapshot used searcher %s, options say %s"
-           s.snap_policy
-           (Vsched.Searcher.to_string opts.policy))
     | _ -> ()
   end;
   let t0 = opts.budget.B.now () in
   let armed = B.arm opts.budget in
-  let cache = if opts.solver_cache then Some (Vsched.Solver_cache.create ()) else None in
   let recorder =
-    match resume with
-    | Some s -> ES.resume s.snap_recorder ~solver_cache_enabled:opts.solver_cache
-    | None ->
-      ES.recorder ~searcher:(Vsched.Searcher.name opts.policy)
-        ~solver_cache_enabled:opts.solver_cache ()
+    match resume with Some s -> ES.resume s.snap_recorder | None -> ES.recorder ()
   in
-  let eng = make_engine ~armed ~cache ~recorder opts program in
+  let eng = make_engine ~armed ~recorder opts program in
   (* the entry function is entered by construction, not via a Call *)
   Hashtbl.replace eng.visited program.Ast.entry ();
-  (* a checkpoint's cache, then the cross-run warm start (already
-     footprint-filtered and counter-zeroed by the caller) *)
-  Option.iter
-    (fun cache ->
-      Option.iter (fun s -> Option.iter (Vsched.Solver_cache.prime cache) s.snap_cache) resume;
-      Option.iter (Vsched.Solver_cache.prime cache) opts.prime_cache)
-    cache;
   begin
     match resume with
     | Some s -> restore_snapshot eng s
-    | None -> Vsched.Searcher.add eng.frontier ~preempted:false (root_state eng program opts)
+    | None -> eng.stack <- [ root_state eng program opts ]
   end;
   let deadline_hit = explore eng in
-  let states = canonicalize_states eng (List.rev eng.finished) in
+  let states = canonicalize_states (List.rev eng.finished) in
   let wall_time_s = opts.budget.B.now () -. t0 in
-  let cache_stats = Option.map Vsched.Solver_cache.stats eng.cache in
-  let solver_solves =
-    match cache_stats with
-    | Some c -> c.Vsched.Solver_cache.misses
-    | None -> eng.n_solver_calls
-  in
-  let feas_entries, model_entries =
-    match eng.cache with
-    | Some c -> Vsched.Solver_cache.table_sizes c
-    | None -> 0, 0
-  in
-  (* hand the cache contents to the caller for persistence (the callback
-     gets this run's counters too; [Solver_cache.filter_dump] zeroes them
-     before the dump crosses a run boundary) *)
-  begin
-    match opts.on_cache_dump, eng.cache with
-    | Some f, Some c -> f (Vsched.Solver_cache.dump c)
-    | _ -> ()
-  end;
   {
     states;
     visited_functions = visited_list eng;
@@ -1089,16 +940,15 @@ let run ?resume opts program =
         deadline_hit;
       };
     sched =
-      Vsched.Exploration_stats.finish ~deadline_hit
+      ES.finish ~deadline_hit
         ~memo_sizes:
           [
             "simplify_memo", Vsmt.Simplify.memo_size ();
             "footprint_memo", Vsmt.Footprint.memo_size ();
             "rendered_strings", Vsmt.Expr.rendered_count ();
             "interned_exprs", Vsmt.Expr.interned_count ();
-            "solver_cache_feas_entries", feas_entries;
-            "solver_cache_model_entries", model_entries;
+            "solver_cache_entries", Vsched.Solver_cache.entries eng.cache;
           ]
         eng.recorder ~states_created:eng.next_id ~solver_queries:eng.n_solver_calls
-        ~solver_solves ~cache:cache_stats ~wall_time_s;
+        ~cache:(Vsched.Solver_cache.stats eng.cache) ~wall_time_s;
   }

@@ -3,7 +3,10 @@
     Plays the role S²E (with its embedded KLEE) plays in the paper: it
     interprets an IR program, forks a new state at every branch whose
     condition is symbolic and two-way feasible, memorizes path constraints,
-    and emits call/return signals for the tracer.  The Violet-specific
+    and emits call/return signals for the tracer.  The frontier is one
+    depth-first stack: each state runs to completion before its sibling.
+    Every feasibility and model query goes through a per-run
+    {!Vsched.Solver_cache}.  The Violet-specific
     machinery is layered in directly:
 
     - {e symbolic hooks} (Section 4.1/4.4): configuration and workload
@@ -26,19 +29,6 @@
       {!snapshot} and resumed, and budget pressure walks a
       {!Vresilience.Degradation} ladder instead of aborting. *)
 
-(** The state-selection policy is the {!Vsched.Searcher} type, re-exported so
-    the historical [Executor.Dfs]-style spellings keep working.  The live
-    queue behind it is instantiated per run by the executor. *)
-type policy = Vsched.Searcher.t =
-  | Dfs  (** run each state to completion before its sibling *)
-  | Bfs
-  | Random_path of int  (** seeded random state selection *)
-  | Coverage_guided
-      (** prioritize states closest to uncovered config-dependent branches *)
-  | Config_impact of { related : string list }
-      (** weight states by how many related parameters their pending branches
-          read; [related = []] counts every configuration parameter *)
-
 type noise = {
   jitter : float;  (** relative latency jitter, e.g. 0.05 for ±5% *)
   signal_delay_prob : float;
@@ -50,11 +40,12 @@ type noise = {
 
 type snapshot
 (** A self-contained, [Marshal]-safe image of a paused exploration: every
-    engine counter, the searcher frontier (including its RNG and coverage
-    state), the solver-cache contents, the telemetry recorder, and the
+    engine counter, the DFS stack, the telemetry recorder, and the
     degradation-ladder history.  Resuming from a snapshot and running to
     completion produces the same states — and therefore a byte-identical
-    impact model — as the uninterrupted run. *)
+    impact model — as the uninterrupted run.  The solver memo is not part
+    of it: a resumed run starts with an empty memo, which changes its solve
+    count but no answer. *)
 
 type options = {
   env : Vruntime.Hw_env.t;
@@ -67,15 +58,9 @@ type options = {
           fuel, and solver node budget (replaces the old scattered
           [max_states]/[fuel]/[solver_max_nodes] fields) *)
   max_loop_unroll : int;  (** iterations of a symbolic-condition loop *)
-  policy : policy;
   state_switching : bool;
       (** charge {!Vruntime.Hw_env.t.state_switch_us} on every switch; the
           tracer disables this when it would distort latency (Section 5.3) *)
-  time_slice : int;  (** steps before a preemptive switch (non-Dfs) *)
-  solver_cache : bool;
-      (** route every feasibility/model query through a per-run
-          {!Vsched.Solver_cache}; cache statistics surface in
-          {!result.sched} *)
   slice : bool;
       (** independence slicing (KLEE lineage): feasibility queries send only
           the symbol-disjoint slices of the path condition that overlap the
@@ -107,17 +92,6 @@ type options = {
   checkpoint_every : int;
       (** invoke [on_checkpoint] every N state picks; [0] disables *)
   on_checkpoint : (snapshot -> unit) option;
-  prime_cache : Vsched.Solver_cache.dump option;
-      (** prime the run's solver cache with a persisted dump before
-          exploration starts (cross-run warm start).  The caller is
-          responsible for invalidation: prime only dumps that went through
-          [Vsched.Solver_cache.filter_dump], which drops entries touching
-          changed code and zeroes the dump's counters so this run's hit
-          statistics stay clean. *)
-  on_cache_dump : (Vsched.Solver_cache.dump -> unit) option;
-      (** called once at the end of the run with the contents of the run's
-          solver cache (never called when [solver_cache = false]) — the
-          persistence hook for cross-run caching. *)
 }
 
 val default_options :
@@ -149,11 +123,11 @@ type result = {
 }
 (** [states] holds every state that reached a terminal status, renumbered
     0..n-1 in fork-path order — a canonical order independent of the
-    searcher's exploration order.  [stats] keeps the historical headline
-    counters ([solver_calls] counts {e queries}, cached or not, so
-    virtual-time accounting is cache-independent); [sched] is the full
-    exploration telemetry including solver-cache hit rates, degradation
-    events and per-state completion steps.  [visited_functions] is the sorted set of functions any path
+    exploration order.  [stats] keeps the historical headline counters
+    ([solver_calls] counts {e queries}, memoized or not, so virtual-time
+    accounting is memo-independent); [sched] is the full exploration
+    telemetry including solver-memo hit rates and degradation events.
+    [visited_functions] is the sorted set of functions any path
     {e entered} during exploration (including paths that later died
     infeasible) — the dynamic coverage incremental re-analysis uses to
     decide whether a code change can affect this analysis. *)
@@ -161,7 +135,7 @@ type result = {
 val run : ?resume:snapshot -> options -> Vir.Ast.program -> result
 (** Explore [program].  With [?resume], continue a checkpointed exploration
     instead of starting fresh; raises [Invalid_argument] when the snapshot
-    was taken for a different program or searcher policy. *)
+    was taken for a different program. *)
 
 (** {1 Budget-kill conventions}
 

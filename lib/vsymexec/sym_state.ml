@@ -26,7 +26,6 @@ type t = {
          constraints are appended (persistent, so forks share the common
          prefix's structure).  Rebuilt from scratch by [map_exprs]: the
          partition caches footprints, which are process-local. *)
-  branch_trail : Vsmt.Expr.t list;
   cost : Vruntime.Cost.t;
   serial_us : float;
   clock : float;
@@ -48,7 +47,6 @@ let initial ~id ~store ~work ~fuel ~tracing =
     store;
     pc = [];
     pc_part = Vsmt.Partition.empty;
-    branch_trail = [];
     cost = Vruntime.Cost.zero;
     serial_us = 0.;
     clock = 0.;
@@ -72,7 +70,6 @@ let map_exprs f t =
     store = Sym_store.map_exprs f t.store;
     pc;
     pc_part = Vsmt.Partition.of_list pc;
-    branch_trail = List.map f t.branch_trail;
     status = (match t.status with Terminated (Some e) -> Terminated (Some (f e)) | s -> s);
   }
 

@@ -37,9 +37,6 @@ type t = {
       (** symbol-disjoint partition of [pc], maintained incrementally by
           {!with_pc} (persistent — forks share the common prefix's
           structure).  The executor slices solver queries with it. *)
-  branch_trail : Vsmt.Expr.t list;
-      (** every branch condition taken in order, including non-forking ones —
-          richer than [pc] for similarity analysis *)
   cost : Vruntime.Cost.t;
   serial_us : float;
   clock : float;  (** inflated symbolic-execution timestamp source *)
@@ -72,5 +69,5 @@ val pp_status : status Fmt.t
 
 val map_exprs : (Vsmt.Expr.t -> Vsmt.Expr.t) -> t -> t
 (** Apply a function to every expression in the state (store, path
-    constraints, branch trail, terminal value).  Used to re-intern
+    constraints, terminal value).  Used to re-intern
     ({!Vsmt.Expr.rehash}) states loaded from a marshalled snapshot. *)

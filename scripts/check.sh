@@ -17,23 +17,6 @@ dune build
 echo "== dune runtest =="
 dune runtest
 
-echo "== warm-cache smoke (persistent cross-run solver cache) =="
-# the same analysis twice against one --cache-dir: the second run must prime
-# entries from the first run's dump and answer from them (the model is
-# byte-identical either way; test_vinc pins that, this catches a dead store)
-CACHE_SMOKE_DIR=$(mktemp -d)
-dune exec bin/violet_cli.exe -- analyze mysql autocommit \
-  --cache-dir "$CACHE_SMOKE_DIR" >/dev/null
-WARM_LINE=$(dune exec bin/violet_cli.exe -- analyze mysql autocommit \
-  --cache-dir "$CACHE_SMOKE_DIR" | grep 'cross-run solver cache:')
-rm -rf "$CACHE_SMOKE_DIR"
-PRIMED=$(echo "$WARM_LINE" | sed -n 's/.*primed \([0-9]*\) entries.*/\1/p')
-HITS=$(echo "$WARM_LINE" | sed -n 's/.*, \([0-9]*\) cache hits.*/\1/p')
-if [ "${PRIMED:-0}" -le 0 ] || [ "${HITS:-0}" -le 0 ]; then
-  echo "warm-cache smoke: second run did not start warm ($WARM_LINE)"
-  exit 1
-fi
-
 echo "== serve round-trip smoke =="
 # exercise the CLI surface end to end: export a model in registry format,
 # start the daemon, check against it, shut it down

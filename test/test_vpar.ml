@@ -133,21 +133,16 @@ let program_gen =
                match vs with [ v ] -> (v * 2) + 1 | _ -> 7);
          ]))
 
-let policy_gen =
-  QCheck2.Gen.oneofl
-    Vsymexec.Executor.[ Dfs; Bfs; Random_path 42; Coverage_guided ]
-
 let scenario_gen =
   QCheck2.Gen.(
     program_gen >>= fun program ->
-    policy_gen >>= fun policy ->
-    bool >>= fun fault_injection -> return (program, policy, fault_injection))
+    bool >>= fun fault_injection -> return (program, fault_injection))
 
 (* Serialized impact model under a pinned manual clock, so the one
    legitimately wall-clock-dependent field ([analysis_wall_s]) is 0 in every
    run.  [deadline]: [None] = unlimited; [Some 0.] = pre-expired, the
    degenerate injected-deadline case both job counts must cut identically. *)
-let model_for ~jobs ~deadline (program, policy, fault_injection) =
+let model_for ~jobs ~deadline (program, fault_injection) =
   let clock () = 0. in
   let budget = B.with_clock (B.with_deadline B.default deadline) clock in
   let target = { Violet.Pipeline.name = "par"; program; registry; workloads = [ workload ] } in
@@ -155,7 +150,6 @@ let model_for ~jobs ~deadline (program, policy, fault_injection) =
     {
       Violet.Pipeline.default_options with
       Violet.Pipeline.jobs;
-      policy;
       fault_injection;
       budget;
     }
@@ -188,7 +182,7 @@ let prop_jobs_deterministic_under_deadline =
 (* Canonical renumbering                                               *)
 (* ------------------------------------------------------------------ *)
 
-let analysis_for (program, policy, fault_injection) =
+let analysis_for (program, fault_injection) =
   let clock () = 0. in
   let budget = B.with_clock B.default clock in
   let target = { Violet.Pipeline.name = "par"; program; registry; workloads = [ workload ] } in
@@ -196,7 +190,6 @@ let analysis_for (program, policy, fault_injection) =
     {
       Violet.Pipeline.default_options with
       Violet.Pipeline.jobs = 1;
-      policy;
       fault_injection;
       budget;
     }
@@ -216,12 +209,11 @@ let fixed_scenario =
         func "helper" [ compute (i 20); fsync; ret_void ];
         library "pure_op" ~effect:Vir.Ast.Pure (fun _ -> 7);
       ],
-    Vsymexec.Executor.Bfs,
     false )
 
 (* The renumbering contract: the finished states are numbered 0..n-1 in
-   fork-path order with lineage collapsed, whatever order the searcher (Bfs
-   here) explored them in. *)
+   fork-path order with lineage collapsed, whatever order they were
+   explored in. *)
 let test_deferred_renumbering () =
   match analysis_for fixed_scenario with
   | Error e -> Alcotest.fail (Violet.Pipeline.error_to_string e)

@@ -222,6 +222,24 @@ let test_resume_byte_identical () =
   | Error e -> Alcotest.failf "wrong error: %s" (P.error_to_string e));
   Sys.remove path
 
+(* A checkpoint written by an older snapshot format is refused by its
+   envelope version, before the payload is read: the payload here is not a
+   marshalled snapshot at all, so unmarshalling it would fail differently. *)
+let test_old_checkpoint_version_rejected () =
+  check Alcotest.int "snapshot format" 5 Ex.snapshot_version;
+  let path = tmp_path () in
+  (match Ck.write ~path ~kind:"executor-frontier" ~version:4 "a version-4 frontier" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail (Ck.error_to_string e));
+  let opts = opts_with ~checkpoint:{ P.path; every_picks = 0 } ~resume:true () in
+  (match P.analyze ~opts Fixtures.target "autocommit" with
+  | Error (P.Checkpoint_failed { reason = Ck.Version_mismatch { expected = 5; found = 4 }; _ })
+    ->
+    ()
+  | Ok _ -> Alcotest.fail "version-4 checkpoint accepted"
+  | Error e -> Alcotest.failf "wrong error: %s" (P.error_to_string e));
+  Sys.remove path
+
 let test_kill9_resume_byte_identical () =
   (* OCaml 5 forbids Unix.fork once the runtime has gone multicore; if an
      earlier suite already spawned domains (e.g. VIOLET_JOBS > 1 made the
@@ -319,6 +337,50 @@ let test_deadline_terminates_and_flags () =
     check Alcotest.string "degraded round-trip is exact" (M.to_string a.P.model)
       (M.to_string m)
   | Error e -> Alcotest.failf "degraded model did not round-trip: %s" e
+
+(* The state-drop rung on the DFS stack.  A ticking clock makes deadline
+   pressure a pure function of engine activity; with the deadline at the
+   full run's clock-read count and every rung at 0.3, the ladder reaches
+   [Drop_states] about a third of the way in, while states are queued.
+   The drop keeps the top of the stack and kills the rest. *)
+let test_drop_states_on_the_stack () =
+  let run () =
+    let budget =
+      B.with_clock
+        (B.with_deadline B.default (Some (float_of_int (Lazy.force fixture_clock_reads))))
+        (B.ticking_clock ~step_s:1. ())
+    in
+    let degradation =
+      { D.default_policy with D.t_unroll = 0.3; t_concretize = 0.3; t_drop = 0.3 }
+    in
+    P.analyze_exn ~opts:{ (opts_with ~budget ()) with P.degradation } Fixtures.target "autocommit"
+  in
+  let a = run () in
+  let sched = a.P.result.Ex.sched in
+  check Alcotest.bool "ladder entered drop-states" true
+    (List.exists
+       (fun (e : D.event) -> e.D.rung = D.Drop_states)
+       sched.Vsched.Exploration_stats.degradation);
+  let dropped =
+    List.filter_map
+      (fun (st : S.t) ->
+        match st.S.status with
+        | S.Killed reason when reason = Ex.degraded_drop_reason -> Some st.S.id
+        | _ -> None)
+      a.P.result.Ex.states
+  in
+  check Alcotest.bool "queued states were dropped" true (dropped <> []);
+  (match a.P.model.M.degradation with
+  | None -> Alcotest.fail "degradation summary missing"
+  | Some d ->
+    let listed = List.map (fun (p : M.dropped_path) -> p.M.dp_state_id) d.M.dropped_paths in
+    List.iter
+      (fun id ->
+        check Alcotest.bool (Printf.sprintf "state %d listed as dropped" id) true
+          (List.mem id listed))
+      dropped);
+  check Alcotest.string "two runs give the same model" (M.to_string a.P.model)
+    (M.to_string (run ()).P.model)
 
 let test_degradation_widens_specious_set () =
   (* the full model flags the poor default; a degraded run of the same
@@ -422,9 +484,11 @@ let tests =
     tc "degradation ladder" test_degradation_ladder;
     tc "solver deadline" test_solver_deadline;
     stc "resume is byte-identical" test_resume_byte_identical;
+    tc "resume refuses a version-4 checkpoint" test_old_checkpoint_version_rejected;
     stc "kill -9 then resume is byte-identical" test_kill9_resume_byte_identical;
     stc "deadline terminates and flags" test_deadline_terminates_and_flags;
     stc "degradation widens the specious set" test_degradation_widens_specious_set;
+    stc "drop-states rung on the DFS stack" test_drop_states_on_the_stack;
     qt prop_chaos_never_raises;
     qt prop_config_fuzz;
     qt prop_model_corruption_fuzz;

@@ -3,14 +3,12 @@
    properties — sliced verdicts match full-query verdicts, composed
    per-slice models satisfy the full conjunction, and the end-to-end impact
    model is byte-identical with slicing on or off at any job count — plus
-   the footprint-tagged Unknown-reclaim regression and the bounded-memo
-   contracts of the expression-level caches. *)
+   the bounded-memo contracts of the expression-level caches. *)
 
 module E = Vsmt.Expr
 module F = Vsmt.Footprint
 module P = Vsmt.Partition
 module Solver = Vsmt.Solver
-module Cache = Vsched.Solver_cache
 open Vir.Builder
 
 let check = Alcotest.check
@@ -289,45 +287,6 @@ let prop_slice_model_identity =
       && String.equal reference (model_for ~slice:false ~jobs:4 program))
 
 (* ------------------------------------------------------------------ *)
-(* Unknown-reclaim regression (footprint-tagged cache entries)         *)
-(* ------------------------------------------------------------------ *)
-
-(* [x + y = 999999 && x > 10] over a million-value domain needs at least one
-   branching step, so a 1-node budget returns Unknown while 4k nodes decide
-   Sat — the budget-bound query shape the reclaim targets. *)
-let test_unknown_purge_is_footprint_scoped () =
-  let x = cvar "px" 0 1_000_000 in
-  let y = cvar "py" 0 1_000_000 in
-  let u = cvar "pu" 0 1_000_000 in
-  let v = cvar "pv" 0 1_000_000 in
-  let hard a b =
-    E.[ binop Add (of_var a) (of_var b) ==. const 999_999; of_var a >. const 10 ]
-  in
-  let cache = Cache.create () in
-  let qx = hard x y and qu = hard u v in
-  (* a second Unknown over the same symbols as A — the stale hint the
-     decided re-solve should reclaim *)
-  let qx' = E.[ binop Add (of_var x) (of_var y) ==. const 999_999 ] in
-  (* all three queries Unknown at the tiny budget; all entries recorded *)
-  check Alcotest.bool "A unknown at tiny budget" true
-    (Cache.check_model cache ~max_nodes:1 qx = Solver.Unknown);
-  check Alcotest.bool "A' unknown at tiny budget" true
-    (Cache.check_model cache ~max_nodes:1 qx' = Solver.Unknown);
-  check Alcotest.bool "B unknown at tiny budget" true
-    (Cache.check_model cache ~max_nodes:1 qu = Solver.Unknown);
-  (* decisive re-solve of A purges A''s stale Unknown (footprint {px,py}
-     inside A's) but must not touch B: {pu,pv} is not a subset of {px,py} *)
-  check Alcotest.bool "A decides at full budget" true
-    (is_sat (Cache.check_model cache ~max_nodes:4_000 qx));
-  let s = Cache.stats cache in
-  check Alcotest.bool "stale unknown reclaimed" true (s.Cache.unknown_purged >= 1);
-  let before = (Cache.stats cache).Cache.exact_hits in
-  check Alcotest.bool "B still cached" true
-    (Cache.check_model cache ~max_nodes:1 qu = Solver.Unknown);
-  check Alcotest.int "B served as an exact hit" (before + 1)
-    (Cache.stats cache).Cache.exact_hits
-
-(* ------------------------------------------------------------------ *)
 (* Bounded memo tables (PR 3 follow-up) + telemetry surfacing          *)
 (* ------------------------------------------------------------------ *)
 
@@ -400,7 +359,6 @@ let tests =
     qt prop_sliced_verdict_matches_full;
     qt prop_composed_model_satisfies_conjunction;
     qt prop_slice_model_identity;
-    tc "unknown reclaim is footprint-scoped" test_unknown_purge_is_footprint_scoped;
     tc "simplify memo is bounded" test_simplify_memo_bounded;
     tc "rendered strings clear and re-render" test_rendered_strings_clearable;
     tc "memo sizes and query sizes surface in telemetry" test_memo_sizes_in_stats;

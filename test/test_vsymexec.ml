@@ -299,32 +299,12 @@ let three_way =
         ];
     ]
 
-let pc_signature (r : Ex.result) =
-  terminated r
-  |> List.map (fun (st : S.t) ->
-         String.concat "&" (List.map E.to_string (List.sort compare st.S.pc)))
-  |> List.sort String.compare
-
-let test_policies_explore_same_paths () =
-  let go policy =
-    run
-      ~sym_configs:[ bool_var "a"; bool_var "b" ]
-      ~tweak:(fun o -> { o with Ex.policy })
-      three_way
-  in
-  let dfs = pc_signature (go Ex.Dfs) in
-  let bfs = pc_signature (go Ex.Bfs) in
-  let rnd = pc_signature (go (Ex.Random_path 11)) in
-  check (Alcotest.list Alcotest.string) "dfs = bfs" dfs bfs;
-  check (Alcotest.list Alcotest.string) "dfs = random" dfs rnd
-
 let test_state_switch_cost () =
   let go switching =
     let r =
       run
         ~sym_configs:[ bool_var "a"; bool_var "b" ]
-        ~tweak:(fun o ->
-          { o with Ex.policy = Ex.Bfs; state_switching = switching; time_slice = 2 })
+        ~tweak:(fun o -> { o with Ex.state_switching = switching })
         three_way
     in
     List.fold_left (fun acc (st : S.t) -> Stdlib.( +. ) acc st.S.clock) 0. (terminated r)
@@ -382,7 +362,6 @@ let tests =
     tc "cids increasing" test_cids_strictly_increasing;
     tc "tracer disabled" test_tracer_disabled;
     tc "clock inflated" test_clock_inflated_by_overhead;
-    tc "policies same paths" test_policies_explore_same_paths;
     tc "state switch cost" test_state_switch_cost;
     tc "noise deterministic" test_noise_deterministic;
     tc "stuck states killed" test_stuck_states_killed;
