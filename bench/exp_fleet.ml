@@ -6,8 +6,8 @@
    once a domain has been spawned, so every fleet phase must run before
    anything in this process spawns a domain (which is also why "fleet"
    sits first in bench/main.ml's experiment list, and why the analysis
-   below runs with [jobs = 1]).  The oracle leg, which does spawn domains,
-   runs last.
+   below runs with [jobs = 1]).  The oracle leg forks too, and leaves no
+   domain behind.
 
    Phases and their BENCH_fleet.json gates:
 
@@ -87,7 +87,6 @@ let start_fleet ~run_dir ~models_dir ~shards ~retries ~max_queue =
             {
               (base.Supervisor.worker_opts i) with
               Server.resolve_registry;
-              jobs = 1;
               max_queue;
             });
         router_opts =
@@ -369,7 +368,7 @@ let run_phases () =
   let chaos_off, outcome_off = chaos_phase ~models_dir ~keys ~retries:false ~seed in
 
   (* differential fleet leg: routed answers must be byte-identical to the
-     in-process checker.  Spawns domains, so it must come after every fork. *)
+     in-process checker *)
   let specs = Vfuzz.Generate.corpus ~seed ~count:2 () in
   let oracle_reports =
     List.map (fun s -> Vfuzz.Oracle.check ~daemon:false ~fleet:true ~inc:false s) specs

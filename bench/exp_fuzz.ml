@@ -44,8 +44,7 @@ let shrink_json name (o : Vfuzz.Shrink.outcome) =
       ("checks", Wire.Int o.Vfuzz.Shrink.sh_checks);
     ]
 
-let run () =
-  Util.section "vfuzz: plants, decoys and the differential oracle";
+let run_corpus () =
   let seed = !Util.fuzz_seed and count = !Util.fuzz_count in
   Util.note "corpus: seed %d, %d systems" seed count;
   let specs = Vfuzz.Generate.corpus ~seed ~count () in
@@ -151,3 +150,11 @@ let run () =
       ("shrink_calibration", shrink_json (List.hd specs).Vfuzz.Genspec.g_name calibration);
       ("shrunk_failures", Wire.List (List.map (fun (n, o) -> shrink_json n o) shrunk));
     ]
+
+let run () =
+  Util.section "vfuzz: plants, decoys and the differential oracle";
+  if Vpar.Pool.spawned_domains () then
+    (* the oracle forks; a process that has spawned domains cannot.
+       bench/main.ml runs "fuzz" before "par" for this reason. *)
+    Util.note "SKIP: domains already spawned in this process — run `bench fuzz` alone"
+  else run_corpus ()

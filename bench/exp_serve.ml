@@ -1,5 +1,7 @@
-(* The serving layer under load (DESIGN.md Section 5g): an in-process daemon
-   on a Unix socket, concurrent client domains, three phases:
+(* The serving layer under load (DESIGN.md Section 5g): a forked daemon on a
+   Unix socket, driven from this one process over several connections in
+   rounds of one in-flight request per connection (bench fleet's load
+   loop), in three phases:
 
    - batching A/B: the same concurrent load with request batching on and
      off.  Identical requests coalesce inside a batch, so the batched p99
@@ -11,7 +13,8 @@
      pushes every request past the shed pressure and the daemon answers with
      the conservative widening instead of erroring.
 
-   Results go to BENCH_serve.json. *)
+   The daemon is forked, so this experiment must run before anything in
+   the process spawns a domain.  Results go to BENCH_serve.json. *)
 
 module M = Vmodel.Impact_model
 module P = Vserve.Protocol
@@ -84,39 +87,36 @@ let drive ~label ~models_dir ~batching ~max_queue ~deadline ~clients ~per_client
       max_queue;
       request_deadline_s = deadline;
       refresh_every_s = 0.05;
-      jobs = 2;
     }
   in
-  let srv = Domain.spawn (fun () -> Server.run opts) in
+  flush_all ();
+  let srv =
+    match Unix.fork () with
+    | 0 -> Unix._exit (match Server.run opts with Ok () -> 0 | Error _ -> 1 | exception _ -> 2)
+    | pid -> pid
+  in
   let control = or_die (Client.connect_retry (`Unix sock)) in
   await_model control;
   let req = P.Check_current { key = "mysql-autocommit"; config = "" } in
+  let cs = Array.init clients (fun _ -> or_die (Client.connect (`Unix sock))) in
+  let lats = ref [] and reports = ref 0 and shed = ref 0 and degraded = ref 0 in
   let t0 = Unix.gettimeofday () in
-  let workers =
-    List.init clients (fun _ ->
-        Domain.spawn (fun () ->
-            let c = or_die (Client.connect (`Unix sock)) in
-            let lat = ref [] and reports = ref 0 and shed = ref 0 and degraded = ref 0 in
-            for _ = 1 to per_client do
-              let t = Unix.gettimeofday () in
-              match Client.call c req with
-              | Ok (P.Report o) ->
-                incr reports;
-                if o.P.degraded then incr degraded;
-                lat := (Unix.gettimeofday () -. t) *. 1e6 :: !lat
-              | Ok (P.Error_resp { code = P.Overloaded; _ }) -> incr shed
-              | Ok _ | Error _ -> ()
-            done;
-            Client.close c;
-            (!lat, !reports, !shed, !degraded)))
-  in
-  let results = List.map Domain.join workers in
+  for _ = 1 to per_client do
+    let posted = Array.map (fun c -> (Unix.gettimeofday (), Client.post c req)) cs in
+    Array.iteri
+      (fun i (t, id) ->
+        match Result.bind id (Client.await cs.(i)) with
+        | Ok (P.Report o) ->
+          incr reports;
+          if o.P.degraded then incr degraded;
+          lats := ((Unix.gettimeofday () -. t) *. 1e6) :: !lats
+        | Ok (P.Error_resp { code = P.Overloaded; _ }) -> incr shed
+        | Ok _ | Error _ -> ())
+      posted
+  done;
   let wall = Unix.gettimeofday () -. t0 in
-  let lats = List.concat_map (fun (l, _, _, _) -> l) results in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
-  let reports = sum (fun (_, r, _, _) -> r) in
-  let shed = sum (fun (_, _, s, _) -> s) in
-  let degraded = sum (fun (_, _, _, d) -> d) in
+  Array.iter Client.close cs;
+  let lats = !lats and reports = !reports and shed = !shed and degraded = !degraded in
   let batches, coalesced =
     match or_die (Client.call control P.Stats) with
     | P.Stats_info w -> (stat_int w "batches", stat_int w "coalesced")
@@ -124,9 +124,9 @@ let drive ~label ~models_dir ~batching ~max_queue ~deadline ~clients ~per_client
   in
   ignore (Client.call control P.Shutdown);
   Client.close control;
-  (match Domain.join srv with
-  | Ok () -> ()
-  | Error e -> Fmt.epr "bench serve: server exited with %s@." e);
+  (match Unix.waitpid [] srv with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Fmt.epr "bench serve: the %s daemon did not exit cleanly@." label);
   let answered = reports + shed in
   {
     ph_label = label;
@@ -162,8 +162,7 @@ let phase_json p =
               else float_of_int p.ph_shed /. float_of_int p.ph_requests)) );
     ]
 
-let run () =
-  Util.section "Serving: batching A/B, admission control, overload degradation";
+let run_phases () =
   let models_dir = mk_tmpdir () in
   let target = Targets.Cases.target_of "mysql" in
   let model = (Violet.Pipeline.analyze_exn target "autocommit").Violet.Pipeline.model in
@@ -222,3 +221,11 @@ let run () =
       ("saturated", phase_json saturated);
       ("deadline", phase_json degraded);
     ]
+
+let run () =
+  Util.section "Serving: batching A/B, admission control, overload degradation";
+  if Vpar.Pool.spawned_domains () then
+    (* the daemon is forked; a process that has spawned domains cannot.
+       bench/main.ml runs "serve" before "par" for this reason. *)
+    Util.note "SKIP: domains already spawned in this process — run `bench serve` alone"
+  else run_phases ()

@@ -9,9 +9,12 @@
 
 let experiments =
   [
-    (* first: the fleet forks a supervisor, which is only sound before any
-       experiment has spawned domains *)
+    (* first: these fork (a supervisor, a daemon, the oracle's daemons,
+       fleets and jobs-4 analyses), which is only sound before any
+       experiment has spawned domains, as "par" does *)
     "fleet", ("vfleet: shard scaling + chaos A/B + fleet oracle", Exp_fleet.run);
+    "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
+    "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
     "fig2", ("Figure 2: autocommit throughput", Exp_fig2.run);
     "table1", ("Table 1: autocommit cost table", Exp_table1.run);
     "table4", ("Table 4: 17 known cases", Exp_table4.run);
@@ -30,9 +33,7 @@ let experiments =
     "resilience", ("Checkpoint overhead + degradation fidelity", Exp_resilience.run);
     "par", ("The --jobs sweep: wall time + byte-identity", Exp_par.run);
     "slice", ("Independence slicing: solver work + model identity", Exp_slice.run);
-    "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
     "matcheck", ("Compiled checker: decision-table fast path", Exp_matcheck.run);
-    "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
     "inc", ("vinc: incremental re-analysis", Exp_inc.run);
   ]
 

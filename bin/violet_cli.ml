@@ -189,7 +189,7 @@ let analyze system param save export max_states threshold no_related no_slice de
           checkpoint;
       resume;
       chaos;
-      jobs = (match jobs with Some j -> j | None -> Vpar.Pool.default_jobs ());
+      jobs;
     }
   in
   match baseline with
@@ -329,8 +329,8 @@ let analyze_trace path threshold =
 (* The continuous-checking service: a daemon serving the model registry,
    and a thin client speaking the newline-delimited JSON protocol. *)
 
-let serve addr models max_queue max_batch no_batch request_deadline shed_pressure jobs
-    refresh no_shutdown =
+let serve addr models max_queue max_batch no_batch request_deadline shed_pressure refresh
+    no_shutdown =
   let addr = or_die (Vserve.Client.addr_of_string addr) in
   let resolve_registry (m : Vmodel.Impact_model.t) =
     Option.map
@@ -346,7 +346,6 @@ let serve addr models max_queue max_batch no_batch request_deadline shed_pressur
       batching = not no_batch;
       request_deadline_s = request_deadline;
       shed_pressure;
-      jobs = (match jobs with Some j -> j | None -> Vpar.Pool.default_jobs ());
       refresh_every_s = refresh;
       allow_shutdown = not no_shutdown;
     }
@@ -545,13 +544,12 @@ let analyze_cmd =
   in
   let jobs =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
             "Worker domains for the trace analyzer's pairwise diff screen; path \
              exploration is sequential at any $(docv).  The impact model is \
-             byte-identical for any $(docv).  Defaults to $(b,VIOLET_JOBS) or 1.")
+             byte-identical for any $(docv).")
   in
   let baseline =
     Arg.(
@@ -698,13 +696,6 @@ let serve_cmd =
       & info [ "shed-pressure" ] ~docv:"FRACTION"
           ~doc:"Budget pressure beyond which a queued request is served degraded.")
   in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains executing batches.  Defaults to $(b,VIOLET_JOBS) or 1.")
-  in
   let refresh =
     Arg.(
       value & opt float 0.5
@@ -722,7 +713,7 @@ let serve_cmd =
           batching, admission control)")
     Term.(
       const serve $ addr_opt $ models $ max_queue $ max_batch $ no_batch
-      $ request_deadline $ shed_pressure $ jobs $ refresh $ no_shutdown)
+      $ request_deadline $ shed_pressure $ refresh $ no_shutdown)
 
 let client_cmd =
   let key_arg =

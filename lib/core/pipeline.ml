@@ -89,7 +89,7 @@ let default_options =
     resume = false;
     chaos = None;
     degradation = D.default_policy;
-    jobs = Vpar.Pool.default_jobs ();
+    jobs = 1;
   }
 
 type analysis = {

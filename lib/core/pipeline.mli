@@ -99,8 +99,8 @@ type options = {
   jobs : int;
       (** worker domains for the pairwise diff screen
           ({!Vmodel.Diff_analysis.analyze}, order-preserving, so models are
-          jobs-independent); exploration is sequential.  The default reads
-          the [VIOLET_JOBS] environment variable (falling back to 1). *)
+          jobs-independent); exploration is sequential.  Default 1;
+          [violet analyze --jobs] is the one way the CLI sets it. *)
 }
 
 val default_options : options

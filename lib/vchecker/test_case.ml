@@ -33,20 +33,14 @@ let of_predicate_live preds =
    bounded memo: steady-state serving builds each witness's test case once.
    Keys are structural; the table resets rather than evicts when full. *)
 let memo : (Vsmt.Expr.t list, t option) Hashtbl.t = Hashtbl.create 64
-let memo_lock = Mutex.create ()
 
 let of_predicate preds =
-  Mutex.lock memo_lock;
-  let cached = Hashtbl.find_opt memo preds in
-  Mutex.unlock memo_lock;
-  match cached with
+  match Hashtbl.find_opt memo preds with
   | Some r -> r
   | None ->
     let r = of_predicate_live preds in
-    Mutex.lock memo_lock;
     if Hashtbl.length memo >= 4_096 then Hashtbl.reset memo;
     Hashtbl.replace memo preds r;
-    Mutex.unlock memo_lock;
     r
 
 let of_row (row : Vmodel.Cost_row.t) = of_predicate row.Vmodel.Cost_row.workload_pred
@@ -81,18 +75,13 @@ let pair_memo :
     Hashtbl.t =
   Hashtbl.create 64
 
-let pair_lock = Mutex.create ()
-
 let of_pair ~poor ~good ~(slow : Vmodel.Cost_row.t) ~(fast : Vmodel.Cost_row.t) =
   let key =
     ( (poor, good),
       (slow.Vmodel.Cost_row.workload_pred, fast.Vmodel.Cost_row.workload_pred),
       (slow.Vmodel.Cost_row.config_constraints, fast.Vmodel.Cost_row.config_constraints) )
   in
-  Mutex.lock pair_lock;
-  let cached = Hashtbl.find_opt pair_memo key in
-  Mutex.unlock pair_lock;
-  match cached with
+  match Hashtbl.find_opt pair_memo key with
   | Some r -> r
   | None ->
     let r =
@@ -102,8 +91,6 @@ let of_pair ~poor ~good ~(slow : Vmodel.Cost_row.t) ~(fast : Vmodel.Cost_row.t) 
         @ residuals poor slow.Vmodel.Cost_row.config_constraints
         @ residuals good fast.Vmodel.Cost_row.config_constraints)
     in
-    Mutex.lock pair_lock;
     if Hashtbl.length pair_memo >= 4_096 then Hashtbl.reset pair_memo;
     Hashtbl.replace pair_memo key r;
-    Mutex.unlock pair_lock;
     r

@@ -58,6 +58,38 @@ let first_diff a b =
   in
   Printf.sprintf "byte %d: %S vs %S" i (snip a) (snip b)
 
+(* Fork [body] as a child that leaves with [Unix._exit], 0 on [Ok]. *)
+let fork_child body =
+  flush_all ();
+  match Unix.fork () with
+  | 0 ->
+    Sys.set_signal Sys.sigterm Sys.Signal_default;
+    Unix._exit (match body () with Ok () -> 0 | Error _ -> 1 | exception _ -> 2)
+  | pid -> pid
+
+(* Run [f] in a forked child and return its result over a pipe; [None] if
+   the child died without answering.  Whatever domains [f] spawns live and
+   die in the child, so the caller can keep forking. *)
+let in_child (f : unit -> 'a) : 'a option =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let pid =
+    fork_child (fun () ->
+        Unix.close r;
+        let oc = Unix.out_channel_of_descr w in
+        Marshal.to_channel oc (f ()) [];
+        Ok (close_out oc))
+  in
+  Unix.close w;
+  let ic = Unix.in_channel_of_descr r in
+  let v = try Some (Marshal.from_channel ic : 'a) with End_of_file | Failure _ -> None in
+  close_in ic;
+  ignore (Unix.waitpid [] pid);
+  v
+
+(* [f ()] at jobs 1; above that, in a forked child ([died] if it never
+   answered), so the jobs-N analyses leave no domain in this process *)
+let at_jobs jobs ~died f = if jobs <= 1 then f () else Option.value ~default:died (in_child f)
+
 let analysis_fingerprint opts target param c =
   let opts = { opts with Violet.Pipeline.jobs = c.jobs; slice = c.slice } in
   match Violet.Pipeline.analyze ~opts target param with
@@ -80,105 +112,28 @@ let rm_rf dir =
     (try Sys.readdir dir with Sys_error _ -> [||]);
   try Unix.rmdir dir with Unix.Unix_error _ -> ()
 
-(* Daemon leg: serve the exported models from a throwaway daemon and compare
-   check-current findings against the in-process checker on the re-imported
-   model.  [exports] pairs registry keys with the model file just written. *)
-let daemon_leg ~system ~registry ~dir exports =
-  if exports = [] then ([], 0)
-  else begin
-    let addr = `Unix (Filename.concat dir "sock") in
-    let sopts =
-      {
-        (Vserve.Server.default_options ~addr ~models_dir:dir) with
-        Vserve.Server.resolve_registry = (fun _ -> Some registry);
-        refresh_every_s = 0.05;
-        jobs = 1;
-      }
-    in
-    let srv = Domain.spawn (fun () -> Vserve.Server.run sopts) in
-    let bad leg detail = { d_system = system; d_param = leg; d_leg = "daemon"; d_detail = detail } in
-    let ds = ref [] in
-    let checks = ref 0 in
-    begin
-      match Vserve.Client.connect_retry addr with
-      | Error e -> ds := [ bad "connect" e ]
-      | Ok client ->
-        List.iter
+(* Served legs: [pid] is a forked child — a daemon or a whole fleet —
+   serving the exported models at [addr].  Once [up] holds, each model's
+   check-current findings as served must match the in-process checker on
+   the re-imported model, byte for byte (canonical wire encoding makes the
+   router's re-encoding with the client's id byte-stable).  The child is
+   then shut down over the wire, or with SIGTERM if it never answered, and
+   reaped.  [exports] pairs registry keys with the model file just
+   written. *)
+let served_leg ~leg ~system ~registry ~pid ~up addr exports =
+  (* a child that dies mid-leg must read as a disagreement, not kill the
+     caller with SIGPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let bad param detail = { d_system = system; d_param = param; d_leg = leg; d_detail = detail } in
+  let result =
+    match Result.bind up (fun () -> Vserve.Client.connect_retry addr) with
+    | Error e ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ([ bad "connect" e ], 0)
+    | Ok client ->
+      let ds =
+        List.filter_map
           (fun (param, key, path) ->
-            incr checks;
-            let local =
-              match Violet.Pipeline.import_model path with
-              | Error e -> Error ("import: " ^ e)
-              | Ok model -> (
-                match
-                  Vchecker.Checker.check_current ~model ~registry
-                    ~file:(Vchecker.Config_file.parse "") ()
-                with
-                | Error e -> Error ("check: " ^ e)
-                | Ok rep -> Ok (findings_fingerprint rep.Vchecker.Checker.findings))
-            in
-            let served =
-              match
-                Vserve.Client.call client
-                  (Vserve.Protocol.Check_current { key; config = "" })
-              with
-              | Error e -> Error ("call: " ^ e)
-              | Ok (Vserve.Protocol.Report o) ->
-                Ok (findings_fingerprint o.Vserve.Protocol.findings)
-              | Ok _ -> Error "unexpected response"
-            in
-            match (local, served) with
-            | Ok a, Ok b when String.equal a b -> ()
-            | Ok a, Ok b ->
-              ds := bad param (first_diff a b) :: !ds
-            | Error e, _ | _, Error e -> ds := bad param e :: !ds)
-          exports;
-        (match Vserve.Client.call client Vserve.Protocol.Shutdown with
-        | Ok Vserve.Protocol.Bye | Ok _ | Error _ -> ());
-        Vserve.Client.close client
-    end;
-    (match Domain.join srv with Ok () | Error _ -> ());
-    (List.rev !ds, !checks)
-  end
-
-(* Fleet leg: the same exports served through a 2-shard router — workers and
-   router live in domains, not forked processes, because the oracle has
-   already spawned domains by now (the jobs=4 combos) and [fork] would be
-   unsound.  The router must relay answers byte-identical to the worker's
-   encoding (canonical wire encoding makes re-encoding with the client's id
-   byte-stable), which in turn must match the in-process checker. *)
-let fleet_leg ~system ~registry ~dir exports =
-  if exports = [] then ([], 0)
-  else begin
-    let n_shards = 2 in
-    let run_dir = Filename.concat dir "fleet" in
-    let topology = Vfleet.Topology.make ~run_dir ~shards:n_shards in
-    let wopts i =
-      {
-        (Vserve.Server.default_options
-           ~addr:(Vfleet.Topology.worker_addr topology i)
-           ~models_dir:dir)
-        with
-        Vserve.Server.resolve_registry = (fun _ -> Some registry);
-        jobs = 1;
-        manual_reload = true;
-      }
-    in
-    let workers =
-      List.init n_shards (fun i -> Domain.spawn (fun () -> Vserve.Server.run (wopts i)))
-    in
-    let ropts = Vfleet.Router.default_options ~topology ~models_dir:dir in
-    let router = Domain.spawn (fun () -> Vfleet.Router.run ropts) in
-    let bad param detail = { d_system = system; d_param = param; d_leg = "fleet"; d_detail = detail } in
-    let ds = ref [] in
-    let checks = ref 0 in
-    begin
-      match Vserve.Client.connect_retry (Vfleet.Topology.router_addr topology) with
-      | Error e -> ds := [ bad "connect" e ]
-      | Ok client ->
-        List.iter
-          (fun (param, key, path) ->
-            incr checks;
             let local =
               match Violet.Pipeline.import_model path with
               | Error e -> Error ("import: " ^ e)
@@ -197,34 +152,89 @@ let fleet_leg ~system ~registry ~dir exports =
               with
               | Error e -> Error ("call: " ^ e)
               | Ok (Vserve.Protocol.Report o) ->
-                if o.Vserve.Protocol.degraded then Error "fleet served a degraded answer"
+                if o.Vserve.Protocol.degraded then Error (leg ^ " served a degraded answer")
                 else Ok (findings_fingerprint o.Vserve.Protocol.findings)
               | Ok _ -> Error "unexpected response"
             in
             match (local, served) with
-            | Ok a, Ok b when String.equal a b -> ()
-            | Ok a, Ok b -> ds := bad param (first_diff a b) :: !ds
-            | Error e, _ | _, Error e -> ds := bad param e :: !ds)
-          exports;
-        (* workers first (each honours shutdown on its own socket), the
-           router last *)
-        List.iteri
-          (fun i _ ->
-            match Vserve.Client.connect_retry (Vfleet.Topology.worker_addr topology i) with
-            | Error _ -> ()
-            | Ok wc ->
-              (match Vserve.Client.call wc Vserve.Protocol.Shutdown with
-              | Ok _ | Error _ -> ());
-              Vserve.Client.close wc)
-          workers;
-        (match Vserve.Client.call client Vserve.Protocol.Shutdown with
-        | Ok _ | Error _ -> ());
-        Vserve.Client.close client
-    end;
-    List.iter (fun w -> match Domain.join w with Ok () | Error _ -> ()) workers;
-    (match Domain.join router with Ok () | Error _ -> ());
-    rm_rf run_dir;
-    (List.rev !ds, !checks)
+            | Ok a, Ok b when String.equal a b -> None
+            | Ok a, Ok b -> Some (bad param (first_diff a b))
+            | Error e, _ | _, Error e -> Some (bad param e))
+          exports
+      in
+      (match Vserve.Client.call client Vserve.Protocol.Shutdown with Ok _ | Error _ -> ());
+      Vserve.Client.close client;
+      (ds, List.length exports)
+  in
+  ignore (Unix.waitpid [] pid);
+  result
+
+(* Daemon leg: one forked [Vserve.Server]; it loads its models before it
+   reads its first request. *)
+let daemon_leg ~system ~registry ~dir exports =
+  if exports = [] then ([], 0)
+  else begin
+    let addr = `Unix (Filename.concat dir "sock") in
+    let pid =
+      fork_child (fun () ->
+          Vserve.Server.run
+            {
+              (Vserve.Server.default_options ~addr ~models_dir:dir) with
+              Vserve.Server.resolve_registry = (fun _ -> Some registry);
+              refresh_every_s = 0.05;
+            })
+    in
+    served_leg ~leg:"daemon" ~system ~registry ~pid ~up:(Ok ()) addr exports
+  end
+
+(* Poll [addr]'s health until it reports [n] models loaded. *)
+let await_models addr n =
+  Result.bind (Vserve.Client.connect_retry ~deadline_s:30.0 addr) (fun c ->
+      let rec poll tries =
+        match Vserve.Client.call ~timeout_s:5.0 c Vserve.Protocol.Health with
+        | Ok (Vserve.Protocol.Health_info { models; _ }) when List.length models >= n -> Ok ()
+        | _ when tries > 0 ->
+          Unix.sleepf 0.01;
+          poll (tries - 1)
+        | _ -> Error "a fleet worker never reported every model loaded"
+      in
+      Fun.protect ~finally:(fun () -> Vserve.Client.close c) (fun () -> poll 3_000))
+
+(* Fleet leg: the same exports served through the 2-shard fleet `violet
+   fleet start` runs — a forked {!Vfleet.Supervisor} with its router and
+   workers — once every worker reports every model loaded. *)
+let fleet_leg ~system ~registry ~dir exports =
+  if exports = [] then ([], 0)
+  else begin
+    let topology = Vfleet.Topology.make ~run_dir:(Filename.concat dir "fleet") ~shards:2 in
+    let base = Vfleet.Supervisor.default_options ~topology ~models_dir:dir in
+    let pid =
+      fork_child (fun () ->
+          Vfleet.Supervisor.run
+            {
+              base with
+              Vfleet.Supervisor.worker_opts =
+                (fun i ->
+                  {
+                    (base.Vfleet.Supervisor.worker_opts i) with
+                    Vserve.Server.resolve_registry = (fun _ -> Some registry);
+                  });
+            })
+    in
+    let up =
+      List.fold_left
+        (fun up i ->
+          Result.bind up (fun () ->
+              await_models (Vfleet.Topology.worker_addr topology i) (List.length exports)))
+        (Ok ())
+        (List.init topology.Vfleet.Topology.shards Fun.id)
+    in
+    let r =
+      served_leg ~leg:"fleet" ~system ~registry ~pid ~up (Vfleet.Topology.router_addr topology)
+        exports
+    in
+    rm_rf topology.Vfleet.Topology.run_dir;
+    r
   end
 
 (* Modes leg: the re-imported model checked in-process by both row-decision
@@ -260,11 +270,11 @@ let modes_leg ~system ~registry exports =
 
 (* Incremental leg (DESIGN.md Section 5k): mutate the system, then derive
    the upgraded models two ways — splicing against a baseline of the
-   original version vs building from scratch — under jobs 1 and 4.  Every
-   spliced baseline must carry the same per-slice model digests as the
-   scratch rebuild and produce byte-identical upgrade findings against the
-   original baseline: splicing and parallelism are both required to be
-   invisible. *)
+   original version vs building from scratch — under jobs 1 and 4 (the
+   jobs-4 splice in a forked child).  Every spliced baseline must carry the
+   same per-slice model digests as the scratch rebuild and produce
+   byte-identical upgrade findings against the original baseline: splicing
+   and parallelism are both required to be invisible. *)
 let upgrade_fingerprint (mf : Vinc.Baseline.t) reports =
   String.concat "\n"
     (List.map
@@ -306,19 +316,23 @@ let inc_leg ~opts (spec : Genspec.t) =
           incr checks;
           let out = List.nth outs i in
           let vopts = { sopts with Violet.Pipeline.jobs } in
-          match Vinc.Splice.run ~opts:vopts ~baseline:base ~out new_t with
-          | Error e -> ds := bad label e :: !ds
-          | Ok r -> (
-            match (reference, fingerprint_of out r.Vinc.Splice.sp_baseline) with
-            | Ok a, Ok b when String.equal a b -> ()
-            | Ok a, Ok b -> ds := bad label (first_diff b a) :: !ds
-            | Error e, _ | _, Error e -> ds := bad label e :: !ds))
+          let spliced =
+            at_jobs jobs ~died:(Error "the splice child died") (fun () ->
+                Result.bind (Vinc.Splice.run ~opts:vopts ~baseline:base ~out new_t) (fun r ->
+                    fingerprint_of out r.Vinc.Splice.sp_baseline))
+          in
+          match (reference, spliced) with
+          | Ok a, Ok b when String.equal a b -> ()
+          | Ok a, Ok b -> ds := bad label (first_diff b a) :: !ds
+          | _, Error e | Error e, _ -> ds := bad label e :: !ds)
         [ ("inc jobs=1", 1); ("inc jobs=4", 4) ]));
   cleanup ();
   (List.rev !ds, !checks)
 
 let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = true)
     ?(inc = true) (spec : Genspec.t) =
+  if Vpar.Pool.spawned_domains () then
+    failwith "Vfuzz.Oracle.check: cannot fork after spawning domains (fork is unsound)";
   let target = Genspec.to_target spec in
   let registry = target.Violet.Pipeline.registry in
   let params =
@@ -337,7 +351,10 @@ let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = tr
       List.iter
         (fun c ->
           incr n_combos;
-          let fp, _ = analysis_fingerprint opts target param c in
+          let fp =
+            at_jobs c.jobs ~died:"error: the analysis child died" (fun () ->
+                fst (analysis_fingerprint opts target param c))
+          in
           if not (String.equal fp ref_fp) then
             ds :=
               {

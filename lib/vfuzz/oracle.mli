@@ -16,6 +16,12 @@
       request id, and failover machinery must all be invisible to the
       answer bytes.
 
+    Every leg that needs a second domain or a second process forks: the
+    daemon and the fleet are forked children, and each jobs-4 analysis
+    runs in a forked child that sends back its fingerprint.  The oracle
+    never leaves a domain in its caller, so a process can run it any
+    number of times, and start a fleet after it.
+
     Any disagreement is a bug in the pipeline, not in the generated system —
     the harness shrinks the system to a minimal reproducer and writes it to
     disk. *)
@@ -68,18 +74,23 @@ val check :
   ?inc:bool ->
   Genspec.t ->
   report
-(** Run the full grid over every plant and decoy parameter of the system.
-    [daemon] (default [true]) additionally exports each reference model,
-    serves it from a throwaway daemon on a Unix socket, and compares
-    [check-current] findings against the in-process checker.  [fleet]
-    (default = [daemon]) repeats the comparison through a 2-shard
-    {!Vfleet.Router} over two such daemons — the fleet leg runs in-process
-    (domains, not forked processes: the jobs=4 combos have already spawned
-    domains by then).  [modes] (default [true]) re-checks each exported model
-    in process under [Hybrid] with an artifact compiled from it, which must
-    match the [Solver] reference byte-for-byte.  [inc] (default [true])
-    mutates the system with {!Mutate.apply}, derives the upgraded models by
-    splicing against a baseline of the original ({!Vinc.Splice.run}) under
-    jobs 1 and 4, and requires each spliced baseline to match a from-scratch
-    rebuild byte-for-byte — per-slice model digests and upgrade findings
-    alike. *)
+(** Run the full grid over every plant and decoy parameter of the system;
+    the jobs-4 combos run in forked children.  [daemon] (default [true])
+    additionally exports each reference model, serves it from a forked
+    throwaway daemon on a Unix socket, and compares [check-current]
+    findings against the in-process checker.  [fleet] (default = [daemon])
+    repeats the comparison through a forked 2-shard
+    {!Vfleet.Supervisor.run} fleet, the one [violet fleet start] runs, once
+    every worker reports every model loaded.  [modes] (default [true])
+    re-checks each exported model in process under [Hybrid] with an
+    artifact compiled from it, which must match the [Solver] reference
+    byte-for-byte.  [inc] (default [true]) mutates the system with
+    {!Mutate.apply}, derives the upgraded models by splicing against a
+    baseline of the original ({!Vinc.Splice.run}) under jobs 1 and 4 (the
+    latter in a forked child), and requires each spliced baseline to match
+    a from-scratch rebuild byte-for-byte — per-slice model digests and
+    upgrade findings alike.
+
+    @raise Failure when called from a process that has already spawned a
+    domain (forking would be unsound), as {!Vfleet.Supervisor.run}
+    refuses to. *)

@@ -48,8 +48,8 @@ type stats = {
    orders the same candidate list, and steady-state checks repeat the same
    list content, so the view (and its per-slow results) are reused across
    checks — a reader validates element-wise physical identity of the
-   candidates, which pins the results exactly.  Last-writer-wins under
-   concurrent checks. *)
+   candidates, which pins the results exactly.  A query over a different
+   list replaces it. *)
 type occ_view = {
   oc_rows : Row.t list;  (** the exact list this view was built from *)
   oc_cap : int;
@@ -79,12 +79,10 @@ type t = {
           solver fallbacks) are deterministic in the assignment, so repeated
           configurations are one bounded-table lookup *)
   wmatch_memo : ((string * int) list, Row.t list) Hashtbl.t;
-  cm_lock : Mutex.t;  (** guards every lazy memo table above *)
-  orders : int array array option Atomic.t array;
+  orders : int array array option array;
       (** per slow row, candidate tie groups in comparator order — eager for
-          small models, computed on first use (deterministic, so concurrent
-          duplicate computation is only wasted work) beyond [pair_cap] *)
-  occ_view : occ_view option Atomic.t;
+          small models, computed on first use beyond [pair_cap] *)
+  mutable occ_view : occ_view option;
   cm_stats : stats;
 }
 
@@ -294,9 +292,8 @@ let compile (m : M.t) =
      slow row, in the checker comparator's descending order.  Quadratic in
      score computations, so eager only under the pair cap; larger models
      fill each slow row's groups on first use. *)
-  let orders = Array.init n (fun _ -> Atomic.make None) in
-  if n <= pair_cap then
-    Array.iteri (fun si _ -> Atomic.set orders.(si) (Some (order_of plans si))) plans;
+  let orders = Array.make n None in
+  if n <= pair_cap then Array.iteri (fun si _ -> orders.(si) <- Some (order_of plans si)) plans;
   let closed = Array.fold_left (fun acc p -> acc + if row_is_closed p.row then 1 else 0) 0 plans in
   let iset_params, eval_constraints =
     Array.fold_left
@@ -318,9 +315,8 @@ let compile (m : M.t) =
     verdict_memo = Hashtbl.create 64;
     match_memo = Hashtbl.create 16;
     wmatch_memo = Hashtbl.create 16;
-    cm_lock = Mutex.create ();
     orders;
-    occ_view = Atomic.make None;
+    occ_view = None;
     cm_stats =
       {
         rows_total = n;
@@ -382,21 +378,16 @@ let matches_with ~fallback lookup plan row assignment =
   in
   go 0
 
-(* bounded, mutex-guarded memo around a deterministic function of the key;
-   reset rather than evict when full (steady-state serving touches a handful
-   of keys, the bound only guards pathological churn) *)
-let memoized t tbl ~cap key f =
-  Mutex.lock t.cm_lock;
-  let cached = Hashtbl.find_opt tbl key in
-  Mutex.unlock t.cm_lock;
-  match cached with
+(* bounded memo around a deterministic function of the key; reset rather
+   than evict when full (steady-state serving touches a handful of keys, the
+   bound only guards pathological churn) *)
+let memoized tbl ~cap key f =
+  match Hashtbl.find_opt tbl key with
   | Some v -> v
   | None ->
     let v = f () in
-    Mutex.lock t.cm_lock;
     if Hashtbl.length tbl >= cap then Hashtbl.reset tbl;
     Hashtbl.replace tbl key v;
-    Mutex.unlock t.cm_lock;
     v
 
 let lookup_of assignment =
@@ -408,7 +399,7 @@ let lookup_of assignment =
   fun name -> Hashtbl.find_opt tbl name
 
 let rows_matching t assignment =
-  memoized t t.match_memo ~cap:256 assignment (fun () ->
+  memoized t.match_memo ~cap:256 assignment (fun () ->
       let lookup = lookup_of assignment in
       Array.to_list t.plans
       |> List.filter_map (fun p ->
@@ -419,7 +410,7 @@ let rows_matching t assignment =
              else None))
 
 let rows_matching_workload t assignment =
-  memoized t t.wmatch_memo ~cap:256 assignment (fun () ->
+  memoized t.wmatch_memo ~cap:256 assignment (fun () ->
       let lookup = lookup_of assignment in
       Array.to_list t.plans
       |> List.filter_map (fun p ->
@@ -481,7 +472,7 @@ let view_matches v ~cap rows =
    occurrence walk would mis-score it, so such queries take the live
    ordering instead. *)
 let occ_view_of t ~cap rows =
-  match Atomic.get t.occ_view with
+  match t.occ_view with
   | Some v when view_matches v ~cap rows -> Some v
   | _ ->
     let cand = Array.of_list rows in
@@ -506,16 +497,16 @@ let occ_view_of t ~cap rows =
           oc_witness = Hashtbl.create 16;
         }
       in
-      Atomic.set t.occ_view (Some v);
+      t.occ_view <- Some v;
       Some v
     end
 
 let order_groups t si =
-  match Atomic.get t.orders.(si) with
+  match t.orders.(si) with
   | Some g -> g
   | None ->
     let g = order_of t.plans si in
-    Atomic.set t.orders.(si) (Some g);
+    t.orders.(si) <- Some g;
     g
 
 let walk_order t v ~cap si =
@@ -550,19 +541,11 @@ let comparison_order t ~cap ~(slow : Row.t) rows =
     | None -> generic_order ~cap ~slow rows
     | Some v ->
       let si = sp.idx in
-      let cached =
-        Mutex.lock t.cm_lock;
-        let r = Hashtbl.find_opt v.oc_results si in
-        Mutex.unlock t.cm_lock;
-        r
-      in
-      (match cached with
+      (match Hashtbl.find_opt v.oc_results si with
       | Some r -> r
       | None ->
         let r = walk_order t v ~cap si in
-        Mutex.lock t.cm_lock;
         Hashtbl.replace v.oc_results si r;
-        Mutex.unlock t.cm_lock;
         r)
   end
   | _ -> generic_order ~cap ~slow rows
@@ -586,7 +569,7 @@ let joint_feasible t ~(slow : Row.t) ~(fast : Row.t) =
       match Hashtbl.find_opt tbl (i, j) with Some v -> v | None -> live ())
     | None ->
       (* over the eager cap: memoize per class pair on first query *)
-      memoized t t.joint_memo ~cap:65_536 (i, j) live
+      memoized t.joint_memo ~cap:65_536 (i, j) live
   end
   | _ -> live ()
 
@@ -597,7 +580,7 @@ let verdict t ~(slow : Row.t) ~(fast : Row.t) =
   match t.verdicts with
   | Some tbl -> (
     match Hashtbl.find_opt tbl key with Some v -> v | None -> live ())
-  | None -> memoized t t.verdict_memo ~cap:8_192 key live
+  | None -> memoized t.verdict_memo ~cap:8_192 key live
 
 (* The checker's witness scan — first candidate in comparison order that
    passes the joint-input gate (when required) and yields a verdict — as a
@@ -621,7 +604,7 @@ let first_witness t ~cap ~require_joint_input ~(slow : Row.t) rows =
     match occ_view_of t ~cap rows with
     | None -> witness_walk t ~cap ~require_joint_input ~slow rows
     | Some v ->
-      memoized t v.oc_witness ~cap:1_024 (sp.idx, require_joint_input) (fun () ->
+      memoized v.oc_witness ~cap:1_024 (sp.idx, require_joint_input) (fun () ->
           witness_walk t ~cap ~require_joint_input ~slow rows)
   end
   | _ -> witness_walk t ~cap ~require_joint_input ~slow rows

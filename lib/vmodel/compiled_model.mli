@@ -23,10 +23,9 @@
     Every structure is {e exact}, not approximate: a row whose constraints
     the compiler cannot close (mixed-origin symbols, unbound variables at
     query time, out-of-domain values) falls back to the
-    {!Cost_row.satisfied_by} solver path.  Compiled artifacts are safe to
-    share across serving domains: post-compile mutation is limited to
-    atomically published deterministic caches and mutex-guarded memo
-    tables. *)
+    {!Cost_row.satisfied_by} solver path.  Post-compile mutation is
+    limited to deterministic caches and bounded memo tables, unsynchronised:
+    an artifact belongs to the one domain that serves it. *)
 
 type t
 

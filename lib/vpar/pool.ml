@@ -5,16 +5,10 @@
 let max_jobs = 64
 let clamp_jobs n = max 1 (min n max_jobs)
 
-let default_jobs () =
-  match Sys.getenv_opt "VIOLET_JOBS" with
-  | None -> 1
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> clamp_jobs n
-    | Some _ | None -> 1)
-
 (* sticky: OCaml 5 puts the runtime in multicore mode on the first
    Domain.spawn and [Unix.fork] is forbidden from then on; fork-based code
-   (the kill -9 checkpoint test) consults this to bail out cleanly *)
+   (the fleet supervisor, the fuzz oracle, the kill -9 checkpoint test)
+   consults this to bail out cleanly *)
 let spawned = Atomic.make false
 let spawned_domains () = Atomic.get spawned
 

@@ -1,17 +1,16 @@
-(** Domain-based worker pool.
+(** Domain-based worker pool: the one place in [lib/] that runs code on a
+    second domain.
 
     A pool is a fixed team of [jobs] workers: worker 0 is the calling domain,
     workers 1..jobs-1 are spawned domains.  Work is handed out through
-    {!map_array} (self-dispatching data parallelism, as in the pairwise
-    diff stage and the serve batcher).
+    {!map_array} (self-dispatching data parallelism); its one caller is the
+    trace analyzer's per-state ranking ([Diff_analysis.analyze ~jobs]).
+    Everything else that needs concurrency — serving, the fleet, the fuzz
+    oracle's daemon legs — forks processes instead.
 
     Determinism contract: the pool never reorders results.  [map_array] writes
     each result at its input's index, so any run-order nondeterminism is
     confined to what [f] does with shared state. *)
-
-val default_jobs : unit -> int
-(** Worker count when the caller does not specify one: [VIOLET_JOBS] if set
-    to a positive integer, else 1 (parallelism is opt-in). *)
 
 val clamp_jobs : int -> int
 (** Clamp a requested job count to [1 .. 64].  Oversubscription past the
@@ -28,8 +27,14 @@ val spawned_domains : unit -> bool
 val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array ~jobs f xs] is [Array.map f xs] computed by [jobs] workers
     pulling indices from a shared counter.  Output order matches input
-    order regardless of which worker computed which element.  [f] must be
-    safe to call concurrently.  With [jobs = 1] (or on arrays of fewer than
-    2 elements) no domain is spawned.  If [f] raises, the first exception
-    (by worker) is re-raised after every domain has been joined — no
-    domain is leaked. *)
+    order regardless of which worker computed which element.
+
+    [f] must read no process-global mutable state: the hash-cons table,
+    the simplifier and footprint memos, the checker's memos and every other
+    table in [lib/] are plain, unsynchronised structures, because nothing
+    but [f] ever runs on a spawned domain.  Precompute what [f] needs into
+    arrays first, as the diff ranking does.
+
+    With [jobs = 1] (or on arrays of fewer than 2 elements) no domain is
+    spawned.  If [f] raises, the first exception (by worker) is re-raised
+    after every domain has been joined — no domain is leaked. *)

@@ -1,6 +1,6 @@
 type stats = { groups : int; batched_requests : int; coalesced : int }
 
-let run ~jobs ~group_of ~dedup_of ~exec reqs =
+let run ~group_of ~dedup_of ~exec reqs =
   let n = Array.length reqs in
   if n = 0 then ([||], { groups = 0; batched_requests = 0; coalesced = 0 })
   else begin
@@ -21,13 +21,9 @@ let run ~jobs ~group_of ~dedup_of ~exec reqs =
         Hashtbl.add rep_of_pair pair i;
         rep.(i) <- i
     done;
-    (* execute each representative once, concurrently, order-preserved *)
-    let rep_indices =
-      Array.of_list (List.filter (fun i -> rep.(i) = i) (List.init n Fun.id))
-    in
-    let rep_results = Vpar.Pool.map_array ~jobs (fun i -> exec reqs.(i)) rep_indices in
+    (* execute each representative once, in input order *)
     let result_of = Hashtbl.create 8 in
-    Array.iteri (fun k i -> Hashtbl.replace result_of i rep_results.(k)) rep_indices;
+    Array.iteri (fun i r -> if r = i then Hashtbl.replace result_of i (exec reqs.(i))) rep;
     let coalesced = ref 0 in
     let batched_requests = ref 0 in
     let out =

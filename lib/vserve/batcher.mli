@@ -6,7 +6,7 @@
     same model value and shares whatever the checker's solver layer memoizes
     for it), identical requests within a group are {e coalesced} — computed
     once, fanned out to every duplicate — and the distinct representatives
-    run concurrently on a {!Vpar.Pool}.
+    run one after another, in input order, on the server's one domain.
 
     Order contract: the result array lines up index-for-index with the
     input, whatever the grouping did. *)
@@ -18,15 +18,14 @@ type stats = {
 }
 
 val run :
-  jobs:int ->
   group_of:('a -> string) ->
   dedup_of:('a -> string) ->
   exec:('a -> 'b) ->
   'a array ->
   ('b * bool * bool) array * stats
-(** [run ~jobs ~group_of ~dedup_of ~exec reqs] executes every distinct
-    [(group_of r, dedup_of r)] pair once via [exec] ([jobs]-way parallel,
-    order-preserving) and returns, per input index, [(result, batched,
+(** [run ~group_of ~dedup_of ~exec reqs] executes every distinct
+    [(group_of r, dedup_of r)] pair once via [exec], in order of first
+    appearance, and returns, per input index, [(result, batched,
     coalesced)]: [batched] when the request's group held more than one
     request, [coalesced] when its result was computed for another index.
-    [exec] must be safe to call concurrently and must not raise. *)
+    [exec] must not raise. *)

@@ -13,7 +13,6 @@ type options = {
   batching : bool;
   request_deadline_s : float option;
   shed_pressure : float;
-  jobs : int;
   refresh_every_s : float;
   manual_reload : bool;
   allow_shutdown : bool;
@@ -30,7 +29,6 @@ let default_options ~addr ~models_dir =
     batching = true;
     request_deadline_s = None;
     shed_pressure = 0.9;
-    jobs = Vpar.Pool.default_jobs ();
     refresh_every_s = 0.5;
     manual_reload = false;
     allow_shutdown = true;
@@ -57,6 +55,8 @@ type state = {
   queue : pending Queue.t;
   by_verb : (string, int) Hashtbl.t;
   latency : Latency.t;  (** enqueue-to-response, check requests only *)
+  upgrade_memo : (string * int, Checker.report) Hashtbl.t;
+      (** mode-3a reports by (model key, generation) *)
   mutable requests : int;
   mutable shed_queue_full : int;
   mutable shed_deadline : int;
@@ -99,7 +99,7 @@ let stats_to_wire st =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Check execution (runs on pool workers — must not raise)             *)
+(* Check execution (must not raise)                                   *)
 (* ------------------------------------------------------------------ *)
 
 type exec_result = { resp : P.response; shed : bool }
@@ -118,40 +118,28 @@ let outcome_of_report generation (r : Checker.report) =
 let check_failed message = P.Error_resp { code = P.Check_failed; message }
 
 (* Mode-3a (code upgrade, no workloads) is a pure function of the entry's
-   current and previous models, and both are pinned by (key, generation):
-   a reload that changes either bumps the generation.  The daemon answers
-   the same upgrade question for every client watching a rollout, so the
-   row sweep runs once per generation and replays from here after.  The
-   table is shared across pool workers; stale generations for a key are
+   current and previous models, and both are pinned by (key, generation)
+   within this server's registry: a reload that changes either bumps the
+   generation.  The daemon answers the same upgrade question for every
+   client watching a rollout, so the row sweep runs once per generation and
+   replays from the server's memo after.  Stale generations for a key are
    evicted on insert, so it holds at most one report per model. *)
-let upgrade_memo : (string * int, Checker.report) Hashtbl.t = Hashtbl.create 16
-let upgrade_memo_lock = Mutex.create ()
-let upgrade_memo_hit_count = Atomic.make 0
-let upgrade_memo_hits () = Atomic.get upgrade_memo_hit_count
-
-let memoized_check_upgrade ~key ~generation ~old_model ~new_model =
-  let memo_key = key, generation in
-  Mutex.lock upgrade_memo_lock;
-  let cached = Hashtbl.find_opt upgrade_memo memo_key in
-  Mutex.unlock upgrade_memo_lock;
-  match cached with
-  | Some r ->
-    Atomic.incr upgrade_memo_hit_count;
-    r
+let memoized_check_upgrade st ~key ~generation ~old_model ~new_model =
+  match Hashtbl.find_opt st.upgrade_memo (key, generation) with
+  | Some r -> r
   | None ->
     let r = Checker.check_upgrade ~old_model ~new_model () in
-    Mutex.lock upgrade_memo_lock;
     let stale =
       Hashtbl.fold
         (fun (k, g) _ acc -> if String.equal k key && g <> generation then (k, g) :: acc else acc)
-        upgrade_memo []
+        st.upgrade_memo []
     in
-    List.iter (Hashtbl.remove upgrade_memo) stale;
-    Hashtbl.replace upgrade_memo memo_key r;
-    Mutex.unlock upgrade_memo_lock;
+    List.iter (Hashtbl.remove st.upgrade_memo) stale;
+    Hashtbl.replace st.upgrade_memo (key, generation) r;
     r
 
-let exec_check opts (p, entry) =
+let exec_check st (p, entry) =
+  let opts = st.opts in
   match entry with
   | None ->
     {
@@ -221,7 +209,7 @@ let exec_check opts (p, entry) =
             match e.Registry.previous with
             | Some old_model ->
               outcome_of_report generation
-                (memoized_check_upgrade ~key:p.p_key ~generation ~old_model
+                (memoized_check_upgrade st ~key:p.p_key ~generation ~old_model
                    ~new_model:model)
             | None ->
               check_failed
@@ -371,7 +359,7 @@ let run_batch st =
     in
     let dedup_of (p, _) = P.encode_request p.p_req in
     let results, bstats =
-      Batcher.run ~jobs:opts.jobs ~group_of ~dedup_of ~exec:(exec_check opts) resolved
+      Batcher.run ~group_of ~dedup_of ~exec:(exec_check st) resolved
     in
     st.batches <- st.batches + bstats.Batcher.groups;
     st.batched_requests <- st.batched_requests + bstats.Batcher.batched_requests;
@@ -428,6 +416,7 @@ let run opts =
         queue = Queue.create ();
         by_verb = Hashtbl.create 8;
         latency = Latency.create ();
+        upgrade_memo = Hashtbl.create 16;
         requests = 0;
         shed_queue_full = 0;
         shed_deadline = 0;

@@ -10,8 +10,9 @@
       {e admission control} — a bounded queue; when it is full the request is
       answered [overloaded] immediately and counted as shed;
     + when the queue is non-empty, up to [max_batch] requests are drained
-      into one batch and executed by {!Batcher} on a {!Vpar.Pool} — grouped
-      by model key + registry generation, identical requests coalesced;
+      into one batch and executed by {!Batcher}, one after another on the
+      server's one domain — grouped by model key + registry generation,
+      identical requests coalesced;
     + each admitted request carries a {!Vresilience.Budget} armed at
       admission (one shared spec, {!Vresilience.Budget.rearm}ed per
       request).  If queue wait has pushed the budget past [shed_pressure] by
@@ -22,6 +23,10 @@
     + between batches the {!Registry} is re-polled, so replacing a model
       file hot-swaps the next batch onto the new generation (a corrupt
       replacement is rejected and the old generation keeps serving).
+
+    A server is one domain in one process: a caller that wants more cores
+    runs a fleet of forked workers ([violet fleet start]), and a test or benchmark that wants
+    a throwaway daemon forks one.
 
     Responses to service verbs may overtake queued check responses on the
     same connection; clients correlate by request [id].
@@ -54,7 +59,6 @@ type options = {
   shed_pressure : float;
       (** budget pressure at execution time beyond which the request is
           served degraded-only (default 0.9) *)
-  jobs : int;  (** worker domains for batch execution *)
   refresh_every_s : float;  (** model-directory poll period (default 0.5) *)
   manual_reload : bool;
       (** disable the background directory poll: models load once at startup
@@ -66,16 +70,12 @@ type options = {
 }
 
 val default_options : addr:addr -> models_dir:string -> options
-(** [resolve_registry] defaults to [fun _ -> None]; [jobs] to
-    {!Vpar.Pool.default_jobs}. *)
+(** [resolve_registry] defaults to [fun _ -> None]. *)
 
 val run : options -> (unit, string) result
 (** Bind, serve until a [shutdown] request, then drain and exit.  [Error] on
     bind/listen failure.  An existing Unix-socket file at [addr] is
     replaced; the file is removed again on clean shutdown.  SIGPIPE is
-    ignored process-wide (disconnecting clients must not kill the daemon). *)
-
-val upgrade_memo_hits : unit -> int
-(** Mode-3a upgrade reports answered from the per-(key, generation) memo
-    instead of a fresh row sweep (process-wide counter; a registry reload
-    bumps the generation and naturally invalidates the memo). *)
+    ignored process-wide (disconnecting clients must not kill the daemon).
+    Mode-3a upgrade reports are memoized per (model key, generation) in the
+    server's own state, so two servers in one process never share one. *)

@@ -9,8 +9,7 @@ type binop = Add | Sub | Mul | Div | Mod | Eq | Ne | Lt | Le | Gt | Ge | And | O
    is a field read, and tables keyed on expressions never re-serialize
    them.  [node] is the shape; [t] wraps it with the unique id and the
    structural hash.  [str] memoizes the rendered form ("" = not yet
-   rendered) — the rendering is a pure function of the structure, so a
-   racy double-write from two domains stores equal strings. *)
+   rendered). *)
 type t = { id : int; hkey : int; node : node; mutable str : string }
 
 and node =
@@ -25,8 +24,7 @@ let view e = e.node
 let id e = e.id
 
 (* ------------------------------------------------------------------ *)
-(* The intern table: striped by hash so concurrent domains building    *)
-(* expressions contend only when they hash to the same stripe.         *)
+(* The intern table: one per process, keyed by node shape.             *)
 (* ------------------------------------------------------------------ *)
 
 let binop_tag = function
@@ -55,37 +53,27 @@ let node_equal n1 n2 =
   | Ite (c1, a1, b1), Ite (c2, a2, b2) -> c1 == c2 && a1 == a2 && b1 == b2
   | (Const _ | Var _ | Not _ | Neg _ | Binop _ | Ite _), _ -> false
 
-type stripe = { lock : Mutex.t; buckets : (int, t list) Hashtbl.t }
+module Intern = Hashtbl.Make (struct
+  type t = node
 
-let n_stripes = 64
-let stripes =
-  Array.init n_stripes (fun _ -> { lock = Mutex.create (); buckets = Hashtbl.create 1024 })
+  let equal = node_equal
+  let hash = node_hash
+end)
 
-let next_id = Atomic.make 0
+let table : t Intern.t = Intern.create 65_536
+let next_id = ref 0
 
 let intern node =
-  let hkey = node_hash node in
-  let s = stripes.(hkey land (n_stripes - 1)) in
-  Mutex.lock s.lock;
-  let found =
-    match Hashtbl.find_opt s.buckets hkey with
-    | None -> None
-    | Some bucket -> List.find_opt (fun e -> node_equal e.node node) bucket
-  in
-  let e =
-    match found with
-    | Some e -> e
-    | None ->
-      let e = { id = Atomic.fetch_and_add next_id 1; hkey; node; str = "" } in
-      let bucket = match Hashtbl.find_opt s.buckets hkey with Some b -> b | None -> [] in
-      Hashtbl.replace s.buckets hkey (e :: bucket);
-      e
-  in
-  Mutex.unlock s.lock;
-  e
+  match Intern.find_opt table node with
+  | Some e -> e
+  | None ->
+    let e = { id = !next_id; hkey = node_hash node; node; str = "" } in
+    incr next_id;
+    Intern.add table node e;
+    e
 
 (* current number of live interned nodes — telemetry only *)
-let interned_count () = Atomic.get next_id
+let interned_count () = !next_id
 
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
@@ -326,38 +314,18 @@ let to_string e =
   end
 
 let rendered_count () =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let acc =
-        Hashtbl.fold
-          (fun _ bucket acc ->
-            List.fold_left (fun acc e -> if e.str = "" then acc else acc + 1) acc bucket)
-          s.buckets acc
-      in
-      Mutex.unlock s.lock;
-      acc)
-    0 stripes
+  Intern.fold (fun _ e acc -> if e.str = "" then acc else acc + 1) table 0
 
-(* Racy against a concurrent [to_string] only in the benign direction: a
-   string written after we pass its node simply survives the sweep. *)
-let clear_rendered () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Hashtbl.iter (fun _ bucket -> List.iter (fun e -> e.str <- "") bucket) s.buckets;
-      Mutex.unlock s.lock)
-    stripes
+let clear_rendered () = Intern.iter (fun _ e -> e.str <- "") table
 
 (* Tree node count — the honest measure of solver work, since interval
    propagation walks constraint trees (shared subtrees re-visited).  The
-   count itself is memoized per DAG node, domain-locally and capped. *)
-let size_memo_key = Domain.DLS.new_key (fun () : (int, int) Hashtbl.t -> Hashtbl.create 4096)
+   count itself is memoized per DAG node, capped. *)
+let size_memo : (int, int) Hashtbl.t = Hashtbl.create 4096
 let size_memo_cap = 1 lsl 17
 
 let rec tree_size e =
-  let memo = Domain.DLS.get size_memo_key in
-  match Hashtbl.find_opt memo e.id with
+  match Hashtbl.find_opt size_memo e.id with
   | Some n -> n
   | None ->
     let n =
@@ -367,6 +335,6 @@ let rec tree_size e =
       | Binop (_, a, b) -> 1 + tree_size a + tree_size b
       | Ite (c, a, b) -> 1 + tree_size c + tree_size a + tree_size b
     in
-    if Hashtbl.length memo >= size_memo_cap then Hashtbl.reset memo;
-    Hashtbl.replace memo e.id n;
+    if Hashtbl.length size_memo >= size_memo_cap then Hashtbl.reset size_memo;
+    Hashtbl.replace size_memo e.id n;
     n

@@ -31,8 +31,9 @@ type binop =
 (** Expressions are hash-consed: every structurally distinct expression is
     interned exactly once per process, so {!equal} is physical equality,
     {!hash} is a field read, and rendered forms ({!to_string}) are computed
-    once per unique node.  The intern table is striped and mutex-protected,
-    so expressions can be built and shared freely across domains.
+    once per unique node.  The intern table is a plain process-global
+    table: build expressions on the main domain only
+    ([Vpar.Pool.map_array]'s contract).
 
     [t] is [private]: build via the smart constructors below, destructure
     via {!view} (or direct [e.node] record patterns). *)
@@ -127,7 +128,7 @@ val to_string : t -> string
 val tree_size : t -> int
 (** Tree node count of [e] (shared subtrees counted per occurrence, the
     way solver propagation visits them).  Memoized per hash-consed node
-    in a capped domain-local table; telemetry for query-size accounting. *)
+    in a capped table; telemetry for query-size accounting. *)
 
 val rendered_count : unit -> int
 (** Number of interned nodes whose {!to_string} form has been rendered —

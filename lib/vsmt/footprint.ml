@@ -14,7 +14,6 @@
 
 type sym_info = { s_name : string; s_origin : Expr.origin }
 
-let sym_lock = Mutex.create ()
 let sym_ids : (string, int) Hashtbl.t = Hashtbl.create 256
 let sym_infos : sym_info array ref = ref (Array.make 64 { s_name = ""; s_origin = Expr.Internal })
 let sym_next = ref 0
@@ -22,24 +21,19 @@ let sym_next = ref 0
 (* Variables are identified by name alone, matching [Expr.vars]'s dedup
    semantics: two [Expr.var]s with the same name are the same symbol. *)
 let intern_sym (v : Expr.var) =
-  Mutex.lock sym_lock;
-  let id =
-    match Hashtbl.find_opt sym_ids v.Expr.name with
-    | Some id -> id
-    | None ->
-      let id = !sym_next in
-      sym_next := id + 1;
-      if id >= Array.length !sym_infos then begin
-        let bigger = Array.make (2 * Array.length !sym_infos) { s_name = ""; s_origin = Expr.Internal } in
-        Array.blit !sym_infos 0 bigger 0 (Array.length !sym_infos);
-        sym_infos := bigger
-      end;
-      !sym_infos.(id) <- { s_name = v.Expr.name; s_origin = v.Expr.origin };
-      Hashtbl.add sym_ids v.Expr.name id;
-      id
-  in
-  Mutex.unlock sym_lock;
-  id
+  match Hashtbl.find_opt sym_ids v.Expr.name with
+  | Some id -> id
+  | None ->
+    let id = !sym_next in
+    sym_next := id + 1;
+    if id >= Array.length !sym_infos then begin
+      let bigger = Array.make (2 * Array.length !sym_infos) { s_name = ""; s_origin = Expr.Internal } in
+      Array.blit !sym_infos 0 bigger 0 (Array.length !sym_infos);
+      sym_infos := bigger
+    end;
+    !sym_infos.(id) <- { s_name = v.Expr.name; s_origin = v.Expr.origin };
+    Hashtbl.add sym_ids v.Expr.name id;
+    id
 
 let sym_info id = !sym_infos.(id)
 let symbol_count () = !sym_next
@@ -118,50 +112,20 @@ let for_all_origin origin (f : t) =
 (* Per-node memoization.                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Footprints are memoized per hash-consed node id in a lock-striped table
-   shared by every domain, so parallel workers reuse each other's footprint
-   work on shared nodes (the stripe is picked by node id; contention on a
-   handful of workers is negligible).  Each stripe is capped at its share of
-   the total: a week-long checker run interns expressions without bound, so
-   an uncapped memo would too.  On overflow the stripe resets wholesale —
-   footprints are cheap to recompute and the working set re-fills
-   immediately. *)
-let default_memo_cap = 1 lsl 17
-
-let memo_cap = ref default_memo_cap
-
-let n_stripes = 64
-
-type stripe = { lock : Mutex.t; tbl : (int, t) Hashtbl.t }
-
-let stripes = Array.init n_stripes (fun _ -> { lock = Mutex.create (); tbl = Hashtbl.create 256 })
-let stripe_of i = stripes.(i land (n_stripes - 1))
-
-let memo_size () = Array.fold_left (fun acc s -> acc + Hashtbl.length s.tbl) 0 stripes
-
-let clear_memo () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Hashtbl.reset s.tbl;
-      Mutex.unlock s.lock)
-    stripes
-
+(* Footprints are memoized per hash-consed node id.  The memo is capped: a
+   week-long checker run interns expressions without bound, so an uncapped
+   memo would too.  On overflow it resets wholesale — footprints are cheap
+   to recompute and the working set re-fills immediately. *)
+let memo : (int, t) Hashtbl.t = Hashtbl.create 16_384
+let memo_cap = ref (1 lsl 17)
 let set_memo_cap n = memo_cap := max 1024 n
-
-let memo_find i =
-  let s = stripe_of i in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl i in
-  Mutex.unlock s.lock;
-  r
+let memo_size () = Hashtbl.length memo
+let clear_memo () = Hashtbl.reset memo
+let memo_find i = Hashtbl.find_opt memo i
 
 let memo_add i f =
-  let s = stripe_of i in
-  Mutex.lock s.lock;
-  if Hashtbl.length s.tbl >= !memo_cap / n_stripes then Hashtbl.reset s.tbl;
-  Hashtbl.replace s.tbl i f;
-  Mutex.unlock s.lock
+  if Hashtbl.length memo >= !memo_cap then Hashtbl.reset memo;
+  Hashtbl.replace memo i f
 
 let rec of_expr (e : Expr.t) : t =
   match memo_find (Expr.id e) with

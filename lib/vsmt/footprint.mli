@@ -10,8 +10,8 @@
     Representation: a sorted array of interned symbol ids, so union and
     overlap tests are linear merges and a footprint is computed once per
     hash-consed node ({!of_expr} is memoized per [Expr.id]).  Symbols are
-    interned by {e name} — matching [Expr.vars]'s identity — in a global
-    mutex-protected table shared by all domains.
+    interned by {e name} — matching [Expr.vars]'s identity — in a plain
+    process-global table.
 
     Symbol ids, like expression ids, are process-local: never persist
     them; {!names} gives the sorted symbol names instead. *)
@@ -27,8 +27,7 @@ val compare : t -> t -> int
 
 val of_expr : Expr.t -> t
 (** Footprint of one expression.  Memoized per hash-consed node id in a
-    lock-striped table shared by every domain (capped; see
-    {!set_memo_cap}). *)
+    process-wide table (capped; see {!set_memo_cap}). *)
 
 val of_list : Expr.t list -> t
 (** Union of the footprints of a constraint list. *)
@@ -56,14 +55,13 @@ val symbol_count : unit -> int
 (** Number of distinct symbols interned so far (telemetry). *)
 
 val memo_size : unit -> int
-(** Entries in the shared footprint memo, summed across its lock stripes
-    (telemetry). *)
+(** Entries in the footprint memo (telemetry). *)
 
 val clear_memo : unit -> unit
-(** Drop the shared footprint memo (footprints recompute on demand). *)
+(** Drop the footprint memo (footprints recompute on demand). *)
 
 val set_memo_cap : int -> unit
-(** Cap the shared memo (each stripe holds its share and resets wholesale
-    at the cap).  Clamped to at least 1024.  Default [131072]. *)
+(** Cap the memo (it resets wholesale at the cap).  Clamped to at least
+    1024.  Default [131072]. *)
 
 val pp : t Fmt.t

@@ -3,46 +3,19 @@ open Expr
 let truthy v = v <> 0
 
 (* Hash-consing gives every expression a stable id, so simplification is
-   memoized once per node — in a lock-striped table shared by every domain,
-   so parallel workers reuse (rather than duplicate) each other's
-   simplification work on shared path-condition prefixes.  The stripe is
-   picked by node id, so contention on 4–8 workers is negligible; each
-   stripe holds its share of the cap and resets wholesale when it fills, so
-   unbounded interning on long runs cannot grow the memo without bound. *)
-let n_stripes = 64
-
-type stripe = { lock : Mutex.t; tbl : (int, t) Hashtbl.t }
-
-let stripes = Array.init n_stripes (fun _ -> { lock = Mutex.create (); tbl = Hashtbl.create 256 })
-let stripe_of i = stripes.(i land (n_stripes - 1))
-
-let default_memo_cap = 1 lsl 18
-let memo_cap = ref default_memo_cap
+   memoized once per node, so repeated path-condition prefixes simplify
+   once.  The memo resets wholesale when it reaches its cap, so unbounded
+   interning on long runs cannot grow it without bound. *)
+let memo : (int, t) Hashtbl.t = Hashtbl.create 16_384
+let memo_cap = ref (1 lsl 18)
 let set_memo_cap n = memo_cap := max 1024 n
-
-let memo_size () = Array.fold_left (fun acc s -> acc + Hashtbl.length s.tbl) 0 stripes
-
-let clear_memo () =
-  Array.iter
-    (fun s ->
-      Mutex.lock s.lock;
-      Hashtbl.reset s.tbl;
-      Mutex.unlock s.lock)
-    stripes
-
-let memo_find i =
-  let s = stripe_of i in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl i in
-  Mutex.unlock s.lock;
-  r
+let memo_size () = Hashtbl.length memo
+let clear_memo () = Hashtbl.reset memo
+let memo_find i = Hashtbl.find_opt memo i
 
 let memo_add i e' =
-  let s = stripe_of i in
-  Mutex.lock s.lock;
-  if Hashtbl.length s.tbl >= !memo_cap / n_stripes then Hashtbl.reset s.tbl;
-  Hashtbl.replace s.tbl i e';
-  Mutex.unlock s.lock
+  if Hashtbl.length memo >= !memo_cap then Hashtbl.reset memo;
+  Hashtbl.replace memo i e'
 
 (* One rewriting pass, bottom-up.  Kept to local rules so each is obviously
    semantics-preserving; the qcheck suite checks the composition. *)

@@ -19,14 +19,12 @@ val simplify_conj : Expr.t list -> Expr.t list
     incremental. *)
 
 val memo_size : unit -> int
-(** Entries in the shared simplification memo, summed across its lock
-    stripes (telemetry).  The memo is striped by hash-cons node id and
-    shared by every domain, so parallel workers reuse — rather than
-    duplicate — each other's simplification work. *)
+(** Entries in the process-wide simplification memo, keyed by hash-cons
+    node id (telemetry). *)
 
 val clear_memo : unit -> unit
-(** Drop the shared simplification memo (results recompute on demand). *)
+(** Drop the simplification memo (results recompute on demand). *)
 
 val set_memo_cap : int -> unit
-(** Cap the shared memo (each stripe holds its share and resets wholesale
-    at the cap).  Clamped to at least 1024.  Default [262144]. *)
+(** Cap the memo (it resets wholesale at the cap).  Clamped to at least
+    1024.  Default [262144]. *)

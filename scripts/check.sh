@@ -11,6 +11,14 @@ else
   echo "== fmt check skipped (ocamlformat not installed) =="
 fi
 
+echo "== concurrency primitives stay in lib/vpar =="
+# Vpar.Pool.map_array is the only code that runs on a second domain; every
+# other lib/ table is plain, so no other module may lock, spawn or signal
+if grep -rnE '\b(Mutex|Atomic|Condition|Domain)\.' lib --include='*.ml' | grep -v '^lib/vpar/'; then
+  echo "concurrency primitives outside lib/vpar (listed above)"
+  exit 1
+fi
+
 echo "== dune build =="
 dune build
 

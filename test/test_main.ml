@@ -19,21 +19,18 @@ let () =
       ("patterns", Test_patterns.tests);
       ("subsystems", Test_subsystems.tests);
       ("vsched", Test_vsched.tests);
-      (* vresilience before vpar: its kill -9 test needs [Unix.fork], which
-         OCaml 5 forbids once any domain has been spawned *)
+      (* Every suite that forks comes before every suite that runs jobs 4 in
+         this process: OCaml 5 forbids [Unix.fork] once any domain has been
+         spawned.  These four fork (a kill -9 victim, a supervisor, a daemon,
+         the oracle's daemons, fleets and jobs-4 analyses)... *)
       ("vresilience", Test_vresilience.tests);
-      (* vfleet forks a supervisor, so it too must precede every
-         domain-spawning suite *)
       ("vfleet", Test_vfleet.tests);
+      ("vserve", Test_vserve.tests);
+      ("vfuzz", Test_vfuzz.tests);
+      (* ...and these spawn domains at jobs 4 *)
       ("vpar", Test_vpar.tests);
-      (* compares the diff at jobs 4, which spawns domains *)
       ("vmodel-ref", Test_vmodel.after_fork_tests);
       ("vslice", Test_vslice.tests);
-      (* vserve spawns the daemon on a domain, so it also stays after the
-         fork-based vresilience tests *)
-      ("vserve", Test_vserve.tests);
-      (* vfuzz's oracle tests also spawn daemon domains *)
-      ("vfuzz", Test_vfuzz.tests);
       ("vinc", Test_vinc.tests);
       ("endtoend", Test_endtoend.tests);
       ("smoke", Test_smoke.tests);

@@ -239,7 +239,6 @@ let start_fleet ?spawn_worker ?(crashloop_limit = 5) ?max_queue ~run_dir ~models
             {
               w with
               Server.resolve_registry = (fun _ -> Some Fixtures.registry);
-              jobs = 1;
               max_queue = Option.value ~default:w.Server.max_queue max_queue;
             });
         router_opts =

@@ -1,9 +1,9 @@
 (* Tests for the vfuzz subsystem: the splittable PRNG, spec validation and
    round-tripping, the generator's determinism and planted ground truth, the
-   mutator's invariants, the differential oracle (including the daemon leg,
-   so this suite must run after the fork-based vresilience tests), the
-   shrinker, and the export/import round-trip property over generated
-   impact models. *)
+   mutator's invariants, the differential oracle (whose daemon, fleet and
+   jobs-4 legs fork, so this suite must run before any suite that spawns a
+   domain), the shrinker, and the export/import round-trip property over
+   generated impact models. *)
 
 module G = Vfuzz.Genspec
 module Sprng = Vfuzz.Sprng
@@ -215,7 +215,11 @@ let test_harness_scores_plants () =
 (* Differential oracle                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* the oracle forks, which is unsound once this process has a domain *)
+let skip_if_domains () = if Vpar.Pool.spawned_domains () then Alcotest.skip ()
+
 let test_oracle_agrees_in_process () =
+  skip_if_domains ();
   List.iter
     (fun spec ->
       let r = Vfuzz.Oracle.check ~daemon:false ~inc:false spec in
@@ -230,6 +234,7 @@ let test_oracle_agrees_in_process () =
     (Vfuzz.Generate.corpus ~seed:21 ~count:4 ())
 
 let test_oracle_daemon_leg () =
+  skip_if_domains ();
   let spec = Vfuzz.Generate.spec ~seed:21 ~index:0 () in
   let r = Vfuzz.Oracle.check ~daemon:true ~inc:false spec in
   check Alcotest.bool "daemon leg ran" true (r.Vfuzz.Oracle.r_daemon_checks > 0);
@@ -239,12 +244,24 @@ let test_oracle_daemon_leg () =
 let test_oracle_inc_leg () =
   (* spliced-vs-scratch upgrade analysis at jobs 1 and 4, each compared
      byte-for-byte against a from-scratch rebuild *)
+  skip_if_domains ();
   let spec = Vfuzz.Generate.spec ~seed:21 ~index:1 () in
   let r = Vfuzz.Oracle.check ~daemon:false ~modes:false spec in
   check Alcotest.int "inc leg compared both variants" 2
     r.Vfuzz.Oracle.r_inc_checks;
   check Alcotest.bool "spliced baselines agree with scratch" true
     (Vfuzz.Oracle.agreed r)
+
+let test_oracle_leaves_no_domain () =
+  (* every leg that needs a second domain or process forks, so the caller
+     can keep forking afterwards *)
+  skip_if_domains ();
+  let r = Vfuzz.Oracle.check (Vfuzz.Generate.spec ~seed:21 ~index:0 ()) in
+  check Alcotest.bool "daemon leg ran" true (r.Vfuzz.Oracle.r_daemon_checks > 0);
+  check Alcotest.bool "fleet leg ran" true (r.Vfuzz.Oracle.r_fleet_checks > 0);
+  check Alcotest.int "inc leg ran at jobs 1 and 4" 2 r.Vfuzz.Oracle.r_inc_checks;
+  check Alcotest.bool "all legs agree" true (Vfuzz.Oracle.agreed r);
+  check Alcotest.bool "no domain spawned in this process" false (Vpar.Pool.spawned_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* Shrinker                                                            *)
@@ -462,6 +479,7 @@ let tests =
     tc "oracle agrees in process" test_oracle_agrees_in_process;
     tc "oracle daemon leg" test_oracle_daemon_leg;
     tc "oracle incremental leg" test_oracle_inc_leg;
+    tc "oracle leaves no domain in its caller" test_oracle_leaves_no_domain;
     tc "shrink candidates valid and smaller" test_shrink_candidates_valid_and_smaller;
     tc "shrink minimizes" test_shrink_minimizes;
     QCheck_alcotest.to_alcotest prop_export_import_roundtrip;

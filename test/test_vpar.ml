@@ -40,16 +40,13 @@ let test_clamp_jobs () =
   check Alcotest.int "oversubscription allowed" 8 (Vpar.Pool.clamp_jobs 8);
   check Alcotest.int "absolute cap" 64 (Vpar.Pool.clamp_jobs 10_000)
 
-let test_default_jobs_env () =
-  let saved = Sys.getenv_opt "VIOLET_JOBS" in
-  let restore () = Unix.putenv "VIOLET_JOBS" (Option.value saved ~default:"") in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "VIOLET_JOBS" "3";
-      check Alcotest.int "reads env" 3 (Vpar.Pool.default_jobs ());
-      Unix.putenv "VIOLET_JOBS" "0";
-      check Alcotest.int "non-positive falls back" 1 (Vpar.Pool.default_jobs ());
-      Unix.putenv "VIOLET_JOBS" "nope";
-      check Alcotest.int "garbage falls back" 1 (Vpar.Pool.default_jobs ()))
+(* every fork in the repo (fleet supervisor, fuzz oracle, forked test
+   daemons) refuses or skips on this flag, so a spawn must set it for good *)
+let test_spawned_domains_sticky () =
+  ignore (Vpar.Pool.map_array ~jobs:2 Fun.id [| 1; 2 |]);
+  check Alcotest.bool "set after a spawn" true (Vpar.Pool.spawned_domains ());
+  ignore (Vpar.Pool.map_array ~jobs:1 Fun.id [| 1; 2 |]);
+  check Alcotest.bool "still set after a jobs-1 map" true (Vpar.Pool.spawned_domains ())
 
 (* ------------------------------------------------------------------ *)
 (* Determinism: --jobs 4 == --jobs 1, byte for byte                    *)
@@ -234,6 +231,16 @@ let test_deferred_renumbering () =
     check Alcotest.(list string) "states sorted by fork path" (List.sort String.compare paths)
       paths
 
+(* the fuzz oracle forks; after a spawn it must refuse up front rather than
+   fail inside a leg *)
+let test_oracle_refuses_after_spawn () =
+  ignore (Vpar.Pool.map_array ~jobs:2 Fun.id [| 1; 2 |]);
+  match Vfuzz.Oracle.check (Vfuzz.Generate.spec ~seed:21 ~index:0 ()) with
+  | _ -> Alcotest.fail "the oracle ran after a domain spawn"
+  | exception Failure msg ->
+    check Alcotest.string "a clear error"
+      "Vfuzz.Oracle.check: cannot fork after spawning domains (fork is unsound)" msg
+
 let qt = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -241,8 +248,9 @@ let tests =
     tc "map_array keeps input order" test_map_array_order;
     tc "worker exceptions propagate" test_map_array_propagates_exception;
     tc "clamp_jobs bounds" test_clamp_jobs;
-    tc "default_jobs reads VIOLET_JOBS" test_default_jobs_env;
+    tc "spawned_domains stays set after a spawn" test_spawned_domains_sticky;
     qt prop_jobs_deterministic;
     qt prop_jobs_deterministic_under_deadline;
     tc "deferred renumbering yields canonical ids" test_deferred_renumbering;
+    tc "fuzz oracle refuses to fork after a spawn" test_oracle_refuses_after_spawn;
   ]

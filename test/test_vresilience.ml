@@ -242,9 +242,9 @@ let test_old_checkpoint_version_rejected () =
 
 let test_kill9_resume_byte_identical () =
   (* OCaml 5 forbids Unix.fork once the runtime has gone multicore; if an
-     earlier suite already spawned domains (e.g. VIOLET_JOBS > 1 made the
-     pipeline parallel), only this fork-based harness is unavailable — the
-     resume contract itself is covered by the in-process test above *)
+     earlier suite already spawned domains (a jobs-4 analysis), only this
+     fork-based harness is unavailable — the resume contract itself is
+     covered by the in-process test above *)
   if Vpar.Pool.spawned_domains () then Alcotest.skip ();
   let path = tmp_path () in
   let opts ~resume =

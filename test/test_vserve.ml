@@ -462,17 +462,20 @@ let test_registry_rejects_format1 () =
 
 let test_batcher_groups_and_coalesces () =
   let items = [| ("a", 1); ("a", 1); ("a", 2); ("b", 9) |] in
-  let execs = Atomic.make 0 in
+  let execs = ref [] in
   let results, stats =
-    Vserve.Batcher.run ~jobs:1
+    Vserve.Batcher.run
       ~group_of:(fun (g, _) -> g)
       ~dedup_of:(fun (g, v) -> Printf.sprintf "%s=%d" g v)
       ~exec:(fun (g, v) ->
-        Atomic.incr execs;
-        Printf.sprintf "%s:%d" g v)
+        let r = Printf.sprintf "%s:%d" g v in
+        execs := r :: !execs;
+        r)
       items
   in
-  check Alcotest.int "distinct executions" 3 (Atomic.get execs);
+  check
+    Alcotest.(list string)
+    "distinct executions, in input order" [ "a:1"; "a:2"; "b:9" ] (List.rev !execs);
   let expect = [| ("a:1", true, false); ("a:1", true, true); ("a:2", true, false); ("b:9", false, false) |] in
   Array.iteri
     (fun i (r, b, c) ->
@@ -499,8 +502,22 @@ let expect_report = function
   | _ -> Alcotest.fail "expected a report"
 
 let test_end_to_end () =
+  (* the daemon is a forked child, as in deployment; fork is unsound once a
+     domain exists *)
+  if Vpar.Pool.spawned_domains () then Alcotest.skip ();
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let dir = mk_tmpdir () in
-  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let srv = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      (* a failed assertion must not leave the daemon running *)
+      Option.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !srv;
+      rm_rf dir)
+  @@ fun () ->
   let models_dir = Filename.concat dir "models" in
   Unix.mkdir models_dir 0o700;
   let model_path = export_fixture models_dir "mini" in
@@ -510,10 +527,12 @@ let test_end_to_end () =
       (Server.default_options ~addr:(`Unix sock) ~models_dir) with
       Server.resolve_registry = (fun _ -> Some Fixtures.registry);
       refresh_every_s = 0.05;
-      jobs = 1;
     }
   in
-  let srv = Domain.spawn (fun () -> Server.run opts) in
+  flush_all ();
+  (match Unix.fork () with
+  | 0 -> Unix._exit (match Server.run opts with Ok () -> 0 | Error _ -> 1 | exception _ -> 2)
+  | pid -> srv := Some pid);
   let c = or_fail (Client.connect_retry (`Unix sock)) in
   (* the in-process reference runs on the very same model file the daemon
      serves (the deployment path: export once, check everywhere) *)
@@ -631,10 +650,85 @@ let test_end_to_end () =
   | P.Bye -> ()
   | _ -> Alcotest.fail "expected bye");
   Client.close c;
-  (match Domain.join srv with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail ("server exited with: " ^ e));
+  let status = snd (Unix.waitpid [] (Option.get !srv)) in
+  srv := None;
+  (match status with
+  | Unix.WEXITED 0 -> ()
+  | Unix.WEXITED n -> Alcotest.failf "daemon exited with status %d" n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> Alcotest.failf "daemon stopped by signal %d" n);
   check Alcotest.bool "socket file removed" false (Sys.file_exists sock)
+
+(* Two servers in one process, one after the other, each serving key "mini"
+   at generation 2 after a hot reload — a clean upgrade on the first, a
+   regression on the second.  Each must answer mode 3a from its own models,
+   not from a report the other memoized under the same (key, generation). *)
+let test_upgrade_memo_per_server () =
+  if Vpar.Pool.spawned_domains () then Alcotest.skip ();
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = mk_tmpdir () in
+  let srv = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !srv;
+      rm_rf dir)
+  @@ fun () ->
+  let slow_env = { Vruntime.Hw_env.hdd_server with Vruntime.Hw_env.fsync_us = 40000. } in
+  let regressed =
+    (Violet.Pipeline.analyze_exn
+       ~opts:{ Violet.Pipeline.default_options with Violet.Pipeline.env = slow_env }
+       Fixtures.target "autocommit")
+      .Violet.Pipeline.model
+  in
+  let servers = [ ("clean", fun m -> { m with M.threshold = 0.9 }); ("regressed", fun _ -> regressed) ] in
+  let addr name = `Unix (Filename.concat dir (name ^ ".sock")) in
+  let models name = Filename.concat dir name in
+  List.iter
+    (fun (name, _) ->
+      Unix.mkdir (models name) 0o700;
+      ignore (export_fixture (models name) "mini"))
+    servers;
+  flush_all ();
+  (match Unix.fork () with
+  | 0 ->
+    List.iter
+      (fun (name, _) ->
+        ignore
+          (Server.run
+             {
+               (Server.default_options ~addr:(addr name) ~models_dir:(models name)) with
+               Server.resolve_registry = (fun _ -> Some Fixtures.registry);
+               refresh_every_s = 0.05;
+             }))
+      servers;
+    Unix._exit 0
+  | pid -> srv := Some pid);
+  let upgrade_findings (name, tweak) =
+    let c = or_fail (Client.connect_retry ~deadline_s:10. (addr name)) in
+    (* health is answered after the initial load: replace the file only then *)
+    ignore (Client.call c P.Health);
+    ignore (export_fixture ~tweak (models name) "mini");
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec await_gen2 () =
+      match Client.call c (P.Check_upgrade { key = "mini"; workloads = None }) with
+      | Ok (P.Report o) when o.P.generation >= 2 -> o.P.findings
+      | _ when Unix.gettimeofday () > deadline -> Alcotest.fail (name ^ ": hot reload never happened")
+      | _ ->
+        Unix.sleepf 0.05;
+        await_gen2 ()
+    in
+    let findings = await_gen2 () in
+    ignore (Client.call c P.Shutdown);
+    Client.close c;
+    findings
+  in
+  let clean = upgrade_findings (List.nth servers 0) in
+  let regression = upgrade_findings (List.nth servers 1) in
+  check Alcotest.int "first server: clean upgrade" 0 (List.length clean);
+  check Alcotest.bool "second server: its own regression" true (regression <> [])
 
 let tests =
   [
@@ -650,4 +744,5 @@ let tests =
     tc "registry rejects format 1" test_registry_rejects_format1;
     tc "batcher groups and coalesces" test_batcher_groups_and_coalesces;
     tc "end-to-end daemon matches in-process checker" test_end_to_end;
+    tc "each server keeps its own upgrade memo" test_upgrade_memo_per_server;
   ]
