@@ -84,20 +84,20 @@ module Key_tbl = Hashtbl.Make (struct
   let hash k = Hashtbl.hash (List.fold_left (fun h id -> (h * 65_599) + id) 0 k)
 end)
 
-(* [comparable i j] over row indices, [i < j]; row [reps.(i)]'s keys and
-   footprint [wfoot.(i)] stand for row [i]'s state *)
-let make_comparable ~max_nodes ~slice ~wfoot (arr : Cost_row.t array) reps =
-  let key_of f = Array.map (fun r -> constraint_key (f arr.(r))) reps in
-  let wkey = key_of (fun r -> r.Cost_row.workload_pred) in
-  (* dense config-class ints, in first-seen order *)
-  let cls =
-    let tbl = Key_tbl.create 64 in
-    Array.map
-      (fun k ->
-        if not (Key_tbl.mem tbl k) then Key_tbl.add tbl k (Key_tbl.length tbl);
-        Key_tbl.find tbl k)
-      (key_of (fun r -> r.Cost_row.config_constraints))
-  in
+(* dense ints for the distinct keys, in first-seen order *)
+let classes keys =
+  let tbl = Key_tbl.create 64 in
+  Array.map
+    (fun k ->
+      if not (Key_tbl.mem tbl k) then Key_tbl.add tbl k (Key_tbl.length tbl);
+      Key_tbl.find tbl k)
+    keys
+
+(* [comparable i j] over row indices [i < j] in different config classes
+   (condition 1 is the ranking's filter): whether their workloads are
+   jointly satisfiable.  [wkey.(i)] and [wfoot.(i)] are the workload key
+   and footprint of row [i]'s state. *)
+let make_comparable ~max_nodes ~slice ~wfoot ~wkey (arr : Cost_row.t array) =
   let sat_cache = Key_tbl.create 256 in
   (* per-side verdicts for the disjoint-footprint fast path, keyed on one
      row's predicate identity *)
@@ -110,33 +110,46 @@ let make_comparable ~max_nodes ~slice ~wfoot (arr : Cost_row.t array) reps =
       Key_tbl.add side_cache wkey v;
       v
   in
-  fun i j ->
+  let joint_sat i j =
     let a = arr.(i) and b = arr.(j) and wa = wkey.(i) and wb = wkey.(j) in
     let fa = wfoot.(i) and fb = wfoot.(j) in
-    cls.(i) <> cls.(j)
-    && begin
-         (* one predicate subsuming the other is trivially jointly sat *)
-         let subset x y = List.for_all (fun c -> List.exists (Int.equal c) y) x in
-         subset wa wb || subset wb wa
-         ||
-         let key = List.sort_uniq Int.compare (wa @ wb) in
-         match Key_tbl.find_opt sat_cache key with
-         | Some v -> v
-         | None ->
-           let v =
-             (* symbol-disjoint predicates constrain different input
-                variables: the conjunction is satisfiable iff each side is,
-                and the per-side verdicts are shared across every pairing of
-                that input class *)
-             if slice && not (Vsmt.Footprint.overlaps fa fb) then
-               side_sat wa a.Cost_row.workload_pred && side_sat wb b.Cost_row.workload_pred
-             else
-               Vsmt.Solver.is_feasible ~max_nodes
-                 (a.Cost_row.workload_pred @ b.Cost_row.workload_pred)
-           in
-           Key_tbl.add sat_cache key v;
-           v
-       end
+    (* one predicate subsuming the other is trivially jointly sat *)
+    let subset x y = List.for_all (fun c -> List.exists (Int.equal c) y) x in
+    subset wa wb || subset wb wa
+    ||
+    let key = List.sort_uniq Int.compare (wa @ wb) in
+    match Key_tbl.find_opt sat_cache key with
+    | Some v -> v
+    | None ->
+      let v =
+        (* symbol-disjoint predicates constrain different input variables:
+           the conjunction is satisfiable iff each side is, and the
+           per-side verdicts are shared across every pairing of that input
+           class *)
+        if slice && not (Vsmt.Footprint.overlaps fa fb) then
+          side_sat wa a.Cost_row.workload_pred && side_sat wb b.Cost_row.workload_pred
+        else
+          Vsmt.Solver.is_feasible ~max_nodes (a.Cost_row.workload_pred @ b.Cost_row.workload_pred)
+      in
+      Key_tbl.add sat_cache key v;
+      v
+  in
+  (* one verdict per unordered workload-class pair, a byte each in a
+     triangle (0 not yet asked, 1 unsat, 2 sat): [joint_sat]'s subset test
+     and [sat_cache] key read only the two classes, so its first answer for
+     a pair is what it would answer every later query *)
+  let wcls = classes wkey in
+  let nw = Array.fold_left max 0 wcls + 1 in
+  let verdicts = Bytes.make (nw * (nw + 1) / 2) '\000' in
+  fun i j ->
+    let x = wcls.(i) and y = wcls.(j) in
+    let k = if x > y then (x * (x + 1) / 2) + y else (y * (y + 1) / 2) + x in
+    match Bytes.get verdicts k with
+    | '\000' ->
+      let v = joint_sat i j in
+      Bytes.set verdicts k (if v then '\002' else '\001');
+      v
+    | c -> c = '\002'
 
 (* The full metric comparison for an (a, b) pair: latency decides the slow
    side; logical metrics count in either direction.  Shared by the screen
@@ -163,7 +176,11 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
   let foot f = Array.map (fun r -> Vsmt.Footprint.of_list (f arr.(r))) reps in
   let cfoot = foot (fun r -> r.Cost_row.config_constraints) in
   let wfoot = foot (fun r -> r.Cost_row.workload_pred) in
-  let comparable = make_comparable ~max_nodes ~slice ~wfoot arr reps in
+  let key_of f = Array.map (fun r -> constraint_key (f arr.(r))) reps in
+  let cls = classes (key_of (fun r -> r.Cost_row.config_constraints)) in
+  let comparable =
+    make_comparable ~max_nodes ~slice ~wfoot ~wkey:(key_of (fun r -> r.Cost_row.workload_pred)) arr
+  in
   (* a candidate (i, j), i < j, is one int ordered like (similarity desc,
      i asc, j asc): the order the analyzer reads pairs in *)
   let ib = bits (n - 1) in
@@ -175,15 +192,16 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
   in
   if (2 * ib) + bits max_sim > 61 then invalid_arg "Diff_analysis.analyze: too many rows";
   let unpack k = ((k lsr ib) land ((1 lsl ib) - 1), k land ((1 lsl ib) - 1)) in
-  (* row [r]'s candidates as the slow side ([pair_triggers]' rule), ranked;
-     pure, so rows fan out over the worker pool *)
+  (* row [r]'s candidates as the slow side ([pair_triggers]' rule) in other
+     config classes (a same-class pair is never comparable), ranked; pure,
+     so rows fan out over the worker pool *)
   let rank r =
     let hits = ref [] in
     for q = 0 to n - 1 do
       let i = min q r and j = max q r in
       let a = arr.(i) and b = arr.(j) in
       if
-        q <> r
+        cls.(q) <> cls.(r)
         && (if a.traced_latency_us >= b.traced_latency_us then i else j) = r
         && Option.is_some (pair_triggers ~threshold a b)
       then begin

@@ -45,11 +45,16 @@ val analyze :
     most similar witnesses.  The cap and the per-state keys go by
     [state_id].  [max_nodes] bounds the joint-input satisfiability queries
     (default 1_000).  [jobs] (default 1) spreads the ranking of each
-    row's slow-side pairs (triggers, similarity, sort) over a {!Vpar.Pool};
-    the comparability walk stays sequential and in the order above, so the
-    result is the same for any job count.  [slice] (default [true]) splits
-    joint satisfiability of symbol-disjoint workload predicates into
-    per-side queries memoized per input class. *)
+    row's slow-side pairs over a {!Vpar.Pool}: the partners in other config
+    classes (a same-class pair is never ranked), their triggers, their
+    similarity and the sort.  The comparability walk that follows stays
+    sequential and in the order above, so the result is the same for any
+    job count.  It decides joint satisfiability once per unordered pair of
+    workload classes (rows with the same workload predicate set): the
+    pair's first query asks the memoized solver path, later ones read its
+    verdict.  [slice] (default [true]) splits joint satisfiability of
+    symbol-disjoint workload predicates into per-side queries memoized per
+    input class. *)
 
 module Key_tbl : Hashtbl.S with type key = int list
 (** Tables keyed on lists of expression ids; the hash reads every id. *)

@@ -111,6 +111,20 @@ dune exec bin/violet_cli.exe -- fuzz run --seed 42 --count 20 >/dev/null
 dune exec bin/violet_cli.exe -- fuzz diff --seed 42 --count 20 \
   --out "$SMOKE_DIR/fuzz-failures" >/dev/null
 
+echo "== analyze --jobs identity =="
+# the diff ranking fans out over --jobs domains; the report must not depend
+# on the job count (only the wall-clock line may differ)
+for jobs in 1 2; do
+  dune exec bin/violet_cli.exe -- analyze mysql max_allowed_packet --jobs "$jobs" \
+    > "$SMOKE_DIR/jobs$jobs.raw"
+  grep -v '^analysis time:' "$SMOKE_DIR/jobs$jobs.raw" > "$SMOKE_DIR/jobs$jobs.out"
+done
+cmp -s "$SMOKE_DIR/jobs1.out" "$SMOKE_DIR/jobs2.out" || {
+  echo "jobs identity: analyze mysql max_allowed_packet differs between --jobs 1 and 2"
+  diff "$SMOKE_DIR/jobs1.out" "$SMOKE_DIR/jobs2.out" | head -20
+  exit 1
+}
+
 echo "== check smoke =="
 # the one-shot CLI check must flag the poor default: exit 2 and a finding
 rc=0

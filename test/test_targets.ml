@@ -122,7 +122,7 @@ let run_unknown (u : Cases.unknown_case) () =
     (Violet.Detect.detected target.P.registry a ~poor:u.Cases.u_poor)
 
 (* Analysis results pinned across commits: default-option analyses of
-   five models.  The other identity checks compare a build with itself;
+   six models.  The other identity checks compare a build with itself;
    these catch a change that moves what the analyzer writes.
    [golden_digests] are md5s of the format-1 reference rendering
    ([Model_v1.digest], wall time zeroed) of each model after a trip
@@ -133,6 +133,7 @@ let golden_digests =
   [
     ("mysql", "autocommit", "0304ca8ecc1cffda7836be85830dbf68");
     ("mysql", "query_cache_type", "f812d343e01c0948baee47566e9dbcb2");
+    ("mysql", "max_allowed_packet", "7923f7e3edf79ecfa5a7f7f862121155");
     ("postgres", "wal_sync_method", "4cec57831c79beade53eae8264508938");
     ("apache", "HostnameLookups", "f4600719bca61225f232c020a0857678");
     ("squid", "cache", "8e70ef19caffd052456bb3ba1c5f51c1");
@@ -142,6 +143,7 @@ let golden_format2_digests =
   [
     ("mysql", "autocommit", "750150033e3992d42834b843c99fa783");
     ("mysql", "query_cache_type", "5d00dfa890e6e9c9bd1db4bcd6620fce");
+    ("mysql", "max_allowed_packet", "f8017eadba93370ddbab5bfd62fbcb3a");
     ("postgres", "wal_sync_method", "6231bc34f2bf0b55eebb03d961d57d4c");
     ("apache", "HostnameLookups", "b6c4f6566c155d51f01787587bdd3666");
     ("squid", "cache", "9e7424a2ba2f427bbf0ca4a4c160bf39");
