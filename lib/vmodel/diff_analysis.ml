@@ -69,8 +69,9 @@ let compare_pair = metrics ~undirected:false
    list of node ids — O(set size) to build, O(1) per element to compare —
    instead of the rendered text the pre-hashconsing code compared.  The
    structural sort makes the key independent of the order constraints were
-   recorded in.  Workload classes repeat heavily across states, so
-   joint-satisfiability verdicts are memoized on the merged id key. *)
+   recorded in.  Rows with equal keys form a class, and workload classes
+   repeat heavily across states, so joint-satisfiability verdicts are
+   memoized per workload class and class pair ([make_comparable]). *)
 let joint_sat_max_nodes = 1_000
 
 let constraint_key cs = List.map Vsmt.Expr.id (List.sort_uniq Vsmt.Expr.compare cs)
@@ -93,32 +94,82 @@ let classes keys =
       Key_tbl.find tbl k)
     keys
 
+(* The union of two ascending id arrays, read in place: its next id from
+   positions [i] and [j] is the smaller of [id_at a i] and [id_at b j]
+   ([max_int] once both are past their end), and [skip] moves each
+   position past it. *)
+let id_at a i = if i < Array.length a then a.(i) else max_int
+let skip a i u = if id_at a i = u then i + 1 else i
+
+let union_hash a b =
+  let rec go h i j =
+    let u = Int.min (id_at a i) (id_at b j) in
+    if u = max_int then Hashtbl.hash h else go ((h * 65_599) + u) (skip a i u) (skip b j u)
+  in
+  go 0 0 0
+
+let union_equal a b c d =
+  let rec go i j k l =
+    let u = Int.min (id_at a i) (id_at b j) in
+    u = Int.min (id_at c k) (id_at d l)
+    && (u = max_int || go (skip a i u) (skip b j u) (skip c k u) (skip d l u))
+  in
+  go 0 0 0 0
+
+(* [a] ⊆ [b] exactly when [a] ∪ [b] = [b] *)
+let subset a b = union_equal a b b [||]
+
+let verdict_byte v = if v then '\002' else '\001'
+
 (* [comparable i j] over row indices [i < j] in different config classes
    (condition 1 is the ranking's filter): whether their workloads are
    jointly satisfiable.  [wkey.(i)] and [wfoot.(i)] are the workload key
-   and footprint of row [i]'s state. *)
+   and footprint of row [i]'s state.  Every memo goes by workload class
+   (rows with equal [wkey], each held once as an ascending id array): a
+   byte per class for the per-side verdicts, a byte per unordered class
+   pair for the answer, and between them the union memo.  A verdict byte
+   reads 0 not yet asked, 1 unsat, 2 sat. *)
 let make_comparable ~max_nodes ~slice ~wfoot ~wkey (arr : Cost_row.t array) =
-  let sat_cache = Key_tbl.create 256 in
-  (* per-side verdicts for the disjoint-footprint fast path, keyed on one
-     row's predicate identity *)
-  let side_cache = Key_tbl.create 64 in
-  let side_sat wkey pred =
-    match Key_tbl.find_opt side_cache wkey with
-    | Some v -> v
-    | None ->
-      let v = Vsmt.Solver.is_feasible ~max_nodes pred in
-      Key_tbl.add side_cache wkey v;
-      v
+  let wcls = classes wkey in
+  let nw = Array.fold_left max (-1) wcls + 1 in
+  let first = Array.make nw (-1) in
+  Array.iteri (fun i x -> if first.(x) < 0 then first.(x) <- i) wcls;
+  let ids =
+    Array.map
+      (fun i ->
+        let a = Array.of_list wkey.(i) in
+        Array.sort Int.compare a;
+        a)
+      first
   in
-  let joint_sat i j =
-    let a = arr.(i) and b = arr.(j) and wa = wkey.(i) and wb = wkey.(j) in
-    let fa = wfoot.(i) and fb = wfoot.(j) in
+  (* the union memo: a class pair [x * nw + y] stands for the union of the
+     two classes' id sets, so pairs whose predicates conjoin to the same
+     set share an entry; hash and equality merge the arrays in place *)
+  let module Union_tbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal p q = union_equal ids.(p / nw) ids.(p mod nw) ids.(q / nw) ids.(q mod nw)
+    let hash p = union_hash ids.(p / nw) ids.(p mod nw)
+  end) in
+  let sat_cache = Union_tbl.create 256 in
+  (* per-side verdicts for the disjoint-footprint fast path, a byte per
+     workload class *)
+  let sides = Bytes.make nw '\000' in
+  let side_sat x pred =
+    match Bytes.get sides x with
+    | '\000' ->
+      let v = Vsmt.Solver.is_feasible ~max_nodes pred in
+      Bytes.set sides x (verdict_byte v);
+      v
+    | c -> c = '\002'
+  in
+  let joint_sat i j x y =
+    let a = arr.(i) and b = arr.(j) in
     (* one predicate subsuming the other is trivially jointly sat *)
-    let subset x y = List.for_all (fun c -> List.exists (Int.equal c) y) x in
-    subset wa wb || subset wb wa
+    subset ids.(x) ids.(y) || subset ids.(y) ids.(x)
     ||
-    let key = List.sort_uniq Int.compare (wa @ wb) in
-    match Key_tbl.find_opt sat_cache key with
+    let key = (x * nw) + y in
+    match Union_tbl.find_opt sat_cache key with
     | Some v -> v
     | None ->
       let v =
@@ -126,28 +177,26 @@ let make_comparable ~max_nodes ~slice ~wfoot ~wkey (arr : Cost_row.t array) =
            the conjunction is satisfiable iff each side is, and the
            per-side verdicts are shared across every pairing of that input
            class *)
-        if slice && not (Vsmt.Footprint.overlaps fa fb) then
-          side_sat wa a.Cost_row.workload_pred && side_sat wb b.Cost_row.workload_pred
+        if slice && not (Vsmt.Footprint.overlaps wfoot.(i) wfoot.(j)) then
+          side_sat x a.Cost_row.workload_pred && side_sat y b.Cost_row.workload_pred
         else
           Vsmt.Solver.is_feasible ~max_nodes (a.Cost_row.workload_pred @ b.Cost_row.workload_pred)
       in
-      Key_tbl.add sat_cache key v;
+      Union_tbl.add sat_cache key v;
       v
   in
   (* one verdict per unordered workload-class pair, a byte each in a
-     triangle (0 not yet asked, 1 unsat, 2 sat): [joint_sat]'s subset test
-     and [sat_cache] key read only the two classes, so its first answer for
-     a pair is what it would answer every later query *)
-  let wcls = classes wkey in
-  let nw = Array.fold_left max 0 wcls + 1 in
+     triangle, in front of the rest: [joint_sat]'s subset test and union
+     memo read only the two classes, so its first answer for a pair is what
+     it would answer every later query *)
   let verdicts = Bytes.make (nw * (nw + 1) / 2) '\000' in
   fun i j ->
     let x = wcls.(i) and y = wcls.(j) in
     let k = if x > y then (x * (x + 1) / 2) + y else (y * (y + 1) / 2) + x in
     match Bytes.get verdicts k with
     | '\000' ->
-      let v = joint_sat i j in
-      Bytes.set verdicts k (if v then '\002' else '\001');
+      let v = joint_sat i j x y in
+      Bytes.set verdicts k (verdict_byte v);
       v
     | c -> c = '\002'
 
@@ -192,6 +241,10 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
   in
   if (2 * ib) + bits max_sim > 61 then invalid_arg "Diff_analysis.analyze: too many rows";
   let unpack k = ((k lsr ib) land ((1 lsl ib) - 1), k land ((1 lsl ib) - 1)) in
+  (* the footprint screen is part of slicing: its footprints are per state
+     (the last row's), so under a repeated id it can zero a count that the
+     rows' own lists, counted in full without slicing, would give *)
+  let shared = if slice then Similarity.shared else fun _ _ -> Similarity.appearance_count in
   (* row [r]'s candidates as the slow side ([pair_triggers]' rule) in other
      config classes (a same-class pair is never comparable), ranked; pure,
      so rows fan out over the worker pool *)
@@ -206,8 +259,8 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
         && Option.is_some (pair_triggers ~threshold a b)
       then begin
         let sim =
-          Similarity.shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
-          + Similarity.shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
+          shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
+          + shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
         in
         hits := ((max_sim - sim) lsl (2 * ib)) lor (i lsl ib) lor j :: !hits
       end

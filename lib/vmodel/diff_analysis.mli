@@ -52,12 +52,19 @@ val analyze :
     job count.  It decides joint satisfiability once per unordered pair of
     workload classes (rows with the same workload predicate set): the
     pair's first query asks the memoized solver path, later ones read its
-    verdict.  [slice] (default [true]) splits joint satisfiability of
-    symbol-disjoint workload predicates into per-side queries memoized per
-    input class. *)
+    verdict.  That path's memo is keyed on the class pair and compares
+    the union of the two classes' predicate sets, so class pairs whose
+    predicates conjoin to the same set share one solver answer.  [slice]
+    (default [true]) splits joint satisfiability of symbol-disjoint
+    workload predicates into per-side queries memoized per input class,
+    and lets the similarity count skip symbol-disjoint constraint lists
+    ({!Similarity.shared}); without it every pair is counted in full
+    ({!Similarity.appearance_count}). *)
 
 module Key_tbl : Hashtbl.S with type key = int list
-(** Tables keyed on lists of expression ids; the hash reads every id. *)
+(** Tables keyed on lists of expression ids; the hash reads every id.
+    [analyze] numbers its config and workload classes with one, and
+    {!Compiled_model} its workload classes. *)
 
 val trigger_label : trigger list -> string
 (** Table 4 style: ["Latency"], ["I/O"], ["Lat.&Sync."], ... *)

@@ -19,6 +19,10 @@ val workload_score : Cost_row.t -> Cost_row.t -> int
 (** Same counting over the input predicates; used to prefer comparing states
     triggered by the same input class. *)
 
+val appearance_count : Vsmt.Expr.t list -> Vsmt.Expr.t list -> int
+(** [appearance_count a b]: how many of [a]'s constraints appear in [b],
+    without the footprint screen. *)
+
 val shared : Vsmt.Footprint.t -> Vsmt.Footprint.t -> Vsmt.Expr.t list -> Vsmt.Expr.t list -> int
 (** [shared fa fb a b]: the appearance count of [a]'s constraints in [b],
     given their footprints (for callers that score many pairs). *)

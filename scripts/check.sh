@@ -22,6 +22,21 @@ fi
 echo "== dune build =="
 dune build
 
+echo "== analyze peak RSS =="
+# the trace diff's joint-satisfiability memos are keyed by workload class
+# and class pair; keep them from growing back to per-query merged id lists
+# (36.7 MB peak with those, 20.9 MB without, on a 2-core x86-64 container).
+# Run the built binary, not `dune exec`: dune's own peak would count.
+python3 - <<'EOF'
+import resource, subprocess, sys
+subprocess.run(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "max_allowed_packet",
+                "--jobs", "1"], check=True, stdout=subprocess.DEVNULL)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print("analyze mysql max_allowed_packet: peak RSS %.1f MB" % mb)
+if mb > 28:
+    sys.exit("analyze peak RSS: %.1f MB, over 28 MB" % mb)
+EOF
+
 echo "== dune runtest =="
 dune runtest
 

@@ -132,6 +132,11 @@ let test_threshold_boundary () =
   check Alcotest.int "2.01x flagged" 1 (List.length d2.Diff.pairs);
   check (Alcotest.list Alcotest.int) "poor state" [ 3 ] d2.Diff.poor_state_ids
 
+let test_no_rows () =
+  let d = Diff.analyze [] in
+  check Alcotest.int "no pairs" 0 (List.length d.Diff.pairs);
+  check (Alcotest.list Alcotest.int) "no poor states" [] d.Diff.poor_state_ids
+
 let test_equal_config_sets_not_compared () =
   (* same configuration constraints: the difference is input-driven *)
   let a = row ~id:1 ~configs:E.[ of_var flag ==. const 1 ]
@@ -211,7 +216,7 @@ let test_compare_pair_direct () =
   check Alcotest.bool "below threshold" true
     (Diff.compare_pair ~threshold:5.0 ~slow ~fast = None)
 
-(* memo keys are sorted id lists that share their low ids; a hash of the
+(* class keys are sorted id lists that share their low ids; a hash of the
    first ten elements only would put these all in one bucket *)
 let test_key_tbl_hashes_every_id () =
   let t = Diff.Key_tbl.create 64 in
@@ -468,19 +473,23 @@ let same_rows (a : Diff.t) (b : Diff.t) =
 
 (* Spawns domains at jobs 4, so it runs after the fork-based suites. *)
 let prop_analyze_matches_reference =
-  QCheck2.Test.make ~name:"analyze matches the materialising reference at jobs 1 and 4"
+  QCheck2.Test.make
+    ~name:"analyze matches the materialising reference at jobs 1 and 4, slice on and off"
     ~count:200
     ~print:(fun rows ->
       let show r = Printf.sprintf "%d %s" r.Row.state_id (Fmt.to_to_string Row.pp r) in
       String.concat "\n" (List.map show rows))
     gen_rows
     (fun rows ->
-      let want = Reference.analyze rows in
       List.for_all
-        (fun jobs ->
-          let got = Diff.analyze ~jobs rows in
-          diff_summary got = diff_summary want && same_rows got want)
-        [ 1; 4 ])
+        (fun slice ->
+          let want = Reference.analyze ~slice rows in
+          List.for_all
+            (fun jobs ->
+              let got = Diff.analyze ~jobs ~slice rows in
+              diff_summary got = diff_summary want && same_rows got want)
+            [ 1; 4 ])
+        [ true; false ])
 
 (* ------------------------------------------------------------------ *)
 (* Critical path                                                       *)
@@ -643,6 +652,7 @@ let tests =
     tc "model format 1 rejected" test_model_format1_rejected;
     tc "model format 2 malformed input" test_model_v2_malformed;
     qt prop_model_v2_damage_never_raises;
+    tc "no rows" test_no_rows;
   ]
 
 let after_fork_tests = [ qt prop_analyze_matches_reference ]
