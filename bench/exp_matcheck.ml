@@ -106,7 +106,7 @@ let run () =
         [
           system ^ "/" ^ param;
           Printf.sprintf "%d/%d" cstats.Vmodel.Compiled_model.rows_closed
-            cstats.Vmodel.Compiled_model.rows_total;
+            (List.length model.Vmodel.Impact_model.rows);
           Printf.sprintf "%.2f ms" (cstats.Vmodel.Compiled_model.compile_s *. 1e3);
           Printf.sprintf "%.0f us" (percentile s 0.99);
           Printf.sprintf "%.0f us" (percentile m 0.99);

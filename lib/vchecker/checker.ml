@@ -25,21 +25,14 @@ let timed f =
   let findings = f () in
   { findings; checked_in_s = Unix.gettimeofday () -. t0 }
 
-let mentions row params =
-  List.exists
-    (fun c ->
-      List.exists
-        (fun (v : Vsmt.Expr.var) -> List.mem v.Vsmt.Expr.name params)
-        (Vsmt.Expr.vars c))
-    row.Row.config_constraints
-
 (* ------------------------------------------------------------------ *)
 (* Engines: one set of checker semantics over two row-decision backends.
    The solver engine is the original substitute-simplify-solve path; the
    compiled engine answers from a {!Vmodel.Compiled_model}'s decision
    tables (falling back per row when the tables cannot close a decision).
-   Both engines must produce byte-identical findings — the vfuzz oracle and
-   bench matcheck pin this. *)
+   Both take each decision from its one definition in Compiled_model, and
+   must produce byte-identical findings — the vfuzz oracle, bench matcheck
+   and test_matcheck pin this. *)
 
 type engine = {
   e_rows_matching : (string * int) list -> Row.t list;
@@ -56,11 +49,9 @@ type engine = {
           and yields a verdict, with that verdict *)
 }
 
-(* Most-comparable fast rows first: same input class, then similarity.
-   Scores are computed once per row (not in the comparator) and the scan is
-   capped — candidates far down the similarity order cannot produce a
-   meaningful witness.  [Compiled_model.comparison_order] materializes
-   exactly this ordering. *)
+(* The witness scan walks candidates most-comparable first (same input
+   class, then similarity) and is capped: candidates far down the
+   similarity order cannot produce a meaningful witness. *)
 let max_candidates = 48
 
 (* Candidate pools are sorted by row content before any engine sees them.
@@ -76,57 +67,16 @@ let by_content rows =
        (fun (ka, _) (kb, _) -> String.compare ka kb)
        (List.map (fun r -> (Row.content_key r, r)) rows))
 
-let order_by_similarity slow rows =
-  let decorated =
-    rows
-    |> List.filter (fun r -> r.Row.state_id <> slow.Row.state_id)
-    |> List.map (fun r ->
-           ((Vmodel.Similarity.workload_score slow r, Vmodel.Similarity.score slow r), r))
-  in
-  let sorted =
-    List.stable_sort
-      (fun ((wa, ca), _) ((wb, cb), _) ->
-        if wa <> wb then Int.compare wb wa else Int.compare cb ca)
-      decorated
-  in
-  List.filteri (fun i _ -> i < max_candidates) (List.map snd sorted)
-
-(* Prefer the pre-computed poor pair for (slow, fast) when the analyzer
-   already found it; otherwise compare the rows directly.  Modes 1 and 2
-   require a single input class to trigger both states (Section 4.6);
-   the workload-change mode deliberately compares across input classes. *)
 let solver_engine (model : M.t) =
-  let judge ~require_joint_input slow fast =
-    if
-      require_joint_input
-      && not
-           (Vsmt.Solver.is_feasible ~max_nodes:CM.joint_input_budget
-              (slow.Row.workload_pred @ fast.Row.workload_pred))
-    then None
-    else
-      match M.pairs_between model ~slow ~fast with
-      | p :: _ -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
-      | [] -> begin
-        match Diff.compare_pair ~threshold:model.M.threshold ~slow ~fast with
-        | Some (worst, triggers) ->
-          let diff = Vmodel.Critical_path.differential ~slow ~fast in
-          Some
-            (1. +. worst, Diff.trigger_label triggers, diff.Vmodel.Critical_path.critical_path)
-        | None -> None
-      end
-  in
   {
     e_rows_matching = (fun assignment -> M.rows_matching model assignment);
     e_rows_matching_workload =
       (fun w -> List.filter (fun r -> Row.workload_satisfied_by r w) model.M.rows);
-    e_mentions = mentions;
+    e_mentions = Row.mentions;
     e_is_poor = (fun r -> M.is_poor_row model r);
     e_witness =
       (fun ~require_joint_input slow rows ->
-        List.find_map
-          (fun fast ->
-            Option.map (fun v -> (fast, v)) (judge ~require_joint_input slow fast))
-          (order_by_similarity slow rows));
+        CM.live_witness model ~cap:max_candidates ~require_joint_input ~slow rows);
   }
 
 let compiled_engine (cm : CM.t) =
@@ -154,7 +104,9 @@ let engine_of ~mode ~compiled model =
    built to distinguish the pair (Test_case.of_pair); otherwise it solves
    the slow state's input predicate alone.  [rows] is the candidate pool;
    the engine picks the witness (first surviving candidate in comparison
-   order). *)
+   order).  Modes 1 and 2 require a single input class to trigger both
+   states (Section 4.6); the workload-change mode deliberately compares
+   across input classes. *)
 let finding_of ?(require_joint_input = true) ?configs eng ~param ~message slow rows =
   match eng.e_witness ~require_joint_input slow rows with
   | None -> None

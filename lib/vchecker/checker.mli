@@ -41,8 +41,8 @@ type report = { findings : finding list; checked_in_s : float }
 
     Both produce byte-identical findings — the compiled tables are exact,
     with per-row fallback to the solver path for decisions the compiler
-    could not close.  The joint-input gate's node budget is
-    {!Vmodel.Compiled_model.joint_input_budget} on both paths. *)
+    could not close, and both engines take each decision from its one
+    definition ({!Vmodel.Compiled_model.live_witness}). *)
 type mode = Solver | Hybrid
 
 val degraded_findings : Vmodel.Impact_model.t -> finding list

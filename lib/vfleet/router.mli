@@ -73,7 +73,7 @@ val default_options : topology:Topology.t -> models_dir:string -> options
 
 val run : options -> (unit, string) result
 (** Bind the router socket and serve until a [shutdown] request.  Same
-    contract as {!Vserve.Server.run}; runs equally well in a forked process
-    (under {!Supervisor}) or in a domain (the Oracle's in-process fleet
-    leg).  The router loads [models_dir] once at startup and thereafter
-    changes generation only via two-phase reload. *)
+    contract as {!Vserve.Server.run}; runs in a process that
+    {!Supervisor} forks (under [violet fleet start], and in the vfuzz
+    oracle's fleet leg).  The router loads [models_dir] once at startup and
+    thereafter changes generation only via two-phase reload. *)

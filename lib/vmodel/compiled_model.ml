@@ -28,19 +28,7 @@ type row_plan = {
   wclass : int;  (** workload-predicate class index *)
 }
 
-type stats = {
-  rows_total : int;
-  rows_closed : int;
-  rows_open : int;
-  iset_params : int;
-  eval_constraints : int;
-  wclasses : int;
-  joint_pairs : int;
-  joint_solver_calls : int;
-  verdict_pairs : int;
-  order_rows : int;
-  compile_s : float;
-}
+type stats = { rows_closed : int; rows_open : int; compile_s : float }
 
 (* The candidate-occurrence view of one comparison-order query: positions of
    every model row in the (possibly duplicated) candidate list, plus the
@@ -66,22 +54,20 @@ type t = {
   by_id : (int, row_plan) Hashtbl.t;
   poor_ids : (int, unit) Hashtbl.t;
   first_pair : (int * int, M.poor_pair_summary) Hashtbl.t;
-  verdicts : (int * int, (float * string * string list) option) Hashtbl.t option;
-  joint : (int * int, bool) Hashtbl.t option;  (** wclass pair -> feasible *)
   joint_memo : (int * int, bool) Hashtbl.t;
-      (** lazy overflow of [joint]: filled on first query per class pair
+      (** wclass pair -> feasible, filled on first query per class pair
           (the budget is pinned and the solver deterministic, so the first
           answer is the answer) *)
   verdict_memo : (int * int, (float * string * string list) option) Hashtbl.t;
-      (** lazy overflow of [verdicts] for models over the pair cap *)
+      (** (slow id, fast id) -> [judge], filled on first query *)
   match_memo : ((string * int) list, Row.t list) Hashtbl.t;
       (** assignment content -> matching rows; the decision plans (and their
           solver fallbacks) are deterministic in the assignment, so repeated
           configurations are one bounded-table lookup *)
   wmatch_memo : ((string * int) list, Row.t list) Hashtbl.t;
   orders : int array array option array;
-      (** per slow row, candidate tie groups in comparator order — eager for
-          small models, computed on first use beyond [pair_cap] *)
+      (** per slow row, candidate tie groups in comparator order, computed
+          on first use *)
   mutable occ_view : occ_view option;
   cm_stats : stats;
 }
@@ -89,12 +75,67 @@ type t = {
 let model t = t.cm_model
 let stats t = t.cm_stats
 
+(* ------------------------------------------------------------------ *)
+(* The checker's decisions, computed live                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Each decision of the checker's witness scan is defined once, here: the
+   solver engine computes them live on every query, and the compiled paths
+   below memoize or materialize these same functions. *)
+
 let joint_input_budget = 1_000
 
-(* precompute caps: pairwise tables are quadratic, so they are only built
-   for models small enough that the load-time tax stays bounded *)
-let pair_cap = 128
-let joint_pair_cap = 4_096
+(* The joint-input gate: one input class must trigger both states
+   (Section 4.6), so their workload predicates must be jointly feasible. *)
+let joint_input_feasible ~(slow : Row.t) ~(fast : Row.t) =
+  Vsmt.Solver.is_feasible ~max_nodes:joint_input_budget
+    (slow.Row.workload_pred @ fast.Row.workload_pred)
+
+(* The post-gate judgement for an ordered pair: the first recorded poor
+   pair if any, else the differential comparison. *)
+let judge (m : M.t) (recorded : M.poor_pair_summary option) ~(slow : Row.t) ~(fast : Row.t) =
+  match recorded with
+  | Some p -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
+  | None -> begin
+    match Diff_analysis.compare_pair ~threshold:m.M.threshold ~slow ~fast with
+    | Some (worst, triggers) ->
+      let diff = Critical_path.differential ~slow ~fast in
+      Some
+        (1. +. worst, Diff_analysis.trigger_label triggers, diff.Critical_path.critical_path)
+    | None -> None
+  end
+
+(* The comparison order's key and comparator: most-comparable rows first,
+   i.e. same input class, then configuration similarity, both descending. *)
+let similarity_key (slow : Row.t) r = (Similarity.workload_score slow r, Similarity.score slow r)
+let descending (wa, ca) (wb, cb) = if wa <> wb then Int.compare wb wa else Int.compare cb ca
+
+(* The comparison order: drop candidates sharing the slow row's state id,
+   stable-sort the rest by descending key, keep the first [cap]. *)
+let live_order ~cap ~(slow : Row.t) rows =
+  rows
+  |> List.filter (fun (r : Row.t) -> r.Row.state_id <> slow.Row.state_id)
+  |> List.map (fun r -> (similarity_key slow r, r))
+  |> List.stable_sort (fun (ka, _) (kb, _) -> descending ka kb)
+  |> List.filteri (fun i _ -> i < cap)
+  |> List.map snd
+
+(* The witness scan over an ordered candidate list: the first candidate
+   that passes the gate (when required) and yields a verdict. *)
+let scan ~require_joint_input ~gate ~verdict order =
+  List.find_map
+    (fun fast ->
+      if require_joint_input && not (gate fast) then None
+      else Option.map (fun v -> (fast, v)) (verdict fast))
+    order
+
+let live_witness (m : M.t) ~cap ~require_joint_input ~slow rows =
+  scan ~require_joint_input
+    ~gate:(fun fast -> joint_input_feasible ~slow ~fast)
+    ~verdict:(fun fast ->
+      let recorded = match M.pairs_between m ~slow ~fast with p :: _ -> Some p | [] -> None in
+      judge m recorded ~slow ~fast)
+    (live_order ~cap ~slow rows)
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -154,77 +195,18 @@ let row_is_closed (row : Row.t) =
     (fun c -> Vsmt.Footprint.for_all_origin Expr.Config (Vsmt.Footprint.of_expr c))
     row.Row.config_constraints
 
-(* Tie groups of every model row around one slow row, in the checker
-   comparator's descending (workload_score, score) order; within a group the
-   member order is irrelevant (a query orders occurrences by position).  A
-   stable sort of any candidate list decorated with these scores is exactly:
-   walk the groups in order, emitting each group's candidate occurrences in
-   query order — so the groups are the comparison order materialized
-   independently of which rows a particular query matched. *)
-let order_of (plans : row_plan array) si =
-  let slow = plans.(si).row in
-  let n = Array.length plans in
-  let keyed =
-    Array.init n (fun i ->
-        let r = plans.(i).row in
-        (Similarity.workload_score slow r, Similarity.score slow r, i))
-  in
-  (* adding the index as last key makes the order total, so any sort equals
-     the stable sort *)
-  Array.sort
-    (fun (wa, ca, ia) (wb, cb, ib) ->
-      if wa <> wb then Int.compare wb wa
-      else if ca <> cb then Int.compare cb ca
-      else Int.compare ia ib)
-    keyed;
-  let groups = ref [] and cur = ref [] and cur_key = ref None in
-  let flush () = if !cur <> [] then groups := Array.of_list (List.rev !cur) :: !groups in
-  Array.iter
-    (fun (w, c, i) ->
-      (match !cur_key with
-      | Some (w', c') when w = w' && c = c' -> ()
-      | _ ->
-        flush ();
-        cur := [];
-        cur_key := Some (w, c));
-      cur := i :: !cur)
-    keyed;
-  flush ();
-  Array.of_list (List.rev !groups)
-
-(* The post-gate judgement for an ordered pair: the first recorded poor
-   pair if any, else the differential comparison. *)
-let judge (m : M.t) first_pair ~(slow : Row.t) ~(fast : Row.t) =
-  match Hashtbl.find_opt first_pair (slow.Row.state_id, fast.Row.state_id) with
-  | Some p -> Some (p.M.latency_ratio, p.M.trigger, p.M.critical_path)
-  | None -> begin
-    match Diff_analysis.compare_pair ~threshold:m.M.threshold ~slow ~fast with
-    | Some (worst, triggers) ->
-      let diff = Critical_path.differential ~slow ~fast in
-      Some
-        (1. +. worst, Diff_analysis.trigger_label triggers, diff.Critical_path.critical_path)
-    | None -> None
-  end
-
+(* Linear in rows and free of solver queries: every pairwise structure
+   below (joint feasibility, verdicts, comparison orders) fills on first
+   use, and each entry is deterministic, so memoizing it is exact. *)
 let compile (m : M.t) =
   let t0 = Unix.gettimeofday () in
   let rows = Array.of_list m.M.rows in
   let n = Array.length rows in
   (* workload-predicate classes: rows sharing the identical ordered
      predicate list produce identical joint-input queries *)
-  let wclass_tbl = Diff_analysis.Key_tbl.create 8 in
-  let wclass_preds = ref [] in
-  let wclass_count = ref 0 in
-  let class_of preds =
-    let key = List.map Expr.id preds in
-    match Diff_analysis.Key_tbl.find_opt wclass_tbl key with
-    | Some i -> i
-    | None ->
-      let i = !wclass_count in
-      incr wclass_count;
-      Diff_analysis.Key_tbl.replace wclass_tbl key i;
-      wclass_preds := preds :: !wclass_preds;
-      i
+  let wclass =
+    Diff_analysis.classes
+      (Array.map (fun (r : Row.t) -> List.map Expr.id r.Row.workload_pred) rows)
   in
   let plans =
     Array.mapi
@@ -235,7 +217,7 @@ let compile (m : M.t) =
           config_plan = plan_of_constraints row.Row.config_constraints;
           workload_plan = plan_of_constraints row.Row.workload_pred;
           name_set = names_of_constraints row.Row.config_constraints;
-          wclass = class_of row.Row.workload_pred;
+          wclass = wclass.(idx);
         })
       rows
   in
@@ -251,86 +233,21 @@ let compile (m : M.t) =
       let key = (p.M.slow_id, p.M.fast_id) in
       if not (Hashtbl.mem first_pair key) then Hashtbl.replace first_pair key p)
     m.M.poor_pairs;
-  (* joint-input feasibility over workload classes *)
-  let wpreds = Array.of_list (List.rev !wclass_preds) in
-  let w = Array.length wpreds in
-  let joint_solver_calls = ref 0 in
-  let joint =
-    if w * w > joint_pair_cap then None
-    else begin
-      let tbl = Hashtbl.create (max 8 (w * w)) in
-      for i = 0 to w - 1 do
-        for j = 0 to w - 1 do
-          incr joint_solver_calls;
-          Hashtbl.replace tbl (i, j)
-            (Vsmt.Solver.is_feasible ~max_nodes:joint_input_budget
-               (wpreds.(i) @ wpreds.(j)))
-        done
-      done;
-      Some tbl
-    end
-  in
-  (* pairwise verdicts (differential comparison + critical path) *)
-  let verdicts =
-    if n > pair_cap then None
-    else begin
-      let vd = Hashtbl.create (max 8 (n * n)) in
-      Array.iter
-        (fun (slow : Row.t) ->
-          Array.iter
-            (fun (fast : Row.t) ->
-              if slow.Row.state_id <> fast.Row.state_id then
-                Hashtbl.replace vd
-                  (slow.Row.state_id, fast.Row.state_id)
-                  (judge m first_pair ~slow ~fast))
-            rows)
-        rows;
-      Some vd
-    end
-  in
-  (* materialized comparison orders: the tie groups of all rows around each
-     slow row, in the checker comparator's descending order.  Quadratic in
-     score computations, so eager only under the pair cap; larger models
-     fill each slow row's groups on first use. *)
-  let orders = Array.make n None in
-  if n <= pair_cap then Array.iteri (fun si _ -> orders.(si) <- Some (order_of plans si)) plans;
   let closed = Array.fold_left (fun acc p -> acc + if row_is_closed p.row then 1 else 0) 0 plans in
-  let iset_params, eval_constraints =
-    Array.fold_left
-      (fun acc p ->
-        Array.fold_left
-          (fun (i, e) d -> match d with D_iset _ -> (i + 1, e) | D_eval _ -> (i, e + 1))
-          acc p.config_plan)
-      (0, 0) plans
-  in
   {
     cm_model = m;
     plans;
     by_id;
     poor_ids;
     first_pair;
-    verdicts;
-    joint;
     joint_memo = Hashtbl.create 64;
     verdict_memo = Hashtbl.create 64;
     match_memo = Hashtbl.create 16;
     wmatch_memo = Hashtbl.create 16;
-    orders;
+    orders = Array.make n None;
     occ_view = None;
     cm_stats =
-      {
-        rows_total = n;
-        rows_closed = closed;
-        rows_open = n - closed;
-        iset_params;
-        eval_constraints;
-        wclasses = w;
-        joint_pairs = (match joint with Some tbl -> Hashtbl.length tbl | None -> 0);
-        joint_solver_calls = !joint_solver_calls;
-        verdict_pairs = (match verdicts with Some tbl -> Hashtbl.length tbl | None -> 0);
-        order_rows = (if n <= pair_cap then n else 0);
-        compile_s = Unix.gettimeofday () -. t0;
-      };
+      { rows_closed = closed; rows_open = n - closed; compile_s = Unix.gettimeofday () -. t0 };
   }
 
 (* ------------------------------------------------------------------ *)
@@ -424,34 +341,9 @@ let rows_matching_workload t assignment =
 let mentions t (row : Row.t) params =
   match Hashtbl.find_opt t.by_id row.Row.state_id with
   | Some p -> List.exists (fun nm -> Hashtbl.mem p.name_set nm) params
-  | None ->
-    (* not a model row (defensive) — compute directly *)
-    List.exists
-      (fun c ->
-        List.exists
-          (fun (v : Expr.var) -> List.mem v.Expr.name params)
-          (Expr.vars c))
-      row.Row.config_constraints
+  | None -> Row.mentions row params (* not a model row (defensive) *)
 
 let is_poor_row t (row : Row.t) = Hashtbl.mem t.poor_ids row.Row.state_id
-
-(* The reference ordering (the solver engine's): live scores, stable sort,
-   cap — used whenever the slow row or a candidate is not physically a model
-   row, so the materialized groups do not apply. *)
-let generic_order ~cap ~(slow : Row.t) rows =
-  let decorated =
-    rows
-    |> List.filter (fun (r : Row.t) -> r.Row.state_id <> slow.Row.state_id)
-    |> List.map (fun r ->
-           ((Similarity.workload_score slow r, Similarity.score slow r), r))
-  in
-  let sorted =
-    List.stable_sort
-      (fun ((wa, ca), _) ((wb, cb), _) ->
-        if wa <> wb then Int.compare wb wa else Int.compare cb ca)
-      decorated
-  in
-  List.filteri (fun i _ -> i < cap) (List.map snd sorted)
 
 (* A cached view applies when the candidates are element-wise the same
    physical rows: then every input deciding the ordering is identical, so
@@ -501,6 +393,36 @@ let occ_view_of t ~cap rows =
       Some v
     end
 
+(* Tie groups of every model row around one slow row, in the checker
+   comparator's descending (workload_score, score) order; within a group the
+   member order is irrelevant (a query orders occurrences by position).  A
+   stable sort of any candidate list decorated with these scores is exactly:
+   walk the groups in order, emitting each group's candidate occurrences in
+   query order — so the groups are the comparison order materialized
+   independently of which rows a particular query matched. *)
+let order_of (plans : row_plan array) si =
+  let slow = plans.(si).row in
+  let n = Array.length plans in
+  let keyed = Array.init n (fun i -> (similarity_key slow plans.(i).row, i)) in
+  (* adding the index as last key makes the order total, so any sort equals
+     the stable sort *)
+  Array.sort
+    (fun (ka, ia) (kb, ib) -> match descending ka kb with 0 -> Int.compare ia ib | c -> c)
+    keyed;
+  let groups = ref [] and cur = ref [] and cur_key = ref None in
+  let flush () = if !cur <> [] then groups := Array.of_list (List.rev !cur) :: !groups in
+  Array.iter
+    (fun (k, i) ->
+      if !cur_key <> Some k then begin
+        flush ();
+        cur := [];
+        cur_key := Some k
+      end;
+      cur := i :: !cur)
+    keyed;
+  flush ();
+  Array.of_list (List.rev !groups)
+
 let order_groups t si =
   match t.orders.(si) with
   | Some g -> g
@@ -538,7 +460,7 @@ let comparison_order t ~cap ~(slow : Row.t) rows =
   match Hashtbl.find_opt t.by_id slow.Row.state_id with
   | Some sp when sp.row == slow -> begin
     match occ_view_of t ~cap rows with
-    | None -> generic_order ~cap ~slow rows
+    | None -> live_order ~cap ~slow rows
     | Some v ->
       let si = sp.idx in
       (match Hashtbl.find_opt v.oc_results si with
@@ -548,39 +470,26 @@ let comparison_order t ~cap ~(slow : Row.t) rows =
         Hashtbl.replace v.oc_results si r;
         r)
   end
-  | _ -> generic_order ~cap ~slow rows
+  | _ -> live_order ~cap ~slow rows
 
-(* The joint-input gate: feasibility of [slow.workload_pred @
-   fast.workload_pred], a table lookup when both rows are model rows. *)
+(* [joint_input_feasible], memoized per workload-class pair when both rows
+   are model rows *)
 let joint_feasible t ~(slow : Row.t) ~(fast : Row.t) =
-  let live () =
-    Vsmt.Solver.is_feasible ~max_nodes:joint_input_budget
-      (slow.Row.workload_pred @ fast.Row.workload_pred)
-  in
   let cls (r : Row.t) =
     match Hashtbl.find_opt t.by_id r.Row.state_id with
     | Some p when p.row == r -> Some p.wclass
     | _ -> None
   in
   match (cls slow, cls fast) with
-  | Some i, Some j -> begin
-    match t.joint with
-    | Some tbl -> (
-      match Hashtbl.find_opt tbl (i, j) with Some v -> v | None -> live ())
-    | None ->
-      (* over the eager cap: memoize per class pair on first query *)
-      memoized t.joint_memo ~cap:65_536 (i, j) live
-  end
-  | _ -> live ()
+  | Some i, Some j ->
+    memoized t.joint_memo ~cap:65_536 (i, j) (fun () -> joint_input_feasible ~slow ~fast)
+  | _ -> joint_input_feasible ~slow ~fast
 
-(* [judge], answered from the eager table or the lazy memo *)
+(* [judge], memoized per (slow, fast) state-id pair *)
 let verdict t ~(slow : Row.t) ~(fast : Row.t) =
   let key = (slow.Row.state_id, fast.Row.state_id) in
-  let live () = judge t.cm_model t.first_pair ~slow ~fast in
-  match t.verdicts with
-  | Some tbl -> (
-    match Hashtbl.find_opt tbl key with Some v -> v | None -> live ())
-  | None -> memoized t.verdict_memo ~cap:8_192 key live
+  memoized t.verdict_memo ~cap:8_192 key (fun () ->
+      judge t.cm_model (Hashtbl.find_opt t.first_pair key) ~slow ~fast)
 
 (* The checker's witness scan — first candidate in comparison order that
    passes the joint-input gate (when required) and yields a verdict — as a
@@ -588,14 +497,10 @@ let verdict t ~(slow : Row.t) ~(fast : Row.t) =
    slow row (physically a model row), the candidate view (element-wise
    physical identity) and the gate flag; the gate and the verdict are
    deterministic in those, so the first computed answer is the answer. *)
-let judge_pair t ~require_joint_input ~slow ~fast =
-  if require_joint_input && not (joint_feasible t ~slow ~fast) then None
-  else verdict t ~slow ~fast
-
 let witness_walk t ~cap ~require_joint_input ~slow rows =
-  List.find_map
-    (fun fast ->
-      Option.map (fun v -> (fast, v)) (judge_pair t ~require_joint_input ~slow ~fast))
+  scan ~require_joint_input
+    ~gate:(fun fast -> joint_feasible t ~slow ~fast)
+    ~verdict:(fun fast -> verdict t ~slow ~fast)
     (comparison_order t ~cap ~slow rows)
 
 let first_witness t ~cap ~require_joint_input ~(slow : Row.t) rows =

@@ -1,55 +1,57 @@
 (** Impact models compiled into solver-free decision tables (DESIGN.md
-    Section 5j).
+    Section 5j), and the one definition of each checker decision.
 
-    [compile] pays once at registry-load time to turn an {!Impact_model}
-    into pure-lookup structures for the checker's hot paths:
+    [compile] is linear in rows and makes no solver query: it turns an
+    {!Impact_model} into per-parameter interval sets ({!Vsmt.Iset}) over
+    each row's configuration constraints, so "which rows does this
+    assignment satisfy" is hash lookups and binary searches, and a
+    first-poor-pair table replacing the [pairs_between] list scan.  The
+    pairwise structures fill on first use, each entry deterministic, so
+    memoizing it is exact and steady-state checks are lookups:
 
-    - per-parameter interval sets ({!Vsmt.Iset}) over each row's
-      footprint-sliced configuration constraints, so "which rows does this
-      assignment satisfy" is hash lookups + binary searches;
-    - a first-poor-pair table replacing the [pairs_between] list scan;
-    - precomputed pair verdicts (differential comparison + critical path);
     - materialized comparison orders: per slow row, the tie groups of every
       candidate in the checker comparator's order, so ordering a query's
       candidates is a table walk instead of scoring and sorting them;
-    - a joint-input feasibility table over the distinct workload-predicate
-      classes, replacing the per-pair solver gate.
-
-    The quadratic structures are built eagerly for models under the pair
-    cap; beyond it they fill lazily on first query (each entry is
-    deterministic, so memoization is exact and steady-state checks are
-    pure lookups either way).
+    - joint-input feasibility per pair of distinct workload-predicate
+      classes;
+    - pair verdicts (first recorded poor pair, else the differential
+      comparison with its critical path);
+    - per candidate list, the witness each slow row finds in it.
 
     Every structure is {e exact}, not approximate: a row whose constraints
     the compiler cannot close (mixed-origin symbols, unbound variables at
     query time, out-of-domain values) falls back to the
-    {!Cost_row.satisfied_by} solver path.  Post-compile mutation is
-    limited to deterministic caches and bounded memo tables, unsynchronised:
-    an artifact belongs to the one domain that serves it. *)
+    {!Cost_row.satisfied_by} solver path, and a row that is not physically
+    a model row takes {!live_witness}'s decisions.  Post-compile mutation
+    is limited to deterministic caches and bounded memo tables,
+    unsynchronised: an artifact belongs to the one process that serves it. *)
 
 type t
 
 type stats = {
-  rows_total : int;
   rows_closed : int;
       (** rows whose config constraints mention only config symbols — the
           ones expected to stay on the lookup path *)
   rows_open : int;  (** rows expected to need the solver fallback *)
-  iset_params : int;  (** per-parameter interval sets built *)
-  eval_constraints : int;  (** closed multi-variable constraints *)
-  wclasses : int;  (** distinct workload-predicate classes *)
-  joint_pairs : int;  (** precomputed joint-input feasibility verdicts *)
-  joint_solver_calls : int;  (** solver calls spent filling the table *)
-  verdict_pairs : int;  (** precomputed pair verdicts *)
-  order_rows : int;  (** slow rows with an eagerly materialized order *)
   compile_s : float;
 }
 
-val joint_input_budget : int
-(** Node budget of the checker's joint-input feasibility gate (1_000), used
-    by the compiled table and the checker's solver path alike.  It is not
-    the analyzer's: [Violet.Pipeline] screens pairs at the run's
-    [Budget.solver_max_nodes] (4_000 by default). *)
+val live_witness :
+  Impact_model.t ->
+  cap:int ->
+  require_joint_input:bool ->
+  slow:Cost_row.t ->
+  Cost_row.t list ->
+  (Cost_row.t * (float * string * string list)) option
+(** The checker's witness scan with every decision computed live — the
+    solver engine's.  Orders the candidates (drop those sharing [slow]'s
+    state id, stable-sort the rest by descending [(workload_score, score)],
+    keep the first [cap]) and returns the first that passes the joint-input
+    gate (when [require_joint_input]: both rows' workload predicates are
+    jointly feasible within 1_000 solver nodes) and yields a verdict — the
+    first recorded poor pair if any, else the differential comparison —
+    with that [(ratio, trigger, critical_path)].  {!first_witness} answers
+    the same from the compiled tables. *)
 
 val compile : Impact_model.t -> t
 
@@ -68,17 +70,14 @@ val rows_matching_workload : t -> (string * int) list -> Cost_row.t list
     {!Cost_row.workload_satisfied_by}. *)
 
 val mentions : t -> Cost_row.t -> string list -> bool
-(** Whether any of the row's config constraints mention one of the given
-    parameter names (precomputed name sets). *)
+(** {!Cost_row.mentions}, from name sets precomputed per model row. *)
 
 val is_poor_row : t -> Cost_row.t -> bool
 
 val comparison_order : t -> cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cost_row.t list
-(** Byte-identical to the checker's reference ordering: drop candidates
-    sharing [slow]'s state id, stable-sort the rest by descending
-    [(workload_score, score)], keep the first [cap].  Answered by walking
-    [slow]'s materialized tie groups; a slow row or candidate that is not
-    (physically) a model row falls back to live scoring. *)
+(** The comparison order of {!live_witness}, byte-identical.  Answered by
+    walking [slow]'s materialized tie groups; a slow row or candidate that
+    is not (physically) a model row falls back to live scoring. *)
 
 val first_witness :
   t ->
@@ -87,11 +86,7 @@ val first_witness :
   slow:Cost_row.t ->
   Cost_row.t list ->
   (Cost_row.t * (float * string * string list)) option
-(** The checker's witness scan as one memoized lookup: the first candidate
-    in {!comparison_order} that passes the joint-input gate
-    (feasibility of both rows' workload predicates together, when
-    [require_joint_input]) and yields a verdict — the first recorded poor
-    pair if any, else the differential comparison — together with that
-    [(ratio, trigger, critical_path)].  Memoized per candidate view, slow
-    row and gate flag — every input deciding the scan — so steady-state
-    checks answer from the table; foreign rows take the live walk. *)
+(** {!live_witness} as one memoized lookup, byte-identical.  Memoized per
+    candidate view, slow row and gate flag — every input deciding the scan
+    — so steady-state checks answer from the table; foreign rows take the
+    live walk. *)

@@ -46,6 +46,12 @@ let of_profile (p : Vtrace.Profile.t) =
     critical_ops = critical_ops_of p.Vtrace.Profile.nodes;
   }
 
+let mentions row params =
+  List.exists
+    (fun c ->
+      List.exists (fun (v : Vsmt.Expr.var) -> List.mem v.Vsmt.Expr.name params) (Vsmt.Expr.vars c))
+    row.config_constraints
+
 (* joined with " && " by callers, so Or-rooted constraints need parens *)
 let pp_constraint ppf e =
   match Vsmt.Expr.view e with

@@ -27,6 +27,11 @@ val satisfied_by : ?max_nodes:int -> t -> (string * int) list -> bool
     (default 2_000 — residual predicates are one row's open conjuncts). *)
 
 val workload_satisfied_by : ?max_nodes:int -> t -> (string * int) list -> bool
+
+val mentions : t -> string list -> bool
+(** Whether any of the row's configuration constraints mentions one of the
+    given parameter names. *)
+
 val pp_constraint : Vsmt.Expr.t Fmt.t
 (** Friendly constraint rendering, parenthesizing disjunctions so lists can
     be joined with [&&]. *)

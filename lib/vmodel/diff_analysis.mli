@@ -63,8 +63,11 @@ val analyze :
 
 module Key_tbl : Hashtbl.S with type key = int list
 (** Tables keyed on lists of expression ids; the hash reads every id.
-    [analyze] numbers its config and workload classes with one, and
-    {!Compiled_model} its workload classes. *)
+    [analyze] numbers its config and workload classes with one. *)
+
+val classes : int list array -> int array
+(** Dense class numbers for the keys: equal keys share a number, numbered
+    in first-seen order from 0. *)
 
 val trigger_label : trigger list -> string
 (** Table 4 style: ["Latency"], ["I/O"], ["Lat.&Sync."], ... *)

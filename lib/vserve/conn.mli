@@ -4,14 +4,23 @@
     A connection owns its fd and a read buffer for bytes past the last
     complete line.  Writes are all-or-nothing from the peer's point of view:
     if a write fails part-way ([EPIPE], [ECONNRESET], a full buffer that
-    never drains), the connection is closed — the peer must never observe a
-    truncated response line — and [on_write_failed] fires, so dropped
-    responses are observable as a counter rather than silent. *)
+    does not drain within {!send_timeout_s}), the connection is closed — the
+    peer must never observe a truncated response line — and
+    [on_write_failed] fires, so dropped responses are observable as a
+    counter rather than silent. *)
+
+val send_timeout_s : float
+(** The send timeout [make] gives every socket: a peer that reads nothing
+    for this long is dropped instead of blocking its writer. *)
+
+val max_line_bytes : int
+(** Longest pending line [read_lines] keeps; a peer past it is dropped. *)
 
 type t
 
 val make : ?on_write_failed:(unit -> unit) -> Unix.file_descr -> t
-(** Wrap an accepted/connected fd.  [on_write_failed] defaults to a no-op. *)
+(** Wrap an accepted/connected socket and set its send timeout
+    ({!send_timeout_s}).  [on_write_failed] defaults to a no-op. *)
 
 val fd : t -> Unix.file_descr
 val closed : t -> bool
@@ -26,5 +35,6 @@ val write_line : t -> string -> unit
 
 val read_lines : t -> string list
 (** One readable-event read: drain what the kernel has, return the complete
-    lines received (blank lines filtered).  EOF and read errors close the
-    connection and return [[]]. *)
+    lines received (blank lines filtered).  EOF, read errors and a pending
+    line longer than {!max_line_bytes} close the connection and return
+    [[]]. *)

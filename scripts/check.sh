@@ -19,6 +19,31 @@ if grep -rnE '\b(Mutex|Atomic|Condition|Domain)\.' lib --include='*.ml' | grep -
   exit 1
 fi
 
+echo "== DESIGN.md section 3 lists lib/ =="
+# the library inventory names every library and module under lib/, and
+# nothing that does not exist there
+python3 - <<'EOF'
+import glob, os, re, sys
+actual = {}
+for dune in glob.glob("lib/*/dune"):
+    d = os.path.dirname(dune)
+    lib = re.search(r"\(name\s+(\w+)\)", open(dune).read()).group(1)
+    actual[lib] = {f[0].upper() + f[1:-3] for f in os.listdir(d) if f.endswith(".ml")}
+design = open("DESIGN.md").read()
+section = re.search(r"^## 3\..*?(?=^## )", design, re.S | re.M).group(0)
+listed = {lib: set(re.findall(r"`(\w+)`", mods))
+          for lib, mods in re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, re.M)}
+errors = ["library %s is not listed" % lib for lib in sorted(set(actual) - set(listed))]
+errors += ["listed library %s does not exist" % lib for lib in sorted(set(listed) - set(actual))]
+for lib in sorted(set(actual) & set(listed)):
+    errors += ["%s: module %s is not listed" % (lib, m) for m in sorted(actual[lib] - listed[lib])]
+    errors += ["%s: listed module %s has no .ml" % (lib, m) for m in sorted(listed[lib] - actual[lib])]
+for e in errors:
+    print(e)
+if errors:
+    sys.exit("DESIGN.md section 3 is out of date (listed above)")
+EOF
+
 echo "== dune build =="
 dune build
 

@@ -1,8 +1,8 @@
 (* Tests for the compiled checker fast path (DESIGN.md Section 5j):
    interval-set compilation, compiled-vs-solver equivalence (fixture,
-   degraded models, QCheck over vfuzz-generated systems), the witness
-   ordering, the rule that picks the engine, and registry recompilation
-   skipping. *)
+   degraded models, QCheck over vfuzz-generated systems, the paper's target
+   models), the witness ordering, the rule that picks the engine, and
+   registry recompilation skipping. *)
 
 module Checker = Vchecker.Checker
 module CM = Vmodel.Compiled_model
@@ -355,6 +355,82 @@ let prop_modes_identical_generated =
         params)
 
 (* ------------------------------------------------------------------ *)
+(* Mode equivalence on the paper's target models                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Table 3 c1, c7, c12 and c16: mysql/autocommit is the largest model
+   (604 rows, 518 workload classes), the others have 10 to 33 rows. *)
+let target_cases =
+  [
+    ("mysql", "autocommit");
+    ("postgres", "wal_sync_method");
+    ("apache", "HostnameLookups");
+    ("squid", "cache");
+  ]
+
+(* Values a config file may give one parameter: every member of a small
+   domain; the ends, quartiles and default of a larger range. *)
+let values_of (p : Vruntime.Config_registry.param) =
+  let dom = Vruntime.Config_registry.dom p in
+  let lo = Vsmt.Dom.lo dom and hi = Vsmt.Dom.hi dom in
+  if Vsmt.Dom.size dom <= 16 then List.init (Vsmt.Dom.size dom) (fun k -> lo + k)
+  else
+    List.sort_uniq Int.compare
+      [ lo; lo + ((hi - lo) / 4); lo + ((hi - lo) / 2); hi - ((hi - lo) / 4); hi;
+        p.Vruntime.Config_registry.default ]
+
+(* The target at each of its values, alone and with each related parameter
+   at each of its values. *)
+let target_configs (model : M.t) registry =
+  let line (p : Vruntime.Config_registry.param) v =
+    Printf.sprintf "%s = %s\n" p.Vruntime.Config_registry.name
+      (Vruntime.Config_registry.decode p v)
+  in
+  let target = Option.get (Vruntime.Config_registry.find_opt registry model.M.target) in
+  let related = List.filter_map (Vruntime.Config_registry.find_opt registry) model.M.related in
+  List.concat_map
+    (fun t ->
+      line target t
+      :: List.concat_map
+           (fun r -> List.map (fun w -> line target t ^ line r w) (values_of r))
+           related)
+    (values_of target)
+
+let test_modes_identical_on_targets () =
+  List.iter
+    (fun (system, param) ->
+      let target = Targets.Cases.target_of system in
+      let registry = target.Violet.Pipeline.registry in
+      let model = (Violet.Pipeline.analyze_exn target param).Violet.Pipeline.model in
+      let compiled = CM.compile model in
+      let configs = Array.of_list (target_configs model registry) in
+      let n = Array.length configs in
+      let flagged = ref 0 in
+      let same what solver hybrid =
+        let solver = or_fail solver in
+        if solver.Checker.findings <> [] then incr flagged;
+        check Alcotest.string (Printf.sprintf "%s/%s %s" system param what)
+          (fingerprint solver) (fingerprint (or_fail hybrid))
+      in
+      Array.iteri
+        (fun i text ->
+          let file = Vchecker.Config_file.parse text in
+          let current mode =
+            Checker.check_current ~mode ~compiled ~model ~registry ~file ()
+          in
+          same ("current " ^ String.escaped text) (current Checker.Solver)
+            (current Checker.Hybrid);
+          let new_file = Vchecker.Config_file.parse configs.((i + 1) mod n) in
+          let update mode =
+            Checker.check_update ~mode ~compiled ~model ~registry ~old_file:file ~new_file ()
+          in
+          same ("update from " ^ String.escaped text) (update Checker.Solver)
+            (update Checker.Hybrid))
+        configs;
+      check Alcotest.bool (system ^ ": some configuration is flagged") true (!flagged > 0))
+    target_cases
+
+(* ------------------------------------------------------------------ *)
 (* check_upgrade: keyed lookup semantics                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -447,6 +523,7 @@ let tests =
     tc "hybrid ignores an artifact of a re-imported model" test_reimported_artifact_not_used;
     tc "degraded widening identical in all modes" test_degraded_widening_identical;
     QCheck_alcotest.to_alcotest prop_modes_identical_generated;
+    tc "modes identical on the target models" test_modes_identical_on_targets;
     tc "check_upgrade: duplicate constraint strings" test_upgrade_duplicate_constraints;
     tc "registry: unchanged digest skips recompile" test_registry_skips_recompile;
   ]

@@ -292,11 +292,17 @@ let await_state topology i ~want ~deadline_s =
   in
   wait ()
 
+(* One connection per attempt: just after a kill -9 the state file can
+   still read "up" and a connect can reach the dying worker's socket,
+   which then resets; the restarted worker listens on a new one. *)
 let await_worker topology i =
-  let c = or_fail (Client.connect_retry ~deadline_s:20.0 (Topology.worker_addr topology i)) in
   let deadline = Unix.gettimeofday () +. 20.0 in
   let rec wait () =
-    match Client.call ~timeout_s:5.0 c P.Health with
+    let remaining = Float.max 0.1 (deadline -. Unix.gettimeofday ()) in
+    let c = or_fail (Client.connect_retry ~deadline_s:remaining (Topology.worker_addr topology i)) in
+    let health = Client.call ~timeout_s:5.0 c P.Health in
+    Client.close c;
+    match health with
     | Ok (P.Health_info { models = _ :: _; _ }) -> ()
     | _ ->
       if Unix.gettimeofday () > deadline then Alcotest.fail "worker never loaded models"
@@ -305,8 +311,7 @@ let await_worker topology i =
         wait ()
       end
   in
-  wait ();
-  Client.close c
+  wait ()
 
 let expect_report = function
   | P.Report o -> o

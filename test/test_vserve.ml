@@ -730,6 +730,113 @@ let test_upgrade_memo_per_server () =
   check Alcotest.int "first server: clean upgrade" 0 (List.length clean);
   check Alcotest.bool "second server: its own regression" true (regression <> [])
 
+(* ------------------------------------------------------------------ *)
+(* Misbehaving peers: one connection cannot stall the daemon           *)
+(* ------------------------------------------------------------------ *)
+
+(* Fork a daemon serving the fixture as "mini", hand [f] a client it has
+   answered and a function opening raw connections to it, and kill the
+   daemon afterwards. *)
+let with_daemon f =
+  if Vpar.Pool.spawned_domains () then Alcotest.skip ();
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let dir = mk_tmpdir () in
+  let srv = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      Option.iter
+        (fun pid ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        !srv;
+      rm_rf dir)
+  @@ fun () ->
+  let models_dir = Filename.concat dir "models" in
+  Unix.mkdir models_dir 0o700;
+  ignore (export_fixture models_dir "mini");
+  let sock = Filename.concat dir "d.sock" in
+  let opts =
+    {
+      (Server.default_options ~addr:(`Unix sock) ~models_dir) with
+      Server.resolve_registry = (fun _ -> Some Fixtures.registry);
+    }
+  in
+  flush_all ();
+  (match Unix.fork () with
+  | 0 -> Unix._exit (match Server.run opts with Ok () -> 0 | Error _ -> 1 | exception _ -> 2)
+  | pid -> srv := Some pid);
+  let c = or_fail (Client.connect_retry (`Unix sock)) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.call ~timeout_s:10. c P.Health with
+  | Ok (P.Health_info { models = [ _ ]; _ }) -> ()
+  | _ -> Alcotest.fail "daemon never came up with the model");
+  let raw () =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Unix.connect fd (Unix.ADDR_UNIX sock);
+    fd
+  in
+  f c raw
+
+(* [c] is still answered, within the send timeout and some slack *)
+let answered c =
+  match Client.call ~timeout_s:(Vserve.Conn.send_timeout_s +. 4.) c P.Health with
+  | Ok (P.Health_info _) -> ()
+  | Ok _ -> Alcotest.fail "expected a health answer"
+  | Error e -> Alcotest.fail ("second client not answered: " ^ e)
+
+(* A client that pipelines requests and never reads fills its socket; the
+   daemon's write to it must time out and drop it rather than block every
+   other client behind it. *)
+let test_nonreading_client_dropped () =
+  with_daemon @@ fun c raw ->
+  let bad = raw () in
+  Fun.protect ~finally:(fun () -> Unix.close bad) @@ fun () ->
+  Unix.set_nonblock bad;
+  let line =
+    P.encode_request ~id:1 (P.Check_current { key = "mini"; config = "" }) ^ "\n"
+  in
+  let data = String.concat "" (List.init 4_000 (fun _ -> line)) in
+  (* write until the daemon stops reading, never blocking the test *)
+  let rec send pos =
+    if pos < String.length data then
+      match Unix.write_substring bad data pos (String.length data - pos) with
+      | k -> send (pos + k)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EPIPE | Unix.ECONNRESET), _, _)
+        -> ()
+  in
+  send 0;
+  (* let the daemon take in what it was sent and stall on its replies *)
+  Unix.sleepf 0.5;
+  answered c;
+  match Client.call ~timeout_s:5. c P.Stats with
+  | Ok (P.Stats_info w) ->
+    check Alcotest.bool "the dropped response is counted" true
+      (Option.value ~default:0 (Option.bind (W.member "write_failed" w) W.to_int) >= 1)
+  | _ -> Alcotest.fail "expected stats"
+
+(* A line that never ends is dropped at the cap, with its connection; the
+   daemon keeps serving everyone else. *)
+let test_overlong_line_dropped () =
+  with_daemon @@ fun c raw ->
+  let bad = raw () in
+  Fun.protect ~finally:(fun () -> Unix.close bad) @@ fun () ->
+  let block = String.make 65_536 'x' in
+  let rec send left =
+    if left > 0 then
+      match Unix.write_substring bad block 0 (String.length block) with
+      | k -> send (left - k)
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ()
+  in
+  send (Vserve.Conn.max_line_bytes + (4 * String.length block));
+  (match Unix.select [ bad ] [] [] 5. with
+  | [], _, _ -> Alcotest.fail "over-cap line did not close its connection"
+  | _ -> (
+    match Unix.read bad (Bytes.create 16) 0 16 with
+    | 0 -> ()
+    | _ -> Alcotest.fail "expected end of file on the dropped connection"
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()));
+  answered c
+
 let tests =
   [
     qt prop_wire_roundtrip;
@@ -745,4 +852,6 @@ let tests =
     tc "batcher groups and coalesces" test_batcher_groups_and_coalesces;
     tc "end-to-end daemon matches in-process checker" test_end_to_end;
     tc "each server keeps its own upgrade memo" test_upgrade_memo_per_server;
+    tc "a client that never reads is dropped" test_nonreading_client_dropped;
+    tc "an over-cap line closes its connection" test_overlong_line_dropped;
   ]
