@@ -35,6 +35,8 @@ let timed f =
    and test_matcheck pin this. *)
 
 type engine = {
+  e_by_content : Row.t list -> Row.t list;
+      (** the candidate pool in content order ({!by_content}) *)
   e_rows_matching : (string * int) list -> Row.t list;
   e_rows_matching_workload : (string * int) list -> Row.t list;
   e_mentions : Row.t -> string list -> bool;
@@ -54,13 +56,16 @@ type engine = {
    similarity order cannot produce a meaningful witness. *)
 let max_candidates = 48
 
-(* Candidate pools are sorted by row content before any engine sees them.
-   Both engines break similarity ties by pool position, so among equally
-   similar candidates the witness is the first in content order, whatever
-   the rows' places in the model.  The sort is stable and id-blind: rows
-   with equal content keep pool order, and either is an equally valid
-   witness (they differ only in [state_id]).  The order is part of the
-   output — findings follow the sorted slow rows. *)
+(* Candidate pools are sorted by row content before the witness scan sees
+   them.  Both engines break similarity ties by pool position, so among
+   equally similar candidates the witness is the first in content order,
+   whatever the rows' places in the model.  The sort is stable and
+   id-blind: rows with equal content keep pool order, and either is an
+   equally valid witness (they differ only in [state_id]).  The order is
+   part of the output — findings follow the sorted slow rows.  This is the
+   reference; the compiled engine sorts by each row's precomputed key rank,
+   the same order, and comes back here for a pool holding a row that is not
+   physically a model row. *)
 let by_content rows =
   List.map snd
     (List.stable_sort
@@ -69,6 +74,7 @@ let by_content rows =
 
 let solver_engine (model : M.t) =
   {
+    e_by_content = by_content;
     e_rows_matching = (fun assignment -> M.rows_matching model assignment);
     e_rows_matching_workload =
       (fun w -> List.filter (fun r -> Row.workload_satisfied_by r w) model.M.rows);
@@ -81,6 +87,9 @@ let solver_engine (model : M.t) =
 
 let compiled_engine (cm : CM.t) =
   {
+    e_by_content =
+      (fun rows ->
+        match CM.content_order cm rows with Some sorted -> sorted | None -> by_content rows);
     e_rows_matching = (fun assignment -> CM.rows_matching cm assignment);
     e_rows_matching_workload = (fun w -> CM.rows_matching_workload cm w);
     e_mentions = (fun r params -> CM.mentions cm r params);
@@ -185,10 +194,10 @@ let check_update ?(mode = Hybrid) ?compiled ~model ~registry ~old_file ~new_file
            (* only states whose constraints involve an updated parameter can
               witness the regression (Section 4.7, scenario 1) *)
            let new_rows =
-             by_content (List.filter (fun r -> eng.e_mentions r relevant) new_rows)
+             eng.e_by_content (List.filter (fun r -> eng.e_mentions r relevant) new_rows)
            in
            let old_rows =
-             by_content (List.filter (fun r -> eng.e_mentions r relevant) old_rows)
+             eng.e_by_content (List.filter (fun r -> eng.e_mentions r relevant) old_rows)
            in
            List.filter_map
              (fun slow ->
@@ -220,7 +229,7 @@ let check_current ?(mode = Hybrid) ?compiled ~model ~registry ~file () =
   Ok
     (timed (fun () ->
          let current_rows =
-           by_content
+           eng.e_by_content
              (List.filter
                 (fun r -> eng.e_is_poor r && eng.e_mentions r [ model.M.target ])
                 (eng.e_rows_matching assignment))
@@ -231,7 +240,7 @@ let check_current ?(mode = Hybrid) ?compiled ~model ~registry ~file () =
                (Section 4.7, scenario 2): witnesses keep every other setting
                as deployed and change only the target *)
             let fast_rows =
-              by_content
+              eng.e_by_content
                 (match Vruntime.Config_registry.find_opt registry model.M.target with
                 | None -> model.M.rows
                 | Some p ->

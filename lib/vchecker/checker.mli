@@ -45,6 +45,12 @@ type report = { findings : finding list; checked_in_s : float }
     definition ({!Vmodel.Compiled_model.live_witness}). *)
 type mode = Solver | Hybrid
 
+val by_content : Vmodel.Cost_row.t list -> Vmodel.Cost_row.t list
+(** The order candidate pools take before the witness scan: a stable sort
+    by {!Vmodel.Cost_row.content_key}.  Findings follow it.  The solver
+    engine sorts with this reference; the compiled engine answers the same
+    order from {!Vmodel.Compiled_model.content_order}. *)
+
 val degraded_findings : Vmodel.Impact_model.t -> finding list
 (** Conservative findings for a model built under budget degradation: one
     per dropped path (its configuration region has unknown cost, [fast_row =

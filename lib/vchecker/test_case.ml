@@ -31,16 +31,21 @@ let of_predicate_live preds =
 (* [of_predicate_live] is deterministic in its predicate list (the solver
    budget is pinned), so repeated findings over the same rows answer from a
    bounded memo: steady-state serving builds each witness's test case once.
-   Keys are structural; the table resets rather than evicts when full. *)
-let memo : (Vsmt.Expr.t list, t option) Hashtbl.t = Hashtbl.create 64
+   Keys are expression ids, never the expressions: a structural hash reads
+   an expression's render cache, so a key stored before its expressions are
+   rendered would not be found after.  The table resets rather than evicts
+   when full. *)
+let ids = List.map Vsmt.Expr.id
+let memo : (int list, t option) Hashtbl.t = Hashtbl.create 64
 
 let of_predicate preds =
-  match Hashtbl.find_opt memo preds with
+  let key = ids preds in
+  match Hashtbl.find_opt memo key with
   | Some r -> r
   | None ->
     let r = of_predicate_live preds in
     if Hashtbl.length memo >= 4_096 then Hashtbl.reset memo;
-    Hashtbl.replace memo preds r;
+    Hashtbl.replace memo key r;
     r
 
 let of_row (row : Vmodel.Cost_row.t) = of_predicate row.Vmodel.Cost_row.workload_pred
@@ -69,8 +74,8 @@ let residuals assignment constraints =
    the solver call. *)
 let pair_memo :
     ( ((string * int) list * (string * int) list)
-      * (Vsmt.Expr.t list * Vsmt.Expr.t list)
-      * (Vsmt.Expr.t list * Vsmt.Expr.t list),
+      * (int list * int list)
+      * (int list * int list),
       t option )
     Hashtbl.t =
   Hashtbl.create 64
@@ -78,8 +83,8 @@ let pair_memo :
 let of_pair ~poor ~good ~(slow : Vmodel.Cost_row.t) ~(fast : Vmodel.Cost_row.t) =
   let key =
     ( (poor, good),
-      (slow.Vmodel.Cost_row.workload_pred, fast.Vmodel.Cost_row.workload_pred),
-      (slow.Vmodel.Cost_row.config_constraints, fast.Vmodel.Cost_row.config_constraints) )
+      (ids slow.Vmodel.Cost_row.workload_pred, ids fast.Vmodel.Cost_row.workload_pred),
+      (ids slow.Vmodel.Cost_row.config_constraints, ids fast.Vmodel.Cost_row.config_constraints) )
   in
   match Hashtbl.find_opt pair_memo key with
   | Some r -> r

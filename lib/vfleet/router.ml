@@ -176,7 +176,7 @@ let candidates st key =
 
 let answer st p resp =
   Hashtbl.remove st.pendings p.pn_rid;
-  Conn.write_line p.pn_client (P.encode_response ?id:p.pn_cid resp);
+  Conn.write p.pn_client (P.response_line ?id:p.pn_cid resp);
   Latency.observe st.latency ~us:((st.opts.now () -. p.pn_t0) *. 1e6)
 
 (* every candidate failed: answer the conservative widening from the
@@ -230,7 +230,7 @@ let rec dispatch st p =
         p.pn_shard <- id;
         p.pn_attempts <- p.pn_attempts + 1;
         p.pn_deadline <- st.opts.now () +. st.opts.attempt_timeout_s;
-        Conn.write_line c (P.encode_request ~id:p.pn_rid p.pn_req);
+        Conn.write c (P.request_line ~id:p.pn_rid p.pn_req);
         if Conn.closed c then begin
           (* the write itself failed: the worker died under us *)
           mark_failure st sh;
@@ -516,32 +516,32 @@ let reload_commit st =
 let handle_client_line st conn line =
   match P.decode_request line with
   | Error msg ->
-    Conn.write_line conn
-      (P.encode_response (P.Error_resp { code = P.Bad_request; message = msg }))
+    Conn.write conn
+      (P.response_line (P.Error_resp { code = P.Bad_request; message = msg }))
   | Ok (id, req) -> begin
     match req with
-    | P.Health -> Conn.write_line conn (P.encode_response ?id (health_resp st))
-    | P.Stats -> Conn.write_line conn (P.encode_response ?id (P.Stats_info (stats_to_wire st)))
-    | P.Reload_stage -> Conn.write_line conn (P.encode_response ?id (reload_stage st))
-    | P.Reload_commit -> Conn.write_line conn (P.encode_response ?id (reload_commit st))
+    | P.Health -> Conn.write conn (P.response_line ?id (health_resp st))
+    | P.Stats -> Conn.write conn (P.response_line ?id (P.Stats_info (stats_to_wire st)))
+    | P.Reload_stage -> Conn.write conn (P.response_line ?id (reload_stage st))
+    | P.Reload_commit -> Conn.write conn (P.response_line ?id (reload_commit st))
     | P.Shutdown ->
       if st.opts.allow_shutdown then begin
         st.stopping <- true;
-        Conn.write_line conn (P.encode_response ?id P.Bye)
+        Conn.write conn (P.response_line ?id P.Bye)
       end
       else
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp { code = P.Bad_request; message = "shutdown is disabled" }))
     | P.Check_current _ | P.Check_update _ | P.Check_upgrade _ ->
       if st.stopping then
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp { code = P.Shutting_down; message = "fleet is shutting down" }))
       else if Hashtbl.length st.pendings >= st.opts.max_pending then begin
         st.shed <- st.shed + 1;
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp
                 { code = P.Overloaded; message = "router pending table full — request shed" }))
       end

@@ -68,6 +68,9 @@ type t = {
   orders : int array array option array;
       (** per slow row, candidate tie groups in comparator order, computed
           on first use *)
+  content_rank : int array Lazy.t;
+      (** per row idx, the dense rank of its {!Cost_row.content_key} under
+          [String.compare], computed on first use *)
   mutable occ_view : occ_view option;
   cm_stats : stats;
 }
@@ -195,6 +198,16 @@ let row_is_closed (row : Row.t) =
     (fun c -> Vsmt.Footprint.for_all_origin Expr.Config (Vsmt.Footprint.of_expr c))
     row.Row.config_constraints
 
+(* Dense ranks: equal keys share a rank and the rank order is the key
+   order, so a stable sort by rank is exactly a stable sort by key. *)
+let content_rank_of rows =
+  let keys = Array.map Row.content_key rows in
+  let rank_of = Hashtbl.create (Array.length keys) in
+  List.iteri
+    (fun r k -> Hashtbl.replace rank_of k r)
+    (List.sort_uniq String.compare (Array.to_list keys));
+  Array.map (Hashtbl.find rank_of) keys
+
 (* Linear in rows and free of solver queries: every pairwise structure
    below (joint feasibility, verdicts, comparison orders) fills on first
    use, and each entry is deterministic, so memoizing it is exact. *)
@@ -245,6 +258,7 @@ let compile (m : M.t) =
     match_memo = Hashtbl.create 16;
     wmatch_memo = Hashtbl.create 16;
     orders = Array.make n None;
+    content_rank = lazy (content_rank_of rows);
     occ_view = None;
     cm_stats =
       { rows_closed = closed; rows_open = n - closed; compile_s = Unix.gettimeofday () -. t0 };
@@ -344,6 +358,26 @@ let mentions t (row : Row.t) params =
   | None -> Row.mentions row params (* not a model row (defensive) *)
 
 let is_poor_row t (row : Row.t) = Hashtbl.mem t.poor_ids row.Row.state_id
+
+(* the plan of [row] when it is physically this model's row *)
+let own_plan t (row : Row.t) =
+  match Hashtbl.find_opt t.by_id row.Row.state_id with
+  | Some p when p.row == row -> Some p
+  | _ -> None
+
+let content_order t rows =
+  let rank = Lazy.force t.content_rank in
+  let rec decorate acc = function
+    | [] -> Some (List.rev acc)
+    | r :: tl -> (
+      match own_plan t r with
+      | Some p -> decorate ((rank.(p.idx), r) :: acc) tl
+      | None -> None)
+  in
+  Option.map
+    (fun ranked ->
+      List.map snd (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ranked))
+    (decorate [] rows)
 
 (* A cached view applies when the candidates are element-wise the same
    physical rows: then every input deciding the ordering is identical, so
@@ -457,8 +491,8 @@ let walk_order t v ~cap si =
   List.rev !out
 
 let comparison_order t ~cap ~(slow : Row.t) rows =
-  match Hashtbl.find_opt t.by_id slow.Row.state_id with
-  | Some sp when sp.row == slow -> begin
+  match own_plan t slow with
+  | Some sp -> begin
     match occ_view_of t ~cap rows with
     | None -> live_order ~cap ~slow rows
     | Some v ->
@@ -470,19 +504,15 @@ let comparison_order t ~cap ~(slow : Row.t) rows =
         Hashtbl.replace v.oc_results si r;
         r)
   end
-  | _ -> live_order ~cap ~slow rows
+  | None -> live_order ~cap ~slow rows
 
 (* [joint_input_feasible], memoized per workload-class pair when both rows
    are model rows *)
 let joint_feasible t ~(slow : Row.t) ~(fast : Row.t) =
-  let cls (r : Row.t) =
-    match Hashtbl.find_opt t.by_id r.Row.state_id with
-    | Some p when p.row == r -> Some p.wclass
-    | _ -> None
-  in
-  match (cls slow, cls fast) with
+  match (own_plan t slow, own_plan t fast) with
   | Some i, Some j ->
-    memoized t.joint_memo ~cap:65_536 (i, j) (fun () -> joint_input_feasible ~slow ~fast)
+    memoized t.joint_memo ~cap:65_536 (i.wclass, j.wclass) (fun () ->
+        joint_input_feasible ~slow ~fast)
   | _ -> joint_input_feasible ~slow ~fast
 
 (* [judge], memoized per (slow, fast) state-id pair *)
@@ -504,12 +534,12 @@ let witness_walk t ~cap ~require_joint_input ~slow rows =
     (comparison_order t ~cap ~slow rows)
 
 let first_witness t ~cap ~require_joint_input ~(slow : Row.t) rows =
-  match Hashtbl.find_opt t.by_id slow.Row.state_id with
-  | Some sp when sp.row == slow -> begin
+  match own_plan t slow with
+  | Some sp -> begin
     match occ_view_of t ~cap rows with
     | None -> witness_walk t ~cap ~require_joint_input ~slow rows
     | Some v ->
       memoized v.oc_witness ~cap:1_024 (sp.idx, require_joint_input) (fun () ->
           witness_walk t ~cap ~require_joint_input ~slow rows)
   end
-  | _ -> witness_walk t ~cap ~require_joint_input ~slow rows
+  | None -> witness_walk t ~cap ~require_joint_input ~slow rows

@@ -16,7 +16,8 @@
       classes;
     - pair verdicts (first recorded poor pair, else the differential
       comparison with its critical path);
-    - per candidate list, the witness each slow row finds in it.
+    - per candidate list, the witness each slow row finds in it;
+    - each row's content rank, the order {!content_order} sorts by.
 
     Every structure is {e exact}, not approximate: a row whose constraints
     the compiler cannot close (mixed-origin symbols, unbound variables at
@@ -73,6 +74,12 @@ val mentions : t -> Cost_row.t -> string list -> bool
 (** {!Cost_row.mentions}, from name sets precomputed per model row. *)
 
 val is_poor_row : t -> Cost_row.t -> bool
+
+val content_order : t -> Cost_row.t list -> Cost_row.t list option
+(** The rows stable-sorted by {!Cost_row.content_key}, byte-identical to
+    sorting the keys themselves: each model row's dense key rank is
+    computed once, on the first call, and the rows are sorted by it.
+    [None] when some row is not physically a model row. *)
 
 val comparison_order : t -> cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cost_row.t list
 (** The comparison order of {!live_witness}, byte-identical.  Answered by

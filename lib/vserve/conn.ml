@@ -34,10 +34,10 @@ let close c =
    connection is closed (the peer would otherwise read a truncated line) and
    the failure is surfaced through [on_write_failed] so it lands in a
    counter instead of vanishing.  A peer that stops reading makes a write
-   fail after [send_timeout_s]. *)
-let write_line c line =
+   fail after [send_timeout_s].  The caller's line carries its newline, so
+   it is written without another copy. *)
+let write c data =
   if not c.closed then begin
-    let data = line ^ "\n" in
     let len = String.length data in
     let pos = ref 0 in
     try

@@ -28,10 +28,12 @@ val closed : t -> bool
 val close : t -> unit
 (** Idempotent. *)
 
-val write_line : t -> string -> unit
-(** Write [line ^ "\n"].  On any write error the connection is closed and
-    [on_write_failed] is called; no partial line is ever left visible as a
-    complete response.  No-op on a closed connection. *)
+val write : t -> string -> unit
+(** Write [data], whole newline-terminated lines
+    ({!Protocol.response_line}, {!Protocol.request_line}).  On any write
+    error the connection is closed and [on_write_failed] is called; no
+    partial line is ever left visible as a complete response.  No-op on a
+    closed connection. *)
 
 val read_lines : t -> string list
 (** One readable-event read: drain what the kernel has, return the complete

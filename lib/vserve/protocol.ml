@@ -115,7 +115,20 @@ let assignment_of_wire v =
 (* Findings                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let expr_to_wire e = W.String (Vsmt.Sexp.to_string (Vsmt.Serial.expr_to_sexp e))
+(* Each constraint's wire text, rendered once per hash-consed node: the text
+   is a function of the node, and a response repeats a model's few distinct
+   constraints in every row.  Bounded; reset rather than evicted when full. *)
+let expr_text : (int, W.t) Hashtbl.t = Hashtbl.create 256
+
+let expr_to_wire e =
+  let id = Vsmt.Expr.id e in
+  match Hashtbl.find_opt expr_text id with
+  | Some text -> text
+  | None ->
+    let text = W.String (Vsmt.Sexp.to_string (Vsmt.Serial.expr_to_sexp e)) in
+    if Hashtbl.length expr_text >= 4_096 then Hashtbl.reset expr_text;
+    Hashtbl.replace expr_text id text;
+    text
 
 let expr_of_wire v =
   match W.to_str v with
@@ -312,6 +325,7 @@ let request_to_wire ?id req =
   W.Obj (with_id id fields)
 
 let encode_request ?id req = W.to_string (request_to_wire ?id req)
+let request_line ?id req = W.to_line (request_to_wire ?id req)
 
 let request_of_wire v =
   let id = Option.bind (W.member "id" v) W.to_int in
@@ -416,6 +430,7 @@ let response_to_wire ?id resp =
   W.Obj (with_id id fields)
 
 let encode_response ?id resp = W.to_string (response_to_wire ?id resp)
+let response_line ?id resp = W.to_line (response_to_wire ?id resp)
 
 let response_of_wire v =
   let id = Option.bind (W.member "id" v) W.to_int in

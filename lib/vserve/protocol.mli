@@ -82,9 +82,17 @@ val error_code_of_string : string -> error_code option
 val encode_request : ?id:int -> request -> string
 (** One line, no trailing newline.  [id] is echoed in the response. *)
 
+val request_line : ?id:int -> request -> string
+(** [encode_request ?id req ^ "\n"], rendered in {!Wire.to_line}'s reused
+    buffer: what a peer writes to a {!Conn}. *)
+
 val decode_request : string -> (int option * request, string) result
 
 val encode_response : ?id:int -> response -> string
+
+val response_line : ?id:int -> response -> string
+(** [encode_response ?id resp ^ "\n"], rendered like {!request_line}. *)
+
 val decode_response : string -> (int option * response, string) result
 
 val findings_to_wire : Vchecker.Checker.finding list -> Wire.t

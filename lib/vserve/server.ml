@@ -239,8 +239,8 @@ let handle_line st conn line =
   | Error msg ->
     st.requests <- st.requests + 1;
     bump_verb st "invalid";
-    Conn.write_line conn
-      (P.encode_response (P.Error_resp { code = P.Bad_request; message = msg }))
+    Conn.write conn
+      (P.response_line (P.Error_resp { code = P.Bad_request; message = msg }))
   | Ok (id, req) -> begin
     let verb = P.verb_of_request req in
     match req with
@@ -257,13 +257,13 @@ let handle_line st conn line =
             })
           (Registry.entries st.registry)
       in
-      Conn.write_line conn
-        (P.encode_response ?id
+      Conn.write conn
+        (P.response_line ?id
            (P.Health_info { status = (if st.stopping then "stopping" else "ok"); models }))
     | P.Stats ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
-      Conn.write_line conn (P.encode_response ?id (P.Stats_info (stats_to_wire st)))
+      Conn.write conn (P.response_line ?id (P.Stats_info (stats_to_wire st)))
     | P.Reload_stage ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -275,8 +275,8 @@ let handle_line st conn line =
             match r with Ok digest -> (key, digest) | Error reason -> (key, reason))
           results
       in
-      Conn.write_line conn
-        (P.encode_response ?id (P.Reload_info { phase = "stage"; ok; entries }))
+      Conn.write conn
+        (P.response_line ?id (P.Reload_info { phase = "stage"; ok; entries }))
     | P.Reload_commit ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -295,24 +295,24 @@ let handle_line st conn line =
           in
           P.Reload_info { phase = "commit"; ok = true; entries }
       in
-      Conn.write_line conn (P.encode_response ?id resp)
+      Conn.write conn (P.response_line ?id resp)
     | P.Shutdown ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
       if opts.allow_shutdown then begin
         st.stopping <- true;
-        Conn.write_line conn (P.encode_response ?id P.Bye)
+        Conn.write conn (P.response_line ?id P.Bye)
       end
       else
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp { code = P.Bad_request; message = "shutdown is disabled" }))
     | P.Check_current _ | P.Check_update _ | P.Check_upgrade _ ->
       if st.stopping then begin
         st.requests <- st.requests + 1;
         bump_verb st verb;
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp { code = P.Shutting_down; message = "daemon is shutting down" }))
       end
       else if Queue.length st.queue >= opts.max_queue then begin
@@ -320,8 +320,8 @@ let handle_line st conn line =
         st.requests <- st.requests + 1;
         bump_verb st verb;
         st.shed_queue_full <- st.shed_queue_full + 1;
-        Conn.write_line conn
-          (P.encode_response ?id
+        Conn.write conn
+          (P.response_line ?id
              (P.Error_resp
                 { code = P.Overloaded; message = "admission queue full — request shed" }))
       end
@@ -375,7 +375,7 @@ let run_batch st =
         if r.shed then st.shed_deadline <- st.shed_deadline + 1;
         st.requests <- st.requests + 1;
         bump_verb st (P.verb_of_request p.p_req);
-        Conn.write_line p.p_conn (P.encode_response ?id:p.p_id resp);
+        Conn.write p.p_conn (P.response_line ?id:p.p_id resp);
         Latency.observe st.latency ~us:((opts.now () -. p.p_t_enq) *. 1e6))
       results
   end

@@ -11,22 +11,27 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\b' -> Buffer.add_string buf "\\b"
-      | '\012' -> Buffer.add_string buf "\\f"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  (* most strings need no escape: one scan, then one blit *)
+  if not (String.exists needs_escape s) then Buffer.add_string buf s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\b' -> Buffer.add_string buf "\\b"
+        | '\012' -> Buffer.add_string buf "\\f"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
   Buffer.add_char buf '"'
 
 (* shortest-exact float, forced to re-parse as a float: %.17g always
@@ -72,6 +77,20 @@ let to_string v =
   let buf = Buffer.create 256 in
   print buf v;
   Buffer.contents buf
+
+(* Serving is single-domain, so one buffer renders every line: it grows to
+   the longest line once instead of every line regrowing a fresh buffer,
+   and gives the memory back after an outsized one. *)
+let line_buf = Buffer.create 256
+let line_buf_keep = 1 lsl 20
+
+let to_line v =
+  Buffer.clear line_buf;
+  print line_buf v;
+  Buffer.add_char line_buf '\n';
+  let line = Buffer.contents line_buf in
+  if Buffer.length line_buf > line_buf_keep then Buffer.reset line_buf;
+  line
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

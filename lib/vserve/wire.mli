@@ -29,6 +29,11 @@ val to_string : t -> string
     to_string v].  Non-finite floats (never produced by the protocol) render
     as [null]. *)
 
+val to_line : t -> string
+(** [to_string v ^ "\n"], rendered in one buffer the process reuses for
+    every line; a line over 1 MiB gives the buffer's memory back.  Not
+    reentrant: call it from one domain. *)
+
 val of_string : string -> (t, string) result
 (** Parse exactly one JSON value (surrounding whitespace allowed).  Accepts
     standard JSON, including [\uXXXX] escapes (decoded to UTF-8, with

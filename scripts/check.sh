@@ -177,4 +177,14 @@ fi
 grep -q 'finding' "$SMOKE_DIR/check.out" || {
   echo "check smoke: no finding printed on the poor default"; exit 1; }
 
+echo "== checker engine identity (bench matcheck) =="
+# tier-1 compares the solver and compiled engines on 20 generated systems;
+# the bench compares them on the four target models and in 626 checks over
+# 200 generated systems (~4 s).  Its timing gates stay in the nightly job.
+BENCH_EXE="$PWD/_build/default/bench/main.exe"
+(cd "$SMOKE_DIR" && "$BENCH_EXE" matcheck) > "$SMOKE_DIR/matcheck.out"
+grep -q 'targets identical: yes; corpus identical: yes' "$SMOKE_DIR/matcheck.out" || {
+  echo "matcheck: the solver and compiled engines disagree"
+  tail -4 "$SMOKE_DIR/matcheck.out"; exit 1; }
+
 echo "== check OK =="

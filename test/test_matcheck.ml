@@ -396,12 +396,23 @@ let target_configs (model : M.t) registry =
            related)
     (values_of target)
 
+(* each target model, analysed once for every test that reads it *)
+let target_models =
+  lazy
+    (List.map
+       (fun (system, param) ->
+         let target = Targets.Cases.target_of system in
+         ( (system, param),
+           (target.Violet.Pipeline.registry,
+            (Violet.Pipeline.analyze_exn target param).Violet.Pipeline.model) ))
+       target_cases)
+
+let target_model system param = List.assoc (system, param) (Lazy.force target_models)
+
 let test_modes_identical_on_targets () =
   List.iter
     (fun (system, param) ->
-      let target = Targets.Cases.target_of system in
-      let registry = target.Violet.Pipeline.registry in
-      let model = (Violet.Pipeline.analyze_exn target param).Violet.Pipeline.model in
+      let registry, model = target_model system param in
       let compiled = CM.compile model in
       let configs = Array.of_list (target_configs model registry) in
       let n = Array.length configs in
@@ -429,6 +440,77 @@ let test_modes_identical_on_targets () =
         configs;
       check Alcotest.bool (system ^ ": some configuration is flagged") true (!flagged > 0))
     target_cases
+
+(* ------------------------------------------------------------------ *)
+(* Content order: the compiled rank against the reference sort         *)
+(* ------------------------------------------------------------------ *)
+
+(* Each target model with every seventh row repeated under a fresh state
+   id (the target models hold no two rows of equal content), compiled once:
+   content twins must share a rank and keep their pool order. *)
+let twinned_models =
+  lazy
+    (List.map
+       (fun (system, param) ->
+         let _, model = target_model system param in
+         let next = 1 + List.fold_left (fun m (r : Row.t) -> max m r.Row.state_id) 0 model.M.rows in
+         let twins =
+           List.filteri (fun i _ -> i mod 7 = 0) model.M.rows
+           |> List.mapi (fun i (r : Row.t) -> { r with Row.state_id = next + i })
+         in
+         let model = { model with M.rows = model.M.rows @ twins } in
+         (Array.of_list model.M.rows, Array.of_list twins, CM.compile model))
+       target_cases)
+
+(* Pools drawn from one twinned model's rows, with repeats and twins, and
+   now and then a physical copy of a model row, which must send the
+   compiled engine back to [Checker.by_content]. *)
+let prop_content_order =
+  let open QCheck2 in
+  let pool_gen =
+    Gen.(
+      let* case = int_bound (List.length target_cases - 1) in
+      let* picks = list_size (int_bound 80) (pair bool nat) in
+      let* copy = bool in
+      return (case, picks, copy))
+  in
+  Test.make ~name:"compiled content order is the reference order" ~count:200 pool_gen
+    (fun (case, picks, copy) ->
+      let rows, twins, cm = List.nth (Lazy.force twinned_models) case in
+      let pick (twin, n) =
+        if twin then twins.(n mod Array.length twins) else rows.(n mod Array.length rows)
+      in
+      let pool = List.map pick picks in
+      let pool =
+        match pool with
+        | r :: tl when copy -> tl @ [ { r with Row.state_id = r.Row.state_id } ]
+        | _ -> pool
+      in
+      let foreign = List.exists (fun r -> not (Array.memq r rows)) pool in
+      match CM.content_order cm pool with
+      | None when foreign -> true
+      | None -> Test.fail_report "model rows only, yet no content order"
+      | Some _ when foreign -> Test.fail_report "a copied row was ranked as a model row"
+      | Some sorted ->
+        List.equal ( == ) sorted (Checker.by_content pool)
+        || Test.fail_reportf "%s: order differs from Checker.by_content"
+             (fst (List.nth target_cases case)))
+
+(* A warm compiled check allocates per check, not per row: rendering every
+   candidate's content key on each check cost mysql/autocommit 293,213
+   minor words per call; ranking the rows once per model leaves 27,934. *)
+let test_warm_check_allocation () =
+  let registry, model = target_model "mysql" "autocommit" in
+  let compiled = CM.compile model in
+  let file = Vchecker.Config_file.parse "" in
+  let run () = ignore (or_fail (Checker.check_current ~compiled ~model ~registry ~file ())) in
+  run ();
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  if words >= 100_000. then
+    Alcotest.failf "a warm check allocated %.0f minor words (bound 100,000)" words
 
 (* ------------------------------------------------------------------ *)
 (* check_upgrade: keyed lookup semantics                               *)
@@ -526,4 +608,6 @@ let tests =
     tc "modes identical on the target models" test_modes_identical_on_targets;
     tc "check_upgrade: duplicate constraint strings" test_upgrade_duplicate_constraints;
     tc "registry: unchanged digest skips recompile" test_registry_skips_recompile;
+    QCheck_alcotest.to_alcotest prop_content_order;
+    tc "warm compiled check allocates per check" test_warm_check_allocation;
   ]

@@ -102,6 +102,29 @@ let test_testcase_unsat () =
   check Alcotest.bool "unsat gives none" true
     (TC.of_predicate Vsmt.Expr.[ of_var kind ==. const 1; of_var kind ==. const 0 ] = None)
 
+(* The test-case memo keys on expression ids: rendering an expression fills
+   its string cache, which a structural hash of the expression would read,
+   so a key stored before the render must still be found after it. *)
+let test_testcase_memo_survives_render () =
+  let v = Vsmt.Expr.var ~origin:Vsmt.Expr.Workload "tc_memo_probe" (Vsmt.Dom.int_range 0 9) in
+  let pred = Vsmt.Expr.(v >. const 6) in
+  let row =
+    {
+      Vmodel.Cost_row.state_id = 0;
+      config_constraints = [];
+      workload_pred = [ pred ];
+      cost = Vruntime.Cost.zero;
+      traced_latency_us = 0.;
+      chain = [];
+      nodes = [];
+      critical_ops = [];
+    }
+  in
+  let first = TC.of_row row in
+  check Alcotest.bool "solved" true (first <> None);
+  ignore (Vsmt.Expr.to_string pred);
+  check Alcotest.bool "memoised answer after the render" true (TC.of_row row == first)
+
 (* ------------------------------------------------------------------ *)
 (* Checker modes, on the Figure-3 fixture                              *)
 (* ------------------------------------------------------------------ *)
@@ -266,4 +289,5 @@ let tests =
     tc "mode 3 workload change" test_mode3_workload_change;
     tc "mode 3b degraded region widening" test_mode3b_degraded_region;
     tc "checker on loaded model" test_checker_on_loaded_model;
+    tc "test case memo survives a render" test_testcase_memo_survives_render;
   ]

@@ -324,6 +324,58 @@ let test_nonascii_and_no_fast_row () =
       (P.encode_request ~id:3 req')
   | _ -> Alcotest.fail "request round-trip failed"
 
+(* The escape fast path passes a string through whole only when no byte
+   needs escaping; a line must never carry a raw control byte. *)
+let test_wire_escapes () =
+  let every_byte = String.init 256 Char.chr in
+  let printed = W.to_string (W.String every_byte) in
+  check Alcotest.bool "no raw control byte" false
+    (String.exists (fun c -> Char.code c < 0x20) printed);
+  check Alcotest.bool "round-trips" true (W.of_string printed = Ok (W.String every_byte));
+  check Alcotest.string "plain text verbatim" "\"größe_42 (x > 3)\""
+    (W.to_string (W.String "größe_42 (x > 3)"))
+
+(* Lines are rendered in one reused buffer: a large answer, a small one and
+   one over the buffer's 1 MiB keep limit must each come out exactly as
+   [encode_response ^ "\n"], whatever was written before them. *)
+let test_line_buffer_reuse () =
+  let target = Targets.Cases.target_of "mysql" in
+  let registry = target.Violet.Pipeline.registry in
+  let model = (Violet.Pipeline.analyze_exn target "autocommit").Violet.Pipeline.model in
+  let rep =
+    or_fail
+      (Checker.check_current ~model ~registry ~file:(Vchecker.Config_file.parse "") ())
+  in
+  let report =
+    P.Report
+      {
+        P.findings = rep.Checker.findings;
+        checked_in_s = 0.25;
+        generation = 2;
+        batched = false;
+        coalesced = false;
+        degraded = false;
+      }
+  in
+  let small = P.Error_resp { code = P.Overloaded; message = "admission queue full" } in
+  let huge = P.Stats_info (W.String (String.make (2 * 1024 * 1024) 'z')) in
+  let expect name ?id resp line =
+    check Alcotest.bool name true (String.equal (P.encode_response ?id resp ^ "\n") line)
+  in
+  let large_line = P.response_line ~id:1 report in
+  let small_line = P.response_line ~id:2 small in
+  let huge_line = P.response_line huge in
+  let small_again = P.response_line ~id:3 small in
+  let large_again = P.response_line ~id:4 report in
+  check Alcotest.bool "the mysql answer is large" true (String.length large_line > 10_000);
+  expect "large" ~id:1 report large_line;
+  expect "small after large" ~id:2 small small_line;
+  expect "over the keep limit" huge huge_line;
+  expect "small after the limit" ~id:3 small small_again;
+  expect "large after the limit" ~id:4 report large_again;
+  let req = P.Check_current { key = "mysql-autocommit"; config = "autocommit = OFF\n" } in
+  check Alcotest.string "request line" (P.encode_request ~id:5 req ^ "\n") (P.request_line ~id:5 req)
+
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -854,4 +906,6 @@ let tests =
     tc "each server keeps its own upgrade memo" test_upgrade_memo_per_server;
     tc "a client that never reads is dropped" test_nonreading_client_dropped;
     tc "an over-cap line closes its connection" test_overlong_line_dropped;
+    tc "wire escapes every control byte" test_wire_escapes;
+    tc "line buffer reuse keeps every line exact" test_line_buffer_reuse;
   ]
