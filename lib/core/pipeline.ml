@@ -117,6 +117,24 @@ let analyzable_params target =
       else None)
     (Reg.params target.registry)
 
+(* Stage 2 of [analyze]: the symbolic set, [param] first, from the static
+   analysis's related set for [param]. *)
+let symbolic_set opts target param (related : Vanalysis.Related_config.result) =
+  if opts.all_symbolic then
+    (* ablation: every hookable perf parameter the program reads *)
+    List.sort_uniq String.compare (param :: analyzable_params target)
+  else if opts.include_related then
+    param
+    :: List.filteri
+         (fun i _ -> i < opts.max_related)
+         (List.filter (hookable target) related.Vanalysis.Related_config.related)
+  else [ param ]
+
+let companions ?(opts = default_options) target param =
+  symbolic_set opts target param (related_params target param)
+  |> List.filter (fun n -> n <> param)
+  |> List.sort String.compare
+
 (* One content key per configuration or workload parameter name: its
    registry entry (kind and domain, default, hook) and its definition in
    every workload template that declares it. *)
@@ -212,19 +230,7 @@ let analyze ?(opts = default_options) target param =
       Error (Unused_parameter { system = target.name; param })
     else begin
       (* stage 2: choose the symbolic set *)
-      let related_hooked =
-        List.filter (hookable target) related.Vanalysis.Related_config.related
-      in
-      let related_hooked =
-        List.filteri (fun i _ -> i < opts.max_related) related_hooked
-      in
-      let sym_param_names =
-        if opts.all_symbolic then
-          (* ablation: every hookable perf parameter the program reads *)
-          List.sort_uniq String.compare (param :: analyzable_params target)
-        else if opts.include_related then param :: related_hooked
-        else [ param ]
-      in
+      let sym_param_names = symbolic_set opts target param related in
       let sym_configs = List.map (Ex.sym_config_var target.registry) sym_param_names in
       let template = pick_template target opts in
       let sym_workloads =

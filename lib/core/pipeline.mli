@@ -122,6 +122,14 @@ val analyzable_params : target -> string list
 (** Parameters eligible for the coverage experiment: performance-related,
     hookable, and actually read by the program (Section 7.6). *)
 
+val companions : ?opts:options -> target -> string -> string list
+(** The parameters {!analyze} makes symbolic alongside [param] under
+    [opts], sorted, which is the analysed model's [related] list, sorted:
+    the static related set cut to hookable parameters and [max_related];
+    every analyzable parameter under [all_symbolic]; nothing without
+    [include_related].  [analyze] chooses its symbolic set through the
+    same function. *)
+
 val registry_keys : target -> (string * string) list
 (** [(name, content key)] for every configuration and workload parameter
     name, sorted: the registry entry (kind and domain, default, hook) and

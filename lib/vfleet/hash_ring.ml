@@ -4,7 +4,10 @@ type t = { n_shards : int; points : (string * int) array  (* (hash, shard) *) }
 
 let hash_of s = Digest.to_hex (Digest.string s)
 
-let make ?(vnodes = 64) ~shards () =
+(* ring points per shard *)
+let vnodes = 64
+
+let make ~shards () =
   if shards < 1 then invalid_arg "Hash_ring.make: shards must be >= 1";
   let points =
     Array.init (shards * vnodes) (fun i ->

@@ -1,6 +1,6 @@
 (** Consistent-hash ring over shard ids.
 
-    Each shard contributes [vnodes] points on the ring (md5 of
+    Each shard contributes 64 points on the ring (md5 of
     ["shard-<i>#<v>"]); a model key routes to the owner of the first point
     clockwise of the key's own hash.  Virtual nodes smooth the key
     distribution; consistent hashing keeps most keys on the same shard when
@@ -9,13 +9,13 @@
     constraint: any shard can answer any key, preferred owners just keep
     batch coalescing effective.
 
-    Deterministic: the ring is a pure function of [(shards, vnodes)], so the
+    Deterministic: the ring is a pure function of [shards], so the
     router, tests, and an operator reading logs all agree on ownership. *)
 
 type t
 
-val make : ?vnodes:int -> shards:int -> unit -> t
-(** [vnodes] defaults to 64 points per shard.  [shards] must be >= 1. *)
+val make : shards:int -> unit -> t
+(** [shards] must be >= 1. *)
 
 val shards : t -> int
 

@@ -9,37 +9,28 @@ module Checker = Vchecker.Checker
 type options = {
   topology : Topology.t;
   models_dir : string;
-  vnodes : int;
   replication : int;
   retries : bool;
   attempt_timeout_s : float;
-  max_attempts : int;
   max_pending : int;
-  down_budget_s : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
-  reconnect_every_s : float;
-  allow_shutdown : bool;
-  now : unit -> float;
 }
 
 let default_options ~topology ~models_dir =
   {
     topology;
     models_dir;
-    vnodes = 64;
     replication = 2;
     retries = true;
     attempt_timeout_s = 2.0;
-    max_attempts = 3;
     max_pending = 256;
-    down_budget_s = 1.0;
-    breaker_threshold = 3;
-    breaker_cooldown_s = 1.0;
-    reconnect_every_s = 0.25;
-    allow_shutdown = true;
-    now = Unix.gettimeofday;
   }
+
+(* fixed failure-handling settings, each listed in router.mli *)
+let max_attempts = 3
+let down_budget_s = 1.0
+let breaker_threshold = 3
+let breaker_cooldown_s = 1.0
+let reconnect_every_s = 0.25
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -92,11 +83,6 @@ type state = {
   mutable stopping : bool;
 }
 
-let key_of_request = function
-  | P.Check_current { key; _ } | P.Check_update { key; _ } | P.Check_upgrade { key; _ } ->
-    Some key
-  | P.Health | P.Stats | P.Reload_stage | P.Reload_commit | P.Shutdown -> None
-
 (* ------------------------------------------------------------------ *)
 (* Shard connections and failure accounting                            *)
 (* ------------------------------------------------------------------ *)
@@ -105,8 +91,8 @@ let close_shard_conn sh =
   (match sh.s_conn with Some c -> Conn.close c | None -> ());
   sh.s_conn <- None
 
-let mark_down st sh =
-  if sh.s_down_since = None then sh.s_down_since <- Some (st.opts.now ());
+let mark_down sh =
+  if sh.s_down_since = None then sh.s_down_since <- Some (Unix.gettimeofday ());
   close_shard_conn sh
 
 let mark_success sh =
@@ -115,59 +101,42 @@ let mark_success sh =
   sh.s_open_until <- 0.
 
 (* one charged failure: consecutive count feeds the per-shard breaker *)
-let mark_failure st sh =
+let mark_failure sh =
   sh.s_consec <- sh.s_consec + 1;
   sh.s_failures <- sh.s_failures + 1;
-  if sh.s_consec >= st.opts.breaker_threshold && st.opts.now () >= sh.s_open_until then begin
-    sh.s_open_until <- st.opts.now () +. st.opts.breaker_cooldown_s;
+  if sh.s_consec >= breaker_threshold && Unix.gettimeofday () >= sh.s_open_until then begin
+    sh.s_open_until <- Unix.gettimeofday () +. breaker_cooldown_s;
     sh.s_trips <- sh.s_trips + 1
   end
 
-let downtime st sh =
-  match sh.s_down_since with None -> 0. | Some t -> st.opts.now () -. t
+let downtime sh =
+  match sh.s_down_since with None -> 0. | Some t -> Unix.gettimeofday () -. t
 
 let shard_conn sh =
   match sh.s_conn with
   | Some c when not (Conn.closed c) -> Some c
   | _ -> begin
     sh.s_conn <- None;
-    let sock_addr =
-      match sh.s_addr with
-      | `Unix path -> Some (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-      | `Tcp (host, port) -> begin
-        match Unix.gethostbyname host with
-        | exception Not_found -> None
-        | { Unix.h_addr_list = [||]; _ } -> None
-        | { Unix.h_addr_list; _ } -> Some (Unix.PF_INET, Unix.ADDR_INET (h_addr_list.(0), port))
-      end
-    in
-    match sock_addr with
-    | None -> None
-    | Some (pf, sa) -> begin
-      let fd = Unix.socket pf Unix.SOCK_STREAM 0 in
-      match Unix.connect fd sa with
-      | () ->
-        let c = Conn.make fd in
-        sh.s_conn <- Some c;
-        mark_success sh;
-        Some c
-      | exception Unix.Unix_error _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        None
-    end
+    match Conn.dial sh.s_addr with
+    | Error _ -> None
+    | Ok fd ->
+      let c = Conn.make fd in
+      sh.s_conn <- Some c;
+      mark_success sh;
+      Some c
   end
 
 (* candidate shards for a key, best first: the preference-list prefix of
    length [replication], minus shards whose breaker is open (cooldown not
    elapsed) or that have been down past the budget *)
 let candidates st key =
-  let now = st.opts.now () in
+  let now = Unix.gettimeofday () in
   Hash_ring.preference st.ring key
   |> List.filteri (fun i _ -> i < st.opts.replication)
   |> List.filter (fun id ->
          let sh = st.shards.(id) in
          let breaker_open = now < sh.s_open_until in
-         let past_budget = downtime st sh > st.opts.down_budget_s in
+         let past_budget = downtime sh > down_budget_s in
          (not breaker_open) && not past_budget)
 
 (* ------------------------------------------------------------------ *)
@@ -177,7 +146,7 @@ let candidates st key =
 let answer st p resp =
   Hashtbl.remove st.pendings p.pn_rid;
   Conn.write p.pn_client (P.response_line ?id:p.pn_cid resp);
-  Latency.observe st.latency ~us:((st.opts.now () -. p.pn_t0) *. 1e6)
+  Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.pn_t0) *. 1e6)
 
 (* every candidate failed: answer the conservative widening from the
    router's own registry rather than losing the request.  With [retries]
@@ -188,13 +157,13 @@ let fallback st p =
   match (if st.opts.retries then Registry.find st.registry p.pn_key else None) with
   | Some (e : Registry.entry) ->
     st.fallback_degraded <- st.fallback_degraded + 1;
-    let t0 = st.opts.now () in
+    let t0 = Unix.gettimeofday () in
     let findings = Checker.degraded_findings e.Registry.model in
     answer st p
       (P.Report
          {
            P.findings;
-           checked_in_s = st.opts.now () -. t0;
+           checked_in_s = Unix.gettimeofday () -. t0;
            generation = e.Registry.generation;
            batched = false;
            coalesced = false;
@@ -209,7 +178,18 @@ let fallback st p =
          })
 
 let rec dispatch st p =
-  if p.pn_attempts >= st.opts.max_attempts then fallback st p
+  (* the candidate is down or died under the write: charge it and move on
+     (moving past an unreachable candidate is a failover too) *)
+  let unreachable sh =
+    mark_failure sh;
+    mark_down sh;
+    if st.opts.retries then begin
+      if p.pn_remaining <> [] then st.failovers <- st.failovers + 1;
+      dispatch st p
+    end
+    else fallback st p
+  in
+  if p.pn_attempts >= max_attempts then fallback st p
   else begin
     match p.pn_remaining with
     | [] -> fallback st p
@@ -217,66 +197,42 @@ let rec dispatch st p =
       p.pn_remaining <- rest;
       let sh = st.shards.(id) in
       match shard_conn sh with
-      | None ->
-        mark_failure st sh;
-        mark_down st sh;
-        if st.opts.retries then begin
-          (* moving past an unreachable candidate is a failover too *)
-          if p.pn_remaining <> [] then st.failovers <- st.failovers + 1;
-          dispatch st p
-        end
-        else fallback st p
+      | None -> unreachable sh
       | Some c ->
         p.pn_shard <- id;
         p.pn_attempts <- p.pn_attempts + 1;
-        p.pn_deadline <- st.opts.now () +. st.opts.attempt_timeout_s;
+        p.pn_deadline <- Unix.gettimeofday () +. st.opts.attempt_timeout_s;
         Conn.write c (P.request_line ~id:p.pn_rid p.pn_req);
-        if Conn.closed c then begin
-          (* the write itself failed: the worker died under us *)
-          mark_failure st sh;
-          mark_down st sh;
-          if st.opts.retries then begin
-            if p.pn_remaining <> [] then st.failovers <- st.failovers + 1;
-            dispatch st p
-          end
-          else fallback st p
-        end
+        if Conn.closed c then unreachable sh
     end
   end
 
+(* a dispatched request failed on [sh] (its worker died, or the attempt
+   timed out): charge the shard and retry elsewhere *)
+let redispatch st sh p =
+  mark_failure sh;
+  if st.opts.retries then begin
+    st.failovers <- st.failovers + 1;
+    st.retries <- st.retries + 1;
+    dispatch st p
+  end
+  else fallback st p
+
 (* a worker connection died: everything in flight on it fails over *)
 let on_worker_dead st sh =
-  mark_down st sh;
-  let victims =
-    Hashtbl.fold (fun _ p acc -> if p.pn_shard = sh.s_id then p :: acc else acc) st.pendings []
-  in
-  List.iter
-    (fun p ->
-      mark_failure st sh;
-      if st.opts.retries then begin
-        st.failovers <- st.failovers + 1;
-        st.retries <- st.retries + 1;
-        dispatch st p
-      end
-      else fallback st p)
-    victims
+  mark_down sh;
+  Hashtbl.fold (fun _ p acc -> if p.pn_shard = sh.s_id then p :: acc else acc) st.pendings []
+  |> List.iter (redispatch st sh)
 
 let check_timeouts st =
-  let now = st.opts.now () in
+  let now = Unix.gettimeofday () in
   let expired =
     Hashtbl.fold (fun _ p acc -> if now >= p.pn_deadline then p :: acc else acc) st.pendings []
   in
   List.iter
     (fun p ->
       st.timeouts <- st.timeouts + 1;
-      let sh = st.shards.(p.pn_shard) in
-      mark_failure st sh;
-      if st.opts.retries then begin
-        st.failovers <- st.failovers + 1;
-        st.retries <- st.retries + 1;
-        dispatch st p
-      end
-      else fallback st p)
+      redispatch st st.shards.(p.pn_shard) p)
     expired
 
 (* ------------------------------------------------------------------ *)
@@ -310,70 +266,52 @@ let handle_worker_line st sh line =
     end
   end
 
-(* ------------------------------------------------------------------ *)
-(* Synchronous worker calls (service verbs only)                       *)
-(* ------------------------------------------------------------------ *)
+let worker_fds st =
+  Array.to_list st.shards
+  |> List.filter_map (fun sh ->
+         match sh.s_conn with
+         | Some c when not (Conn.closed c) -> Some (Conn.fd c)
+         | _ -> None)
 
-let sync_call sh req ~timeout_s =
-  match Client.connect sh.s_addr with
-  | Error e -> Error e
-  | Ok c ->
-    Fun.protect
-      ~finally:(fun () -> Client.close c)
-      (fun () -> Client.call ~timeout_s c req)
+(* read a readable worker socket; [false] when [fd] is no worker's *)
+let read_worker st fd =
+  let owner sh =
+    match sh.s_conn with
+    | Some c when (not (Conn.closed c)) && Conn.fd c == fd -> Some (sh, c)
+    | _ -> None
+  in
+  match Array.find_map owner st.shards with
+  | None -> false
+  | Some (sh, c) ->
+    let lines = Conn.read_lines c in
+    if Conn.closed c then on_worker_dead st sh else List.iter (handle_worker_line st sh) lines;
+    true
+
+(* ------------------------------------------------------------------ *)
+(* Draining in-flight requests                                         *)
+(* ------------------------------------------------------------------ *)
 
 let drain_deadline st =
-  st.opts.now () +. (st.opts.attempt_timeout_s *. float_of_int (st.opts.max_attempts + 1))
+  Unix.gettimeofday () +. (st.opts.attempt_timeout_s *. float_of_int (max_attempts + 1))
 
 (* wait out the in-flight requests (worker sockets only — client lines queue
    in their kernel buffers), so a reload never mixes generations and a
    stats pull sees a quiesced pending table *)
 let drain st =
   let deadline = drain_deadline st in
-  while Hashtbl.length st.pendings > 0 && st.opts.now () < deadline do
-    let fds =
-      Array.to_list st.shards
-      |> List.filter_map (fun sh ->
-             match sh.s_conn with
-             | Some c when not (Conn.closed c) -> Some (Conn.fd c)
-             | _ -> None)
-    in
+  while Hashtbl.length st.pendings > 0 && Unix.gettimeofday () < deadline do
     let readable =
-      match Unix.select fds [] [] 0.05 with
+      match Unix.select (worker_fds st) [] [] 0.05 with
       | r, _, _ -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
     in
-    List.iter
-      (fun fd ->
-        Array.iter
-          (fun sh ->
-            match sh.s_conn with
-            | Some c when (not (Conn.closed c)) && Conn.fd c == fd ->
-              let lines = Conn.read_lines c in
-              if Conn.closed c then on_worker_dead st sh
-              else List.iter (handle_worker_line st sh) lines
-            | _ -> ())
-          st.shards)
-      readable;
+    List.iter (fun fd -> ignore (read_worker st fd)) readable;
     check_timeouts st
   done
 
 (* ------------------------------------------------------------------ *)
 (* Service verbs                                                       *)
 (* ------------------------------------------------------------------ *)
-
-let health_resp st =
-  let models =
-    List.map
-      (fun (e : Registry.entry) ->
-        {
-          P.mi_key = e.Registry.key;
-          mi_generation = e.Registry.generation;
-          mi_digest = e.Registry.digest;
-        })
-      (Registry.entries st.registry)
-  in
-  P.Health_info { status = (if st.stopping then "stopping" else "ok"); models }
 
 (* The fleet stats answer: the supervisor's published view of each shard
    (pid, restarts) plus the router's own charges, each live worker's stats
@@ -385,9 +323,9 @@ let stats_to_wire st =
   Latency.merge ~into:latency st.latency;
   let shard sh =
     let stats =
-      if downtime st sh > 0. then Wire.Null
+      if downtime sh > 0. then Wire.Null
       else
-        match sync_call sh P.Stats ~timeout_s:1.0 with
+        match Client.call_once ~timeout_s:1.0 sh.s_addr P.Stats with
         | Ok (P.Stats_info v) ->
           Option.iter (Latency.merge ~into:latency)
             (Option.bind (Wire.member "latency" v) Latency.of_wire);
@@ -405,7 +343,7 @@ let stats_to_wire st =
         state =
           (match s.state with
           | ("tripped" | "restarting") as state -> state
-          | _ -> if downtime st sh > 0. then "down" else "up");
+          | _ -> if downtime sh > 0. then "down" else "up");
         breaker_trips = sh.s_trips + s.breaker_trips;
         failures = sh.s_failures + s.failures;
       }
@@ -434,7 +372,7 @@ let reload_stage st =
     Array.to_list st.shards
     |> List.map (fun sh ->
            let name = Printf.sprintf "shard-%d" sh.s_id in
-           match sync_call sh P.Reload_stage ~timeout_s:5.0 with
+           match Client.call_once ~timeout_s:5.0 sh.s_addr P.Reload_stage with
            | Ok (P.Reload_info { ok = true; _ }) -> (name, Ok ())
            | Ok (P.Reload_info { entries; _ }) ->
              let why =
@@ -476,7 +414,7 @@ let reload_commit st =
     let commit_one sh =
       let name = Printf.sprintf "shard-%d" sh.s_id in
       let attempt () =
-        match sync_call sh P.Reload_commit ~timeout_s:5.0 with
+        match Client.call_once ~timeout_s:5.0 sh.s_addr P.Reload_commit with
         | Ok (P.Reload_info { ok = true; _ }) -> Ok ()
         | Ok (P.Reload_info { entries; _ }) ->
           Error
@@ -490,7 +428,7 @@ let reload_commit st =
         (* the worker may have restarted since the stage (losing its staged
            set, but loading the new files at startup anyway): re-stage and
            commit once so a recovered shard rejoins the new generation *)
-        match sync_call sh P.Reload_stage ~timeout_s:5.0 with
+        match Client.call_once ~timeout_s:5.0 sh.s_addr P.Reload_stage with
         | Ok (P.Reload_info { ok = true; _ }) -> (name, attempt ())
         | Ok _ | Error _ -> (name, attempt ())
       end
@@ -520,19 +458,15 @@ let handle_client_line st conn line =
       (P.response_line (P.Error_resp { code = P.Bad_request; message = msg }))
   | Ok (id, req) -> begin
     match req with
-    | P.Health -> Conn.write conn (P.response_line ?id (health_resp st))
+    | P.Health ->
+      Conn.write conn
+        (P.response_line ?id (Vserve.Server.health st.registry ~stopping:st.stopping))
     | P.Stats -> Conn.write conn (P.response_line ?id (P.Stats_info (stats_to_wire st)))
     | P.Reload_stage -> Conn.write conn (P.response_line ?id (reload_stage st))
     | P.Reload_commit -> Conn.write conn (P.response_line ?id (reload_commit st))
     | P.Shutdown ->
-      if st.opts.allow_shutdown then begin
-        st.stopping <- true;
-        Conn.write conn (P.response_line ?id P.Bye)
-      end
-      else
-        Conn.write conn
-          (P.response_line ?id
-             (P.Error_resp { code = P.Bad_request; message = "shutdown is disabled" }))
+      st.stopping <- true;
+      Conn.write conn (P.response_line ?id P.Bye)
     | P.Check_current _ | P.Check_update _ | P.Check_upgrade _ ->
       if st.stopping then
         Conn.write conn
@@ -546,7 +480,7 @@ let handle_client_line st conn line =
                 { code = P.Overloaded; message = "router pending table full — request shed" }))
       end
       else begin
-        let key = Option.value ~default:"" (key_of_request req) in
+        let key = Option.value ~default:"" (P.key_of_request req) in
         let rid = st.next_rid in
         st.next_rid <- rid + 1;
         st.routed <- st.routed + 1;
@@ -561,7 +495,7 @@ let handle_client_line st conn line =
             pn_remaining = candidates st key;
             pn_attempts = 0;
             pn_deadline = Float.max_float;
-            pn_t0 = st.opts.now ();
+            pn_t0 = Unix.gettimeofday ();
           }
         in
         Hashtbl.replace st.pendings rid p;
@@ -573,29 +507,10 @@ let handle_client_line st conn line =
 (* The reactor                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let bind_socket addr =
-  match addr with
-  | `Unix path ->
-    if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_loopback
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
-
 let run opts =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = Topology.router_addr opts.topology in
-  match bind_socket addr with
+  match Conn.listen addr with
   | exception Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot bind router: %s" (Unix.error_message err))
   | listen_fd ->
@@ -619,7 +534,7 @@ let run opts =
     let st =
       {
         opts;
-        ring = Hash_ring.make ~vnodes:opts.vnodes ~shards:opts.topology.Topology.shards ();
+        ring = Hash_ring.make ~shards:opts.topology.Topology.shards ();
         registry;
         shards;
         pendings = Hashtbl.create 64;
@@ -649,30 +564,23 @@ let run opts =
       else begin
         (* periodically probe downed shards for recovery (the supervisor
            restarts them; this is how the router notices) *)
-        if opts.now () -. !last_reconnect >= opts.reconnect_every_s then begin
+        if Unix.gettimeofday () -. !last_reconnect >= reconnect_every_s then begin
           Array.iter
             (fun sh -> if sh.s_down_since <> None then ignore (shard_conn sh))
             shards;
-          last_reconnect := opts.now ()
+          last_reconnect := Unix.gettimeofday ()
         end;
-        let worker_fds =
-          Array.to_list shards
-          |> List.filter_map (fun sh ->
-                 match sh.s_conn with
-                 | Some c when not (Conn.closed c) -> Some (Conn.fd c)
-                 | _ -> None)
-        in
         let fds =
           (if st.stopping then [] else [ listen_fd ])
           @ List.map (fun c -> Conn.fd c) !clients
-          @ worker_fds
+          @ worker_fds st
         in
         let timeout =
           if Hashtbl.length st.pendings = 0 then 0.2
           else
             Hashtbl.fold (fun _ p acc -> Float.min acc p.pn_deadline) st.pendings
               Float.max_float
-            |> fun d -> Float.max 0.005 (Float.min 0.2 (d -. opts.now ()))
+            |> fun d -> Float.max 0.005 (Float.min 0.2 (d -. Unix.gettimeofday ()))
         in
         let readable =
           match Unix.select fds [] [] timeout with
@@ -686,23 +594,10 @@ let run opts =
               | client_fd, _ -> clients := Conn.make ~on_write_failed client_fd :: !clients
               | exception Unix.Unix_error _ -> ()
             end
-            else begin
-              let handled = ref false in
-              Array.iter
-                (fun sh ->
-                  match sh.s_conn with
-                  | Some c when (not (Conn.closed c)) && Conn.fd c == fd ->
-                    handled := true;
-                    let lines = Conn.read_lines c in
-                    if Conn.closed c then on_worker_dead st sh
-                    else List.iter (handle_worker_line st sh) lines
-                  | _ -> ())
-                shards;
-              if not !handled then
-                match List.find_opt (fun c -> Conn.fd c == fd) !clients with
-                | None -> ()
-                | Some conn -> List.iter (handle_client_line st conn) (Conn.read_lines conn)
-            end)
+            else if not (read_worker st fd) then
+              match List.find_opt (fun c -> Conn.fd c == fd) !clients with
+              | None -> ()
+              | Some conn -> List.iter (handle_client_line st conn) (Conn.read_lines conn))
           readable;
         check_timeouts st;
         loop ()
@@ -712,10 +607,7 @@ let run opts =
       ~finally:(fun () ->
         List.iter Conn.close !clients;
         Array.iter close_shard_conn shards;
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        match addr with
-        | `Unix path -> ( try Sys.remove path with Sys_error _ -> ())
-        | `Tcp _ -> ())
+        Conn.unlisten addr listen_fd)
       (fun () ->
         loop ();
         Ok ())

@@ -48,7 +48,6 @@
 type options = {
   topology : Topology.t;
   models_dir : string;
-  vnodes : int;  (** ring points per shard (default 64) *)
   replication : int;
       (** preference-list prefix eligible for a key (capped at the shard
           count); 1 = no failover candidates (default 2) *)
@@ -58,16 +57,17 @@ type options = {
           the client with an error (the bench A/B hatch for the chaos
           experiment) *)
   attempt_timeout_s : float;  (** per-dispatch deadline (default 2.0) *)
-  max_attempts : int;  (** dispatches per request, across shards (default 3) *)
   max_pending : int;  (** router admission bound (default 256) *)
-  down_budget_s : float;
-      (** downtime after which a shard is skipped at dispatch (default 1.0) *)
-  breaker_threshold : int;  (** consecutive failures that open (default 3) *)
-  breaker_cooldown_s : float;  (** open duration before half-open (default 1.0) *)
-  reconnect_every_s : float;  (** down-shard reconnect probe period (default 0.25) *)
-  allow_shutdown : bool;
-  now : unit -> float;
 }
+(** The rest of the router's failure handling is fixed:
+    - 64 ring points per shard ({!Hash_ring.make});
+    - at most 3 dispatches per request, across shards;
+    - a shard down for more than 1.0 s is skipped at dispatch;
+    - 3 consecutive charged failures open a shard's breaker, for 1.0 s
+      before half-open;
+    - down shards are probed for reconnection every 0.25 s;
+    - the [shutdown] verb is always honoured;
+    - times are read from [Unix.gettimeofday]. *)
 
 val default_options : topology:Topology.t -> models_dir:string -> options
 

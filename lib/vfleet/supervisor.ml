@@ -7,11 +7,7 @@ type options = {
   worker_opts : int -> Vserve.Server.options;
   router_opts : Router.options;
   probe_every_s : float;
-  probe_timeout_s : float;
-  probe_failures_limit : int;
   backoff_base_s : float;
-  backoff_max_s : float;
-  crashloop_window_s : float;
   crashloop_limit : int;
   crashloop_cooldown_s : float;
   seed : int;
@@ -33,16 +29,18 @@ let default_options ~topology ~models_dir =
     worker_opts;
     router_opts = Router.default_options ~topology ~models_dir;
     probe_every_s = 0.5;
-    probe_timeout_s = 1.0;
-    probe_failures_limit = 3;
     backoff_base_s = 0.05;
-    backoff_max_s = 2.0;
-    crashloop_window_s = 10.0;
     crashloop_limit = 5;
     crashloop_cooldown_s = 5.0;
     seed = 0x5eed;
     spawn_worker = None;
   }
+
+(* fixed supervision settings, each listed in supervisor.mli *)
+let probe_timeout_s = 1.0
+let probe_failures_limit = 3
+let backoff_max_s = 2.0
+let crashloop_window_s = 10.0
 
 (* ------------------------------------------------------------------ *)
 (* Per-shard supervision state                                         *)
@@ -158,7 +156,7 @@ let run opts =
       sh.sh_pid <- 0;
       sh.sh_probe_failures <- 0;
       sh.sh_crashes <-
-        now :: List.filter (fun t -> now -. t <= opts.crashloop_window_s) sh.sh_crashes;
+        now :: List.filter (fun t -> now -. t <= crashloop_window_s) sh.sh_crashes;
       sh.sh_consec_crashes <- sh.sh_consec_crashes + 1;
       if List.length sh.sh_crashes > opts.crashloop_limit then begin
         (* crash loop: stop burning restarts, wait out the cooldown, then
@@ -171,7 +169,7 @@ let run opts =
       else begin
         sh.sh_state <- Restarting;
         let delay =
-          Float.min opts.backoff_max_s
+          Float.min backoff_max_s
             (opts.backoff_base_s *. (2. ** float_of_int (sh.sh_consec_crashes - 1)))
         in
         let jittered = delay *. (0.5 +. Random.State.float rng 1.0) in
@@ -216,28 +214,26 @@ let run opts =
             (fun sh ->
               if sh.sh_state = Up && sh.sh_pid <> 0 then begin
                 let healthy =
-                  match Client.connect (Topology.worker_addr opts.topology sh.sh_id) with
-                  | Error _ -> false
-                  | Ok c ->
-                    Fun.protect
-                      ~finally:(fun () -> Client.close c)
-                      (fun () ->
-                        match Client.call ~timeout_s:opts.probe_timeout_s c P.Health with
-                        | Ok (P.Health_info _) -> true
-                        | Ok _ | Error _ -> false)
+                  match
+                    Client.call_once ~timeout_s:probe_timeout_s
+                      (Topology.worker_addr opts.topology sh.sh_id)
+                      P.Health
+                  with
+                  | Ok (P.Health_info _) -> true
+                  | Ok _ | Error _ -> false
                 in
                 if healthy then begin
                   sh.sh_probe_failures <- 0;
                   (* a stable run forgives crash history *)
                   if
                     sh.sh_crashes = []
-                    || now -. List.hd sh.sh_crashes > opts.crashloop_window_s
+                    || now -. List.hd sh.sh_crashes > crashloop_window_s
                   then sh.sh_consec_crashes <- 0
                 end
                 else begin
                   sh.sh_probe_failures <- sh.sh_probe_failures + 1;
                   sh.sh_failures <- sh.sh_failures + 1;
-                  if sh.sh_probe_failures >= opts.probe_failures_limit then begin
+                  if sh.sh_probe_failures >= probe_failures_limit then begin
                     (try Unix.kill sh.sh_pid Sys.sigkill with Unix.Unix_error _ -> ());
                     sh.sh_probe_failures <- 0
                   end

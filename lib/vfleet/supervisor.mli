@@ -14,12 +14,12 @@
     - an exited worker is reaped ([waitpid WNOHANG]) and respawned after an
       exponential backoff with jitter (seeded {!Random.State}; doubling per
       consecutive crash, reset by a stable run);
-    - a {e crash loop} — more than [crashloop_limit] exits inside
-      [crashloop_window_s] — trips the shard's breaker: no more restarts
-      until [crashloop_cooldown_s] has passed, then one half-open attempt;
-    - an {e unresponsive} worker (alive but failing [probe_failures_limit]
-      consecutive health probes, each bounded by [probe_timeout_s]) is
-      killed with SIGKILL and handled as an exit.
+    - a {e crash loop} — more than [crashloop_limit] exits inside 10 s —
+      trips the shard's breaker: no more restarts until
+      [crashloop_cooldown_s] has passed, then one half-open attempt;
+    - an {e unresponsive} worker (alive but failing 3 consecutive health
+      probes, each bounded by 1 s) is killed with SIGKILL and handled as an
+      exit.
 
     The supervisor publishes its view — per-shard pid, state
     ([up]/[down]/[restarting]/[tripped]), restart/trip/failure counts — to
@@ -40,19 +40,19 @@ type options = {
           shutdown-by-wire, and leaves the rest at vserve defaults *)
   router_opts : Router.options;
   probe_every_s : float;  (** health-probe period (default 0.5) *)
-  probe_timeout_s : float;  (** per-probe response bound (default 1.0) *)
-  probe_failures_limit : int;
-      (** consecutive failed probes before SIGKILL (default 3) *)
   backoff_base_s : float;  (** first restart delay (default 0.05) *)
-  backoff_max_s : float;  (** restart delay cap (default 2.0) *)
-  crashloop_window_s : float;  (** crash-counting window (default 10.0) *)
-  crashloop_limit : int;  (** exits in window that trip (default 5) *)
+  crashloop_limit : int;  (** exits in the 10 s window that trip (default 5) *)
   crashloop_cooldown_s : float;  (** tripped pause before half-open (default 5.0) *)
   seed : int;  (** backoff-jitter seed *)
   spawn_worker : (int -> unit) option;
       (** override the forked worker body (tests inject crashy workers);
           [None] runs [Vserve.Server.run (worker_opts i)] *)
 }
+(** The rest of supervision is fixed:
+    - each health probe waits at most 1.0 s for its answer;
+    - 3 consecutive failed probes get the worker a SIGKILL;
+    - restart delays double from [backoff_base_s] up to 2.0 s;
+    - crashes are counted in a 10.0 s window. *)
 
 val default_options : topology:Topology.t -> models_dir:string -> options
 

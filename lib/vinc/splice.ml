@@ -15,24 +15,6 @@ let reuse_fraction r =
   let reused = List.length r.sp_reused and redone = List.length r.sp_reexplored in
   if reused + redone = 0 then 0. else float_of_int reused /. float_of_int (reused + redone)
 
-(* The symbolic set [Pipeline.analyze] would choose for this parameter
-   under these options, as the sorted related list the model records.  A
-   carried slice must have the same set: static analysis runs over the
-   whole program, so a diff can change a slice's symbolic companions even
-   when exploration never enters the changed code. *)
-let expected_related (target : P.target) (opts : P.options) param =
-  if opts.P.all_symbolic then
-    List.filter
-      (fun n -> n <> param)
-      (List.sort_uniq String.compare (param :: P.analyzable_params target))
-  else if opts.P.include_related then begin
-    let rel = (P.related_params target param).Vanalysis.Related_config.related in
-    let hooked = List.filter (P.hookable target) rel in
-    let truncated = List.filteri (fun i _ -> i < opts.P.max_related) hooked in
-    List.sort String.compare (List.filter (fun n -> n <> param) truncated)
-  end
-  else []
-
 type decision =
   | Reuse of Baseline.slice * M.t  (* verified model, carried verbatim *)
   | Reexplore of string  (* reason *)
@@ -44,7 +26,10 @@ let classify ~baseline_dir (manifest : Baseline.t) target opts ~dirty_functions 
     if slice.Baseline.sl_visited = [] then Reexplore "no recorded coverage"
     else if List.exists (fun f -> List.mem f dirty_functions) slice.Baseline.sl_visited then
       Reexplore "coverage touches changed code"
-    else if expected_related target opts param <> slice.Baseline.sl_related then
+    else if P.companions ~opts target param <> slice.Baseline.sl_related then
+      (* static analysis runs over the whole program, so a diff can change a
+         slice's symbolic companions even when exploration never enters the
+         changed code *)
       Reexplore "related-parameter set changed"
     else begin
       match Baseline.load_model ~dir:baseline_dir ~param with

@@ -18,34 +18,10 @@ let addr_of_string s =
     | _ -> Error (Printf.sprintf "bad address %S (want unix:PATH or tcp:HOST:PORT)" s)
   end
 
-let addr_to_string = function
-  | `Unix path -> "unix:" ^ path
-  | `Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+let addr_to_string = Conn.addr_to_string
 
 let connect addr =
-  let sock_addr =
-    match addr with
-    | `Unix path -> Ok (Unix.PF_UNIX, Unix.ADDR_UNIX path)
-    | `Tcp (host, port) -> begin
-      match Unix.gethostbyname host with
-      | exception Not_found -> Error (Printf.sprintf "unknown host %S" host)
-      | { Unix.h_addr_list = [||]; _ } ->
-        (* a resolvable name with an empty address list used to raise
-           [Invalid_argument] out of [h_addr_list.(0)] *)
-        Error (Printf.sprintf "host %S resolved to no addresses" host)
-      | { Unix.h_addr_list; _ } -> Ok (Unix.PF_INET, Unix.ADDR_INET (h_addr_list.(0), port))
-    end
-  in
-  match sock_addr with
-  | Error _ as e -> e
-  | Ok (pf, sa) -> begin
-    let fd = Unix.socket pf Unix.SOCK_STREAM 0 in
-    match Unix.connect fd sa with
-    | () -> Ok { fd; buf = Buffer.create 256; next_id = 1 }
-    | exception Unix.Unix_error (err, _, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "connect %s: %s" (addr_to_string addr) (Unix.error_message err))
-  end
+  Result.map (fun fd -> { fd; buf = Buffer.create 256; next_id = 1 }) (Conn.dial addr)
 
 (* Exponential backoff with jitter under an overall wall-clock deadline.
    The jitter source is a local seeded state (nothing in the repo touches
@@ -149,3 +125,7 @@ let await ?timeout_s c id =
 let call ?timeout_s c req =
   let* id = post c req in
   await ?timeout_s c id
+
+let call_once ?timeout_s addr req =
+  let* c = connect addr in
+  Fun.protect ~finally:(fun () -> close c) (fun () -> call ?timeout_s c req)

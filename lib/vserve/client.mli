@@ -42,6 +42,10 @@ val call : ?timeout_s:float -> t -> Protocol.request -> (Protocol.response, stri
     [timeout_s] bounds each wait for response bytes, so a hung daemon
     cannot block the caller forever; omitted = wait indefinitely. *)
 
+val call_once :
+  ?timeout_s:float -> Server.addr -> Protocol.request -> (Protocol.response, string) result
+(** {!connect}, {!call}, {!close}: one request on its own connection. *)
+
 val post : t -> Protocol.request -> (int, string) result
 (** Send one request without waiting; returns the request id for {!await}. *)
 

@@ -16,6 +16,29 @@ val send_timeout_s : float
 val max_line_bytes : int
 (** Longest pending line [read_lines] keeps; a peer past it is dropped. *)
 
+type addr = [ `Unix of string | `Tcp of string * int ]
+
+val addr_to_string : addr -> string
+(** ["unix:PATH"] or ["tcp:HOST:PORT"]. *)
+
+val resolve : addr -> (Unix.sockaddr, string) result
+(** The one address resolver: a TCP host resolves to its first address.
+    [Error] names a host that does not resolve or resolves to no address. *)
+
+val listen : addr -> Unix.file_descr
+(** The one binder, for the daemon and the router: bind and listen
+    (backlog 64).  An existing Unix-socket file is replaced; a TCP socket
+    sets [SO_REUSEADDR], and a host that does not resolve binds the
+    loopback interface.  Raises [Unix.Unix_error] when the bind fails. *)
+
+val unlisten : addr -> Unix.file_descr -> unit
+(** Close a {!listen} socket and remove its Unix-socket file. *)
+
+val dial : addr -> (Unix.file_descr, string) result
+(** Resolve and connect a stream socket, for the client and the router's
+    shard connections.  [Error] on resolution failure or connection
+    refusal (["connect ADDR: REASON"]), never an exception. *)
+
 type t
 
 val make : ?on_write_failed:(unit -> unit) -> Unix.file_descr -> t

@@ -57,6 +57,10 @@ let verb_of_request = function
   | Reload_commit -> "reload-commit"
   | Shutdown -> "shutdown"
 
+let key_of_request = function
+  | Check_current { key; _ } | Check_update { key; _ } | Check_upgrade { key; _ } -> Some key
+  | Health | Stats | Reload_stage | Reload_commit | Shutdown -> None
+
 let error_code_to_string = function
   | Overloaded -> "overloaded"
   | Bad_request -> "bad-request"

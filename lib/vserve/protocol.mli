@@ -76,6 +76,10 @@ type response =
   | Bye  (** shutdown acknowledged *)
 
 val verb_of_request : request -> string
+
+val key_of_request : request -> string option
+(** The model key a check verb names; [None] for a service verb. *)
+
 val error_code_to_string : error_code -> string
 val error_code_of_string : string -> error_code option
 

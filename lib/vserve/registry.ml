@@ -20,22 +20,11 @@ let event_to_string = function
   | Rejected { key; reason } -> Printf.sprintf "rejected %s: %s" key reason
   | Removed key -> Printf.sprintf "removed %s" key
 
-(* a fully verified load held back from the live table until [commit] *)
-type staged = {
-  st_key : string;
-  st_path : string;
-  st_digest : string;
-  st_model : Vmodel.Impact_model.t;
-  st_compiled : Vmodel.Compiled_model.t option;
-  st_mtime : float;
-  st_size : int;
-}
-
 type t = {
   dir : string;
   compile : bool;
   entries : (string, entry) Hashtbl.t;
-  mutable staged : staged list option;  (* [Some] after a successful stage *)
+  mutable staged : entry list option;  (* [Some] after a successful stage *)
   mutable reloads : int;
   mutable load_failures : int;
   mutable compiles : int;
@@ -64,15 +53,7 @@ let key_of_file name =
     Some (Filename.chop_suffix name extension)
   else None
 
-(* Read the payload through the checkpoint envelope (verifying magic,
-   version, kind, length and digest) — the md5 both gates the load and
-   becomes the entry's identity, and is known *before* the payload is
-   parsed, so an unchanged digest skips the parse and recompile
-   entirely. *)
-let read_payload path =
-  Result.map
-    (fun payload -> (payload, Digest.to_hex (Digest.string payload)))
-    (Violet.Pipeline.read_model_payload path)
+let ( let* ) = Result.bind
 
 let compile_model t model =
   if not t.compile then None
@@ -84,167 +65,118 @@ let compile_model t model =
     Some cm
   end
 
-let refresh ?(force = false) t =
-  let events = ref [] in
-  let seen = Hashtbl.create 8 in
+(* every model file in the directory, in name order, with its stat *)
+let scan t =
   let files = try Sys.readdir t.dir with Sys_error _ -> [||] in
   Array.sort String.compare files;
-  Array.iter
+  List.filter_map
     (fun name ->
-      match key_of_file name with
-      | None -> ()
-      | Some key -> begin
-        let path = Filename.concat t.dir name in
-        match Unix.stat path with
-        | exception Unix.Unix_error _ -> ()
-        | st ->
-          Hashtbl.replace seen key ();
-          let old = Hashtbl.find_opt t.entries key in
-          let unchanged =
-            (not force)
-            && match old with
-               | Some e ->
-                 Float.equal e.mtime st.Unix.st_mtime && e.size = st.Unix.st_size
-               | None -> false
-          in
-          if not unchanged then begin
-            match read_payload path with
-            | Error reason ->
-              (* keep serving the previous generation: the entry is only
-                 ever replaced by a fully verified load *)
-              t.load_failures <- t.load_failures + 1;
-              events := Rejected { key; reason } :: !events
-            | Ok (payload, digest) ->
-              let same_bytes =
-                match old with Some e -> String.equal e.digest digest | None -> false
-              in
-              if same_bytes then
-                (* touched but byte-identical: refresh the stat cache only —
-                   no re-parse, no recompile, the live generation stands *)
-                Hashtbl.replace t.entries key
-                  (Option.get old |> fun e ->
-                   { e with mtime = st.Unix.st_mtime; size = st.Unix.st_size })
-              else begin
-                match Vmodel.Impact_model.of_string payload with
-                | Error reason ->
-                  t.load_failures <- t.load_failures + 1;
-                  events := Rejected { key; reason } :: !events
-                | Ok model ->
-                  let generation, previous =
-                    match old with
-                    | Some e -> (e.generation + 1, Some e.model)
-                    | None -> (1, None)
-                  in
-                  let entry =
-                    {
-                      key;
-                      path;
-                      generation;
-                      digest;
-                      model;
-                      compiled = compile_model t model;
-                      previous;
-                      mtime = st.Unix.st_mtime;
-                      size = st.Unix.st_size;
-                    }
-                  in
-                  Hashtbl.replace t.entries key entry;
-                  t.reloads <- t.reloads + 1;
-                  events := Loaded { key; generation } :: !events
-              end
-          end
-      end)
-    files;
-  Hashtbl.iter
-    (fun key _ ->
-      if not (Hashtbl.mem seen key) then events := Removed key :: !events)
-    (Hashtbl.copy t.entries);
-  List.iter
-    (fun ev -> match ev with Removed key -> Hashtbl.remove t.entries key | _ -> ())
-    !events;
-  List.rev !events
+      Option.map
+        (fun key ->
+          let path = Filename.concat t.dir name in
+          match Unix.stat path with
+          | st -> (key, path, Ok st)
+          | exception Unix.Unix_error (err, _, _) -> (key, path, Error (Unix.error_message err)))
+        (key_of_file name))
+    (Array.to_list files)
+
+(* The one loader behind [refresh] and [stage].  The checkpoint envelope
+   (magic, version, kind, length, digest) is verified, and its md5 both
+   gates the load and becomes the entry's identity.  It is known before the
+   payload is parsed, so bytes equal to the live generation's reuse its
+   model and compiled artifact; other bytes are parsed and compiled.  Every
+   failure counts in [load_failures]. *)
+let load t (key, path, stat) =
+  let loaded =
+    let* st = stat in
+    let* payload = Violet.Pipeline.read_model_payload path in
+    let digest = Digest.to_hex (Digest.string payload) in
+    let* model, compiled =
+      match Hashtbl.find_opt t.entries key with
+      | Some e when String.equal e.digest digest -> Ok (e.model, e.compiled)
+      | _ ->
+        Result.map (fun m -> (m, compile_model t m)) (Vmodel.Impact_model.of_string payload)
+    in
+    (* [install] assigns the generation and the previous model *)
+    Ok
+      {
+        key;
+        path;
+        generation = 0;
+        digest;
+        model;
+        compiled;
+        previous = None;
+        mtime = st.Unix.st_mtime;
+        size = st.Unix.st_size;
+      }
+  in
+  if Result.is_error loaded then t.load_failures <- t.load_failures + 1;
+  loaded
+
+(* The one installer behind [refresh] and [commit]: a changed digest bumps
+   the key's generation and keeps the replaced model as [previous]; an
+   equal digest only refreshes the stat cache, and the live generation
+   stands.  The entry is only ever replaced by a fully verified load. *)
+let install t l =
+  let old = Hashtbl.find_opt t.entries l.key in
+  match old with
+  | Some e when String.equal e.digest l.digest ->
+    Hashtbl.replace t.entries l.key { e with mtime = l.mtime; size = l.size };
+    None
+  | _ ->
+    let generation, previous =
+      match old with Some e -> (e.generation + 1, Some e.model) | None -> (1, None)
+    in
+    Hashtbl.replace t.entries l.key { l with generation; previous };
+    t.reloads <- t.reloads + 1;
+    Some (Loaded { key = l.key; generation })
+
+(* drop every live key whose file is not among [present] *)
+let sweep t present =
+  Hashtbl.fold (fun key _ acc -> if List.mem key present then acc else key :: acc) t.entries []
+  |> List.rev_map (fun key ->
+         Hashtbl.remove t.entries key;
+         Removed key)
+
+(* Per file: a bad file rejects only itself, and the previous generation
+   keeps serving.  A file that cannot be stat'ed counts as gone. *)
+let refresh ?(force = false) t =
+  let files = List.filter (fun (_, _, stat) -> Result.is_ok stat) (scan t) in
+  let changed (key, _, stat) =
+    force
+    ||
+    match (Hashtbl.find_opt t.entries key, stat) with
+    | Some e, Ok st -> not (Float.equal e.mtime st.Unix.st_mtime && e.size = st.Unix.st_size)
+    | _ -> true
+  in
+  let events =
+    List.filter_map
+      (fun ((key, _, _) as file) ->
+        match load t file with
+        | Error reason -> Some (Rejected { key; reason })
+        | Ok l -> install t l)
+      (List.filter changed files)
+  in
+  events @ sweep t (List.map (fun (key, _, _) -> key) files)
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase reload: [stage] verifies every file in the directory without
-   touching the live table; [commit] flips the staged set in atomically
-   (from a reader's point of view: one entry at a time, each fully built).
-   The vfleet router runs stage on every shard and commits only when all of
-   them staged successfully, so no shard ever serves a generation another
-   shard could not load.  Staging also pays the model-compile tax, so the
-   commit flip stays cheap and the compiled artifact rides through the
-   fleet's generation bump. *)
+   touching the live table, all or nothing; [commit] installs the staged
+   set (from a reader's point of view: one entry at a time, each fully
+   built).  The vfleet router runs stage on every shard and commits only
+   when all of them staged successfully, so no shard ever serves a
+   generation another shard could not load.  Staging also pays the
+   model-compile tax, so the commit flip stays cheap and the compiled
+   artifact rides through the fleet's generation bump. *)
 
 let stage t =
-  let files = try Sys.readdir t.dir with Sys_error _ -> [||] in
-  Array.sort String.compare files;
-  let results = ref [] in
-  let staged = ref [] in
-  let all_ok = ref true in
-  Array.iter
-    (fun name ->
-      match key_of_file name with
-      | None -> ()
-      | Some key -> begin
-        let path = Filename.concat t.dir name in
-        match Unix.stat path with
-        | exception Unix.Unix_error (err, _, _) ->
-          all_ok := false;
-          t.load_failures <- t.load_failures + 1;
-          results := (key, Error (Unix.error_message err)) :: !results
-        | st -> begin
-          match read_payload path with
-          | Error reason ->
-            all_ok := false;
-            t.load_failures <- t.load_failures + 1;
-            results := (key, Error reason) :: !results
-          | Ok (payload, digest) -> begin
-            let live =
-              match Hashtbl.find_opt t.entries key with
-              | Some e when String.equal e.digest digest -> Some e
-              | _ -> None
-            in
-            match live with
-            | Some e ->
-              (* unchanged bytes: the verified envelope is enough — reuse
-                 the live model and its compiled artifact *)
-              staged :=
-                {
-                  st_key = key;
-                  st_path = path;
-                  st_digest = digest;
-                  st_model = e.model;
-                  st_compiled = e.compiled;
-                  st_mtime = st.Unix.st_mtime;
-                  st_size = st.Unix.st_size;
-                }
-                :: !staged;
-              results := (key, Ok digest) :: !results
-            | None -> begin
-              match Vmodel.Impact_model.of_string payload with
-              | Error reason ->
-                all_ok := false;
-                t.load_failures <- t.load_failures + 1;
-                results := (key, Error reason) :: !results
-              | Ok model ->
-                staged :=
-                  {
-                    st_key = key;
-                    st_path = path;
-                    st_digest = digest;
-                    st_model = model;
-                    st_compiled = compile_model t model;
-                    st_mtime = st.Unix.st_mtime;
-                    st_size = st.Unix.st_size;
-                  }
-                  :: !staged;
-                results := (key, Ok digest) :: !results
-            end
-          end
-        end
-      end)
-    files;
-  t.staged <- (if !all_ok then Some (List.rev !staged) else None);
-  List.rev !results
+  let loads = List.map (fun ((key, _, _) as file) -> (key, load t file)) (scan t) in
+  t.staged <-
+    (if List.for_all (fun (_, r) -> Result.is_ok r) loads then
+       Some (List.filter_map (fun (_, r) -> Result.to_option r) loads)
+     else None);
+  List.map (fun (key, r) -> (key, Result.map (fun l -> l.digest) r)) loads
 
 let staged t = Option.is_some t.staged
 
@@ -253,45 +185,8 @@ let commit t =
   | None -> Error "nothing staged (run reload-stage first, and it must succeed)"
   | Some staged ->
     t.staged <- None;
-    let events = ref [] in
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun s ->
-        Hashtbl.replace seen s.st_key ();
-        let old = Hashtbl.find_opt t.entries s.st_key in
-        let same_bytes =
-          match old with Some e -> String.equal e.digest s.st_digest | None -> false
-        in
-        if not same_bytes then begin
-          let generation, previous =
-            match old with
-            | Some e -> (e.generation + 1, Some e.model)
-            | None -> (1, None)
-          in
-          Hashtbl.replace t.entries s.st_key
-            {
-              key = s.st_key;
-              path = s.st_path;
-              generation;
-              digest = s.st_digest;
-              model = s.st_model;
-              compiled = s.st_compiled;
-              previous;
-              mtime = s.st_mtime;
-              size = s.st_size;
-            };
-          t.reloads <- t.reloads + 1;
-          events := Loaded { key = s.st_key; generation } :: !events
-        end)
-      staged;
-    Hashtbl.iter
-      (fun key _ ->
-        if not (Hashtbl.mem seen key) then events := Removed key :: !events)
-      (Hashtbl.copy t.entries);
-    List.iter
-      (fun ev -> match ev with Removed key -> Hashtbl.remove t.entries key | _ -> ())
-      !events;
-    Ok (List.rev !events)
+    let events = List.filter_map (install t) staged in
+    Ok (events @ sweep t (List.map (fun l -> l.key) staged))
 
 let find t key = Hashtbl.find_opt t.entries key
 

@@ -52,11 +52,14 @@ val create : ?compile:bool -> dir:string -> unit -> t
 val dir : t -> string
 
 val refresh : ?force:bool -> t -> event list
-(** Rescan the directory.  Unchanged files (same mtime and size) are skipped
+(** Rescan the directory, file by file: a file that fails to load rejects
+    only itself.  Unchanged files (same mtime and size) are skipped
     unless [force] is set — tests that rewrite a file within stat
     granularity pass [~force:true].  A touched file whose envelope digest
     still matches the live generation's only refreshes the stat cache: no
-    re-parse, no recompile, no generation bump. *)
+    re-parse, no recompile, no generation bump.  {!refresh}, {!stage} and
+    {!commit} share one loader and one installer, so they decide these
+    cases the same way. *)
 
 val find : t -> string -> entry option
 val entries : t -> entry list
@@ -97,8 +100,9 @@ val staged : t -> bool
 val commit : t -> (event list, string) result
 (** Flip the staged set into the live table: changed digests bump the key's
     generation (retaining the previous model for mode 3a), unchanged ones
-    are no-ops, keys whose files disappeared are dropped.  [Error] when no
-    successful stage is pending.  Consumes the staged set either way. *)
+    only refresh the stat cache, keys whose files disappeared before the
+    stage are dropped.  [Error] when no successful stage is pending.
+    Consumes the staged set either way. *)
 
 val model_file : dir:string -> key:string -> string
 (** The path a key is served from: [<dir>/<key>.vmodel]. *)

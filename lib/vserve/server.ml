@@ -2,7 +2,7 @@ module P = Protocol
 module B = Vresilience.Budget
 module Checker = Vchecker.Checker
 
-type addr = [ `Unix of string | `Tcp of string * int ]
+type addr = Conn.addr
 
 type options = {
   addr : addr;
@@ -16,7 +16,6 @@ type options = {
   refresh_every_s : float;
   manual_reload : bool;
   allow_shutdown : bool;
-  now : unit -> float;
 }
 
 let default_options ~addr ~models_dir =
@@ -32,7 +31,6 @@ let default_options ~addr ~models_dir =
     refresh_every_s = 0.5;
     manual_reload = false;
     allow_shutdown = true;
-    now = Unix.gettimeofday;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -154,14 +152,14 @@ let exec_check st (p, entry) =
       (* queue wait ate the request's deadline budget: shed to the
          conservative widening — answer what is knowable without the full
          comparison instead of erroring *)
-      let t0 = opts.now () in
+      let t0 = Unix.gettimeofday () in
       let findings = Checker.degraded_findings model in
       {
         resp =
           P.Report
             {
               P.findings;
-              checked_in_s = opts.now () -. t0;
+              checked_in_s = Unix.gettimeofday () -. t0;
               generation;
               batched = false;
               coalesced = false;
@@ -228,10 +226,18 @@ let exec_check st (p, entry) =
 (* The reactor                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let key_of_request = function
-  | P.Check_current { key; _ } | P.Check_update { key; _ } | P.Check_upgrade { key; _ } ->
-    Some key
-  | P.Health | P.Stats | P.Reload_stage | P.Reload_commit | P.Shutdown -> None
+let health registry ~stopping =
+  let models =
+    List.map
+      (fun (e : Registry.entry) ->
+        {
+          P.mi_key = e.Registry.key;
+          mi_generation = e.Registry.generation;
+          mi_digest = e.Registry.digest;
+        })
+      (Registry.entries registry)
+  in
+  P.Health_info { status = (if stopping then "stopping" else "ok"); models }
 
 let handle_line st conn line =
   let opts = st.opts in
@@ -247,19 +253,7 @@ let handle_line st conn line =
     | P.Health ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
-      let models =
-        List.map
-          (fun (e : Registry.entry) ->
-            {
-              P.mi_key = e.Registry.key;
-              mi_generation = e.Registry.generation;
-              mi_digest = e.Registry.digest;
-            })
-          (Registry.entries st.registry)
-      in
-      Conn.write conn
-        (P.response_line ?id
-           (P.Health_info { status = (if st.stopping then "stopping" else "ok"); models }))
+      Conn.write conn (P.response_line ?id (health st.registry ~stopping:st.stopping))
     | P.Stats ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -326,7 +320,7 @@ let handle_line st conn line =
                 { code = P.Overloaded; message = "admission queue full — request shed" }))
       end
       else begin
-        let key = Option.value ~default:"" (key_of_request req) in
+        let key = Option.value ~default:"" (P.key_of_request req) in
         Queue.add
           {
             p_conn = conn;
@@ -334,7 +328,7 @@ let handle_line st conn line =
             p_req = req;
             p_key = key;
             p_armed = B.rearm st.base_budget;
-            p_t_enq = opts.now ();
+            p_t_enq = Unix.gettimeofday ();
           }
           st.queue
       end
@@ -376,32 +370,13 @@ let run_batch st =
         st.requests <- st.requests + 1;
         bump_verb st (P.verb_of_request p.p_req);
         Conn.write p.p_conn (P.response_line ?id:p.p_id resp);
-        Latency.observe st.latency ~us:((opts.now () -. p.p_t_enq) *. 1e6))
+        Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.p_t_enq) *. 1e6))
       results
   end
 
-let bind_socket addr =
-  match addr with
-  | `Unix path ->
-    if Sys.file_exists path then (try Sys.remove path with Sys_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | `Tcp (host, port) ->
-    let inet =
-      try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-      with Not_found -> Unix.inet_addr_loopback
-    in
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (inet, port));
-    Unix.listen fd 64;
-    fd
-
 let run opts =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  match bind_socket opts.addr with
+  match Conn.listen opts.addr with
   | exception Unix.Unix_error (err, _, _) ->
     Error (Printf.sprintf "cannot bind: %s" (Unix.error_message err))
   | listen_fd ->
@@ -412,7 +387,7 @@ let run opts =
         opts;
         registry;
         base_budget =
-          B.arm (B.with_clock (B.with_deadline B.default opts.request_deadline_s) opts.now);
+          B.arm (B.with_deadline B.default opts.request_deadline_s);
         queue = Queue.create ();
         by_verb = Hashtbl.create 8;
         latency = Latency.create ();
@@ -429,7 +404,7 @@ let run opts =
     in
     let on_write_failed () = st.write_failed <- st.write_failed + 1 in
     let conns = ref [] in
-    let last_refresh = ref (opts.now ()) in
+    let last_refresh = ref (Unix.gettimeofday ()) in
     let rec loop () =
       conns := List.filter (fun c -> not (Conn.closed c)) !conns;
       if st.stopping && Queue.is_empty st.queue then ()
@@ -456,10 +431,12 @@ let run opts =
               | None -> ()
               | Some conn -> List.iter (handle_line st conn) (Conn.read_lines conn))
           readable;
-        if (not opts.manual_reload) && opts.now () -. !last_refresh >= opts.refresh_every_s
+        if
+          (not opts.manual_reload)
+          && Unix.gettimeofday () -. !last_refresh >= opts.refresh_every_s
         then begin
           ignore (Registry.refresh registry);
-          last_refresh := opts.now ()
+          last_refresh := Unix.gettimeofday ()
         end;
         run_batch st;
         loop ()
@@ -468,10 +445,7 @@ let run opts =
     Fun.protect
       ~finally:(fun () ->
         List.iter Conn.close !conns;
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        match opts.addr with
-        | `Unix path -> ( try Sys.remove path with Sys_error _ -> ())
-        | `Tcp _ -> ())
+        Conn.unlisten opts.addr listen_fd)
       (fun () ->
         loop ();
         Ok ())

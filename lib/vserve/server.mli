@@ -40,7 +40,7 @@
     [compile_wall_s], [models] (key to generation) and [latency]
     ({!Latency.to_wire}, enqueue to response, check verbs only). *)
 
-type addr = [ `Unix of string | `Tcp of string * int ]
+type addr = Conn.addr
 
 type options = {
   addr : addr;
@@ -66,11 +66,16 @@ type options = {
           verbs.  Fleet workers run this way so every shard flips generation
           at the router's command, never on its own clock (default false) *)
   allow_shutdown : bool;  (** honour the [shutdown] verb (default true) *)
-  now : unit -> float;  (** injectable clock (latency metrics, budgets) *)
 }
+(** Latency metrics and request budgets read [Unix.gettimeofday]. *)
 
 val default_options : addr:addr -> models_dir:string -> options
 (** [resolve_registry] defaults to [fun _ -> None]. *)
+
+val health : Registry.t -> stopping:bool -> Protocol.response
+(** The [health] answer, for the daemon and the vfleet router: status
+    ["ok"] or ["stopping"], and every live model's key, generation and
+    digest in key order. *)
 
 val run : options -> (unit, string) result
 (** Bind, serve until a [shutdown] request, then drain and exit.  [Error] on

@@ -101,24 +101,20 @@ exception Parse_error of string
 type cursor = { text : string; mutable pos : int }
 
 let fail c msg = raise (Parse_error (Printf.sprintf "%s at byte %d" msg c.pos))
-let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
+let at_end c = c.pos >= String.length c.text
+
+(* The byte under the cursor, compared in place rather than boxed in an
+   option; past the end it reads '\000', which no caller expects, and the
+   callers that must tell the end apart test [at_end]. *)
+let peek c = if at_end c then '\000' else String.unsafe_get c.text c.pos
 let advance c = c.pos <- c.pos + 1
 
 let skip_ws c =
-  while
-    match peek c with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance c;
-      true
-    | _ -> false
-  do
-    ()
+  while match peek c with ' ' | '\t' | '\n' | '\r' -> true | _ -> false do
+    advance c
   done
 
-let expect c ch =
-  match peek c with
-  | Some x when x = ch -> advance c
-  | _ -> fail c (Printf.sprintf "expected '%c'" ch)
+let expect c ch = if peek c = ch then advance c else fail c (Printf.sprintf "expected '%c'" ch)
 
 let literal c word value =
   let n = String.length word in
@@ -156,62 +152,75 @@ let hex4 c =
   in
   let v = ref 0 in
   for _ = 1 to 4 do
-    match peek c with
-    | Some ch ->
-      v := (!v * 16) + digit ch;
-      advance c
-    | None -> fail c "truncated \\u escape"
+    if at_end c then fail c "truncated \\u escape";
+    v := (!v * 16) + digit (peek c);
+    advance c
   done;
   !v
 
+(* the end of the run of plain bytes at [i]: the next quote, backslash or
+   end of input *)
+let rec plain_run text i =
+  if i < String.length text && text.[i] <> '"' && text.[i] <> '\\' then plain_run text (i + 1)
+  else i
+
+(* A string without escapes, the common case, is one [String.sub]; with
+   escapes, each plain run is copied in one piece. *)
 let parse_string c =
   expect c '"';
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    match peek c with
-    | None -> fail c "unterminated string"
-    | Some '"' -> advance c
-    | Some '\\' -> begin
-      advance c;
-      (match peek c with
-      | Some '"' -> Buffer.add_char buf '"'; advance c
-      | Some '\\' -> Buffer.add_char buf '\\'; advance c
-      | Some '/' -> Buffer.add_char buf '/'; advance c
-      | Some 'n' -> Buffer.add_char buf '\n'; advance c
-      | Some 'r' -> Buffer.add_char buf '\r'; advance c
-      | Some 't' -> Buffer.add_char buf '\t'; advance c
-      | Some 'b' -> Buffer.add_char buf '\b'; advance c
-      | Some 'f' -> Buffer.add_char buf '\012'; advance c
-      | Some 'u' ->
+  let text = c.text in
+  let stop = plain_run text c.pos in
+  if stop < String.length text && text.[stop] = '"' then begin
+    let s = String.sub text c.pos (stop - c.pos) in
+    c.pos <- stop + 1;
+    s
+  end
+  else begin
+    let buf = Buffer.create (stop - c.pos + 16) in
+    let rec loop () =
+      let stop = plain_run text c.pos in
+      Buffer.add_substring buf text c.pos (stop - c.pos);
+      c.pos <- stop;
+      if at_end c then fail c "unterminated string"
+      else if peek c = '"' then advance c
+      else begin
         advance c;
-        let hi = hex4 c in
-        if hi >= 0xd800 && hi <= 0xdbff then begin
-          (* surrogate pair *)
-          expect c '\\';
-          expect c 'u';
-          let lo = hex4 c in
-          if lo < 0xdc00 || lo > 0xdfff then fail c "unpaired surrogate"
-          else add_utf8 buf (0x10000 + ((hi - 0xd800) lsl 10) + (lo - 0xdc00))
-        end
-        else add_utf8 buf hi
-      | _ -> fail c "bad escape");
-      loop ()
-    end
-    | Some ch ->
-      Buffer.add_char buf ch;
-      advance c;
-      loop ()
-  in
-  loop ();
-  Buffer.contents buf
+        (match peek c with
+        | '"' -> Buffer.add_char buf '"'; advance c
+        | '\\' -> Buffer.add_char buf '\\'; advance c
+        | '/' -> Buffer.add_char buf '/'; advance c
+        | 'n' -> Buffer.add_char buf '\n'; advance c
+        | 'r' -> Buffer.add_char buf '\r'; advance c
+        | 't' -> Buffer.add_char buf '\t'; advance c
+        | 'b' -> Buffer.add_char buf '\b'; advance c
+        | 'f' -> Buffer.add_char buf '\012'; advance c
+        | 'u' ->
+          advance c;
+          let hi = hex4 c in
+          if hi >= 0xd800 && hi <= 0xdbff then begin
+            (* surrogate pair *)
+            expect c '\\';
+            expect c 'u';
+            let lo = hex4 c in
+            if lo < 0xdc00 || lo > 0xdfff then fail c "unpaired surrogate"
+            else add_utf8 buf (0x10000 + ((hi - 0xd800) lsl 10) + (lo - 0xdc00))
+          end
+          else add_utf8 buf hi
+        | _ -> fail c "bad escape");
+        loop ()
+      end
+    in
+    loop ();
+    Buffer.contents buf
+  end
 
 let parse_number c =
   let start = c.pos in
   let is_float = ref false in
   let consume () =
     match peek c with
-    | Some ('0' .. '9' | '-' | '+') -> advance c; true
-    | Some ('.' | 'e' | 'E') ->
+    | '0' .. '9' | '-' | '+' -> advance c; true
+    | '.' | 'e' | 'E' ->
       is_float := true;
       advance c;
       true
@@ -231,23 +240,23 @@ let parse_number c =
 
 let rec parse_value c =
   skip_ws c;
+  if at_end c then fail c "unexpected end of input";
   match peek c with
-  | None -> fail c "unexpected end of input"
-  | Some 'n' -> literal c "null" Null
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some '"' -> String (parse_string c)
-  | Some '[' ->
+  | 'n' -> literal c "null" Null
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | '"' -> String (parse_string c)
+  | '[' ->
     advance c;
     skip_ws c;
-    if peek c = Some ']' then begin
+    if peek c = ']' then begin
       advance c;
       List []
     end
     else begin
       let items = ref [ parse_value c ] in
       skip_ws c;
-      while peek c = Some ',' do
+      while peek c = ',' do
         advance c;
         items := parse_value c :: !items;
         skip_ws c
@@ -255,10 +264,10 @@ let rec parse_value c =
       expect c ']';
       List (List.rev !items)
     end
-  | Some '{' ->
+  | '{' ->
     advance c;
     skip_ws c;
-    if peek c = Some '}' then begin
+    if peek c = '}' then begin
       advance c;
       Obj []
     end
@@ -273,7 +282,7 @@ let rec parse_value c =
       in
       let fields = ref [ field () ] in
       skip_ws c;
-      while peek c = Some ',' do
+      while peek c = ',' do
         advance c;
         fields := field () :: !fields;
         skip_ws c
@@ -281,8 +290,8 @@ let rec parse_value c =
       expect c '}';
       Obj (List.rev !fields)
     end
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c (Printf.sprintf "unexpected character '%c'" ch)
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c (Printf.sprintf "unexpected character '%c'" ch)
 
 let of_string s =
   let c = { text = s; pos = 0 } in

@@ -104,10 +104,10 @@ if [ "$rc" -ne 2 ]; then
   exit 1
 fi
 
-echo "== fleet smoke (3 shards, kill -9 recovery) =="
+echo "== fleet smoke (3 shards, two-phase reload, kill -9 recovery) =="
 # the supervised fleet: reuse the exported model, start 3 shards behind the
-# router, round-trip a check, kill -9 a worker, and verify the fleet keeps
-# answering while the supervisor restarts it
+# router, round-trip a check, reload a changed model, kill -9 a worker, and
+# verify the fleet keeps answering while the supervisor restarts it
 FLEET_DIR="$SMOKE_DIR/fleet"
 dune exec bin/violet_cli.exe -- fleet start \
   --run-dir "$FLEET_DIR" --models "$SMOKE_DIR/models.d" --shards 3 \
@@ -125,6 +125,29 @@ dune exec bin/violet_cli.exe -- client check-current \
   >/dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
   echo "fleet smoke: expected exit 2 through the router, got $rc"
+  exit 1
+fi
+# two-phase reload from the CLI: a re-export at another threshold has a new
+# digest; every shard (and the router) stages it, then all commit, and the
+# router's answers come from generation 2
+dune exec bin/violet_cli.exe -- analyze mysql autocommit --threshold 0.9 \
+  --export "$SMOKE_DIR/models.d/mysql-autocommit.vmodel" >/dev/null
+rc=0
+dune exec bin/violet_cli.exe -- fleet reload --run-dir "$FLEET_DIR" \
+  > "$SMOKE_DIR/reload.out" || rc=$?
+if [ "$rc" -ne 0 ]; then
+  echo "fleet smoke: fleet reload exited $rc"; cat "$SMOKE_DIR/reload.out"; exit 1
+fi
+dune exec bin/violet_cli.exe -- fleet health --run-dir "$FLEET_DIR" > "$SMOKE_DIR/health.out"
+grep -q 'mysql-autocommit  generation 2' "$SMOKE_DIR/health.out" || {
+  echo "fleet smoke: health does not list generation 2 after the reload"
+  cat "$SMOKE_DIR/health.out"; exit 1; }
+rc=0
+dune exec bin/violet_cli.exe -- client check-current \
+  --addr "unix:$FLEET_DIR/router.sock" mysql-autocommit "$SMOKE_DIR/empty.cnf" \
+  > "$SMOKE_DIR/reloaded.out" || rc=$?
+if [ "$rc" -ne 2 ] || ! grep -q 'served by model generation 2' "$SMOKE_DIR/reloaded.out"; then
+  echo "fleet smoke: expected exit 2 from model generation 2 after the reload, got $rc"
   exit 1
 fi
 # first "pid" in the state file is the supervisor's, the second is shard 0's

@@ -159,6 +159,27 @@ let test_import_rejects_format1 () =
   | Error e -> check Alcotest.string "format-1 error" M.format1_error e
   | Ok _ -> Alcotest.fail "a format-1 file imported"
 
+(* [companions] is the one definition of the symbolic set: vinc's splice
+   compares a carried slice against it, so it must be what [analyze]
+   records. *)
+let test_companions_match_analyze () =
+  List.iter
+    (fun (system, param) ->
+      let target = Targets.Cases.target_of system in
+      List.iter
+        (fun (name, opts) ->
+          let model = (P.analyze_exn ~opts target param).P.model in
+          check
+            (Alcotest.list Alcotest.string)
+            (Printf.sprintf "%s %s, %s" system param name)
+            (List.sort String.compare model.M.related)
+            (P.companions ~opts target param))
+        [
+          ("default options", P.default_options);
+          ("no related set", { P.default_options with P.include_related = false });
+        ])
+    [ ("mysql", "autocommit"); ("squid", "cache") ]
+
 let tests =
   [
     tc "analyze errors" test_errors;
@@ -174,4 +195,5 @@ let tests =
     tc "validate ratio direction" test_validate_ratio_direction;
     tc "virtual time" test_virtual_time_accounted;
     tc "import rejects format 1" test_import_rejects_format1;
+    tc "companions are the analysed symbolic set" test_companions_match_analyze;
   ]

@@ -92,6 +92,27 @@ let test_ring_distribution () =
       if n = 0 then Alcotest.fail (Printf.sprintf "shard %d owns no keys out of 200" i))
     counts
 
+(* Ownership at 64 points per shard.  perfbench's serve-mix attributes
+   router hops with its own default ring, so the ring the router builds
+   must not drift from it. *)
+let test_ring_golden () =
+  List.iter
+    (fun (shards, key, pref) ->
+      let ring = Ring.make ~shards () in
+      let what = Printf.sprintf "%s at %d shards" key shards in
+      check Alcotest.int ("owner of " ^ what) (List.hd pref) (Ring.owner ring key);
+      check (Alcotest.list Alcotest.int) ("preference of " ^ what) pref (Ring.preference ring key))
+    [
+      (2, "mysql", [ 0; 1 ]);
+      (2, "postgres", [ 0; 1 ]);
+      (2, "apache", [ 1; 0 ]);
+      (2, "squid", [ 0; 1 ]);
+      (3, "mysql", [ 0; 2; 1 ]);
+      (3, "postgres", [ 0; 2; 1 ]);
+      (3, "apache", [ 1; 0; 2 ]);
+      (3, "squid", [ 2; 0; 1 ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Topology state file                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -548,4 +569,5 @@ let tests =
       test_fleet_end_to_end;
     tc "crash loop trips the shard breaker" test_crash_loop_trips;
     tc "worker overload is not a failover" test_overload_is_not_failover;
+    tc "ring ownership golden table" test_ring_golden;
   ]

@@ -338,25 +338,28 @@ let test_wire_escapes () =
 (* Lines are rendered in one reused buffer: a large answer, a small one and
    one over the buffer's 1 MiB keep limit must each come out exactly as
    [encode_response ^ "\n"], whatever was written before them. *)
+(* the mysql/autocommit answer to an empty config file: ~34 KB of findings *)
+let mysql_report =
+  lazy
+    (let target = Targets.Cases.target_of "mysql" in
+     let registry = target.Violet.Pipeline.registry in
+     let model = (Violet.Pipeline.analyze_exn target "autocommit").Violet.Pipeline.model in
+     let rep =
+       or_fail
+         (Checker.check_current ~model ~registry ~file:(Vchecker.Config_file.parse "") ())
+     in
+     P.Report
+       {
+         P.findings = rep.Checker.findings;
+         checked_in_s = 0.25;
+         generation = 2;
+         batched = false;
+         coalesced = false;
+         degraded = false;
+       })
+
 let test_line_buffer_reuse () =
-  let target = Targets.Cases.target_of "mysql" in
-  let registry = target.Violet.Pipeline.registry in
-  let model = (Violet.Pipeline.analyze_exn target "autocommit").Violet.Pipeline.model in
-  let rep =
-    or_fail
-      (Checker.check_current ~model ~registry ~file:(Vchecker.Config_file.parse "") ())
-  in
-  let report =
-    P.Report
-      {
-        P.findings = rep.Checker.findings;
-        checked_in_s = 0.25;
-        generation = 2;
-        batched = false;
-        coalesced = false;
-        degraded = false;
-      }
-  in
+  let report = Lazy.force mysql_report in
   let small = P.Error_resp { code = P.Overloaded; message = "admission queue full" } in
   let huge = P.Stats_info (W.String (String.make (2 * 1024 * 1024) 'z')) in
   let expect name ?id resp line =
@@ -375,6 +378,21 @@ let test_line_buffer_reuse () =
   expect "large after the limit" ~id:4 report large_again;
   let req = P.Check_current { key = "mysql-autocommit"; config = "autocommit = OFF\n" } in
   check Alcotest.string "request line" (P.encode_request ~id:5 req ^ "\n") (P.request_line ~id:5 req)
+
+(* The router decodes every worker answer.  Decoding compares bytes in
+   place and copies each string in runs, so it allocates the decoded tree
+   and little else: 3.5 minor words per byte when every byte was boxed. *)
+let test_decode_allocation () =
+  let line = P.encode_response ~id:1 (Lazy.force mysql_report) in
+  let decode () = ignore (or_fail (W.of_string line)) in
+  decode ();
+  let before = Gc.minor_words () in
+  decode ();
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for %d bytes" words (String.length line))
+    true
+    (words < float_of_int (String.length line))
 
 (* ------------------------------------------------------------------ *)
 (* Registry                                                            *)
@@ -491,6 +509,57 @@ let test_registry_removal () =
   | [ Reg.Removed "mini" ] -> ()
   | _ -> Alcotest.fail "expected removal");
   check Alcotest.bool "entry gone" true (Reg.find reg "mini" = None)
+
+(* Two files, one corrupt and one changed: refresh is per file, stage is
+   all or nothing, and both go through the same loader. *)
+let test_registry_per_file_and_all_or_nothing () =
+  let dir = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let a = export_fixture dir "a" in
+  let _ = export_fixture dir "b" in
+  let reg = Reg.create ~dir () in
+  ignore (Reg.refresh reg);
+  let gens () = List.map (fun k -> (Option.get (Reg.find reg k)).Reg.generation) [ "a"; "b" ] in
+  let events evs = String.concat "; " (List.map Reg.event_to_string evs) in
+  let good = In_channel.with_open_bin a In_channel.input_all in
+  Out_channel.with_open_bin a (fun oc ->
+      Out_channel.output_string oc (String.sub good 0 (String.length good / 2)));
+  let _ = export_fixture ~tweak:(fun m -> { m with M.threshold = 0.9 }) dir "b" in
+  (match Reg.refresh ~force:true reg with
+  | [ Reg.Rejected { key = "a"; _ }; Reg.Loaded { key = "b"; generation = 2 } ] -> ()
+  | evs -> Alcotest.fail ("refresh: " ^ events evs));
+  check (Alcotest.list Alcotest.int) "refresh: a keeps serving, b moves on" [ 1; 2 ] (gens ());
+  let failures = Reg.load_failures reg in
+  (match Reg.stage reg with
+  | [ ("a", Error _); ("b", Ok _) ] -> ()
+  | _ -> Alcotest.fail "the corrupt file must fail only its own entry of the stage");
+  check Alcotest.bool "a failed round parks nothing" false (Reg.staged reg);
+  check Alcotest.int "the failure is counted" (failures + 1) (Reg.load_failures reg);
+  check (Alcotest.list Alcotest.int) "stage changes no generation" [ 1; 2 ] (gens ());
+  (* fixed: the next round stages, compiling only the file that changed *)
+  let _ = export_fixture ~tweak:(fun m -> { m with M.threshold = 0.8 }) dir "a" in
+  let compiles = Reg.compiles reg in
+  (match Reg.stage reg with
+  | [ ("a", Ok _); ("b", Ok _) ] -> ()
+  | _ -> Alcotest.fail "the fixed directory must stage");
+  check Alcotest.int "the unchanged file reuses its artifact" (compiles + 1) (Reg.compiles reg);
+  check (Alcotest.list Alcotest.int) "staged, not yet serving" [ 1; 2 ] (gens ());
+  (match Reg.commit reg with
+  | Ok [ Reg.Loaded { key = "a"; generation = 2 } ] -> ()
+  | Ok evs -> Alcotest.fail ("commit: " ^ events evs)
+  | Error e -> Alcotest.fail e);
+  check (Alcotest.list Alcotest.int) "commit loads the fixed file" [ 2; 2 ] (gens ());
+  (* a file deleted before a stage is dropped by the next commit *)
+  Sys.remove (Reg.model_file ~dir ~key:"b");
+  (match Reg.stage reg with
+  | [ ("a", Ok _) ] -> ()
+  | _ -> Alcotest.fail "stage without b");
+  check Alcotest.bool "b serves until the commit" true (Reg.find reg "b" <> None);
+  (match Reg.commit reg with
+  | Ok [ Reg.Removed "b" ] -> ()
+  | Ok evs -> Alcotest.fail ("commit after delete: " ^ events evs)
+  | Error e -> Alcotest.fail e);
+  check Alcotest.bool "b dropped" true (Reg.find reg "b" = None)
 
 let test_registry_rejects_format1 () =
   let dir = mk_tmpdir () in
@@ -908,4 +977,7 @@ let tests =
     tc "an over-cap line closes its connection" test_overlong_line_dropped;
     tc "wire escapes every control byte" test_wire_escapes;
     tc "line buffer reuse keeps every line exact" test_line_buffer_reuse;
+    tc "registry: per-file refresh, all-or-nothing stage"
+      test_registry_per_file_and_all_or_nothing;
+    tc "decoding an answer allocates under a word per byte" test_decode_allocation;
   ]
