@@ -44,7 +44,7 @@ let run_point ~jobs =
     p_wall_s = median;
     p_speedup = 1.0;
     p_cache_hit_rate = hit_rate;
-    p_model = Vfuzz.Oracle.model_fingerprint a.Violet.Pipeline.model;
+    p_model = Vmodel.Impact_model.content_string a.Violet.Pipeline.model;
   }
 
 let run () =

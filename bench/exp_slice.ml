@@ -53,7 +53,7 @@ let run_once ~slice target param =
     r_sent_nodes = q.Vsched.Exploration_stats.sent_nodes;
     r_sliced_queries = q.Vsched.Exploration_stats.sliced;
     r_cache_hit_rate = hit_rate;
-    r_model = Vfuzz.Oracle.model_fingerprint a.Violet.Pipeline.model;
+    r_model = Vmodel.Impact_model.content_string a.Violet.Pipeline.model;
   }
 
 type point = {

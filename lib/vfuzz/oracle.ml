@@ -39,10 +39,6 @@ let default_opts =
     jobs = 1;
   }
 
-(* wall time is the one legitimately run-dependent model field *)
-let model_fingerprint m =
-  Vmodel.Impact_model.to_string { m with Vmodel.Impact_model.analysis_wall_s = 0. }
-
 let findings_fingerprint fs =
   Vserve.Wire.to_string (Vserve.Protocol.findings_to_wire fs)
 
@@ -93,7 +89,7 @@ let at_jobs jobs ~died f = if jobs <= 1 then f () else Option.value ~default:die
 let analysis_fingerprint opts target param c =
   let opts = { opts with Violet.Pipeline.jobs = c.jobs; slice = c.slice } in
   match Violet.Pipeline.analyze ~opts target param with
-  | Ok a -> (model_fingerprint a.Violet.Pipeline.model, Some a)
+  | Ok a -> (Vmodel.Impact_model.content_string a.Violet.Pipeline.model, Some a)
   | Error e -> ("error: " ^ Violet.Pipeline.error_to_string e, None)
 
 let fresh_dir () =

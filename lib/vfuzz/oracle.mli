@@ -59,10 +59,6 @@ val default_opts : Violet.Pipeline.options
 (** {!Violet.Pipeline.default_options} with the state budget clamped for
     fuzz-scale systems, so a corpus run stays fast. *)
 
-val model_fingerprint : Vmodel.Impact_model.t -> string
-(** Canonical model text with [analysis_wall_s] zeroed — the
-    byte-identity the oracle compares. *)
-
 val findings_fingerprint : Vchecker.Checker.finding list -> string
 (** Canonical wire encoding of a findings list ({!Vserve.Protocol}). *)
 

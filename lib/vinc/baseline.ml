@@ -119,15 +119,9 @@ let load ~dir =
     | t -> Ok t
     | exception _ -> Error "manifest payload does not unmarshal")
 
-(* [analysis_wall_s] is real wall-clock time: the one field of a model two
-   equal analyses do not reproduce.  Digest the model with it zeroed, so
-   "same digest" means "same analysis content" — the identity the splice
-   verifies on carried models and upgrade checking short-circuits on. *)
-let model_digest model =
-  Digest.to_hex
-    (Digest.string
-       (Vmodel.Impact_model.to_string
-          { model with Vmodel.Impact_model.analysis_wall_s = 0. }))
+(* "same digest" means "same analysis content": the identity the splice
+   verifies on carried models and upgrade checking short-circuits on *)
+let model_digest model = Digest.to_hex (Digest.string (Vmodel.Impact_model.content_string model))
 
 let load_model ~dir ~param =
   let path = model_file ~dir ~param in

@@ -88,6 +88,12 @@ val of_string : string -> (t, string) result
     except the in-memory call trees ([nodes] and [chain] of each row come
     back empty).  A format-1 payload is refused with {!format1_error}. *)
 
+val content_string : t -> string
+(** {!to_string} with [analysis_wall_s] zeroed.  Wall-clock time is the one
+    field two equal analyses do not reproduce, so equal content strings
+    mean the same analysis result: the text model digests and the fuzz
+    oracle's fingerprints are taken over. *)
+
 val format1_error : string
 (** Names format 1 and says how to regenerate the file. *)
 

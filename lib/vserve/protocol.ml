@@ -134,12 +134,24 @@ let expr_to_wire e =
     Hashtbl.replace expr_text id text;
     text
 
+(* The decoder's mirror: each distinct constraint text is parsed once.
+   Decoding goes through the smart constructors, so a text always decodes
+   to the same interned node.  Only decoded expressions are kept, so a bad
+   text reports its error every time.  Bounded like [expr_text]. *)
+let text_expr : (string, Vsmt.Expr.t) Hashtbl.t = Hashtbl.create 256
+
 let expr_of_wire v =
   match W.to_str v with
   | None -> Error "constraint is not a string"
-  | Some s ->
-    let* sexp = Vsmt.Sexp.of_string s in
-    Vsmt.Serial.expr_of_sexp sexp
+  | Some s -> (
+    match Hashtbl.find_opt text_expr s with
+    | Some e -> Ok e
+    | None ->
+      let* sexp = Vsmt.Sexp.of_string s in
+      let* e = Vsmt.Serial.expr_of_sexp sexp in
+      if Hashtbl.length text_expr >= 4_096 then Hashtbl.reset text_expr;
+      Hashtbl.replace text_expr s e;
+      Ok e)
 
 let strings_to_wire ss = W.List (List.map (fun s -> W.String s) ss)
 

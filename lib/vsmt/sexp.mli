@@ -13,6 +13,17 @@ val int : int -> t
 val float : float -> t
 
 val to_string : t -> string
+
+val add_atom : Buffer.t -> string -> unit
+(** Append an atom as {!to_string} prints it: bare, or double-quoted with
+    [\\]-escapes when the reader would otherwise split it, drop it or take
+    it as a comment.  Printers that write straight into a buffer use this,
+    so every atom the repo writes follows one quoting rule. *)
+
+val add_int : Buffer.t -> int -> unit
+val add_float : Buffer.t -> float -> unit
+(** Append {!int} and {!float} atoms as {!to_string} prints them. *)
+
 val of_string : string -> (t, string) Stdlib.result
 (** Parses exactly one s-expression (surrounding whitespace allowed). *)
 

@@ -62,6 +62,29 @@ if mb > 28:
     sys.exit("analyze peak RSS: %.1f MB, over 28 MB" % mb)
 EOF
 
+echo "== export peak RSS =="
+# the model printer writes format 2 straight into one reused buffer; keep
+# an export from building the model's whole Sexp tree again (the tree
+# printer added 2.7-2.9 MB to this analysis, the buffer 1.1-1.4 MB, on a
+# 2-core x86-64 container)
+python3 - <<'EOF'
+import os, subprocess, sys, tempfile
+def peak_mb(extra):
+    p = subprocess.Popen(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "query_cache_type",
+                          "--jobs", "1"] + extra, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(p.pid, 0)
+    if status != 0:
+        sys.exit("export peak RSS: analyze failed")
+    return usage.ru_maxrss / 1024
+with tempfile.TemporaryDirectory() as d:
+    plain = peak_mb([])
+    exported = peak_mb(["--export", os.path.join(d, "model.vmodel")])
+added = exported - plain
+print("analyze mysql query_cache_type: peak RSS %.1f MB, %.1f MB with --export" % (plain, exported))
+if added > 2:
+    sys.exit("export peak RSS: --export adds %.1f MB, over 2 MB" % added)
+EOF
+
 echo "== dune runtest =="
 dune runtest
 

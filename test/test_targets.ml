@@ -180,6 +180,27 @@ let test_golden_digests () =
 let test_golden_format2_digests () =
   check_golden golden_format2_digests (fun (model, _) -> Vinc.Baseline.model_digest model)
 
+(* The printer writes format 2 straight into one buffer the process
+   reuses, so a warm render allocates little beyond the string it returns
+   (an eighth of a word per byte).  Building the whole [Sexp.t] tree first
+   cost 1.6 words per byte.  The major-heap counters are flushed on both
+   sides: they lag until a minor collection and a major slice. *)
+let test_export_allocation () =
+  let model, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
+  let major_words () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0);
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  ignore (Vmodel.Impact_model.to_string model);
+  let before = major_words () in
+  let bytes = String.length (Vmodel.Impact_model.to_string model) in
+  let words = major_words () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f major words for %d bytes" words bytes)
+    true
+    (words < 0.5 *. float_of_int bytes)
+
 (* quick subset: one representative per system *)
 let quick_cases = [ "c1"; "c7"; "c12"; "c14"; "c16" ]
 
@@ -191,6 +212,7 @@ let tests =
     tc "figure 2 shape" test_fig2_shape;
     tc "golden model digests" test_golden_digests;
     tc "golden format-2 digests" test_golden_format2_digests;
+    tc "format-2 render allocates under half a major word per byte" test_export_allocation;
   ]
   @ List.map
       (fun id -> tc ("known case " ^ id) (run_known (Cases.find_known id)))

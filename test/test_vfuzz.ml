@@ -311,7 +311,8 @@ module Cost = Vruntime.Cost
 module M = Vmodel.Impact_model
 
 (* bool, enum and int domains; "p0" is one name under two domains, and
-   names and enum members need quoting or are not ASCII *)
+   names and enum members are not ASCII or need quoting: spaces,
+   parentheses, quotes, a backslash, a newline, a leading ';' *)
 let gen_vars =
   [
     E.{ name = "sync_mode"; dom = Dom.bool; origin = Config };
@@ -319,6 +320,11 @@ let gen_vars =
     E.{ name = "p0"; dom = Dom.enum "p0 mode" [ "on"; "off"; "自动" ]; origin = Config };
     E.{ name = "p0"; dom = Dom.int_range (-5) 5; origin = Config };
     E.{ name = "n rows"; dom = Dom.int_range 1 8; origin = Workload };
+    E.{
+      name = "(a \"b\")\\ c\n";
+      dom = Dom.enum ";kind" [ ""; "x\ty"; "back\\slash" ];
+      origin = Internal;
+    };
   ]
 
 let expr_gen =
@@ -375,8 +381,8 @@ let pair_gen =
     let* fast_id = int_range 0 500 in
     let* similarity = int_range 0 40 in
     let* latency_ratio = float_range 1.0 50.0 in
-    let* trigger = oneofl [ "Lat.&I/O"; "Sync"; "häßlich trigger" ] in
-    let* critical_path = oneofl [ []; [ "fil_flush" ]; [ "a b"; "fsync" ] ] in
+    let* trigger = oneofl [ "Lat.&I/O"; "Sync"; "häßlich trigger"; "say \"hi\"" ] in
+    let* critical_path = oneofl [ []; [ "fil_flush" ]; [ "a b"; "fsync" ]; [ "("; ")" ] ] in
     let* max_differential_us = float_range 0.0 1.0e5 in
     return
       { M.slow_id; fast_id; similarity; latency_ratio; trigger; critical_path; max_differential_us })
@@ -389,15 +395,16 @@ let degradation_gen pool =
       let* dp_latency_so_far_us = float_range 0.0 1.0e6 in
       return { M.dp_state_id; dp_config_constraints; dp_latency_so_far_us }
     in
-    let* rungs = oneofl [ []; [ "reduced-unroll" ]; [ "reduced-unroll"; "drop-states" ] ] in
+    let* rungs = oneofl [ []; [ "reduced-unroll" ]; [ "reduced-unroll"; "drop-states"; ";x" ] ] in
     let* deadline_hit = bool in
     let* dropped_paths = list_size (int_range 1 3) dropped in
     return { M.rungs; deadline_hit; dropped_paths })
 
 let model_gen =
   QCheck2.Gen.(
-    let* system = oneofl [ "gen"; "systéme"; "fz-π" ] in
-    let* target = oneofl [ "sync_binlog"; "caché_größe" ] in
+    let* system = oneofl [ "gen"; "systéme"; "fz-π"; "" ] in
+    let* target = oneofl [ "sync_binlog"; "caché_größe"; "two\nlines" ] in
+    let* related = oneofl [ []; [ "a"; "ü" ]; [ ";a"; "f(x)" ] ] in
     let* pool = list_size (int_range 1 5) expr_gen in
     let* rows = list_size (int_range 0 6) (row_gen pool) in
     let* poor_pairs = list_size (int_range 0 3) pair_gen in
@@ -408,7 +415,7 @@ let model_gen =
       {
         M.system;
         target;
-        related = [ "a"; "ü" ];
+        related;
         threshold;
         rows;
         poor_pairs;
@@ -438,6 +445,18 @@ let prop_export_import_roundtrip =
             match Violet.Pipeline.import_model path with
             | Error m -> QCheck2.Test.fail_reportf "import failed: %s" m
             | Ok model' -> String.equal (Model_v1.to_string model) (Model_v1.to_string model'))))
+
+(* the buffer printer writes the bytes of the tree reference, and reads
+   back to a model that prints them again *)
+let prop_printer_matches_tree =
+  QCheck2.Test.make ~name:"format-2 printer: tree-reference bytes, read back" ~count:200
+    ~print:Model_v2.to_string model_gen (fun model ->
+      let text = M.to_string model in
+      String.equal text (Model_v2.to_string model)
+      &&
+      match M.of_string text with
+      | Ok model' -> String.equal text (M.to_string model')
+      | Error e -> QCheck2.Test.fail_reportf "does not read back: %s" e)
 
 let test_export_import_pipeline_model () =
   (* the same property over a model the real pipeline produced *)
@@ -484,4 +503,5 @@ let tests =
     tc "shrink minimizes" test_shrink_minimizes;
     QCheck_alcotest.to_alcotest prop_export_import_roundtrip;
     tc "export/import pipeline model" test_export_import_pipeline_model;
+    QCheck_alcotest.to_alcotest prop_printer_matches_tree;
   ]

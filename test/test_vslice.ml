@@ -272,9 +272,7 @@ let model_for ~slice ~jobs program =
   in
   let opts = { Violet.Pipeline.default_options with Violet.Pipeline.slice; jobs } in
   match Violet.Pipeline.analyze ~opts target "a" with
-  | Ok a ->
-    Vmodel.Impact_model.to_string
-      { a.Violet.Pipeline.model with Vmodel.Impact_model.analysis_wall_s = 0. }
+  | Ok a -> Vmodel.Impact_model.content_string a.Violet.Pipeline.model
   | Error e -> "error: " ^ Violet.Pipeline.error_to_string e
 
 let prop_slice_model_identity =
