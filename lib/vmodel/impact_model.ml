@@ -103,18 +103,27 @@ let format1_error =
   "model: this file is impact-model format 1, which is no longer read; re-run `violet \
    analyze SYSTEM PARAM --save/--export FILE` to regenerate it"
 
-(* Models are printed on the main domain only, so one buffer prints every
-   model: it grows to the largest model once instead of every print
-   regrowing a fresh buffer, and gives the memory back after an outsized
-   one. *)
-let model_buf = Buffer.create 4096
-let model_buf_keep = 1 lsl 20
+let cost_to_sexp (c : Vruntime.Cost.t) =
+  Sexp.list
+    (Sexp.float c.latency_us
+    :: List.map Sexp.int
+         [ c.instructions; c.syscalls; c.io_calls; c.io_bytes; c.sync_ops; c.net_ops;
+           c.allocations; c.cache_ops ])
+
+let pair_to_sexp p =
+  Sexp.list
+    [ Sexp.atom "pair"; Sexp.int p.slow_id; Sexp.int p.fast_id; Sexp.int p.similarity;
+      Sexp.float p.latency_ratio; Sexp.atom p.trigger;
+      Sexp.list (List.map Sexp.atom p.critical_path); Sexp.float p.max_differential_us ]
+
+(* models are printed on the main domain only, so one buffer prints every
+   model *)
+let model_buf = Vsmt.Render_buf.create ()
 
 (* Two passes over the model.  The first numbers the nodes, rows then
-   dropped paths, in post-order of first use.  The second appends the
-   bytes to [model_buf], so no tree of the text is ever built.  Field
-   names, node tags, operator atoms and numbers never need quoting;
-   every other atom goes through [Sexp.add_atom]. *)
+   dropped paths, in post-order of first use.  The second appends one
+   small tree per var, node, row and pair to [model_buf]; each dies young,
+   and no tree of the whole model is ever built. *)
 let to_string t =
   let index = Expr_tbl.create 256 and numbered = ref [] in
   let rec number e =
@@ -142,124 +151,71 @@ let to_string t =
     (fun d -> List.iter (fun dp -> List.iter number dp.dp_config_constraints) d.dropped_paths)
     t.degradation;
   let nodes = List.rev !numbered in
-  let buf = model_buf in
-  Buffer.clear buf;
-  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
-  let atom = Sexp.add_atom buf and int = Sexp.add_int buf and float = Sexp.add_float buf in
-  (* " X": every item but a list's first *)
-  let sp f x =
-    chr ' ';
-    f x
-  in
-  let field name f items =
-    str " (";
-    str name;
-    List.iter (sp f) items;
-    chr ')'
-  in
-  (* a list without a name *)
-  let paren f = function
-    | [] -> str "()"
-    | x :: rest ->
-      chr '(';
-      f x;
-      List.iter (sp f) rest;
-      chr ')'
-  in
-  let idx e = int (Expr_tbl.find index e) in
-  let refs = paren idx in
+  let idx e = Sexp.int (Expr_tbl.find index e) in
+  let refs es = Sexp.list (List.map idx es) in
   let n_vars = ref 0 in
   let node e =
-    chr '(';
-    (match E.view e with
-    | E.Const v ->
-      str "const";
-      sp int v
-    | E.Var _ ->
-      str "var";
-      sp int !n_vars;
-      incr n_vars
-    | E.Not a ->
-      str "not";
-      sp idx a
-    | E.Neg a ->
-      str "neg";
-      sp idx a
-    | E.Binop (op, a, b) ->
-      str (Serial.binop_atom op);
-      sp idx a;
-      sp idx b
-    | E.Ite (c, a, b) ->
-      str "ite";
-      sp idx c;
-      sp idx a;
-      sp idx b);
-    chr ')'
-  in
-  let cost (c : Vruntime.Cost.t) =
-    chr '(';
-    float c.latency_us;
-    List.iter (sp int)
-      [ c.instructions; c.syscalls; c.io_calls; c.io_bytes; c.sync_ops; c.net_ops;
-        c.allocations; c.cache_ops ];
-    chr ')'
+    let tag, children =
+      match E.view e with
+      | E.Const v -> ("const", [ Sexp.int v ])
+      | E.Var _ ->
+        incr n_vars;
+        ("var", [ Sexp.int (!n_vars - 1) ])
+      | E.Not a -> ("not", [ idx a ])
+      | E.Neg a -> ("neg", [ idx a ])
+      | E.Binop (op, a, b) -> (Serial.binop_atom op, [ idx a; idx b ])
+      | E.Ite (c, a, b) -> ("ite", [ idx c; idx a; idx b ])
+    in
+    Sexp.list (Sexp.atom tag :: children)
   in
   let row (r : Cost_row.t) =
-    chr '(';
-    int r.state_id;
-    sp refs r.config_constraints;
-    sp refs r.workload_pred;
-    sp cost r.cost;
-    sp float r.traced_latency_us;
-    sp (paren atom) r.critical_ops;
-    chr ')'
-  in
-  let pair p =
-    str "(pair";
-    sp int p.slow_id;
-    sp int p.fast_id;
-    sp int p.similarity;
-    sp float p.latency_ratio;
-    sp atom p.trigger;
-    sp (paren atom) p.critical_path;
-    sp float p.max_differential_us;
-    chr ')'
+    Sexp.list
+      [ Sexp.int r.state_id; refs r.config_constraints; refs r.workload_pred;
+        cost_to_sexp r.cost; Sexp.float r.traced_latency_us;
+        Sexp.list (List.map Sexp.atom r.critical_ops) ]
   in
   let dropped_path dp =
-    str "(dp";
-    sp int dp.dp_state_id;
-    sp refs dp.dp_config_constraints;
-    sp float dp.dp_latency_so_far_us;
-    chr ')'
+    Sexp.list
+      [ Sexp.atom "dp"; Sexp.int dp.dp_state_id; refs dp.dp_config_constraints;
+        Sexp.float dp.dp_latency_so_far_us ]
   in
-  chr '(';
-  str format_tag;
-  field "system" atom [ t.system ];
-  field "target" atom [ t.target ];
-  field "related" atom t.related;
-  field "threshold" float [ t.threshold ];
-  field "vars" (Serial.add_var buf)
-    (List.filter_map (fun e -> match E.view e with E.Var v -> Some v | _ -> None) nodes);
-  field "nodes" node nodes;
-  field "rows" row t.rows;
-  field "pairs" pair t.poor_pairs;
-  field "poor-states" int t.poor_state_ids;
-  field "max-ratio" float [ t.max_ratio ];
-  field "explored-states" int [ t.explored_states ];
-  field "analysis-wall-s" float [ t.analysis_wall_s ];
-  field "virtual-analysis-s" float [ t.virtual_analysis_s ];
-  Option.iter
-    (fun d ->
-      str " (degradation";
-      field "rungs" atom d.rungs;
-      field "deadline-hit" str [ string_of_bool d.deadline_hit ];
-      field "dropped" dropped_path d.dropped_paths;
-      chr ')')
-    t.degradation;
-  chr ')';
-  let text = Buffer.contents buf in
-  if Buffer.length buf > model_buf_keep then Buffer.reset buf;
-  text
+  let vars = List.filter_map (fun e -> match E.view e with E.Var v -> Some v | _ -> None) nodes in
+  Vsmt.Render_buf.render model_buf (fun buf ->
+      (* " (NAME ITEM ...)", each item printed as soon as it is built *)
+      let field name item_sexp items =
+        Buffer.add_string buf " (";
+        Buffer.add_string buf name;
+        List.iter
+          (fun x ->
+            Buffer.add_char buf ' ';
+            Sexp.add buf (item_sexp x))
+          items;
+        Buffer.add_char buf ')'
+      in
+      Buffer.add_char buf '(';
+      Buffer.add_string buf format_tag;
+      field "system" Sexp.atom [ t.system ];
+      field "target" Sexp.atom [ t.target ];
+      field "related" Sexp.atom t.related;
+      field "threshold" Sexp.float [ t.threshold ];
+      field "vars" Serial.var_to_sexp vars;
+      field "nodes" node nodes;
+      field "rows" row t.rows;
+      field "pairs" pair_to_sexp t.poor_pairs;
+      field "poor-states" Sexp.int t.poor_state_ids;
+      field "max-ratio" Sexp.float [ t.max_ratio ];
+      field "explored-states" Sexp.int [ t.explored_states ];
+      field "analysis-wall-s" Sexp.float [ t.analysis_wall_s ];
+      field "virtual-analysis-s" Sexp.float [ t.virtual_analysis_s ];
+      Option.iter
+        (fun d ->
+          Buffer.add_string buf " (degradation";
+          field "rungs" Sexp.atom d.rungs;
+          field "deadline-hit" Sexp.atom [ string_of_bool d.deadline_hit ];
+          field "dropped" dropped_path d.dropped_paths;
+          Buffer.add_char buf ')')
+        t.degradation;
+      Buffer.add_char buf ')')
 
 let content_string t = to_string { t with analysis_wall_s = 0. }
 

@@ -78,19 +78,13 @@ let to_string v =
   print buf v;
   Buffer.contents buf
 
-(* Serving is single-domain, so one buffer renders every line: it grows to
-   the longest line once instead of every line regrowing a fresh buffer,
-   and gives the memory back after an outsized one. *)
-let line_buf = Buffer.create 256
-let line_buf_keep = 1 lsl 20
+(* serving is single-domain, so one buffer renders every line *)
+let line_buf = Vsmt.Render_buf.create ()
 
 let to_line v =
-  Buffer.clear line_buf;
-  print line_buf v;
-  Buffer.add_char line_buf '\n';
-  let line = Buffer.contents line_buf in
-  if Buffer.length line_buf > line_buf_keep then Buffer.reset line_buf;
-  line
+  Vsmt.Render_buf.render line_buf (fun buf ->
+      print buf v;
+      Buffer.add_char buf '\n')
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

@@ -38,31 +38,6 @@ let var_to_sexp (v : Expr.var) =
     [ Sexp.atom "var"; Sexp.atom v.Expr.name; dom_to_sexp v.Expr.dom;
       Sexp.atom (origin_to_atom v.Expr.origin) ]
 
-(* [var_to_sexp]'s text, appended without building the tree *)
-let add_var buf (v : Expr.var) =
-  Buffer.add_string buf "(var ";
-  Sexp.add_atom buf v.Expr.name;
-  (match v.Expr.dom with
-  | Dom.Bool -> Buffer.add_string buf " bool"
-  | Dom.Int_range { lo; hi } ->
-    Buffer.add_string buf " (int ";
-    Sexp.add_int buf lo;
-    Buffer.add_char buf ' ';
-    Sexp.add_int buf hi;
-    Buffer.add_char buf ')'
-  | Dom.Enum { type_name; members } ->
-    Buffer.add_string buf " (enum ";
-    Sexp.add_atom buf type_name;
-    Array.iter
-      (fun m ->
-        Buffer.add_char buf ' ';
-        Sexp.add_atom buf m)
-      members;
-    Buffer.add_char buf ')');
-  Buffer.add_char buf ' ';
-  Buffer.add_string buf (origin_to_atom v.Expr.origin);
-  Buffer.add_char buf ')'
-
 let var_of_sexp = function
   | Sexp.List [ Sexp.Atom "var"; Sexp.Atom name; dom; Sexp.Atom origin ] ->
     let* dom = dom_of_sexp dom in

@@ -11,9 +11,6 @@ val dom_of_sexp : Sexp.t -> (Dom.t, string) result
 val var_to_sexp : Expr.var -> Sexp.t
 val var_of_sexp : Sexp.t -> (Expr.var, string) result
 
-val add_var : Buffer.t -> Expr.var -> unit
-(** Append [Sexp.to_string (var_to_sexp v)] without building the tree. *)
-
 val expr_to_sexp : Expr.t -> Sexp.t
 val expr_of_sexp : Sexp.t -> (Expr.t, string) result
 

@@ -3,10 +3,7 @@ type t = Atom of string | List of t list
 let atom s = Atom s
 let list l = List l
 let int n = Atom (string_of_int n)
-
-(* hexadecimal, so a float reads back exactly *)
-let float_text f = Printf.sprintf "%h" f
-let float f = Atom (float_text f)
+let float f = Atom (Printf.sprintf "%h" f)
 
 (* an atom the reader would split, drop or take as a comment is quoted *)
 let needs_quoting s =
@@ -28,16 +25,10 @@ let add_quoted buf s =
     s;
   Buffer.add_char buf '"'
 
-let add_atom buf s = if needs_quoting s then add_quoted buf s else Buffer.add_string buf s
-
-(* numbers never need quoting *)
-let add_int buf n = Buffer.add_string buf (string_of_int n)
-let add_float buf f = Buffer.add_string buf (float_text f)
-
 (* one buffer for the whole tree: each byte is copied once, not once per
    nesting level *)
 let rec add buf = function
-  | Atom s -> add_atom buf s
+  | Atom s -> if needs_quoting s then add_quoted buf s else Buffer.add_string buf s
   | List l ->
     Buffer.add_char buf '(';
     List.iteri (fun i x -> if i > 0 then Buffer.add_char buf ' '; add buf x) l;

@@ -14,15 +14,9 @@ val float : float -> t
 
 val to_string : t -> string
 
-val add_atom : Buffer.t -> string -> unit
-(** Append an atom as {!to_string} prints it: bare, or double-quoted with
-    [\\]-escapes when the reader would otherwise split it, drop it or take
-    it as a comment.  Printers that write straight into a buffer use this,
-    so every atom the repo writes follows one quoting rule. *)
-
-val add_int : Buffer.t -> int -> unit
-val add_float : Buffer.t -> float -> unit
-(** Append {!int} and {!float} atoms as {!to_string} prints them. *)
+val add : Buffer.t -> t -> unit
+(** Append [to_string s] to the buffer.  A printer that appends one small
+    tree per item to one buffer never holds a tree of its whole text. *)
 
 val of_string : string -> (t, string) Stdlib.result
 (** Parses exactly one s-expression (surrounding whitespace allowed). *)

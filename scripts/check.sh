@@ -63,9 +63,9 @@ if mb > 28:
 EOF
 
 echo "== export peak RSS =="
-# the model printer writes format 2 straight into one reused buffer; keep
-# an export from building the model's whole Sexp tree again (the tree
-# printer added 2.7-2.9 MB to this analysis, the buffer 1.1-1.4 MB, on a
+# the model printer appends one small tree per item to one reused buffer;
+# keep an export from building the model's whole Sexp tree again (that
+# added 2.6-2.9 MB to this analysis, the per-item printer 1.0-1.4 MB, on a
 # 2-core x86-64 container)
 python3 - <<'EOF'
 import os, subprocess, sys, tempfile

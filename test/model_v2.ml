@@ -1,6 +1,6 @@
 (* The format-2 impact-model printer as it was first written: it builds the
    model's whole [Sexp.t] tree and prints it with [Sexp.to_string].  The
-   library now writes the same bytes straight into one buffer; this
+   library now appends one small tree per item to one buffer; this
    rendering is the reference the byte-identity property compares it
    with, as [Model_v1] is for format 1. *)
 

@@ -180,11 +180,12 @@ let test_golden_digests () =
 let test_golden_format2_digests () =
   check_golden golden_format2_digests (fun (model, _) -> Vinc.Baseline.model_digest model)
 
-(* The printer writes format 2 straight into one buffer the process
-   reuses, so a warm render allocates little beyond the string it returns
-   (an eighth of a word per byte).  Building the whole [Sexp.t] tree first
-   cost 1.6 words per byte.  The major-heap counters are flushed on both
-   sides: they lag until a minor collection and a major slice. *)
+(* The printer appends one short-lived tree per item to one buffer the
+   process reuses, so a warm render leaves little in the major heap beyond
+   the string it returns (0.13 words per byte).  Building the whole
+   [Sexp.t] tree first cost 1.6 words per byte.  The major-heap counters
+   are flushed on both sides: they lag until a minor collection and a
+   major slice. *)
 let test_export_allocation () =
   let model, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
   let major_words () =
