@@ -357,12 +357,13 @@ let export_model model path =
 (* a version-1 envelope holds a format-1 payload *)
 let read_model_payload path =
   match Vresilience.Checkpoint.read ~path ~kind:model_kind ~version:model_version with
-  | Ok payload -> Ok payload
+  | Ok (payload, digest) -> Ok (payload, digest)
   | Error (Vresilience.Checkpoint.Version_mismatch { found = 1; _ }) ->
     Error Vmodel.Impact_model.format1_error
   | Error e -> Error (Vresilience.Checkpoint.error_to_string e)
 
-let import_model path = Result.bind (read_model_payload path) Vmodel.Impact_model.of_string
+let import_model path =
+  Result.bind (read_model_payload path) (fun (payload, _) -> Vmodel.Impact_model.of_string payload)
 
 let analyze_exn ?opts target param =
   match analyze ?opts target param with

@@ -161,9 +161,10 @@ val export_model : Vmodel.Impact_model.t -> string -> (unit, string) result
 (** Write a model in registry format (atomically — a crash mid-write leaves
     any previous file intact). *)
 
-val read_model_payload : string -> (string, string) result
-(** The verified payload of a registry-format model file, unparsed.  A
-    version-1 file is refused with {!Vmodel.Impact_model.format1_error}. *)
+val read_model_payload : string -> (string * string, string) result
+(** The verified payload of a registry-format model file, unparsed, and
+    the md5 hex the envelope verified it against.  A version-1 file is
+    refused with {!Vmodel.Impact_model.format1_error}. *)
 
 val import_model : string -> (Vmodel.Impact_model.t, string) result
 (** Read and verify a registry-format model file. *)

@@ -145,7 +145,7 @@ let candidates st key =
 
 let answer st p resp =
   Hashtbl.remove st.pendings p.pn_rid;
-  Conn.write p.pn_client (P.response_line ?id:p.pn_cid resp);
+  Conn.send p.pn_client (P.response_to_wire ?id:p.pn_cid resp);
   Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.pn_t0) *. 1e6)
 
 (* every candidate failed: answer the conservative widening from the
@@ -202,7 +202,7 @@ let rec dispatch st p =
         p.pn_shard <- id;
         p.pn_attempts <- p.pn_attempts + 1;
         p.pn_deadline <- Unix.gettimeofday () +. st.opts.attempt_timeout_s;
-        Conn.write c (P.request_line ~id:p.pn_rid p.pn_req);
+        Conn.send c (P.request_to_wire ~id:p.pn_rid p.pn_req);
         if Conn.closed c then unreachable sh
     end
   end
@@ -454,28 +454,28 @@ let reload_commit st =
 let handle_client_line st conn line =
   match P.decode_request line with
   | Error msg ->
-    Conn.write conn
-      (P.response_line (P.Error_resp { code = P.Bad_request; message = msg }))
+    Conn.send conn
+      (P.response_to_wire (P.Error_resp { code = P.Bad_request; message = msg }))
   | Ok (id, req) -> begin
     match req with
     | P.Health ->
-      Conn.write conn
-        (P.response_line ?id (Vserve.Server.health st.registry ~stopping:st.stopping))
-    | P.Stats -> Conn.write conn (P.response_line ?id (P.Stats_info (stats_to_wire st)))
-    | P.Reload_stage -> Conn.write conn (P.response_line ?id (reload_stage st))
-    | P.Reload_commit -> Conn.write conn (P.response_line ?id (reload_commit st))
+      Conn.send conn
+        (P.response_to_wire ?id (Vserve.Server.health st.registry ~stopping:st.stopping))
+    | P.Stats -> Conn.send conn (P.response_to_wire ?id (P.Stats_info (stats_to_wire st)))
+    | P.Reload_stage -> Conn.send conn (P.response_to_wire ?id (reload_stage st))
+    | P.Reload_commit -> Conn.send conn (P.response_to_wire ?id (reload_commit st))
     | P.Shutdown ->
       st.stopping <- true;
-      Conn.write conn (P.response_line ?id P.Bye)
+      Conn.send conn (P.response_to_wire ?id P.Bye)
     | P.Check_current _ | P.Check_update _ | P.Check_upgrade _ ->
       if st.stopping then
-        Conn.write conn
-          (P.response_line ?id
+        Conn.send conn
+          (P.response_to_wire ?id
              (P.Error_resp { code = P.Shutting_down; message = "fleet is shutting down" }))
       else if Hashtbl.length st.pendings >= st.opts.max_pending then begin
         st.shed <- st.shed + 1;
-        Conn.write conn
-          (P.response_line ?id
+        Conn.send conn
+          (P.response_to_wire ?id
              (P.Error_resp
                 { code = P.Overloaded; message = "router pending table full — request shed" }))
       end

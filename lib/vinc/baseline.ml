@@ -114,7 +114,7 @@ let load ~dir =
     Checkpoint.read ~path:(manifest_file ~dir) ~kind:manifest_kind ~version:manifest_version
   with
   | Error e -> Error (Checkpoint.error_to_string e)
-  | Ok payload -> (
+  | Ok (payload, _) -> (
     match (Marshal.from_string payload 0 : t) with
     | t -> Ok t
     | exception _ -> Error "manifest payload does not unmarshal")

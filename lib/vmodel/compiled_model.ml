@@ -19,12 +19,12 @@ type decision =
     }
   | D_eval of { names : string list; expr : Expr.t }
 
+(* Rows with the identical ordered constraint list share one class, and a
+   plan is a function of that list alone, so each class holds one. *)
 type row_plan = {
   row : Row.t;
   idx : int;  (** position in model row order *)
-  config_plan : decision array;
-  workload_plan : decision array;
-  name_set : (string, unit) Hashtbl.t;  (** distinct config-constraint vars *)
+  cclass : int;  (** config-constraint class index *)
   wclass : int;  (** workload-predicate class index *)
 }
 
@@ -51,6 +51,12 @@ type occ_view = {
 type t = {
   cm_model : M.t;
   plans : row_plan array;  (** in model row order *)
+  config_plans : decision array array;  (** per config class *)
+  name_sets : (string, unit) Hashtbl.t array;
+      (** per config class, the distinct config-constraint vars *)
+  workload_plans : decision array option array;
+      (** per workload class, built on first use: only workload-change
+          checks read them *)
   by_id : (int, row_plan) Hashtbl.t;
   poor_ids : (int, unit) Hashtbl.t;
   first_pair : (int * int, M.poor_pair_summary) Hashtbl.t;
@@ -193,10 +199,10 @@ let names_of_constraints constraints =
 (* a row is expected to close when its config constraints mention only
    configuration symbols — anything else needs values the config assignment
    cannot bind, i.e. the solver fallback *)
-let row_is_closed (row : Row.t) =
+let closes constraints =
   List.for_all
     (fun c -> Vsmt.Footprint.for_all_origin Expr.Config (Vsmt.Footprint.of_expr c))
-    row.Row.config_constraints
+    constraints
 
 (* Dense ranks: equal keys share a rank and the rank order is the key
    order, so a stable sort by rank is exactly a stable sort by key. *)
@@ -208,6 +214,8 @@ let content_rank_of rows =
     (List.sort_uniq String.compare (Array.to_list keys));
   Array.map (Hashtbl.find rank_of) keys
 
+let class_count cls = Array.fold_left max (-1) cls + 1
+
 (* Linear in rows and free of solver queries: every pairwise structure
    below (joint feasibility, verdicts, comparison orders) fills on first
    use, and each entry is deterministic, so memoizing it is exact. *)
@@ -215,24 +223,20 @@ let compile (m : M.t) =
   let t0 = Unix.gettimeofday () in
   let rows = Array.of_list m.M.rows in
   let n = Array.length rows in
-  (* workload-predicate classes: rows sharing the identical ordered
-     predicate list produce identical joint-input queries *)
-  let wclass =
-    Diff_analysis.classes
-      (Array.map (fun (r : Row.t) -> List.map Expr.id r.Row.workload_pred) rows)
+  (* rows sharing the identical ordered constraint list share a class:
+     their plans are equal, and workload classes also produce identical
+     joint-input queries *)
+  let classes f = Diff_analysis.classes (Array.map (fun r -> List.map Expr.id (f r)) rows) in
+  let cclass = classes (fun (r : Row.t) -> r.Row.config_constraints) in
+  let wclass = classes (fun (r : Row.t) -> r.Row.workload_pred) in
+  (* each config class's constraints, from its first row *)
+  let class_constraints =
+    let out = Array.make (class_count cclass) [] in
+    Array.iteri (fun i c -> if out.(c) = [] then out.(c) <- rows.(i).Row.config_constraints) cclass;
+    out
   in
   let plans =
-    Array.mapi
-      (fun idx (row : Row.t) ->
-        {
-          row;
-          idx;
-          config_plan = plan_of_constraints row.Row.config_constraints;
-          workload_plan = plan_of_constraints row.Row.workload_pred;
-          name_set = names_of_constraints row.Row.config_constraints;
-          wclass = wclass.(idx);
-        })
-      rows
+    Array.mapi (fun idx row -> { row; idx; cclass = cclass.(idx); wclass = wclass.(idx) }) rows
   in
   let by_id = Hashtbl.create (max 8 n) in
   Array.iter (fun p -> Hashtbl.replace by_id p.row.Row.state_id p) plans;
@@ -246,10 +250,14 @@ let compile (m : M.t) =
       let key = (p.M.slow_id, p.M.fast_id) in
       if not (Hashtbl.mem first_pair key) then Hashtbl.replace first_pair key p)
     m.M.poor_pairs;
-  let closed = Array.fold_left (fun acc p -> acc + if row_is_closed p.row then 1 else 0) 0 plans in
+  let class_closes = Array.map closes class_constraints in
+  let closed = Array.fold_left (fun acc c -> acc + if class_closes.(c) then 1 else 0) 0 cclass in
   {
     cm_model = m;
     plans;
+    config_plans = Array.map plan_of_constraints class_constraints;
+    name_sets = Array.map names_of_constraints class_constraints;
+    workload_plans = Array.make (class_count wclass) None;
     by_id;
     poor_ids;
     first_pair;
@@ -329,32 +337,48 @@ let lookup_of assignment =
     assignment;
   fun name -> Hashtbl.find_opt tbl name
 
+(* The rows whose class plan the assignment satisfies, in model order.
+   The verdict (and its solver fallback) depends only on the class's
+   constraints, so each class is decided once per assignment. *)
+let matching t ~class_of ~plan_of ~fallback nclasses assignment =
+  let lookup = lookup_of assignment in
+  let verdict = Bytes.make nclasses '\000' in
+  Array.to_list t.plans
+  |> List.filter_map (fun p ->
+         let c = class_of p in
+         if Bytes.get verdict c = '\000' then
+           Bytes.set verdict c
+             (if matches_with ~fallback lookup (plan_of p) p.row assignment then '\002'
+              else '\001');
+         if Bytes.get verdict c = '\002' then Some p.row else None)
+
 let rows_matching t assignment =
   memoized t.match_memo ~cap:256 assignment (fun () ->
-      let lookup = lookup_of assignment in
-      Array.to_list t.plans
-      |> List.filter_map (fun p ->
-             if
-               matches_with ~fallback:(fun r a -> Row.satisfied_by r a) lookup
-                 p.config_plan p.row assignment
-             then Some p.row
-             else None))
+      matching t
+        ~class_of:(fun p -> p.cclass)
+        ~plan_of:(fun p -> t.config_plans.(p.cclass))
+        ~fallback:(fun r a -> Row.satisfied_by r a)
+        (Array.length t.config_plans) assignment)
+
+let workload_plan t p =
+  match t.workload_plans.(p.wclass) with
+  | Some plan -> plan
+  | None ->
+    let plan = plan_of_constraints p.row.Row.workload_pred in
+    t.workload_plans.(p.wclass) <- Some plan;
+    plan
 
 let rows_matching_workload t assignment =
   memoized t.wmatch_memo ~cap:256 assignment (fun () ->
-      let lookup = lookup_of assignment in
-      Array.to_list t.plans
-      |> List.filter_map (fun p ->
-             if
-               matches_with
-                 ~fallback:(fun r a -> Row.workload_satisfied_by r a)
-                 lookup p.workload_plan p.row assignment
-             then Some p.row
-             else None))
+      matching t
+        ~class_of:(fun p -> p.wclass)
+        ~plan_of:(workload_plan t)
+        ~fallback:(fun r a -> Row.workload_satisfied_by r a)
+        (Array.length t.workload_plans) assignment)
 
 let mentions t (row : Row.t) params =
   match Hashtbl.find_opt t.by_id row.Row.state_id with
-  | Some p -> List.exists (fun nm -> Hashtbl.mem p.name_set nm) params
+  | Some p -> List.exists (fun nm -> Hashtbl.mem t.name_sets.(p.cclass) nm) params
   | None -> Row.mentions row params (* not a model row (defensive) *)
 
 let is_poor_row t (row : Row.t) = Hashtbl.mem t.poor_ids row.Row.state_id

@@ -3,9 +3,12 @@
 
     [compile] is linear in rows and makes no solver query: it turns an
     {!Impact_model} into per-parameter interval sets ({!Vsmt.Iset}) over
-    each row's configuration constraints, so "which rows does this
-    assignment satisfy" is hash lookups and binary searches, and a
-    first-poor-pair table replacing the [pairs_between] list scan.  The
+    the configuration constraints of each config class (rows with the
+    identical ordered constraint list), so "which rows does this
+    assignment satisfy" is hash lookups and binary searches decided once
+    per class, and a first-poor-pair table replacing the [pairs_between]
+    list scan.  Workload-predicate plans are built per workload class on
+    the first {!rows_matching_workload} that reads them.  The
     pairwise structures fill on first use, each entry deterministic, so
     memoizing it is exact and steady-state checks are lookups:
 
@@ -71,7 +74,7 @@ val rows_matching_workload : t -> (string * int) list -> Cost_row.t list
     {!Cost_row.workload_satisfied_by}. *)
 
 val mentions : t -> Cost_row.t -> string list -> bool
-(** {!Cost_row.mentions}, from name sets precomputed per model row. *)
+(** {!Cost_row.mentions}, from name sets precomputed per config class. *)
 
 val is_poor_row : t -> Cost_row.t -> bool
 

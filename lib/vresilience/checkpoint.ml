@@ -60,14 +60,14 @@ let read ~path ~kind ~version =
             | Some _, Some len ->
               if not (String.equal k kind) then Error (Kind_mismatch { expected = kind; found = k })
               else begin
-                let buf = Bytes.create len in
-                match really_input ic buf 0 len with
+                (* the payload is read into the one string returned *)
+                match really_input_string ic len with
                 | exception End_of_file ->
                   let got = max 0 (in_channel_length ic - (String.length line + 1)) in
                   Error (Truncated { expected = len; got })
-                | () ->
-                  let payload = Bytes.to_string buf in
-                  if String.equal (Digest.to_hex (Digest.string payload)) digest then Ok payload
+                | payload ->
+                  if String.equal (Digest.to_hex (Digest.string payload)) digest then
+                    Ok (payload, digest)
                   else Error Corrupt
               end
             | _ -> Error Bad_header

@@ -26,6 +26,8 @@ val pp_error : error Fmt.t
 val write : path:string -> kind:string -> version:int -> string -> (unit, error) result
 (** Atomically write [payload] under the envelope. *)
 
-val read : path:string -> kind:string -> version:int -> (string, error) result
-(** Read and verify a checkpoint; the payload is returned only when the
-    magic, version, kind, length and digest all check out. *)
+val read : path:string -> kind:string -> version:int -> (string * string, error) result
+(** Read and verify a checkpoint: the payload and the md5 hex it was
+    verified against, returned only when the magic, version, kind, length
+    and digest all check out.  The payload is read into the returned
+    string, with no second copy. *)

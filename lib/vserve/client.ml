@@ -27,7 +27,7 @@ let connect addr =
    The jitter source is a local seeded state (nothing in the repo touches
    the global [Random]); determinism does not matter here — the point is
    only that a thundering herd of restarting clients spreads out. *)
-let connect_retry ?(deadline_s = 5.0) ?(base_delay_s = 0.02) ?(max_delay_s = 0.5) addr =
+let connect_retry ?(deadline_s = 5.0) ?(base_delay_s = 0.001) ?(max_delay_s = 0.5) addr =
   let rng = Random.State.make [| Unix.getpid (); 0x5eed; int_of_float (deadline_s *. 1e3) |] in
   let t0 = Unix.gettimeofday () in
   let rec go attempt delay =
@@ -52,8 +52,8 @@ let connect_retry ?(deadline_s = 5.0) ?(base_delay_s = 0.02) ?(max_delay_s = 0.5
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 
-let send_line c line =
-  let data = line ^ "\n" in
+(* [data] is whole lines, newlines included *)
+let write_lines c data =
   let len = String.length data in
   let pos = ref 0 in
   try
@@ -101,14 +101,14 @@ let rec recv_line ?timeout_s c =
   end
 
 let call_raw c line =
-  match send_line c line with Error _ as e -> e | Ok () -> recv_line c
+  match write_lines c (line ^ "\n") with Error _ as e -> e | Ok () -> recv_line c
 
 let ( let* ) = Result.bind
 
 let post c req =
   let id = c.next_id in
   c.next_id <- id + 1;
-  let* () = send_line c (Protocol.encode_request ~id req) in
+  let* () = write_lines c (Protocol.request_line ~id req) in
   Ok id
 
 let await ?timeout_s c id =

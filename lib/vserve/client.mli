@@ -30,7 +30,7 @@ val connect_retry :
   (t, string) result
 (** Retry {!connect} with exponential backoff and jitter until it succeeds
     or [deadline_s] (default 5 s) of wall clock has elapsed.  Delays start
-    at [base_delay_s] (default 0.02 s), double per attempt, and are capped
+    at [base_delay_s] (default 1 ms), double per attempt, and are capped
     at [max_delay_s] (default 0.5 s); each is multiplied by a random factor
     in [0.5, 1.5) so restarting clients spread out.  The failure message
     reports the attempt count and the last underlying error. *)

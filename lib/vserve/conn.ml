@@ -84,27 +84,30 @@ let close c =
     try Unix.close c.fd with Unix.Unix_error _ -> ()
   end
 
+(* every reactor is one thread, so one chunk serves every read and every
+   write of every connection *)
+let chunk = Bytes.create 65536
+
 (* A response that cannot be written in full is a dropped response; the
    connection is closed (the peer would otherwise read a truncated line) and
    the failure is surfaced through [on_write_failed] so it lands in a
    counter instead of vanishing.  A peer that stops reading makes a write
-   fail after [send_timeout_s].  The caller's line carries its newline, so
-   it is written without another copy. *)
-let write c data =
-  if not c.closed then begin
-    let len = String.length data in
-    let pos = ref 0 in
-    try
-      while !pos < len do
-        pos := !pos + Unix.write_substring c.fd data !pos (len - !pos)
-      done
-    with Unix.Unix_error _ ->
-      c.on_write_failed ();
-      close c
-  end
-
-(* every reactor is one thread, so one read buffer serves every connection *)
-let chunk = Bytes.create 65536
+   fail after [send_timeout_s].  The line leaves the reused line buffer a
+   chunk at a time: no string of it is made, however long it is. *)
+let send c v =
+  if not c.closed then
+    Wire.with_line v (fun buf ->
+        let len = Buffer.length buf in
+        let pos = ref 0 in
+        try
+          while !pos < len do
+            let n = Int.min (len - !pos) (Bytes.length chunk) in
+            Buffer.blit buf !pos chunk 0 n;
+            pos := !pos + Unix.write c.fd chunk 0 n
+          done
+        with Unix.Unix_error _ ->
+          c.on_write_failed ();
+          close c)
 
 (* one readable-event read; returns the complete lines received *)
 let read_lines c =

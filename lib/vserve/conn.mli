@@ -51,12 +51,12 @@ val closed : t -> bool
 val close : t -> unit
 (** Idempotent. *)
 
-val write : t -> string -> unit
-(** Write [data], whole newline-terminated lines
-    ({!Protocol.response_line}, {!Protocol.request_line}).  On any write
-    error the connection is closed and [on_write_failed] is called; no
-    partial line is ever left visible as a complete response.  No-op on a
-    closed connection. *)
+val send : t -> Wire.t -> unit
+(** Write [v] as one line, the bytes of {!Wire.to_line}[ v], straight from
+    {!Wire.with_line}'s reused buffer: how the daemon and the router write
+    every response and request.  On any write error the connection is
+    closed and [on_write_failed] is called; no partial line is ever left
+    visible as a complete response.  No-op on a closed connection. *)
 
 val read_lines : t -> string list
 (** One readable-event read: drain what the kernel has, return the complete

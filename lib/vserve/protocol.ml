@@ -446,7 +446,6 @@ let response_to_wire ?id resp =
   W.Obj (with_id id fields)
 
 let encode_response ?id resp = W.to_string (response_to_wire ?id resp)
-let response_line ?id resp = W.to_line (response_to_wire ?id resp)
 
 let response_of_wire v =
   let id = Option.bind (W.member "id" v) W.to_int in

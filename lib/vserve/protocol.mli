@@ -83,19 +83,23 @@ val key_of_request : request -> string option
 val error_code_to_string : error_code -> string
 val error_code_of_string : string -> error_code option
 
+val request_to_wire : ?id:int -> request -> Wire.t
+(** The request as the JSON value a peer sends, one line each
+    ({!Conn.send}).  [id] is echoed in the response. *)
+
 val encode_request : ?id:int -> request -> string
-(** One line, no trailing newline.  [id] is echoed in the response. *)
+(** [request_to_wire]'s one line, no trailing newline. *)
 
 val request_line : ?id:int -> request -> string
 (** [encode_request ?id req ^ "\n"], rendered in {!Wire.to_line}'s reused
-    buffer: what a peer writes to a {!Conn}. *)
+    buffer: what the client writes. *)
 
 val decode_request : string -> (int option * request, string) result
 
-val encode_response : ?id:int -> response -> string
+val response_to_wire : ?id:int -> response -> Wire.t
+(** The response as the JSON value the daemon and the router send. *)
 
-val response_line : ?id:int -> response -> string
-(** [encode_response ?id resp ^ "\n"], rendered like {!request_line}. *)
+val encode_response : ?id:int -> response -> string
 
 val decode_response : string -> (int option * response, string) result
 

@@ -89,8 +89,7 @@ let scan t =
 let load t (key, path, stat) =
   let loaded =
     let* st = stat in
-    let* payload = Violet.Pipeline.read_model_payload path in
-    let digest = Digest.to_hex (Digest.string payload) in
+    let* payload, digest = Violet.Pipeline.read_model_payload path in
     let* model, compiled =
       match Hashtbl.find_opt t.entries key with
       | Some e when String.equal e.digest digest -> Ok (e.model, e.compiled)

@@ -245,19 +245,19 @@ let handle_line st conn line =
   | Error msg ->
     st.requests <- st.requests + 1;
     bump_verb st "invalid";
-    Conn.write conn
-      (P.response_line (P.Error_resp { code = P.Bad_request; message = msg }))
+    Conn.send conn
+      (P.response_to_wire (P.Error_resp { code = P.Bad_request; message = msg }))
   | Ok (id, req) -> begin
     let verb = P.verb_of_request req in
     match req with
     | P.Health ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
-      Conn.write conn (P.response_line ?id (health st.registry ~stopping:st.stopping))
+      Conn.send conn (P.response_to_wire ?id (health st.registry ~stopping:st.stopping))
     | P.Stats ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
-      Conn.write conn (P.response_line ?id (P.Stats_info (stats_to_wire st)))
+      Conn.send conn (P.response_to_wire ?id (P.Stats_info (stats_to_wire st)))
     | P.Reload_stage ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -269,8 +269,8 @@ let handle_line st conn line =
             match r with Ok digest -> (key, digest) | Error reason -> (key, reason))
           results
       in
-      Conn.write conn
-        (P.response_line ?id (P.Reload_info { phase = "stage"; ok; entries }))
+      Conn.send conn
+        (P.response_to_wire ?id (P.Reload_info { phase = "stage"; ok; entries }))
     | P.Reload_commit ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
@@ -289,24 +289,24 @@ let handle_line st conn line =
           in
           P.Reload_info { phase = "commit"; ok = true; entries }
       in
-      Conn.write conn (P.response_line ?id resp)
+      Conn.send conn (P.response_to_wire ?id resp)
     | P.Shutdown ->
       st.requests <- st.requests + 1;
       bump_verb st verb;
       if opts.allow_shutdown then begin
         st.stopping <- true;
-        Conn.write conn (P.response_line ?id P.Bye)
+        Conn.send conn (P.response_to_wire ?id P.Bye)
       end
       else
-        Conn.write conn
-          (P.response_line ?id
+        Conn.send conn
+          (P.response_to_wire ?id
              (P.Error_resp { code = P.Bad_request; message = "shutdown is disabled" }))
     | P.Check_current _ | P.Check_update _ | P.Check_upgrade _ ->
       if st.stopping then begin
         st.requests <- st.requests + 1;
         bump_verb st verb;
-        Conn.write conn
-          (P.response_line ?id
+        Conn.send conn
+          (P.response_to_wire ?id
              (P.Error_resp { code = P.Shutting_down; message = "daemon is shutting down" }))
       end
       else if Queue.length st.queue >= opts.max_queue then begin
@@ -314,8 +314,8 @@ let handle_line st conn line =
         st.requests <- st.requests + 1;
         bump_verb st verb;
         st.shed_queue_full <- st.shed_queue_full + 1;
-        Conn.write conn
-          (P.response_line ?id
+        Conn.send conn
+          (P.response_to_wire ?id
              (P.Error_resp
                 { code = P.Overloaded; message = "admission queue full — request shed" }))
       end
@@ -369,7 +369,7 @@ let run_batch st =
         if r.shed then st.shed_deadline <- st.shed_deadline + 1;
         st.requests <- st.requests + 1;
         bump_verb st (P.verb_of_request p.p_req);
-        Conn.write p.p_conn (P.response_line ?id:p.p_id resp);
+        Conn.send p.p_conn (P.response_to_wire ?id:p.p_id resp);
         Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.p_t_enq) *. 1e6))
       results
   end

@@ -81,10 +81,14 @@ let to_string v =
 (* serving is single-domain, so one buffer renders every line *)
 let line_buf = Vsmt.Render_buf.create ()
 
-let to_line v =
-  Vsmt.Render_buf.render line_buf (fun buf ->
+let with_line v k =
+  Vsmt.Render_buf.use line_buf
+    (fun buf ->
       print buf v;
       Buffer.add_char buf '\n')
+    k
+
+let to_line v = with_line v Buffer.contents
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)

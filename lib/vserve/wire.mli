@@ -29,10 +29,16 @@ val to_string : t -> string
     to_string v].  Non-finite floats (never produced by the protocol) render
     as [null]. *)
 
+val with_line : t -> (Buffer.t -> 'a) -> 'a
+(** [with_line v k] renders [to_string v ^ "\n"] into one buffer the
+    process reuses for every line, and passes that buffer to [k] without
+    copying the text; a line over 1 MiB gives the buffer's memory back
+    after [k] returns.  [k] must not keep the buffer or render another
+    line.  Not reentrant: call it from one domain. *)
+
 val to_line : t -> string
-(** [to_string v ^ "\n"], rendered in one buffer the process reuses for
-    every line; a line over 1 MiB gives the buffer's memory back.  Not
-    reentrant: call it from one domain. *)
+(** [with_line v Buffer.contents]: the line as a string, for a caller that
+    needs one (the client, tests). *)
 
 val of_string : string -> (t, string) result
 (** Parse exactly one JSON value (surrounding whitespace allowed).  Accepts

@@ -60,7 +60,10 @@ module Intern = Hashtbl.Make (struct
   let hash = node_hash
 end)
 
-let table : t Intern.t = Intern.create 65_536
+(* Every table in this library starts small and doubles as it fills: a
+   fleet worker interns a few hundred nodes per model, an analysis far
+   more, and buckets reserved up front are live heap either way. *)
+let table : t Intern.t = Intern.create 256
 let next_id = ref 0
 
 let intern node =
@@ -321,7 +324,7 @@ let clear_rendered () = Intern.iter (fun _ e -> e.str <- "") table
 (* Tree node count — the honest measure of solver work, since interval
    propagation walks constraint trees (shared subtrees re-visited).  The
    count itself is memoized per DAG node, capped. *)
-let size_memo : (int, int) Hashtbl.t = Hashtbl.create 4096
+let size_memo : (int, int) Hashtbl.t = Hashtbl.create 256
 let size_memo_cap = 1 lsl 17
 
 let rec tree_size e =

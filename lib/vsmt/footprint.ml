@@ -116,7 +116,7 @@ let for_all_origin origin (f : t) =
    week-long checker run interns expressions without bound, so an uncapped
    memo would too.  On overflow it resets wholesale — footprints are cheap
    to recompute and the working set re-fills immediately. *)
-let memo : (int, t) Hashtbl.t = Hashtbl.create 16_384
+let memo : (int, t) Hashtbl.t = Hashtbl.create 256
 let memo_cap = ref (1 lsl 17)
 let set_memo_cap n = memo_cap := max 1024 n
 let memo_size () = Hashtbl.length memo

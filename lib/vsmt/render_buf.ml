@@ -5,9 +5,11 @@ let create () = Buffer.create 256
 (* a text longer than this leaves the buffer at its initial size *)
 let keep = 1 lsl 20
 
-let render buf f =
+let use buf f k =
   Buffer.clear buf;
   f buf;
-  let text = Buffer.contents buf in
+  let result = k buf in
   if Buffer.length buf > keep then Buffer.reset buf;
-  text
+  result
+
+let render buf f = use buf f Buffer.contents

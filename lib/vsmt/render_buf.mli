@@ -6,6 +6,10 @@ type t
 
 val create : unit -> t
 
+val use : t -> (Buffer.t -> unit) -> (Buffer.t -> 'a) -> 'a
+(** [use buf f k] empties [buf], lets [f] append the text to it and passes
+    the buffer holding the text to [k], with no copy.  [k] must not keep
+    the buffer, nor render into [buf] itself. *)
+
 val render : t -> (Buffer.t -> unit) -> string
-(** [render buf f] empties [buf], lets [f] append the text to it and
-    returns a copy of the text. *)
+(** [render buf f] is [use buf f Buffer.contents]: a copy of the text. *)

@@ -6,7 +6,7 @@ let truthy v = v <> 0
    memoized once per node, so repeated path-condition prefixes simplify
    once.  The memo resets wholesale when it reaches its cap, so unbounded
    interning on long runs cannot grow it without bound. *)
-let memo : (int, t) Hashtbl.t = Hashtbl.create 16_384
+let memo : (int, t) Hashtbl.t = Hashtbl.create 256
 let memo_cap = ref (1 lsl 18)
 let set_memo_cap n = memo_cap := max 1024 n
 let memo_size () = Hashtbl.length memo

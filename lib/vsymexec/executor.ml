@@ -708,7 +708,7 @@ let rehash_snapshot snap =
 let load_snapshot ~path =
   match Vresilience.Checkpoint.read ~path ~kind:snapshot_kind ~version:snapshot_version with
   | Error e -> Error e
-  | Ok payload -> begin
+  | Ok (payload, _) -> begin
     match (Marshal.from_string payload 0 : snapshot) with
     | snap -> Ok (rehash_snapshot snap)
     | exception _ -> Error Vresilience.Checkpoint.Corrupt

@@ -370,14 +370,34 @@ let target_cases =
 
 (* Values a config file may give one parameter: every member of a small
    domain; the ends, quartiles and default of a larger range. *)
-let values_of (p : Vruntime.Config_registry.param) =
-  let dom = Vruntime.Config_registry.dom p in
+let dom_values ?(extra = []) dom =
   let lo = Vsmt.Dom.lo dom and hi = Vsmt.Dom.hi dom in
-  if Vsmt.Dom.size dom <= 16 then List.init (Vsmt.Dom.size dom) (fun k -> lo + k)
+  if Vsmt.Dom.size dom <= 16 then List.init (Vsmt.Dom.size dom) (fun k -> lo + k) @ extra
   else
     List.sort_uniq Int.compare
-      [ lo; lo + ((hi - lo) / 4); lo + ((hi - lo) / 2); hi - ((hi - lo) / 4); hi;
-        p.Vruntime.Config_registry.default ]
+      ([ lo; lo + ((hi - lo) / 4); lo + ((hi - lo) / 2); hi - ((hi - lo) / 4); hi ] @ extra)
+
+let values_of (p : Vruntime.Config_registry.param) =
+  dom_values ~extra:[ p.Vruntime.Config_registry.default ] (Vruntime.Config_registry.dom p)
+
+(* Every workload variable of the model's rows bound, at its domain's low
+   end, and then each variable moved to each of its values and one past
+   its domain (workload assignments may leave it).  The first assignment
+   leaves one variable unbound, so the predicates that read it stay open
+   and take the solver fallback. *)
+let target_workloads (model : M.t) =
+  let vars =
+    List.concat_map (fun (r : Row.t) -> List.concat_map E.vars r.Row.workload_pred) model.M.rows
+    |> List.sort_uniq (fun (a : E.var) (b : E.var) -> String.compare a.E.name b.E.name)
+  in
+  let base = List.map (fun (v : E.var) -> (v.E.name, Vsmt.Dom.lo v.E.dom)) vars in
+  (List.tl base :: base
+  :: List.concat_map
+       (fun (v : E.var) ->
+         List.map
+           (fun x -> (v.E.name, x) :: List.remove_assoc v.E.name base)
+           (dom_values ~extra:[ Vsmt.Dom.hi v.E.dom + 1 ] v.E.dom))
+       vars)
 
 (* The target at each of its values, alone and with each related parameter
    at each of its values. *)
@@ -438,8 +458,37 @@ let test_modes_identical_on_targets () =
           same ("update from " ^ String.escaped text) (update Checker.Solver)
             (update Checker.Hybrid))
         configs;
-      check Alcotest.bool (system ^ ": some configuration is flagged") true (!flagged > 0))
+      check Alcotest.bool (system ^ ": some configuration is flagged") true (!flagged > 0);
+      (* workload-change checks read the workload plans, which the
+         compiled engine builds per workload class on first use *)
+      let workloads = Array.of_list (target_workloads model) in
+      let w = Array.length workloads in
+      flagged := 0;
+      Array.iteri
+        (fun i old_workload ->
+          let new_workload = workloads.((i + 1) mod w) in
+          let change mode =
+            Checker.check_workload_change ~mode ~compiled ~model ~old_workload ~new_workload ()
+          in
+          let show a = String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) a) in
+          same
+            (Printf.sprintf "workload change %s -> %s" (show old_workload) (show new_workload))
+            (Ok (change Checker.Solver))
+            (Ok (change Checker.Hybrid)))
+        workloads;
+      check Alcotest.bool (system ^ ": some workload change is flagged") true (!flagged > 0))
     target_cases
+
+(* What a fleet worker holds per model: the artifact compiled from the
+   model it read back from disk, model included.  The mysql/autocommit
+   artifact read 178,746 words with a plan and a name table per row; one
+   per config class (17 for its 604 rows) and workload plans built on
+   first use read ~82,700. *)
+let test_compiled_artifact_words () =
+  let _, model = target_model "mysql" "autocommit" in
+  let read_back = or_fail (M.of_string (M.to_string model)) in
+  let words = Obj.reachable_words (Obj.repr (CM.compile read_back)) in
+  check Alcotest.bool (Printf.sprintf "%d words" words) true (words < 120_000)
 
 (* ------------------------------------------------------------------ *)
 (* Content order: the compiled rank against the reference sort         *)
@@ -606,6 +655,7 @@ let tests =
     tc "degraded widening identical in all modes" test_degraded_widening_identical;
     QCheck_alcotest.to_alcotest prop_modes_identical_generated;
     tc "modes identical on the target models" test_modes_identical_on_targets;
+    tc "compiled mysql artifact under 120,000 words" test_compiled_artifact_words;
     tc "check_upgrade: duplicate constraint strings" test_upgrade_duplicate_constraints;
     tc "registry: unchanged digest skips recompile" test_registry_skips_recompile;
     QCheck_alcotest.to_alcotest prop_content_order;

@@ -191,16 +191,16 @@ let test_conn_write_failed_counter () =
   let failed = ref 0 in
   let conn = Conn.make ~on_write_failed:(fun () -> incr failed) a in
   (* writing into a closed peer: EPIPE, possibly only once buffers fill *)
-  let line = String.make 65535 'x' ^ "\n" in
+  let line = Wire.String (String.make 65533 'x') in
   let attempts = ref 0 in
   while (not (Conn.closed conn)) && !attempts < 100 do
     incr attempts;
-    Conn.write conn line
+    Conn.send conn line
   done;
   check Alcotest.bool "connection closed on write failure" true (Conn.closed conn);
   check Alcotest.int "failure counted exactly once" 1 !failed;
   (* writes to a closed connection are no-ops, not double-counted *)
-  Conn.write conn line;
+  Conn.send conn line;
   check Alcotest.int "no double count" 1 !failed
 
 (* ------------------------------------------------------------------ *)

@@ -76,7 +76,9 @@ let test_checkpoint_roundtrip () =
   | Ok () -> ()
   | Error e -> Alcotest.fail (Ck.error_to_string e));
   (match Ck.read ~path ~kind:"test" ~version:3 with
-  | Ok p -> check Alcotest.string "payload survives" payload p
+  | Ok (p, digest) ->
+    check Alcotest.string "payload survives" payload p;
+    check Alcotest.string "verified digest" (Digest.to_hex (Digest.string payload)) digest
   | Error e -> Alcotest.fail (Ck.error_to_string e));
   (match Ck.read ~path ~kind:"other" ~version:3 with
   | Error (Ck.Kind_mismatch _) -> ()
@@ -88,6 +90,36 @@ let test_checkpoint_roundtrip () =
   match Ck.read ~path ~kind:"test" ~version:3 with
   | Error (Ck.Io _) -> ()
   | _ -> Alcotest.fail "missing file accepted"
+
+(* A registry load reads each model file through the envelope: its payload
+   is allocated once.  The mysql/autocommit model (148,792 bytes) read
+   37,204 major words, two per payload word, when the payload was copied
+   after it was read. *)
+let test_checkpoint_read_allocation () =
+  let model = (P.analyze_exn (Targets.Cases.target_of "mysql") "autocommit").P.model in
+  let path = tmp_path () in
+  (match P.export_model model path with Ok () -> () | Error e -> Alcotest.fail e);
+  let read () =
+    match Ck.read ~path ~kind:P.model_kind ~version:P.model_version with
+    | Ok (payload, _) -> payload
+    | Error e -> Alcotest.fail (Ck.error_to_string e)
+  in
+  ignore (read ());
+  (* [major_words] lags until a collection: flush it on both sides *)
+  let major_words () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0);
+    (Gc.quick_stat ()).Gc.major_words
+  in
+  let before = major_words () in
+  let payload = read () in
+  let words = major_words () -. before in
+  Sys.remove path;
+  let payload_words = float_of_int (String.length payload / 8) in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f major words for %.0f payload words" words payload_words)
+    true
+    (words < 1.2 *. payload_words)
 
 let test_checkpoint_damage () =
   let path = tmp_path () in
@@ -480,6 +512,7 @@ let tests =
     tc "budget clock and pressure" test_budget_clock;
     tc "checkpoint roundtrip" test_checkpoint_roundtrip;
     tc "checkpoint damage is typed" test_checkpoint_damage;
+    tc "checkpoint read allocates its payload once" test_checkpoint_read_allocation;
     tc "chaos spec parsing" test_chaos_spec;
     tc "degradation ladder" test_degradation_ladder;
     tc "solver deadline" test_solver_deadline;

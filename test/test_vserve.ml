@@ -365,11 +365,12 @@ let test_line_buffer_reuse () =
   let expect name ?id resp line =
     check Alcotest.bool name true (String.equal (P.encode_response ?id resp ^ "\n") line)
   in
-  let large_line = P.response_line ~id:1 report in
-  let small_line = P.response_line ~id:2 small in
-  let huge_line = P.response_line huge in
-  let small_again = P.response_line ~id:3 small in
-  let large_again = P.response_line ~id:4 report in
+  let response_line ?id resp = W.to_line (P.response_to_wire ?id resp) in
+  let large_line = response_line ~id:1 report in
+  let small_line = response_line ~id:2 small in
+  let huge_line = response_line huge in
+  let small_again = response_line ~id:3 small in
+  let large_again = response_line ~id:4 report in
   check Alcotest.bool "the mysql answer is large" true (String.length large_line > 10_000);
   expect "large" ~id:1 report large_line;
   expect "small after large" ~id:2 small small_line;
@@ -378,6 +379,30 @@ let test_line_buffer_reuse () =
   expect "large after the limit" ~id:4 report large_again;
   let req = P.Check_current { key = "mysql-autocommit"; config = "autocommit = OFF\n" } in
   check Alcotest.string "request line" (P.encode_request ~id:5 req ^ "\n") (P.request_line ~id:5 req)
+
+(* The daemon and the router write each line with [Conn.send], from the
+   reused line buffer a 64 KiB chunk at a time.  Whatever came before, its
+   bytes must be exactly [Wire.to_line]'s; every case writes one line over
+   the buffer's 1 MiB keep limit among its others, so the give-back and the
+   chunk boundaries are crossed every time.  The connection is a file, so
+   nothing blocks and the bytes are read back whole. *)
+let sent_bytes vs =
+  let path = Filename.temp_file "vserve-send" ".lines" in
+  let conn = Vserve.Conn.make (Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600) in
+  List.iter (Vserve.Conn.send conn) vs;
+  Vserve.Conn.close conn;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let prop_send_is_to_line =
+  QCheck2.Test.make ~name:"Conn.send writes exactly the bytes of Wire.to_line" ~count:30
+    QCheck2.Gen.(
+      triple (small_list gen_wire) (int_range 1 200_000) (small_list gen_wire))
+    (fun (before, extra, after) ->
+      let huge = W.List [ W.String (String.make ((1 lsl 20) + extra) 'z'); W.Int extra ] in
+      let vs = before @ (huge :: after) in
+      String.equal (sent_bytes vs) (String.concat "" (List.map W.to_line vs)))
 
 (* The router decodes every worker answer: the minor words a warm [decode]
    of the mysql answer allocates, and the answer's length. *)
@@ -978,6 +1003,7 @@ let tests =
     qt prop_request_roundtrip;
     qt prop_response_roundtrip;
     qt prop_latency_merge_through_wire;
+    qt prop_send_is_to_line;
     tc "latency percentiles read bucket bounds" test_latency_percentiles;
     tc "non-ASCII finding without fast row" test_nonascii_and_no_fast_row;
     tc "registry loads, rejects corruption, keeps serving" test_registry_load_and_reject;
