@@ -151,35 +151,39 @@ with tempfile.TemporaryDirectory() as d:
     sock = os.path.join(d, "violet.sock")
     p = subprocess.Popen(["./_build/default/bin/violet_cli.exe", "serve", "--addr", "unix:" + sock,
                           "--models", sys.argv[1]], stdout=subprocess.DEVNULL)
-    for _ in range(100):
-        if os.path.exists(sock):
-            break
-        time.sleep(0.05)
-    s = socket.socket(socket.AF_UNIX)
-    s.connect(sock)
-    f = s.makefile("rwb")
-    flagged = 0
-    for i in range(2000):
-        c = configs[(i * 7) % n]
-        if i % 2 == 0:
-            req = {"verb": "check-current", "key": "mysql-autocommit", "config": c}
-        else:
-            req = {"verb": "check-update", "key": "mysql-autocommit", "old": c,
-                   "new": configs[(i * 11 + 1) % n]}
-        req["id"] = i
-        f.write((json.dumps(req) + "\n").encode())
+    try:
+        for _ in range(100):
+            if os.path.exists(sock):
+                break
+            time.sleep(0.05)
+        s = socket.socket(socket.AF_UNIX)
+        s.connect(sock)
+        f = s.makefile("rwb")
+        flagged = 0
+        for i in range(2000):
+            c = configs[(i * 7) % n]
+            if i % 2 == 0:
+                req = {"verb": "check-current", "key": "mysql-autocommit", "config": c}
+            else:
+                req = {"verb": "check-update", "key": "mysql-autocommit", "old": c,
+                       "new": configs[(i * 11 + 1) % n]}
+            req["id"] = i
+            f.write((json.dumps(req) + "\n").encode())
+            f.flush()
+            ans = json.loads(f.readline()).get("ok", {})
+            if "findings" not in ans:
+                sys.exit("serve peak RSS: unexpected answer %r" % ans)
+            flagged += ans["findings"] != []
+        with open("/proc/%d/status" % p.pid) as st:
+            mb = [int(l.split()[1]) for l in st if l.startswith("VmHWM:")][0] / 1024
+        f.write(b'{"verb":"shutdown"}\n')
         f.flush()
-        ans = json.loads(f.readline()).get("ok", {})
-        if "findings" not in ans:
+        f.readline()
+        p.wait()
+    finally:
+        if p.poll() is None:
             p.kill()
-            sys.exit("serve peak RSS: unexpected answer %r" % ans)
-        flagged += ans["findings"] != []
-    with open("/proc/%d/status" % p.pid) as st:
-        mb = [int(l.split()[1]) for l in st if l.startswith("VmHWM:")][0] / 1024
-    f.write(b'{"verb":"shutdown"}\n')
-    f.flush()
-    f.readline()
-    p.wait()
+            p.wait()
 print("serve: 2000 checks over %d configs, %d flagged: peak RSS %.1f MB" % (n, flagged, mb))
 if flagged == 0:
     sys.exit("serve peak RSS: no answer had a finding")
