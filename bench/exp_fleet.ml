@@ -219,7 +219,8 @@ type phase = {
   ph_overload_redispatches : int;
   ph_restarts : int;
   ph_wall_s : float;
-  ph_req_per_s : float;
+  ph_served_per_s : float;  (** reports, degraded ones included *)
+  ph_shed_per_s : float;  (** [overloaded] answers *)
   ph_p50_us : float;
   ph_p99_us : float;
 }
@@ -240,6 +241,7 @@ let finish_phase ~label ~shards ~topology ~pid (t, wall) =
   Client.close control;
   stop_fleet pid;
   let requests = t.reports + t.shed + t.errors in
+  let per_s n = if wall > 0. then float_of_int n /. wall else 0. in
   {
     ph_label = label;
     ph_shards = shards;
@@ -252,7 +254,8 @@ let finish_phase ~label ~shards ~topology ~pid (t, wall) =
     ph_overload_redispatches = overload_redispatches;
     ph_restarts = restarts;
     ph_wall_s = wall;
-    ph_req_per_s = (if wall > 0. then float_of_int requests /. wall else 0.);
+    ph_served_per_s = per_s t.reports;
+    ph_shed_per_s = per_s t.shed;
     ph_p50_us = percentile t.lats 0.50;
     ph_p99_us = percentile t.lats 0.99;
   }
@@ -338,7 +341,8 @@ let phase_json p =
       ("overload_redispatches", Wire.Int p.ph_overload_redispatches);
       ("restarts", Wire.Int p.ph_restarts);
       ("wall_s", Wire.Float (Util.round 4 p.ph_wall_s));
-      ("req_per_s", Wire.Float (Util.round 1 p.ph_req_per_s));
+      ("served_per_s", Wire.Float (Util.round 1 p.ph_served_per_s));
+      ("shed_per_s", Wire.Float (Util.round 1 p.ph_shed_per_s));
       ("p50_us", Wire.Float (Util.round 1 p.ph_p50_us));
       ("p99_us", Wire.Float (Util.round 1 p.ph_p99_us));
       ("shed_rate", Wire.Float (Util.round 4 (shed_rate p)));
@@ -384,8 +388,8 @@ let run_phases () =
   Util.print_table
     ~header:
       [
-        "phase"; "shards"; "requests"; "req/s"; "p99 us"; "shed"; "errors"; "degraded";
-        "failovers"; "overload re-dispatches"; "restarts";
+        "phase"; "shards"; "requests"; "served/s"; "shed/s"; "p99 us"; "shed"; "errors";
+        "degraded"; "failovers"; "overload re-dispatches"; "restarts";
       ]
     (List.map
        (fun p ->
@@ -393,7 +397,8 @@ let run_phases () =
            p.ph_label;
            Util.i0 p.ph_shards;
            Util.i0 p.ph_requests;
-           Util.f1 p.ph_req_per_s;
+           Util.f1 p.ph_served_per_s;
+           Util.f1 p.ph_shed_per_s;
            Util.f1 p.ph_p99_us;
            Util.i0 p.ph_shed;
            Util.i0 p.ph_errors;

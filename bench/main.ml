@@ -13,7 +13,7 @@ let experiments =
        fleets and jobs-4 analyses), which is only sound before any
        experiment has spawned domains, as "par" does *)
     "fleet", ("vfleet: shard scaling + chaos A/B + fleet oracle", Exp_fleet.run);
-    "serve", ("Serving: batching A/B + admission control", Exp_serve.run);
+    "serve", ("Serving: steady load + admission control + shedding", Exp_serve.run);
     "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
     "fig2", ("Figure 2: autocommit throughput", Exp_fig2.run);
     "table1", ("Table 1: autocommit cost table", Exp_table1.run);

@@ -329,8 +329,7 @@ let analyze_trace path threshold =
 (* The continuous-checking service: a daemon serving the model registry,
    and a thin client speaking the newline-delimited JSON protocol. *)
 
-let serve addr models max_queue max_batch no_batch request_deadline shed_pressure refresh
-    no_shutdown =
+let serve addr models max_queue request_deadline shed_pressure refresh no_shutdown =
   let addr = or_die (Vserve.Client.addr_of_string addr) in
   let resolve_registry (m : Vmodel.Impact_model.t) =
     Option.map
@@ -342,8 +341,6 @@ let serve addr models max_queue max_batch no_batch request_deadline shed_pressur
       (Vserve.Server.default_options ~addr ~models_dir:models) with
       Vserve.Server.resolve_registry;
       max_queue;
-      max_batch;
-      batching = not no_batch;
       request_deadline_s = request_deadline;
       shed_pressure;
       refresh_every_s = refresh;
@@ -374,9 +371,7 @@ let print_response (resp : Vserve.Protocol.response) =
       }
     in
     Fmt.pr "%a" Vchecker.Checker.pp_report report;
-    Fmt.pr "served by model generation %d%s%s%s@." o.Vserve.Protocol.generation
-      (if o.Vserve.Protocol.batched then ", batched" else "")
-      (if o.Vserve.Protocol.coalesced then ", coalesced" else "")
+    Fmt.pr "served by model generation %d%s@." o.Vserve.Protocol.generation
       (if o.Vserve.Protocol.degraded then ", DEGRADED (overload shed)" else "");
     if o.Vserve.Protocol.findings = [] then 0 else 2
   | Vserve.Protocol.Health_info { status; models } ->
@@ -667,19 +662,6 @@ let serve_cmd =
             "Admission-control queue depth; beyond it requests are answered \
              $(b,overloaded) immediately (load shedding).")
   in
-  let max_batch =
-    Arg.(
-      value & opt int 16
-      & info [ "max-batch" ] ~docv:"N" ~doc:"Requests executed per batch.")
-  in
-  let no_batch =
-    Arg.(
-      value & flag
-      & info [ "no-batch" ]
-          ~doc:
-            "Execute requests one at a time instead of batching and coalescing — \
-             the A/B hatch the serve bench measures against.")
-  in
   let request_deadline =
     Arg.(
       value
@@ -709,11 +691,11 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run the continuous configuration-checking daemon (model registry, request \
-          batching, admission control)")
+         "Run the continuous configuration-checking daemon (model registry, admission \
+          control, deadline shedding)")
     Term.(
-      const serve $ addr_opt $ models $ max_queue $ max_batch $ no_batch
-      $ request_deadline $ shed_pressure $ refresh $ no_shutdown)
+      const serve $ addr_opt $ models $ max_queue $ request_deadline $ shed_pressure
+      $ refresh $ no_shutdown)
 
 let client_cmd =
   let key_arg =
@@ -770,8 +752,8 @@ let client_cmd =
   in
   let stats_cmd =
     Cmd.v
-      (Cmd.info "stats" ~doc:"Serving telemetry as JSON (latency histogram, shed and \
-                              batch counters)")
+      (Cmd.info "stats" ~doc:"Serving telemetry as JSON (latency histogram, shed \
+                              counters)")
       Term.(const client_stats $ addr_opt)
   in
   let shutdown_cmd =

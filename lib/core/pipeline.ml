@@ -53,13 +53,10 @@ type options = {
   config_overrides : (string * int) list;
   include_related : bool;
   all_symbolic : bool;
-  max_related : int;
   slice : bool;
-  state_switching : bool;
   noise : Ex.noise option;
   relaxation_rules : bool;
   fault_injection : bool;
-  startup_virtual_s : float;
   checkpoint : checkpointing option;
   resume : bool;
   chaos : Vresilience.Chaos.t option;
@@ -78,13 +75,10 @@ let default_options =
     config_overrides = [];
     include_related = true;
     all_symbolic = false;
-    max_related = 8;
     slice = true;
-    state_switching = false;
     noise = None;
     relaxation_rules = true;
     fault_injection = false;
-    startup_virtual_s = -1.;
     checkpoint = None;
     resume = false;
     chaos = None;
@@ -117,6 +111,10 @@ let analyzable_params target =
       else None)
     (Reg.params target.registry)
 
+(* At most this many hookable related parameters are made symbolic
+   alongside the target. *)
+let max_related = 8
+
 (* Stage 2 of [analyze]: the symbolic set, [param] first, from the static
    analysis's related set for [param]. *)
 let symbolic_set opts target param (related : Vanalysis.Related_config.result) =
@@ -126,7 +124,7 @@ let symbolic_set opts target param (related : Vanalysis.Related_config.result) =
   else if opts.include_related then
     param
     :: List.filteri
-         (fun i _ -> i < opts.max_related)
+         (fun i _ -> i < max_related)
          (List.filter (hookable target) related.Vanalysis.Related_config.related)
   else [ param ]
 
@@ -269,7 +267,7 @@ let analyze ?(opts = default_options) target param =
           concrete_workload;
           budget = opts.budget;
           max_loop_unroll = 48;
-          state_switching = opts.state_switching;
+          state_switching = false;
           slice = opts.slice;
           noise = opts.noise;
           enable_tracer = true;
@@ -308,14 +306,12 @@ let analyze ?(opts = default_options) target param =
              Apache's prefork boot under the engine is the slowest in the
              paper's Figure 14 *)
           let startup_virtual_s =
-            if opts.startup_virtual_s >= 0. then opts.startup_virtual_s
-            else
-              match target.name with
-              | "mysql" -> 55.
-              | "postgres" -> 35.
-              | "apache" -> 340.
-              | "squid" -> 150.
-              | _ -> 45.
+            match target.name with
+            | "mysql" -> 55.
+            | "postgres" -> 35.
+            | "apache" -> 340.
+            | "squid" -> 150.
+            | _ -> 45.
           in
           let virtual_analysis_s =
             startup_virtual_s

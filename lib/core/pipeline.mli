@@ -72,7 +72,6 @@ type options = {
   all_symbolic : bool;
       (** true = ablation of Section 4.2/Figure 9: make {e every} hookable
           parameter symbolic instead of the related set *)
-  max_related : int;
   slice : bool;
       (** independence slicing across the stack (default true): the executor
           sends only the relevant symbol-disjoint slices of each path
@@ -80,15 +79,10 @@ type options = {
           differential analysis decomposes joint-sat queries over disjoint
           input classes.  Impact models are byte-identical with slicing on
           or off ([--no-slice] is an A/B measurement hatch). *)
-  state_switching : bool;
   noise : Vsymexec.Executor.noise option;
   relaxation_rules : bool;  (** false: Section 5.4 relaxation-rule ablation *)
   fault_injection : bool;
       (** explore library-call failure paths (Section 8 extension) *)
-  startup_virtual_s : float;
-      (** virtual engine start-up cost (booting the guest and the target
-          system; about a minute for MySQL in the paper, Section 5.1);
-          negative = per-target default *)
   checkpoint : checkpointing option;  (** periodic frontier snapshots *)
   resume : bool;
       (** continue from [checkpoint.path] instead of starting fresh *)
@@ -125,7 +119,7 @@ val analyzable_params : target -> string list
 val companions : ?opts:options -> target -> string -> string list
 (** The parameters {!analyze} makes symbolic alongside [param] under
     [opts], sorted, which is the analysed model's [related] list, sorted:
-    the static related set cut to hookable parameters and [max_related];
+    the static related set cut to its first eight hookable parameters;
     every analyzable parameter under [all_symbolic]; nothing without
     [include_related].  [analyze] chooses its symbolic set through the
     same function. *)

@@ -6,8 +6,8 @@
     distribution; consistent hashing keeps most keys on the same shard when
     the fleet is resized, and — because the fleet replicates every model on
     every worker — the ring is an {e affinity} choice, not a placement
-    constraint: any shard can answer any key, preferred owners just keep
-    batch coalescing effective.
+    constraint: any shard can answer any key, and each key's preferred
+    owner keeps that worker's compiled-model memos warm.
 
     Deterministic: the ring is a pure function of [shards], so the
     router, tests, and an operator reading logs all agree on ownership. *)

@@ -57,8 +57,6 @@ let options_fingerprint (o : P.options) =
         (String.concat "," (List.map pair o.P.config_overrides));
       Printf.sprintf "include_related=%b" o.P.include_related;
       Printf.sprintf "all_symbolic=%b" o.P.all_symbolic;
-      Printf.sprintf "max_related=%d" o.P.max_related;
-      Printf.sprintf "state_switching=%b" o.P.state_switching;
       Printf.sprintf "noise=%s"
         (match o.P.noise with
         | None -> "-"
@@ -68,7 +66,6 @@ let options_fingerprint (o : P.options) =
             n.Vsymexec.Executor.seed);
       Printf.sprintf "relaxation=%b" o.P.relaxation_rules;
       Printf.sprintf "fault_injection=%b" o.P.fault_injection;
-      Printf.sprintf "startup=%g" o.P.startup_virtual_s;
       Printf.sprintf "chaos=%b" (o.P.chaos <> None);
     ]
   in

@@ -48,8 +48,11 @@ type outcome = {
   findings : Vchecker.Checker.finding list;
   checked_in_s : float;
   generation : int;  (** model-registry generation that served the check *)
-  batched : bool;  (** executed as part of a multi-request batch *)
-  coalesced : bool;  (** served from an identical batch-mate's computation *)
+  batched : bool;
+  coalesced : bool;
+      (** [batched] and [coalesced] are always [false]: the daemon runs each
+          check by itself.  They stay because they are part of the wire
+          format that every client decodes. *)
   degraded : bool;
       (** overload shed: only the conservative widening (degraded-region
           findings) ran, not the full comparison *)

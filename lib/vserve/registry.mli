@@ -15,7 +15,7 @@
 
     Reloading is poll-based: {!refresh} re-examines the directory and is
     cheap when nothing changed (a stat per file).  The server calls it
-    between batches. *)
+    between checks. *)
 
 type entry = {
   key : string;

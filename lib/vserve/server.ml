@@ -9,8 +9,6 @@ type options = {
   models_dir : string;
   resolve_registry : Vmodel.Impact_model.t -> Vruntime.Config_registry.t option;
   max_queue : int;
-  max_batch : int;
-  batching : bool;
   request_deadline_s : float option;
   shed_pressure : float;
   refresh_every_s : float;
@@ -24,8 +22,6 @@ let default_options ~addr ~models_dir =
     models_dir;
     resolve_registry = (fun _ -> None);
     max_queue = 64;
-    max_batch = 16;
-    batching = true;
     request_deadline_s = None;
     shed_pressure = 0.9;
     refresh_every_s = 0.5;
@@ -58,9 +54,6 @@ type state = {
   mutable requests : int;
   mutable shed_queue_full : int;
   mutable shed_deadline : int;
-  mutable batches : int;
-  mutable batched_requests : int;
-  mutable coalesced : int;
   mutable write_failed : int;
   mutable stopping : bool;
 }
@@ -80,9 +73,6 @@ let stats_to_wire st =
           |> List.sort (fun (a, _) (b, _) -> String.compare a b)) );
       ("shed_queue_full", Wire.Int st.shed_queue_full);
       ("shed_deadline", Wire.Int st.shed_deadline);
-      ("batches", Wire.Int st.batches);
-      ("batched_requests", Wire.Int st.batched_requests);
-      ("coalesced", Wire.Int st.coalesced);
       ("write_failed", Wire.Int st.write_failed);
       ("model_reloads", Wire.Int (Registry.reloads st.registry));
       ("model_load_failures", Wire.Int (Registry.load_failures st.registry));
@@ -99,8 +89,6 @@ let stats_to_wire st =
 (* ------------------------------------------------------------------ *)
 (* Check execution (must not raise)                                   *)
 (* ------------------------------------------------------------------ *)
-
-type exec_result = { resp : P.response; shed : bool }
 
 let outcome_of_report generation (r : Checker.report) =
   P.Report
@@ -136,14 +124,10 @@ let memoized_check_upgrade st ~key ~generation ~old_model ~new_model =
     Hashtbl.replace st.upgrade_memo (key, generation) r;
     r
 
-let exec_check st (p, entry) =
+let exec_check st p =
   let opts = st.opts in
-  match entry with
-  | None ->
-    {
-      resp = P.Error_resp { code = P.Unknown_model; message = "no model named " ^ p.p_key };
-      shed = false;
-    }
+  match Registry.find st.registry p.p_key with
+  | None -> P.Error_resp { code = P.Unknown_model; message = "no model named " ^ p.p_key }
   | Some (e : Registry.entry) -> begin
     let model = e.Registry.model in
     let compiled = e.Registry.compiled in
@@ -152,74 +136,68 @@ let exec_check st (p, entry) =
       (* queue wait ate the request's deadline budget: shed to the
          conservative widening — answer what is knowable without the full
          comparison instead of erroring *)
+      st.shed_deadline <- st.shed_deadline + 1;
       let t0 = Unix.gettimeofday () in
       let findings = Checker.degraded_findings model in
-      {
-        resp =
-          P.Report
-            {
-              P.findings;
-              checked_in_s = Unix.gettimeofday () -. t0;
-              generation;
-              batched = false;
-              coalesced = false;
-              degraded = true;
-            };
-        shed = true;
-      }
+      P.Report
+        {
+          P.findings;
+          checked_in_s = Unix.gettimeofday () -. t0;
+          generation;
+          batched = false;
+          coalesced = false;
+          degraded = true;
+        }
     end
     else
-      let resp =
-        try
-          match p.p_req with
-          | P.Check_current { config; _ } -> begin
-            match opts.resolve_registry model with
-            | None ->
-              check_failed
-                ("no configuration registry for system " ^ model.Vmodel.Impact_model.system)
-            | Some reg -> begin
-              let file = Vchecker.Config_file.parse config in
-              match Checker.check_current ?compiled ~model ~registry:reg ~file () with
-              | Ok report -> outcome_of_report generation report
-              | Error msg -> check_failed msg
-            end
+      try
+        match p.p_req with
+        | P.Check_current { config; _ } -> begin
+          match opts.resolve_registry model with
+          | None ->
+            check_failed
+              ("no configuration registry for system " ^ model.Vmodel.Impact_model.system)
+          | Some reg -> begin
+            let file = Vchecker.Config_file.parse config in
+            match Checker.check_current ?compiled ~model ~registry:reg ~file () with
+            | Ok report -> outcome_of_report generation report
+            | Error msg -> check_failed msg
           end
-          | P.Check_update { old_config; new_config; _ } -> begin
-            match opts.resolve_registry model with
-            | None ->
-              check_failed
-                ("no configuration registry for system " ^ model.Vmodel.Impact_model.system)
-            | Some reg -> begin
-              let old_file = Vchecker.Config_file.parse old_config in
-              let new_file = Vchecker.Config_file.parse new_config in
-              match
-                Checker.check_update ?compiled ~model ~registry:reg ~old_file ~new_file ()
-              with
-              | Ok report -> outcome_of_report generation report
-              | Error msg -> check_failed msg
-            end
+        end
+        | P.Check_update { old_config; new_config; _ } -> begin
+          match opts.resolve_registry model with
+          | None ->
+            check_failed
+              ("no configuration registry for system " ^ model.Vmodel.Impact_model.system)
+          | Some reg -> begin
+            let old_file = Vchecker.Config_file.parse old_config in
+            let new_file = Vchecker.Config_file.parse new_config in
+            match
+              Checker.check_update ?compiled ~model ~registry:reg ~old_file ~new_file ()
+            with
+            | Ok report -> outcome_of_report generation report
+            | Error msg -> check_failed msg
           end
-          | P.Check_upgrade { workloads = Some (old_workload, new_workload); _ } ->
+        end
+        | P.Check_upgrade { workloads = Some (old_workload, new_workload); _ } ->
+          outcome_of_report generation
+            (Checker.check_workload_change ?compiled ~model ~old_workload
+               ~new_workload ())
+        | P.Check_upgrade { workloads = None; _ } -> begin
+          match e.Registry.previous with
+          | Some old_model ->
             outcome_of_report generation
-              (Checker.check_workload_change ?compiled ~model ~old_workload
-                 ~new_workload ())
-          | P.Check_upgrade { workloads = None; _ } -> begin
-            match e.Registry.previous with
-            | Some old_model ->
-              outcome_of_report generation
-                (memoized_check_upgrade st ~key:p.p_key ~generation ~old_model
-                   ~new_model:model)
-            | None ->
-              check_failed
-                (Printf.sprintf "model %s has no previous generation to compare against"
-                   p.p_key)
-          end
-          | P.Health | P.Stats | P.Reload_stage | P.Reload_commit | P.Shutdown ->
-            (* service verbs never reach the queue *)
-            check_failed "internal: service verb in check queue"
-        with exn -> check_failed (Printexc.to_string exn)
-      in
-      { resp; shed = false }
+              (memoized_check_upgrade st ~key:p.p_key ~generation ~old_model
+                 ~new_model:model)
+          | None ->
+            check_failed
+              (Printf.sprintf "model %s has no previous generation to compare against"
+                 p.p_key)
+        end
+        | P.Health | P.Stats | P.Reload_stage | P.Reload_commit | P.Shutdown ->
+          (* service verbs never reach the queue *)
+          check_failed "internal: service verb in check queue"
+      with exn -> check_failed (Printexc.to_string exn)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -334,45 +312,17 @@ let handle_line st conn line =
       end
   end
 
-let run_batch st =
-  let opts = st.opts in
-  let n =
-    if opts.batching then min opts.max_batch (Queue.length st.queue)
-    else min 1 (Queue.length st.queue)
-  in
-  if n > 0 then begin
-    let jobsv = Array.init n (fun _ -> Queue.pop st.queue) in
-    let resolved =
-      Array.map (fun p -> (p, Registry.find st.registry p.p_key)) jobsv
-    in
-    let group_of (p, entry) =
-      match entry with
-      | Some (e : Registry.entry) ->
-        Printf.sprintf "%s#%d" e.Registry.key e.Registry.generation
-      | None -> "?" ^ p.p_key
-    in
-    let dedup_of (p, _) = P.encode_request p.p_req in
-    let results, bstats =
-      Batcher.run ~group_of ~dedup_of ~exec:(exec_check st) resolved
-    in
-    st.batches <- st.batches + bstats.Batcher.groups;
-    st.batched_requests <- st.batched_requests + bstats.Batcher.batched_requests;
-    st.coalesced <- st.coalesced + bstats.Batcher.coalesced;
-    Array.iteri
-      (fun i (r, batched, coalesced) ->
-        let p, _ = resolved.(i) in
-        let resp =
-          match r.resp with
-          | P.Report o -> P.Report { o with P.batched; coalesced }
-          | resp -> resp
-        in
-        if r.shed then st.shed_deadline <- st.shed_deadline + 1;
-        st.requests <- st.requests + 1;
-        bump_verb st (P.verb_of_request p.p_req);
-        Conn.send p.p_conn (P.response_to_wire ?id:p.p_id resp);
-        Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.p_t_enq) *. 1e6))
-      results
-  end
+(* One check per reactor turn: the oldest queued request runs and is
+   answered before the next turn reads again. *)
+let run_one st =
+  match Queue.take_opt st.queue with
+  | None -> ()
+  | Some p ->
+    let resp = exec_check st p in
+    st.requests <- st.requests + 1;
+    bump_verb st (P.verb_of_request p.p_req);
+    Conn.send p.p_conn (P.response_to_wire ?id:p.p_id resp);
+    Latency.observe st.latency ~us:((Unix.gettimeofday () -. p.p_t_enq) *. 1e6)
 
 let run opts =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -395,9 +345,6 @@ let run opts =
         requests = 0;
         shed_queue_full = 0;
         shed_deadline = 0;
-        batches = 0;
-        batched_requests = 0;
-        coalesced = 0;
         write_failed = 0;
         stopping = false;
       }
@@ -438,7 +385,7 @@ let run opts =
           ignore (Registry.refresh registry);
           last_refresh := Unix.gettimeofday ()
         end;
-        run_batch st;
+        run_one st;
         loop ()
       end
     in

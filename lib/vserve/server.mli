@@ -2,17 +2,15 @@
 
     One process serves {!Protocol} requests over a Unix-domain or TCP socket,
     newline-delimited JSON both ways.  The loop is a single-threaded
-    [select] reactor for I/O with batched execution:
+    [select] reactor that runs one check per turn:
 
     + readable sockets are drained and parsed; service verbs
       ([health]/[stats]/[reload-stage]/[reload-commit]/[shutdown]) are
       answered inline, check verbs pass
       {e admission control} — a bounded queue; when it is full the request is
       answered [overloaded] immediately and counted as shed;
-    + when the queue is non-empty, up to [max_batch] requests are drained
-      into one batch and executed by {!Batcher}, one after another on the
-      server's one domain — grouped by model key + registry generation,
-      identical requests coalesced;
+    + then the oldest queued check runs on the server's one domain and its
+      answer is written straight away;
     + each admitted request carries a {!Vresilience.Budget} armed at
       admission (one shared spec, {!Vresilience.Budget.rearm}ed per
       request).  If queue wait has pushed the budget past [shed_pressure] by
@@ -20,8 +18,8 @@
       conservative degraded-region widening
       ({!Vchecker.Checker.degraded_findings}) runs — overload degrades
       answers instead of erroring;
-    + between batches the {!Registry} is re-polled, so replacing a model
-      file hot-swaps the next batch onto the new generation (a corrupt
+    + between turns the {!Registry} is re-polled, so replacing a model
+      file hot-swaps the next check onto the new generation (a corrupt
       replacement is rejected and the old generation keeps serving).
 
     A server is one domain in one process: a caller that wants more cores
@@ -34,9 +32,8 @@
     [stats] answers one object, in this field order: [requests] (answered,
     service verbs included), [by_verb], [shed_queue_full] (refused at
     admission), [shed_deadline] (served degraded because queue wait used up
-    the deadline), [batches], [batched_requests], [coalesced],
-    [write_failed] (responses lost to a dead client connection),
-    [model_reloads], [model_load_failures], [model_compiles],
+    the deadline), [write_failed] (responses lost to a dead client
+    connection), [model_reloads], [model_load_failures], [model_compiles],
     [compile_wall_s], [models] (key to generation) and [latency]
     ({!Latency.to_wire}, enqueue to response, check verbs only). *)
 
@@ -50,10 +47,6 @@ type options = {
           [check-update] need one to encode config files); the CLI wires
           {!Targets.Cases}, tests wire their fixture *)
   max_queue : int;  (** admission-queue depth bound (default 64) *)
-  max_batch : int;  (** requests drained per batch (default 16) *)
-  batching : bool;
-      (** [false] executes requests one at a time — the A/B hatch the bench
-          measures against *)
   request_deadline_s : float option;
       (** per-request budget deadline, armed at admission (default none) *)
   shed_pressure : float;

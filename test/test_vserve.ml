@@ -1,7 +1,7 @@
 (* Tests for the serving layer: wire-protocol round-trips (QCheck), the
-   model registry's crash/corruption behavior, request batching, and an
-   end-to-end daemon whose answers must be byte-identical to the in-process
-   checker. *)
+   model registry's crash/corruption behavior, an end-to-end daemon whose
+   answers must be byte-identical to the in-process checker, and the
+   daemon's queue: checks admitted in one read, and deadline shedding. *)
 
 module W = Vserve.Wire
 module P = Vserve.Protocol
@@ -617,38 +617,6 @@ let test_registry_rejects_format1 () =
   | _ -> Alcotest.fail "stage must refuse a format-1 file"
 
 (* ------------------------------------------------------------------ *)
-(* Batcher                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_batcher_groups_and_coalesces () =
-  let items = [| ("a", 1); ("a", 1); ("a", 2); ("b", 9) |] in
-  let execs = ref [] in
-  let results, stats =
-    Vserve.Batcher.run
-      ~group_of:(fun (g, _) -> g)
-      ~dedup_of:(fun (g, v) -> Printf.sprintf "%s=%d" g v)
-      ~exec:(fun (g, v) ->
-        let r = Printf.sprintf "%s:%d" g v in
-        execs := r :: !execs;
-        r)
-      items
-  in
-  check
-    Alcotest.(list string)
-    "distinct executions, in input order" [ "a:1"; "a:2"; "b:9" ] (List.rev !execs);
-  let expect = [| ("a:1", true, false); ("a:1", true, true); ("a:2", true, false); ("b:9", false, false) |] in
-  Array.iteri
-    (fun i (r, b, c) ->
-      let er, eb, ec = expect.(i) in
-      check Alcotest.string (Printf.sprintf "result %d" i) er r;
-      check Alcotest.bool (Printf.sprintf "batched %d" i) eb b;
-      check Alcotest.bool (Printf.sprintf "coalesced %d" i) ec c)
-    results;
-  check Alcotest.int "groups" 2 stats.Vserve.Batcher.groups;
-  check Alcotest.int "batched requests" 3 stats.Vserve.Batcher.batched_requests;
-  check Alcotest.int "coalesced" 1 stats.Vserve.Batcher.coalesced
-
-(* ------------------------------------------------------------------ *)
 (* End to end: daemon answers == in-process checker answers             *)
 (* ------------------------------------------------------------------ *)
 
@@ -894,10 +862,10 @@ let test_upgrade_memo_per_server () =
 (* Misbehaving peers: one connection cannot stall the daemon           *)
 (* ------------------------------------------------------------------ *)
 
-(* Fork a daemon serving the fixture as "mini", hand [f] a client it has
-   answered and a function opening raw connections to it, and kill the
-   daemon afterwards. *)
-let with_daemon f =
+(* Fork a daemon serving the fixture as "mini" under [tweak]ed options, hand
+   [f] a client it has answered, a function opening raw connections to it
+   and the model file it serves, and kill the daemon afterwards. *)
+let with_daemon ?(tweak = fun o -> o) f =
   if Vpar.Pool.spawned_domains () then Alcotest.skip ();
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let dir = mk_tmpdir () in
@@ -913,13 +881,14 @@ let with_daemon f =
   @@ fun () ->
   let models_dir = Filename.concat dir "models" in
   Unix.mkdir models_dir 0o700;
-  ignore (export_fixture models_dir "mini");
+  let model_path = export_fixture models_dir "mini" in
   let sock = Filename.concat dir "d.sock" in
   let opts =
-    {
-      (Server.default_options ~addr:(`Unix sock) ~models_dir) with
-      Server.resolve_registry = (fun _ -> Some Fixtures.registry);
-    }
+    tweak
+      {
+        (Server.default_options ~addr:(`Unix sock) ~models_dir) with
+        Server.resolve_registry = (fun _ -> Some Fixtures.registry);
+      }
   in
   flush_all ();
   (match Unix.fork () with
@@ -935,7 +904,7 @@ let with_daemon f =
     Unix.connect fd (Unix.ADDR_UNIX sock);
     fd
   in
-  f c raw
+  f c raw model_path
 
 (* [c] is still answered, within the send timeout and some slack *)
 let answered c =
@@ -948,7 +917,7 @@ let answered c =
    daemon's write to it must time out and drop it rather than block every
    other client behind it. *)
 let test_nonreading_client_dropped () =
-  with_daemon @@ fun c raw ->
+  with_daemon @@ fun c raw _ ->
   let bad = raw () in
   Fun.protect ~finally:(fun () -> Unix.close bad) @@ fun () ->
   Unix.set_nonblock bad;
@@ -977,7 +946,7 @@ let test_nonreading_client_dropped () =
 (* A line that never ends is dropped at the cap, with its connection; the
    daemon keeps serving everyone else. *)
 let test_overlong_line_dropped () =
-  with_daemon @@ fun c raw ->
+  with_daemon @@ fun c raw _ ->
   let bad = raw () in
   Fun.protect ~finally:(fun () -> Unix.close bad) @@ fun () ->
   let block = String.make 65_536 'x' in
@@ -997,6 +966,140 @@ let test_overlong_line_dropped () =
     | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> ()));
   answered c
 
+(* ------------------------------------------------------------------ *)
+(* The queue: checks admitted in one read                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Write [lines] to a fresh raw connection in one [write], so the daemon
+   admits them in one read, and return the first [n] answers decoded, in
+   arrival order. *)
+let exchange raw lines n =
+  let fd = raw () in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let data = String.concat "" lines in
+  check Alcotest.int "one write" (String.length data)
+    (Unix.write_substring fd data 0 (String.length data));
+  let pending = Buffer.create 65_536 and chunk = Bytes.create 65_536 in
+  let answers = ref [] and got = ref 0 in
+  let deadline = Unix.gettimeofday () +. 20. in
+  while !got < n do
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then Alcotest.failf "%d of %d answers before the timeout" !got n;
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> ()
+    | _ -> (
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Alcotest.failf "connection closed after %d of %d answers" !got n
+      | k ->
+        Buffer.add_subbytes pending chunk 0 k;
+        let text = Buffer.contents pending in
+        let parts = String.split_on_char '\n' text in
+        let rec take = function
+          | [ rest ] ->
+            Buffer.clear pending;
+            Buffer.add_string pending rest
+          | line :: rest ->
+            answers := or_fail (P.decode_response line) :: !answers;
+            incr got;
+            take rest
+          | [] -> ()
+        in
+        take parts)
+  done;
+  List.rev !answers
+
+(* Repeats, distinct checks of two verbs and an unknown key, written in
+   one piece with a health line behind them: every answer carries its own
+   id, and every report is the in-process checker's on the same model
+   file, run in full for its own request. *)
+let test_queued_checks_in_one_read () =
+  with_daemon @@ fun _ raw model_path ->
+  let model = or_fail (Violet.Pipeline.import_model model_path) in
+  let parse = Vchecker.Config_file.parse in
+  let current config =
+    ( P.Check_current { key = "mini"; config },
+      Some
+        (or_fail
+           (Checker.check_current ~model ~registry:Fixtures.registry ~file:(parse config) ()))
+    )
+  in
+  let update old_config new_config =
+    ( P.Check_update { key = "mini"; old_config; new_config },
+      Some
+        (or_fail
+           (Checker.check_update ~model ~registry:Fixtures.registry
+              ~old_file:(parse old_config) ~new_file:(parse new_config) ())) )
+  in
+  let checks =
+    [|
+      current "";
+      current "";
+      current "autocommit = OFF\n";
+      current "";
+      update "autocommit = OFF\n" "autocommit = ON\nflush_at_trx_commit = 1\n";
+      current "flush_at_trx_commit = 2\n";
+      (P.Check_current { key = "nope"; config = "" }, None);
+      update "" "autocommit = OFF\n";
+      current "binlog_format = MIXED\n";
+      update "autocommit = OFF\n" "autocommit = ON\nflush_at_trx_commit = 1\n";
+    |]
+  in
+  let n = Array.length checks in
+  let lines =
+    Array.to_list (Array.mapi (fun id (req, _) -> P.encode_request ~id req ^ "\n") checks)
+    @ [ P.encode_request ~id:n P.Health ^ "\n" ]
+  in
+  let seen = Array.make (n + 1) false in
+  List.iter
+    (fun (id, resp) ->
+      let id = match id with Some id -> id | None -> Alcotest.fail "an answer without an id" in
+      if id < 0 || id > n || seen.(id) then Alcotest.failf "unexpected answer id %d" id;
+      seen.(id) <- true;
+      if id = n then
+        match resp with
+        | P.Health_info { models = [ m ]; _ } -> check Alcotest.string "health key" "mini" m.P.mi_key
+        | _ -> Alcotest.fail "expected the health answer"
+      else
+        match (snd checks.(id), resp) with
+        | None, P.Error_resp { code = P.Unknown_model; _ } -> ()
+        | None, _ -> Alcotest.failf "request %d: an unknown key must be unknown-model" id
+        | Some local, resp ->
+          let o = expect_report resp in
+          check Alcotest.string
+            (Printf.sprintf "request %d findings byte-identical" id)
+            (findings_bytes local.Checker.findings)
+            (findings_bytes o.P.findings);
+          check Alcotest.bool (Printf.sprintf "request %d not batched" id) false o.P.batched;
+          check Alcotest.bool (Printf.sprintf "request %d not coalesced" id) false o.P.coalesced;
+          check Alcotest.bool (Printf.sprintf "request %d not degraded" id) false o.P.degraded)
+    (exchange raw lines (n + 1));
+  check Alcotest.bool "every request answered" true (Array.for_all Fun.id seen)
+
+(* A 1 µs deadline: every check admitted in the read but the first has
+   waited out its budget behind another check by the time it runs, so it
+   is served the degraded widening, and [stats] counts each one. *)
+let test_deadline_shedding () =
+  with_daemon ~tweak:(fun o -> { o with Server.request_deadline_s = Some 1e-6 })
+  @@ fun c raw _ ->
+  let n = 8 in
+  let lines =
+    List.init n (fun id ->
+        P.encode_request ~id (P.Check_current { key = "mini"; config = "" }) ^ "\n")
+  in
+  let degraded =
+    List.fold_left
+      (fun acc (_, resp) -> if (expect_report resp).P.degraded then acc + 1 else acc)
+      0 (exchange raw lines n)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "at least %d of %d degraded (read %d)" (n - 1) n degraded)
+    true (degraded >= n - 1);
+  match Client.call ~timeout_s:10. c P.Stats with
+  | Ok (P.Stats_info w) ->
+    check Alcotest.(option int) "shed_deadline counts the degraded answers" (Some degraded)
+      (Option.bind (W.member "shed_deadline" w) W.to_int)
+  | _ -> Alcotest.fail "expected stats"
+
 let tests =
   [
     qt prop_wire_roundtrip;
@@ -1010,11 +1113,12 @@ let tests =
     tc "registry two-phase stage and commit" test_registry_two_phase;
     tc "registry drops removed files" test_registry_removal;
     tc "registry rejects format 1" test_registry_rejects_format1;
-    tc "batcher groups and coalesces" test_batcher_groups_and_coalesces;
     tc "end-to-end daemon matches in-process checker" test_end_to_end;
     tc "each server keeps its own upgrade memo" test_upgrade_memo_per_server;
     tc "a client that never reads is dropped" test_nonreading_client_dropped;
     tc "an over-cap line closes its connection" test_overlong_line_dropped;
+    tc "queued checks in one read each answered in full" test_queued_checks_in_one_read;
+    tc "deadline shedding degrades and counts queued checks" test_deadline_shedding;
     tc "wire escapes every control byte" test_wire_escapes;
     tc "line buffer reuse keeps every line exact" test_line_buffer_reuse;
     tc "registry: per-file refresh, all-or-nothing stage"
