@@ -408,20 +408,23 @@ let read_file path =
       (fun () -> really_input_string ic (in_channel_length ic))
   with Sys_error msg -> or_die (Error msg)
 
-(* "reads=80,writes=20" — the workload-class assignments mode 3b compares *)
-let parse_workload spec =
-  List.map
-    (fun kv ->
-      match String.index_opt kv '=' with
-      | Some i -> begin
-        let k = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        match int_of_string_opt v with
-        | Some n -> (k, n)
-        | None -> or_die (Error (Printf.sprintf "workload %s: %s is not an integer" kv v))
-      end
-      | None -> or_die (Error (Printf.sprintf "workload entry %s is not KEY=INT" kv)))
-    (String.split_on_char ',' spec)
+(* "reads=80,writes=20" — the workload-class assignments mode 3b compares;
+   "" is the empty assignment *)
+let parse_workload = function
+  | "" -> []
+  | spec ->
+    List.map
+      (fun kv ->
+        match String.index_opt kv '=' with
+        | Some i -> begin
+          let k = String.sub kv 0 i in
+          let v = String.sub kv (i + 1) (String.length kv - i - 1) in
+          match int_of_string_opt v with
+          | Some n -> (k, n)
+          | None -> or_die (Error (Printf.sprintf "workload %s: %s is not an integer" kv v))
+        end
+        | None -> or_die (Error (Printf.sprintf "workload entry %s is not KEY=INT" kv)))
+      (String.split_on_char ',' spec)
 
 let client_check_current addr key config =
   client_call addr
@@ -732,7 +735,8 @@ let client_cmd =
         & info [ "old-workload" ] ~docv:"K=V,.."
             ~doc:"Previous workload class (selects mode 3b together with \
                   $(b,--new-workload); without both, mode 3a compares the \
-                  registry's previous model generation).")
+                  registry's previous model generation).  An empty value \
+                  binds no workload variable.")
     in
     let new_workload =
       Arg.(

@@ -259,6 +259,13 @@ let handle_worker_line st sh line =
           st.retries <- st.retries + 1;
           st.overload_redispatches <- st.overload_redispatches + 1;
           dispatch st p
+        | P.Error_resp { code = P.Unknown_model; _ }
+          when st.opts.retries && Option.is_some (Registry.find st.registry p.pn_key) ->
+          (* the fleet serves the key but this worker has not loaded it (it
+             restarted while the model file was unreadable): retry the next
+             candidate, else the fallback; not a shard fault either *)
+          st.retries <- st.retries + 1;
+          dispatch st p
         | resp ->
           mark_success sh;
           answer st p resp

@@ -17,7 +17,12 @@
       on the preference list.  Worker overload is retried but {e not}
       charged to the shard's breaker, and is counted in
       [overload_redispatches]; timeouts and connection failures are charged,
-      and counted in [failovers];
+      and counted in [failovers].  A worker's [unknown-model] answer for a
+      key the router's own registry holds (the worker started while the
+      model file was unreadable) goes to the next candidate, or to the
+      fallback when none is left; it is counted in [retries] only and not
+      charged.  A key the router does not know is answered
+      [unknown-model];
     - {e breaker}: consecutive charged failures open a per-shard breaker
       for a cooldown; an open shard is skipped at dispatch.  After the
       cooldown one probe dispatch is allowed through (half-open);

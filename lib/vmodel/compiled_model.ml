@@ -30,22 +30,16 @@ type row_plan = {
 
 type stats = { rows_closed : int; rows_open : int; compile_s : float }
 
-(* The candidate-occurrence view of one comparison-order query: positions of
-   every model row in the (possibly duplicated) candidate list, plus the
-   ordered results already walked for it.  Every slow row of one check
-   orders the same candidate list, and steady-state checks repeat the same
-   list content, so the view (and its per-slow results) are reused across
-   checks — a reader validates element-wise physical identity of the
-   candidates, which pins the results exactly.  A query over a different
-   list replaces it. *)
-type occ_view = {
-  oc_rows : Row.t list;  (** the exact list this view was built from *)
-  oc_cap : int;
-  oc_cand : Row.t array;
-  oc_occ : int list array;  (** per row idx, occurrence positions in order *)
-  oc_results : (int, Row.t list) Hashtbl.t;  (** slow idx -> ordered, capped *)
-  oc_witness : (int * bool, (Row.t * (float * string * string list)) option) Hashtbl.t;
-      (** (slow idx, joint gate) -> first surviving candidate *)
+(* One candidate pool the witness scan has seen.  Every slow row of one
+   check scans the same pool, and checks of a configuration seen before
+   scan the same pool content, so witnesses are memoized per pool: a
+   reader validates element-wise physical identity of the candidates,
+   which with the cap, the slow row and the gate flag pins every input of
+   the scan. *)
+type pool = {
+  p_id : int;  (** never reused, so a witness keyed by it stays exact *)
+  p_rows : Row.t list;  (** the exact list this pool was first seen as *)
+  p_cap : int;
 }
 
 type t = {
@@ -71,13 +65,15 @@ type t = {
           solver fallbacks) are deterministic in the assignment, so repeated
           configurations are one bounded-table lookup *)
   wmatch_memo : ((string * int) list, Row.t list) Hashtbl.t;
-  orders : int array array option array;
-      (** per slow row, candidate tie groups in comparator order, computed
-          on first use *)
   content_rank : int array Lazy.t;
       (** per row idx, the dense rank of its {!Cost_row.content_key} under
           [String.compare], computed on first use *)
-  mutable occ_view : occ_view option;
+  pools : (int, pool) Hashtbl.t;  (** hash of the candidates' state ids -> pools *)
+  mutable last_pool : pool option;  (** the pool the last query scanned *)
+  mutable next_pool : int;
+  witness_memo : (int * int, (Row.t * (float * string * string list)) option) Hashtbl.t;
+      (** (pool id, 2 * slow idx + joint gate) -> first surviving candidate:
+          at most two per slow row and pool *)
   cm_stats : stats;
 }
 
@@ -114,9 +110,16 @@ let judge (m : M.t) (recorded : M.poor_pair_summary option) ~(slow : Row.t) ~(fa
     | None -> None
   end
 
-(* The comparison order's key and comparator: most-comparable rows first,
-   i.e. same input class, then configuration similarity, both descending. *)
-let similarity_key (slow : Row.t) r = (Similarity.workload_score slow r, Similarity.score slow r)
+(* The comparison order's key: most-comparable rows first, i.e. same input
+   class, then configuration similarity, both descending.  It is
+   [(Similarity.workload_score slow r, Similarity.score slow r)] without
+   their footprint screen: every constraint in these lists mentions a
+   variable, so the screen never changes a count, and computing two
+   footprints per candidate costs more than the counts it would skip. *)
+let comparison_key (slow : Row.t) (r : Row.t) =
+  ( Similarity.appearance_count slow.Row.workload_pred r.Row.workload_pred,
+    Similarity.appearance_count slow.Row.config_constraints r.Row.config_constraints )
+
 let descending (wa, ca) (wb, cb) = if wa <> wb then Int.compare wb wa else Int.compare cb ca
 
 (* The comparison order: drop candidates sharing the slow row's state id,
@@ -124,7 +127,7 @@ let descending (wa, ca) (wb, cb) = if wa <> wb then Int.compare wb wa else Int.c
 let live_order ~cap ~(slow : Row.t) rows =
   rows
   |> List.filter (fun (r : Row.t) -> r.Row.state_id <> slow.Row.state_id)
-  |> List.map (fun r -> (similarity_key slow r, r))
+  |> List.map (fun r -> (comparison_key slow r, r))
   |> List.stable_sort (fun (ka, _) (kb, _) -> descending ka kb)
   |> List.filteri (fun i _ -> i < cap)
   |> List.map snd
@@ -217,7 +220,7 @@ let content_rank_of rows =
 let class_count cls = Array.fold_left max (-1) cls + 1
 
 (* Linear in rows and free of solver queries: every pairwise structure
-   below (joint feasibility, verdicts, comparison orders) fills on first
+   below (joint feasibility, verdicts, witnesses per pool) fills on first
    use, and each entry is deterministic, so memoizing it is exact. *)
 let compile (m : M.t) =
   let t0 = Unix.gettimeofday () in
@@ -265,9 +268,11 @@ let compile (m : M.t) =
     verdict_memo = Hashtbl.create 64;
     match_memo = Hashtbl.create 16;
     wmatch_memo = Hashtbl.create 16;
-    orders = Array.make n None;
     content_rank = lazy (content_rank_of rows);
-    occ_view = None;
+    pools = Hashtbl.create 16;
+    last_pool = None;
+    next_pool = 0;
+    witness_memo = Hashtbl.create 64;
     cm_stats =
       { rows_closed = closed; rows_open = n - closed; compile_s = Unix.gettimeofday () -. t0 };
   }
@@ -403,132 +408,41 @@ let content_order t rows =
       List.map snd (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) ranked))
     (decorate [] rows)
 
-(* A cached view applies when the candidates are element-wise the same
-   physical rows: then every input deciding the ordering is identical, so
-   the memoized results are exact. *)
-let view_matches v ~cap rows =
-  v.oc_cap = cap
-  && (v.oc_rows == rows
-     || begin
-          let n = Array.length v.oc_cand in
-          let rec go i = function
-            | [] -> i = n
-            | (r : Row.t) :: tl -> i < n && v.oc_cand.(i) == r && go (i + 1) tl
-          in
-          go 0 rows
-        end)
+(* The pool table's bounds, each reset when reached like every memo here.
+   A check scans one or two pools, so 64 pools hold those of a few dozen
+   config files.  A pool holds at most two witnesses per model row, so 64
+   large pools could hold 64 * 2n; the witness cap keeps the memo near what
+   materialized per-slow-row orders held for a 600-row model (n^2 ints). *)
+let max_pools = 64
+let max_witnesses = 32_768
 
-(* [None] when some candidate is not (physically) a model row — the
-   occurrence walk would mis-score it, so such queries take the live
-   ordering instead. *)
-let occ_view_of t ~cap rows =
-  match t.occ_view with
-  | Some v when view_matches v ~cap rows -> Some v
-  | _ ->
-    let cand = Array.of_list rows in
-    let occ = Array.make (Array.length t.plans) [] in
-    let foreign = ref false in
-    Array.iteri
-      (fun p (r : Row.t) ->
-        match Hashtbl.find_opt t.by_id r.Row.state_id with
-        | Some rp when rp.row == r -> occ.(rp.idx) <- p :: occ.(rp.idx)
-        | _ -> foreign := true)
-      cand;
-    if !foreign then None
-    else begin
-      Array.iteri (fun i l -> occ.(i) <- List.rev l) occ;
-      let v =
-        {
-          oc_rows = rows;
-          oc_cap = cap;
-          oc_cand = cand;
-          oc_occ = occ;
-          oc_results = Hashtbl.create 16;
-          oc_witness = Hashtbl.create 16;
-        }
-      in
-      t.occ_view <- Some v;
-      Some v
-    end
+(* The pool's candidates are element-wise the same physical rows: then
+   every input deciding a slow row's ordering is identical, so the
+   memoized witnesses are exact. *)
+let pool_matches p ~cap rows =
+  p.p_cap = cap && (p.p_rows == rows || List.equal ( == ) p.p_rows rows)
 
-(* Tie groups of every model row around one slow row, in the checker
-   comparator's descending (workload_score, score) order; within a group the
-   member order is irrelevant (a query orders occurrences by position).  A
-   stable sort of any candidate list decorated with these scores is exactly:
-   walk the groups in order, emitting each group's candidate occurrences in
-   query order — so the groups are the comparison order materialized
-   independently of which rows a particular query matched. *)
-let order_of (plans : row_plan array) si =
-  let slow = plans.(si).row in
-  let n = Array.length plans in
-  let keyed = Array.init n (fun i -> (similarity_key slow plans.(i).row, i)) in
-  (* adding the index as last key makes the order total, so any sort equals
-     the stable sort *)
-  Array.sort
-    (fun (ka, ia) (kb, ib) -> match descending ka kb with 0 -> Int.compare ia ib | c -> c)
-    keyed;
-  let groups = ref [] and cur = ref [] and cur_key = ref None in
-  let flush () = if !cur <> [] then groups := Array.of_list (List.rev !cur) :: !groups in
-  Array.iter
-    (fun (k, i) ->
-      if !cur_key <> Some k then begin
-        flush ();
-        cur := [];
-        cur_key := Some k
-      end;
-      cur := i :: !cur)
-    keyed;
-  flush ();
-  Array.of_list (List.rev !groups)
-
-let order_groups t si =
-  match t.orders.(si) with
-  | Some g -> g
-  | None ->
-    let g = order_of t.plans si in
-    t.orders.(si) <- Some g;
-    g
-
-let walk_order t v ~cap si =
-  let out = ref [] and count = ref 0 in
-  (try
-     Array.iter
-       (fun members ->
-         (* this tie group's candidate occurrences, in query order; the
-            slow row itself is excluded exactly as the reference filter
-            does (every occurrence of its state id maps to [si], any
-            impostor sharing the id would have made the view foreign) *)
-         let occs =
-           Array.fold_left
-             (fun acc i -> if i = si then acc else List.rev_append v.oc_occ.(i) acc)
-             [] members
-           |> List.sort Int.compare
-         in
-         List.iter
-           (fun p ->
-             if !count >= cap then raise Exit;
-             out := v.oc_cand.(p) :: !out;
-             incr count)
-           occs)
-       (order_groups t si)
-   with Exit -> ());
-  List.rev !out
-
-let comparison_order t ~cap ~(slow : Row.t) rows =
-  match own_plan t slow with
-  | Some sp -> begin
-    match occ_view_of t ~cap rows with
-    | None -> live_order ~cap ~slow rows
-    | Some v ->
-      let si = sp.idx in
-      (match Hashtbl.find_opt v.oc_results si with
-      | Some r -> r
-      | None ->
-        let r = walk_order t v ~cap si in
-        Hashtbl.replace v.oc_results si r;
-        r)
-  end
-  | None -> live_order ~cap ~slow rows
+(* The pool a query scans: the last one when it matches (every slow row of
+   one check passes the same list), else one found by the candidates'
+   state ids, else a new one.  [None] when some candidate is not
+   physically a model row: such pools are never stored. *)
+let pool_of t ~cap rows =
+  match t.last_pool with
+  | Some p when pool_matches p ~cap rows -> Some p
+  | _ -> (
+    let h = List.fold_left (fun h (r : Row.t) -> (h * 31) + r.Row.state_id) cap rows in
+    match List.find_opt (fun p -> pool_matches p ~cap rows) (Hashtbl.find_all t.pools h) with
+    | Some p ->
+      t.last_pool <- Some p;
+      Some p
+    | None when List.for_all (fun r -> own_plan t r <> None) rows ->
+      if Hashtbl.length t.pools >= max_pools then Hashtbl.reset t.pools;
+      let p = { p_id = t.next_pool; p_rows = rows; p_cap = cap } in
+      t.next_pool <- t.next_pool + 1;
+      Hashtbl.add t.pools h p;
+      t.last_pool <- Some p;
+      Some p
+    | None -> None)
 
 (* [joint_input_feasible], memoized per workload-class pair when both rows
    are model rows *)
@@ -548,22 +462,23 @@ let verdict t ~(slow : Row.t) ~(fast : Row.t) =
 (* The checker's witness scan — first candidate in comparison order that
    passes the joint-input gate (when required) and yields a verdict — as a
    single memoized lookup.  Every deciding input is pinned by the key: the
-   slow row (physically a model row), the candidate view (element-wise
-   physical identity) and the gate flag; the gate and the verdict are
-   deterministic in those, so the first computed answer is the answer. *)
+   slow row (physically a model row), the pool (element-wise physical
+   identity, and the cap) and the gate flag; the order, the gate and the
+   verdict are deterministic in those, so the first computed answer is the
+   answer. *)
 let witness_walk t ~cap ~require_joint_input ~slow rows =
   scan ~require_joint_input
     ~gate:(fun fast -> joint_feasible t ~slow ~fast)
     ~verdict:(fun fast -> verdict t ~slow ~fast)
-    (comparison_order t ~cap ~slow rows)
+    (live_order ~cap ~slow rows)
 
 let first_witness t ~cap ~require_joint_input ~(slow : Row.t) rows =
+  let walk () = witness_walk t ~cap ~require_joint_input ~slow rows in
   match own_plan t slow with
-  | Some sp -> begin
-    match occ_view_of t ~cap rows with
-    | None -> witness_walk t ~cap ~require_joint_input ~slow rows
-    | Some v ->
-      memoized v.oc_witness ~cap:1_024 (sp.idx, require_joint_input) (fun () ->
-          witness_walk t ~cap ~require_joint_input ~slow rows)
-  end
-  | None -> witness_walk t ~cap ~require_joint_input ~slow rows
+  | None -> walk ()
+  | Some sp -> (
+    match pool_of t ~cap rows with
+    | None -> walk ()
+    | Some p ->
+      let key = (p.p_id, (2 * sp.idx) + Bool.to_int require_joint_input) in
+      memoized t.witness_memo ~cap:max_witnesses key walk)

@@ -12,15 +12,17 @@
     pairwise structures fill on first use, each entry deterministic, so
     memoizing it is exact and steady-state checks are lookups:
 
-    - materialized comparison orders: per slow row, the tie groups of every
-      candidate in the checker comparator's order, so ordering a query's
-      candidates is a table walk instead of scoring and sorting them;
     - joint-input feasibility per pair of distinct workload-predicate
       classes;
     - pair verdicts (first recorded poor pair, else the differential
       comparison with its critical path);
-    - per candidate list, the witness each slow row finds in it;
+    - per candidate pool, the witness each slow row finds in it: a table
+      of at most 64 pools and 32,768 witnesses, reset when full, so a
+      configuration seen before answers from it even after others;
     - each row's content rank, the order {!content_order} sorts by.
+
+    Nothing is materialized per slow row over the whole model: both
+    engines order a pool with the one {!live_order}.
 
     Every structure is {e exact}, not approximate: a row whose constraints
     the compiler cannot close (mixed-origin symbols, unbound variables at
@@ -40,6 +42,13 @@ type stats = {
   compile_s : float;
 }
 
+val live_order : cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cost_row.t list
+(** The comparison order of the witness scan, for both engines: drop the
+    candidates sharing [slow]'s state id, stable-sort the rest by
+    descending [(Similarity.workload_score slow r, Similarity.score slow r)]
+    (most comparable first), keep the first [cap].  The scores are counted
+    without their footprint screen, which never changes them. *)
+
 val live_witness :
   Impact_model.t ->
   cap:int ->
@@ -48,14 +57,12 @@ val live_witness :
   Cost_row.t list ->
   (Cost_row.t * (float * string * string list)) option
 (** The checker's witness scan with every decision computed live — the
-    solver engine's.  Orders the candidates (drop those sharing [slow]'s
-    state id, stable-sort the rest by descending [(workload_score, score)],
-    keep the first [cap]) and returns the first that passes the joint-input
-    gate (when [require_joint_input]: both rows' workload predicates are
-    jointly feasible within 1_000 solver nodes) and yields a verdict — the
-    first recorded poor pair if any, else the differential comparison —
-    with that [(ratio, trigger, critical_path)].  {!first_witness} answers
-    the same from the compiled tables. *)
+    solver engine's.  Returns the first candidate in {!live_order} that
+    passes the joint-input gate (when [require_joint_input]: both rows'
+    workload predicates are jointly feasible within 1_000 solver nodes) and
+    yields a verdict — the first recorded poor pair if any, else the
+    differential comparison — with that [(ratio, trigger, critical_path)].
+    {!first_witness} answers the same from the compiled tables. *)
 
 val compile : Impact_model.t -> t
 
@@ -84,11 +91,6 @@ val content_order : t -> Cost_row.t list -> Cost_row.t list option
     computed once, on the first call, and the rows are sorted by it.
     [None] when some row is not physically a model row. *)
 
-val comparison_order : t -> cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cost_row.t list
-(** The comparison order of {!live_witness}, byte-identical.  Answered by
-    walking [slow]'s materialized tie groups; a slow row or candidate that
-    is not (physically) a model row falls back to live scoring. *)
-
 val first_witness :
   t ->
   cap:int ->
@@ -97,6 +99,8 @@ val first_witness :
   Cost_row.t list ->
   (Cost_row.t * (float * string * string list)) option
 (** {!live_witness} as one memoized lookup, byte-identical.  Memoized per
-    candidate view, slow row and gate flag — every input deciding the scan
-    — so steady-state checks answer from the table; foreign rows take the
-    live walk. *)
+    candidate pool (element-wise physical identity, and [cap]), slow row
+    and gate flag — every input deciding the scan — so a pool seen before
+    answers from the table; the scan itself takes the memoized gate and
+    verdicts over {!live_order}.  A slow row or pool holding a row that is
+    not physically a model row is scanned without the pool table. *)

@@ -119,11 +119,22 @@ rc=0
 dune exec bin/violet_cli.exe -- client check-current \
   --addr "unix:$SMOKE_DIR/violet.sock" mysql-autocommit "$SMOKE_DIR/empty.cnf" \
   >/dev/null || rc=$?
+# mode 3b: every workload variable bound, then none (the empty assignment);
+# the in-process checker finds 588 slower states
+rc3b=0
+dune exec bin/violet_cli.exe -- client check-upgrade \
+  --addr "unix:$SMOKE_DIR/violet.sock" mysql-autocommit \
+  --old-workload sql_command=1,table_type=0,row_bytes=64,n_rows=1,n_tables=1,cached=0,use_index=1,other_clients_reading=0 \
+  --new-workload '' >/dev/null || rc3b=$?
 dune exec bin/violet_cli.exe -- client shutdown \
   --addr "unix:$SMOKE_DIR/violet.sock" >/dev/null
 wait "$SERVE_PID"
 if [ "$rc" -ne 2 ]; then
   echo "serve smoke: expected exit 2 (finding on the poor default), got $rc"
+  exit 1
+fi
+if [ "$rc3b" -ne 2 ]; then
+  echo "serve smoke: expected exit 2 from the workload change to the empty workload, got $rc3b"
   exit 1
 fi
 

@@ -177,7 +177,8 @@ let test_unclosable_row_fallback () =
       [ "autocommit", 1; "flush_at_trx_commit", 0 ];
     ]
 
-(* the reference ordering as the checker defines it *)
+(* The historical comparison order: the stable sort by descending
+   [(workload_score, score)], each score computed from scratch. *)
 let reference_order ~cap slow rows =
   let decorated =
     rows
@@ -193,32 +194,70 @@ let reference_order ~cap slow rows =
   in
   List.filteri (fun i _ -> i < cap) (List.map snd sorted)
 
-let test_comparison_order_equivalence () =
+(* a physically foreign copy of every row: same content, same ids *)
+let foreign_copies rows = List.map (fun (r : Row.t) -> { r with Row.state_id = r.Row.state_id }) rows
+
+(* The compiled witness is the live one, whichever way the pool table
+   answers: a pool built fresh, the pool of the last query, a pool found
+   again after another (A, B, A), a pool built again after more distinct
+   pools than the table holds reset it, and pools holding duplicates or
+   rows that are not physically the model's, which skip the table. *)
+let test_first_witness_equivalence () =
   let model = fixture_model () in
-  let cm = CM.compile model in
-  let same name expected got =
-    check (Alcotest.list Alcotest.int) name
-      (List.map (fun (r : Row.t) -> r.Row.state_id) expected)
-      (List.map (fun (r : Row.t) -> r.Row.state_id) got)
+  let rows = Array.of_list model.M.rows in
+  let n = Array.length rows in
+  (* more distinct pools than the table's 64: every rotation of the model
+     rows, each also without its last row, with a row repeated and
+     reversed, doubled until there are more than 70 *)
+  let rotation k = List.init n (fun i -> rows.((i + k) mod n)) in
+  let ids pool = List.map (fun (r : Row.t) -> r.Row.state_id) pool in
+  let distinct =
+    List.concat_map
+      (fun k ->
+        let r = rotation k in
+        [ r; List.filteri (fun i _ -> i < n - 1) r; r @ [ rows.(k mod n) ]; List.rev r ])
+      (List.init n Fun.id)
+    |> List.sort_uniq (fun a b -> compare (ids a) (ids b))
   in
-  List.iter
-    (fun slow ->
-      (* plain query *)
-      same "order" (reference_order ~cap:48 slow model.M.rows)
-        (CM.comparison_order cm ~cap:48 ~slow model.M.rows);
-      (* tiny cap exercises truncation inside a tie group *)
-      same "capped order" (reference_order ~cap:2 slow model.M.rows)
-        (CM.comparison_order cm ~cap:2 ~slow model.M.rows);
-      (* duplicated candidates: occurrence positions must be preserved *)
-      let dup = model.M.rows @ model.M.rows in
-      same "duplicates" (reference_order ~cap:48 slow dup)
-        (CM.comparison_order cm ~cap:48 ~slow dup);
-      (* a physically foreign copy of a row (same content) must not be
-         mistaken for the model row: the generic path answers, identically *)
-      let foreign = List.map (fun (r : Row.t) -> { r with Row.state_id = r.Row.state_id }) model.M.rows in
-      same "foreign rows" (reference_order ~cap:48 slow foreign)
-        (CM.comparison_order cm ~cap:48 ~slow foreign))
-    model.M.rows
+  let rec pad pools = if List.length pools > 70 then pools else pad (pools @ List.map (fun p -> p @ p) pools) in
+  let distinct = pad distinct in
+  check Alcotest.bool "more distinct pools than the table holds" true (List.length distinct > 64);
+  let a = model.M.rows and b = List.rev model.M.rows in
+  let sequence =
+    [ a; b; a; a @ a; foreign_copies a ] @ distinct @ [ a; b; foreign_copies b; a ]
+  in
+  let cm = CM.compile model in
+  let found = ref 0 in
+  let witness_ids = function
+    | None -> None
+    | Some ((fast : Row.t), (ratio, trigger, path)) -> Some (fast.Row.state_id, ratio, trigger, path)
+  in
+  let show = function
+    | None -> "none"
+    | Some (id, ratio, trigger, path) ->
+      Printf.sprintf "%d %g %s [%s]" id ratio trigger (String.concat ";" path)
+  in
+  List.iteri
+    (fun q pool ->
+      List.iter
+        (fun slow ->
+          List.iter
+            (fun (cap, require_joint_input) ->
+              let live = CM.live_witness model ~cap ~require_joint_input ~slow pool in
+              let compiled = CM.first_witness cm ~cap ~require_joint_input ~slow pool in
+              check Alcotest.string
+                (Printf.sprintf "pool %d, state %d, cap %d, gate %b" q slow.Row.state_id cap
+                   require_joint_input)
+                (show (witness_ids live)) (show (witness_ids compiled));
+              match (live, compiled) with
+              | Some (l, _), Some (c, _) ->
+                incr found;
+                check Alcotest.bool "the witness is the pool's own row" true (l == c)
+              | _ -> ())
+            [ (48, true); (48, false); (2, true); (2, false) ])
+        (model.M.rows @ foreign_copies [ List.hd model.M.rows ]))
+    sequence;
+  check Alcotest.bool "some slow row finds a witness" true (!found > 0)
 
 let all_modes = [ Checker.Solver; Checker.Hybrid ]
 
@@ -429,6 +468,41 @@ let target_models =
 
 let target_model system param = List.assoc (system, param) (Lazy.force target_models)
 
+(* [live_order] counts shared constraints without the footprint screen;
+   it must order exactly as the screened scores do, on the fixture (every
+   slow row, caps 48 and 2, duplicated and foreign pools) and on the four
+   target models (every fifth slow row against the whole model, uncapped) *)
+let test_live_order_is_reference () =
+  let same name expected got =
+    check (Alcotest.list Alcotest.int) name
+      (List.map (fun (r : Row.t) -> r.Row.state_id) expected)
+      (List.map (fun (r : Row.t) -> r.Row.state_id) got)
+  in
+  let model = fixture_model () in
+  let pools = [ model.M.rows; model.M.rows @ model.M.rows; foreign_copies model.M.rows ] in
+  List.iter
+    (fun slow ->
+      List.iter
+        (fun rows ->
+          List.iter
+            (fun cap ->
+              same (Printf.sprintf "state %d, cap %d" slow.Row.state_id cap)
+                (reference_order ~cap slow rows) (CM.live_order ~cap ~slow rows))
+            [ 48; 2 ])
+        pools)
+    (model.M.rows @ foreign_copies model.M.rows);
+  List.iter
+    (fun (system, param) ->
+      let _, model = target_model system param in
+      let cap = List.length model.M.rows in
+      List.iteri
+        (fun i slow ->
+          if i mod 5 = 0 then
+            same (Printf.sprintf "%s/%s state %d" system param slow.Row.state_id)
+              (reference_order ~cap slow model.M.rows) (CM.live_order ~cap ~slow model.M.rows))
+        model.M.rows)
+    target_cases
+
 let test_modes_identical_on_targets () =
   List.iter
     (fun (system, param) ->
@@ -489,6 +563,23 @@ let test_compiled_artifact_words () =
   let read_back = or_fail (M.of_string (M.to_string model)) in
   let words = Obj.reachable_words (Obj.repr (CM.compile read_back)) in
   check Alcotest.bool (Printf.sprintf "%d words" words) true (words < 120_000)
+
+(* The first workload change on a fresh artifact, every workload variable
+   bound before and none after: 604 slow rows against the few rows of the
+   old workload.  Sorting every model row into each slow row's comparison
+   order left the artifact at 567,551 words (and took ~1.5 s); ordering
+   the pool it is given leaves ~174,000. *)
+let test_workload_change_artifact_words () =
+  let _, model = target_model "mysql" "autocommit" in
+  let model = or_fail (M.of_string (M.to_string model)) in
+  let compiled = CM.compile model in
+  let old_workload = List.nth (target_workloads model) 1 in
+  let report =
+    Checker.check_workload_change ~compiled ~model ~old_workload ~new_workload:[] ()
+  in
+  check Alcotest.bool "the change is flagged" true (report.Checker.findings <> []);
+  let words = Obj.reachable_words (Obj.repr compiled) in
+  check Alcotest.bool (Printf.sprintf "%d words" words) true (words < 250_000)
 
 (* ------------------------------------------------------------------ *)
 (* Content order: the compiled rank against the reference sort         *)
@@ -649,13 +740,15 @@ let tests =
     tc "iset: of_expr domain boundaries" test_iset_of_expr_boundaries;
     QCheck_alcotest.to_alcotest prop_of_expr_exact;
     tc "compiled: unclosable row falls back" test_unclosable_row_fallback;
-    tc "compiled: comparison order equivalence" test_comparison_order_equivalence;
+    tc "compiled: live order is the reference" test_live_order_is_reference;
+    tc "compiled: first witness equivalence" test_first_witness_equivalence;
     tc "modes identical on fixture" test_modes_identical_on_fixture;
     tc "hybrid ignores an artifact of a re-imported model" test_reimported_artifact_not_used;
     tc "degraded widening identical in all modes" test_degraded_widening_identical;
     QCheck_alcotest.to_alcotest prop_modes_identical_generated;
     tc "modes identical on the target models" test_modes_identical_on_targets;
     tc "compiled mysql artifact under 120,000 words" test_compiled_artifact_words;
+    tc "workload change leaves < 250,000 words" test_workload_change_artifact_words;
     tc "check_upgrade: duplicate constraint strings" test_upgrade_duplicate_constraints;
     tc "registry: unchanged digest skips recompile" test_registry_skips_recompile;
     QCheck_alcotest.to_alcotest prop_content_order;

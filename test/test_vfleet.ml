@@ -245,8 +245,8 @@ let skip_if_domains () =
   if Vpar.Pool.spawned_domains () then
     Alcotest.skip ()
 
-let start_fleet ?spawn_worker ?(crashloop_limit = 5) ?max_queue ~run_dir ~models_dir ~shards ()
-    =
+let start_fleet ?spawn_worker ?(crashloop_limit = 5) ?max_queue ?worker_models_dir ~run_dir
+    ~models_dir ~shards () =
   let topology = Topology.make ~run_dir ~shards in
   match Unix.fork () with
   | 0 ->
@@ -261,6 +261,8 @@ let start_fleet ?spawn_worker ?(crashloop_limit = 5) ?max_queue ~run_dir ~models
               w with
               Server.resolve_registry = (fun _ -> Some Fixtures.registry);
               max_queue = Option.value ~default:w.Server.max_queue max_queue;
+              models_dir =
+                (match worker_models_dir with Some dir -> dir i | None -> w.Server.models_dir);
             });
         router_opts =
           { base.Supervisor.router_opts with Router.attempt_timeout_s = 1.0 };
@@ -555,6 +557,50 @@ let test_overload_is_not_failover () =
       (Option.value ~default:0 (top "overload_redispatches") >= 1)
   | _ -> Alcotest.fail "expected fleet stats"
 
+(* A shard that came up without a key the fleet serves (it started while
+   the model file was unreadable) answers [unknown-model]: the router
+   retries the next candidate instead of forwarding that answer, counts a
+   retry and no failover, and still answers [unknown-model] for a key it
+   does not know itself. *)
+let test_unknown_model_is_retried () =
+  skip_if_domains ();
+  let dir = mk_tmpdir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let models_dir = Filename.concat dir "models" and empty_dir = Filename.concat dir "empty" in
+  Unix.mkdir models_dir 0o700;
+  Unix.mkdir empty_dir 0o700;
+  let _ = export_fixture models_dir "mini" in
+  let owner = Ring.owner (Ring.make ~shards:2 ()) "mini" in
+  let run_dir = Filename.concat dir "run" in
+  let topology, sup_pid =
+    start_fleet
+      ~worker_models_dir:(fun i -> if i = owner then empty_dir else models_dir)
+      ~run_dir ~models_dir ~shards:2 ()
+  in
+  Fun.protect ~finally:(fun () -> stop_fleet sup_pid) @@ fun () ->
+  await_worker topology (1 - owner);
+  (* the owner is up, with no model, before the check reaches it *)
+  let c = or_fail (Client.connect_retry ~deadline_s:20.0 (Topology.worker_addr topology owner)) in
+  (match or_fail (Client.call ~timeout_s:5.0 c P.Health) with
+  | P.Health_info { models = []; _ } -> ()
+  | _ -> Alcotest.fail "expected the owner's health answer, with no model");
+  Client.close c;
+  let c = or_fail (Client.connect_retry ~deadline_s:20.0 (Topology.router_addr topology)) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let served =
+    expect_report (or_fail (Client.call ~timeout_s:20.0 c (P.Check_current { key = "mini"; config = "" })))
+  in
+  check Alcotest.bool "served by the replica, not degraded" false served.P.degraded;
+  (match or_fail (Client.call ~timeout_s:20.0 c (P.Check_current { key = "nope"; config = "" })) with
+  | P.Error_resp { code = P.Unknown_model; _ } -> ()
+  | _ -> Alcotest.fail "expected unknown-model for a key the router does not know");
+  match or_fail (Client.call ~timeout_s:10.0 c P.Stats) with
+  | P.Stats_info w ->
+    let top name = Option.bind (Wire.member name w) Wire.to_int in
+    check (Alcotest.option Alcotest.int) "no failover" (Some 0) (top "failovers");
+    check Alcotest.bool "the retry is counted" true (Option.value ~default:0 (top "retries") >= 1)
+  | _ -> Alcotest.fail "expected fleet stats"
+
 let tests =
   [
     tc "hash ring is deterministic" test_ring_deterministic;
@@ -569,5 +615,6 @@ let tests =
       test_fleet_end_to_end;
     tc "crash loop trips the shard breaker" test_crash_loop_trips;
     tc "worker overload is not a failover" test_overload_is_not_failover;
+    tc "unknown-model for a served key retried" test_unknown_model_is_retried;
     tc "ring ownership golden table" test_ring_golden;
   ]
