@@ -4,8 +4,11 @@
    four target systems, slicing on vs off.
 
    Two contracts are checked and recorded in BENCH_slice.json:
-   - node_guard: slicing never increases the total constraint nodes sent to
-     the solver (the nightly CI job greps for "node_guard_ok":true);
+   - constraint_guard: slicing never increases the conjuncts sent to the
+     solver (the nightly CI job greps for "constraint_guard_ok":true).  A
+     sliced query is a sub-list of its path condition
+     ([Vsmt.Partition.relevant]), so a tree that sends more than that
+     reads false;
    - deterministic: the impact model is byte-identical with slicing on or
      off (modulo the real-wall-clock field). *)
 
@@ -23,9 +26,7 @@ type run_stats = {
   r_wall_s : float;
   r_solver_calls : int;
   r_pre_constraints : int;
-  r_pre_nodes : int;
   r_sent_constraints : int;
-  r_sent_nodes : int;
   r_sliced_queries : int;
   r_cache_hit_rate : float;
   r_model : string;  (** scrubbed serialized model *)
@@ -48,9 +49,7 @@ let run_once ~slice target param =
     r_wall_s = wall;
     r_solver_calls = sched.Vsched.Exploration_stats.solver_queries;
     r_pre_constraints = q.Vsched.Exploration_stats.pre_constraints;
-    r_pre_nodes = q.Vsched.Exploration_stats.pre_nodes;
     r_sent_constraints = q.Vsched.Exploration_stats.sent_constraints;
-    r_sent_nodes = q.Vsched.Exploration_stats.sent_nodes;
     r_sliced_queries = q.Vsched.Exploration_stats.sliced;
     r_cache_hit_rate = hit_rate;
     r_model = Vmodel.Impact_model.content_string a.Violet.Pipeline.model;
@@ -61,7 +60,7 @@ type point = {
   p_param : string;
   p_on : run_stats;
   p_off : run_stats;
-  p_guard_ok : bool;  (** sent nodes with slicing <= sent nodes without *)
+  p_guard_ok : bool;  (** conjuncts sent with slicing <= conjuncts sent without *)
   p_identical : bool;  (** impact models byte-identical on vs off *)
 }
 
@@ -74,20 +73,18 @@ let run_case (system, param) =
     p_param = param;
     p_on = on;
     p_off = off;
-    p_guard_ok = on.r_sent_nodes <= off.r_sent_nodes;
+    p_guard_ok = on.r_sent_constraints <= off.r_sent_constraints;
     p_identical = String.equal on.r_model off.r_model;
   }
 
-let json_fields points ~node_guard_ok ~deterministic =
+let json_fields points ~constraint_guard_ok ~deterministic =
   let side r =
     Wire.Obj
       [
         ("wall_s", Wire.Float (Util.round 4 r.r_wall_s));
         ("solver_calls", Wire.Int r.r_solver_calls);
         ("pre_constraints", Wire.Int r.r_pre_constraints);
-        ("pre_nodes", Wire.Int r.r_pre_nodes);
         ("sent_constraints", Wire.Int r.r_sent_constraints);
-        ("sent_nodes", Wire.Int r.r_sent_nodes);
         ("sliced_queries", Wire.Int r.r_sliced_queries);
         ("cache_hit_rate", Wire.Float (Util.round 4 r.r_cache_hit_rate));
       ]
@@ -104,7 +101,7 @@ let json_fields points ~node_guard_ok ~deterministic =
       ]
   in
   [
-    ("node_guard_ok", Wire.Bool node_guard_ok);
+    ("constraint_guard_ok", Wire.Bool constraint_guard_ok);
     ("deterministic", Wire.Bool deterministic);
     ("points", Wire.List (List.map row points));
   ]
@@ -112,35 +109,35 @@ let json_fields points ~node_guard_ok ~deterministic =
 let run () =
   Util.section "Independence slicing: solver work on vs off, model identity";
   let points = List.map run_case cases in
-  let node_guard_ok = List.for_all (fun p -> p.p_guard_ok) points in
+  let constraint_guard_ok = List.for_all (fun p -> p.p_guard_ok) points in
   let deterministic = List.for_all (fun p -> p.p_identical) points in
   Util.print_table
     ~header:
-      [ "system"; "param"; "nodes sent (off)"; "nodes sent (on)"; "reduction";
+      [ "system"; "param"; "conjuncts sent (off)"; "conjuncts sent (on)"; "reduction";
         "sliced queries"; "model" ]
     (List.map
        (fun p ->
          let reduction =
-           if p.p_off.r_sent_nodes = 0 then "n/a"
+           if p.p_off.r_sent_constraints = 0 then "n/a"
            else
              Printf.sprintf "%.1f%%"
                (100.
                *. (1.
-                  -. (float_of_int p.p_on.r_sent_nodes
-                     /. float_of_int p.p_off.r_sent_nodes)))
+                  -. (float_of_int p.p_on.r_sent_constraints
+                     /. float_of_int p.p_off.r_sent_constraints)))
          in
          [
            p.p_system;
            p.p_param;
-           Util.i0 p.p_off.r_sent_nodes;
-           Util.i0 p.p_on.r_sent_nodes;
+           Util.i0 p.p_off.r_sent_constraints;
+           Util.i0 p.p_on.r_sent_constraints;
            reduction;
            Util.i0 p.p_on.r_sliced_queries;
            (if p.p_identical then "identical" else "DIVERGED");
          ])
        points);
-  if not node_guard_ok then
-    Util.note "WARNING: slicing increased total solver nodes on some case — guard violated";
+  if not constraint_guard_ok then
+    Util.note "WARNING: slicing increased the conjuncts sent on some case — guard violated";
   if not deterministic then
     Util.note "WARNING: impact model diverged between slicing on and off";
-  Util.write_bench "slice" (json_fields points ~node_guard_ok ~deterministic)
+  Util.write_bench "slice" (json_fields points ~constraint_guard_ok ~deterministic)

@@ -109,7 +109,6 @@ let record_sched s = collected_sched := s :: !collected_sched
 
 let sched_to_wire (t : Vsched.Exploration_stats.t) =
   let module S = Vsched.Exploration_stats in
-  let ints a = Wire.List (List.map (fun n -> Wire.Int n) (Array.to_list a)) in
   let cache (c : Vsched.Solver_cache.stats) =
     Wire.Obj
       [
@@ -120,7 +119,6 @@ let sched_to_wire (t : Vsched.Exploration_stats.t) =
         ("stored_models", Wire.Int c.stored_models);
         ("hit_rate", Wire.Float (Vsched.Solver_cache.hit_rate c));
         ("solver_constraints", Wire.Int c.solver_constraints);
-        ("solver_nodes", Wire.Int c.solver_nodes);
       ]
   in
   let q = t.S.query_sizes in
@@ -153,15 +151,9 @@ let sched_to_wire (t : Vsched.Exploration_stats.t) =
         Wire.Obj
           [
             ("pre_constraints", Wire.Int q.pre_constraints);
-            ("pre_nodes", Wire.Int q.pre_nodes);
             ("sent_constraints", Wire.Int q.sent_constraints);
-            ("sent_nodes", Wire.Int q.sent_nodes);
             ("sliced_queries", Wire.Int q.sliced);
-            ("hist_thresholds", ints S.hist_thresholds);
-            ("hist_pre", ints q.hist_pre);
-            ("hist_sent", ints q.hist_sent);
           ] );
-      ("memo_sizes", Wire.Obj (List.map (fun (name, n) -> (name, Wire.Int n)) t.S.memo_sizes));
     ]
 
 let flush_sched () =

@@ -206,6 +206,9 @@ let run opts =
               sh.sh_state <- Up
             | _ -> ())
           shards;
+        (* a restart is visible before the probes, which can block: a
+           restarted worker may answer health before they finish *)
+        publish ();
         (* health probes: a live but unresponsive worker gets SIGKILL and
            re-enters through the normal exit path *)
         if now -. !last_probe >= opts.probe_every_s then begin

@@ -1,24 +1,7 @@
-(* Query-size histogram buckets: a query with [n] constraints lands in the
-   first bucket whose threshold is >= n; the final bucket catches the rest. *)
-let hist_thresholds = [| 1; 2; 4; 8; 16; 32; 64 |]
-let n_hist_buckets = Array.length hist_thresholds + 1
-
-let hist_bucket n =
-  let rec go i =
-    if i >= Array.length hist_thresholds then i
-    else if n <= hist_thresholds.(i) then i
-    else go (i + 1)
-  in
-  go 0
-
 type query_sizes = {
   pre_constraints : int;  (* conjuncts across all queries, before slicing *)
-  pre_nodes : int;  (* expression tree nodes, before slicing *)
   sent_constraints : int;  (* conjuncts actually sent (after slicing) *)
-  sent_nodes : int;
   sliced : int;  (* queries where slicing removed at least one conjunct *)
-  hist_pre : int array;  (* constraints-per-query histogram, before slicing *)
-  hist_sent : int array;  (* same, after slicing *)
 }
 
 type t = {
@@ -36,7 +19,6 @@ type t = {
   deadline_hit : bool;
   resumed : bool;
   query_sizes : query_sizes;
-  memo_sizes : (string * int) list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -49,12 +31,8 @@ type recorder = {
   mutable r_dropped : int;
   mutable r_degradation : Vresilience.Degradation.event list;  (* newest first *)
   mutable r_q_pre_constraints : int;
-  mutable r_q_pre_nodes : int;
   mutable r_q_sent_constraints : int;
-  mutable r_q_sent_nodes : int;
   mutable r_q_sliced : int;
-  r_hist_pre : int array;
-  r_hist_sent : int array;
 }
 
 let recorder () =
@@ -66,12 +44,8 @@ let recorder () =
     r_dropped = 0;
     r_degradation = [];
     r_q_pre_constraints = 0;
-    r_q_pre_nodes = 0;
     r_q_sent_constraints = 0;
-    r_q_sent_nodes = 0;
     r_q_sliced = 0;
-    r_hist_pre = Array.make n_hist_buckets 0;
-    r_hist_sent = Array.make n_hist_buckets 0;
   }
 
 let on_step r = r.r_steps <- r.r_steps + 1
@@ -82,23 +56,16 @@ let steps r = r.r_steps
 let on_complete r ~dropped =
   if dropped then r.r_dropped <- r.r_dropped + 1 else r.r_completed <- r.r_completed + 1
 
-let copy r =
-  { r with r_hist_pre = Array.copy r.r_hist_pre; r_hist_sent = Array.copy r.r_hist_sent }
+(* every field's value is immutable, so a new record is a full copy *)
+let copy r = { r with r_steps = r.r_steps }
+let resume r = { r with r_resumed = true }
 
-let resume r = { (copy r) with r_resumed = true }
-
-let on_query r ~pre_constraints ~pre_nodes ~sent_constraints ~sent_nodes =
+let on_query r ~pre_constraints ~sent_constraints =
   r.r_q_pre_constraints <- r.r_q_pre_constraints + pre_constraints;
-  r.r_q_pre_nodes <- r.r_q_pre_nodes + pre_nodes;
   r.r_q_sent_constraints <- r.r_q_sent_constraints + sent_constraints;
-  r.r_q_sent_nodes <- r.r_q_sent_nodes + sent_nodes;
-  if sent_constraints < pre_constraints then r.r_q_sliced <- r.r_q_sliced + 1;
-  let bp = hist_bucket pre_constraints and bs = hist_bucket sent_constraints in
-  r.r_hist_pre.(bp) <- r.r_hist_pre.(bp) + 1;
-  r.r_hist_sent.(bs) <- r.r_hist_sent.(bs) + 1
+  if sent_constraints < pre_constraints then r.r_q_sliced <- r.r_q_sliced + 1
 
-let finish ?(deadline_hit = false) ?(memo_sizes = []) r ~states_created ~solver_queries ~cache
-    ~wall_time_s =
+let finish ?(deadline_hit = false) r ~states_created ~solver_queries ~cache ~wall_time_s =
   {
     states_created;
     states_completed = r.r_completed;
@@ -116,14 +83,9 @@ let finish ?(deadline_hit = false) ?(memo_sizes = []) r ~states_created ~solver_
     query_sizes =
       {
         pre_constraints = r.r_q_pre_constraints;
-        pre_nodes = r.r_q_pre_nodes;
         sent_constraints = r.r_q_sent_constraints;
-        sent_nodes = r.r_q_sent_nodes;
         sliced = r.r_q_sliced;
-        hist_pre = Array.copy r.r_hist_pre;
-        hist_sent = Array.copy r.r_hist_sent;
       };
-    memo_sizes;
   }
 
 let pp ppf t =
@@ -148,9 +110,5 @@ let pp ppf t =
     (if t.deadline_hit then " DEADLINE" else "")
     (if t.resumed then " resumed" else "");
   if t.query_sizes.pre_constraints > 0 then
-    Fmt.pf ppf " slice[constraints=%d/%d nodes=%d/%d sliced_queries=%d]"
-      t.query_sizes.sent_constraints t.query_sizes.pre_constraints t.query_sizes.sent_nodes
-      t.query_sizes.pre_nodes t.query_sizes.sliced;
-  if t.memo_sizes <> [] then
-    Fmt.pf ppf " memo[%s]"
-      (String.concat " " (List.map (fun (n, s) -> Printf.sprintf "%s=%d" n s) t.memo_sizes))
+    Fmt.pf ppf " slice[constraints=%d/%d sliced_queries=%d]" t.query_sizes.sent_constraints
+      t.query_sizes.pre_constraints t.query_sizes.sliced

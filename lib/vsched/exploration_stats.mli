@@ -6,21 +6,12 @@
 
 type query_sizes = {
   pre_constraints : int;  (** conjuncts across all queries, before slicing *)
-  pre_nodes : int;  (** expression tree nodes across all queries, before slicing *)
   sent_constraints : int;  (** conjuncts actually sent to the solver layer *)
-  sent_nodes : int;  (** tree nodes actually sent to the solver layer *)
   sliced : int;  (** queries where slicing removed at least one conjunct *)
-  hist_pre : int array;  (** constraints-per-query histogram, before slicing *)
-  hist_sent : int array;  (** constraints-per-query histogram, after slicing *)
 }
 (** Query-size accounting, measured at the executor (memo-independent):
     "pre" is the full simplified path condition a query would classically
-    send, "sent" is what the independence slicer actually sent.  Histogram
-    buckets are bounded by {!hist_thresholds} (last bucket = overflow). *)
-
-val hist_thresholds : int array
-(** Upper bounds of the histogram buckets ([[|1;2;4;8;16;32;64|]]); a query
-    with [n] constraints lands in the first bucket with threshold >= [n]. *)
+    send, "sent" is what the independence slicer actually sent. *)
 
 type t = {
   states_created : int;
@@ -39,12 +30,11 @@ type t = {
   deadline_hit : bool;  (** exploration was cut short by the deadline *)
   resumed : bool;  (** this run continued from a checkpoint *)
   query_sizes : query_sizes;
-  memo_sizes : (string * int) list;
-      (** sizes of the process's shared expression-level tables at finish
-          time (simplify/footprint memos, rendered strings, the hash-cons
-          table) and of the run's solver memo — the observability hook for
-          the bounded-memo policy *)
 }
+(** Every counter counts this run's own events (a query costs one
+    [List.length] per constraint list), so a run's record depends on that
+    run alone, not on what the process interned or rendered before it
+    started. *)
 
 (** {1 Recording} *)
 
@@ -55,13 +45,7 @@ val on_step : recorder -> unit
 val on_fork : recorder -> unit
 val on_complete : recorder -> dropped:bool -> unit
 
-val on_query :
-  recorder ->
-  pre_constraints:int ->
-  pre_nodes:int ->
-  sent_constraints:int ->
-  sent_nodes:int ->
-  unit
+val on_query : recorder -> pre_constraints:int -> sent_constraints:int -> unit
 (** Called once per logical solver query (feasibility or model) with the
     query's size before and after independence slicing.  With slicing off
     the executor reports [sent = pre]. *)
@@ -82,7 +66,6 @@ val resume : recorder -> recorder
 
 val finish :
   ?deadline_hit:bool ->
-  ?memo_sizes:(string * int) list ->
   recorder ->
   states_created:int ->
   solver_queries:int ->

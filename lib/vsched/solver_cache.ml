@@ -17,7 +17,6 @@ type t = {
   mutable n_misses : int;
   (* work that actually reached the solver (misses only) *)
   mutable n_solver_constraints : int;
-  mutable n_solver_nodes : int;
 }
 
 type stats = {
@@ -27,7 +26,6 @@ type stats = {
   misses : int;
   stored_models : int;
   solver_constraints : int;
-  solver_nodes : int;
 }
 
 let create ~max_nodes () =
@@ -40,7 +38,6 @@ let create ~max_nodes () =
     n_cex_hits = 0;
     n_misses = 0;
     n_solver_constraints = 0;
-    n_solver_nodes = 0;
   }
 
 let all_vars cs =
@@ -82,7 +79,6 @@ let prepare cs =
 let solve t ?budget key canon =
   t.n_misses <- t.n_misses + 1;
   t.n_solver_constraints <- t.n_solver_constraints + List.length canon;
-  t.n_solver_nodes <- t.n_solver_nodes + List.fold_left (fun a c -> a + E.tree_size c) 0 canon;
   let result = Solver.check ?budget ~max_nodes:t.max_nodes canon in
   if not (match budget with Some b -> Vresilience.Budget.expired b | None -> false) then begin
     Hashtbl.replace t.memo key result;
@@ -113,8 +109,6 @@ let check_model t ?budget cs =
   let canon, key = prepare cs in
   match lookup t key with Some r -> r | None -> solve t ?budget key canon
 
-let entries t = Hashtbl.length t.memo
-
 let stats t =
   {
     lookups = t.n_lookups;
@@ -123,7 +117,6 @@ let stats t =
     misses = t.n_misses;
     stored_models = List.length t.models;
     solver_constraints = t.n_solver_constraints;
-    solver_nodes = t.n_solver_nodes;
   }
 
 let hits s = s.exact_hits + s.cex_hits
@@ -131,7 +124,5 @@ let hit_rate s = if s.lookups = 0 then 0. else float_of_int (hits s) /. float_of
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "%d lookups, %d hits (%.0f%%: %d exact, %d cex), %d misses (%d constraints / %d nodes \
-     solved)"
-    s.lookups (hits s) (100. *. hit_rate s) s.exact_hits s.cex_hits s.misses s.solver_constraints
-    s.solver_nodes
+    "%d lookups, %d hits (%.0f%%: %d exact, %d cex), %d misses (%d constraints solved)" s.lookups
+    (hits s) (100. *. hit_rate s) s.exact_hits s.cex_hits s.misses s.solver_constraints

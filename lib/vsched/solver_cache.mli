@@ -43,7 +43,6 @@ type stats = {
   misses : int;  (** fell through to {!Vsmt.Solver} *)
   stored_models : int;
   solver_constraints : int;  (** conjuncts sent to the solver across all misses *)
-  solver_nodes : int;  (** expression tree nodes sent to the solver across all misses *)
 }
 
 val stats : t -> stats
@@ -52,6 +51,3 @@ val hit_rate : stats -> float
 (** Hits over lookups; [0.] before the first lookup. *)
 
 val pp_stats : stats Fmt.t
-
-val entries : t -> int
-(** Table entries — telemetry for the executor's [memo_sizes]. *)

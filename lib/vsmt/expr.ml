@@ -315,29 +315,3 @@ let to_string e =
     e.str <- s;
     s
   end
-
-let rendered_count () =
-  Intern.fold (fun _ e acc -> if e.str = "" then acc else acc + 1) table 0
-
-let clear_rendered () = Intern.iter (fun _ e -> e.str <- "") table
-
-(* Tree node count — the honest measure of solver work, since interval
-   propagation walks constraint trees (shared subtrees re-visited).  The
-   count itself is memoized per DAG node, capped. *)
-let size_memo : (int, int) Hashtbl.t = Hashtbl.create 256
-let size_memo_cap = 1 lsl 17
-
-let rec tree_size e =
-  match Hashtbl.find_opt size_memo e.id with
-  | Some n -> n
-  | None ->
-    let n =
-      match e.node with
-      | Const _ | Var _ -> 1
-      | Not a | Neg a -> 1 + tree_size a
-      | Binop (_, a, b) -> 1 + tree_size a + tree_size b
-      | Ite (c, a, b) -> 1 + tree_size c + tree_size a + tree_size b
-    in
-    if Hashtbl.length size_memo >= size_memo_cap then Hashtbl.reset size_memo;
-    Hashtbl.replace size_memo e.id n;
-    n

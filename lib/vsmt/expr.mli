@@ -125,19 +125,6 @@ val hash : t -> int
 val pp : t Fmt.t
 val to_string : t -> string
 
-val tree_size : t -> int
-(** Tree node count of [e] (shared subtrees counted per occurrence, the
-    way solver propagation visits them).  Memoized per hash-consed node
-    in a capped table; telemetry for query-size accounting. *)
-
-val rendered_count : unit -> int
-(** Number of interned nodes whose {!to_string} form has been rendered —
-    the live size of the string memo (telemetry). *)
-
-val clear_rendered : unit -> unit
-(** Drop every memoized rendered string (they re-render on demand).  The
-    hook that bounds the string memo on week-long runs. *)
-
 val pp_friendly : t Fmt.t
 (** Like {!pp} but renders comparisons of a variable against a constant using
     the variable's domain vocabulary, e.g. [autocommit==ON] rather than

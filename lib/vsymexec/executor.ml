@@ -217,17 +217,12 @@ let chaos_unknown eng =
   | Some c -> Chaos.flip c c.Chaos.solver_unknown_p
   | None -> false
 
-let count_constraints cs =
-  (List.length cs, List.fold_left (fun a c -> a + E.tree_size c) 0 cs)
-
 (* One call per *logical* query, whatever the slicer sent: [n_solver_calls]
    feeds the virtual-clock analysis cost in the impact model, so it must not
    depend on how many slices a query happened to split into. *)
 let record_query eng ~pre ~sent =
-  let pre_constraints, pre_nodes = count_constraints pre in
-  let sent_constraints, sent_nodes = count_constraints sent in
-  Vsched.Exploration_stats.on_query eng.recorder ~pre_constraints ~pre_nodes ~sent_constraints
-    ~sent_nodes
+  Vsched.Exploration_stats.on_query eng.recorder ~pre_constraints:(List.length pre)
+    ~sent_constraints:(List.length sent)
 
 (* Branch-feasibility query.  [sliced] carries the candidate path
    condition's partition and the branch condition's footprint: only the
@@ -682,12 +677,13 @@ let snapshot_of eng =
     snap_visited = visited_list eng;
   }
 
-(* version 5: the frontier is the plain DFS stack, and the searcher name and
+(* version 6: the recorder lost its tree-node sums and histograms;
+   version 5: the frontier is the plain DFS stack, and the searcher name and
    solver-cache contents are gone; version 4: added [snap_visited] (dynamic
    function coverage for incremental invalidation); version 3:
    Sym_state.path became the structured [Fork_path.t] (version 2 introduced
    [path]/[next_symbol] as a flat string) *)
-let snapshot_version = 5
+let snapshot_version = 6
 let snapshot_kind = "executor-frontier"
 
 let save_snapshot ~path snap =
@@ -940,15 +936,7 @@ let run ?resume opts program =
         deadline_hit;
       };
     sched =
-      ES.finish ~deadline_hit
-        ~memo_sizes:
-          [
-            "simplify_memo", Vsmt.Simplify.memo_size ();
-            "footprint_memo", Vsmt.Footprint.memo_size ();
-            "rendered_strings", Vsmt.Expr.rendered_count ();
-            "interned_exprs", Vsmt.Expr.interned_count ();
-            "solver_cache_entries", Vsched.Solver_cache.entries eng.cache;
-          ]
-        eng.recorder ~states_created:eng.next_id ~solver_queries:eng.n_solver_calls
-        ~cache:(Vsched.Solver_cache.stats eng.cache) ~wall_time_s;
+      ES.finish ~deadline_hit eng.recorder ~states_created:eng.next_id
+        ~solver_queries:eng.n_solver_calls ~cache:(Vsched.Solver_cache.stats eng.cache)
+        ~wall_time_s;
   }

@@ -298,11 +298,20 @@ let shard_field topology i name =
       |> Option.join
   end
 
-let await_state topology i ~want ~deadline_s =
+(* With [~replacing:pid], also wait for a live pid other than [pid]: after
+   a kill -9 the state file reads the victim's pre-kill "up" until the
+   supervisor reaps it. *)
+let await_state ?replacing topology i ~want ~deadline_s =
   let deadline = Unix.gettimeofday () +. deadline_s in
+  let replaced () =
+    match replacing, Option.bind (shard_field topology i "pid") Wire.to_int with
+    | None, _ -> true
+    | Some old, Some p -> p <> 0 && p <> old
+    | Some _, None -> false
+  in
   let rec wait () =
     match Option.bind (shard_field topology i "state") Wire.to_str with
-    | Some s when s = want -> ()
+    | Some s when s = want && replaced () -> ()
     | got ->
       if Unix.gettimeofday () > deadline then
         Alcotest.fail
@@ -441,7 +450,7 @@ let test_fleet_end_to_end () =
         (resp.P.findings <> []))
     posted;
   (* the supervisor restarts the victim; wait for it to come back *)
-  await_state topology 0 ~want:"up" ~deadline_s:20.0;
+  await_state topology 0 ~want:"up" ~replacing:victim_pid ~deadline_s:20.0;
   await_worker topology 0;
   (* fleet stats: the failovers and the restart are visible through the
      router's aggregation *)
