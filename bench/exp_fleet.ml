@@ -3,11 +3,7 @@
    driven by a single-threaded multi-connection load loop.  The load loop
    deliberately uses connections plus {!Vserve.Client.post}/{!await}
    instead of client domains: the supervisor forks, and forking is unsound
-   once a domain has been spawned, so every fleet phase must run before
-   anything in this process spawns a domain (which is also why "fleet"
-   sits first in bench/main.ml's experiment list, and why the analysis
-   below runs with [jobs = 1]).  The oracle leg forks too, and leaves no
-   domain behind.
+   once a domain has been spawned.  The oracle leg forks too.
 
    Phases and their BENCH_fleet.json gates:
 
@@ -352,8 +348,7 @@ let phase_json p =
 let run_phases () =
   let models_dir = mk_tmpdir () in
   let target = Targets.Cases.target_of "mysql" in
-  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.jobs = 1 } in
-  let model = (Violet.Pipeline.analyze_exn ~opts target "autocommit").Violet.Pipeline.model in
+  let model = (Violet.Pipeline.analyze_exn target "autocommit").Violet.Pipeline.model in
   (* one model under several keys: the ring spreads keys, not requests, so
      distinct keys are what scaling and failover act on *)
   let keys =
@@ -458,8 +453,4 @@ let run_phases () =
 
 let run () =
   Util.section "Fleet: shard scaling, chaos A/B, differential oracle";
-  if Vpar.Pool.spawned_domains () then
-    (* the supervisor forks; a process that has spawned domains cannot.
-       bench/main.ml runs "fleet" first for exactly this reason. *)
-    Util.note "SKIP: domains already spawned in this process — run `bench fleet` alone"
-  else run_phases ()
+  run_phases ()

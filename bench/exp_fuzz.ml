@@ -6,7 +6,7 @@
 
    - recall/precision of specious-parameter detection against the plants
      (every plant should be detected, no decoy flagged);
-   - differential agreement: jobs 1/4 x slice on/off must produce
+   - differential agreement: slicing on and off must produce
      byte-identical impact models, and serving the exported model through a
      live vserve daemon must reproduce the in-process checker's findings
      byte-for-byte, on every generated system.  Any failure is shrunk to a
@@ -153,8 +153,4 @@ let run_corpus () =
 
 let run () =
   Util.section "vfuzz: plants, decoys and the differential oracle";
-  if Vpar.Pool.spawned_domains () then
-    (* the oracle forks; a process that has spawned domains cannot.
-       bench/main.ml runs "fuzz" before "par" for this reason. *)
-    Util.note "SKIP: domains already spawned in this process — run `bench fuzz` alone"
-  else run_corpus ()
+  run_corpus ()

@@ -195,8 +195,4 @@ let run_phases () =
 
 let run () =
   Util.section "Serving: steady load, admission control, overload degradation";
-  if Vpar.Pool.spawned_domains () then
-    (* the daemon is forked; a process that has spawned domains cannot.
-       bench/main.ml runs "serve" before "par" for this reason. *)
-    Util.note "SKIP: domains already spawned in this process — run `bench serve` alone"
-  else run_phases ()
+  run_phases ()

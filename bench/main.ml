@@ -9,9 +9,6 @@
 
 let experiments =
   [
-    (* first: these fork (a supervisor, a daemon, the oracle's daemons,
-       fleets and jobs-4 analyses), which is only sound before any
-       experiment has spawned domains, as "par" does *)
     "fleet", ("vfleet: shard scaling + chaos A/B + fleet oracle", Exp_fleet.run);
     "serve", ("Serving: steady load + admission control + shedding", Exp_serve.run);
     "fuzz", ("vfuzz: planted ground truth + differential oracle", Exp_fuzz.run);
@@ -31,7 +28,6 @@ let experiments =
     "perf", ("Section 7.9: toolchain performance", Exp_perf.run);
     "ablation", ("Design-choice ablations", Exp_ablation.run);
     "resilience", ("Checkpoint overhead + degradation fidelity", Exp_resilience.run);
-    "par", ("The --jobs sweep: wall time + byte-identity", Exp_par.run);
     "slice", ("Independence slicing: solver work + model identity", Exp_slice.run);
     "matcheck", ("Compiled checker: decision-table fast path", Exp_matcheck.run);
     "inc", ("vinc: incremental re-analysis", Exp_inc.run);

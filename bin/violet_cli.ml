@@ -10,10 +10,9 @@
      violet client <verb> ...               talk to a running daemon
 
    Systems are the bundled target models: mysql, postgres, apache, squid.
-   Models can be saved with --save and reused by the checker with --model,
-   the deployment the paper describes (analyze once, check continuously) —
-   or exported with --export into a model-registry directory served by the
-   vserve daemon. *)
+   Models exported with --export are reused by the checker with --model,
+   the deployment the paper describes (analyze once, check continuously),
+   and served by the vserve daemon from a model-registry directory. *)
 
 open Cmdliner
 
@@ -163,8 +162,8 @@ let analyze_incremental ~opts ~dir ~no_incremental (target : Violet.Pipeline.tar
       (100. *. Vinc.Splice.reuse_fraction r);
     upgrade_check old_models r.Vinc.Splice.sp_models
 
-let analyze system param save export max_states threshold no_related no_slice deadline
-    checkpoint resume chaos jobs baseline no_incremental =
+let analyze system param export max_states threshold no_related deadline checkpoint resume
+    chaos baseline no_incremental =
   let target = or_die (target_of_system system) in
   let chaos =
     match chaos with
@@ -182,14 +181,12 @@ let analyze system param save export max_states threshold no_related no_slice de
       Violet.Pipeline.budget;
       threshold;
       include_related = not no_related;
-      slice = not no_slice;
       checkpoint =
         Option.map
           (fun path -> { Violet.Pipeline.path; every_picks = 32 })
           checkpoint;
       resume;
       chaos;
-      jobs;
     }
   in
   match baseline with
@@ -214,11 +211,6 @@ let analyze system param save export max_states threshold no_related no_slice de
        Fmt.pr
          "WARNING: analysis was degraded under budget pressure; the model is \
           conservative, not complete@.");
-    (match save with
-    | Some path ->
-      Vmodel.Impact_model.save a.Violet.Pipeline.model path;
-      Fmt.pr "impact model saved to %s@." path
-    | None -> ());
     (match export with
     | Some path ->
       or_die (Violet.Pipeline.export_model a.Violet.Pipeline.model path);
@@ -228,7 +220,7 @@ let analyze system param save export max_states threshold no_related no_slice de
 
 let load_model_or_analyze target param model_path =
   match model_path with
-  | Some path -> Vmodel.Impact_model.load path
+  | Some path -> Violet.Pipeline.import_model path
   | None ->
     Result.map_error Violet.Pipeline.error_to_string
       (Result.map
@@ -463,12 +455,6 @@ let related_cmd =
     Term.(const related $ system_arg $ param_arg 1)
 
 let analyze_cmd =
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE" ~doc:"Save the impact model for later checking.")
-  in
   let export =
     Arg.(
       value
@@ -491,16 +477,6 @@ let analyze_cmd =
     Arg.(
       value & flag
       & info [ "no-related" ] ~doc:"Make only the target parameter symbolic.")
-  in
-  let no_slice =
-    Arg.(
-      value & flag
-      & info [ "no-slice" ]
-          ~doc:
-            "Disable independence slicing: send the full path condition on \
-             every solver query instead of only the symbol-disjoint slices \
-             that overlap the branch condition.  Impact models are \
-             byte-identical either way; the flag exists for A/B measurement.")
   in
   let deadline =
     Arg.(
@@ -540,15 +516,6 @@ let analyze_cmd =
              and checkpoint files are truncated, each with its default (or $(i,PROB)) \
              probability.")
   in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the trace analyzer's pairwise diff screen; path \
-             exploration is sequential at any $(docv).  The impact model is \
-             byte-identical for any $(docv).")
-  in
   let baseline =
     Arg.(
       value
@@ -577,15 +544,17 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Symbolically analyze a parameter's performance impact")
     Term.(
-      const analyze $ system_arg $ param_opt $ save $ export $ max_states $ threshold
-      $ no_related $ no_slice $ deadline $ checkpoint $ resume $ chaos $ jobs $ baseline
-      $ no_incremental)
+      const analyze $ system_arg $ param_opt $ export $ max_states $ threshold $ no_related
+      $ deadline $ checkpoint $ resume $ chaos $ baseline $ no_incremental)
 
 let model_opt =
   Arg.(
     value
     & opt (some string) None
-    & info [ "model" ] ~docv:"FILE" ~doc:"Use a saved impact model instead of re-analyzing.")
+    & info [ "model" ] ~docv:"FILE"
+        ~doc:
+          "Use an impact model written by $(b,violet analyze --export) instead of \
+           re-analyzing.")
 
 let check_cmd =
   let file =
@@ -1095,9 +1064,10 @@ let fuzz_cmd =
     Cmd.v
       (Cmd.info "diff"
          ~doc:
-           "Differential oracle: jobs 1/4 x slice on/off x daemon vs in-process must \
-            be byte-identical on every generated system; failures are shrunk to \
-            reproducers")
+           "Differential oracle: on every generated system, slicing on and off must \
+            give byte-identical models, the daemon, the fleet and the compiled \
+            checker the in-process findings, and a spliced upgrade the scratch \
+            rebuild; failures are shrunk to reproducers")
       Term.(const fuzz_diff $ seed $ count $ no_daemon $ failures_dir)
   in
   let shrink_cmd =

@@ -2,11 +2,12 @@
 
    Run with:  dune exec examples/postgres_checker.exe
 
-   An administrator analyzes PostgreSQL's wal_sync_method once, stores the
+   An administrator analyzes PostgreSQL's wal_sync_method once, exports the
    impact model, and then validates configuration files and updates against
    it — without re-running the symbolic analysis.  This demonstrates checker
-   modes 1 (update regression) and 2 (poor current value), plus model
-   persistence round-tripping through a file. *)
+   modes 1 (update regression) and 2 (poor current value), plus the model
+   round-tripping through the registry-format file `violet analyze --export`
+   writes and `violet check --model` reads. *)
 
 let write_file path contents =
   let oc = open_out path in
@@ -19,15 +20,17 @@ let () =
   (* one-time analysis at the vendor / QA side *)
   Fmt.pr "analyzing postgres/wal_sync_method ...@.";
   let a = Violet.Pipeline.analyze_exn target "wal_sync_method" in
-  let model_path = Filename.temp_file "violet_model" ".sexp" in
-  Vmodel.Impact_model.save a.Violet.Pipeline.model model_path;
-  Fmt.pr "impact model stored at %s (%d states, %d poor)@.@." model_path
+  let model_path = Filename.temp_file "violet_model" ".vmodel" in
+  (match Violet.Pipeline.export_model a.Violet.Pipeline.model model_path with
+  | Ok () -> ()
+  | Error e -> failwith e);
+  Fmt.pr "impact model exported to %s (%d states, %d poor)@.@." model_path
     a.Violet.Pipeline.model.Vmodel.Impact_model.explored_states
     (List.length a.Violet.Pipeline.model.Vmodel.Impact_model.poor_state_ids);
 
-  (* the deployed checker loads the stored model *)
+  (* the deployed checker imports the exported model *)
   let model =
-    match Vmodel.Impact_model.load model_path with
+    match Violet.Pipeline.import_model model_path with
     | Ok m -> m
     | Error e -> failwith e
   in

@@ -78,7 +78,8 @@ type options = {
           condition to the solver, composes per-slice models, and the
           differential analysis decomposes joint-sat queries over disjoint
           input classes.  Impact models are byte-identical with slicing on
-          or off ([--no-slice] is an A/B measurement hatch). *)
+          or off; [false] is the reference that bench [slice], the fuzz
+          oracle and the tests compare against, and no CLI flag sets it. *)
   noise : Vsymexec.Executor.noise option;
   relaxation_rules : bool;  (** false: Section 5.4 relaxation-rule ablation *)
   fault_injection : bool;
@@ -93,8 +94,9 @@ type options = {
   jobs : int;
       (** worker domains for the pairwise diff screen
           ({!Vmodel.Diff_analysis.analyze}, order-preserving, so models are
-          jobs-independent); exploration is sequential.  Default 1;
-          [violet analyze --jobs] is the one way the CLI sets it. *)
+          jobs-independent); exploration is sequential.  Default 1, and no
+          CLI flag sets it: on 2 cores its gain stayed inside run-to-run
+          noise. *)
 }
 
 val default_options : options

@@ -31,15 +31,6 @@ let summary_row (a : Pipeline.analysis) =
     Printf.sprintf "%.1fx" m.M.max_ratio;
   ]
 
-let pp_summary ppf (a : Pipeline.analysis) =
-  let m = a.Pipeline.model in
-  Fmt.pf ppf "%s/%s: %d states explored, %d poor, %d related, %s, %s, max diff %.1fx"
-    m.M.system m.M.target m.M.explored_states
-    (List.length m.M.poor_state_ids)
-    (List.length m.M.related) (dominant_trigger a)
-    (human_time m.M.virtual_analysis_s)
-    m.M.max_ratio
-
 let pp_analysis ppf (a : Pipeline.analysis) =
   let m = a.Pipeline.model in
   let r = a.Pipeline.related in

@@ -6,10 +6,6 @@ val pp_analysis : Pipeline.analysis Fmt.t
     with poor states marked, and each suspicious pair with its differential
     critical path. *)
 
-val pp_summary : Pipeline.analysis Fmt.t
-(** One-line Table 4 style summary: detected?, explored/poor states, related
-    config count, cost metrics, analysis time, max diff. *)
-
 val summary_row : Pipeline.analysis -> string list
 (** The Table 4 columns as strings: explored states, poor states, related
     configs, cost-metric label, virtual analysis time, max diff. *)

@@ -2,20 +2,6 @@ let classic cfg ~on y =
   let pd = Vir.Postdom.compute cfg in
   Vir.Postdom.control_dependent pd cfg ~on y
 
-let classic_pairs cfg =
-  let pd = Vir.Postdom.compute cfg in
-  let branches = Vir.Cfg.branch_nodes cfg in
-  List.concat_map
-    (fun (b : Vir.Cfg.node) ->
-      Array.to_list cfg.Vir.Cfg.nodes
-      |> List.filter_map (fun (n : Vir.Cfg.node) ->
-             if n.Vir.Cfg.id <> b.Vir.Cfg.id
-                && n.Vir.Cfg.stmt <> None
-                && Vir.Postdom.control_dependent pd cfg ~on:b.Vir.Cfg.id n.Vir.Cfg.id
-             then Some (b.Vir.Cfg.id, n.Vir.Cfg.id)
-             else None))
-    branches
-
 (* Mirror Cfg.of_func's node numbering (entry=0, exit=1, then statement nodes
    in visit order) and record, for every node, the ids of its lexically
    enclosing branch nodes. *)

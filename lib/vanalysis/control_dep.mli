@@ -18,10 +18,6 @@ val classic : Vir.Cfg.t -> on:int -> int -> bool
 (** [classic cfg ~on:x y] — node [y] is control dependent on branch node [x]
     by the postdominator criterion. *)
 
-val classic_pairs : Vir.Cfg.t -> (int * int) list
-(** All [(branch, dependent)] node pairs of the function under the classic
-    definition. *)
-
 val broadened_pairs : Vir.Ast.func -> (int * int) list
 (** All [(branch, dependent)] pairs under lexical nesting, using the same
     node numbering as {!Vir.Cfg.of_func} (pre-order of statement nodes). *)

@@ -26,8 +26,8 @@ type score = {
 }
 
 val score_spec : ?opts:Violet.Pipeline.options -> Genspec.t -> verdict
-(** Analyze each plant and decoy parameter of one system (jobs/slice as in
-    [opts], default {!Oracle.default_opts}).  A plant counts detected when
+(** Analyze each plant and decoy parameter of one system under [opts]
+    (default {!Oracle.default_opts}).  A plant counts detected when
     the poor rows of its analysis enclose the planted poor value; a decoy
     counts flagged when its analysis has any poor row mentioning it.  An
     unused-parameter error on a decoy is the correct answer (not flagged,

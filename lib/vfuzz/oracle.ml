@@ -1,16 +1,3 @@
-type combo = { jobs : int; slice : bool }
-
-let combos =
-  [
-    { jobs = 1; slice = true };
-    { jobs = 1; slice = false };
-    { jobs = 4; slice = true };
-    { jobs = 4; slice = false };
-  ]
-
-let combo_to_string c =
-  Printf.sprintf "jobs=%d slice=%s" c.jobs (if c.slice then "on" else "off")
-
 type disagreement = {
   d_system : string;
   d_param : string;
@@ -36,7 +23,6 @@ let default_opts =
     Violet.Pipeline.default_options with
     Violet.Pipeline.budget =
       Vresilience.Budget.with_max_states Vresilience.Budget.default 4096;
-    jobs = 1;
   }
 
 let findings_fingerprint fs =
@@ -63,31 +49,8 @@ let fork_child body =
     Unix._exit (match body () with Ok () -> 0 | Error _ -> 1 | exception _ -> 2)
   | pid -> pid
 
-(* Run [f] in a forked child and return its result over a pipe; [None] if
-   the child died without answering.  Whatever domains [f] spawns live and
-   die in the child, so the caller can keep forking. *)
-let in_child (f : unit -> 'a) : 'a option =
-  let r, w = Unix.pipe ~cloexec:true () in
-  let pid =
-    fork_child (fun () ->
-        Unix.close r;
-        let oc = Unix.out_channel_of_descr w in
-        Marshal.to_channel oc (f ()) [];
-        Ok (close_out oc))
-  in
-  Unix.close w;
-  let ic = Unix.in_channel_of_descr r in
-  let v = try Some (Marshal.from_channel ic : 'a) with End_of_file | Failure _ -> None in
-  close_in ic;
-  ignore (Unix.waitpid [] pid);
-  v
-
-(* [f ()] at jobs 1; above that, in a forked child ([died] if it never
-   answered), so the jobs-N analyses leave no domain in this process *)
-let at_jobs jobs ~died f = if jobs <= 1 then f () else Option.value ~default:died (in_child f)
-
-let analysis_fingerprint opts target param c =
-  let opts = { opts with Violet.Pipeline.jobs = c.jobs; slice = c.slice } in
+let analysis_fingerprint opts target param ~slice =
+  let opts = { opts with Violet.Pipeline.slice } in
   match Violet.Pipeline.analyze ~opts target param with
   | Ok a -> (Vmodel.Impact_model.content_string a.Violet.Pipeline.model, Some a)
   | Error e -> ("error: " ^ Violet.Pipeline.error_to_string e, None)
@@ -266,11 +229,10 @@ let modes_leg ~system ~registry exports =
 
 (* Incremental leg (DESIGN.md Section 5k): mutate the system, then derive
    the upgraded models two ways — splicing against a baseline of the
-   original version vs building from scratch — under jobs 1 and 4 (the
-   jobs-4 splice in a forked child).  Every spliced baseline must carry the
-   same per-slice model digests as the scratch rebuild and produce
-   byte-identical upgrade findings against the original baseline: splicing
-   and parallelism are both required to be invisible. *)
+   original version vs building from scratch.  The spliced baseline must
+   carry the same per-slice model digests as the scratch rebuild and
+   produce byte-identical upgrade findings against the original baseline:
+   splicing is required to be invisible. *)
 let upgrade_fingerprint (mf : Vinc.Baseline.t) reports =
   String.concat "\n"
     (List.map
@@ -290,40 +252,31 @@ let inc_leg ~opts (spec : Genspec.t) =
   in
   let old_t = Genspec.to_target spec in
   let new_t = Genspec.to_target mutated in
-  let sopts = { opts with Violet.Pipeline.jobs = 1 } in
   let base = fresh_dir () in
   let scratch = fresh_dir () in
-  let outs = List.init 2 (fun _ -> fresh_dir ()) in
-  let cleanup () = List.iter rm_rf (base :: scratch :: outs) in
+  let out = fresh_dir () in
   let fingerprint_of dir mf =
     Result.map (upgrade_fingerprint mf) (Vinc.Splice.check_upgrade ~old_dir:base ~new_dir:dir)
   in
-  let ds = ref [] in
-  let checks = ref 0 in
-  (match Vinc.Baseline.build ~opts:sopts ~dir:base old_t with
-  | Error e -> ds := [ bad "baseline" e ]
-  | Ok _ -> (
-    match Vinc.Baseline.build ~opts:sopts ~dir:scratch new_t with
-    | Error e -> ds := [ bad "scratch" e ]
-    | Ok (scratch_mf, _) ->
-      let reference = fingerprint_of scratch scratch_mf in
-      List.iteri
-        (fun i (label, jobs) ->
-          incr checks;
-          let out = List.nth outs i in
-          let vopts = { sopts with Violet.Pipeline.jobs } in
-          let spliced =
-            at_jobs jobs ~died:(Error "the splice child died") (fun () ->
-                Result.bind (Vinc.Splice.run ~opts:vopts ~baseline:base ~out new_t) (fun r ->
-                    fingerprint_of out r.Vinc.Splice.sp_baseline))
-          in
-          match (reference, spliced) with
-          | Ok a, Ok b when String.equal a b -> ()
-          | Ok a, Ok b -> ds := bad label (first_diff b a) :: !ds
-          | _, Error e | Error e, _ -> ds := bad label e :: !ds)
-        [ ("inc jobs=1", 1); ("inc jobs=4", 4) ]));
-  cleanup ();
-  (List.rev !ds, !checks)
+  let result =
+    match Vinc.Baseline.build ~opts ~dir:base old_t with
+    | Error e -> ([ bad "baseline" e ], 0)
+    | Ok _ -> (
+      match Vinc.Baseline.build ~opts ~dir:scratch new_t with
+      | Error e -> ([ bad "scratch" e ], 0)
+      | Ok (scratch_mf, _) -> (
+        let reference = fingerprint_of scratch scratch_mf in
+        let spliced =
+          Result.bind (Vinc.Splice.run ~opts ~baseline:base ~out new_t) (fun r ->
+              fingerprint_of out r.Vinc.Splice.sp_baseline)
+        in
+        match (reference, spliced) with
+        | Ok a, Ok b when String.equal a b -> ([], 1)
+        | Ok a, Ok b -> ([ bad "inc" (first_diff b a) ], 1)
+        | _, Error e | Error e, _ -> ([ bad "inc" e ], 1)))
+  in
+  List.iter rm_rf [ base; scratch; out ];
+  result
 
 let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = true)
     ?(inc = true) (spec : Genspec.t) =
@@ -335,32 +288,24 @@ let check ?(opts = default_opts) ?(daemon = true) ?(fleet = daemon) ?(modes = tr
     List.map (fun (p : Genspec.plant) -> p.Genspec.p_param) spec.Genspec.g_plants
     @ spec.Genspec.g_decoys
   in
-  let reference = List.hd combos in
   let ds = ref [] in
   let n_combos = ref 0 in
   let exports = ref [] in
   let dir = if daemon || fleet || modes then Some (fresh_dir ()) else None in
   List.iter
     (fun param ->
-      let ref_fp, ref_analysis = analysis_fingerprint opts target param reference in
-      incr n_combos;
-      List.iter
-        (fun c ->
-          incr n_combos;
-          let fp =
-            at_jobs c.jobs ~died:"error: the analysis child died" (fun () ->
-                fst (analysis_fingerprint opts target param c))
-          in
-          if not (String.equal fp ref_fp) then
-            ds :=
-              {
-                d_system = spec.Genspec.g_name;
-                d_param = param;
-                d_leg = combo_to_string c ^ " vs " ^ combo_to_string reference;
-                d_detail = first_diff fp ref_fp;
-              }
-              :: !ds)
-        (List.tl combos);
+      let ref_fp, ref_analysis = analysis_fingerprint opts target param ~slice:true in
+      let fp, _ = analysis_fingerprint opts target param ~slice:false in
+      n_combos := !n_combos + 2;
+      if not (String.equal fp ref_fp) then
+        ds :=
+          {
+            d_system = spec.Genspec.g_name;
+            d_param = param;
+            d_leg = "slice=off vs slice=on";
+            d_detail = first_diff fp ref_fp;
+          }
+          :: !ds;
       match (dir, ref_analysis) with
       | Some d, Some a ->
         let key = spec.Genspec.g_name ^ "--" ^ param in

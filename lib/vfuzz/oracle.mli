@@ -1,13 +1,13 @@
 (** The differential oracle.
 
-    The pipeline promises its impact models are deterministic: parallelism
-    ([--jobs]), independence slicing ([--slice]), and serving a model through
-    the {!Vserve} daemon are all supposed to be {e invisible} to the output.
+    The pipeline promises its impact models are deterministic: independence
+    slicing ({!Violet.Pipeline.options.slice}) and serving a model through
+    the {!Vserve} daemon are both supposed to be {e invisible} to the output.
     The oracle holds every generated system against that promise:
 
-    - the four analyze combos (jobs 1/4 {m \times} slice on/off) must produce
-      byte-identical impact models (wall-clock scrubbed, the one legitimately
-      run-dependent field) for every analyzable parameter;
+    - analyses with slicing on and off must produce byte-identical impact
+      models (wall-clock scrubbed, the one legitimately run-dependent field)
+      for every analyzable parameter;
     - checking the exported model through a live daemon must produce findings
       byte-identical (canonical wire encoding) to running
       {!Vchecker.Checker.check_current} in process on the re-imported model;
@@ -16,40 +16,29 @@
       request id, and failover machinery must all be invisible to the
       answer bytes.
 
-    Every leg that needs a second domain or a second process forks: the
-    daemon and the fleet are forked children, and each jobs-4 analysis
-    runs in a forked child that sends back its fingerprint.  The oracle
-    never leaves a domain in its caller, so a process can run it any
+    The daemon and the fleet are forked children; everything else runs in
+    the caller, on its one domain, so a process can run the oracle any
     number of times, and start a fleet after it.
 
     Any disagreement is a bug in the pipeline, not in the generated system —
     the harness shrinks the system to a minimal reproducer and writes it to
     disk. *)
 
-type combo = { jobs : int; slice : bool }
-
-val combos : combo list
-(** The grid: jobs 1/4 {m \times} slice on/off.  Head is the reference. *)
-
-val combo_to_string : combo -> string
-
 type disagreement = {
   d_system : string;
   d_param : string;
-  d_leg : string;  (** e.g. ["jobs=4 slice=off"] or ["daemon"] *)
+  d_leg : string;  (** e.g. ["slice=off vs slice=on"] or ["daemon"] *)
   d_detail : string;  (** first point of divergence, truncated *)
 }
 
 type report = {
   r_system : string;
   r_params : string list;  (** parameters put through the grid *)
-  r_combos : int;  (** model fingerprints compared *)
+  r_combos : int;  (** model fingerprints compared: two per parameter *)
   r_daemon_checks : int;  (** daemon-vs-in-process findings compared *)
   r_fleet_checks : int;  (** fleet-vs-in-process findings compared *)
   r_mode_checks : int;  (** compiled-vs-solver findings compared (Section 5j) *)
-  r_inc_checks : int;
-      (** spliced-vs-scratch upgrade analyses compared (Section 5k): jobs
-          1 and 4 *)
+  r_inc_checks : int;  (** spliced-vs-scratch upgrade analyses compared (Section 5k) *)
   r_disagreements : disagreement list;
 }
 
@@ -70,8 +59,8 @@ val check :
   ?inc:bool ->
   Genspec.t ->
   report
-(** Run the full grid over every plant and decoy parameter of the system;
-    the jobs-4 combos run in forked children.  [daemon] (default [true])
+(** Analyze every plant and decoy parameter of the system with slicing on
+    and off.  [daemon] (default [true])
     additionally exports each reference model, serves it from a forked
     throwaway daemon on a Unix socket, and compares [check-current]
     findings against the in-process checker.  [fleet] (default = [daemon])
@@ -82,10 +71,9 @@ val check :
     artifact compiled from it, which must match the [Solver] reference
     byte-for-byte.  [inc] (default [true]) mutates the system with
     {!Mutate.apply}, derives the upgraded models by splicing against a
-    baseline of the original ({!Vinc.Splice.run}) under jobs 1 and 4 (the
-    latter in a forked child), and requires each spliced baseline to match
-    a from-scratch rebuild byte-for-byte — per-slice model digests and
-    upgrade findings alike.
+    baseline of the original ({!Vinc.Splice.run}), and requires the spliced
+    baseline to match a from-scratch rebuild byte-for-byte — per-slice
+    model digests and upgrade findings alike.
 
     @raise Failure when called from a process that has already spawned a
     domain (forking would be unsound), as {!Vfleet.Supervisor.run}

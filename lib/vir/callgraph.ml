@@ -39,17 +39,6 @@ let paths_to ?(max_paths = 256) t ~entry target =
   go [] entry;
   List.rev !results
 
-let reaching t ~target =
-  let seen = Hashtbl.create 32 in
-  let rec go f =
-    if not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      List.iter go (callers t f)
-    end
-  in
-  go target;
-  Hashtbl.fold (fun f () acc -> f :: acc) seen [] |> List.sort String.compare
-
 let reachable t ~from =
   let seen = Hashtbl.create 32 in
   let rec go f =

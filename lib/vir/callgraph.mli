@@ -16,8 +16,3 @@ val paths_to : ?max_paths:int -> t -> entry:string -> string -> string list list
 
 val reachable : t -> from:string -> string list
 (** Functions reachable from [from], including itself. *)
-
-val reaching : t -> target:string -> string list
-(** Transitive callers of [target], including itself — the functions whose
-    exploration can reach changed code, used for conservative slice
-    invalidation when dynamic coverage is unavailable. *)

@@ -49,8 +49,6 @@ let rec pp_stmt_indent indent ppf stmt =
 and pp_block indent ppf block =
   List.iter (fun s -> Fmt.pf ppf "%a@." (pp_stmt_indent indent) s) block
 
-let pp_stmt ppf s = pp_stmt_indent 0 ppf s
-
 let pp_func ppf (f : func) =
   match f.kind with
   | Defined body ->
@@ -67,5 +65,3 @@ let pp_program ppf (p : program) =
   Fmt.pf ppf "program %s (entry %s)@." p.pname p.entry;
   List.iter (fun (g, v) -> Fmt.pf ppf "global %s = %d@." g v) p.globals;
   List.iter (pp_func ppf) p.funcs
-
-let expr_to_string e = Fmt.str "%a" pp_expr e

@@ -101,7 +101,7 @@ let format_tag = "impact-model-v2"
 
 let format1_error =
   "model: this file is impact-model format 1, which is no longer read; re-run `violet \
-   analyze SYSTEM PARAM --save/--export FILE` to regenerate it"
+   analyze SYSTEM PARAM --export FILE` to regenerate it"
 
 let cost_to_sexp (c : Vruntime.Cost.t) =
   Sexp.list
@@ -385,13 +385,6 @@ let of_sexp = function
   | _ -> Error "model: not an impact model"
 
 let of_string s = Result.bind (Sexp.of_string s) of_sexp
-
-let save t path = Out_channel.with_open_bin path (fun oc -> output_string oc (to_string t))
-
-let load path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error msg -> Error msg
-  | content -> of_string content
 
 let pp_cost_table ppf t =
   Fmt.pf ppf "Cost table for %s (%s), related = [%s]:@." t.target t.system

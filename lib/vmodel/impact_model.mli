@@ -97,7 +97,5 @@ val content_string : t -> string
 val format1_error : string
 (** Names format 1 and says how to regenerate the file. *)
 
-val save : t -> string -> unit
-val load : string -> (t, string) result
 val pp_cost_table : t Fmt.t
 (** Render the raw cost table like paper Table 1. *)

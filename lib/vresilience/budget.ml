@@ -13,8 +13,6 @@ let make ?deadline_s ?(max_states = 4096) ?(fuel = 200_000) ?(solver_max_nodes =
 let default = make ()
 let with_deadline t deadline_s = { t with deadline_s }
 let with_max_states t max_states = { t with max_states }
-let with_fuel t fuel = { t with fuel }
-let with_solver_max_nodes t solver_max_nodes = { t with solver_max_nodes }
 let with_clock t now = { t with now }
 
 type armed = { spec : t; t0 : float }

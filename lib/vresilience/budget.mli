@@ -39,8 +39,6 @@ val default : t
 
 val with_deadline : t -> float option -> t
 val with_max_states : t -> int -> t
-val with_fuel : t -> int -> t
-val with_solver_max_nodes : t -> int -> t
 val with_clock : t -> (unit -> float) -> t
 
 (** {1 Armed budgets} *)

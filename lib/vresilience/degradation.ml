@@ -12,13 +12,6 @@ let rung_to_string = function
   | Concretize_all -> "concretize-all"
   | Drop_states -> "drop-states"
 
-let rung_of_string = function
-  | "full" -> Some Full
-  | "reduced-unroll" -> Some Reduced_unroll
-  | "concretize-all" -> Some Concretize_all
-  | "drop-states" -> Some Drop_states
-  | _ -> None
-
 type event = { rung : rung; at_step : int; pressure : float }
 
 type policy = {

@@ -26,7 +26,6 @@ val rung_level : rung -> int
 (** [Full] = 0 up to [Drop_states] = 3. *)
 
 val rung_to_string : rung -> string
-val rung_of_string : string -> rung option
 
 type event = { rung : rung; at_step : int; pressure : float }
 (** One escalation: the rung entered, the recorder step count and the budget

@@ -85,7 +85,6 @@ let interned_count () = !next_id
 let const v = intern (Const v)
 let of_var v = intern (Var v)
 let var ?(origin = Config) name dom = of_var { name; dom; origin }
-let bool_ b = const (if b then 1 else 0)
 let tru = const 1
 let fls = const 0
 let not_ e = intern (Not e)

@@ -32,8 +32,7 @@ type binop =
     interned exactly once per process, so {!equal} is physical equality,
     {!hash} is a field read, and rendered forms ({!to_string}) are computed
     once per unique node.  The intern table is a plain process-global
-    table: build expressions on the main domain only
-    ([Vpar.Pool.map_array]'s contract).
+    table: build expressions on the main domain only.
 
     [t] is [private]: build via the smart constructors below, destructure
     via {!view} (or direct [e.node] record patterns). *)
@@ -66,7 +65,6 @@ val interned_count : unit -> int
 val var : ?origin:origin -> string -> Dom.t -> t
 val of_var : var -> t
 val const : int -> t
-val bool_ : bool -> t
 val tru : t
 val fls : t
 

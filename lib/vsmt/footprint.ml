@@ -36,7 +36,6 @@ let intern_sym (v : Expr.var) =
     id
 
 let sym_info id = !sym_infos.(id)
-let symbol_count () = !sym_next
 
 (* ------------------------------------------------------------------ *)
 (* Footprints: sorted int arrays with merge-based set operations.      *)

@@ -51,9 +51,6 @@ val for_all_origin : Expr.origin -> t -> bool
 (** True iff every symbol in the footprint has the given origin
     (vacuously true on {!empty}). *)
 
-val symbol_count : unit -> int
-(** Number of distinct symbols interned so far (telemetry). *)
-
 val memo_size : unit -> int
 (** Entries in the footprint memo (telemetry). *)
 

@@ -10,7 +10,7 @@
    (and every [relevant] result) lists its constraints in original path
    order — a canonical order that is a pure function of the constraint
    sequence, independent of symbol or expression ids.  That is what makes
-   per-slice solving deterministic across [--jobs N] and cache on/off. *)
+   per-slice solving deterministic across runs and cache on/off. *)
 
 module Imap = Map.Make (Int)
 

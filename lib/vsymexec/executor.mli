@@ -70,8 +70,9 @@ type options = {
           slices share no symbols) and deterministic (the solver's
           name-ordered search makes a slice's model the projection of the
           full query's, so impact models are byte-identical with slicing on
-          or off while every query shrinks — the [--no-slice] escape hatch
-          exists for A/B measurement, not correctness).  Default [true]. *)
+          or off while every query shrinks — [false] is the reference the
+          slicing A/B and the fuzz oracle compare against, not a
+          correctness switch).  Default [true]. *)
   noise : noise option;
   enable_tracer : bool;
       (** false = "vanilla S²E": no signals are captured at all (Table 7) *)

@@ -20,8 +20,6 @@ let pop_frame t =
   | [] | [ _ ] -> invalid_arg "Sym_store.pop_frame: no frame to pop"
   | _ :: rest -> { t with frames = rest }
 
-let frame_count t = List.length t.frames
-
 let set_local t name v =
   match t.frames with
   | [] -> invalid_arg "Sym_store.set_local: no frame"

@@ -12,7 +12,6 @@ val with_globals : (string * int) list -> t
 
 val push_frame : t -> t
 val pop_frame : t -> t
-val frame_count : t -> int
 
 val set_local : t -> string -> Vsmt.Expr.t -> t
 val get_local : t -> string -> Vsmt.Expr.t option

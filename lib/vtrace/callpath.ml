@@ -70,10 +70,3 @@ let depth_of nodes n =
     | _ -> depth
   in
   match n.parent with None -> 0 | Some p -> go 1 p
-
-let pp_tree ppf nodes =
-  let rec pp_node indent n =
-    Fmt.pf ppf "%s%s (cid=%d, %.1f us)@." (String.make indent ' ') n.fname n.cid n.latency_us;
-    List.iter (pp_node (indent + 2)) (children nodes n.cid)
-  in
-  List.iter (pp_node 0) (roots nodes)

@@ -32,4 +32,3 @@ val exclusive_latency : node list -> node -> float
     function's own code, which is what differential analysis attributes. *)
 
 val depth_of : node list -> node -> int
-val pp_tree : node list Fmt.t

@@ -53,16 +53,6 @@ let of_result (r : Vsymexec.Executor.result) =
       | S.Killed _ | S.Running -> None)
     r.Vsymexec.Executor.states
 
-let per_function_latency t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (n : Callpath.node) ->
-      let cur = match Hashtbl.find_opt tbl n.Callpath.fname with Some x -> x | None -> 0. in
-      Hashtbl.replace tbl n.Callpath.fname (cur +. n.Callpath.latency_us))
-    t.nodes;
-  Hashtbl.fold (fun f l acc -> (f, l) :: acc) tbl []
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-
 let pp ppf t =
   Fmt.pf ppf "state %d [%a]: %a, traced %.1f us@.  config: %a@.  input: %a@." t.state_id
     S.pp_status t.status Vruntime.Cost.pp t.cost t.traced_latency_us

@@ -39,7 +39,4 @@ val of_result : Vsymexec.Executor.result -> t list
 (** Profiles of all terminated states (killed states are skipped — they
     have no complete path). *)
 
-val per_function_latency : t -> (string * float) list
-(** Inclusive traced latency per function name, descending. *)
-
 val pp : t Fmt.t

@@ -54,8 +54,8 @@ echo "== analyze peak RSS =="
 # Run the built binary, not `dune exec`: dune's own peak would count.
 python3 - <<'EOF'
 import resource, subprocess, sys
-subprocess.run(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "max_allowed_packet",
-                "--jobs", "1"], check=True, stdout=subprocess.DEVNULL)
+subprocess.run(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "max_allowed_packet"],
+               check=True, stdout=subprocess.DEVNULL)
 mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print("analyze mysql max_allowed_packet: peak RSS %.1f MB" % mb)
 if mb > 28:
@@ -70,8 +70,8 @@ echo "== export peak RSS =="
 python3 - <<'EOF'
 import os, subprocess, sys, tempfile
 def peak_mb(extra):
-    p = subprocess.Popen(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "query_cache_type",
-                          "--jobs", "1"] + extra, stdout=subprocess.DEVNULL)
+    p = subprocess.Popen(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "query_cache_type"]
+                         + extra, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(p.pid, 0)
     if status != 0:
         sys.exit("export peak RSS: analyze failed")
@@ -103,6 +103,8 @@ if [ "$MODEL_BYTES" -gt 200000 ]; then
   echo "serve smoke: mysql autocommit model is $MODEL_BYTES bytes, over 200 KB"
   exit 1
 fi
+# the check smoke reads this export with `check --model`
+cp "$SMOKE_DIR/models.d/mysql-autocommit.vmodel" "$SMOKE_DIR/exported.vmodel"
 dune exec bin/violet_cli.exe -- serve \
   --addr "unix:$SMOKE_DIR/violet.sock" --models "$SMOKE_DIR/models.d" >/dev/null &
 SERVE_PID=$!
@@ -272,20 +274,6 @@ dune exec bin/violet_cli.exe -- fuzz run --seed 42 --count 20 >/dev/null
 dune exec bin/violet_cli.exe -- fuzz diff --seed 42 --count 20 \
   --out "$SMOKE_DIR/fuzz-failures" >/dev/null
 
-echo "== analyze --jobs identity =="
-# the diff ranking fans out over --jobs domains; the report must not depend
-# on the job count (only the wall-clock line may differ)
-for jobs in 1 2; do
-  dune exec bin/violet_cli.exe -- analyze mysql max_allowed_packet --jobs "$jobs" \
-    > "$SMOKE_DIR/jobs$jobs.raw"
-  grep -v '^analysis time:' "$SMOKE_DIR/jobs$jobs.raw" > "$SMOKE_DIR/jobs$jobs.out"
-done
-cmp -s "$SMOKE_DIR/jobs1.out" "$SMOKE_DIR/jobs2.out" || {
-  echo "jobs identity: analyze mysql max_allowed_packet differs between --jobs 1 and 2"
-  diff "$SMOKE_DIR/jobs1.out" "$SMOKE_DIR/jobs2.out" | head -20
-  exit 1
-}
-
 echo "== check smoke =="
 # the one-shot CLI check must flag the poor default: exit 2 and a finding
 rc=0
@@ -297,6 +285,21 @@ if [ "$rc" -ne 2 ]; then
 fi
 grep -q 'finding' "$SMOKE_DIR/check.out" || {
   echo "check smoke: no finding printed on the poor default"; exit 1; }
+# --model reads the file --export writes: the serve smoke's export (kept
+# aside before the fleet smoke re-exported it) must give the same report as
+# the on-the-fly check, apart from the timing line
+rc=0
+dune exec bin/violet_cli.exe -- check mysql autocommit "$SMOKE_DIR/empty.cnf" \
+  --model "$SMOKE_DIR/exported.vmodel" > "$SMOKE_DIR/check-model.out" || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "check smoke: expected exit 2 from check --model on an exported file, got $rc"
+  cat "$SMOKE_DIR/check-model.out"; exit 1
+fi
+grep -v '^checked in' "$SMOKE_DIR/check.out" > "$SMOKE_DIR/check.report"
+grep -v '^checked in' "$SMOKE_DIR/check-model.out" > "$SMOKE_DIR/check-model.report"
+cmp -s "$SMOKE_DIR/check.report" "$SMOKE_DIR/check-model.report" || {
+  echo "check smoke: check --model differs from the on-the-fly check"
+  diff "$SMOKE_DIR/check.report" "$SMOKE_DIR/check-model.report" | head -20; exit 1; }
 
 echo "== checker engine identity (bench matcheck) =="
 # tier-1 compares the solver and compiled engines on 20 generated systems;

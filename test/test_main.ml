@@ -22,7 +22,7 @@ let () =
       (* Every suite that forks comes before every suite that runs jobs 4 in
          this process: OCaml 5 forbids [Unix.fork] once any domain has been
          spawned.  These four fork (a kill -9 victim, a supervisor, a daemon,
-         the oracle's daemons, fleets and jobs-4 analyses)... *)
+         the oracle's daemons and fleets)... *)
       ("vresilience", Test_vresilience.tests);
       ("vfleet", Test_vfleet.tests);
       ("vserve", Test_vserve.tests);

@@ -261,9 +261,11 @@ let test_mode3b_degraded_region () =
 let test_checker_on_loaded_model () =
   (* the deployment path: the checker works on a model after disk round-trip *)
   let model = fixture_model () in
-  let path = Filename.temp_file "violet_chk" ".sexp" in
-  M.save model path;
-  let model = match M.load path with Ok m -> m | Error e -> Alcotest.fail e in
+  let path = Filename.temp_file "violet_chk" ".vmodel" in
+  (match Violet.Pipeline.export_model model path with Ok () -> () | Error e -> Alcotest.fail e);
+  let model =
+    match Violet.Pipeline.import_model path with Ok m -> m | Error e -> Alcotest.fail e
+  in
   Sys.remove path;
   let file = parse_exn "" in
   match Checker.check_current ~model ~registry:Fixtures.registry ~file () with

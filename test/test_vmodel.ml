@@ -554,13 +554,14 @@ let test_model_roundtrip_full () =
 
 let test_model_save_load () =
   let m = sample_model () in
-  let path = Filename.temp_file "violet_test" ".sexp" in
-  M.save m path;
-  (match M.load path with
-  | Ok m' -> check Alcotest.string "target" m.M.target m'.M.target
+  let path = Filename.temp_file "violet_test" ".vmodel" in
+  (match Violet.Pipeline.export_model m path with Ok () -> () | Error e -> Alcotest.fail e);
+  (match Violet.Pipeline.import_model path with
+  | Ok m' -> check Alcotest.string "content" (M.content_string m) (M.content_string m')
   | Error e -> Alcotest.fail e);
   Sys.remove path;
-  check Alcotest.bool "missing file is an error" true (Result.is_error (M.load path))
+  check Alcotest.bool "missing file is an error" true
+    (Result.is_error (Violet.Pipeline.import_model path))
 
 let contains hay needle =
   let n = String.length needle in
@@ -572,14 +573,23 @@ let error_of = function Ok _ -> "Ok" | Error e -> e
 let test_model_format1_rejected () =
   let text = Model_v1.to_string (sample_model ()) in
   check Alcotest.string "of_string" M.format1_error (error_of (M.of_string text));
-  let path = Filename.temp_file "violet_v1" ".sexp" in
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
-  let loaded = M.load path in
-  Sys.remove path;
-  check Alcotest.string "load" M.format1_error (error_of loaded);
+  (* a format-1 payload in a current envelope *)
+  let path = Filename.temp_file "violet_v1" ".vmodel" in
+  let imported =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        match
+          Vresilience.Checkpoint.write ~path ~kind:Violet.Pipeline.model_kind
+            ~version:Violet.Pipeline.model_version text
+        with
+        | Ok () -> Violet.Pipeline.import_model path
+        | Error e -> Error (Vresilience.Checkpoint.error_to_string e))
+  in
+  check Alcotest.string "import" M.format1_error (error_of imported);
   check Alcotest.bool "names format 1" true (contains M.format1_error "format 1");
   check Alcotest.bool "says how to regenerate" true
-    (contains M.format1_error "violet analyze" && contains M.format1_error "--save/--export")
+    (contains M.format1_error "violet analyze" && contains M.format1_error "--export")
 
 (* a hand-written format-2 payload; the defaults decode to one row whose
    configuration constraint is [x == 1] *)
