@@ -13,14 +13,13 @@ let write_file path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
 
-let () =
+let run ~model_path ~conf_path ~old_path ~new_path =
   let target = Targets.Postgres_model.target in
   let registry = target.Violet.Pipeline.registry in
 
   (* one-time analysis at the vendor / QA side *)
   Fmt.pr "analyzing postgres/wal_sync_method ...@.";
   let a = Violet.Pipeline.analyze_exn target "wal_sync_method" in
-  let model_path = Filename.temp_file "violet_model" ".vmodel" in
   (match Violet.Pipeline.export_model a.Violet.Pipeline.model model_path with
   | Ok () -> ()
   | Error e -> failwith e);
@@ -36,7 +35,6 @@ let () =
   in
 
   (* mode 2: is the user's current file in a poor state? *)
-  let conf_path = Filename.temp_file "postgresql" ".conf" in
   write_file conf_path
     "# production settings\nshared_buffers = 1024\nwal_sync_method = open_sync\n";
   Fmt.pr "== mode 2: checking current file (wal_sync_method = open_sync) ==@.";
@@ -48,8 +46,6 @@ let () =
   | Error e -> Fmt.pr "error: %s@." e);
 
   (* mode 1: does an update introduce a regression? *)
-  let old_path = Filename.temp_file "postgresql_old" ".conf" in
-  let new_path = Filename.temp_file "postgresql_new" ".conf" in
   write_file old_path "wal_sync_method = fdatasync\n";
   write_file new_path "wal_sync_method = open_sync\n";
   Fmt.pr "== mode 1: checking update fdatasync -> open_sync ==@.";
@@ -68,3 +64,14 @@ let () =
   match Vchecker.Checker.check_update ~model ~registry ~old_file:new_file ~new_file:old_file () with
   | Ok report -> Fmt.pr "%a@." Vchecker.Checker.pp_report report
   | Error e -> Fmt.pr "error: %s@." e
+
+(* the exported model and the three config files are removed however the
+   run ends *)
+let () =
+  let model_path = Filename.temp_file "violet_model" ".vmodel" in
+  let conf_path = Filename.temp_file "postgresql" ".conf" in
+  let old_path = Filename.temp_file "postgresql_old" ".conf" in
+  let new_path = Filename.temp_file "postgresql_new" ".conf" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ model_path; conf_path; old_path; new_path ])
+    (fun () -> run ~model_path ~conf_path ~old_path ~new_path)

@@ -219,172 +219,377 @@ let to_string t =
 
 let content_string t = to_string { t with analysis_wall_s = 0. }
 
-let ( let* ) = Result.bind
+(* The reader walks the payload with a cursor and builds the model's
+   values directly; no tree of the text is ever built.  A first pass over
+   the top-level list checks the syntax of the whole text (what
+   {!Vsmt.Sexp.of_string} accepts) and records the byte offset of the
+   first field of each name, so fields come in any order, a later
+   duplicate and an unknown field are skipped, and [;] comments and quoted
+   atoms read as anywhere else.  The second pass seeks to each field in
+   turn.  Every loop over a list is a tail call or a [tail_mod_cons]
+   build, so a long list costs no stack; a malformed payload raises [Bad]
+   inside the reader and comes out of [of_string] as [Error]. *)
 
-(* linear in the list; stops at the first error *)
-let map_result f items =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error e -> Error e)
-  in
-  go [] items
+exception Bad of string
 
-let all what conv items =
-  map_result (fun x -> Option.to_result ~none:("model: bad " ^ what) (conv x)) items
+type cursor = {
+  text : string;
+  mutable pos : int;
+  (* the last atom read is [text.[tok] .. text.[tok_end - 1]], quotes
+     included *)
+  mutable tok : int;
+  mutable tok_end : int;
+}
+
+(* Out of line: an inlined copy adds frame descriptors to each caller, and
+   the runtime's frame table, sized at a power of two, is resident in
+   every process. *)
+let[@inline never] fail fmt = Printf.ksprintf (fun e -> raise (Bad e)) fmt
+
+let[@inline never] expected_at i what = fail "model: expected %s at byte %d" what i
+
+let rec skip_comment text i =
+  if i < String.length text && String.unsafe_get text i <> '\n' then skip_comment text (i + 1)
+  else i
+
+let rec skip_ws text i =
+  if i >= String.length text then i
+  else
+    match String.unsafe_get text i with
+    | ' ' | '\n' | '\t' | '\r' -> skip_ws text (i + 1)
+    | ';' -> skip_ws text (skip_comment text i)
+    | _ -> i
+
+(* the next byte that is not blank or comment *)
+let peek c =
+  c.pos <- skip_ws c.text c.pos;
+  if c.pos >= String.length c.text then expected_at c.pos "more input";
+  String.unsafe_get c.text c.pos
+
+let rec plain_end text i =
+  if i >= String.length text then i
+  else
+    match String.unsafe_get text i with
+    | ' ' | '\n' | '\t' | '\r' | '(' | ')' | '"' -> i
+    | _ -> plain_end text (i + 1)
+
+let rec quoted_end text i =
+  if i >= String.length text then fail "model: unterminated string"
+  else
+    match String.unsafe_get text i with
+    | '"' -> i + 1
+    | '\\' when i + 1 >= String.length text -> fail "model: dangling escape"
+    | '\\' -> quoted_end text (i + 2)
+    | _ -> quoted_end text (i + 1)
+
+(* moves past the next atom and records it as the token *)
+let atom c =
+  match peek c with
+  | '(' | ')' -> expected_at c.pos "an atom"
+  | ch ->
+    c.tok <- c.pos;
+    c.pos <- (if ch = '"' then quoted_end c.text (c.pos + 1) else plain_end c.text c.pos);
+    c.tok_end <- c.pos
+
+(* the token's value; a quoted atom is rare, and {!Vsmt.Sexp} keeps the one
+   definition of its escapes *)
+let tok_string c =
+  let token = String.sub c.text c.tok (c.tok_end - c.tok) in
+  if token.[0] <> '"' then token
+  else match Sexp.of_string token with Ok (Sexp.Atom s) -> s | _ -> expected_at c.tok "an atom"
+
+(* the value of the decimal digits in [i, stop), or -1 at another byte *)
+let rec digits text i stop acc =
+  if i = stop then acc
+  else
+    match text.[i] with
+    | '0' .. '9' as d -> digits text (i + 1) stop ((acc * 10) + Char.code d - Char.code '0')
+    | _ -> -1
+
+(* [int_of_string] of the next atom.  An optional '-' and at most 18
+   decimal digits, which cannot overflow, are read in place; any other
+   spelling (a quoted atom, '+', '_', a base prefix, more digits) is left
+   to [int_of_string] itself. *)
+let int c =
+  atom c;
+  let text = c.text and stop = c.tok_end in
+  let first = if text.[c.tok] = '-' then c.tok + 1 else c.tok in
+  let v = if stop > first && stop - first <= 18 then digits text first stop 0 else -1 in
+  if v >= 0 then if first > c.tok then -v else v
+  else
+    match int_of_string (tok_string c) with
+    | v -> v
+    | exception Failure _ -> expected_at c.tok "an integer"
+
+let float c =
+  atom c;
+  match float_of_string (tok_string c) with
+  | f -> f
+  | exception Failure _ -> expected_at c.tok "a float"
+
+let string c =
+  atom c;
+  tok_string c
+
+let open_ c = if peek c = '(' then c.pos <- c.pos + 1 else expected_at c.pos "'('"
+let close c = if peek c = ')' then c.pos <- c.pos + 1 else expected_at c.pos "')'"
+
+(* at the ')' that ends the current list: move past it *)
+let closes c =
+  let at_close = peek c = ')' in
+  if at_close then c.pos <- c.pos + 1;
+  at_close
+
+let head c name = if not (String.equal (string c) name) then expected_at c.tok name
+
+(* The offset past the ')' that closes the [depth] lists open at [i],
+   each byte checked as [Sexp.of_string] would check it: [;] starts a
+   comment only where no atom is under way. *)
+let rec skip_rest text i depth in_atom =
+  if i >= String.length text then fail "model: unterminated list"
+  else
+    match String.unsafe_get text i with
+    | '(' -> skip_rest text (i + 1) (depth + 1) false
+    | ')' -> if depth = 1 then i + 1 else skip_rest text (i + 1) (depth - 1) false
+    | '"' -> skip_rest text (quoted_end text (i + 1)) depth false
+    | ' ' | '\n' | '\t' | '\r' -> skip_rest text (i + 1) depth false
+    | ';' when not in_atom -> skip_rest text (skip_comment text i) depth false
+    | _ -> skip_rest text (i + 1) depth true
+
+let skip_one c =
+  match peek c with
+  | '(' -> c.pos <- skip_rest c.text (c.pos + 1) 1 false
+  | ')' -> expected_at c.pos "an s-expression"
+  | _ -> atom c
+
+(* the items up to the ')' that ends the current list, in order *)
+let[@tail_mod_cons] rec items read c =
+  if closes c then []
+  else
+    let x = read c in
+    x :: items read c
+
+let strings c =
+  open_ c;
+  items string c
+
+(* Skips the items up to the ')' that ends the current list.  Each list
+   among them headed by an atom is a field: the table maps the name to the
+   offset of the '(' of its first field. *)
+let index_fields c =
+  let fields = Hashtbl.create 16 in
+  while not (closes c) do
+    if c.text.[c.pos] = '(' then begin
+      let start = c.pos in
+      c.pos <- c.pos + 1;
+      (match peek c with
+      | '(' | ')' -> ()
+      | _ ->
+        let name = string c in
+        if not (Hashtbl.mem fields name) then Hashtbl.add fields name start);
+      c.pos <- skip_rest c.text c.pos 1 false
+    end
+    else atom c
+  done;
+  fields
+
+(* moves past the name of field [name] *)
+let seek c what fields name =
+  match Hashtbl.find_opt fields name with
+  | None -> fail "%s: missing field %s" what name
+  | Some start ->
+    c.pos <- start + 1;
+    atom c
+
+let node_ref nodes c =
+  let i = int c in
+  if i >= 0 && i < Array.length nodes then Array.unsafe_get nodes i
+  else fail "model: no node %d" i
+
+let refs nodes c =
+  open_ c;
+  items (node_ref nodes) c
 
 (* Node [k] may name only nodes below [k], so a forward or self reference
    is an error, never a cycle to chase. *)
-let nodes_of_sexp vars items =
-  let nodes = Array.make (List.length items) E.tru in
-  let node k s =
-    let child = function
-      | Some i when i >= 0 && i < k -> Ok nodes.(i)
-      | _ -> Error (Printf.sprintf "model: node %d names a node that is not below it" k)
-    in
-    match s with
-    | Sexp.List (Sexp.Atom tag :: args) -> (
-      match (tag, List.map Sexp.to_int args) with
-      | "const", [ Some v ] -> Ok (E.const v)
-      | "var", [ Some i ] when i >= 0 && i < Array.length vars -> Ok (E.of_var vars.(i))
-      | "var", _ -> Error (Printf.sprintf "model: node %d names no declared var" k)
-      | "not", [ a ] -> Result.map E.not_ (child a)
-      | "neg", [ a ] -> Result.map E.neg (child a)
-      | "ite", [ c; a; b ] ->
-        let* c = child c in
-        let* a = child a in
-        let* b = child b in
-        Ok (E.ite c a b)
-      | op, [ a; b ] ->
-        let* op = Serial.binop_of_atom op in
-        let* a = child a in
-        let* b = child b in
-        Ok (E.binop op a b)
-      | _ -> Error (Printf.sprintf "model: node %d is malformed" k))
-    | _ -> Error (Printf.sprintf "model: node %d is malformed" k)
+let child nodes k c =
+  let i = int c in
+  if i >= 0 && i < k then nodes.(i)
+  else fail "model: node %d names a node that is not below it" k
+
+let node vars nodes k c =
+  open_ c;
+  let e =
+    match string c with
+    | "const" -> E.const (int c)
+    | "var" ->
+      let i = int c in
+      if i >= 0 && i < Array.length vars then E.of_var (Array.unsafe_get vars i)
+      else fail "model: node %d names no declared var" k
+    | "not" -> E.not_ (child nodes k c)
+    | "neg" -> E.neg (child nodes k c)
+    | "ite" ->
+      let x = child nodes k c in
+      let a = child nodes k c in
+      let b = child nodes k c in
+      E.ite x a b
+    | op -> (
+      match Serial.binop_of_atom op with
+      | Error e -> fail "%s" e
+      | Ok op ->
+        let a = child nodes k c in
+        let b = child nodes k c in
+        E.binop op a b)
   in
-  let rec go k = function
-    | [] -> Ok nodes
-    | s :: rest ->
-      let* e = node k s in
-      nodes.(k) <- e;
-      go (k + 1) rest
-  in
-  go 0 items
+  close c;
+  e
 
-let refs_of_sexp nodes = function
-  | Sexp.List items ->
-    map_result
-      (fun x ->
-        match Sexp.to_int x with
-        | Some i when i >= 0 && i < Array.length nodes -> Ok nodes.(i)
-        | _ -> Error ("model: no node " ^ Sexp.to_string x))
-      items
-  | s -> Error ("model: expected node indices, got " ^ Sexp.to_string s)
-
-let atoms_of_sexp = function
-  | Sexp.List items -> all "atom" Sexp.to_atom items
-  | s -> Error ("expected list of atoms, got " ^ Sexp.to_string s)
-
-let cost_of_sexp = function
-  | Sexp.List (lat :: counts) -> (
-    match (Sexp.to_float lat, List.map Sexp.to_int counts) with
-    | ( Some latency_us,
-        [ Some instructions; Some syscalls; Some io_calls; Some io_bytes; Some sync_ops;
-          Some net_ops; Some allocations; Some cache_ops ] ) ->
-      Ok
-        { Vruntime.Cost.latency_us; instructions; syscalls; io_calls; io_bytes; sync_ops;
-          net_ops; allocations; cache_ops }
-    | _ -> Error "cost: malformed field")
-  | s -> Error ("cost: unrecognized " ^ Sexp.to_string s)
-
-let row_of_sexp nodes = function
-  | Sexp.List [ id; configs; workloads; cost; lat; crit ] -> begin
-    match Sexp.to_int id, Sexp.to_float lat with
-    | Some state_id, Some traced_latency_us ->
-      let* config_constraints = refs_of_sexp nodes configs in
-      let* workload_pred = refs_of_sexp nodes workloads in
-      let* cost = cost_of_sexp cost in
-      let* critical_ops = atoms_of_sexp crit in
-      Ok
-        { Cost_row.state_id; config_constraints; workload_pred; cost; traced_latency_us;
-          chain = []; nodes = []; critical_ops }
-    | _ -> Error "row: malformed id or latency"
+let rec count c n =
+  if closes c then n
+  else begin
+    skip_one c;
+    count c (n + 1)
   end
-  | s -> Error ("row: unrecognized " ^ Sexp.to_string s)
 
-let pair_of_sexp = function
-  | Sexp.List [ Sexp.Atom "pair"; slow; fast; sim; ratio; Sexp.Atom trigger; crit; maxd ] -> (
-    match (List.map Sexp.to_int [ slow; fast; sim ], Sexp.to_float ratio, Sexp.to_float maxd) with
-    | [ Some slow_id; Some fast_id; Some similarity ], Some latency_ratio, Some max_differential_us
-      ->
-      let* critical_path = atoms_of_sexp crit in
-      Ok { slow_id; fast_id; similarity; latency_ratio; trigger; critical_path;
-           max_differential_us }
-    | _ -> Error "pair: malformed field")
-  | s -> Error ("pair: unrecognized " ^ Sexp.to_string s)
+let nodes_field vars c =
+  let start = c.pos in
+  let nodes = Array.make (count c 0) E.tru in
+  c.pos <- start;
+  for k = 0 to Array.length nodes - 1 do
+    nodes.(k) <- node vars nodes k c
+  done;
+  close c;
+  nodes
 
-let dropped_path_of_sexp nodes = function
-  | Sexp.List [ Sexp.Atom "dp"; id; configs; lat ] -> (
-    match (Sexp.to_int id, Sexp.to_float lat) with
-    | Some dp_state_id, Some dp_latency_so_far_us ->
-      let* dp_config_constraints = refs_of_sexp nodes configs in
-      Ok { dp_state_id; dp_config_constraints; dp_latency_so_far_us }
-    | _ -> Error "dropped-path: malformed field")
-  | s -> Error ("dropped-path: unrecognized " ^ Sexp.to_string s)
+(* A var is a few dozen bytes, so it is read as a tree: the var and domain
+   grammar keeps its one definition in {!Vsmt.Serial}. *)
+let var c =
+  ignore (peek c);
+  let start = c.pos in
+  skip_one c;
+  let text = String.sub c.text start (c.pos - start) in
+  match Result.bind (Sexp.of_string text) Serial.var_of_sexp with
+  | Ok v -> v
+  | Error e -> fail "%s" e
 
-(* the items of field [name] among [fields] *)
-let get what fields name =
-  let is_field = function
-    | Sexp.List (Sexp.Atom tag :: rest) when String.equal tag name -> Some rest
-    | _ -> None
+let cost c =
+  open_ c;
+  let latency_us = float c in
+  let instructions = int c in
+  let syscalls = int c in
+  let io_calls = int c in
+  let io_bytes = int c in
+  let sync_ops = int c in
+  let net_ops = int c in
+  let allocations = int c in
+  let cache_ops = int c in
+  close c;
+  { Vruntime.Cost.latency_us; instructions; syscalls; io_calls; io_bytes; sync_ops; net_ops;
+    allocations; cache_ops }
+
+let row nodes c =
+  open_ c;
+  let state_id = int c in
+  let config_constraints = refs nodes c in
+  let workload_pred = refs nodes c in
+  let cost = cost c in
+  let traced_latency_us = float c in
+  let critical_ops = strings c in
+  close c;
+  { Cost_row.state_id; config_constraints; workload_pred; cost; traced_latency_us; chain = [];
+    nodes = []; critical_ops }
+
+let pair c =
+  open_ c;
+  head c "pair";
+  let slow_id = int c in
+  let fast_id = int c in
+  let similarity = int c in
+  let latency_ratio = float c in
+  let trigger = string c in
+  let critical_path = strings c in
+  let max_differential_us = float c in
+  close c;
+  { slow_id; fast_id; similarity; latency_ratio; trigger; critical_path; max_differential_us }
+
+let dropped_path nodes c =
+  open_ c;
+  head c "dp";
+  let dp_state_id = int c in
+  let dp_config_constraints = refs nodes c in
+  let dp_latency_so_far_us = float c in
+  close c;
+  { dp_state_id; dp_config_constraints; dp_latency_so_far_us }
+
+let degradation nodes c =
+  let fields = index_fields c in
+  let seek = seek c "degradation" fields in
+  seek "rungs";
+  let rungs = items string c in
+  seek "deadline-hit";
+  let deadline_hit =
+    match string c with
+    | "true" -> true
+    | "false" -> false
+    | _ -> fail "degradation: bad deadline-hit"
   in
-  Option.to_result ~none:(what ^ ": missing field " ^ name) (List.find_map is_field fields)
+  close c;
+  seek "dropped";
+  let dropped_paths = items (dropped_path nodes) c in
+  { rungs; deadline_hit; dropped_paths }
 
-let degradation_of_fields nodes fields =
-  let get = get "degradation" fields in
-  let* rungs = let* f = get "rungs" in atoms_of_sexp (Sexp.List f) in
-  let* deadline_hit = let* f = get "deadline-hit" in
-    match f with
-    | [ Sexp.Atom ("true" | "false" as b) ] -> Ok (b = "true")
-    | _ -> Error "degradation: bad deadline-hit" in
-  let* dropped_paths = let* f = get "dropped" in map_result (dropped_path_of_sexp nodes) f in
-  Ok { rungs; deadline_hit; dropped_paths }
+let model c fields =
+  let seek = seek c "model" fields in
+  let one name read =
+    seek name;
+    let x = read c in
+    close c;
+    x
+  in
+  let many name read =
+    seek name;
+    items read c
+  in
+  let system = one "system" string in
+  let target = one "target" string in
+  let related = many "related" string in
+  let threshold = one "threshold" float in
+  let vars = Array.of_list (many "vars" var) in
+  seek "nodes";
+  let nodes = nodes_field vars c in
+  let rows = many "rows" (row nodes) in
+  let poor_pairs = many "pairs" pair in
+  let poor_state_ids = many "poor-states" int in
+  let max_ratio = one "max-ratio" float in
+  let explored_states = one "explored-states" int in
+  let analysis_wall_s = one "analysis-wall-s" float in
+  let virtual_analysis_s = one "virtual-analysis-s" float in
+  (* a complete model has no degradation section *)
+  let degradation =
+    if Hashtbl.mem fields "degradation" then begin
+      seek "degradation";
+      Some (degradation nodes c)
+    end
+    else None
+  in
+  { system; target; related; threshold; rows; poor_pairs; poor_state_ids; max_ratio;
+    explored_states; analysis_wall_s; virtual_analysis_s; degradation }
 
-let of_sexp = function
-  | Sexp.List (Sexp.Atom tag :: fields) when String.equal tag format_tag ->
-    let get = get "model" fields in
-    let one name conv =
-      let* f = get name in
-      match f with
-      | [ x ] -> Option.to_result ~none:("model: bad " ^ name) (conv x)
-      | _ -> Error ("model: bad " ^ name)
-    in
-    let* system = one "system" Sexp.to_atom in
-    let* target = one "target" Sexp.to_atom in
-    let* related = let* f = get "related" in atoms_of_sexp (Sexp.List f) in
-    let* threshold = one "threshold" Sexp.to_float in
-    let* vars = let* f = get "vars" in map_result Serial.var_of_sexp f in
-    let* nodes = let* f = get "nodes" in nodes_of_sexp (Array.of_list vars) f in
-    let* rows = let* f = get "rows" in map_result (row_of_sexp nodes) f in
-    let* poor_pairs = let* f = get "pairs" in map_result pair_of_sexp f in
-    let* poor_state_ids = let* f = get "poor-states" in all "poor-states" Sexp.to_int f in
-    let* max_ratio = one "max-ratio" Sexp.to_float in
-    let* explored_states = one "explored-states" Sexp.to_int in
-    let* analysis_wall_s = one "analysis-wall-s" Sexp.to_float in
-    let* virtual_analysis_s = one "virtual-analysis-s" Sexp.to_float in
-    (* a complete model has no degradation section *)
-    let* degradation =
-      match get "degradation" with
-      | Error _ -> Ok None
-      | Ok rest -> Result.map Option.some (degradation_of_fields nodes rest)
-    in
-    Ok
-      { system; target; related; threshold; rows; poor_pairs; poor_state_ids; max_ratio;
-        explored_states; analysis_wall_s; virtual_analysis_s; degradation }
-  | Sexp.List (Sexp.Atom "impact-model" :: _) -> Error format1_error
-  | _ -> Error "model: not an impact model"
+let read c =
+  if peek c <> '(' then fail "model: not an impact model";
+  c.pos <- c.pos + 1;
+  let tag = match peek c with '(' | ')' -> "" | _ -> string c in
+  let fields = index_fields c in
+  c.pos <- skip_ws c.text c.pos;
+  if c.pos < String.length c.text then fail "trailing input at %d" c.pos;
+  if String.equal tag format_tag then model c fields
+  else if String.equal tag "impact-model" then fail "%s" format1_error
+  else fail "model: not an impact model"
 
-let of_string s = Result.bind (Sexp.of_string s) of_sexp
+let of_string s =
+  match read { text = s; pos = 0; tok = 0; tok_end = 0 } with
+  | m -> Ok m
+  | exception Bad e -> Error e
 
 let pp_cost_table ppf t =
   Fmt.pf ppf "Cost table for %s (%s), related = [%s]:@." t.target t.system

@@ -202,6 +202,27 @@ let test_export_allocation () =
     true
     (words < 0.5 *. float_of_int bytes)
 
+(* The reader walks the text with a cursor and builds the model's values
+   directly, so a warm read allocates little beyond the rows and pairs it
+   returns (the hash-consed nodes exist already): 0.57 minor words per
+   byte.  Parsing through a whole [Sexp.t] tree first read 3.57. *)
+let test_read_allocation () =
+  let model, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
+  let text = Vmodel.Impact_model.to_string model in
+  let read () =
+    match Vmodel.Impact_model.of_string text with Ok m -> m | Error e -> Alcotest.fail e
+  in
+  ignore (read ());
+  let before = Gc.minor_words () in
+  let m = read () in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.int "rows read" (List.length model.Vmodel.Impact_model.rows)
+    (List.length m.Vmodel.Impact_model.rows);
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words for %d bytes" words (String.length text))
+    true
+    (words < float_of_int (String.length text))
+
 (* quick subset: one representative per system *)
 let quick_cases = [ "c1"; "c7"; "c12"; "c14"; "c16" ]
 
@@ -214,6 +235,7 @@ let tests =
     tc "golden model digests" test_golden_digests;
     tc "golden format-2 digests" test_golden_format2_digests;
     tc "format-2 render allocates under half a major word per byte" test_export_allocation;
+    tc "format-2 read allocates under a minor word per byte" test_read_allocation;
   ]
   @ List.map
       (fun id -> tc ("known case " ^ id) (run_known (Cases.find_known id)))

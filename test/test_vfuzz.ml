@@ -450,6 +450,33 @@ let prop_export_import_roundtrip =
             | Error m -> QCheck2.Test.fail_reportf "import failed: %s" m
             | Ok model' -> String.equal (Model_v1.to_string model) (Model_v1.to_string model'))))
 
+(* the library reader against the tree reader it replaced ([Model_v2]):
+   both refuse a text, or both read it to the same content *)
+let same_reading text =
+  match (M.of_string text, Model_v2.of_string text) with
+  | Ok a, Ok b -> String.equal (M.content_string a) (M.content_string b)
+  | Error _, Error _ -> true
+  | Ok _, Error e -> QCheck2.Test.fail_reportf "only the tree reader refused (%s):\n%s" e text
+  | Error e, Ok _ -> QCheck2.Test.fail_reportf "only the cursor reader refused (%s):\n%s" e text
+
+(* each model's text, and 40 copies of it with one byte replaced: the
+   damage of [prop_model_v2_damage_never_raises] plus a comment, a quote
+   and a line break *)
+let prop_reader_matches_tree_reader =
+  let damage = [ ' '; '('; ')'; '9'; '-'; 'x'; ';'; '"'; '\n' ] in
+  QCheck2.Test.make ~name:"format-2 reader agrees with the tree reader, damaged or not"
+    ~count:300
+    ~print:(fun (model, _) -> M.to_string model)
+    QCheck2.Gen.(pair model_gen (list_repeat 40 (pair (int_bound 1_000_000) (oneofl damage))))
+    (fun (model, damages) ->
+      let text = M.to_string model in
+      same_reading text
+      && List.for_all
+           (fun (i, ch) ->
+             let i = i mod String.length text in
+             same_reading (String.mapi (fun j d -> if i = j then ch else d) text))
+           damages)
+
 let test_export_import_pipeline_model () =
   (* the same property over a model the real pipeline produced *)
   let spec = Vfuzz.Generate.spec ~seed:33 ~index:2 () in
@@ -494,5 +521,6 @@ let tests =
     tc "shrink candidates valid and smaller" test_shrink_candidates_valid_and_smaller;
     tc "shrink minimizes" test_shrink_minimizes;
     QCheck_alcotest.to_alcotest prop_export_import_roundtrip;
+    QCheck_alcotest.to_alcotest prop_reader_matches_tree_reader;
     tc "export/import pipeline model" test_export_import_pipeline_model;
   ]

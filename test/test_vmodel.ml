@@ -626,6 +626,66 @@ let test_model_v2_malformed () =
       ("missing nodes", "(impact-model-v2 (system s))");
     ]
 
+(* the fields of [v2_text ()], one string each *)
+let v2_fields =
+  [ "(system s)"; "(target x)"; "(related)"; "(threshold 0x1p+0)"; "(vars (var x bool config))";
+    "(nodes (var 0) (const 1) (== 0 1))"; "(rows (7 (2) () (0x1p+0 0 0 0 0 0 0 0 0) 0x1p+0 (op)))";
+    "(pairs)"; "(poor-states 7)"; "(max-ratio 0x1p+0)"; "(explored-states 1)";
+    "(analysis-wall-s 0x0p+0)"; "(virtual-analysis-s 0x0p+0)" ]
+
+let v2_of fields = "(impact-model-v2 " ^ String.concat " " fields ^ ")"
+
+(* spellings the tree reader ([Model_v2.of_string]) accepts: the library
+   reader reads each to the same model *)
+let test_model_v2_spellings () =
+  (* [v2_fields] with the field of each name in [subs] replaced *)
+  let with_fields subs =
+    List.map
+      (fun f ->
+        let named (name, _) = String.starts_with ~prefix:("(" ^ name ^ " ") f in
+        match List.find_opt named subs with Some (_, text) -> text | None -> f)
+      v2_fields
+  in
+  let read what text =
+    match (M.of_string text, Model_v2.of_string text) with
+    | Ok m, Ok want ->
+      check Alcotest.string what (M.content_string want) (M.content_string m);
+      m
+    | Error e, _ -> Alcotest.failf "%s: %s" what e
+    | _, Error e -> Alcotest.failf "%s: the tree reader refused it: %s" what e
+  in
+  ignore (read "reordered fields" (v2_of (List.rev v2_fields)));
+  let m = read "duplicated fields" (v2_of (v2_fields @ [ "(system t)"; "(rows)" ])) in
+  check Alcotest.string "the first system wins" "s" m.M.system;
+  check Alcotest.int "the first rows win" 1 (List.length m.M.rows);
+  ignore (read "unknown fields" (v2_of ("(origin (built today))" :: "lone-atom" :: v2_fields)));
+  let commented_rows =
+    "(rows ; one row\n (7 (2) () (0x1p+0 0 0 0 0 0 0 0 0) ; cost\n 0x1p+0 (op)))"
+  in
+  ignore
+    (read "comments"
+       ("; exported by hand\n" ^ v2_of (with_fields [ ("rows", commented_rows) ])
+      ^ " ; trailing\n"));
+  let m =
+    read "quoted atoms"
+      (v2_of
+         (with_fields
+            [ ("system", "(\"system\" \"s t\")");
+              ("nodes", "(nodes (var \"0\") (\"const\" 1) (== 0 1))");
+              ("rows", "(rows (\"7\" (2) () (0x1p+0 0 0 0 0 0 0 0 0) 0x1p+0 (\"o p\" \"\")))") ]))
+  in
+  check Alcotest.string "quoted system" "s t" m.M.system;
+  check (Alcotest.list Alcotest.string) "quoted ops" [ "o p"; "" ]
+    (List.hd m.M.rows).Row.critical_ops;
+  let m =
+    read "negative cost count"
+      (v2_of (with_fields [ ("rows", "(rows (7 (2) () (0x1p+0 -3 5 0 0 0 0 0 -1) 0x1p+0 (op)))") ]))
+  in
+  let cost = (List.hd m.M.rows).Row.cost in
+  check (Alcotest.list Alcotest.int) "counts after a negative one"
+    [ -3; 5; -1 ]
+    [ cost.Cost.instructions; cost.Cost.syscalls; cost.Cost.cache_ops ]
+
 (* whatever a damaged file holds, decoding answers and never raises *)
 let prop_model_v2_damage_never_raises =
   let text = M.to_string (sample_model ()) in
@@ -661,6 +721,7 @@ let tests =
     tc "model save/load" test_model_save_load;
     tc "model format 1 rejected" test_model_format1_rejected;
     tc "model format 2 malformed input" test_model_v2_malformed;
+    tc "model format 2 spellings read as the tree reader reads them" test_model_v2_spellings;
     qt prop_model_v2_damage_never_raises;
     tc "no rows" test_no_rows;
   ]
