@@ -92,11 +92,10 @@ type options = {
           truncated checkpoints) — the chaos harness's hook *)
   degradation : Vresilience.Degradation.policy;
   jobs : int;
-      (** worker domains for the pairwise diff screen
-          ({!Vmodel.Diff_analysis.analyze}, order-preserving, so models are
-          jobs-independent); exploration is sequential.  Default 1, and no
-          CLI flag sets it: on 2 cores its gain stayed inside run-to-run
-          noise. *)
+      (** passed to {!Vmodel.Diff_analysis.analyze}, which ignores it: the
+          whole analysis runs on the calling domain, so models are
+          jobs-independent.  Default 1, and no CLI flag sets it; it stays
+          only while the repository benchmark sets it. *)
 }
 
 val default_options : options

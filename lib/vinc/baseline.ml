@@ -33,10 +33,9 @@ let manifest_version = 3
 
 (* Every option that can change analysis output, rendered by hand —
    [P.options] holds closures (the budget clock, chaos streams), so
-   [Marshal] is not available.  [jobs] is excluded (it only spreads the
-   order-preserving diff screen over domains); [slice] is excluded
-   (documented byte-transparent); checkpointing fields are excluded (resume
-   reproduces the uninterrupted model). *)
+   [Marshal] is not available.  [jobs] is excluded (the diff ignores
+   it); [slice] is excluded (documented byte-transparent); checkpointing
+   fields are excluded (resume reproduces the uninterrupted model). *)
 let options_fingerprint (o : P.options) =
   let pair (n, v) = Printf.sprintf "%s=%d" n v in
   let fields =

@@ -59,8 +59,7 @@ val manifest_version : int
 val options_fingerprint : Violet.Pipeline.options -> string
 (** Digest of every option that can change analysis output (threshold,
     symbolic-set policy, budget caps, overrides, ...).  [jobs]
-    is excluded — it only spreads the order-preserving diff screen over
-    domains, so models are jobs-independent. *)
+    is excluded — the diff ignores it, so models are jobs-independent. *)
 
 val digest : t -> string
 (** Checksum of the baseline's content (program and registry keys + slice

@@ -15,14 +15,18 @@ type t = {
   pairs : poor_pair list;
   poor_state_ids : int list;
   max_ratio : float;
+  screened : int;
+  solver_queries : int;
 }
 
 (* Smoothed relative difference (slow - fast) / max(fast, floor): values at
    or below the floor on both sides count as equal, and a zero denominator
    is floored instead of yielding infinity (a path with 1 write syscall
-   versus 0 reports 200% with floor 0.5, like the paper's c17). *)
-let rel_diff ~floor slow fast =
-  if slow <= floor && fast <= floor then 0. else (slow -. fast) /. Float.max fast floor
+   versus 0 reports 200% with floor 0.5, like the paper's c17).  Inlined
+   with the max written out, so that the pair screen boxes no float. *)
+let[@inline] rel_diff ~floor slow fast =
+  if slow <= floor && fast <= floor then 0.
+  else (slow -. fast) /. if fast >= floor then fast else floor
 
 let latency_floor_us = 1.0
 
@@ -71,7 +75,7 @@ let compare_pair = metrics ~undirected:false
    structural sort makes the key independent of the order constraints were
    recorded in.  Rows with equal keys form a class, and workload classes
    repeat heavily across states, so joint-satisfiability verdicts are
-   memoized per workload class and class pair ([make_comparable]). *)
+   decided per workload class pair ([make_comparable]). *)
 let joint_sat_max_nodes = 1_000
 
 let constraint_key cs = List.map Vsmt.Expr.id (List.sort_uniq Vsmt.Expr.compare cs)
@@ -94,115 +98,162 @@ let classes keys =
       Key_tbl.find tbl k)
     keys
 
-(* The union of two ascending id arrays, read in place: its next id from
-   positions [i] and [j] is the smaller of [id_at a i] and [id_at b j]
-   ([max_int] once both are past their end), and [skip] moves each
-   position past it. *)
-let id_at a i = if i < Array.length a then a.(i) else max_int
-let skip a i u = if id_at a i = u then i + 1 else i
-
-let union_hash a b =
-  let rec go h i j =
-    let u = Int.min (id_at a i) (id_at b j) in
-    if u = max_int then Hashtbl.hash h else go ((h * 65_599) + u) (skip a i u) (skip b j u)
+(* [a] ⊆ [b], both ascending *)
+let subset (a : int array) (b : int array) =
+  let rec go i j =
+    i = Array.length a
+    || j < Array.length b
+       && if a.(i) = b.(j) then go (i + 1) (j + 1) else a.(i) > b.(j) && go i (j + 1)
   in
-  go 0 0 0
-
-let union_equal a b c d =
-  let rec go i j k l =
-    let u = Int.min (id_at a i) (id_at b j) in
-    u = Int.min (id_at c k) (id_at d l)
-    && (u = max_int || go (skip a i u) (skip b j u) (skip c k u) (skip d l u))
-  in
-  go 0 0 0 0
-
-(* [a] ⊆ [b] exactly when [a] ∪ [b] = [b] *)
-let subset a b = union_equal a b b [||]
+  go 0 0
 
 let verdict_byte v = if v then '\002' else '\001'
 
+(* A workload class as [comparable] decides it: its predicate list (for
+   the solver), its expression ids ascending (the subset test), its
+   variables sorted by name, each with the truth set of the class's
+   single-variable conjuncts on it ({!Vsmt.Iset.of_expr}, exact over the
+   domain; the whole domain when it has none), and the conjuncts those
+   sets do not close.  [vars] is [None] when one name comes with two
+   domains: then no point of the sets is one assignment. *)
+type wclass = {
+  pred : Vsmt.Expr.t list;
+  foot : Vsmt.Footprint.t;
+  ids : int array;
+  vars : (Vsmt.Expr.var * Vsmt.Iset.t) array option;
+  rest : Vsmt.Expr.t list;
+}
+
+let wclass_of pred =
+  let ids = Array.of_list (constraint_key pred) in
+  Array.sort Int.compare ids;
+  let sets = Hashtbl.create 4 and rest = ref [] and clash = ref false in
+  let note (v : Vsmt.Expr.var) s =
+    match Hashtbl.find_opt sets v.name with
+    | None -> Hashtbl.replace sets v.name (v, s)
+    | Some ((u : Vsmt.Expr.var), t) ->
+      if Vsmt.Dom.equal u.dom v.dom then Hashtbl.replace sets v.name (u, Vsmt.Iset.inter t s)
+      else clash := true
+  in
+  List.iter
+    (fun c ->
+      let vs = Vsmt.Expr.vars c in
+      match match vs with [ v ] -> Vsmt.Iset.of_expr ~var:v c | _ -> None with
+      | Some s -> note (List.hd vs) s
+      | None ->
+        rest := c :: !rest;
+        List.iter (fun (v : Vsmt.Expr.var) -> note v (Vsmt.Iset.of_dom v.dom)) vs)
+    pred;
+  let by_name ((a : Vsmt.Expr.var), _) ((b : Vsmt.Expr.var), _) = String.compare a.name b.name in
+  let vars =
+    if !clash then None
+    else Some (Array.of_list (List.sort by_name (Hashtbl.fold (fun _ b acc -> b :: acc) sets [])))
+  in
+  { pred; foot = Vsmt.Footprint.of_list pred; ids; vars; rest = !rest }
+
+(* The sets' verdict on a class pair: [Some false] when some variable's
+   sets do not meet, [Some true] when every other conjunct holds at the
+   point taking each variable's least common value, [None] (open)
+   otherwise.  [names] and [values] hold the point; each is at least as
+   long as the two classes' variables together. *)
+let sets_verdict ~names ~values a b =
+  match (a.vars, b.vars) with
+  | None, _ | _, None -> None
+  | Some va, Some vb ->
+    let k = ref 0 and clash = ref false in
+    let put (v : Vsmt.Expr.var) s t =
+      match Vsmt.Iset.min_inter s t with
+      | None -> false
+      | Some x ->
+        names.(!k) <- v.name;
+        values.(!k) <- x;
+        incr k;
+        true
+    in
+    let rec merge i j =
+      if i = Array.length va && j = Array.length vb then true
+      else
+        let c =
+          if i = Array.length va then 1
+          else if j = Array.length vb then -1
+          else String.compare (fst va.(i)).name (fst vb.(j)).name
+        in
+        if c < 0 then put (fst va.(i)) (snd va.(i)) (snd va.(i)) && merge (i + 1) j
+        else if c > 0 then put (fst vb.(j)) (snd vb.(j)) (snd vb.(j)) && merge i (j + 1)
+        else
+          let (u, s), (v, t) = (va.(i), vb.(j)) in
+          (if Vsmt.Dom.equal u.dom v.dom then put u s t else (clash := true; true))
+          && merge (i + 1) (j + 1)
+    in
+    if not (merge 0 0) then Some false
+    else if !clash then None
+    else
+      let rec find name m = if String.equal names.(m) name then values.(m) else find name (m + 1) in
+      let holds c = Vsmt.Expr.eval (fun (v : Vsmt.Expr.var) -> find v.name 0) c <> 0 in
+      if List.for_all holds a.rest && List.for_all holds b.rest then Some true else None
+
 (* [comparable i j] over row indices [i < j] in different config classes
-   (condition 1 is the ranking's filter): whether their workloads are
-   jointly satisfiable.  [wkey.(i)] and [wfoot.(i)] are the workload key
-   and footprint of row [i]'s state.  Every memo goes by workload class
-   (rows with equal [wkey], each held once as an ascending id array): a
-   byte per class for the per-side verdicts, a byte per unordered class
-   pair for the answer, and between them the union memo.  A verdict byte
-   reads 0 not yet asked, 1 unsat, 2 sat. *)
-let make_comparable ~max_nodes ~slice ~wfoot ~wkey (arr : Cost_row.t array) =
+   (condition 1 is the ranking's filter): whether their states' workloads
+   are jointly satisfiable.  [wkey.(i)] and [preds.(i)] are the workload
+   key and predicate of row [i]'s state (its last row), and each class
+   takes its first row's, so a verdict is a function of the two workload
+   classes: a byte per unordered class pair holds it, filled by the first
+   query.  That query takes the subset test, then the truth sets, then the
+   solver, through per-class verdicts (a byte per class) when the two
+   footprints are disjoint under [slice].  A verdict byte reads 0 not yet
+   asked, 1 unsat, 2 sat.  [solved] counts the solver queries. *)
+let make_comparable ~max_nodes ~slice ~solved ~wkey preds =
   let wcls = classes wkey in
   let nw = Array.fold_left max (-1) wcls + 1 in
   let first = Array.make nw (-1) in
   Array.iteri (fun i x -> if first.(x) < 0 then first.(x) <- i) wcls;
-  let ids =
-    Array.map
-      (fun i ->
-        let a = Array.of_list wkey.(i) in
-        Array.sort Int.compare a;
-        a)
-      first
+  let cl = Array.map (fun i -> wclass_of preds.(i)) first in
+  let width =
+    Array.fold_left (fun m c -> max m (Option.fold ~none:0 ~some:Array.length c.vars)) 0 cl
   in
-  (* the union memo: a class pair [x * nw + y] stands for the union of the
-     two classes' id sets, so pairs whose predicates conjoin to the same
-     set share an entry; hash and equality merge the arrays in place *)
-  let module Union_tbl = Hashtbl.Make (struct
-    type t = int
-
-    let equal p q = union_equal ids.(p / nw) ids.(p mod nw) ids.(q / nw) ids.(q mod nw)
-    let hash p = union_hash ids.(p / nw) ids.(p mod nw)
-  end) in
-  let sat_cache = Union_tbl.create 256 in
-  (* per-side verdicts for the disjoint-footprint fast path, a byte per
-     workload class *)
+  let names = Array.make (2 * width) "" and values = Array.make (2 * width) 0 in
+  let solve pred =
+    incr solved;
+    Vsmt.Solver.is_feasible ~max_nodes pred
+  in
   let sides = Bytes.make nw '\000' in
-  let side_sat x pred =
+  let side_sat x =
     match Bytes.get sides x with
     | '\000' ->
-      let v = Vsmt.Solver.is_feasible ~max_nodes pred in
+      let v = solve cl.(x).pred in
       Bytes.set sides x (verdict_byte v);
       v
     | c -> c = '\002'
   in
-  let joint_sat i j x y =
-    let a = arr.(i) and b = arr.(j) in
+  let joint_sat x y =
+    let a = cl.(x) and b = cl.(y) in
     (* one predicate subsuming the other is trivially jointly sat *)
-    subset ids.(x) ids.(y) || subset ids.(y) ids.(x)
+    subset a.ids b.ids || subset b.ids a.ids
     ||
-    let key = (x * nw) + y in
-    match Union_tbl.find_opt sat_cache key with
+    match sets_verdict ~names ~values a b with
     | Some v -> v
     | None ->
-      let v =
-        (* symbol-disjoint predicates constrain different input variables:
-           the conjunction is satisfiable iff each side is, and the
-           per-side verdicts are shared across every pairing of that input
-           class *)
-        if slice && not (Vsmt.Footprint.overlaps wfoot.(i) wfoot.(j)) then
-          side_sat x a.Cost_row.workload_pred && side_sat y b.Cost_row.workload_pred
-        else
-          Vsmt.Solver.is_feasible ~max_nodes (a.Cost_row.workload_pred @ b.Cost_row.workload_pred)
-      in
-      Union_tbl.add sat_cache key v;
-      v
+      (* symbol-disjoint predicates constrain different input variables:
+         the conjunction is satisfiable iff each side is, and the per-side
+         verdicts are shared across every pairing of that input class *)
+      if slice && not (Vsmt.Footprint.overlaps a.foot b.foot) then
+        side_sat x && side_sat y
+      else solve (a.pred @ b.pred)
   in
-  (* one verdict per unordered workload-class pair, a byte each in a
-     triangle, in front of the rest: [joint_sat]'s subset test and union
-     memo read only the two classes, so its first answer for a pair is what
-     it would answer every later query *)
   let verdicts = Bytes.make (nw * (nw + 1) / 2) '\000' in
   fun i j ->
     let x = wcls.(i) and y = wcls.(j) in
     let k = if x > y then (x * (x + 1) / 2) + y else (y * (y + 1) / 2) + x in
     match Bytes.get verdicts k with
     | '\000' ->
-      let v = joint_sat i j x y in
+      let v = joint_sat x y in
       Bytes.set verdicts k (verdict_byte v);
       v
     | c -> c = '\002'
 
 (* The full metric comparison for an (a, b) pair: latency decides the slow
-   side; logical metrics count in either direction.  Shared by the screen
-   and the final pair construction. *)
+   side; logical metrics count in either direction.  Builds the kept
+   pairs; the screen reads the same rule from [metric_vector]. *)
 let pair_triggers ~threshold a b =
   let slow, fast =
     if a.Cost_row.traced_latency_us >= b.Cost_row.traced_latency_us then a, b else b, a
@@ -211,10 +262,61 @@ let pair_triggers ~threshold a b =
     (fun (worst, triggers) -> (slow, fast, worst, triggers))
     (metrics ~undirected:true ~threshold ~slow ~fast)
 
+(* Each row's traced latency and then its logical metrics, [stride]
+   floats a row in one unboxed array. *)
+let stride = 1 + List.length Vruntime.Cost.logical_metrics
+let floors =
+  Array.of_list (List.map (fun (name, _) -> logical_floor name) Vruntime.Cost.logical_metrics)
+
+let metric_vector arr =
+  let v = Array.make (Array.length arr * stride) 0. in
+  Array.iteri
+    (fun r (row : Cost_row.t) ->
+      v.(r * stride) <- row.traced_latency_us;
+      List.iteri
+        (fun m (_, get) -> v.((r * stride) + 1 + m) <- get row.cost)
+        Vruntime.Cost.logical_metrics)
+    arr;
+  v
+
+(* whether [pair_triggers] triggers on rows [i] and [j] of [v]: latency
+   measured from the slower row, each logical metric from its larger side.
+   The reads go unchecked: both rows are in [v], and [floors] has a slot
+   per logical metric. *)
+let screen ~threshold (v : float array) i j =
+  let a = i * stride and b = j * stride in
+  let la = Array.unsafe_get v a and lb = Array.unsafe_get v b in
+  let hit =
+    ref
+      ((if la >= lb then rel_diff ~floor:latency_floor_us la lb
+        else rel_diff ~floor:latency_floor_us lb la)
+      > threshold)
+  in
+  let m = ref 1 in
+  while (not !hit) && !m < stride do
+    let x = Array.unsafe_get v (a + !m) and y = Array.unsafe_get v (b + !m) in
+    let floor = Array.unsafe_get floors (!m - 1) in
+    hit := (if x >= y then rel_diff ~floor x y else rel_diff ~floor y x) > threshold;
+    incr m
+  done;
+  !hit
+
 let rec bits x = if x <= 0 then 0 else 1 + bits (x lsr 1)
 
-let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(slice = true)
-    rows =
+(* in-place binary min-heap over [h.(0) .. h.(len - 1)]: move [h.(p)] down *)
+let rec sift (h : int array) len p =
+  let c = (2 * p) + 1 in
+  if c < len then begin
+    let c = if c + 1 < len && h.(c + 1) < h.(c) then c + 1 else c in
+    if h.(c) < h.(p) then begin
+      let x = h.(p) in
+      h.(p) <- h.(c);
+      h.(c) <- x;
+      sift h len c
+    end
+  end
+
+let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?(slice = true) rows =
   let arr = Array.of_list rows in
   let n = Array.length arr in
   (* the cap and every per-state key go by state id: a repeated id shares
@@ -227,12 +329,16 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
   let wfoot = foot (fun r -> r.Cost_row.workload_pred) in
   let key_of f = Array.map (fun r -> constraint_key (f arr.(r))) reps in
   let cls = classes (key_of (fun r -> r.Cost_row.config_constraints)) in
+  let solved = ref 0 and screened = ref 0 in
   let comparable =
-    make_comparable ~max_nodes ~slice ~wfoot ~wkey:(key_of (fun r -> r.Cost_row.workload_pred)) arr
+    make_comparable ~max_nodes ~slice ~solved
+      ~wkey:(key_of (fun r -> r.Cost_row.workload_pred))
+      (Array.map (fun r -> arr.(r).Cost_row.workload_pred) reps)
   in
   (* a candidate (i, j), i < j, is one int ordered like (similarity desc,
      i asc, j asc): the order the analyzer reads pairs in *)
   let ib = bits (n - 1) in
+  let mask = (1 lsl ib) - 1 in
   let max_sim =
     Array.fold_left
       (fun m (r : Cost_row.t) ->
@@ -240,73 +346,74 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
       0 arr
   in
   if (2 * ib) + bits max_sim > 61 then invalid_arg "Diff_analysis.analyze: too many rows";
-  let unpack k = ((k lsr ib) land ((1 lsl ib) - 1), k land ((1 lsl ib) - 1)) in
   (* the footprint screen is part of slicing: its footprints are per state
      (the last row's), so under a repeated id it can zero a count that the
      rows' own lists, counted in full without slicing, would give *)
   let shared = if slice then Similarity.shared else fun _ _ -> Similarity.appearance_count in
-  (* row [r]'s candidates as the slow side ([pair_triggers]' rule) in other
-     config classes (a same-class pair is never comparable), ranked; pure,
-     so rows fan out over the worker pool *)
-  let rank r =
-    let hits = ref [] in
-    for q = 0 to n - 1 do
-      let i = min q r and j = max q r in
-      let a = arr.(i) and b = arr.(j) in
-      if
-        cls.(q) <> cls.(r)
-        && (if a.traced_latency_us >= b.traced_latency_us then i else j) = r
-        && Option.is_some (pair_triggers ~threshold a b)
-      then begin
-        let sim =
-          shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
-          + shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
-        in
-        hits := ((max_sim - sim) lsl (2 * ib)) lor (i lsl ib) lor j :: !hits
-      end
-    done;
-    let ranked = Array.of_list !hits in
-    Array.sort Int.compare ranked;
-    ranked
-  in
-  let ranked = Vpar.Pool.map_array ~jobs:(Vpar.Pool.clamp_jobs jobs) rank (Array.init n Fun.id) in
-  (* walk the rows' lists merged in key order (a binary heap over their
-     heads), skipping states that already hold their 8 most similar
-     witnesses: [comparable] fills memos whose first query decides later
-     verdicts, so it must see the pairs in this one global order *)
-  let pos = Array.make n 0 and kept = Array.make n 0 in
-  let head s = if pos.(s) < Array.length ranked.(s) then ranked.(s).(pos.(s)) else max_int in
-  let heap = Array.init n Fun.id in
-  let rec sift p =
-    let c = (2 * p) + 1 in
-    let c = if c + 1 < n && head heap.(c + 1) < head heap.(c) then c + 1 else c in
-    if c < n && head heap.(c) < head heap.(p) then begin
-      let s = heap.(p) in
-      heap.(p) <- heap.(c);
-      heap.(c) <- s;
-      sift c
-    end
-  in
-  for p = (n / 2) - 1 downto 0 do
-    sift p
-  done;
+  let v = metric_vector arr in
+  (* one state at a time, since a verdict depends only on its class pair:
+     its rows' candidates as the slow side ([pair_triggers]' rule) in
+     other config classes (a same-class pair is never comparable) go to
+     one reused buffer, a heap yields them in key order, and the state
+     keeps its first 8 comparable ones, its 8 most similar witnesses *)
+  let buf = ref (Array.make (max n 1) 0) and len = ref 0 in
   let chosen = ref [] in
-  while n > 0 && head heap.(0) < max_int do
-    let s = heap.(0) in
-    let k = head s and st = reps.(s) in
-    let i, j = unpack k in
-    if kept.(st) < 8 && comparable i j then begin
-      chosen := k :: !chosen;
-      kept.(st) <- kept.(st) + 1
-    end;
-    pos.(s) <- (if kept.(st) = 8 then Array.length ranked.(s) else pos.(s) + 1);
-    sift 0
+  for st = 0 to n - 1 do
+    if reps.(st) = st then begin
+      len := 0;
+      (* the state's rows: [st] and the rows before it with its id *)
+      for s = 0 to st do
+        if reps.(s) = st then begin
+          let c = cls.(s) in
+          (* [q], [i] and [j] are rows: the reads of [cls] and [v] go unchecked *)
+          for q = 0 to n - 1 do
+            let i = if q < s then q else s and j = if q < s then s else q in
+            let slow =
+              if Array.unsafe_get v (i * stride) >= Array.unsafe_get v (j * stride) then i else j
+            in
+            if Array.unsafe_get cls q <> c && slow = s then begin
+              incr screened;
+              if screen ~threshold v i j then begin
+                let a = arr.(i) and b = arr.(j) in
+                let sim =
+                  shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
+                  + shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
+                in
+                if !len = Array.length !buf then begin
+                  let grown = Array.make (2 * !len) 0 in
+                  Array.blit !buf 0 grown 0 !len;
+                  buf := grown
+                end;
+                !buf.(!len) <- ((max_sim - sim) lsl (2 * ib)) lor (i lsl ib) lor j;
+                incr len
+              end
+            end
+          done
+        end
+      done;
+      let h = !buf and kept = ref 0 in
+      for p = (!len / 2) - 1 downto 0 do
+        sift h !len p
+      done;
+      while !kept < 8 && !len > 0 do
+        let k = h.(0) in
+        decr len;
+        h.(0) <- h.(!len);
+        sift h !len 0;
+        if comparable ((k lsr ib) land mask) (k land mask) then begin
+          chosen := k :: !chosen;
+          incr kept
+        end
+      done
+    end
   done;
+  let chosen = Array.of_list !chosen in
+  Array.sort Int.compare chosen;
   let max_ratio = ref 0. in
   let pairs =
-    List.rev_map
-      (fun k ->
-        let i, j = unpack k in
+    Array.fold_right
+      (fun k acc ->
+        let i = (k lsr ib) land mask and j = k land mask in
         let slow, fast, worst, triggers = Option.get (pair_triggers ~threshold arr.(i) arr.(j)) in
         let latency_ratio =
           if fast.Cost_row.traced_latency_us <= 0. then infinity
@@ -325,8 +432,9 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
              else 1. +. worst);
           triggers;
           diff = Critical_path.differential ~slow ~fast;
-        })
-      !chosen
+        }
+        :: acc)
+      chosen []
   in
   let poor_state_ids =
     List.sort_uniq Int.compare (List.map (fun p -> p.slow.Cost_row.state_id) pairs)
@@ -339,7 +447,14 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?(jobs = 1) ?(
       | Some p -> if p.worst_ratio > !max_ratio then max_ratio := p.worst_ratio
       | None -> ())
     poor_state_ids;
-  { threshold; pairs; poor_state_ids; max_ratio = !max_ratio }
+  {
+    threshold;
+    pairs;
+    poor_state_ids;
+    max_ratio = !max_ratio;
+    screened = !screened;
+    solver_queries = !solved;
+  }
 
 let trigger_label triggers =
   let has_latency = List.mem Latency triggers in

@@ -24,6 +24,8 @@ type t = {
   poor_state_ids : int list;  (** distinct ids of slow states *)
   max_ratio : float;  (** the "Max Diff" headline (Table 4): worst metric
                           ratio among each poor state's most-similar pair *)
+  screened : int;  (** pairs whose triggers were tested *)
+  solver_queries : int;  (** joint-input queries sent to the solver *)
 }
 
 val compare_pair :
@@ -42,24 +44,32 @@ val analyze :
     traced latency is higher.  A pair is kept when it triggers, its states
     are comparable (different config sets, jointly satisfiable workloads)
     and its slow state keeps fewer than 8 earlier pairs: each state's 8
-    most similar witnesses.  The cap and the per-state keys go by
-    [state_id].  [max_nodes] bounds the joint-input satisfiability queries
-    (default 1_000).  [jobs] (default 1) spreads the ranking of each
-    row's slow-side pairs over a {!Vpar.Pool}: the partners in other config
-    classes (a same-class pair is never ranked), their triggers, their
-    similarity and the sort.  The comparability walk that follows stays
-    sequential and in the order above, so the result is the same for any
-    job count.  It decides joint satisfiability once per unordered pair of
-    workload classes (rows with the same workload predicate set): the
-    pair's first query asks the memoized solver path, later ones read its
-    verdict.  That path's memo is keyed on the class pair and compares
-    the union of the two classes' predicate sets, so class pairs whose
-    predicates conjoin to the same set share one solver answer.  [slice]
-    (default [true]) splits joint satisfiability of symbol-disjoint
-    workload predicates into per-side queries memoized per input class,
-    and lets the similarity count skip symbol-disjoint constraint lists
-    ({!Similarity.shared}); without it every pair is counted in full
-    ({!Similarity.appearance_count}). *)
+    most similar witnesses.
+
+    The cap and the per-state keys go by [state_id]: rows sharing an id
+    (only a hand-made trace file has them) are one state, with its last
+    row's constraint sets and workload predicate.  Joint satisfiability
+    reads only the two states' workload classes (states with the same
+    workload predicate set), so it is decided once per unordered pair of
+    classes: one predicate set containing the other is sat; else each
+    class's per-variable truth sets ({!Vsmt.Iset.of_expr} over its
+    single-variable conjuncts, built once per class) decide it, unsat when
+    some variable's sets do not meet, sat when every other conjunct holds
+    at the least common value of each variable; only what they leave open
+    goes to the solver (so does a name declared with two domains), with
+    [max_nodes] (default 1_000) bounding each query.  Since no verdict
+    depends on the order pairs are asked in, the walk takes one state at
+    a time: it ranks the state's slow-side candidates in other config
+    classes into one reused buffer, keeps the first 8 comparable ones in
+    the order above, and the kept pairs are sorted once at the end.
+
+    [slice] (default [true]) splits the solver's joint satisfiability of
+    symbol-disjoint workload predicates into per-side queries memoized per
+    workload class, and lets the similarity count skip symbol-disjoint
+    constraint lists ({!Similarity.shared}); without it every pair is
+    counted in full ({!Similarity.appearance_count}).  [jobs] is accepted
+    and ignored: the analysis runs on the calling domain, and the argument
+    stays only because the repository benchmark passes it. *)
 
 module Key_tbl : Hashtbl.S with type key = int list
 (** Tables keyed on lists of expression ids; the hash reads every id.

@@ -1,12 +1,13 @@
-(** Domain-based worker pool: the one place in [lib/] that runs code on a
-    second domain.
+(** Domain-based worker pool: the one place in [lib/] that could run code
+    on a second domain.
 
     A pool is a fixed team of [jobs] workers: worker 0 is the calling domain,
     workers 1..jobs-1 are spawned domains.  Work is handed out through
-    {!map_array} (self-dispatching data parallelism); its one caller is the
-    trace analyzer's per-state ranking ([Diff_analysis.analyze ~jobs]).
-    Everything else that needs concurrency — serving, the fleet, the fuzz
-    oracle's daemon legs — forks processes instead.
+    {!map_array} (self-dispatching data parallelism), which no code in
+    [lib/] calls any more: the trace analyzer's per-state walk runs on the
+    calling domain.  Everything that needs concurrency — serving, the
+    fleet, the fuzz oracle's daemon legs — forks processes instead, and
+    checks {!spawned_domains} first.
 
     Determinism contract: the pool never reorders results.  [map_array] writes
     each result at its input's index, so any run-order nondeterminism is
@@ -33,7 +34,7 @@ val map_array : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
     the simplifier and footprint memos, the checker's memos and every other
     table in [lib/] are plain, unsynchronised structures, because nothing
     but [f] ever runs on a spawned domain.  Precompute what [f] needs into
-    arrays first, as the diff ranking does.
+    arrays first.
 
     With [jobs = 1] (or on arrays of fewer than 2 elements) no domain is
     spawned.  If [f] raises, the first exception (by worker) is re-raised

@@ -51,6 +51,19 @@ let inter (a : t) (b : t) : t =
   done;
   Array.of_list (List.rev !out)
 
+(* the first overlap in merged order holds the least common value *)
+let min_inter (a : t) (b : t) =
+  let rec go i j =
+    if i >= Array.length a || j >= Array.length b then None
+    else
+      let x = a.(i) and y = b.(j) in
+      let lo = max x.Interval.lo y.Interval.lo in
+      if lo <= min x.Interval.hi y.Interval.hi then Some lo
+      else if x.Interval.hi < y.Interval.hi then go (i + 1) j
+      else go i (j + 1)
+  in
+  go 0 0
+
 let union (a : t) (b : t) : t = of_intervals (Array.to_list a @ Array.to_list b)
 
 let complement ~dom (s : t) : t =

@@ -24,6 +24,10 @@ val mem : int -> t -> bool
 (** Binary search over the normalized ranges. *)
 
 val inter : t -> t -> t
+val min_inter : t -> t -> int option
+(** The least value in both sets, [None] when they are disjoint:
+    [min_inter s s] is the least value of [s]. *)
+
 val union : t -> t -> t
 val complement : dom:Dom.t -> t -> t
 (** Domain values not in the set (the set is first clipped to the domain). *)

@@ -12,8 +12,9 @@ else
 fi
 
 echo "== concurrency primitives stay in lib/vpar =="
-# Vpar.Pool.map_array is the only code that runs on a second domain; every
-# other lib/ table is plain, so no other module may lock, spawn or signal
+# no lib/ code runs on a second domain: Vpar.Pool.map_array, the one thing
+# that could, has no caller left in lib/ (only test_vpar), and every lib/
+# table is plain, so no other module may lock, spawn or signal
 if grep -rnE '\b(Mutex|Atomic|Condition|Domain)\.' lib --include='*.ml' | grep -v '^lib/vpar/'; then
   echo "concurrency primitives outside lib/vpar (listed above)"
   exit 1
@@ -48,9 +49,11 @@ echo "== dune build =="
 dune build
 
 echo "== analyze peak RSS =="
-# the trace diff's joint-satisfiability memos are keyed by workload class
-# and class pair; keep them from growing back to per-query merged id lists
-# (36.7 MB peak with those, 20.9 MB without, on a 2-core x86-64 container).
+# the trace diff walks one state at a time through one reused candidate
+# buffer and keeps a byte per workload-class pair, with no per-row ranked
+# arrays and no union memo; keep them from coming back (20.1-20.2 MB peak
+# with them, 16.1-16.3 MB without, 5 runs each on a 2-core x86-64
+# container; 36.7 MB when the union memo keyed merged id lists).
 # Run the built binary, not `dune exec`: dune's own peak would count.
 python3 - <<'EOF'
 import resource, subprocess, sys
@@ -58,8 +61,8 @@ subprocess.run(["./_build/default/bin/violet_cli.exe", "analyze", "mysql", "max_
                check=True, stdout=subprocess.DEVNULL)
 mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print("analyze mysql max_allowed_packet: peak RSS %.1f MB" % mb)
-if mb > 28:
-    sys.exit("analyze peak RSS: %.1f MB, over 28 MB" % mb)
+if mb > 19:
+    sys.exit("analyze peak RSS: %.1f MB, over 19 MB" % mb)
 EOF
 
 echo "== export peak RSS =="

@@ -19,7 +19,7 @@ let () =
       ("patterns", Test_patterns.tests);
       ("subsystems", Test_subsystems.tests);
       ("vsched", Test_vsched.tests);
-      (* Every suite that forks comes before every suite that runs jobs 4 in
+      (* Every suite that forks comes before the one that spawns domains in
          this process: OCaml 5 forbids [Unix.fork] once any domain has been
          spawned.  These four fork (a kill -9 victim, a supervisor, a daemon,
          the oracle's daemons and fleets)... *)
@@ -27,7 +27,8 @@ let () =
       ("vfleet", Test_vfleet.tests);
       ("vserve", Test_vserve.tests);
       ("vfuzz", Test_vfuzz.tests);
-      (* ...and these spawn domains at jobs 4 *)
+      (* ...and vpar's pool tests spawn domains; vmodel-ref, vslice and
+         vinc set jobs 4, which the diff ignores *)
       ("vpar", Test_vpar.tests);
       ("vmodel-ref", Test_vmodel.after_fork_tests);
       ("vslice", Test_vslice.tests);

@@ -149,8 +149,8 @@ let golden_format2_digests =
     ("squid", "cache", "9e7424a2ba2f427bbf0ca4a4c160bf39");
   ]
 
-(* each golden model analyzed once: the model, and the model read back
-   from the registry file it exports to *)
+(* each golden model analyzed once: the model, the model read back from
+   the registry file it exports to, and its diff's solver queries *)
 let golden_models =
   lazy
     (List.map
@@ -163,15 +163,15 @@ let golden_models =
              (fun () -> Result.bind (P.export_model a.P.model path) (fun () -> P.import_model path))
          in
          match imported with
-         | Ok m -> ((system, param), (a.P.model, m))
+         | Ok m -> ((system, param), (a.P.model, m, a.P.diff.Vmodel.Diff_analysis.solver_queries))
          | Error e -> Alcotest.failf "%s/%s: %s" system param e)
        golden_digests)
 
 let check_golden table digest =
   List.iter
     (fun (system, param, want) ->
-      let model = List.assoc (system, param) (Lazy.force golden_models) in
-      check Alcotest.string (system ^ "/" ^ param) want (digest model))
+      let model, imported, _ = List.assoc (system, param) (Lazy.force golden_models) in
+      check Alcotest.string (system ^ "/" ^ param) want (digest (model, imported)))
     table
 
 let test_golden_digests () =
@@ -180,6 +180,20 @@ let test_golden_digests () =
 let test_golden_format2_digests () =
   check_golden golden_format2_digests (fun (model, _) -> Vinc.Baseline.model_digest model)
 
+(* The diff decides a workload-class pair from per-variable truth sets
+   and asks the solver only what they leave open: max_allowed_packet
+   sends it 620 joint-input queries (34,275 when every pair the subset
+   test and the union memo left went there), autocommit none (5,353).
+   The bounds are a tenth of the old counts and zero. *)
+let test_diff_solver_queries () =
+  List.iter
+    (fun (param, most) ->
+      let _, _, queries = List.assoc ("mysql", param) (Lazy.force golden_models) in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d solver queries, at most %d" param queries most)
+        true (queries <= most))
+    [ ("max_allowed_packet", 3_427); ("autocommit", 0) ]
+
 (* The printer appends one short-lived tree per item to one buffer the
    process reuses, so a warm render leaves little in the major heap beyond
    the string it returns (0.13 words per byte).  Building the whole
@@ -187,7 +201,7 @@ let test_golden_format2_digests () =
    are flushed on both sides: they lag until a minor collection and a
    major slice. *)
 let test_export_allocation () =
-  let model, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
+  let model, _, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
   let major_words () =
     Gc.minor ();
     ignore (Gc.major_slice 0);
@@ -207,7 +221,7 @@ let test_export_allocation () =
    returns (the hash-consed nodes exist already): 0.57 minor words per
    byte.  Parsing through a whole [Sexp.t] tree first read 3.57. *)
 let test_read_allocation () =
-  let model, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
+  let model, _, _ = List.assoc ("mysql", "autocommit") (Lazy.force golden_models) in
   let text = Vmodel.Impact_model.to_string model in
   let read () =
     match Vmodel.Impact_model.of_string text with Ok m -> m | Error e -> Alcotest.fail e
@@ -251,3 +265,4 @@ let tests =
           (Printf.sprintf "unknown case %s/%s" u.Cases.u_system u.Cases.u_param)
           (run_unknown u))
       Cases.unknown
+  @ [ tc "diff solver queries on mysql" test_diff_solver_queries ]

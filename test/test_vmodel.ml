@@ -231,11 +231,13 @@ let test_key_tbl_hashes_every_id () =
 (* Diff_analysis against the materialising reference                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The analyzer as it was before per-state ranking, kept verbatim as a
-   test-only reference (its order-preserving parallel screen runs
-   sequentially here): screen every pair, materialise the triggered ones,
-   score them, stable-sort by similarity, then walk the whole list with
-   the per-state cap. *)
+(* The analyzer as it was before per-state ranking, kept as a test-only
+   reference (its order-preserving parallel screen runs sequentially
+   here): screen every pair, materialise the triggered ones, score them,
+   stable-sort by similarity, then walk the whole list with the per-state
+   cap, asking the solver about each state's last-row workload predicate.
+   That one change from the former code makes a repeated state id one
+   predicate, as [analyze] has it. *)
 module Reference = struct
   let rel_diff ~floor slow fast =
     if slow <= floor && fast <= floor then 0. else (slow -. fast) /. Float.max fast floor
@@ -252,7 +254,8 @@ module Reference = struct
         Hashtbl.replace tbl r.Row.state_id
           ( constraint_key r.Row.config_constraints,
             constraint_key r.Row.workload_pred,
-            Vsmt.Footprint.of_list r.Row.workload_pred ))
+            Vsmt.Footprint.of_list r.Row.workload_pred,
+            r.Row.workload_pred ))
       rows;
     let sat_cache : (int list, bool) Hashtbl.t = Hashtbl.create 256 in
     let side_cache : (int list, bool) Hashtbl.t = Hashtbl.create 64 in
@@ -265,8 +268,8 @@ module Reference = struct
         v
     in
     fun a b ->
-      let ca, wa, fa = Hashtbl.find tbl a.Row.state_id in
-      let cb, wb, fb = Hashtbl.find tbl b.Row.state_id in
+      let ca, wa, fa, pa = Hashtbl.find tbl a.Row.state_id in
+      let cb, wb, fb, pb = Hashtbl.find tbl b.Row.state_id in
       ca <> cb
       && begin
            let subset x y = List.for_all (fun c -> List.mem c y) x in
@@ -278,8 +281,8 @@ module Reference = struct
            | None ->
              let v =
                if slice && not (Vsmt.Footprint.overlaps fa fb) then
-                 side_sat wa a.Row.workload_pred && side_sat wb b.Row.workload_pred
-               else Vsmt.Solver.is_feasible ~max_nodes (a.Row.workload_pred @ b.Row.workload_pred)
+                 side_sat wa pa && side_sat wb pb
+               else Vsmt.Solver.is_feasible ~max_nodes (pa @ pb)
              in
              Hashtbl.add sat_cache key v;
              v
@@ -395,15 +398,30 @@ module Reference = struct
         | Some p -> if p.Diff.worst_ratio > !max_ratio then max_ratio := p.Diff.worst_ratio
         | None -> ())
       poor_state_ids;
-    { Diff.threshold; pairs; poor_state_ids; max_ratio = !max_ratio }
+    {
+      Diff.threshold;
+      pairs;
+      poor_state_ids;
+      max_ratio = !max_ratio;
+      screened = 0;
+      solver_queries = 0;
+    }
 end
 
 let mode = cvar "mode" (Vsmt.Dom.int_range 0 3)
 let len = wvar "len" (Vsmt.Dom.int_range 0 10)
+let conns = wvar "conns" (Vsmt.Dom.int_range 0 6)
+let reqs = wvar "reqs" (Vsmt.Dom.int_range 0 6)
+let bytes = wvar "bytes" (Vsmt.Dom.int_range 0 1_000_000)
 
 (* Small constraint pools, so rows share constraints, whole config sets
    (also listed in other orders) and similarities; [kind] and [len] bounds
-   contradict each other, so some workload pairs are jointly unsat. *)
+   contradict each other, so some workload pairs are jointly unsat.  The
+   workload pool reaches each way the diff decides a workload-class pair:
+   truth sets that do not meet (unsat), a witness point at which the
+   product and the two-variable [Or] hold (sat), and the solver when the
+   point fails them ([conns >= 3] and [reqs >= 2] against the product).
+   [bytes] has a domain far wider than the solver enumerates. *)
 let config_pool =
   E.
     [
@@ -423,6 +441,13 @@ let workload_pool =
       of_var len >. const 7;
       of_var len <=. const 3;
       of_var len ==. const 0;
+      of_var len <>. const 5;
+      (of_var kind ==. const 1) ||. (of_var len >. const 8);
+      of_var conns *. of_var reqs <=. const 4;
+      of_var conns >=. const 3;
+      of_var reqs >=. const 2;
+      of_var bytes >. const 4096;
+      of_var bytes <=. const 512;
     ]
 
 (* Rows with equal latencies (few values), duplicated constraints within a
@@ -451,6 +476,46 @@ let gen_rows =
   List.filteri (fun i _ -> i < hub_at) rows
   @ (hub :: List.filteri (fun i _ -> i >= hub_at) rows)
 
+(* A repeated state id takes its last row's workload predicate: pairing
+   either row of state 1 with state 2 asks the same class pair, so the
+   two rows' contradicting predicates cannot make the verdict depend on
+   which row is asked first. *)
+let test_repeated_id_follows_last_row () =
+  let fast =
+    row ~id:2 ~configs:E.[ of_var flag ==. const 0 ] ~workload:E.[ of_var len <=. const 3 ]
+      ~latency:100. ()
+  in
+  let analyze preds =
+    let slow w =
+      row ~id:1 ~configs:E.[ of_var flag ==. const 1 ] ~workload:[ w ] ~latency:1000. ()
+    in
+    Diff.analyze (List.map slow preds @ [ fast ])
+  in
+  let len_over_7 = E.(of_var len >. const 7) and kind_r = E.(of_var kind ==. const 0) in
+  let d = analyze [ len_over_7; kind_r ] in
+  check Alcotest.bool "last row kind == R meets len <= 3" true (Diff.is_poor d 1);
+  check Alcotest.int "both rows paired" 2 (List.length d.Diff.pairs);
+  let d = analyze [ kind_r; len_over_7 ] in
+  check Alcotest.bool "last row len > 7 does not meet len <= 3" false (Diff.is_poor d 1)
+
+(* A trace file can declare one name with two domains.  Their truth sets
+   are not one variable's, so the solver decides the pair, as before: it
+   takes the first declaration's domain, where [len > 50] leaves room for
+   [len > 7]. *)
+let test_two_domains_go_to_the_solver () =
+  let wide = wvar "len" (Vsmt.Dom.int_range 0 100) in
+  let rows =
+    [
+      row ~id:1 ~configs:E.[ of_var flag ==. const 1 ] ~workload:E.[ of_var wide >. const 50 ]
+        ~latency:1000. ();
+      row ~id:2 ~configs:E.[ of_var flag ==. const 0 ] ~workload:E.[ of_var len >. const 7 ]
+        ~latency:100. ();
+    ]
+  in
+  let d = Diff.analyze rows in
+  check Alcotest.int "paired" 1 (List.length d.Diff.pairs);
+  check Alcotest.int "one solver query" 1 d.Diff.solver_queries
+
 let diff_summary (d : Diff.t) =
   ( List.map
       (fun (p : Diff.poor_pair) ->
@@ -471,7 +536,7 @@ let same_rows (a : Diff.t) (b : Diff.t) =
          p.Diff.slow == q.Diff.slow && p.Diff.fast == q.Diff.fast)
        a.Diff.pairs b.Diff.pairs
 
-(* Spawns domains at jobs 4, so it runs after the fork-based suites. *)
+(* [jobs] is ignored: both job counts must give the reference's pairs. *)
 let prop_analyze_matches_reference =
   QCheck2.Test.make
     ~name:"analyze matches the materialising reference at jobs 1 and 4, slice on and off"
@@ -724,6 +789,8 @@ let tests =
     tc "model format 2 spellings read as the tree reader reads them" test_model_v2_spellings;
     qt prop_model_v2_damage_never_raises;
     tc "no rows" test_no_rows;
+    tc "repeated state id follows its last row" test_repeated_id_follows_last_row;
+    tc "a name with two domains goes to the solver" test_two_domains_go_to_the_solver;
   ]
 
 let after_fork_tests = [ qt prop_analyze_matches_reference ]

@@ -1,10 +1,10 @@
-(* vpar: pool primitives, and the determinism contract of [--jobs N] — an
-   analysis of a random program produces a byte-identical serialized impact
-   model to [--jobs 1], including under an injected (manual-clock)
-   deadline.  Exploration is sequential at any job count; the pairwise diff
-   screen runs on real spawned domains even on a single-core machine
-   ([Vpar.Pool.clamp_jobs] deliberately allows oversubscription), so these
-   properties pin its output order. *)
+(* vpar: pool primitives, which spawn real domains even on a single-core
+   machine ([Vpar.Pool.clamp_jobs] deliberately allows oversubscription),
+   and the determinism contract of [--jobs N] — an analysis of a random
+   program produces a byte-identical serialized impact model to
+   [--jobs 1], including under an injected (manual-clock) deadline.  The
+   whole analysis runs on the calling domain at any job count: the diff
+   ignores [jobs]. *)
 
 module B = Vresilience.Budget
 open Vir.Builder

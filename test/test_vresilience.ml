@@ -274,7 +274,7 @@ let test_old_checkpoint_version_rejected () =
 
 let test_kill9_resume_byte_identical () =
   (* OCaml 5 forbids Unix.fork once the runtime has gone multicore; if an
-     earlier suite already spawned domains (a jobs-4 analysis), only this
+     earlier suite already spawned domains (vpar's pool tests), only this
      fork-based harness is unavailable — the resume contract itself is
      covered by the in-process test above *)
   if Vpar.Pool.spawned_domains () then Alcotest.skip ();
