@@ -293,8 +293,7 @@ let analyze ?(opts = default_options) target param =
             let rows = List.map Vmodel.Cost_row.of_profile profiles in
             let diff =
               Vmodel.Diff_analysis.analyze ~threshold:opts.threshold
-                ~max_nodes:opts.budget.B.solver_max_nodes ~jobs:opts.jobs ~slice:opts.slice
-                rows
+                ~max_nodes:opts.budget.B.solver_max_nodes ~jobs:opts.jobs rows
             in
             Ok (result, rows, diff)
           with e -> Error (Engine_failure (Printexc.to_string e))

@@ -73,13 +73,13 @@ type options = {
       (** true = ablation of Section 4.2/Figure 9: make {e every} hookable
           parameter symbolic instead of the related set *)
   slice : bool;
-      (** independence slicing across the stack (default true): the executor
-          sends only the relevant symbol-disjoint slices of each path
-          condition to the solver, composes per-slice models, and the
-          differential analysis decomposes joint-sat queries over disjoint
-          input classes.  Impact models are byte-identical with slicing on
-          or off; [false] is the reference that bench [slice], the fuzz
-          oracle and the tests compare against, and no CLI flag sets it. *)
+      (** independence slicing in the executor (default true): it sends
+          only the relevant symbol-disjoint slices of each path condition
+          to the solver and composes per-slice models.  Nothing after
+          exploration reads it, so impact models are byte-identical with
+          slicing on or off; [false] is the reference that bench [slice],
+          the fuzz oracle and the tests compare against, and no CLI flag
+          sets it. *)
   noise : Vsymexec.Executor.noise option;
   relaxation_rules : bool;  (** false: Section 5.4 relaxation-rule ablation *)
   fault_injection : bool;

@@ -111,14 +111,10 @@ let judge (m : M.t) (recorded : M.poor_pair_summary option) ~(slow : Row.t) ~(fa
   end
 
 (* The comparison order's key: most-comparable rows first, i.e. same input
-   class, then configuration similarity, both descending.  It is
-   [(Similarity.workload_score slow r, Similarity.score slow r)] without
-   their footprint screen: every constraint in these lists mentions a
-   variable, so the screen never changes a count, and computing two
-   footprints per candidate costs more than the counts it would skip. *)
+   class, then configuration similarity, both descending: the shared
+   constraint counts the trace diff ranks by. *)
 let comparison_key (slow : Row.t) (r : Row.t) =
-  ( Similarity.appearance_count slow.Row.workload_pred r.Row.workload_pred,
-    Similarity.appearance_count slow.Row.config_constraints r.Row.config_constraints )
+  (Similarity.workload_score slow r, Similarity.score slow r)
 
 let descending (wa, ca) (wb, cb) = if wa <> wb then Int.compare wb wa else Int.compare cb ca
 
@@ -154,42 +150,14 @@ let live_witness (m : M.t) ~cap ~require_joint_input ~slow rows =
 (* ------------------------------------------------------------------ *)
 
 let plan_of_constraints constraints =
-  (* group single-variable constraints per (name, dom); everything else is
-     closed by evaluation *)
-  let singles : (string * Vsmt.Dom.t, Iset.t * Expr.t list) Hashtbl.t =
-    Hashtbl.create 4
+  let singles, rest = Iset.split constraints in
+  let iset ((v : Expr.var), allowed, exprs) =
+    D_iset { name = v.Expr.name; dom = v.Expr.dom; allowed; exprs }
   in
-  let order = ref [] in
-  let evals = ref [] in
-  List.iter
-    (fun c ->
-      match Expr.vars c with
-      | [ v ] -> begin
-        match Iset.of_expr ~var:v c with
-        | Some set ->
-          let key = (v.Expr.name, v.Expr.dom) in
-          (match Hashtbl.find_opt singles key with
-          | None ->
-            order := key :: !order;
-            Hashtbl.replace singles key (set, [ c ])
-          | Some (prev, cs) ->
-            Hashtbl.replace singles key (Iset.inter prev set, c :: cs))
-        | None ->
-          evals := D_eval { names = [ v.Expr.name ]; expr = c } :: !evals
-      end
-      | vs ->
-        evals :=
-          D_eval { names = List.map (fun (v : Expr.var) -> v.Expr.name) vs; expr = c }
-          :: !evals)
-    constraints;
-  let isets =
-    List.rev_map
-      (fun ((name, dom) as key) ->
-        let allowed, exprs = Hashtbl.find singles key in
-        D_iset { name; dom; allowed; exprs = List.rev exprs })
-      !order
+  let eval c =
+    D_eval { names = List.map (fun (v : Expr.var) -> v.Expr.name) (Expr.vars c); expr = c }
   in
-  Array.of_list (isets @ List.rev !evals)
+  Array.of_list (List.map iset singles @ List.map eval rest)
 
 let names_of_constraints constraints =
   let set = Hashtbl.create 8 in

@@ -46,8 +46,8 @@ val live_order : cap:int -> slow:Cost_row.t -> Cost_row.t list -> Cost_row.t lis
 (** The comparison order of the witness scan, for both engines: drop the
     candidates sharing [slow]'s state id, stable-sort the rest by
     descending [(Similarity.workload_score slow r, Similarity.score slow r)]
-    (most comparable first), keep the first [cap].  The scores are counted
-    without their footprint screen, which never changes them. *)
+    (most comparable first), keep the first [cap]: the shared-constraint
+    counts the trace diff ranks its pairs by. *)
 
 val live_witness :
   Impact_model.t ->

@@ -107,18 +107,15 @@ let subset (a : int array) (b : int array) =
   in
   go 0 0
 
-let verdict_byte v = if v then '\002' else '\001'
-
 (* A workload class as [comparable] decides it: its predicate list (for
    the solver), its expression ids ascending (the subset test), its
    variables sorted by name, each with the truth set of the class's
-   single-variable conjuncts on it ({!Vsmt.Iset.of_expr}, exact over the
-   domain; the whole domain when it has none), and the conjuncts those
-   sets do not close.  [vars] is [None] when one name comes with two
-   domains: then no point of the sets is one assignment. *)
+   single-variable conjuncts on it ({!Vsmt.Iset.split}; the whole domain
+   when it has none), and the conjuncts those sets do not close.  [vars]
+   is [None] when one name comes with two domains: then no point of the
+   sets is one assignment. *)
 type wclass = {
   pred : Vsmt.Expr.t list;
-  foot : Vsmt.Footprint.t;
   ids : int array;
   vars : (Vsmt.Expr.var * Vsmt.Iset.t) array option;
   rest : Vsmt.Expr.t list;
@@ -127,7 +124,8 @@ type wclass = {
 let wclass_of pred =
   let ids = Array.of_list (constraint_key pred) in
   Array.sort Int.compare ids;
-  let sets = Hashtbl.create 4 and rest = ref [] and clash = ref false in
+  let singles, rest = Vsmt.Iset.split pred in
+  let sets = Hashtbl.create 4 and clash = ref false in
   let note (v : Vsmt.Expr.var) s =
     match Hashtbl.find_opt sets v.name with
     | None -> Hashtbl.replace sets v.name (v, s)
@@ -135,21 +133,17 @@ let wclass_of pred =
       if Vsmt.Dom.equal u.dom v.dom then Hashtbl.replace sets v.name (u, Vsmt.Iset.inter t s)
       else clash := true
   in
+  List.iter (fun (v, s, _) -> note v s) singles;
   List.iter
     (fun c ->
-      let vs = Vsmt.Expr.vars c in
-      match match vs with [ v ] -> Vsmt.Iset.of_expr ~var:v c | _ -> None with
-      | Some s -> note (List.hd vs) s
-      | None ->
-        rest := c :: !rest;
-        List.iter (fun (v : Vsmt.Expr.var) -> note v (Vsmt.Iset.of_dom v.dom)) vs)
-    pred;
+      List.iter (fun (v : Vsmt.Expr.var) -> note v (Vsmt.Iset.of_dom v.dom)) (Vsmt.Expr.vars c))
+    rest;
   let by_name ((a : Vsmt.Expr.var), _) ((b : Vsmt.Expr.var), _) = String.compare a.name b.name in
   let vars =
     if !clash then None
     else Some (Array.of_list (List.sort by_name (Hashtbl.fold (fun _ b acc -> b :: acc) sets [])))
   in
-  { pred; foot = Vsmt.Footprint.of_list pred; ids; vars; rest = !rest }
+  { pred; ids; vars; rest }
 
 (* The sets' verdict on a class pair: [Some false] when some variable's
    sets do not meet, [Some true] when every other conjunct holds at the
@@ -199,10 +193,9 @@ let sets_verdict ~names ~values a b =
    takes its first row's, so a verdict is a function of the two workload
    classes: a byte per unordered class pair holds it, filled by the first
    query.  That query takes the subset test, then the truth sets, then the
-   solver, through per-class verdicts (a byte per class) when the two
-   footprints are disjoint under [slice].  A verdict byte reads 0 not yet
-   asked, 1 unsat, 2 sat.  [solved] counts the solver queries. *)
-let make_comparable ~max_nodes ~slice ~solved ~wkey preds =
+   solver.  A verdict byte reads 0 not yet asked, 1 unsat, 2 sat.
+   [solved] counts the solver queries. *)
+let make_comparable ~max_nodes ~solved ~wkey preds =
   let wcls = classes wkey in
   let nw = Array.fold_left max (-1) wcls + 1 in
   let first = Array.make nw (-1) in
@@ -212,19 +205,6 @@ let make_comparable ~max_nodes ~slice ~solved ~wkey preds =
     Array.fold_left (fun m c -> max m (Option.fold ~none:0 ~some:Array.length c.vars)) 0 cl
   in
   let names = Array.make (2 * width) "" and values = Array.make (2 * width) 0 in
-  let solve pred =
-    incr solved;
-    Vsmt.Solver.is_feasible ~max_nodes pred
-  in
-  let sides = Bytes.make nw '\000' in
-  let side_sat x =
-    match Bytes.get sides x with
-    | '\000' ->
-      let v = solve cl.(x).pred in
-      Bytes.set sides x (verdict_byte v);
-      v
-    | c -> c = '\002'
-  in
   let joint_sat x y =
     let a = cl.(x) and b = cl.(y) in
     (* one predicate subsuming the other is trivially jointly sat *)
@@ -233,12 +213,8 @@ let make_comparable ~max_nodes ~slice ~solved ~wkey preds =
     match sets_verdict ~names ~values a b with
     | Some v -> v
     | None ->
-      (* symbol-disjoint predicates constrain different input variables:
-         the conjunction is satisfiable iff each side is, and the per-side
-         verdicts are shared across every pairing of that input class *)
-      if slice && not (Vsmt.Footprint.overlaps a.foot b.foot) then
-        side_sat x && side_sat y
-      else solve (a.pred @ b.pred)
+      incr solved;
+      Vsmt.Solver.is_feasible ~max_nodes (a.pred @ b.pred)
   in
   let verdicts = Bytes.make (nw * (nw + 1) / 2) '\000' in
   fun i j ->
@@ -247,7 +223,7 @@ let make_comparable ~max_nodes ~slice ~solved ~wkey preds =
     match Bytes.get verdicts k with
     | '\000' ->
       let v = joint_sat x y in
-      Bytes.set verdicts k (verdict_byte v);
+      Bytes.set verdicts k (if v then '\002' else '\001');
       v
     | c -> c = '\002'
 
@@ -316,7 +292,7 @@ let rec sift (h : int array) len p =
     end
   end
 
-let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?(slice = true) rows =
+let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?slice:_ rows =
   let arr = Array.of_list rows in
   let n = Array.length arr in
   (* the cap and every per-state key go by state id: a repeated id shares
@@ -324,14 +300,11 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?(slic
   let last = Hashtbl.create n in
   Array.iteri (fun i (r : Cost_row.t) -> Hashtbl.replace last r.state_id i) arr;
   let reps = Array.map (fun (r : Cost_row.t) -> Hashtbl.find last r.state_id) arr in
-  let foot f = Array.map (fun r -> Vsmt.Footprint.of_list (f arr.(r))) reps in
-  let cfoot = foot (fun r -> r.Cost_row.config_constraints) in
-  let wfoot = foot (fun r -> r.Cost_row.workload_pred) in
   let key_of f = Array.map (fun r -> constraint_key (f arr.(r))) reps in
   let cls = classes (key_of (fun r -> r.Cost_row.config_constraints)) in
   let solved = ref 0 and screened = ref 0 in
   let comparable =
-    make_comparable ~max_nodes ~slice ~solved
+    make_comparable ~max_nodes ~solved
       ~wkey:(key_of (fun r -> r.Cost_row.workload_pred))
       (Array.map (fun r -> arr.(r).Cost_row.workload_pred) reps)
   in
@@ -346,10 +319,6 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?(slic
       0 arr
   in
   if (2 * ib) + bits max_sim > 61 then invalid_arg "Diff_analysis.analyze: too many rows";
-  (* the footprint screen is part of slicing: its footprints are per state
-     (the last row's), so under a repeated id it can zero a count that the
-     rows' own lists, counted in full without slicing, would give *)
-  let shared = if slice then Similarity.shared else fun _ _ -> Similarity.appearance_count in
   let v = metric_vector arr in
   (* one state at a time, since a verdict depends only on its class pair:
      its rows' candidates as the slow side ([pair_triggers]' rule) in
@@ -375,10 +344,7 @@ let analyze ?(threshold = 1.0) ?(max_nodes = joint_sat_max_nodes) ?jobs:_ ?(slic
               incr screened;
               if screen ~threshold v i j then begin
                 let a = arr.(i) and b = arr.(j) in
-                let sim =
-                  shared cfoot.(i) cfoot.(j) a.config_constraints b.config_constraints
-                  + shared wfoot.(i) wfoot.(j) a.workload_pred b.workload_pred
-                in
+                let sim = Similarity.score a b + Similarity.workload_score a b in
                 if !len = Array.length !buf then begin
                   let grown = Array.make (2 * !len) 0 in
                   Array.blit !buf 0 grown 0 !len;

@@ -38,13 +38,13 @@ val analyze :
   ?threshold:float -> ?max_nodes:int -> ?jobs:int -> ?slice:bool -> Cost_row.t list -> t
 (** [threshold] is the relative difference that makes a pair suspicious:
     1.0 means the slow state is worse by ≥100%.  [pairs] come by descending
-    similarity (row [i]'s config and workload constraints found in row
-    [j]'s, {!Similarity.shared}), ties by ascending [(i, j)], the rows'
-    input positions with [i < j]; row [i] is the slow side unless row [j]'s
-    traced latency is higher.  A pair is kept when it triggers, its states
-    are comparable (different config sets, jointly satisfiable workloads)
-    and its slow state keeps fewer than 8 earlier pairs: each state's 8
-    most similar witnesses.
+    similarity ({!Similarity.score} plus {!Similarity.workload_score} of
+    row [i] against row [j], counted on the two rows' own lists), ties by
+    ascending [(i, j)], the rows' input positions with [i < j]; row [i] is
+    the slow side unless row [j]'s traced latency is higher.  A pair is
+    kept when it triggers, its states are comparable (different config
+    sets, jointly satisfiable workloads) and its slow state keeps fewer
+    than 8 earlier pairs: each state's 8 most similar witnesses.
 
     The cap and the per-state keys go by [state_id]: rows sharing an id
     (only a hand-made trace file has them) are one state, with its last
@@ -52,24 +52,22 @@ val analyze :
     reads only the two states' workload classes (states with the same
     workload predicate set), so it is decided once per unordered pair of
     classes: one predicate set containing the other is sat; else each
-    class's per-variable truth sets ({!Vsmt.Iset.of_expr} over its
-    single-variable conjuncts, built once per class) decide it, unsat when
-    some variable's sets do not meet, sat when every other conjunct holds
-    at the least common value of each variable; only what they leave open
-    goes to the solver (so does a name declared with two domains), with
-    [max_nodes] (default 1_000) bounding each query.  Since no verdict
-    depends on the order pairs are asked in, the walk takes one state at
-    a time: it ranks the state's slow-side candidates in other config
-    classes into one reused buffer, keeps the first 8 comparable ones in
-    the order above, and the kept pairs are sorted once at the end.
+    class's per-variable truth sets ({!Vsmt.Iset.split}, built once per
+    class) decide it, unsat when some variable's sets do not meet, sat
+    when every other conjunct holds at the least common value of each
+    variable; only what they leave open goes to the solver (so does a
+    name declared with two domains), with [max_nodes] (default 1_000)
+    bounding each query.  Since no verdict depends on the order pairs are
+    asked in, the walk takes one state at a time: it ranks the state's
+    slow-side candidates in other config classes into one reused buffer,
+    keeps the first 8 comparable ones in the order above, and the kept
+    pairs are sorted once at the end.
 
-    [slice] (default [true]) splits the solver's joint satisfiability of
-    symbol-disjoint workload predicates into per-side queries memoized per
-    workload class, and lets the similarity count skip symbol-disjoint
-    constraint lists ({!Similarity.shared}); without it every pair is
-    counted in full ({!Similarity.appearance_count}).  [jobs] is accepted
-    and ignored: the analysis runs on the calling domain, and the argument
-    stays only because the repository benchmark passes it. *)
+    [jobs] and [slice] are accepted and ignored: the analysis runs on the
+    calling domain, and slicing is the executor's alone.  The similarity
+    count reads the rows' own lists and each open joint query goes to the
+    solver whole, so no pair depends on [slice].  Both arguments stay only
+    because the repository benchmark passes them. *)
 
 module Key_tbl : Hashtbl.S with type key = int list
 (** Tables keyed on lists of expression ids; the hash reads every id.

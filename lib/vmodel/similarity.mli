@@ -8,21 +8,14 @@
     related parameter in one state's formula, add one if the {e same}
     constraint appears in the other state's formula.  Expressions are
     hash-consed, so "the same constraint" is a pointer comparison (and
-    coincides with the printed-form equality earlier versions used).
-    Pairs whose {!Vsmt.Footprint}s are symbol-disjoint score 0 without
-    walking either list: every config/workload constraint mentions a
-    variable, so disjoint footprints rule out any shared node. *)
+    coincides with the printed-form equality earlier versions used).  The
+    trace diff ranks its pairs by [score + workload_score], and the
+    checker's witness scan orders candidates by
+    [(workload_score, score)]; both count the rows' own lists. *)
 
 val score : Cost_row.t -> Cost_row.t -> int
+(** [score a b]: how many of [a]'s config constraints appear in [b]'s. *)
 
 val workload_score : Cost_row.t -> Cost_row.t -> int
 (** Same counting over the input predicates; used to prefer comparing states
     triggered by the same input class. *)
-
-val appearance_count : Vsmt.Expr.t list -> Vsmt.Expr.t list -> int
-(** [appearance_count a b]: how many of [a]'s constraints appear in [b],
-    without the footprint screen. *)
-
-val shared : Vsmt.Footprint.t -> Vsmt.Footprint.t -> Vsmt.Expr.t list -> Vsmt.Expr.t list -> int
-(** [shared fa fb a b]: the appearance count of [a]'s constraints in [b],
-    given their footprints (for callers that score many pairs). *)

@@ -1,21 +1,17 @@
 (* Free-symbol footprints of hash-consed expressions.
 
    A footprint is the set of symbolic variables an expression reads,
-   represented as a sorted array of interned symbol ids so set operations
-   are linear merges and equality is an array compare.  Symbol ids — like
-   expression ids — are process-local allocation order: anything that must
-   survive [Marshal] (cache dumps, snapshots) goes through {!names}
-   instead, and partitions over rehashed expressions are rebuilt from
-   scratch ({!Sym_state.map_exprs}). *)
+   represented as a sorted array of interned symbol ids so a union is a
+   linear merge.  Symbol ids — like expression ids — are process-local
+   allocation order, so partitions over rehashed expressions are rebuilt
+   from scratch ({!Sym_state.map_exprs}). *)
 
 (* ------------------------------------------------------------------ *)
-(* The symbol intern table: name -> id, plus the reverse arrays.       *)
+(* The symbol intern table: name -> id, plus each id's origin.         *)
 (* ------------------------------------------------------------------ *)
-
-type sym_info = { s_name : string; s_origin : Expr.origin }
 
 let sym_ids : (string, int) Hashtbl.t = Hashtbl.create 256
-let sym_infos : sym_info array ref = ref (Array.make 64 { s_name = ""; s_origin = Expr.Internal })
+let sym_origins : Expr.origin array ref = ref (Array.make 64 Expr.Internal)
 let sym_next = ref 0
 
 (* Variables are identified by name alone, matching [Expr.vars]'s dedup
@@ -26,37 +22,23 @@ let intern_sym (v : Expr.var) =
   | None ->
     let id = !sym_next in
     sym_next := id + 1;
-    if id >= Array.length !sym_infos then begin
-      let bigger = Array.make (2 * Array.length !sym_infos) { s_name = ""; s_origin = Expr.Internal } in
-      Array.blit !sym_infos 0 bigger 0 (Array.length !sym_infos);
-      sym_infos := bigger
+    if id >= Array.length !sym_origins then begin
+      let bigger = Array.make (2 * Array.length !sym_origins) Expr.Internal in
+      Array.blit !sym_origins 0 bigger 0 (Array.length !sym_origins);
+      sym_origins := bigger
     end;
-    !sym_infos.(id) <- { s_name = v.Expr.name; s_origin = v.Expr.origin };
+    !sym_origins.(id) <- v.Expr.origin;
     Hashtbl.add sym_ids v.Expr.name id;
     id
 
-let sym_info id = !sym_infos.(id)
-
 (* ------------------------------------------------------------------ *)
-(* Footprints: sorted int arrays with merge-based set operations.      *)
+(* Footprints: sorted int arrays, united by a merge.                   *)
 (* ------------------------------------------------------------------ *)
 
 type t = int array
 
 let empty : t = [||]
 let is_empty (f : t) = Array.length f = 0
-let cardinal (f : t) = Array.length f
-let equal (a : t) (b : t) = a = b
-let compare (a : t) (b : t) = Stdlib.compare a b
-
-let mem id (f : t) =
-  let rec go lo hi =
-    if lo >= hi then false
-    else
-      let m = (lo + hi) / 2 in
-      if f.(m) = id then true else if f.(m) < id then go (m + 1) hi else go lo m
-  in
-  go 0 (Array.length f)
 
 let union (a : t) (b : t) : t =
   if is_empty a then b
@@ -77,35 +59,8 @@ let union (a : t) (b : t) : t =
     if !k = na + nb then out else Array.sub out 0 !k
   end
 
-let overlaps (a : t) (b : t) =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    if i >= na || j >= nb then false
-    else if a.(i) = b.(j) then true
-    else if a.(i) < b.(j) then go (i + 1) j
-    else go i (j + 1)
-  in
-  go 0 0
-
-let subset (a : t) (b : t) =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    if i >= na then true
-    else if j >= nb then false
-    else if a.(i) = b.(j) then go (i + 1) (j + 1)
-    else if a.(i) > b.(j) then go i (j + 1)
-    else false
-  in
-  go 0 0
-
-let names (f : t) =
-  List.sort String.compare (List.map (fun id -> (sym_info id).s_name) (Array.to_list f))
-
-let exists_origin origin (f : t) =
-  Array.exists (fun id -> (sym_info id).s_origin = origin) f
-
-let for_all_origin origin (f : t) =
-  Array.for_all (fun id -> (sym_info id).s_origin = origin) f
+let exists_origin origin (f : t) = Array.exists (fun id -> !sym_origins.(id) = origin) f
+let for_all_origin origin (f : t) = Array.for_all (fun id -> !sym_origins.(id) = origin) f
 
 (* ------------------------------------------------------------------ *)
 (* Per-node memoization.                                               *)
@@ -140,7 +95,3 @@ let rec of_expr (e : Expr.t) : t =
     in
     memo_add (Expr.id e) f;
     f
-
-let of_list cs = List.fold_left (fun acc c -> union acc (of_expr c)) empty cs
-
-let pp ppf (f : t) = Fmt.pf ppf "{%s}" (String.concat "," (names f))

@@ -211,3 +211,27 @@ let of_expr ~(var : Expr.var) (e : Expr.t) : t option =
   | s -> Some s
   | exception Unclosable ->
     if Dom.size dom <= enum_max then Some (enumerate dom e) else None
+
+let split cs =
+  let singles = Hashtbl.create 4 and order = ref [] and rest = ref [] in
+  List.iter
+    (fun c ->
+      let closed =
+        match Expr.vars c with [ v ] -> Option.map (fun s -> (v, s)) (of_expr ~var:v c) | _ -> None
+      in
+      match closed with
+      | None -> rest := c :: !rest
+      | Some ((v : Expr.var), s) -> (
+        let key = (v.Expr.name, v.Expr.dom) in
+        match Hashtbl.find_opt singles key with
+        | None ->
+          order := key :: !order;
+          Hashtbl.replace singles key (v, s, [ c ])
+        | Some (u, t, prev) -> Hashtbl.replace singles key (u, inter t s, c :: prev)))
+    cs;
+  ( List.rev_map
+      (fun key ->
+        let v, s, exprs = Hashtbl.find singles key in
+        (v, s, List.rev exprs))
+      !order,
+    List.rev !rest )

@@ -48,3 +48,14 @@ val of_expr : var:Expr.var -> Expr.t -> t option
 
 val enum_max : int
 (** Largest domain size the enumeration fallback of {!of_expr} will walk. *)
+
+val split : Expr.t list -> (Expr.var * t * Expr.t list) list * Expr.t list
+(** [split cs] splits the conjunction [cs] into what truth sets close and
+    what they leave.  The first list has an entry per variable name and
+    domain among [cs]'s single-variable conjuncts that {!of_expr} closes,
+    in first-seen order: the first-seen variable, the intersection of
+    those conjuncts' truth sets, and the conjuncts in order.  The second
+    holds every other conjunct in order: single-variable ones {!of_expr}
+    cannot close, multi-variable ones and variable-free ones.  A name
+    declared with two domains has two entries.  The compiled checker's
+    plans and the trace diff's workload classes both split with it. *)

@@ -48,6 +48,14 @@ EOF
 echo "== dune build =="
 dune build
 
+echo "== frame descriptors =="
+# OCaml 5.1 sizes its frame-descriptor table at the next power of two at or
+# above twice the descriptors linked in, and all of it is resident: above
+# 16,384 the benchmark binary's table doubles from 256 KB to 512 KB, and
+# every perfbench workload's peak RSS rises by about 0.25 MB.  vbench.exe
+# links nearly every library, so this counts what lib/ adds.
+python3 scripts/frame_descriptors.py _build/default/perfbench/vbench.exe 16384
+
 echo "== analyze peak RSS =="
 # the trace diff walks one state at a time through one reused candidate
 # buffer and keeps a byte per workload-class pair, with no per-row ranked

@@ -178,13 +178,17 @@ let test_unclosable_row_fallback () =
     ]
 
 (* The historical comparison order: the stable sort by descending
-   [(workload_score, score)], each score computed from scratch. *)
+   [(workload_score, score)], each the count of the slow row's constraints
+   found in the candidate's, computed from scratch here. *)
 let reference_order ~cap slow rows =
+  let shared a b = List.fold_left (fun acc c -> if List.memq c b then acc + 1 else acc) 0 a in
   let decorated =
     rows
     |> List.filter (fun (r : Row.t) -> r.Row.state_id <> slow.Row.state_id)
-    |> List.map (fun r ->
-           ((Vmodel.Similarity.workload_score slow r, Vmodel.Similarity.score slow r), r))
+    |> List.map (fun (r : Row.t) ->
+           ( ( shared slow.Row.workload_pred r.Row.workload_pred,
+               shared slow.Row.config_constraints r.Row.config_constraints ),
+             r ))
   in
   let sorted =
     List.stable_sort
@@ -468,10 +472,10 @@ let target_models =
 
 let target_model system param = List.assoc (system, param) (Lazy.force target_models)
 
-(* [live_order] counts shared constraints without the footprint screen;
-   it must order exactly as the screened scores do, on the fixture (every
-   slow row, caps 48 and 2, duplicated and foreign pools) and on the four
-   target models (every fifth slow row against the whole model, uncapped) *)
+(* [live_order] must order exactly as the reference's own shared-constraint
+   counts do, on the fixture (every slow row, caps 48 and 2, duplicated and
+   foreign pools) and on the four target models (every fifth slow row
+   against the whole model, uncapped) *)
 let test_live_order_is_reference () =
   let same name expected got =
     check (Alcotest.list Alcotest.int) name

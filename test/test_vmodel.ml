@@ -233,11 +233,12 @@ let test_key_tbl_hashes_every_id () =
 
 (* The analyzer as it was before per-state ranking, kept as a test-only
    reference (its order-preserving parallel screen runs sequentially
-   here): screen every pair, materialise the triggered ones, score them,
-   stable-sort by similarity, then walk the whole list with the per-state
-   cap, asking the solver about each state's last-row workload predicate.
-   That one change from the former code makes a repeated state id one
-   predicate, as [analyze] has it. *)
+   here): screen every pair, materialise the triggered ones, score them
+   by the shared constraints of the two rows' own lists, stable-sort by
+   similarity, then walk the whole list with the per-state cap, asking
+   the solver about each state's last-row workload predicate.  That one
+   change from the former code makes a repeated state id one predicate,
+   as [analyze] has it. *)
 module Reference = struct
   let rel_diff ~floor slow fast =
     if slow <= floor && fast <= floor then 0. else (slow -. fast) /. Float.max fast floor
@@ -247,29 +248,19 @@ module Reference = struct
   let joint_sat_max_nodes = 1_000
   let constraint_key cs = List.map Vsmt.Expr.id (List.sort_uniq Vsmt.Expr.compare cs)
 
-  let make_comparable ~max_nodes ~slice rows =
+  let make_comparable ~max_nodes rows =
     let tbl = Hashtbl.create 64 in
     List.iter
       (fun r ->
         Hashtbl.replace tbl r.Row.state_id
           ( constraint_key r.Row.config_constraints,
             constraint_key r.Row.workload_pred,
-            Vsmt.Footprint.of_list r.Row.workload_pred,
             r.Row.workload_pred ))
       rows;
     let sat_cache : (int list, bool) Hashtbl.t = Hashtbl.create 256 in
-    let side_cache : (int list, bool) Hashtbl.t = Hashtbl.create 64 in
-    let side_sat wkey pred =
-      match Hashtbl.find_opt side_cache wkey with
-      | Some v -> v
-      | None ->
-        let v = Vsmt.Solver.is_feasible ~max_nodes pred in
-        Hashtbl.add side_cache wkey v;
-        v
-    in
     fun a b ->
-      let ca, wa, fa, pa = Hashtbl.find tbl a.Row.state_id in
-      let cb, wb, fb, pb = Hashtbl.find tbl b.Row.state_id in
+      let ca, wa, pa = Hashtbl.find tbl a.Row.state_id in
+      let cb, wb, pb = Hashtbl.find tbl b.Row.state_id in
       ca <> cb
       && begin
            let subset x y = List.for_all (fun c -> List.mem c y) x in
@@ -279,11 +270,7 @@ module Reference = struct
            match Hashtbl.find_opt sat_cache key with
            | Some v -> v
            | None ->
-             let v =
-               if slice && not (Vsmt.Footprint.overlaps fa fb) then
-                 side_sat wa pa && side_sat wb pb
-               else Vsmt.Solver.is_feasible ~max_nodes (pa @ pb)
-             in
+             let v = Vsmt.Solver.is_feasible ~max_nodes (pa @ pb) in
              Hashtbl.add sat_cache key v;
              v
          end
@@ -308,9 +295,8 @@ module Reference = struct
     let triggers = (if lat_diff > threshold then [ Diff.Latency ] else []) @ logical_triggers in
     if triggers = [] then None else Some (slow, fast, !worst, triggers)
 
-  let analyze ?(threshold = 1.0) ?(min_similarity = 0) ?(max_nodes = joint_sat_max_nodes)
-      ?(slice = true) rows =
-    let comparable = make_comparable ~max_nodes ~slice rows in
+  let analyze ?(threshold = 1.0) ?(min_similarity = 0) ?(max_nodes = joint_sat_max_nodes) rows =
+    let comparable = make_comparable ~max_nodes rows in
     let arr = Array.of_list rows in
     let n = Array.length arr in
     let per_row =
@@ -329,24 +315,12 @@ module Reference = struct
     let appearance x y =
       List.fold_left (fun acc c -> if List.memq c y then acc + 1 else acc) 0 x
     in
-    let foots = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
-        Hashtbl.replace foots r.Row.state_id
-          ( Vsmt.Footprint.of_list r.Row.config_constraints,
-            Vsmt.Footprint.of_list r.Row.workload_pred ))
-      rows;
     let scored =
       List.map
         (fun (a, b, hit) ->
-          let cfa, wfa = Hashtbl.find foots a.Row.state_id in
-          let cfb, wfb = Hashtbl.find foots b.Row.state_id in
-          let count fa fb x y =
-            if slice && not (Vsmt.Footprint.overlaps fa fb) then 0 else appearance x y
-          in
           let s =
-            count cfa cfb a.Row.config_constraints b.Row.config_constraints
-            + count wfa wfb a.Row.workload_pred b.Row.workload_pred
+            appearance a.Row.config_constraints b.Row.config_constraints
+            + appearance a.Row.workload_pred b.Row.workload_pred
           in
           a, b, hit, s)
         triggered
@@ -536,25 +510,45 @@ let same_rows (a : Diff.t) (b : Diff.t) =
          p.Diff.slow == q.Diff.slow && p.Diff.fast == q.Diff.fast)
        a.Diff.pairs b.Diff.pairs
 
+(* A repeated id's rows share their state's keys, but a pair's similarity
+   counts the two rows' own lists: row 0 and row 1 share both [flag ==
+   OFF] conjuncts, although state 0's last row has no constraint at all.
+   [slice] is ignored, so it changes nothing. *)
+let test_repeated_id_similarity_counts_own_rows () =
+  let off = E.(of_var flag ==. const 0) in
+  let rows =
+    [
+      row ~id:0 ~configs:[ off; off ] ~latency:100. ();
+      row ~id:1 ~configs:[ off; off ] ~latency:100. ~cost:{ Cost.zero with Cost.sync_ops = 2 } ();
+      row ~id:0 ~latency:100. ();
+    ]
+  in
+  let d = Diff.analyze rows in
+  (match
+     List.find_opt
+       (fun (p : Diff.poor_pair) -> p.Diff.slow.Row.state_id = 0 && p.Diff.fast.Row.state_id = 1)
+       d.Diff.pairs
+   with
+  | Some p -> check Alcotest.int "pair 0>1 similarity" 2 p.Diff.similarity
+  | None -> Alcotest.fail "pair 0>1 kept");
+  check Alcotest.bool "slice off gives the same pairs" true
+    (diff_summary (Diff.analyze ~slice:false rows) = diff_summary d)
+
 (* [jobs] is ignored: both job counts must give the reference's pairs. *)
 let prop_analyze_matches_reference =
-  QCheck2.Test.make
-    ~name:"analyze matches the materialising reference at jobs 1 and 4, slice on and off"
+  QCheck2.Test.make ~name:"analyze matches the materialising reference at jobs 1 and 4"
     ~count:200
     ~print:(fun rows ->
       let show r = Printf.sprintf "%d %s" r.Row.state_id (Fmt.to_to_string Row.pp r) in
       String.concat "\n" (List.map show rows))
     gen_rows
     (fun rows ->
+      let want = Reference.analyze rows in
       List.for_all
-        (fun slice ->
-          let want = Reference.analyze ~slice rows in
-          List.for_all
-            (fun jobs ->
-              let got = Diff.analyze ~jobs ~slice rows in
-              diff_summary got = diff_summary want && same_rows got want)
-            [ 1; 4 ])
-        [ true; false ])
+        (fun jobs ->
+          let got = Diff.analyze ~jobs rows in
+          diff_summary got = diff_summary want && same_rows got want)
+        [ 1; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Critical path                                                       *)
@@ -791,6 +785,8 @@ let tests =
     tc "no rows" test_no_rows;
     tc "repeated state id follows its last row" test_repeated_id_follows_last_row;
     tc "a name with two domains goes to the solver" test_two_domains_go_to_the_solver;
+    tc "repeated state id: similarity counts the rows' own lists"
+      test_repeated_id_similarity_counts_own_rows;
   ]
 
 let after_fork_tests = [ qt prop_analyze_matches_reference ]

@@ -546,6 +546,45 @@ let test_hashcons_rehash () =
   check Alcotest.bool "marshalling breaks sharing" true (copied != e);
   check Alcotest.bool "rehash re-interns to the live node" true (E.rehash copied == e)
 
+(* ------------------------------------------------------------------ *)
+(* Iset.split                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_iset_split () =
+  let x = E.{ name = "x"; dom = Dom.int_range 0 10; origin = Config } in
+  let x_wide = E.{ name = "x"; dom = Dom.int_range 0 100; origin = Config } in
+  let y = E.{ name = "y"; dom = Dom.bool; origin = Workload } in
+  let big = E.{ name = "big"; dom = Dom.int_range 0 1_000_000; origin = Workload } in
+  let y_on = E.(of_var y ==. const 1) in
+  let x_gt = E.(of_var x >. const 2) and x_lt = E.(of_var x <. const 8) in
+  let x_ne = E.(of_var x <>. const 5) in
+  let wide = E.(of_var x_wide >. const 50) in
+  (* nonlinear on a domain too wide to enumerate: no truth set *)
+  let square = E.(of_var big *. of_var big >. const 5) in
+  let mixed = E.(of_var x +. of_var y ==. const 3) in
+  let singles, rest =
+    Vsmt.Iset.split [ y_on; x_gt; square; wide; mixed; x_lt; E.tru; x_ne ]
+  in
+  let ids = List.map E.id in
+  check
+    Alcotest.(list (pair string string))
+    "one entry per (name, domain), first seen first"
+    [ ("y", "bool"); ("x", "int[0..10]"); ("x", "int[0..100]") ]
+    (List.map (fun ((v : E.var), _, _) -> (v.E.name, Fmt.to_to_string Dom.pp v.E.dom)) singles);
+  let set_of n = match List.nth singles n with _, s, _ -> s in
+  let conjuncts_of n = match List.nth singles n with _, _, cs -> ids cs in
+  let iset = Alcotest.testable Vsmt.Iset.pp Vsmt.Iset.equal in
+  check iset "x's sets intersect"
+    (Vsmt.Iset.of_intervals [ I.make 3 4; I.make 6 7 ])
+    (set_of 1);
+  check Alcotest.(list int) "x's conjuncts in order" (ids [ x_gt; x_lt; x_ne ]) (conjuncts_of 1);
+  check iset "y's set" (Vsmt.Iset.of_intervals [ I.make 1 1 ]) (set_of 0);
+  check iset "the wide x has its own set" (Vsmt.Iset.of_intervals [ I.make 51 100 ]) (set_of 2);
+  check Alcotest.(list int) "the wide x's conjunct" (ids [ wide ]) (conjuncts_of 2);
+  check Alcotest.(list int) "unclosable, multi-variable and variable-free go to the rest, in order"
+    (ids [ square; mixed; E.tru ]) (ids rest);
+  check Alcotest.bool "nothing to split" true (Vsmt.Iset.split [] = ([], []))
+
 let qt = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -584,4 +623,5 @@ let tests =
     tc "hashcons physical equality" test_hashcons_physical_equality;
     qt prop_hashcons_canonical;
     tc "hashcons rehash after marshal" test_hashcons_rehash;
+    tc "iset split: sets per variable and domain, then the rest" test_iset_split;
   ]
