@@ -1,14 +1,15 @@
 (* Independence slicing (DESIGN.md Section 5f): how much of each path
    condition actually reaches the solver once queries are restricted to the
    symbol-disjoint slices touching the branch condition — measured on the
-   four target systems, slicing on vs off.
+   four target systems, slicing on vs off.  Each query groups its own path
+   condition into slices ([Vsmt.Partition]); no state carries a partition.
 
    Two contracts are checked and recorded in BENCH_slice.json:
    - constraint_guard: slicing never increases the conjuncts sent to the
      solver (the nightly CI job greps for "constraint_guard_ok":true).  A
      sliced query is a sub-list of its path condition
-     ([Vsmt.Partition.relevant]), so a tree that sends more than that
-     reads false;
+     ([Vsmt.Partition.relevant pc fp]), so a tree that sends more than
+     that reads false;
    - deterministic: the impact model is byte-identical with slicing on or
      off (modulo the real-wall-clock field). *)
 

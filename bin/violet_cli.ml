@@ -205,8 +205,6 @@ let analyze system param export max_states threshold no_related deadline checkpo
     1
   | Ok a ->
     Fmt.pr "%a" Violet.Report.pp_analysis a;
-    Fmt.pr "exploration: %a@." Vsched.Exploration_stats.pp
-      a.Violet.Pipeline.result.Vsymexec.Executor.sched;
     (if Vmodel.Impact_model.is_degraded a.Violet.Pipeline.model then
        Fmt.pr
          "WARNING: analysis was degraded under budget pressure; the model is \

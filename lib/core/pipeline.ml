@@ -35,8 +35,6 @@ let error_to_string = function
     Printf.sprintf "checkpoint %s: %s" path (Vresilience.Checkpoint.error_to_string reason)
   | Engine_failure msg -> Printf.sprintf "engine failure: %s" msg
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 (* ------------------------------------------------------------------ *)
 (* Options                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -199,7 +197,10 @@ let degradation_summary (result : Ex.result) =
           Some
             {
               Vmodel.Impact_model.dp_state_id = st.Vsymexec.Sym_state.id;
-              dp_config_constraints = Vsymexec.Sym_state.config_constraints st;
+              dp_config_constraints =
+                List.filter
+                  (Vtrace.Profile.mentions_origin Vsmt.Expr.Config)
+                  st.Vsymexec.Sym_state.pc;
               dp_latency_so_far_us = st.Vsymexec.Sym_state.clock;
             }
         | _ -> None)

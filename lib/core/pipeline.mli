@@ -46,7 +46,6 @@ type error =
 exception Pipeline_error of error
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 type checkpointing = {
   path : string;  (** snapshot file, atomically rewritten *)
@@ -73,13 +72,13 @@ type options = {
       (** true = ablation of Section 4.2/Figure 9: make {e every} hookable
           parameter symbolic instead of the related set *)
   slice : bool;
-      (** independence slicing in the executor (default true): it sends
-          only the relevant symbol-disjoint slices of each path condition
-          to the solver and composes per-slice models.  Nothing after
-          exploration reads it, so impact models are byte-identical with
-          slicing on or off; [false] is the reference that bench [slice],
-          the fuzz oracle and the tests compare against, and no CLI flag
-          sets it. *)
+      (** independence slicing in the executor (default true): each query
+          groups its path condition into symbol-disjoint slices when it is
+          made, sends only the relevant ones to the solver and composes
+          per-slice models.  Nothing after exploration reads it, so impact
+          models are byte-identical with slicing on or off; [false] is the
+          reference that bench [slice], the fuzz oracle and the tests
+          compare against, and no CLI flag sets it. *)
   noise : Vsymexec.Executor.noise option;
   relaxation_rules : bool;  (** false: Section 5.4 relaxation-rule ablation *)
   fault_injection : bool;

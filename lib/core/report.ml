@@ -40,11 +40,7 @@ let pp_analysis ppf (a : Pipeline.analysis) =
   Fmt.pf ppf "influenced params: [%s]@."
     (String.concat ", " r.Vanalysis.Related_config.influenced);
   Fmt.pf ppf "symbolic set:      [%s]@." (String.concat ", " m.M.related);
-  let st = a.Pipeline.result.Ex.stats in
-  Fmt.pf ppf
-    "exploration: %d states (%d terminated, %d killed), %d forks, %d solver calls@."
-    st.Ex.states_created st.Ex.states_terminated st.Ex.states_killed st.Ex.forks
-    st.Ex.solver_calls;
+  Fmt.pf ppf "exploration: %a@." Vsched.Exploration_stats.pp a.Pipeline.result.Ex.sched;
   Fmt.pf ppf "%a" M.pp_cost_table m;
   if m.M.poor_pairs = [] then Fmt.pf ppf "no suspicious state pairs@."
   else begin

@@ -81,9 +81,3 @@ let node t id = t.nodes.(id)
 let branch_nodes t =
   Array.to_list t.nodes
   |> List.filter (fun n -> match n.stmt with Some (Ast.If _ | Ast.While _) -> true | _ -> false)
-
-let pp ppf t =
-  Fmt.pf ppf "cfg %s:@." t.func_name;
-  Array.iter
-    (fun n -> Fmt.pf ppf "  %d [%s] -> %a@." n.id n.label Fmt.(list ~sep:comma int) n.succs)
-    t.nodes

@@ -21,5 +21,3 @@ val of_func : Ast.func -> t
 val node : t -> int -> node
 val branch_nodes : t -> node list
 (** Nodes whose statement is an [If] or [While] (two successors). *)
-
-val pp : t Fmt.t

@@ -170,10 +170,7 @@ let names_of_constraints constraints =
 (* a row is expected to close when its config constraints mention only
    configuration symbols — anything else needs values the config assignment
    cannot bind, i.e. the solver fallback *)
-let closes constraints =
-  List.for_all
-    (fun c -> Vsmt.Footprint.for_all_origin Expr.Config (Vsmt.Footprint.of_expr c))
-    constraints
+let closes constraints = List.for_all (Vtrace.Profile.only_origin Expr.Config) constraints
 
 (* Dense ranks: equal keys share a rank and the rank order is the key
    order, so a stable sort by rank is exactly a stable sort by key. *)

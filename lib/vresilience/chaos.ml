@@ -43,11 +43,6 @@ let of_string s =
   end
   | _ -> Error (Printf.sprintf "invalid chaos spec %S (expected SEED or SEED:PROB)" s)
 
-let to_string t =
-  Printf.sprintf "%d (solver=%.2f drop=%.2f delay=%.2f ckpt=%.2f model=%.2f)" t.seed
-    t.solver_unknown_p t.signal_drop_p t.signal_delay_p t.checkpoint_truncate_p
-    t.model_corrupt_p
-
 let flip t p = p > 0. && Random.State.float t.rng 1.0 < p
 
 let truncate_file t path =

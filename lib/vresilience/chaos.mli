@@ -43,8 +43,6 @@ val of_string : string -> (t, string) result
 (** ["SEED"] for {!default_with_seed}, or ["SEED:P"] to set every fault
     probability to [P] (checkpoint truncation included). *)
 
-val to_string : t -> string
-
 val flip : t -> float -> bool
 (** One biased coin toss from the chaos rng. *)
 

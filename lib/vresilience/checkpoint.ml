@@ -19,8 +19,6 @@ let error_to_string = function
     Printf.sprintf "checkpoint truncated: %d of %d payload bytes" got expected
   | Corrupt -> "checkpoint payload digest mismatch"
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 let magic = "violet-ckpt"
 
 let header ~kind ~version payload =

@@ -21,7 +21,6 @@ type error =
   | Corrupt  (** digest mismatch *)
 
 val error_to_string : error -> string
-val pp_error : error Fmt.t
 
 val write : path:string -> kind:string -> version:int -> string -> (unit, error) result
 (** Atomically write [payload] under the envelope. *)

@@ -1,38 +1,25 @@
 (* Free-symbol footprints of hash-consed expressions.
 
    A footprint is the set of symbolic variables an expression reads,
-   represented as a sorted array of interned symbol ids so a union is a
-   linear merge.  Symbol ids — like expression ids — are process-local
-   allocation order, so partitions over rehashed expressions are rebuilt
-   from scratch ({!Sym_state.map_exprs}). *)
-
-(* ------------------------------------------------------------------ *)
-(* The symbol intern table: name -> id, plus each id's origin.         *)
-(* ------------------------------------------------------------------ *)
-
-let sym_ids : (string, int) Hashtbl.t = Hashtbl.create 256
-let sym_origins : Expr.origin array ref = ref (Array.make 64 Expr.Internal)
-let sym_next = ref 0
+   represented as a sorted array of interned symbol ids so union and
+   overlap are linear merges.  Symbol ids — like expression ids — are
+   process-local allocation order, so nothing persists them: slices are
+   grouped per query ({!Partition}). *)
 
 (* Variables are identified by name alone, matching [Expr.vars]'s dedup
    semantics: two [Expr.var]s with the same name are the same symbol. *)
+let sym_ids : (string, int) Hashtbl.t = Hashtbl.create 256
+
 let intern_sym (v : Expr.var) =
   match Hashtbl.find_opt sym_ids v.Expr.name with
   | Some id -> id
   | None ->
-    let id = !sym_next in
-    sym_next := id + 1;
-    if id >= Array.length !sym_origins then begin
-      let bigger = Array.make (2 * Array.length !sym_origins) Expr.Internal in
-      Array.blit !sym_origins 0 bigger 0 (Array.length !sym_origins);
-      sym_origins := bigger
-    end;
-    !sym_origins.(id) <- v.Expr.origin;
+    let id = Hashtbl.length sym_ids in
     Hashtbl.add sym_ids v.Expr.name id;
     id
 
 (* ------------------------------------------------------------------ *)
-(* Footprints: sorted int arrays, united by a merge.                   *)
+(* Footprints: sorted int arrays with merge-based set operations.      *)
 (* ------------------------------------------------------------------ *)
 
 type t = int array
@@ -40,9 +27,24 @@ type t = int array
 let empty : t = [||]
 let is_empty (f : t) = Array.length f = 0
 
+(* [subset] and [overlaps] walk the two sorted arrays in loops, not in a
+   local recursive function: a query tests a footprint per conjunct, and
+   a closure per test was most of what a query allocated. *)
+let subset (a : t) (b : t) =
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 in
+  (* a.(!i) can still be in b only while it is not below b.(!j) *)
+  while !i < na && !j < nb && Array.unsafe_get a !i >= Array.unsafe_get b !j do
+    if Array.unsafe_get a !i = Array.unsafe_get b !j then incr i;
+    incr j
+  done;
+  !i = na
+
+(* [a] itself when [b] adds no symbol, so a union that adds nothing
+   allocates nothing and a caller can test growth with [!=]. *)
 let union (a : t) (b : t) : t =
-  if is_empty a then b
-  else if is_empty b then a
+  if subset b a then a
+  else if is_empty a then b
   else begin
     let na = Array.length a and nb = Array.length b in
     let out = Array.make (na + nb) 0 in
@@ -59,8 +61,14 @@ let union (a : t) (b : t) : t =
     if !k = na + nb then out else Array.sub out 0 !k
   end
 
-let exists_origin origin (f : t) = Array.exists (fun id -> !sym_origins.(id) = origin) f
-let for_all_origin origin (f : t) = Array.for_all (fun id -> !sym_origins.(id) = origin) f
+let overlaps (a : t) (b : t) =
+  let na = Array.length a and nb = Array.length b in
+  let i = ref 0 and j = ref 0 and found = ref false in
+  while (not !found) && !i < na && !j < nb do
+    let x = Array.unsafe_get a !i and y = Array.unsafe_get b !j in
+    if x = y then found := true else if x < y then incr i else incr j
+  done;
+  !found
 
 (* ------------------------------------------------------------------ *)
 (* Per-node memoization.                                               *)
@@ -69,22 +77,30 @@ let for_all_origin origin (f : t) = Array.for_all (fun id -> !sym_origins.(id) =
 (* Footprints are memoized per hash-consed node id.  The memo is capped: a
    week-long checker run interns expressions without bound, so an uncapped
    memo would too.  On overflow it resets wholesale — footprints are cheap
-   to recompute and the working set re-fills immediately. *)
-let memo : (int, t) Hashtbl.t = Hashtbl.create 256
+   to recompute and the working set re-fills immediately.  A query looks
+   up every conjunct's footprint, so a hit allocates nothing and hashes
+   no boxed key: node ids are small sequential ints. *)
+module Memo = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (id : int) = id land max_int
+end)
+
+let memo : t Memo.t = Memo.create 256
 let memo_cap = ref (1 lsl 17)
 let set_memo_cap n = memo_cap := max 1024 n
-let memo_size () = Hashtbl.length memo
-let clear_memo () = Hashtbl.reset memo
-let memo_find i = Hashtbl.find_opt memo i
+let memo_size () = Memo.length memo
+let clear_memo () = Memo.reset memo
 
 let memo_add i f =
-  if Hashtbl.length memo >= !memo_cap then Hashtbl.reset memo;
-  Hashtbl.replace memo i f
+  if Memo.length memo >= !memo_cap then Memo.reset memo;
+  Memo.replace memo i f
 
 let rec of_expr (e : Expr.t) : t =
-  match memo_find (Expr.id e) with
-  | Some f -> f
-  | None ->
+  match Memo.find memo (Expr.id e) with
+  | f -> f
+  | exception Not_found ->
     let f =
       match Expr.view e with
       | Expr.Const _ -> empty

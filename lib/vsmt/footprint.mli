@@ -7,17 +7,16 @@
     only the slices of the path condition that share symbols with the
     branch condition (see {!Partition}).
 
-    Footprints serve the executor's slicing (its partitions and the slices
-    a feasibility query sends) and origin queries; the trace diff and the
-    similarity count read none.  Representation: a sorted array of
-    interned symbol ids, so a union is a linear merge and a footprint is
-    computed once per hash-consed node ({!of_expr} is memoized per
-    [Expr.id]).  Symbols are interned by {e name} — matching
+    Footprints serve the executor's slicing alone; origin tests read each
+    variable's own [origin] ([Vtrace.Profile]).  Representation: a sorted
+    array of interned symbol ids, so union and overlap are linear merges
+    and a footprint is computed once per hash-consed node ({!of_expr} is
+    memoized per [Expr.id]).  Symbols are interned by {e name} — matching
     [Expr.vars]'s identity — in a plain process-global table.
 
-    Symbol ids, like expression ids, are process-local: a snapshot's
-    partitions are rebuilt from its expressions on load
-    ([Sym_state.map_exprs]), never read back. *)
+    Symbol ids, like expression ids, are process-local: nothing holds a
+    footprint across a query, so nothing needs one after a snapshot
+    load. *)
 
 type t = private int array
 (** A footprint: strictly increasing array of symbol ids. *)
@@ -30,13 +29,10 @@ val of_expr : Expr.t -> t
     process-wide table (capped; see {!set_memo_cap}). *)
 
 val union : t -> t -> t
+(** [union a b] is [a] itself when every symbol of [b] is in [a]. *)
 
-val exists_origin : Expr.origin -> t -> bool
-(** True iff some symbol in the footprint has the given origin. *)
-
-val for_all_origin : Expr.origin -> t -> bool
-(** True iff every symbol in the footprint has the given origin
-    (vacuously true on {!empty}). *)
+val overlaps : t -> t -> bool
+(** [overlaps a b] iff [a] and [b] share at least one symbol. *)
 
 val memo_size : unit -> int
 (** Entries in the footprint memo (telemetry). *)

@@ -11,7 +11,6 @@ let make lo hi =
   { lo = clamp lo; hi = clamp hi }
 
 let point v = make v v
-let top = { lo = neg_inf; hi = pos_inf }
 let of_dom d = make (Dom.lo d) (Dom.hi d)
 let is_point { lo; hi } = lo = hi
 let mem v { lo; hi } = v >= lo && v <= hi

@@ -15,7 +15,6 @@ val make : int -> int -> t
 (** [make lo hi]; raises [Invalid_argument] when [lo > hi]. *)
 
 val point : int -> t
-val top : t
 val of_dom : Dom.t -> t
 val is_point : t -> bool
 val mem : int -> t -> bool

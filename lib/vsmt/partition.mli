@@ -1,60 +1,32 @@
-(** Symbol-disjoint partition of a path condition.
+(** Symbol-disjoint slices of a path condition, grouped per query.
 
-    Groups a constraint list into slices such that constraints in
-    different slices share no symbols (the KLEE constraint-independence
-    factoring).  A feasibility query for a branch condition then needs
-    only the slices overlapping the condition's footprint — the rest of
-    the path condition cannot affect the verdict — and a model for the
-    full conjunction is the composition of independent per-slice models.
+    Two conjuncts fall in the same slice when a chain of conjuncts, each
+    sharing a footprint symbol with the next, links them (the KLEE
+    constraint-independence factoring).  A feasibility query for a branch
+    condition then needs only the slices that share symbols with the
+    condition's footprint — the rest of the path condition cannot affect
+    the verdict — and a model for the full conjunction is the composition
+    of independent per-slice models.
 
-    The structure is persistent and maintained incrementally: {!extend}
-    folds in only the new suffix when the constraint list grew (which is
-    how [Simplify.simplify_conj] evolves a path condition), so forked
-    states share their common prefix's partition.
+    Nothing is kept between queries: both functions group the conjuncts
+    they are given.  Path conditions are short (a query has 14–16
+    conjuncts on the mysql parameters, 3.5–6.6 on the other targets), so
+    a structure carried by every state would cost memory for no measured
+    speed.
 
-    Determinism: every slice, and every {!relevant} result, lists its
-    constraints in original path order, and {!slices} enumerates slices
-    by the position of their earliest constraint.  Both orders are pure
-    functions of the input constraint sequence — no symbol or expression
-    id (process-local allocation order) ever leaks into them. *)
+    Determinism: {!relevant} lists conjuncts in path order, and {!slices}
+    orders slices by their earliest conjunct, each in path order.  Both
+    are pure functions of the conjunct sequence — no symbol or expression
+    id (process-local allocation order) leaks into them. *)
 
-type t
+val relevant : Expr.t list -> Footprint.t -> Expr.t list
+(** [relevant pc fp]: the conjuncts of every slice of [pc] that shares a
+    symbol with [fp], and every var-free conjunct that is not a literal,
+    in path order.  Literal-true conjuncts are never relevant; a literal
+    false anywhere in [pc] gives [[Expr.fls]]. *)
 
-val empty : t
-
-val of_list : Expr.t list -> t
-(** Partition a constraint list from scratch. *)
-
-val extend : t -> Expr.t list -> t
-(** [extend part cs] is the partition of [cs], reusing [part] when [cs]
-    extends the list [part] was built from (the common case in the
-    executor); otherwise equivalent to [of_list cs]. *)
-
-val relevant : t -> Footprint.t -> Expr.t list
-(** Constraints of every slice whose footprint overlaps the given one
-    (plus any ground leftovers), in original path order.  On a
-    {!falsified} partition returns [[Expr.fls]]. *)
-
-val slices : t -> (Expr.t list * Footprint.t) list
-(** All slices in canonical order (by earliest-constraint position),
-    each as (constraints in path order, slice footprint).  A falsified
-    partition yields the single slice [([Expr.fls], Footprint.empty)].
-    Ground leftovers are {e not} included — check {!clean} first. *)
-
-val ground : t -> Expr.t list
-(** Var-free, non-literal constraints that fit no slice, in path order.
-    Empty for any simplified path condition. *)
-
-val falsified : t -> bool
-(** True once a literal-false constraint was folded in. *)
-
-val clean : t -> bool
-(** [ground t = [] && not (falsified t)] — the precondition for
-    composing per-slice models into a full model. *)
-
-val count : t -> int
-(** Number of constraints folded in. *)
-
-val n_slices : t -> int
-
-val pp : t Fmt.t
+val slices : Expr.t list -> Expr.t list list option
+(** The slices of [pc], ordered by their earliest conjunct, each in path
+    order; literal-true conjuncts belong to none.  [None] when [pc] holds
+    a literal false or a var-free conjunct that is not a literal: such a
+    condition is solved whole. *)

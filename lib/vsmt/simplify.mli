@@ -15,8 +15,7 @@ val simplify_conj : Expr.t list -> Expr.t list
 
     A list that is already fully simplified comes back with itself as a
     prefix (each conjunct is a fixpoint, non-[And], and deduplication keeps
-    first occurrences) — the property [Partition.extend] relies on to stay
-    incremental. *)
+    first occurrences): the executor's path conditions grow by suffix. *)
 
 val memo_size : unit -> int
 (** Entries in the process-wide simplification memo, keyed by hash-cons

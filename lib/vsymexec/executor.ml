@@ -15,21 +15,18 @@ type noise = {
 
 (* Everything the scheduling loop needs to pick up where a previous run
    stopped: the DFS stack, the finished states, every engine counter that
-   feeds the impact model and the telemetry recorder.  The solver memo is
-   not saved: a resumed run starts with an empty one, which cannot change a
-   model because every memo answer equals a fresh solve.  All fields are
-   closure-free data, so the whole record round-trips through [Marshal] with
-   flags [].  Expressions inside the states carry hashcons ids from the
-   process that wrote them, so loading re-interns every expression
-   ({!rehash_snapshot}). *)
+   feeds the impact model and the telemetry recorder (the one count of
+   forks and finished states).  The solver memo is not saved: a resumed
+   run starts with an empty one, which cannot change a model because every
+   memo answer equals a fresh solve.  All fields are closure-free data, so
+   the whole record round-trips through [Marshal] with flags [].
+   Expressions inside the states carry hashcons ids from the process that
+   wrote them, so loading re-interns every expression ({!rehash_snapshot}). *)
 type snapshot = {
   snap_program : string;
   snap_next_state_id : int;
-  snap_n_forks : int;
   snap_n_solver_calls : int;
   snap_n_concretizations : int;
-  snap_terminated : int;
-  snap_killed : int;
   snap_last_run_id : int;
   snap_finished : Sym_state.t list;  (* newest first *)
   snap_frontier : Sym_state.t list;  (* the DFS stack, top first *)
@@ -114,11 +111,8 @@ type engine = {
   armed : B.armed;
   ladder : D.controller;
   mutable next_id : int;
-  mutable n_forks : int;
   mutable n_solver_calls : int;
   mutable n_concretizations : int;
-  mutable terminated : int;
-  mutable killed : int;
   mutable finished : Sym_state.t list;  (* newest first *)
   mutable last_run_id : int;
   mutable picks_to_ckpt : int;
@@ -224,51 +218,47 @@ let record_query eng ~pre ~sent =
   Vsched.Exploration_stats.on_query eng.recorder ~pre_constraints:(List.length pre)
     ~sent_constraints:(List.length sent)
 
-(* Branch-feasibility query.  [sliced] carries the candidate path
-   condition's partition and the branch condition's footprint: only the
-   slices overlapping that footprint are sent.  Sound because every
-   untouched slice is inherited from the (feasible) parent path condition,
-   so it cannot flip the verdict; on an undecided (budget-bound) solver the
-   sliced query can only be *more* decided, never wrongly Unsat. *)
-let is_feasible ?sliced eng pc =
+(* Branch-feasibility query of the candidate path condition [pc].  With
+   slicing on, only the slices sharing symbols with [fp], the branch
+   condition's footprint, are sent.  Sound because every untouched slice is
+   inherited from the (feasible) parent path condition, so it cannot flip
+   the verdict; on an undecided (budget-bound) solver the sliced query can
+   only be *more* decided, never wrongly Unsat. *)
+let is_feasible eng pc fp =
   eng.n_solver_calls <- eng.n_solver_calls + 1;
-  let sent =
-    match sliced with
-    | Some (part, fp) when eng.opts.slice -> Vsmt.Partition.relevant part fp
-    | _ -> pc
-  in
+  let sent = if eng.opts.slice then Vsmt.Partition.relevant pc fp else pc in
   record_query eng ~pre:pc ~sent;
   (* a chaos-forced Unknown over-approximates to feasible *)
   chaos_unknown eng || Vsched.Solver_cache.is_feasible eng.cache ~budget:eng.armed sent
 
-(* Model-generation query.  With [sliced] (the path condition's partition),
-   each symbol-disjoint slice is solved independently and the per-slice
-   models are concatenated and name-sorted.  Sound: slices share no
-   symbols, so the union assignment satisfies every slice.  Deterministic:
-   the solver visits variables in name order (see [Solver.check]), so the
-   model it finds for a slice alone is the projection of the model it would
-   find for the full conjunction — composing slices in canonical order and
-   name-sorting reproduces the unsliced model byte for byte (on decisive
-   queries; a budget-bound Unknown can differ, as with any budget change). *)
-let model_of ?sliced eng pc =
+(* Model-generation query.  With slicing on, each symbol-disjoint slice is
+   solved independently and the per-slice models are concatenated and
+   name-sorted.  Sound: slices share no symbols, so the union assignment
+   satisfies every slice.  Deterministic: the solver visits variables in
+   name order (see [Solver.check]), so the model it finds for a slice alone
+   is the projection of the model it would find for the full conjunction —
+   composing slices in canonical order and name-sorting reproduces the
+   unsliced model byte for byte (on decisive queries; a budget-bound
+   Unknown can differ, as with any budget change). *)
+let model_of eng pc =
   eng.n_solver_calls <- eng.n_solver_calls + 1;
   (* every slice is solved, so the whole condition counts as sent *)
   record_query eng ~pre:pc ~sent:pc;
   if chaos_unknown eng then None
   else begin
     let check = Vsched.Solver_cache.check_model eng.cache ~budget:eng.armed in
-    match sliced with
-    | Some part when eng.opts.slice && Vsmt.Partition.clean part ->
+    match if eng.opts.slice then Vsmt.Partition.slices pc else None with
+    | Some slices ->
       let rec compose acc = function
         | [] -> Some (List.sort (fun (a, _) (b, _) -> String.compare a b) acc)
-        | (cs, _) :: rest -> begin
+        | cs :: rest -> begin
           match check cs with
           | Vsmt.Solver.Sat m -> compose (m @ acc) rest
           | Vsmt.Solver.Unsat | Vsmt.Solver.Unknown -> None
         end
       in
-      compose [] (Vsmt.Partition.slices part)
-    | _ -> begin
+      compose [] slices
+    | None -> begin
       match check pc with
       | Vsmt.Solver.Sat m -> Some m
       | Vsmt.Solver.Unsat | Vsmt.Solver.Unknown -> None
@@ -322,7 +312,7 @@ let concretize eng (st : S.t) ~add_constraint e =
   | Some v -> v, st
   | None -> begin
     let vars = E.vars e in
-    match model_of ~sliced:st.S.pc_part eng (st.S.pc @ [ E.tru ]) with
+    match model_of eng (st.S.pc @ [ E.tru ]) with
     | None ->
       (* path condition infeasible or unknown: fall back to domain minima *)
       let m = Vsmt.Solver.complete ~vars [] in
@@ -352,7 +342,7 @@ let concretize eng (st : S.t) ~add_constraint e =
             @ List.map (fun ((vr : E.var), x) -> E.binop E.Eq (E.of_var vr) (E.const x)) pinned)
         else st.S.pc
       in
-      v, S.with_pc { st with S.store } pc
+      v, { st with S.store; pc }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -469,18 +459,15 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
        same symbols), and it covers every conjunct simplification can derive
        from [c], so it bounds the slices either side's verdict depends on *)
     let fp = Vsmt.Footprint.of_expr c in
-    let part_true = Vsmt.Partition.extend st.S.pc_part pc_true in
-    let part_false = Vsmt.Partition.extend st.S.pc_part pc_false in
     let can_fork = eng.next_id < eng.opts.budget.B.max_states in
-    let t_ok = is_feasible ~sliced:(part_true, fp) eng pc_true in
-    let f_ok = is_feasible ~sliced:(part_false, fp) eng pc_false in
+    let t_ok = is_feasible eng pc_true fp in
+    let f_ok = is_feasible eng pc_false fp in
     match t_ok, f_ok with
-    | true, false -> One (on_true { st with S.pc = pc_true; pc_part = part_true })
-    | false, true -> One (on_false { st with S.pc = pc_false; pc_part = part_false })
+    | true, false -> One (on_true { st with S.pc = pc_true })
+    | false, true -> One (on_false { st with S.pc = pc_false })
     | false, false -> kill st "infeasible path condition"
     | true, true ->
       if can_fork then begin
-        eng.n_forks <- eng.n_forks + 1;
         Vsched.Exploration_stats.on_fork eng.recorder;
         let st_t =
           {
@@ -489,7 +476,6 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
             parent = Some st.S.id;
             path = Fork_path.extend st.S.path 't';
             pc = pc_true;
-            pc_part = part_true;
           }
         in
         let st_f =
@@ -499,7 +485,6 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
             parent = Some st.S.id;
             path = Fork_path.extend st.S.path 'f';
             pc = pc_false;
-            pc_part = part_false;
           }
         in
         Two (on_true st_t, on_false st_f)
@@ -507,7 +492,7 @@ let exec_branch eng (st : S.t) cond ~on_true ~on_false =
       else
         (* state cap reached: concretize the branch like a silent
            concretization and continue down one side *)
-        One (on_true { st with S.pc = pc_true; pc_part = part_true })
+        One (on_true { st with S.pc = pc_true })
   end
 
 let step eng (st : S.t) : step_result =
@@ -528,9 +513,8 @@ let step eng (st : S.t) : step_result =
         | Some _ -> One { st with S.work = rest }
         | None ->
           let pc_false = Vsmt.Simplify.simplify_conj (st.S.pc @ [ E.not_ c ]) in
-          let part_false = Vsmt.Partition.extend st.S.pc_part pc_false in
-          if is_feasible ~sliced:(part_false, Vsmt.Footprint.of_expr c) eng pc_false then
-            One { st with S.pc = pc_false; pc_part = part_false; work = rest }
+          if is_feasible eng pc_false (Vsmt.Footprint.of_expr c) then
+            One { st with S.pc = pc_false; work = rest }
           else kill st "loop unroll limit"
       end
       else
@@ -570,7 +554,6 @@ let step eng (st : S.t) : step_result =
           if eng.opts.fault_injection && dest <> None
              && eng.next_id < eng.opts.budget.B.max_states
           then begin
-            eng.n_forks <- eng.n_forks + 1;
             Vsched.Exploration_stats.on_fork eng.recorder;
             let failed =
               let st = emit eng st (Signals.Call { eip = f.Ast.addr; ret_addr }) f.Ast.fname in
@@ -638,14 +621,12 @@ let is_budget_kill reason =
   && String.sub reason 0 (String.length budget_kill_prefix) = budget_kill_prefix
 
 let finish_state eng (st : S.t) =
-  begin
-    match st.S.status with
-    | S.Terminated _ -> eng.terminated <- eng.terminated + 1
-    | S.Killed _ -> eng.killed <- eng.killed + 1
-    | S.Running -> assert false
-  end;
   ES.on_complete eng.recorder
-    ~dropped:(match st.S.status with S.Killed _ -> true | _ -> false);
+    ~dropped:
+      (match st.S.status with
+      | S.Killed _ -> true
+      | S.Terminated _ -> false
+      | S.Running -> assert false);
   eng.finished <- st :: eng.finished
 
 let drop_state eng (st : S.t) reason =
@@ -663,11 +644,8 @@ let snapshot_of eng =
   {
     snap_program = eng.program.Ast.pname;
     snap_next_state_id = eng.next_id;
-    snap_n_forks = eng.n_forks;
     snap_n_solver_calls = eng.n_solver_calls;
     snap_n_concretizations = eng.n_concretizations;
-    snap_terminated = eng.terminated;
-    snap_killed = eng.killed;
     snap_last_run_id = eng.last_run_id;
     snap_finished = eng.finished;
     snap_frontier = eng.stack;
@@ -677,13 +655,15 @@ let snapshot_of eng =
     snap_visited = visited_list eng;
   }
 
-(* version 6: the recorder lost its tree-node sums and histograms;
+(* version 7: states lost their path-condition partition, and the fork and
+   finished-state counters live in the recorder alone;
+   version 6: the recorder lost its tree-node sums and histograms;
    version 5: the frontier is the plain DFS stack, and the searcher name and
    solver-cache contents are gone; version 4: added [snap_visited] (dynamic
    function coverage for incremental invalidation); version 3:
    Sym_state.path became the structured [Fork_path.t] (version 2 introduced
    [path]/[next_symbol] as a flat string) *)
-let snapshot_version = 6
+let snapshot_version = 7
 let snapshot_kind = "executor-frontier"
 
 let save_snapshot ~path snap =
@@ -744,11 +724,8 @@ let make_engine ~armed ~recorder opts program =
     armed;
     ladder = D.controller opts.degradation;
     next_id = 1 (* the root state is 0 *);
-    n_forks = 0;
     n_solver_calls = 0;
     n_concretizations = 0;
-    terminated = 0;
-    killed = 0;
     finished = [];
     last_run_id = -1;
     picks_to_ckpt = 0;
@@ -813,11 +790,8 @@ let canonicalize_states finished =
    construction. *)
 let restore_snapshot eng s =
   eng.next_id <- s.snap_next_state_id;
-  eng.n_forks <- s.snap_n_forks;
   eng.n_solver_calls <- s.snap_n_solver_calls;
   eng.n_concretizations <- s.snap_n_concretizations;
-  eng.terminated <- s.snap_terminated;
-  eng.killed <- s.snap_killed;
   eng.finished <- s.snap_finished;
   eng.last_run_id <- s.snap_last_run_id;
   List.iter (fun f -> Hashtbl.replace eng.visited f ()) s.snap_visited;
@@ -921,22 +895,24 @@ let run ?resume opts program =
   let deadline_hit = explore eng in
   let states = canonicalize_states (List.rev eng.finished) in
   let wall_time_s = opts.budget.B.now () -. t0 in
+  let sched =
+    ES.finish ~deadline_hit eng.recorder ~states_created:eng.next_id
+      ~solver_queries:eng.n_solver_calls ~cache:(Vsched.Solver_cache.stats eng.cache)
+      ~wall_time_s
+  in
   {
     states;
     visited_functions = visited_list eng;
     stats =
       {
         states_created = eng.next_id;
-        states_terminated = eng.terminated;
-        states_killed = eng.killed;
-        forks = eng.n_forks;
+        states_terminated = sched.ES.states_completed;
+        states_killed = sched.ES.states_dropped;
+        forks = sched.ES.forks;
         solver_calls = eng.n_solver_calls;
         concretizations = eng.n_concretizations;
         wall_time_s;
         deadline_hit;
       };
-    sched =
-      ES.finish ~deadline_hit eng.recorder ~states_created:eng.next_id
-        ~solver_queries:eng.n_solver_calls ~cache:(Vsched.Solver_cache.stats eng.cache)
-        ~wall_time_s;
+    sched;
   }

@@ -66,7 +66,8 @@ type options = {
           the symbol-disjoint slices of the path condition that overlap the
           branch condition's footprint, and model queries solve each slice
           independently and compose the per-slice models in name order.
-          Sound (untouched slices are inherited from the feasible parent;
+          Each query groups its own path condition ({!Vsmt.Partition});
+          no state carries a partition between queries.  Sound (untouched slices are inherited from the feasible parent;
           slices share no symbols) and deterministic (the solver's
           name-ordered search makes a slice's model the projection of the
           full query's, so impact models are byte-identical with slicing on
@@ -107,9 +108,9 @@ val default_options :
 
 type stats = {
   states_created : int;
-  states_terminated : int;
-  states_killed : int;
-  forks : int;
+  states_terminated : int;  (** {!result.sched}'s [states_completed] *)
+  states_killed : int;  (** {!result.sched}'s [states_dropped] *)
+  forks : int;  (** {!result.sched}'s [forks] *)
   solver_calls : int;
   concretizations : int;
   wall_time_s : float;

@@ -31,5 +31,3 @@ let rec to_string = function
     end
 
 let compare a b = String.compare (to_string a) (to_string b)
-let equal a b = compare a b = 0
-let pp ppf p = Fmt.string ppf (to_string p)

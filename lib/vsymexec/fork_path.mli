@@ -29,6 +29,3 @@ val length : t -> int
 val compare : t -> t -> int
 (** Lexicographic on the rendered strings — the canonical state order of
     the deterministic reduction. *)
-
-val equal : t -> t -> bool
-val pp : t Fmt.t

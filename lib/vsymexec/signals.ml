@@ -3,11 +3,3 @@ type kind = Call of { eip : int; ret_addr : int } | Ret of { ret_addr : int }
 type record = { kind : kind; fname : string; ts : float; thread : int; cid : int }
 
 let is_call r = match r.kind with Call _ -> true | Ret _ -> false
-
-let pp ppf r =
-  match r.kind with
-  | Call { eip; ret_addr } ->
-    Fmt.pf ppf "call %s eip=0x%x ret=0x%x ts=%.1f thr=%d cid=%d" r.fname eip ret_addr r.ts
-      r.thread r.cid
-  | Ret { ret_addr } ->
-    Fmt.pf ppf "ret  %s ret=0x%x ts=%.1f thr=%d cid=%d" r.fname ret_addr r.ts r.thread r.cid

@@ -20,4 +20,3 @@ type kind =
 type record = { kind : kind; fname : string; ts : float; thread : int; cid : int }
 
 val is_call : record -> bool
-val pp : record Fmt.t

@@ -21,11 +21,6 @@ type t = {
   work : kont list;
   store : Sym_store.t;
   pc : Vsmt.Expr.t list;
-  pc_part : Vsmt.Partition.t;
-      (* symbol-disjoint partition of [pc], maintained incrementally as
-         constraints are appended (persistent, so forks share the common
-         prefix's structure).  Rebuilt from scratch by [map_exprs]: the
-         partition caches footprints, which are process-local. *)
   cost : Vruntime.Cost.t;
   serial_us : float;
   clock : float;
@@ -46,7 +41,6 @@ let initial ~id ~store ~work ~fuel ~tracing =
     work;
     store;
     pc = [];
-    pc_part = Vsmt.Partition.empty;
     cost = Vruntime.Cost.zero;
     serial_us = 0.;
     clock = 0.;
@@ -61,27 +55,13 @@ let initial ~id ~store ~work ~fuel ~tracing =
 (* Apply [f] to every expression the state holds — the executor's
    rehash-on-load hook for marshalled snapshots, whose interned nodes carry
    another process's ids. *)
-let with_pc t pc = { t with pc; pc_part = Vsmt.Partition.extend t.pc_part pc }
-
 let map_exprs f t =
-  let pc = List.map f t.pc in
   {
     t with
     store = Sym_store.map_exprs f t.store;
-    pc;
-    pc_part = Vsmt.Partition.of_list pc;
+    pc = List.map f t.pc;
     status = (match t.status with Terminated (Some e) -> Terminated (Some (f e)) | s -> s);
   }
-
-let config_constraints t =
-  List.filter (fun e -> Vsmt.Footprint.(exists_origin Vsmt.Expr.Config (of_expr e))) t.pc
-
-let workload_constraints t =
-  List.filter
-    (fun e ->
-      let f = Vsmt.Footprint.of_expr e in
-      (not (Vsmt.Footprint.is_empty f)) && Vsmt.Footprint.for_all_origin Vsmt.Expr.Workload f)
-    t.pc
 
 let signals_in_order t = List.rev t.signals
 

@@ -32,11 +32,9 @@ type t = {
           state's own history, not from a global allocation order *)
   work : kont list;
   store : Sym_store.t;
-  pc : Vsmt.Expr.t list;  (** path constraints, conjunction *)
-  pc_part : Vsmt.Partition.t;
-      (** symbol-disjoint partition of [pc], maintained incrementally by
-          {!with_pc} (persistent — forks share the common prefix's
-          structure).  The executor slices solver queries with it. *)
+  pc : Vsmt.Expr.t list;
+      (** path constraints, conjunction; the executor slices each solver
+          query from it when the query is made ({!Vsmt.Partition}) *)
   cost : Vruntime.Cost.t;
   serial_us : float;
   clock : float;  (** inflated symbolic-execution timestamp source *)
@@ -50,19 +48,6 @@ type t = {
 
 val initial :
   id:int -> store:Sym_store.t -> work:kont list -> fuel:int -> tracing:bool -> t
-
-val with_pc : t -> Vsmt.Expr.t list -> t
-(** Replace the path condition, updating [pc_part] incrementally (cheap
-    when the new list extends the old one, which is how the executor
-    grows path conditions).  Every [pc] write must go through here so
-    the partition never drifts from the constraints. *)
-
-val config_constraints : t -> Vsmt.Expr.t list
-(** Path constraints that mention at least one configuration variable. *)
-
-val workload_constraints : t -> Vsmt.Expr.t list
-(** Path constraints whose variables are all workload (input) variables —
-    the row's input predicate (Section 4.6). *)
 
 val signals_in_order : t -> Signals.record list
 val pp_status : status Fmt.t

@@ -11,8 +11,10 @@ type t = {
   nodes : Callpath.node list;
 }
 
-let mentions_origin origin e =
-  List.exists (fun (v : Vsmt.Expr.var) -> v.Vsmt.Expr.origin = origin) (Vsmt.Expr.vars e)
+(* every origin test reads each variable's own [origin] *)
+let has_origin origin (v : Vsmt.Expr.var) = v.Vsmt.Expr.origin = origin
+let mentions_origin origin e = List.exists (has_origin origin) (Vsmt.Expr.vars e)
+let only_origin origin e = List.for_all (has_origin origin) (Vsmt.Expr.vars e)
 
 let make ~state_id ~status ~pc ~cost ~clock ~records =
   let entries = Record_match.match_records records in
@@ -31,10 +33,7 @@ let make ~state_id ~status ~pc ~cost ~clock ~records =
       List.filter
         (fun e ->
           let vs = Vsmt.Expr.vars e in
-          vs <> []
-          && List.for_all
-               (fun (v : Vsmt.Expr.var) -> v.Vsmt.Expr.origin = Vsmt.Expr.Workload)
-               vs)
+          vs <> [] && List.for_all (has_origin Vsmt.Expr.Workload) vs)
         pc;
     cost;
     traced_latency_us;
@@ -52,11 +51,3 @@ let of_result (r : Vsymexec.Executor.result) =
       | S.Terminated _ -> Some (of_state st)
       | S.Killed _ | S.Running -> None)
     r.Vsymexec.Executor.states
-
-let pp ppf t =
-  Fmt.pf ppf "state %d [%a]: %a, traced %.1f us@.  config: %a@.  input: %a@." t.state_id
-    S.pp_status t.status Vruntime.Cost.pp t.cost t.traced_latency_us
-    Fmt.(list ~sep:(any " && ") Vsmt.Expr.pp_friendly)
-    t.config_constraints
-    Fmt.(list ~sep:(any " && ") Vsmt.Expr.pp_friendly)
-    t.workload_constraints

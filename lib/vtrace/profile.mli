@@ -19,6 +19,15 @@ type t = {
   nodes : Callpath.node list;
 }
 
+val mentions_origin : Vsmt.Expr.origin -> Vsmt.Expr.t -> bool
+(** Some variable of the expression has the origin: the test that puts a
+    conjunct in {!t.config_constraints}.  Origin tests read each
+    variable's own [origin] field. *)
+
+val only_origin : Vsmt.Expr.origin -> Vsmt.Expr.t -> bool
+(** Every variable of the expression has the origin (true on a var-free
+    expression). *)
+
 val make :
   state_id:int ->
   status:Vsymexec.Sym_state.status ->
@@ -38,5 +47,3 @@ val of_state : Vsymexec.Sym_state.t -> t
 val of_result : Vsymexec.Executor.result -> t list
 (** Profiles of all terminated states (killed states are skipped — they
     have no complete path). *)
-
-val pp : t Fmt.t

@@ -2,9 +2,6 @@ module Sig = Vsymexec.Signals
 
 type entry = { call : Sig.record; ret : Sig.record option; latency_us : float option }
 
-let threads records =
-  List.sort_uniq Int.compare (List.map (fun (r : Sig.record) -> r.Sig.thread) records)
-
 let match_thread records =
   (* [pending] holds unmatched call records, most recent first *)
   let pending = ref [] and matched = ref [] in

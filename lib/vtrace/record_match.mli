@@ -17,5 +17,3 @@ val match_records : Vsymexec.Signals.record list -> entry list
 (** Input in emission order (possibly several threads interleaved); output
     in call-record order.  Within a thread, a return record matches the most
     recent unmatched call record carrying the same return address. *)
-
-val threads : Vsymexec.Signals.record list -> int list

@@ -61,7 +61,9 @@ echo "== analyze peak RSS =="
 # buffer and keeps a byte per workload-class pair, with no per-row ranked
 # arrays and no union memo; keep them from coming back (20.1-20.2 MB peak
 # with them, 16.1-16.3 MB without, 5 runs each on a 2-core x86-64
-# container; 36.7 MB when the union memo keyed merged id lists).
+# container; 36.7 MB when the union memo keyed merged id lists).  States
+# carry no path-condition partition: 14.8-15.0 MB without one, 15.9-16.1
+# MB with it (12 alternating runs each, same container).
 # Run the built binary, not `dune exec`: dune's own peak would count.
 python3 - <<'EOF'
 import resource, subprocess, sys

@@ -418,6 +418,9 @@ let test_fleet_end_to_end () =
   (* kill -9 with requests in flight: stall the victim so its requests are
      pinned mid-flight, post, kill, and every request must still be
      answered (failover re-dispatches to the sibling replica) *)
+  (* workers and the router can answer before the supervisor first
+     publishes the state file *)
+  await_state topology 0 ~want:"up" ~deadline_s:20.0;
   let victim_pid =
     match Option.bind (shard_field topology 0 "pid") Wire.to_int with
     | Some p when p > 0 -> p

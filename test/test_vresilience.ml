@@ -258,17 +258,17 @@ let test_resume_byte_identical () =
    envelope version, before the payload is read: the payload here is not a
    marshalled snapshot at all, so unmarshalling it would fail differently. *)
 let test_old_checkpoint_version_rejected () =
-  check Alcotest.int "snapshot format" 6 Ex.snapshot_version;
+  check Alcotest.int "snapshot format" 7 Ex.snapshot_version;
   let path = tmp_path () in
-  (match Ck.write ~path ~kind:"executor-frontier" ~version:5 "a version-5 frontier" with
+  (match Ck.write ~path ~kind:"executor-frontier" ~version:6 "a version-6 frontier" with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Ck.error_to_string e));
   let opts = opts_with ~checkpoint:{ P.path; every_picks = 0 } ~resume:true () in
   (match P.analyze ~opts Fixtures.target "autocommit" with
-  | Error (P.Checkpoint_failed { reason = Ck.Version_mismatch { expected = 6; found = 5 }; _ })
+  | Error (P.Checkpoint_failed { reason = Ck.Version_mismatch { expected = 7; found = 6 }; _ })
     ->
     ()
-  | Ok _ -> Alcotest.fail "version-5 checkpoint accepted"
+  | Ok _ -> Alcotest.fail "version-6 checkpoint accepted"
   | Error e -> Alcotest.failf "wrong error: %s" (P.error_to_string e));
   Sys.remove path
 
@@ -517,7 +517,7 @@ let tests =
     tc "degradation ladder" test_degradation_ladder;
     tc "solver deadline" test_solver_deadline;
     stc "resume is byte-identical" test_resume_byte_identical;
-    tc "resume refuses a version-5 checkpoint" test_old_checkpoint_version_rejected;
+    tc "resume refuses a version-6 checkpoint" test_old_checkpoint_version_rejected;
     stc "kill -9 then resume is byte-identical" test_kill9_resume_byte_identical;
     stc "deadline terminates and flags" test_deadline_terminates_and_flags;
     stc "degradation widens the specious set" test_degradation_widens_specious_set;

@@ -1,9 +1,10 @@
 (* Tests for the independence-slicing layer (DESIGN.md Section 5f):
-   footprint and partition primitives, the headline soundness/determinism
-   properties — sliced verdicts match full-query verdicts, composed
-   per-slice models satisfy the full conjunction, and the end-to-end impact
-   model is byte-identical with slicing on or off at any job count — plus
-   the bounded-memo contracts of the expression-level caches. *)
+   footprint and per-query partition primitives, the per-query partition
+   against the incremental one it replaced ([Partition_ref]), the headline
+   soundness/determinism properties — sliced verdicts match full-query
+   verdicts, composed per-slice models satisfy the full conjunction, and
+   the end-to-end impact model is byte-identical with slicing on or off —
+   plus the bounded-memo contracts of the expression-level caches. *)
 
 module E = Vsmt.Expr
 module F = Vsmt.Footprint
@@ -41,16 +42,11 @@ let test_footprint_set_ops () =
   let fab = F.of_expr E.(of_var qa +. of_var qb ==. const 3) in
   check Alcotest.(list int) "union equals joint" (ids fab) (ids (F.union fa fb));
   check Alcotest.(list int) "union is symmetric" (ids fab) (ids (F.union fb fa));
-  check Alcotest.(list int) "union with a subset" (ids fab) (ids (F.union fab fa));
-  check Alcotest.(list int) "empty is neutral" (ids fa) (ids (F.union F.empty fa))
-
-let test_footprint_origins () =
-  let f = F.union (F.of_expr E.(of_var qa ==. const 1)) (F.of_expr E.(of_var wk >. const 2)) in
-  check Alcotest.bool "has config" true (F.exists_origin E.Config f);
-  check Alcotest.bool "has workload" true (F.exists_origin E.Workload f);
-  check Alcotest.bool "not all workload" false (F.for_all_origin E.Workload f);
-  let fw = F.of_expr E.(of_var wk <. const 5) in
-  check Alcotest.bool "all workload" true (F.for_all_origin E.Workload fw)
+  check Alcotest.bool "a union adding nothing is its left side" true (F.union fab fa == fab);
+  check Alcotest.(list int) "empty is neutral" (ids fa) (ids (F.union F.empty fa));
+  check Alcotest.bool "overlap through a shared symbol" true (F.overlaps fab fb);
+  check Alcotest.bool "disjoint footprints" false (F.overlaps fa fb);
+  check Alcotest.bool "empty overlaps nothing" false (F.overlaps F.empty fab)
 
 let test_footprint_memo_bounded () =
   F.set_memo_cap 1024;
@@ -68,82 +64,69 @@ let test_footprint_memo_bounded () =
 (* Partition                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let slice_ids part = List.map (fun (cs, _) -> List.map E.id cs) (P.slices part)
+let ids cs = List.map E.id cs
+let slice_ids pc = Option.map (List.map ids) (P.slices pc)
 
 let test_partition_disjoint_and_merge () =
   let a = E.(of_var qa ==. const 1) in
   let b = E.(of_var qb >. const 2) in
   let mix = E.(of_var qa +. of_var qb <. const 6) in
-  let p2 = P.of_list [ a; b ] in
-  check Alcotest.int "two disjoint slices" 2 (P.n_slices p2);
-  check Alcotest.int "count" 2 (P.count p2);
-  let p1 = P.of_list [ a; b; mix ] in
-  check Alcotest.int "bridge constraint merges" 1 (P.n_slices p1);
   (* canonical slice order = earliest constraint position *)
   check
-    Alcotest.(list (list int))
-    "slices keep path order"
-    [ [ E.id a ]; [ E.id b ] ]
-    (slice_ids p2)
-
-let test_partition_extend_matches_rebuild () =
-  let cs =
-    E.[
-      of_var qa ==. const 1;
-      of_var qb >. const 2;
-      of_var wk <. const 5;
-      of_var qb <. const 7;
-    ]
-  in
-  let rec prefixes acc = function
-    | [] -> List.rev acc
-    | c :: rest ->
-      let prev = match acc with [] -> [] | p :: _ -> p in
-      prefixes ((prev @ [ c ]) :: acc) rest
-  in
-  ignore
-    (List.fold_left
-       (fun part pfx ->
-         let part = P.extend part pfx in
-         check
-           Alcotest.(list (list int))
-           "incremental = rebuild" (slice_ids (P.of_list pfx)) (slice_ids part);
-         part)
-       P.empty (prefixes [] cs))
+    Alcotest.(option (list (list int)))
+    "two disjoint slices, path order"
+    (Some [ [ E.id a ]; [ E.id b ] ])
+    (slice_ids [ a; b ]);
+  check
+    Alcotest.(option (list (list int)))
+    "bridge constraint merges" (Some [ ids [ a; b; mix ] ]) (slice_ids [ a; b; mix ]);
+  let c = E.(of_var qc <. const 5) in
+  check
+    Alcotest.(option (list (list int)))
+    "a late bridge merges across an earlier slice"
+    (Some [ ids [ a; b; mix ]; [ E.id c ] ])
+    (slice_ids [ a; c; b; mix ])
 
 let test_partition_relevant () =
   let a = E.(of_var qa ==. const 1) in
   let b = E.(of_var qb >. const 2) in
   let w = E.(of_var wk <. const 5) in
-  let part = P.of_list [ a; b; w ] in
+  let pc = [ a; b; w ] in
   check
     Alcotest.(list int)
     "only the touching slice" [ E.id a ]
-    (List.map E.id (P.relevant part (F.of_expr E.(of_var qa <>. const 0))));
+    (ids (P.relevant pc (F.of_expr E.(of_var qa <>. const 0))));
   check
     Alcotest.(list int)
     "two touching slices, path order" [ E.id a; E.id w ]
-    (List.map E.id
-       (P.relevant part
+    (ids
+       (P.relevant pc
           (F.union (F.of_expr E.(of_var qa ==. const 0)) (F.of_expr E.(of_var wk ==. const 1)))));
   check
     Alcotest.(list int)
     "foreign symbol touches nothing" []
-    (List.map E.id (P.relevant part (F.of_expr E.(of_var qc ==. const 3))))
+    (ids (P.relevant pc (F.of_expr E.(of_var qc ==. const 3))))
 
 let test_partition_falsified () =
-  let part = P.of_list E.[ of_var qa ==. const 1; fls ] in
-  check Alcotest.bool "falsified" true (P.falsified part);
+  let pc = E.[ of_var qa ==. const 1; fls ] in
   check
     Alcotest.(list int)
     "relevant collapses to false" [ E.id E.fls ]
-    (List.map E.id (P.relevant part (F.of_expr E.(of_var qb ==. const 0))));
-  (* trivially-true constants are dropped, not sliced ([count] still
-     counts source positions, so it stays 2) *)
-  let part = P.of_list E.[ tru; of_var qb >. const 1 ] in
-  check Alcotest.int "true dropped from slices" 1 (P.n_slices part);
-  check Alcotest.int "source positions counted" 2 (P.count part);
-  check Alcotest.bool "clean" true (P.clean part)
+    (ids (P.relevant pc (F.of_expr E.(of_var qb ==. const 0))));
+  check Alcotest.(option (list (list int))) "falsified: solved whole" None (slice_ids pc);
+  (* trivially-true constants belong to no slice *)
+  let b = E.(of_var qb >. const 1) in
+  check
+    Alcotest.(option (list (list int)))
+    "true dropped from slices" (Some [ [ E.id b ] ]) (slice_ids E.[ tru; b; const 5 ]);
+  (* a var-free conjunct that is not a literal is always sent, and the
+     list it sits in is solved whole *)
+  let ground = E.(const 1 <. const 2) in
+  check
+    Alcotest.(list int)
+    "ground always relevant" [ E.id ground ]
+    (ids (P.relevant [ ground; b ] (F.of_expr E.(of_var qa ==. const 0))));
+  check Alcotest.(option (list (list int))) "ground: solved whole" None (slice_ids [ b; ground ])
 
 (* ------------------------------------------------------------------ *)
 (* Properties: sliced solving is sound and deterministic               *)
@@ -172,40 +155,77 @@ let prop_sliced_verdict_matches_full =
   QCheck2.Test.make ~name:"per-slice verdicts compose to the full-query verdict"
     ~count:300 query_gen (fun cs ->
       let full = is_sat (Solver.check ~max_nodes:4_000 cs) in
-      let part = P.of_list cs in
-      let sliced =
-        (not (P.falsified part))
-        && List.for_all
-             (fun (slice, _) -> is_sat (Solver.check ~max_nodes:4_000 slice))
-             (P.slices part)
-      in
-      full = sliced)
+      match P.slices cs with
+      | Some slices ->
+        full = List.for_all (fun slice -> is_sat (Solver.check ~max_nodes:4_000 slice)) slices
+      | None -> false (* every atom reads a symbol *))
 
 let prop_composed_model_satisfies_conjunction =
   QCheck2.Test.make ~name:"composed per-slice models satisfy the full conjunction"
     ~count:300 query_gen (fun cs ->
-      let part = P.of_list cs in
-      if P.falsified part then true
+      let per_slice =
+        List.map (Solver.check ~max_nodes:4_000) (Option.value ~default:[] (P.slices cs))
+      in
+      if List.exists (fun r -> not (is_sat r)) per_slice then true
       else begin
-        let per_slice =
-          List.map (fun (slice, _) -> Solver.check ~max_nodes:4_000 slice) (P.slices part)
+        let model =
+          List.concat_map
+            (function Solver.Sat m -> m | Solver.Unsat | Solver.Unknown -> [])
+            per_slice
+          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
         in
-        if List.exists (fun r -> not (is_sat r)) per_slice then true
-        else begin
-          let model =
-            List.concat_map
-              (function Solver.Sat m -> m | Solver.Unsat | Solver.Unknown -> [])
-              per_slice
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          in
-          let vars = List.sort_uniq compare (List.concat_map E.vars cs) in
-          let model = Solver.complete ~vars model in
-          List.for_all (fun c -> Solver.eval_in model c = Some 1) cs
-        end
+        let vars = List.sort_uniq compare (List.concat_map E.vars cs) in
+        let model = Solver.complete ~vars model in
+        List.for_all (fun c -> Solver.eval_in model c = Some 1) cs
       end)
 
+(* The per-query partition against the incremental one it replaced: path
+   conditions grow by suffix (the executor's case, which the reference
+   extends in place) or start afresh (which it rebuilds), mixing bridging
+   atoms with literal trues, the literal false and a var-free comparison;
+   branch footprints may read a symbol no conjunct reads. *)
+let qf = cvar "qf" 0 7
+
+let conjunct_gen =
+  QCheck2.Gen.(
+    frequency
+      [ (10, atom_gen); (1, oneofl E.[ tru; const 5; fls; const 1 <. const 2 ]) ])
+
+let branch_gen =
+  QCheck2.Gen.(
+    let v = oneofl [ qa; qb; qc; wk; qf ] in
+    oneof
+      [
+        map (fun x -> F.of_expr (E.of_var x)) v;
+        map2 (fun x y -> F.of_expr E.(of_var x +. of_var y)) v v;
+      ])
+
+let step_gen =
+  QCheck2.Gen.(triple bool (list_size (int_range 1 3) conjunct_gen) branch_gen)
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"partition: relevant and slices equal the incremental reference"
+    ~count:500
+    QCheck2.Gen.(list_size (int_range 1 8) step_gen)
+    (fun steps ->
+      let reference part =
+        if Partition_ref.clean part then
+          Some (List.map (fun (cs, _) -> ids cs) (Partition_ref.slices part))
+        else None
+      in
+      let rec go pc part = function
+        | [] -> true
+        | (fresh, cs, fp) :: rest ->
+          let pc = if fresh then cs else pc @ cs in
+          let part = Partition_ref.extend part pc in
+          ids (P.relevant pc fp) = ids (Partition_ref.relevant part fp)
+          && slice_ids pc = reference part
+          && go pc part rest
+      in
+      go [] Partition_ref.empty steps)
+
 (* ------------------------------------------------------------------ *)
-(* End-to-end: impact model byte-identical, slicing on/off x jobs 1/4  *)
+(* End-to-end: impact model byte-identical, slicing on or off          *)
 (* ------------------------------------------------------------------ *)
 
 let registry =
@@ -265,23 +285,18 @@ let program_gen =
            func "helper" [ compute (i 20); fsync; ret_void ];
          ]))
 
-let model_for ~slice ~jobs program =
+let model_for ~slice program =
   let target =
     { Violet.Pipeline.name = "slice"; program; registry; workloads = [ workload ] }
   in
-  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.slice; jobs } in
+  let opts = { Violet.Pipeline.default_options with Violet.Pipeline.slice } in
   match Violet.Pipeline.analyze ~opts target "a" with
   | Ok a -> Vmodel.Impact_model.content_string a.Violet.Pipeline.model
   | Error e -> "error: " ^ Violet.Pipeline.error_to_string e
 
 let prop_slice_model_identity =
-  QCheck2.Test.make
-    ~name:"impact model byte-identical: slicing on/off x jobs 1/4" ~count:15
-    program_gen (fun program ->
-      let reference = model_for ~slice:false ~jobs:1 program in
-      String.equal reference (model_for ~slice:true ~jobs:1 program)
-      && String.equal reference (model_for ~slice:true ~jobs:4 program)
-      && String.equal reference (model_for ~slice:false ~jobs:4 program))
+  QCheck2.Test.make ~name:"impact model byte-identical: slicing on/off" ~count:15 program_gen
+    (fun program -> String.equal (model_for ~slice:false program) (model_for ~slice:true program))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded memo tables (PR 3 follow-up) + telemetry surfacing          *)
@@ -324,6 +339,17 @@ let test_query_sizes_in_stats () =
       (q.Vsched.Exploration_stats.sent_constraints
      <= q.Vsched.Exploration_stats.pre_constraints)
 
+(* What slicing saves on mysql/autocommit, pinned: the conjuncts sent
+   (of those the full path conditions hold) and the queries it shrank.  A
+   change to how slices are grouped shows here first. *)
+let test_slicing_work_on_mysql () =
+  let a = Violet.Pipeline.analyze_exn (Targets.Cases.target_of "mysql") "autocommit" in
+  let q = a.Violet.Pipeline.result.Vsymexec.Executor.sched.Vsched.Exploration_stats.query_sizes in
+  check
+    Alcotest.(triple int int int)
+    "sent / pre conjuncts, sliced queries" (17_474, 38_172, 2_014)
+    Vsched.Exploration_stats.(q.sent_constraints, q.pre_constraints, q.sliced)
+
 (* A run's exploration record counts that run's own events: interning and
    rendering unrelated expressions between two analyses changes nothing
    but the wall clock. *)
@@ -346,16 +372,16 @@ let tests =
   [
     tc "footprint of_expr collects symbols" test_footprint_of_expr;
     tc "footprint set operations" test_footprint_set_ops;
-    tc "footprint origin queries" test_footprint_origins;
     tc "footprint memo is bounded" test_footprint_memo_bounded;
     tc "partition: disjoint slices, bridging merge" test_partition_disjoint_and_merge;
-    tc "partition: extend matches rebuild" test_partition_extend_matches_rebuild;
     tc "partition: relevant selects touching slices" test_partition_relevant;
     tc "partition: falsified and trivial constraints" test_partition_falsified;
+    qt prop_matches_reference;
     qt prop_sliced_verdict_matches_full;
     qt prop_composed_model_satisfies_conjunction;
     qt prop_slice_model_identity;
     tc "simplify memo is bounded" test_simplify_memo_bounded;
     tc "query sizes surface in telemetry" test_query_sizes_in_stats;
+    tc "slicing work on mysql autocommit" test_slicing_work_on_mysql;
     tc "exploration record ignores process history" test_stats_ignore_process_history;
   ]

@@ -217,6 +217,28 @@ let test_profile_of_fixture () =
       check Alcotest.bool "has nodes" true (row.Vmodel.Cost_row.nodes <> []))
     a.Violet.Pipeline.rows
 
+(* The one origin test reads each variable's own origin, so a name read
+   with two origins counts for each where it has it. *)
+let test_profile_origins () =
+  let module E = Vsmt.Expr in
+  let sym origin name = E.of_var { E.name; dom = Vsmt.Dom.int_range 0 7; origin } in
+  let c = sym E.Config "po_c" and w = sym E.Workload "po_w" in
+  let mixed = E.(c +. w >. const 3) and input = E.(w <. const 2) in
+  let twin = E.(sym Workload "po_c" <. const 1) in
+  let module Pr = Vtrace.Profile in
+  check Alcotest.bool "mixed mentions config" true (Pr.mentions_origin E.Config mixed);
+  check Alcotest.bool "mixed is not only workload" false (Pr.only_origin E.Workload mixed);
+  check Alcotest.bool "var-free is only config" true (Pr.only_origin E.Config E.tru);
+  check Alcotest.bool "the twin is its own origin" true (Pr.only_origin E.Workload twin);
+  let p =
+    Pr.make ~state_id:0 ~status:(Vsymexec.Sym_state.Terminated None) ~pc:[ mixed; input; twin ]
+      ~cost:Vruntime.Cost.zero ~clock:0. ~records:[]
+  in
+  let ids = List.map E.id in
+  check Alcotest.(list int) "config constraints" (ids [ mixed ]) (ids p.Pr.config_constraints);
+  check Alcotest.(list int) "workload constraints" (ids [ input; twin ])
+    (ids p.Pr.workload_constraints)
+
 let qt = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -231,4 +253,5 @@ let tests =
     tc "exclusive latency" test_exclusive_latency;
     qt prop_tree_roundtrip;
     tc "profiles of fixture" test_profile_of_fixture;
+    tc "profile origin tests" test_profile_origins;
   ]
