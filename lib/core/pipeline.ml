@@ -223,11 +223,11 @@ let analyze ?(opts = default_options) target param =
   | Some _ -> begin
     let wall0 = opts.budget.B.now () in
     (* stage 1: static analysis *)
-    let related = related_params target param in
     let usage = Vanalysis.Usage.analyze target.program in
     if not (List.mem param (Vanalysis.Usage.all_params usage)) then
       Error (Unused_parameter { system = target.name; param })
     else begin
+      let related = Vanalysis.Related_config.analyze ~usage target.program param in
       (* stage 2: choose the symbolic set *)
       let sym_param_names = symbolic_set opts target param related in
       let sym_configs = List.map (Ex.sym_config_var target.registry) sym_param_names in

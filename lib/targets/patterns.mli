@@ -8,8 +8,7 @@
        costly operation.
 
     Each pattern is a self-contained target whose analysis must mark the
-    pattern's poor value; used by documentation, tests and the pattern
-    bench. *)
+    pattern's poor value; used by documentation and tests. *)
 
 type pattern = {
   id : int;

@@ -11,7 +11,7 @@ type result = {
    chain entry -> ... -> f.  In each chain function [g], any parameter [q]
    guarding either the chain's call site in [g] (g <> f) or the usage site
    itself (g = f) is an enabler of [p]. *)
-let enabler_set (program : Vir.Ast.program) usage callgraph p =
+let enabler_set ~entry usage callgraph p =
   let acc = ref Sset.empty in
   let add q = if not (String.equal q p) then acc := Sset.add q !acc in
   let usage_funcs = Usage.usage_functions usage p in
@@ -20,7 +20,7 @@ let enabler_set (program : Vir.Ast.program) usage callgraph p =
       (* guards of the usage sites inside f *)
       List.iter (List.iter add) (Usage.usage_guards usage ~func:f ~param:p);
       (* guards of the call sites along each chain from the entry *)
-      let chains = Vir.Callgraph.paths_to callgraph ~entry:program.Vir.Ast.entry f in
+      let chains = Vir.Callgraph.paths_to callgraph ~entry f in
       List.iter
         (fun chain ->
           let rec walk = function
@@ -34,49 +34,17 @@ let enabler_set (program : Vir.Ast.program) usage callgraph p =
     usage_funcs;
   Sset.elements !acc
 
-let analyze_with program usage callgraph enablers_of target =
+(* Algorithm 1: the target's enablers, and every parameter the target
+   enables. *)
+let analyze ?usage (program : Vir.Ast.program) target =
+  let usage = match usage with Some u -> u | None -> Usage.analyze program in
+  let callgraph = Vir.Callgraph.build program in
+  let enablers_of = enabler_set ~entry:program.entry usage callgraph in
   let enablers = enablers_of target in
   let influenced =
-    List.filter_map
-      (fun q ->
-        if String.equal q target then None
-        else if List.mem target (enablers_of q) then Some q
-        else None)
+    List.filter
+      (fun q -> (not (String.equal q target)) && List.mem target (enablers_of q))
       (Usage.all_params usage)
   in
-  let related =
-    Sset.elements (Sset.remove target (Sset.of_list (enablers @ influenced)))
-  in
-  ignore program;
-  ignore callgraph;
+  let related = Sset.elements (Sset.remove target (Sset.of_list (enablers @ influenced))) in
   { target; enablers; influenced; related }
-
-let analyze ?usage ?callgraph program target =
-  let usage = match usage with Some u -> u | None -> Usage.analyze program in
-  let callgraph = match callgraph with Some c -> c | None -> Vir.Callgraph.build program in
-  let cache = Hashtbl.create 16 in
-  let enablers_of p =
-    match Hashtbl.find_opt cache p with
-    | Some e -> e
-    | None ->
-      let e = enabler_set program usage callgraph p in
-      Hashtbl.add cache p e;
-      e
-  in
-  analyze_with program usage callgraph enablers_of target
-
-let analyze_all program =
-  let usage = Usage.analyze program in
-  let callgraph = Vir.Callgraph.build program in
-  let cache = Hashtbl.create 64 in
-  let enablers_of p =
-    match Hashtbl.find_opt cache p with
-    | Some e -> e
-    | None ->
-      let e = enabler_set program usage callgraph p in
-      Hashtbl.add cache p e;
-      e
-  in
-  List.map
-    (fun p -> p, analyze_with program usage callgraph enablers_of p)
-    (Usage.all_params usage)

@@ -24,13 +24,7 @@ type result = {
   related : string list;  (** enablers ∪ influenced, sorted, without target *)
 }
 
-val enabler_set : Vir.Ast.program -> Usage.t -> Vir.Callgraph.t -> string -> string list
-(** Algorithm 2: [GetEnablerConfig]. *)
-
-val analyze :
-  ?usage:Usage.t -> ?callgraph:Vir.Callgraph.t -> Vir.Ast.program -> string -> result
-(** Algorithm 1 for one target parameter. *)
-
-val analyze_all : Vir.Ast.program -> (string * result) list
-(** Algorithm 1 for every parameter read by the program; shares one pass of
-    the expensive sub-analyses. *)
+val analyze : ?usage:Usage.t -> Vir.Ast.program -> string -> result
+(** Algorithm 1 for one target parameter, with Algorithm 2
+    ([GetEnablerConfig]) finding each parameter's enablers.  [usage] is
+    [Usage.analyze program], computed when absent. *)

@@ -3,11 +3,9 @@ module Sset = Set.Make (String)
 module Smap = Map.Make (String)
 
 type t = {
-  branch_params_by_func : Sset.t Smap.t;
   usage_funcs_by_param : Sset.t Smap.t;
   usage_guards_tbl : (string * string, string list list) Hashtbl.t;
   call_guards_tbl : (string * string, string list list) Hashtbl.t;
-  return_taint_by_func : Sset.t Smap.t;
   params : Sset.t;
 }
 
@@ -78,42 +76,25 @@ let run_taint (p : program) =
     in
     go_block (func_body f)
   in
-  let rounds = ref 0 in
-  while !changed && !rounds < 32 do
+  (* Run to convergence: a round that changes anything adds a parameter to
+     one of finitely many sets (a function's locals, the globals, a
+     function's return), so the loop ends. *)
+  while !changed do
     changed := false;
-    incr rounds;
     List.iter process_func p.funcs
   done;
-  let taint_of fname e =
-    let rec go acc = function
-      | Const _ | Workload _ -> acc
-      | Config prm -> Sset.add prm acc
-      | Local n -> Sset.union acc (find_set n (locals_of fname))
-      | Global n -> Sset.union acc (find_set n !globals)
-      | Not e | Neg e -> go acc e
-      | Binop (_, a, b) -> go (go acc a) b
-      | Ite (c, a, b) -> go (go (go acc c) a) b
-    in
-    go Sset.empty e
-  in
-  taint_of, !returns
+  taint_of_expr
 
 (* ------------------------------------------------------------------ *)
 (* Phase 2: guard walk.                                                *)
 (* ------------------------------------------------------------------ *)
 
 let analyze (p : program) =
-  let taint_of, returns = run_taint p in
-  let branch_params_by_func = ref Smap.empty in
+  let taint_of = run_taint p in
   let usage_funcs_by_param = ref Smap.empty in
   let usage_guards_tbl = Hashtbl.create 64 in
   let call_guards_tbl = Hashtbl.create 64 in
   let all_params = ref Sset.empty in
-  let note_branch fname params =
-    branch_params_by_func :=
-      Smap.add fname (Sset.union params (find_set fname !branch_params_by_func))
-        !branch_params_by_func
-  in
   let note_usage fname param guards =
     all_params := Sset.add param !all_params;
     usage_funcs_by_param :=
@@ -165,15 +146,10 @@ let analyze (p : program) =
       in
       match stmt with
       | If (c, t, e) ->
-        let cond_params = note_condition guards c in
-        note_branch fname cond_params;
-        let inner = Sset.union guards cond_params in
+        let inner = Sset.union guards (note_condition guards c) in
         go_block inner t;
         go_block inner e
-      | While (c, b) ->
-        let cond_params = note_condition guards c in
-        note_branch fname cond_params;
-        go_block (Sset.union guards cond_params) b
+      | While (c, b) -> go_block (Sset.union guards (note_condition guards c)) b
       | Call { fn; _ } as s ->
         List.iter (fun e -> note_all guards (taint_of fname e)) (exprs_of_stmt s);
         note_call fname fn (Sset.elements guards)
@@ -184,15 +160,12 @@ let analyze (p : program) =
   in
   List.iter process_func p.funcs;
   {
-    branch_params_by_func = !branch_params_by_func;
     usage_funcs_by_param = !usage_funcs_by_param;
     usage_guards_tbl;
     call_guards_tbl;
-    return_taint_by_func = returns;
     params = !all_params;
   }
 
-let branch_params t ~func = Sset.elements (find_set func t.branch_params_by_func)
 let usage_functions t param = Sset.elements (find_set param t.usage_funcs_by_param)
 
 let usage_guards t ~func ~param =
@@ -201,5 +174,4 @@ let usage_guards t ~func ~param =
 let call_site_guards t ~func ~callee =
   match Hashtbl.find_opt t.call_guards_tbl (func, callee) with Some l -> l | None -> []
 
-let return_taint t fname = Sset.elements (find_set fname t.return_taint_by_func)
 let all_params t = Sset.elements t.params

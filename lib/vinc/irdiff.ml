@@ -11,10 +11,10 @@ type t = {
 (* Address-free canonical rendering                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* [Vir.Pretty] deliberately prints the synthetic addresses (the tracer
-   demos rely on them), so content keys use their own renderer.  The
-   rendering is an unambiguous S-expression: every construct is wrapped
-   and tagged, so no two distinct bodies collide by concatenation. *)
+(* Content keys must not depend on the synthetic addresses, so this
+   renderer leaves them out.  The rendering is an unambiguous
+   S-expression: every construct is wrapped and tagged, so no two distinct
+   bodies collide by concatenation. *)
 
 let binop_tag (b : Vsmt.Expr.binop) =
   match b with

@@ -68,31 +68,6 @@ let find_func p name =
   | Some f -> f
   | None -> failwith (Printf.sprintf "program %s: unknown function %s" p.pname name)
 
-let reads_of select e =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let add n =
-    if not (Hashtbl.mem seen n) then begin
-      Hashtbl.add seen n ();
-      acc := n :: !acc
-    end
-  in
-  let rec go e =
-    begin
-      match select e with Some n -> add n | None -> ()
-    end;
-    match e with
-    | Const _ | Config _ | Workload _ | Local _ | Global _ -> ()
-    | Not e | Neg e -> go e
-    | Binop (_, a, b) -> go a; go b
-    | Ite (c, a, b) -> go c; go a; go b
-  in
-  go e;
-  List.rev !acc
-
-let config_reads = reads_of (function Config n -> Some n | _ -> None)
-let workload_reads = reads_of (function Workload n -> Some n | _ -> None)
-
 let prim_name = function
   | Fsync -> "fsync"
   | Pwrite -> "pwrite"

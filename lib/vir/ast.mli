@@ -99,11 +99,6 @@ val find_func : program -> string -> func
 
 val find_func_opt : program -> string -> func option
 
-val config_reads : expr -> string list
-(** Configuration parameters read by an expression, in first-occurrence
-    order, without duplicates. *)
-
-val workload_reads : expr -> string list
 val prim_name : prim -> string
 
 val iter_stmts : (stmt -> unit) -> block -> unit

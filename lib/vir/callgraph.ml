@@ -1,28 +1,21 @@
-type t = {
-  callees_of : (string, string list) Hashtbl.t;
-  callers_of : (string, string list) Hashtbl.t;
-}
+(* each function's direct callees, in call order *)
+type t = (string, string list) Hashtbl.t
 
 let add_edge tbl a b =
   let cur = match Hashtbl.find_opt tbl a with Some l -> l | None -> [] in
   if not (List.mem b cur) then Hashtbl.replace tbl a (cur @ [ b ])
 
 let build (p : Ast.program) =
-  let callees_of = Hashtbl.create 64 and callers_of = Hashtbl.create 64 in
+  let t = Hashtbl.create 64 in
   List.iter
     (fun (f : Ast.func) ->
       Ast.iter_stmts
-        (function
-          | Ast.Call { fn; _ } ->
-            add_edge callees_of f.fname fn;
-            add_edge callers_of fn f.fname
-          | _ -> ())
+        (function Ast.Call { fn; _ } -> add_edge t f.fname fn | _ -> ())
         (Ast.func_body f))
     p.funcs;
-  { callees_of; callers_of }
+  t
 
-let callees t f = match Hashtbl.find_opt t.callees_of f with Some l -> l | None -> []
-let callers t f = match Hashtbl.find_opt t.callers_of f with Some l -> l | None -> []
+let callees t f = match Hashtbl.find_opt t f with Some l -> l | None -> []
 
 let paths_to ?(max_paths = 256) t ~entry target =
   let results = ref [] and count = ref 0 in

@@ -8,8 +8,6 @@ val build : Ast.program -> t
 val callees : t -> string -> string list
 (** Direct callees of a function (no duplicates, call order). *)
 
-val callers : t -> string -> string list
-
 val paths_to : ?max_paths:int -> t -> entry:string -> string -> string list list
 (** Simple (cycle-free) call chains [entry; ...; target], each ending at
     [target].  Bounded by [max_paths] (default 256). *)

@@ -224,14 +224,6 @@ let vars e =
   go e;
   List.rev !acc
 
-let rec has_var e =
-  match e.node with
-  | Const _ -> false
-  | Var _ -> true
-  | Not e | Neg e -> has_var e
-  | Binop (_, a, b) -> has_var a || has_var b
-  | Ite (c, a, b) -> has_var c || has_var a || has_var b
-
 let rec subst f e =
   match e.node with
   | Const _ -> e

@@ -104,8 +104,6 @@ val eval : (var -> int) -> t -> int
 val vars : t -> var list
 (** Distinct variables of [e], in first-occurrence order. *)
 
-val has_var : t -> bool
-
 val subst : (var -> t option) -> t -> t
 (** Capture-free substitution: replace each variable [v] with [f v] when it
     returns [Some]. *)

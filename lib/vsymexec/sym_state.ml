@@ -64,9 +64,3 @@ let map_exprs f t =
   }
 
 let signals_in_order t = List.rev t.signals
-
-let pp_status ppf = function
-  | Running -> Fmt.string ppf "running"
-  | Terminated None -> Fmt.string ppf "terminated"
-  | Terminated (Some e) -> Fmt.pf ppf "terminated(%a)" Vsmt.Expr.pp e
-  | Killed reason -> Fmt.pf ppf "killed(%s)" reason

@@ -50,7 +50,6 @@ val initial :
   id:int -> store:Sym_store.t -> work:kont list -> fuel:int -> tracing:bool -> t
 
 val signals_in_order : t -> Signals.record list
-val pp_status : status Fmt.t
 
 val map_exprs : (Vsmt.Expr.t -> Vsmt.Expr.t) -> t -> t
 (** Apply a function to every expression in the state (store, path

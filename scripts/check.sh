@@ -287,6 +287,16 @@ dune exec bin/violet_cli.exe -- fuzz run --seed 42 --count 20 >/dev/null
 dune exec bin/violet_cli.exe -- fuzz diff --seed 42 --count 20 \
   --out "$SMOKE_DIR/fuzz-failures" >/dev/null
 
+echo "== related smoke =="
+# the CLI verb that prints Algorithms 1-2's result: query_cache_type's
+# enablers and related set
+dune exec bin/violet_cli.exe -- related mysql query_cache_type > "$SMOKE_DIR/related.out"
+grep -qxF 'enablers:   [query_cache_size]' "$SMOKE_DIR/related.out" &&
+  grep -qxF 'related:    [query_cache_limit, query_cache_size, query_cache_wlock_invalidate]' \
+    "$SMOKE_DIR/related.out" || {
+  echo "related smoke: unexpected related set for mysql query_cache_type"
+  cat "$SMOKE_DIR/related.out"; exit 1; }
+
 echo "== check smoke =="
 # the one-shot CLI check must flag the poor default: exit 2 and a finding
 rc=0

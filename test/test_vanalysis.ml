@@ -1,15 +1,16 @@
-(* Tests for the static analyzer: usage/taint analysis, classic vs broadened
-   control dependency (the paper's Section 4.3 snippets), and Algorithms 1-2
-   for related-parameter discovery. *)
+(* Tests for the static analyzer: usage/taint analysis, the broadened
+   control dependency on the paper's Section 4.3 snippets, and Algorithms
+   1-2 for related-parameter discovery, pinned over every parameter of the
+   targets and of a generated corpus. *)
 
 module Usage = Vanalysis.Usage
-module CD = Vanalysis.Control_dep
 module RC = Vanalysis.Related_config
 open Vir.Builder
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 let slist = Alcotest.(list string)
+let guards = Alcotest.(list (list string))
 
 (* ------------------------------------------------------------------ *)
 (* Usage / taint                                                       *)
@@ -40,14 +41,49 @@ let taint_program =
 
 let test_taint_through_global () =
   let u = Usage.analyze taint_program in
-  (* the branch on the tainted global counts as a usage of the config *)
-  check slist "branch params include config via global"
-    [ "query_cache_type"; "wlock_invalidate" ]
-    (Usage.branch_params u ~func:"serve")
+  (* the branch on the tainted global in serve, and is_disabled's return of
+     it, count as usages of the config *)
+  check slist "usage functions via global" [ "is_disabled"; "main"; "serve" ]
+    (Usage.usage_functions u "query_cache_type")
 
 let test_taint_through_return () =
-  let u = Usage.analyze taint_program in
-  check slist "return taint" [ "query_cache_type" ] (Usage.return_taint u "is_disabled")
+  (* engine reaches main only through mode's return value, and guards spin *)
+  let p =
+    program ~name:"t" ~entry:"main"
+      [
+        func "main"
+          [ call ~dest:"d" "mode" []; if_ (lv "d" ==. i 1) [ compute (cfg "spin") ] []; ret_void ];
+        func "mode" [ ret (cfg "engine" ==. i 1) ];
+      ]
+  in
+  let u = Usage.analyze p in
+  check guards "guarded through the return" [ [ "engine" ] ]
+    (Usage.usage_guards u ~func:"main" ~param:"spin")
+
+(* main branches on f1 (); each f_k returns f_(k+1) (), the last returns
+   [cfg p == 1]; under main's branch sits [if (cfg q)].  Functions are
+   listed caller first, so each fixpoint round carries the return taint
+   one caller up: a round cap would leave q unrelated to p. *)
+let test_taint_fixpoint_converges () =
+  let depth = 40 in
+  let f k = Printf.sprintf "f%d" k in
+  let chain =
+    List.init depth (fun j ->
+        let k = j + 1 in
+        if k = depth then func (f k) [ ret (cfg "p" ==. i 1) ]
+        else func (f k) [ call ~dest:"r" (f (k + 1)) []; ret (lv "r") ])
+  in
+  let p =
+    program ~name:"chain" ~entry:"main"
+      (func "main"
+         [
+           call ~dest:"b" (f 1) [];
+           if_ (lv "b" ==. i 1) [ if_ (cfg "q" ==. i 1) [ fsync ] [] ] [];
+           ret_void;
+         ]
+      :: chain)
+  in
+  check slist "q related to p" [ "p" ] (RC.analyze p "q").RC.related
 
 let test_usage_functions () =
   let u = Usage.analyze taint_program in
@@ -79,21 +115,30 @@ let test_short_circuit_guard () =
   check Alcotest.bool "a not guarded by b" false (List.exists (List.mem "b") guards_a)
 
 (* ------------------------------------------------------------------ *)
-(* Control dependency: the paper's snippets (1) and (2)                *)
+(* Broadened control dependency: the paper's snippets (1) and (2)      *)
 (* ------------------------------------------------------------------ *)
 
-(* snippet 1: strictly nested ifs *)
-let snippet1 =
-  func "s1"
+let usage_guards_of body param =
+  let u = Usage.analyze (program ~name:"s" ~entry:"s" [ func "s" body ]) in
+  Usage.usage_guards u ~func:"s" ~param
+
+(* snippet 1, strictly nested ifs: the classic postdominator definition
+   makes d's test control dependent on c only; the broadened one on every
+   enclosing test *)
+let test_snippet1_classic_vs_broadened () =
+  let snippet1 =
     [
       if_ (cfg "a" ==. i 1)
         [ if_ (cfg "b" ==. i 1) [ if_ (cfg "c" ==. i 1) [ if_ (cfg "d" ==. i 1) [] [] ] [] ] [] ]
         [];
     ]
+  in
+  check guards "d guarded by a, b and c" [ [ "a"; "b"; "c" ] ] (usage_guards_of snippet1 "d")
 
-(* snippet 2: sequential ifs inside one enclosing if *)
-let snippet2 =
-  func "s2"
+(* snippet 2, sequential ifs inside one enclosing if: here the classic
+   definition agrees with the broadened one, and siblings stay independent *)
+let test_snippet2_classic_agrees () =
+  let snippet2 =
     [
       if_ (cfg "a" ==. i 1)
         [
@@ -103,54 +148,8 @@ let snippet2 =
         ]
         [];
     ]
-
-let branch_ids f =
-  (* node ids of the If statements reading each config, via the broadened
-     walk's numbering: entry=0 exit=1 then pre-order *)
-  let next = ref 2 in
-  let tbl = Hashtbl.create 8 in
-  let rec go block =
-    List.iter
-      (fun (s : Vir.Ast.stmt) ->
-        let id = !next in
-        incr next;
-        match s with
-        | Vir.Ast.If (c, t, e) ->
-          List.iter (fun p -> Hashtbl.replace tbl p id) (Vir.Ast.config_reads c);
-          go t;
-          go e
-        | Vir.Ast.While (c, b) ->
-          List.iter (fun p -> Hashtbl.replace tbl p id) (Vir.Ast.config_reads c);
-          go b
-        | _ -> ())
-      block
   in
-  go (Vir.Ast.func_body f);
-  fun name -> Hashtbl.find tbl name
-
-let test_snippet1_classic_vs_broadened () =
-  let g = Vir.Cfg.of_func snippet1 in
-  let id = branch_ids snippet1 in
-  (* classic: d's test is control dependent on c but NOT on a *)
-  check Alcotest.bool "classic: d dep on c" true (CD.classic g ~on:(id "c") (id "d"));
-  check Alcotest.bool "classic: d not dep on a" false (CD.classic g ~on:(id "a") (id "d"));
-  (* broadened: all four are dependent *)
-  let pairs = CD.broadened_pairs snippet1 in
-  check Alcotest.bool "broadened: d dep on a" true (List.mem (id "a", id "d") pairs);
-  check Alcotest.bool "broadened: d dep on b" true (List.mem (id "b", id "d") pairs);
-  check Alcotest.bool "broadened: d dep on c" true (List.mem (id "c", id "d") pairs)
-
-let test_snippet2_classic_agrees () =
-  let g = Vir.Cfg.of_func snippet2 in
-  let id = branch_ids snippet2 in
-  (* in snippet 2 even the classic definition makes d dependent on a *)
-  check Alcotest.bool "classic: d dep on a" true (CD.classic g ~on:(id "a") (id "d"));
-  (* but d is not classic-dependent on its sibling c *)
-  check Alcotest.bool "classic: d not dep on c" false (CD.classic g ~on:(id "c") (id "d"));
-  let pairs = CD.broadened_pairs snippet2 in
-  check Alcotest.bool "broadened: d dep on a" true (List.mem (id "a", id "d") pairs);
-  check Alcotest.bool "broadened: siblings stay independent" false
-    (List.mem (id "c", id "d") pairs)
+  check guards "d guarded by a, not by its sibling c" [ [ "a" ] ] (usage_guards_of snippet2 "d")
 
 (* ------------------------------------------------------------------ *)
 (* Related-config discovery (Figure 10 / Algorithms 1-2)               *)
@@ -196,32 +195,49 @@ let test_unrelated_params_stay_unrelated () =
   let r = RC.analyze p "y" in
   check slist "no relation" [] r.RC.related
 
-let test_analyze_all_consistent () =
-  let all = RC.analyze_all fig10 in
-  check Alcotest.int "three params" 3 (List.length all);
-  let lookup p = List.assoc p all in
-  (* influenced is the inverse of enablers across the whole result *)
-  List.iter
-    (fun (p, (r : RC.result)) ->
-      List.iter
-        (fun q ->
-          check Alcotest.bool
-            (Printf.sprintf "%s enabler of %s implies influence" q p)
-            true
-            (List.mem p (lookup q).RC.influenced))
-        r.RC.enablers)
-    all
-
 let test_dataflow_bridge_related () =
   (* query_cache_type is an enabler of wlock_invalidate via the tainted
      global, the paper's is_disabled() example *)
   let r = RC.analyze taint_program "wlock_invalidate" in
   check Alcotest.bool "bridge found" true (List.mem "query_cache_type" r.RC.enablers)
 
+(* ------------------------------------------------------------------ *)
+(* Every parameter's related set, pinned                               *)
+(* ------------------------------------------------------------------ *)
+
+(* One line per parameter each program reads, in [Usage.all_params] order:
+   the line count and the digest of the lines. *)
+let related_digest (targets : Violet.Pipeline.target list) =
+  let lines =
+    List.concat_map
+      (fun (t : Violet.Pipeline.target) ->
+        let usage = Usage.analyze t.program in
+        List.map
+          (fun param ->
+            let r = RC.analyze ~usage t.program param in
+            Printf.sprintf "%s/%s e=%s i=%s r=%s" t.name param (String.concat "," r.RC.enablers)
+              (String.concat "," r.RC.influenced) (String.concat "," r.RC.related))
+          (Usage.all_params usage))
+      targets
+  in
+  List.length lines, Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let digest = Alcotest.(pair int string)
+
+let test_related_sets_targets () =
+  check digest "targets" (106, "1a37459cf91a4f038fcaa1f57a7321ce")
+    (related_digest Targets.Cases.all_targets)
+
+let test_related_sets_corpus () =
+  let corpus = Vfuzz.Generate.corpus ~seed:42 ~count:200 () in
+  check digest "seed-42 corpus" (626, "7da8a657b369f43dc8ba933b37911e57")
+    (related_digest (List.map Vfuzz.Genspec.to_target corpus))
+
 let tests =
   [
     tc "taint through global" test_taint_through_global;
     tc "taint through return" test_taint_through_return;
+    tc "taint fixpoint runs to convergence" test_taint_fixpoint_converges;
     tc "usage functions" test_usage_functions;
     tc "usage guards nested" test_usage_guards_nested;
     tc "short-circuit guard" test_short_circuit_guard;
@@ -230,6 +246,7 @@ let tests =
     tc "enabler via call chain (Figure 10)" test_enabler_via_call_chain;
     tc "transitive enablers" test_flush_enablers_transitive;
     tc "unrelated params" test_unrelated_params_stay_unrelated;
-    tc "analyze_all consistent" test_analyze_all_consistent;
     tc "dataflow bridge" test_dataflow_bridge_related;
+    tc "related sets of the targets" test_related_sets_targets;
+    tc "related sets of the seed-42 corpus" test_related_sets_corpus;
   ]

@@ -1,14 +1,15 @@
-(* Tests for the IR: builder, address resolution, CFG, postdominators and
-   the call graph. *)
+(* Tests for the IR: builder, address resolution and the call graph, and the
+   builder edge shapes the static analyzer must read. *)
 
 open Vir.Builder
 module Ast = Vir.Ast
-module Cfg = Vir.Cfg
-module Postdom = Vir.Postdom
 module Callgraph = Vir.Callgraph
+module Usage = Vanalysis.Usage
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
+let slist = Alcotest.(list string)
+let guards = Alcotest.(list (list string))
 
 let simple_program =
   program ~name:"p" ~entry:"main"
@@ -51,92 +52,6 @@ let test_builder_validation () =
   Alcotest.check_raises "missing entry" (Failure "program noent: missing entry main")
     (fun () -> ignore (program ~name:"noent" ~entry:"main" [ func "f" [] ]))
 
-let test_reads () =
-  let e = cfg "a" +. wl "w" *. cfg "b" +. cfg "a" in
-  check (Alcotest.list Alcotest.string) "config reads" [ "a"; "b" ] (Ast.config_reads e);
-  check (Alcotest.list Alcotest.string) "workload reads" [ "w" ] (Ast.workload_reads e)
-
-(* ------------------------------------------------------------------ *)
-(* CFG                                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let diamond =
-  func "diamond"
-    [
-      set "x" (i 0);
-      if_ (cfg "c" ==. i 1) [ set "x" (i 1) ] [ set "x" (i 2) ];
-      compute (i 5);
-      ret_void;
-    ]
-
-let test_cfg_diamond () =
-  let g = Cfg.of_func diamond in
-  (* entry, exit, x=0, if, x=1, x=2, compute, return *)
-  check Alcotest.int "node count" 8 (Array.length g.Cfg.nodes);
-  let branch = match Cfg.branch_nodes g with [ b ] -> b | _ -> Alcotest.fail "one branch" in
-  check Alcotest.int "two successors" 2 (List.length branch.Cfg.succs)
-
-let test_cfg_while () =
-  let f =
-    func "loop" [ set "i" (i 0); while_ (lv "i" <. i 3) [ set "i" (lv "i" +. i 1) ]; ret_void ]
-  in
-  let g = Cfg.of_func f in
-  let cond = match Cfg.branch_nodes g with [ b ] -> b | _ -> Alcotest.fail "one branch" in
-  (* loop body feeds back into the condition *)
-  check Alcotest.bool "back edge" true
-    (List.exists
-       (fun (n : Cfg.node) -> List.mem cond.Cfg.id n.Cfg.succs && n.Cfg.id <> cond.Cfg.id)
-       (Array.to_list g.Cfg.nodes));
-  check Alcotest.int "cond has 2 succs" 2 (List.length cond.Cfg.succs)
-
-let test_cfg_return_cuts_flow () =
-  let f = func "early" [ ret_void; compute (i 1) ] in
-  let g = Cfg.of_func f in
-  (* the compute node after return is unreachable: no predecessors *)
-  let unreachable =
-    Array.to_list g.Cfg.nodes
-    |> List.filter (fun (n : Cfg.node) ->
-           n.Cfg.stmt <> None && n.Cfg.preds = [] && n.Cfg.id <> g.Cfg.entry_id)
-  in
-  check Alcotest.int "one unreachable" 1 (List.length unreachable)
-
-(* ------------------------------------------------------------------ *)
-(* Postdominators                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_postdom_diamond () =
-  let g = Cfg.of_func diamond in
-  let pd = Postdom.compute g in
-  (* find nodes by label *)
-  let by_label l =
-    match
-      Array.to_list g.Cfg.nodes |> List.find_opt (fun (n : Cfg.node) -> n.Cfg.label = l)
-    with
-    | Some n -> n.Cfg.id
-    | None -> Alcotest.fail ("no node " ^ l)
-  in
-  let if_node = by_label "if" in
-  let join = by_label "compute" in
-  check Alcotest.bool "join postdominates branch" true (Postdom.postdominates pd join if_node);
-  check Alcotest.bool "exit postdominates entry" true
-    (Postdom.postdominates pd g.Cfg.exit_id g.Cfg.entry_id);
-  (* the two arms are control dependent on the branch, the join is not *)
-  let arms =
-    Array.to_list g.Cfg.nodes
-    |> List.filter (fun (n : Cfg.node) -> n.Cfg.label = "x = ...")
-    |> List.map (fun (n : Cfg.node) -> n.Cfg.id)
-    (* first x=0 is before the branch *)
-    |> List.filter (fun id -> id > if_node)
-  in
-  check Alcotest.int "two arms" 2 (List.length arms);
-  List.iter
-    (fun arm ->
-      check Alcotest.bool "arm control dep" true
-        (Postdom.control_dependent pd g ~on:if_node arm))
-    arms;
-  check Alcotest.bool "join not control dep" false
-    (Postdom.control_dependent pd g ~on:if_node join)
-
 (* ------------------------------------------------------------------ *)
 (* Callgraph                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -144,10 +59,6 @@ let test_postdom_diamond () =
 let test_callgraph () =
   let g = Callgraph.build simple_program in
   check (Alcotest.list Alcotest.string) "callees dedup" [ "helper" ] (Callgraph.callees g "main");
-  check
-    (Alcotest.list Alcotest.string)
-    "callers" [ "main"; "unreachable" ]
-    (List.sort String.compare (Callgraph.callers g "helper"));
   check (Alcotest.list (Alcotest.list Alcotest.string)) "paths"
     [ [ "main"; "helper" ] ]
     (Callgraph.paths_to g ~entry:"main" "helper");
@@ -174,36 +85,30 @@ let test_callgraph_cycles () =
 (* ------------------------------------------------------------------ *)
 
 let test_branchless_function () =
-  (* a straight-line function: no branch nodes, trivially postdominated *)
+  (* a straight-line function: its one configuration read is unguarded *)
   let p =
     program ~name:"line" ~entry:"main"
-      [ func "main" [ compute (i 5); buffered_write (i 128); ret_void ] ]
+      [ func "main" [ compute (i 5); buffered_write (cfg "buf"); ret_void ] ]
   in
-  let main = Ast.find_func p "main" in
-  let g = Cfg.of_func main in
-  check Alcotest.int "no branch nodes" 0 (List.length (Cfg.branch_nodes g));
-  let pd = Postdom.compute g in
-  (* the exit postdominates every node of a straight line *)
-  Array.iter
-    (fun (n : Cfg.node) ->
-      check Alcotest.bool "exit postdominates" true
-        (Postdom.postdominates pd g.Cfg.exit_id n.Cfg.id))
-    g.Cfg.nodes
+  check Alcotest.bool "addressed" true ((Ast.find_func p "main").Ast.addr > 0);
+  let u = Usage.analyze p in
+  check slist "read recorded" [ "buf" ] (Usage.all_params u);
+  check guards "no enclosing branch" [ [] ] (Usage.usage_guards u ~func:"main" ~param:"buf")
 
 let test_unreachable_block () =
-  (* a block behind a constant-false guard still builds: addresses, CFG
-     edges and postdominators all present *)
+  (* a block behind a constant-false guard still builds, and the static
+     analysis still reads it: the guard reads no parameter *)
   let p =
     program ~name:"dead" ~entry:"main"
       [
         func "main"
-          [ if_ (i 0 ==. i 1) [ fsync; compute (i 9) ] []; compute (i 1); ret_void ];
+          [ if_ (i 0 ==. i 1) [ fsync; compute (cfg "k") ] []; compute (i 1); ret_void ];
       ]
   in
-  let main = Ast.find_func p "main" in
-  let g = Cfg.of_func main in
-  check Alcotest.int "guard is a branch node" 1 (List.length (Cfg.branch_nodes g));
-  ignore (Postdom.compute g)
+  check Alcotest.bool "addressed" true ((Ast.find_func p "main").Ast.addr > 0);
+  let u = Usage.analyze p in
+  check slist "dead read recorded" [ "main" ] (Usage.usage_functions u "k");
+  check guards "guard reads no parameter" [ [] ] (Usage.usage_guards u ~func:"main" ~param:"k")
 
 let test_config_read_without_predicate () =
   (* a config value read into a local that never reaches a predicate: the
@@ -215,37 +120,21 @@ let test_config_read_without_predicate () =
   let main = Ast.find_func p "main" in
   let reads = ref [] in
   Ast.iter_stmts
-    (function
-      | Ast.Assign (_, value) -> reads := Ast.config_reads value @ !reads
-      | _ -> ())
+    (function Ast.Assign (_, Ast.Config n) -> reads := n :: !reads | _ -> ())
     (Ast.func_body main);
-  check (Alcotest.list Alcotest.string) "config read recorded" [ "knob" ] !reads;
-  let g = Cfg.of_func main in
-  check Alcotest.int "no branching" 0 (List.length (Cfg.branch_nodes g))
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  n = 0 || go 0
-
-let test_pretty_renders () =
-  let text = Fmt.str "%a" Vir.Pretty.pp_program simple_program in
-  check Alcotest.bool "mentions funcs" true
-    (List.for_all (contains text) [ "main"; "helper"; "compute" ])
+  check slist "config read built" [ "knob" ] !reads;
+  let u = Usage.analyze p in
+  check slist "config read recorded" [ "knob" ] (Usage.all_params u);
+  (* the read and the tainted use of x, both unguarded *)
+  check guards "no branching" [ []; [] ] (Usage.usage_guards u ~func:"main" ~param:"knob")
 
 let tests =
   [
     tc "addresses distinct" test_addresses_distinct;
     tc "return addresses in caller range" test_ret_addrs_in_caller_range;
     tc "builder validation" test_builder_validation;
-    tc "config/workload reads" test_reads;
-    tc "cfg diamond" test_cfg_diamond;
-    tc "cfg while" test_cfg_while;
-    tc "cfg return cuts flow" test_cfg_return_cuts_flow;
-    tc "postdominators diamond" test_postdom_diamond;
     tc "callgraph" test_callgraph;
     tc "callgraph cycles" test_callgraph_cycles;
-    tc "pretty renders" test_pretty_renders;
     tc "branchless function" test_branchless_function;
     tc "unreachable block" test_unreachable_block;
     tc "config read without predicate" test_config_read_without_predicate;
